@@ -10,10 +10,18 @@
 # Build time is not part of any metric.
 set -euo pipefail
 
+if [[ ! -f go.mod || ! -d cmd/fuseserve ]]; then
+	echo "fusebench: run from the root of the fuse repository (no go.mod or cmd/fuseserve here)" >&2
+	exit 1
+fi
+
 out=.bench_build
-mkdir -p "$out/tmp" "$out/runs"
+mkdir -p "$out/tmp" "$out/runs" "$out/config/go/telemetry"
 export GOCACHE="$PWD/$out/go-cache" GOTMPDIR="$PWD/$out/tmp" GOPATH="$PWD/$out/gopath" \
 	XDG_CONFIG_HOME="$PWD/$out/config" GOTOOLCHAIN=local GOPROXY=off
+# In its default mode the go command starts a detached telemetry upload
+# process that outlives it; with telemetry off it starts none.
+echo off >"$out/config/go/telemetry/mode"
 
 go build -o "$out/fuseserve" ./cmd/fuseserve >&2
 (cd fusebench && go build -o "../$out/fusebench" .) >&2
