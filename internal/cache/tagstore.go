@@ -54,15 +54,32 @@ type TagStore struct {
 	repl  []*replacementState
 
 	// tags mirrors lines: tags[s][w] is the block held by a valid way and
-	// invalidTag otherwise. Tag searches scan this compact array instead of
-	// the ~64-byte Line structs — for the 512-way fully-associative STT-MRAM
-	// bank that is an 8x reduction in memory traffic per lookup, and lookups
-	// dominate the simulator's profile.
+	// invalidTag otherwise. Free-way searches (Insert, HasFreeWay,
+	// VictimFor) scan this compact array instead of the ~64-byte Line
+	// structs.
 	tags [][]uint64
+
+	// index maps every held block to the flat position set*ways+way of its
+	// lowest-way copy, so a tag search in a highly associative store is one
+	// map probe instead of a scan over up to 512 ways. It is nil for stores
+	// with fewer than indexMinWays ways, whose searches scan tags. The
+	// lowest way is what a scan finds first, which matters because a block
+	// can be held twice: Insert does not check for presence, and the hybrid
+	// L1D's tag queue can write a block the STT-MRAM bank already holds.
+	index map[uint64]int32
+	// dups counts valid lines that are not the indexed copy of their block.
+	// While it is zero, removing an indexed line needs no rescan.
+	dups int
 
 	// occupancy counts the number of valid lines.
 	occupancy int
 }
+
+// indexMinWays is the associativity from which a TagStore indexes its
+// blocks. Scanning a few compact tags beats a map probe: with the index on
+// the shared L2's 8-way sets, the L2's tag probes took more host time than
+// the linear scan they replaced.
+const indexMinWays = 16
 
 // NewTagStore creates a tag store with the given geometry and replacement
 // policy. It panics on non-positive geometry, which always indicates a
@@ -72,6 +89,9 @@ func NewTagStore(sets, ways int, kind ReplacementKind) *TagStore {
 		panic(fmt.Sprintf("cache: invalid tag store geometry %dx%d", sets, ways))
 	}
 	t := &TagStore{sets: sets, ways: ways, kind: kind}
+	if ways >= indexMinWays {
+		t.index = make(map[uint64]int32, sets*ways)
+	}
 	t.lines = make([][]Line, sets)
 	t.repl = make([]*replacementState, sets)
 	t.tags = make([][]uint64, sets)
@@ -110,13 +130,30 @@ func (t *TagStore) SetIndex(block uint64) int {
 // returned pointer aliases the store; callers may update counters through it.
 // It does not update replacement state; use Touch for that.
 func (t *TagStore) Lookup(block uint64) (*Line, int, bool) {
-	set := t.SetIndex(block)
+	set, way := t.find(block)
+	if way < 0 {
+		return nil, -1, false
+	}
+	return &t.lines[set][way], way, true
+}
+
+// find returns the set and way of the block's lowest-way copy (way -1 when
+// the block is absent).
+func (t *TagStore) find(block uint64) (set, way int) {
+	if t.index != nil {
+		pos, ok := t.index[block]
+		if !ok {
+			return 0, -1
+		}
+		return int(pos) / t.ways, int(pos) % t.ways
+	}
+	set = t.SetIndex(block)
 	for w, tag := range t.tags[set] {
 		if tag == block {
-			return &t.lines[set][w], w, true
+			return set, w
 		}
 	}
-	return nil, -1, false
+	return set, -1
 }
 
 // Probe reports whether the block is present without touching any state.
@@ -128,22 +165,20 @@ func (t *TagStore) Probe(block uint64) bool {
 // Touch records a hit on the block at cycle now, updating the replacement
 // state and the line's counters.
 func (t *TagStore) Touch(block uint64, now int64, write bool) (*Line, bool) {
-	set := t.SetIndex(block)
-	for w, tag := range t.tags[set] {
-		if tag == block {
-			l := &t.lines[set][w]
-			l.LastAccess = now
-			if write {
-				l.Writes++
-				l.Dirty = true
-			} else {
-				l.Reads++
-			}
-			t.repl[set].onAccess(w)
-			return l, true
-		}
+	set, way := t.find(block)
+	if way < 0 {
+		return nil, false
 	}
-	return nil, false
+	l := &t.lines[set][way]
+	l.LastAccess = now
+	if write {
+		l.Writes++
+		l.Dirty = true
+	} else {
+		l.Reads++
+	}
+	t.repl[set].onAccess(way)
+	return l, true
 }
 
 // HasFreeWay reports whether the set for the given block has an invalid way.
@@ -176,10 +211,12 @@ func (t *TagStore) Insert(block uint64, pc uint64, now int64, write bool, level 
 		// that partition a set).
 		way = t.repl[set].victimAll()
 		evicted = t.lines[set][way]
+		t.unindex(set, way, evicted.Block)
 		t.repl[set].onInvalidate(way)
 		t.occupancy--
 	}
 	t.tags[set][way] = block
+	t.reindex(set, way, block)
 	l := &t.lines[set][way]
 	*l = Line{
 		Valid:       true,
@@ -203,19 +240,58 @@ func (t *TagStore) Insert(block uint64, pc uint64, now int64, write bool, level 
 // Invalidate removes the block from the store and returns a copy of the line
 // it occupied (Valid reports whether anything was removed).
 func (t *TagStore) Invalidate(block uint64) Line {
-	set := t.SetIndex(block)
-	for w, tag := range t.tags[set] {
-		if tag == block {
-			l := &t.lines[set][w]
-			old := *l
-			*l = Line{}
-			t.tags[set][w] = invalidTag
-			t.repl[set].onInvalidate(w)
-			t.occupancy--
-			return old
+	set, way := t.find(block)
+	if way < 0 {
+		return Line{}
+	}
+	t.unindex(set, way, block)
+	l := &t.lines[set][way]
+	old := *l
+	*l = Line{}
+	t.tags[set][way] = invalidTag
+	t.repl[set].onInvalidate(way)
+	t.occupancy--
+	return old
+}
+
+// reindex records a new copy of block at (set, way) in the index; a copy
+// below the one already indexed takes over the entry.
+func (t *TagStore) reindex(set, way int, block uint64) {
+	if t.index == nil {
+		return
+	}
+	pos := int32(set*t.ways + way)
+	if held, ok := t.index[block]; !ok {
+		t.index[block] = pos
+	} else {
+		t.dups++
+		if pos < held {
+			t.index[block] = pos
 		}
 	}
-	return Line{}
+}
+
+// unindex drops the copy of block held at (set, way) from the index. When
+// that copy was the indexed one and duplicates exist, the set is rescanned
+// for the block's next-lowest copy, which takes over the index entry.
+func (t *TagStore) unindex(set, way int, block uint64) {
+	if t.index == nil {
+		return
+	}
+	if t.index[block] != int32(set*t.ways+way) {
+		t.dups-- // a shadowed duplicate: the indexed copy stays
+		return
+	}
+	if t.dups > 0 {
+		for w, tag := range t.tags[set] {
+			if w != way && tag == block {
+				t.dups--
+				t.index[block] = int32(set*t.ways + w)
+				return
+			}
+		}
+	}
+	delete(t.index, block)
 }
 
 // VictimFor returns a copy of the line that would be evicted if the block
@@ -243,18 +319,6 @@ func (t *TagStore) ForEach(fn func(l *Line)) {
 	}
 }
 
-// SetOf returns the way slice of the set containing the given block. Exposed
-// for the associativity-approximation logic, which partitions the tag array
-// into CBF-indexed regions.
-func (t *TagStore) SetOf(block uint64) []Line {
-	return t.lines[t.SetIndex(block)]
-}
-
-// LinesInSet returns the line metadata of set s (aliasing internal storage).
-func (t *TagStore) LinesInSet(s int) []Line {
-	return t.lines[s]
-}
-
 // Reset invalidates every line.
 func (t *TagStore) Reset() {
 	for s := range t.lines {
@@ -264,5 +328,7 @@ func (t *TagStore) Reset() {
 		}
 		t.repl[s] = newReplacementState(t.kind, t.ways)
 	}
+	clear(t.index)
+	t.dups = 0
 	t.occupancy = 0
 }

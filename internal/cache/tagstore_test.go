@@ -175,11 +175,8 @@ func TestTagStoreForEachAndReset(t *testing.T) {
 	if count != 6 {
 		t.Errorf("ForEach visited %d lines, want 6", count)
 	}
-	if len(ts.LinesInSet(0)) != 2 {
-		t.Errorf("LinesInSet should expose the ways")
-	}
-	if len(ts.SetOf(blockAddr(0))) != 2 {
-		t.Errorf("SetOf should expose the ways of the block's set")
+	if ts.Ways() != 2 || ts.Sets() != 4 {
+		t.Errorf("geometry = %dx%d, want 4x2", ts.Sets(), ts.Ways())
 	}
 	ts.Reset()
 	if ts.Occupancy() != 0 {
@@ -260,5 +257,25 @@ func TestReplacementKindString(t *testing.T) {
 	}
 	if ReplacementKind(9).String() == "" {
 		t.Errorf("unknown kind should still render")
+	}
+}
+
+// BenchmarkTagStoreLookup measures one tag search on the 512-way
+// fully-associative STT-MRAM bank, full, for a held block and an absent one.
+func BenchmarkTagStoreLookup(b *testing.B) {
+	const ways = 512
+	ts := NewTagStore(1, ways, FIFO)
+	for i := 0; i < ways; i++ {
+		ts.Insert(blockAddr(i), 0, int64(i), false, mem.WORM)
+	}
+	for _, c := range []struct {
+		name string
+		base int
+	}{{"hit", 0}, {"miss", ways}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ts.Lookup(blockAddr(c.base + i%ways))
+			}
+		})
 	}
 }

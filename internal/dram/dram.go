@@ -19,6 +19,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"fuse/internal/mem"
@@ -105,6 +106,25 @@ type channelState struct {
 	flights   []flight
 	banks     []bankState
 	busFreeAt int64
+	// next is the channel's earliest event: the minimum over its flights'
+	// completions and its queued requests' issue-ready times, math.MaxInt64
+	// when idle. It is kept exact incrementally — lowered on enqueue (which
+	// changes no bank state) and recomputed after every Advance that touches
+	// the channel — so NextEventAt never rescans the queues.
+	next int64
+}
+
+// recomputeNext rescans the channel's flights and queue for its earliest
+// event (math.MaxInt64 when idle).
+func (d *DRAM) recomputeNext(ch *channelState) {
+	next := int64(math.MaxInt64)
+	for _, f := range ch.flights {
+		next = min(next, f.done)
+	}
+	for _, r := range ch.queue {
+		next = min(next, d.issueReadyAt(ch, r))
+	}
+	ch.next = next
 }
 
 // Completion reports one finished transfer: the block whose data burst
@@ -173,6 +193,7 @@ func New(cfg Config) *DRAM {
 	d.channels = make([]channelState, resolved.Channels)
 	for i := range d.channels {
 		d.channels[i].banks = make([]bankState, resolved.BanksPerChannel)
+		d.channels[i].next = math.MaxInt64
 	}
 	return d
 }
@@ -239,6 +260,7 @@ func (d *DRAM) Resubmit(addr uint64, write bool, at int64) (uint64, bool) {
 		arrive: at,
 	}
 	ch.queue = append(ch.queue, r)
+	ch.next = min(ch.next, d.issueReadyAt(ch, r))
 	d.accesses.Inc()
 	if write {
 		d.writes.Inc()
@@ -279,20 +301,12 @@ func (d *DRAM) issueReadyAt(ch *channelState, r request) int64 {
 // progress: a queued request becoming issuable or an in-flight burst
 // completing. It returns -1 when the controller is idle.
 func (d *DRAM) NextEventAt() int64 {
-	next := int64(-1)
-	consider := func(t int64) {
-		if next < 0 || t < next {
-			next = t
-		}
-	}
+	next := int64(math.MaxInt64)
 	for i := range d.channels {
-		ch := &d.channels[i]
-		for _, f := range ch.flights {
-			consider(f.done)
-		}
-		for _, r := range ch.queue {
-			consider(d.issueReadyAt(ch, r))
-		}
+		next = min(next, d.channels[i].next)
+	}
+	if next == math.MaxInt64 {
+		return -1
 	}
 	return next
 }
@@ -371,6 +385,10 @@ func (d *DRAM) Advance(now int64) []Completion {
 	defer func() { d.compBuf = out[:0] }()
 	for i := range d.channels {
 		ch := &d.channels[i]
+		if ch.next > now {
+			// Nothing completes and nothing is issuable before ch.next.
+			continue
+		}
 		kept := ch.flights[:0]
 		for _, f := range ch.flights {
 			if f.done <= now {
@@ -389,6 +407,7 @@ func (d *DRAM) Advance(now int64) []Completion {
 			ch.queue = slices.Delete(ch.queue, idx, idx+1)
 			ch.flights = append(ch.flights, flight{req: r, done: d.service(ch, r, now)})
 		}
+		d.recomputeNext(ch)
 	}
 	slices.SortFunc(out, func(a, b Completion) int {
 		if a.Done != b.Done {
@@ -478,6 +497,7 @@ func (d *DRAM) Reset() {
 		d.channels[i].busFreeAt = 0
 		d.channels[i].queue = nil
 		d.channels[i].flights = nil
+		d.channels[i].next = math.MaxInt64
 	}
 	d.nextSeq = 0
 	d.compBuf = nil

@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -295,5 +297,135 @@ func TestConfigClamping(t *testing.T) {
 	}
 	if done := d.Access(0, false, 0); done <= 0 {
 		t.Errorf("clamped DRAM should still serve accesses")
+	}
+}
+
+// bruteNextEventAt is the full rescan NextEventAt used to perform: the
+// earliest flight completion or queued issue-ready time over every channel,
+// -1 when idle.
+func bruteNextEventAt(d *DRAM) int64 {
+	next := int64(-1)
+	for i := range d.channels {
+		ch := &d.channels[i]
+		for _, f := range ch.flights {
+			if next < 0 || f.done < next {
+				next = f.done
+			}
+		}
+		for _, r := range ch.queue {
+			if t := d.issueReadyAt(ch, r); next < 0 || t < next {
+				next = t
+			}
+		}
+	}
+	return next
+}
+
+// TestNextEventAtMatchesRescan drives controllers with seeded random
+// traffic — submissions arriving now or later, retries of rejected requests,
+// advances to random times and to the reported next event — and checks after
+// every operation that the incrementally kept NextEventAt equals a full
+// rescan, and after every Advance that nothing due at `now` was left behind
+// (the channels Advance skips must really have had nothing to do).
+func TestNextEventAtMatchesRescan(t *testing.T) {
+	for _, cfg := range []Config{
+		{Channels: 1, BanksPerChannel: 2, QueueDepth: 4, Backend: "GDDR5"},
+		{Channels: 3, BanksPerChannel: 4, QueueDepth: 6, RowBytes: 512, Backend: "GDDR5"},
+		{Channels: 6, QueueDepth: 16, Backend: "HBM2"},
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%dch/%s/seed=%d", cfg.Channels, cfg.Backend, seed), func(t *testing.T) {
+				diffNextEventAt(t, cfg, seed)
+			})
+		}
+	}
+}
+
+func diffNextEventAt(t *testing.T, cfg Config, seed uint64) {
+	rng := rand.New(rand.NewPCG(seed, 0xD7A3))
+	d := New(cfg)
+	check := func(step string) {
+		t.Helper()
+		if got, want := d.NextEventAt(), bruteNextEventAt(d); got != want {
+			t.Fatalf("%s: NextEventAt = %d, rescan = %d", step, got, want)
+		}
+	}
+	type held struct {
+		addr  uint64
+		write bool
+	}
+	var rejected []held
+	now := int64(0)
+	blocks := 64 * d.Channels()
+	completions, stalls := 0, 0
+	for i := 0; i < 5000; i++ {
+		var step string
+		switch op := rng.IntN(8); {
+		case op < 3:
+			// A burst, so that the queues fill and reject.
+			for n := rng.IntN(8); n >= 0; n-- {
+				addr := uint64(rng.IntN(blocks)) * mem.BlockSize
+				write := rng.IntN(4) == 0
+				at := now + int64(rng.IntN(40))
+				step = fmt.Sprintf("op %d Submit(%#x, %v, %d)", i, addr, write, at)
+				if _, ok := d.Submit(addr, write, at); !ok {
+					rejected = append(rejected, held{addr, write})
+					stalls++
+				}
+				check(step)
+			}
+		case op == 3 && len(rejected) > 0:
+			h := rejected[0]
+			step = fmt.Sprintf("op %d Resubmit(%#x, %v, %d)", i, h.addr, h.write, now)
+			if _, ok := d.Resubmit(h.addr, h.write, now); ok {
+				rejected = rejected[1:]
+			}
+		case op == 4 && i%500 == 499:
+			step = fmt.Sprintf("op %d Reset", i)
+			d.Reset()
+			rejected = rejected[:0]
+			now = 0
+		default:
+			if next := d.NextEventAt(); next >= 0 && rng.IntN(2) == 0 {
+				now = max(now, next)
+			} else {
+				now += int64(rng.IntN(30))
+			}
+			step = fmt.Sprintf("op %d Advance(%d)", i, now)
+			completions += len(d.Advance(now))
+			for c := range d.channels {
+				ch := &d.channels[c]
+				for _, f := range ch.flights {
+					if f.done <= now {
+						t.Fatalf("%s: channel %d kept a flight done at %d", step, c, f.done)
+					}
+				}
+				for _, r := range ch.queue {
+					if at := d.issueReadyAt(ch, r); at <= now {
+						t.Fatalf("%s: channel %d left a request issuable at %d", step, c, at)
+					}
+				}
+			}
+		}
+		check(step)
+	}
+	if completions == 0 || stalls == 0 {
+		t.Fatalf("traffic too light: %d completions, %d rejected submissions", completions, stalls)
+	}
+}
+
+// BenchmarkDRAMNextEventAt measures the controller's next-event query with
+// every channel queue of the paper's 6-channel controller loaded to its
+// depth, the state a memory-bound run spends most of its time in.
+func BenchmarkDRAMNextEventAt(b *testing.B) {
+	d := New(Config{})
+	for i := 0; ; i++ {
+		if _, ok := d.Submit(uint64(i)*mem.BlockSize, i%4 == 0, int64(i%32)); !ok {
+			break
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.NextEventAt()
 	}
 }

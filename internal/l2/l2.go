@@ -101,7 +101,6 @@ type fillEntry struct {
 	block   uint64
 	pc      uint64
 	dirty   bool // a full-block write merged into the fill: insert dirty
-	issued  bool // handed to the memory controller (false under back-pressure)
 	readyAt int64
 	waiters []Waiter
 }
@@ -111,7 +110,9 @@ type bank struct {
 	store  *cache.TagStore
 	portAt int64
 	mshr   map[uint64]*fillEntry
-	order  []uint64 // allocation order, for deterministic retry of unissued entries
+	// held lists the MSHR entries whose fill the controller rejected, in
+	// allocation order; pump resubmits them from the front.
+	held []*fillEntry
 	// wbq is the bank's write buffer: dirty victims the channel queue
 	// rejected. It is deliberately unbounded — evictions happen at fill
 	// completion and cannot be NACKed — but growth is self-limiting (each
@@ -337,9 +338,8 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 	e.readyAt = ready // the fill leaves for DRAM once the tag lookup completes
 	e.waiters = append(e.waiters, Waiter{Req: req, Arrive: now, Ready: ready})
 	b.mshr[block] = e
-	b.order = append(b.order, block)
-	if _, ok := l.dram.Submit(block, false, ready); ok {
-		e.issued = true
+	if _, ok := l.dram.Submit(block, false, ready); !ok {
+		b.held = append(b.held, e)
 	}
 	return Result{Outcome: OutcomeMiss}
 }
@@ -371,8 +371,8 @@ func (l *L2) insert(b *bank, block, pc uint64, at int64, dirty bool) {
 }
 
 // pump retries work held back by controller back-pressure: buffered dirty
-// write-backs first, then unissued MSHR fills, in allocation order. It
-// reports whether anything new was handed to the controller.
+// write-backs first, then held MSHR fills, in allocation order. It reports
+// whether anything new was handed to the controller.
 func (l *L2) pump(now int64) bool {
 	submitted := false
 	for _, b := range l.banks {
@@ -383,19 +383,15 @@ func (l *L2) pump(now int64) bool {
 			b.wbq = slices.Delete(b.wbq, 0, 1)
 			submitted = true
 		}
-		for _, block := range b.order {
-			e := b.mshr[block]
-			if e == nil || e.issued {
-				continue
-			}
-			at := e.readyAt
-			if now > at {
-				at = now
-			}
-			if _, ok := l.dram.Resubmit(block, false, at); !ok {
+		issued := 0
+		for _, e := range b.held {
+			if _, ok := l.dram.Resubmit(e.block, false, max(e.readyAt, now)); !ok {
 				break
 			}
-			e.issued = true
+			issued++
+		}
+		if issued > 0 {
+			b.held = slices.Delete(b.held, 0, issued)
 			submitted = true
 		}
 	}
@@ -445,9 +441,6 @@ func (l *L2) Advance(now int64) []Fill {
 				continue // a fill raced a Reset; nothing to deliver
 			}
 			delete(b.mshr, c.Addr)
-			if i := slices.Index(b.order, c.Addr); i >= 0 {
-				b.order = slices.Delete(b.order, i, i+1)
-			}
 			l.insert(b, c.Addr, e.pc, c.Done, e.dirty)
 			l.fillsDone.Inc()
 			fills = append(fills, Fill{Bank: bankIdx, Block: c.Addr, Done: c.Done, Waiters: e.waiters})
@@ -511,7 +504,7 @@ func (l *L2) Reset() {
 		b.store.Reset()
 		b.portAt = 0
 		b.mshr = make(map[uint64]*fillEntry)
-		b.order = nil
+		b.held = nil
 		b.wbq = nil
 	}
 	l.fillBuf = nil

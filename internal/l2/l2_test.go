@@ -404,3 +404,27 @@ func TestLateMergeCannotBeatL2Latency(t *testing.T) {
 		t.Errorf("a waiter arriving after the fill must complete after Done=%d, got %d", f.Done, w.DoneAt(f.Done))
 	}
 }
+
+// BenchmarkL2Advance measures the L2 miss path end to end: each iteration
+// presents 256 read misses to the paper's 12-bank L2 — more than its
+// 6-channel controller queues hold, so fills are held back and resubmitted —
+// and advances the memory side until every fill has been delivered.
+func BenchmarkL2Advance(b *testing.B) {
+	l := newL2()
+	next := uint64(0)
+	now := int64(0)
+	for i := 0; i < b.N; i++ {
+		for n := 0; n < 256; n++ {
+			l.Access(read(next*mem.BlockSize), now)
+			next++
+		}
+		for {
+			t := l.NextEventAt()
+			if t < 0 {
+				break
+			}
+			now = max(now, t)
+			l.Advance(now)
+		}
+	}
+}

@@ -5,12 +5,13 @@ import (
 	"fuse/internal/trace"
 )
 
-// Arena is the reusable scratch region of one simulation run: the event heap,
-// the wake heap, the lazily-charged idle accounting, the flat per-warp state
-// of every SM, and the parallel engine's epoch buffers. A fresh simulator
-// allocates all of these once and then runs allocation-free; an Arena lets a
-// caller that runs many simulations back to back (engine.Runner, benchmark
-// loops) reuse the buffers across runs instead of re-allocating them.
+// Arena is the reusable scratch region of one simulation run: the event heap
+// (its keys, event slab and free list), the wake heap, the lazily-charged
+// idle accounting, the flat per-warp state of every SM, and the parallel
+// engine's epoch buffers. A fresh simulator allocates all of these once and
+// then runs allocation-free; an Arena lets a caller that runs many
+// simulations back to back (engine.Runner, benchmark loops) reuse the
+// buffers across runs instead of re-allocating them.
 //
 // Usage: build simulators with NewWithArena, and call ReleaseArena when the
 // run is finished to hand the buffers back. An Arena serves one simulator at
@@ -57,7 +58,8 @@ func (s *Simulator) takeScratch(a *Arena, smCount, warpsPerSM int) {
 	if a == nil {
 		return
 	}
-	s.events = a.events[:0]
+	s.events = a.events
+	s.events.reset()
 	s.staleTicks = a.staleTicks[:0]
 	s.wake.at = a.wakeAt
 	s.wake.pos = a.wakePos
@@ -100,7 +102,8 @@ func (s *Simulator) ReleaseArena() {
 	if a == nil {
 		return
 	}
-	a.events = s.events[:0]
+	a.events = s.events
+	a.events.reset()
 	a.staleTicks = s.staleTicks[:0]
 	a.wakeAt = s.wake.at
 	a.wakePos = s.wake.pos

@@ -181,13 +181,12 @@ func (s *Simulator) epochHorizon(t0, rtMin, zllResp int64) int64 {
 		}
 	}
 	l2lat := s.l2.MinResponseLatency()
-	for i := range s.events {
-		e := &s.events[i]
+	for _, k := range s.events.keys {
 		var b int64
-		if e.kind == evRespAtSM {
-			b = e.at
+		if s.events.slab[k.slot].kind == evRespAtSM {
+			b = k.at
 		} else {
-			b = e.at + l2lat + zllResp
+			b = k.at + l2lat + zllResp
 		}
 		if b < h {
 			h = b

@@ -122,23 +122,55 @@ const (
 	evRespAtSM
 )
 
-// before is the deterministic event order: time first, scheduling sequence
-// number as the tie-break.
-func (e *event) before(at int64, seq uint64) bool {
-	if e.at != at {
-		return e.at < at
-	}
-	return e.seq < seq
+// eventKey is an event's place in the heap: its (at, seq) order and the slab
+// slot holding the event itself.
+type eventKey struct {
+	at   int64
+	seq  uint64
+	slot int32
 }
 
-// eventHeap is a typed min-heap of events ordered by (at, seq). It replaces a
-// container/heap implementation whose interface boxing allocated on every
-// push; the typed heap reuses one backing array for the whole run.
-type eventHeap []event
+// before is the deterministic event order: time first, scheduling sequence
+// number as the tie-break.
+func (k *eventKey) before(at int64, seq uint64) bool {
+	if k.at != at {
+		return k.at < at
+	}
+	return k.seq < seq
+}
+
+// eventHeap is a typed min-heap of events ordered by (at, seq). The heap
+// sifts 24-byte keys while the events stay in a slab whose slots are
+// recycled through a free list, so a push or a pop copies one event instead
+// of one per heap level. All three buffers are reused for the whole run.
+type eventHeap struct {
+	keys []eventKey
+	slab []event
+	free []int32
+}
+
+func (q *eventHeap) len() int { return len(q.keys) }
+
+// reset empties the heap, keeping its buffers.
+func (q *eventHeap) reset() {
+	q.keys, q.slab, q.free = q.keys[:0], q.slab[:0], q.free[:0]
+}
+
+// head returns the earliest key; the heap must not be empty.
+func (q *eventHeap) head() *eventKey { return &q.keys[0] }
 
 //fuselint:noalloc
 func (q *eventHeap) push(e event) {
-	h := append(*q, e)
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[slot] = e
+	} else {
+		slot = int32(len(q.slab))
+		q.slab = append(q.slab, e)
+	}
+	h := append(q.keys, eventKey{at: e.at, seq: e.seq, slot: slot})
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -148,12 +180,12 @@ func (q *eventHeap) push(e event) {
 		h[i], h[p] = h[p], h[i]
 		i = p
 	}
-	*q = h
+	q.keys = h
 }
 
 //fuselint:noalloc
 func (q *eventHeap) pop() event {
-	h := *q
+	h := q.keys
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
@@ -174,8 +206,9 @@ func (q *eventHeap) pop() event {
 		h[i], h[least] = h[least], h[i]
 		i = least
 	}
-	*q = h
-	return top
+	q.keys = h
+	q.free = append(q.free, top.slot)
+	return q.slab[top.slot]
 }
 
 // smWakeHeap is an indexed min-heap of per-SM wake cycles: the earliest cycle
@@ -541,8 +574,8 @@ func (s *Simulator) respond(bank, sm int, block uint64, issue, arriveAtL2, done 
 func (s *Simulator) processEvents() {
 	for {
 		tickDue := s.memTickAt >= 0 && s.memTickAt <= s.now
-		if len(s.events) > 0 && s.events[0].at <= s.now &&
-			(!tickDue || s.events[0].before(s.memTickAt, s.memTickSeq)) {
+		if s.events.len() > 0 && s.events.head().at <= s.now &&
+			(!tickDue || s.events.head().before(s.memTickAt, s.memTickSeq)) {
 			s.handleEvent(s.events.pop())
 			continue
 		}
@@ -722,8 +755,8 @@ func (s *Simulator) Step() {
 // when the machine can never make progress again.
 func (s *Simulator) nextTime() int64 {
 	t := s.wake.minAt()
-	if len(s.events) > 0 && (t < 0 || s.events[0].at < t) {
-		t = s.events[0].at
+	if s.events.len() > 0 && (t < 0 || s.events.head().at < t) {
+		t = s.events.head().at
 	}
 	if s.memTickAt >= 0 && (t < 0 || s.memTickAt < t) {
 		t = s.memTickAt
