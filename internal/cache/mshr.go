@@ -53,9 +53,6 @@ type MSHREntry struct {
 	// Level is the read level predicted for the block at miss time; the
 	// arbiter uses it when the fill returns.
 	Level mem.ReadLevel
-	// Issued marks whether the outgoing request has been handed to the
-	// interconnect yet.
-	Issued bool
 }
 
 // Requests returns the primary request followed by all merged requests.
@@ -74,8 +71,6 @@ type MSHR struct {
 	maxEntries int
 	maxMerge   int
 	entries    map[uint64]*MSHREntry
-	// order preserves allocation order so that PopUnissued is fair.
-	order []uint64
 	// free recycles released entries (see Recycle): the MSHR working set is
 	// bounded by maxEntries, so the steady state of a miss-heavy run
 	// allocates no entry structs at all.
@@ -163,26 +158,11 @@ func (m *MSHR) Allocate(req mem.Request, dest DestBank, level mem.ReadLevel) (bo
 		e = &MSHREntry{Block: block, Primary: req, Dest: dest, Level: level}
 	}
 	m.entries[block] = e
-	m.order = append(m.order, block)
 	m.allocCount++
 	if len(m.entries) > m.peakOccupancy {
 		m.peakOccupancy = len(m.entries)
 	}
 	return true, nil
-}
-
-// PopUnissued returns the oldest entry whose outgoing request has not yet
-// been sent to the lower level, marking it issued. It returns nil when every
-// outstanding miss has already been issued.
-func (m *MSHR) PopUnissued() *MSHREntry {
-	for _, block := range m.order {
-		e, ok := m.entries[block]
-		if ok && !e.Issued {
-			e.Issued = true
-			return e
-		}
-	}
-	return nil
 }
 
 // Release removes the entry for the block (on fill) and returns it. The
@@ -195,12 +175,6 @@ func (m *MSHR) Release(block uint64) (*MSHREntry, bool) {
 		return nil, false
 	}
 	delete(m.entries, block)
-	for i, b := range m.order {
-		if b == block {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
 	return e, true
 }
 
@@ -219,7 +193,6 @@ func (m *MSHR) Recycle(e *MSHREntry) {
 // Reset clears all entries and statistics.
 func (m *MSHR) Reset() {
 	m.entries = make(map[uint64]*MSHREntry, m.maxEntries)
-	m.order = m.order[:0]
 	m.peakOccupancy = 0
 	m.mergedCount = 0
 	m.allocCount = 0

@@ -57,30 +57,6 @@ func TestMSHRAllocateAndMerge(t *testing.T) {
 	}
 }
 
-func TestMSHRPopUnissuedOrder(t *testing.T) {
-	m := NewMSHR(4, 4)
-	m.Allocate(req(1, mem.Read), DestSRAM, mem.WORM)
-	m.Allocate(req(2, mem.Read), DestSTTMRAM, mem.WORM)
-	m.Allocate(req(3, mem.Read), DestBypass, mem.WORO)
-	first := m.PopUnissued()
-	second := m.PopUnissued()
-	third := m.PopUnissued()
-	if first == nil || second == nil || third == nil {
-		t.Fatalf("expected three unissued entries")
-	}
-	if first.Block != req(1, mem.Read).BlockAddr() ||
-		second.Block != req(2, mem.Read).BlockAddr() ||
-		third.Block != req(3, mem.Read).BlockAddr() {
-		t.Errorf("PopUnissued should preserve allocation order")
-	}
-	if m.PopUnissued() != nil {
-		t.Errorf("all entries already issued")
-	}
-	if !first.Issued {
-		t.Errorf("popped entry should be marked issued")
-	}
-}
-
 func TestMSHRRelease(t *testing.T) {
 	m := NewMSHR(2, 2)
 	m.Allocate(req(7, mem.Read), DestSTTMRAM, mem.WORM)
@@ -95,11 +71,9 @@ func TestMSHRRelease(t *testing.T) {
 	if _, ok := m.Release(block); ok {
 		t.Errorf("double release should fail")
 	}
-	// After release, the same block can allocate a fresh primary miss and
-	// PopUnissued sees it again.
-	m.Allocate(req(7, mem.Write), DestSRAM, mem.WriteMultiple)
-	if e := m.PopUnissued(); e == nil || e.Block != block {
-		t.Errorf("re-allocated entry should be unissued")
+	// After release, the same block can allocate a fresh primary miss.
+	if primary, err := m.Allocate(req(7, mem.Write), DestSRAM, mem.WriteMultiple); err != nil || !primary {
+		t.Errorf("re-allocating a released block: primary=%v err=%v", primary, err)
 	}
 }
 
@@ -110,9 +84,6 @@ func TestMSHRReset(t *testing.T) {
 	m.Reset()
 	if m.Occupancy() != 0 || m.Merged() != 0 || m.Allocations() != 0 || m.PeakOccupancy() != 0 {
 		t.Errorf("Reset should clear state and stats")
-	}
-	if m.PopUnissued() != nil {
-		t.Errorf("Reset should clear the issue queue")
 	}
 }
 

@@ -36,134 +36,164 @@ func (k ReplacementKind) String() string {
 	}
 }
 
-// replacementState tracks per-set victim-selection state. It is sized for a
-// single set and embedded once per set in the tag store.
+// replacement tracks the victim-selection state of every set of one tag
+// store. Its state lives in flat per-store arrays indexed by the position
+// set*ways+way (or by set), so a store carries a fixed handful of slices
+// however many sets it has.
+//
+// For LRU and FIFO each set keeps an intrusive doubly linked list of its
+// valid ways, from least to most recently used (LRU) or from oldest to
+// newest insertion (FIFO): the head is the victim. Moving, removing and
+// evicting a way are O(1), where a per-set order slice needed a search and
+// a memmove over up to 512 ways.
 //
 //fuselint:smowned embedded in TagStore, one tag store per SM-owned L1D
-type replacementState struct {
+type replacement struct {
 	kind ReplacementKind
-	// order holds way indices from least to most recently used (LRU) or
-	// from oldest to newest insertion (FIFO).
-	order []int
-	// tree holds the pseudo-LRU decision bits (ways-1 internal nodes).
-	tree []bool
 	ways int
+	// prev and next link the ways of a set's list (-1 ends the list); in
+	// marks the positions currently linked.
+	prev, next []int32
+	in         []bool
+	// head and tail are each set's least and most recent way (-1 when the
+	// list is empty).
+	head, tail []int32
+	// tree holds each set's pseudo-LRU decision bits, ways per set (nodes
+	// 1..ways-1 of the implicit tree are used).
+	tree []bool
 }
 
-func newReplacementState(kind ReplacementKind, ways int) *replacementState {
-	s := &replacementState{kind: kind, ways: ways}
+func newReplacement(kind ReplacementKind, sets, ways int) replacement {
+	r := replacement{kind: kind, ways: ways}
 	switch kind {
 	case LRU, FIFO:
-		s.order = make([]int, 0, ways)
+		r.prev = make([]int32, sets*ways)
+		r.next = make([]int32, sets*ways)
+		r.in = make([]bool, sets*ways)
+		r.head = make([]int32, sets)
+		r.tail = make([]int32, sets)
 	case PseudoLRU:
-		s.tree = make([]bool, ways)
+		r.tree = make([]bool, sets*ways)
 	}
-	return s
+	r.reset()
+	return r
+}
+
+// reset forgets every set's history.
+func (r *replacement) reset() {
+	clear(r.in)
+	clear(r.tree)
+	for s := range r.head {
+		r.head[s], r.tail[s] = -1, -1
+	}
 }
 
 // onInsert records that the given way was just filled.
-func (s *replacementState) onInsert(way int) {
-	switch s.kind {
+func (r *replacement) onInsert(set, way int) {
+	switch r.kind {
 	case LRU, FIFO:
-		s.remove(way)
-		s.order = append(s.order, way)
+		r.unlink(set, way)
+		r.append(set, way)
 	case PseudoLRU:
-		s.touchTree(way)
+		touchTree(r.setTree(set), r.ways, way)
 	}
 }
 
 // onAccess records a hit on the given way.
-func (s *replacementState) onAccess(way int) {
-	switch s.kind {
+func (r *replacement) onAccess(set, way int) {
+	switch r.kind {
 	case LRU:
-		s.remove(way)
-		s.order = append(s.order, way)
+		r.unlink(set, way)
+		r.append(set, way)
 	case FIFO:
 		// FIFO ignores accesses.
 	case PseudoLRU:
-		s.touchTree(way)
+		touchTree(r.setTree(set), r.ways, way)
 	}
 }
 
 // onInvalidate removes the way from the bookkeeping.
-func (s *replacementState) onInvalidate(way int) {
-	switch s.kind {
+func (r *replacement) onInvalidate(set, way int) {
+	switch r.kind {
 	case LRU, FIFO:
-		s.remove(way)
+		r.unlink(set, way)
 	case PseudoLRU:
 		// Nothing to do: invalid ways are preferred victims anyway.
 	}
 }
 
-func (s *replacementState) remove(way int) {
-	for i, w := range s.order {
-		if w == way {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			return
-		}
+// append links the way in as the set's most recent entry.
+func (r *replacement) append(set, way int) {
+	pos := set*r.ways + way
+	t := r.tail[set]
+	r.prev[pos], r.next[pos] = t, -1
+	r.in[pos] = true
+	if t < 0 {
+		r.head[set] = int32(way)
+	} else {
+		r.next[set*r.ways+int(t)] = int32(way)
+	}
+	r.tail[set] = int32(way)
+}
+
+// unlink takes the way out of the set's list (a no-op when it is not in it).
+func (r *replacement) unlink(set, way int) {
+	pos := set*r.ways + way
+	if !r.in[pos] {
+		return
+	}
+	r.in[pos] = false
+	p, n := r.prev[pos], r.next[pos]
+	if p < 0 {
+		r.head[set] = n
+	} else {
+		r.next[set*r.ways+int(p)] = n
+	}
+	if n < 0 {
+		r.tail[set] = p
+	} else {
+		r.prev[set*r.ways+int(n)] = p
 	}
 }
 
-// victimAll selects the way to evict when every way of the set is a
-// candidate — the common case on a full-set insert. It is victim() minus the
-// candidate bookkeeping (no subset map, no allocation): for LRU/FIFO the
-// least-recent entry of the order list is by construction a valid way, and
-// for pseudo-LRU the preferred leaf needs no snapping.
-func (s *replacementState) victimAll() int {
-	switch s.kind {
+// victimAll selects the way to evict when every way of the set is valid:
+// for LRU/FIFO the head of the list, for pseudo-LRU the leaf the tree bits
+// point to.
+func (r *replacement) victimAll(set int) int {
+	switch r.kind {
 	case LRU, FIFO:
-		if len(s.order) > 0 {
-			return s.order[0]
+		if h := r.head[set]; h >= 0 {
+			return int(h)
 		}
 		return 0
 	case PseudoLRU:
-		return s.treeLeaf()
+		return treeLeaf(r.setTree(set), r.ways)
 	default:
 		return 0
 	}
 }
 
-// victim selects the way to evict among the given candidate ways (all valid).
-func (s *replacementState) victim(validWays []int) int {
-	if len(validWays) == 0 {
-		return 0
-	}
-	switch s.kind {
-	case LRU, FIFO:
-		inSet := make(map[int]bool, len(validWays))
-		for _, w := range validWays {
-			inSet[w] = true
-		}
-		for _, w := range s.order {
-			if inSet[w] {
-				return w
-			}
-		}
-		// Fall back to the first candidate if bookkeeping lost track.
-		return validWays[0]
-	case PseudoLRU:
-		return s.treeVictim(validWays)
-	default:
-		return validWays[0]
-	}
+// setTree returns the set's window of the pseudo-LRU bits.
+func (r *replacement) setTree(set int) []bool {
+	return r.tree[set*r.ways : (set+1)*r.ways]
 }
 
 // touchTree flips the pseudo-LRU tree bits along the path to `way` so that
 // the path points away from it.
-func (s *replacementState) touchTree(way int) {
-	if s.ways <= 1 {
+func touchTree(tree []bool, ways, way int) {
+	if ways <= 1 {
 		return
 	}
 	node := 1
 	// Walk from the root toward the leaf corresponding to `way`.
-	span := s.ways
+	span := ways
 	lo := 0
 	for span > 1 {
 		half := span / 2
 		goRight := way >= lo+half
-		if node < len(s.tree) {
+		if node < len(tree) {
 			// Point the bit away from the accessed half.
-			s.tree[node] = !goRight
+			tree[node] = !goRight
 		}
 		if goRight {
 			lo += half
@@ -177,15 +207,15 @@ func (s *replacementState) touchTree(way int) {
 
 // treeLeaf follows the pseudo-LRU bits from the root to the preferred victim
 // leaf.
-func (s *replacementState) treeLeaf() int {
+func treeLeaf(tree []bool, ways int) int {
 	node := 1
 	lo := 0
-	span := s.ways
+	span := ways
 	for span > 1 {
 		half := span / 2
 		right := false
-		if node < len(s.tree) {
-			right = s.tree[node]
+		if node < len(tree) {
+			right = tree[node]
 		}
 		if right {
 			lo += half
@@ -196,29 +226,4 @@ func (s *replacementState) treeLeaf() int {
 		span = half
 	}
 	return lo
-}
-
-// treeVictim follows the pseudo-LRU bits to a leaf, then snaps to the nearest
-// candidate way.
-func (s *replacementState) treeVictim(validWays []int) int {
-	if s.ways <= 1 {
-		return validWays[0]
-	}
-	lo := s.treeLeaf()
-	// lo is the preferred victim; snap to the closest candidate.
-	best := validWays[0]
-	bestDist := abs(best - lo)
-	for _, w := range validWays[1:] {
-		if d := abs(w - lo); d < bestDist {
-			best, bestDist = w, d
-		}
-	}
-	return best
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -49,14 +49,12 @@ const invalidTag = ^uint64(0)
 type TagStore struct {
 	sets  int
 	ways  int
-	kind  ReplacementKind
 	lines [][]Line
-	repl  []*replacementState
+	repl  replacement
 
 	// tags mirrors lines: tags[s][w] is the block held by a valid way and
-	// invalidTag otherwise. Free-way searches (Insert, HasFreeWay,
-	// VictimFor) scan this compact array instead of the ~64-byte Line
-	// structs.
+	// invalidTag otherwise. Insert's free-way search scans this compact
+	// array instead of the ~64-byte Line structs.
 	tags [][]uint64
 
 	// index maps every held block to the flat position set*ways+way of its
@@ -71,6 +69,9 @@ type TagStore struct {
 	// While it is zero, removing an indexed line needs no rescan.
 	dups int
 
+	// valid counts each set's valid ways, so an insert into a full set goes
+	// straight to the victim without scanning for a free way.
+	valid []int32
 	// occupancy counts the number of valid lines.
 	occupancy int
 }
@@ -88,16 +89,16 @@ func NewTagStore(sets, ways int, kind ReplacementKind) *TagStore {
 	if sets <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("cache: invalid tag store geometry %dx%d", sets, ways))
 	}
-	t := &TagStore{sets: sets, ways: ways, kind: kind}
+	t := &TagStore{sets: sets, ways: ways}
 	if ways >= indexMinWays {
 		t.index = make(map[uint64]int32, sets*ways)
 	}
 	t.lines = make([][]Line, sets)
-	t.repl = make([]*replacementState, sets)
+	t.repl = newReplacement(kind, sets, ways)
 	t.tags = make([][]uint64, sets)
+	t.valid = make([]int32, sets)
 	for s := 0; s < sets; s++ {
 		t.lines[s] = make([]Line, ways)
-		t.repl[s] = newReplacementState(kind, ways)
 		t.tags[s] = make([]uint64, ways)
 		for w := range t.tags[s] {
 			t.tags[s][w] = invalidTag
@@ -177,19 +178,13 @@ func (t *TagStore) Touch(block uint64, now int64, write bool) (*Line, bool) {
 	} else {
 		l.Reads++
 	}
-	t.repl[set].onAccess(way)
+	t.repl.onAccess(set, way)
 	return l, true
 }
 
 // HasFreeWay reports whether the set for the given block has an invalid way.
 func (t *TagStore) HasFreeWay(block uint64) bool {
-	set := t.SetIndex(block)
-	for _, tag := range t.tags[set] {
-		if tag == invalidTag {
-			return true
-		}
-	}
-	return false
+	return int(t.valid[t.SetIndex(block)]) < t.ways
 }
 
 // Insert allocates a line for the block, evicting a victim if necessary. The
@@ -199,20 +194,19 @@ func (t *TagStore) HasFreeWay(block uint64) bool {
 func (t *TagStore) Insert(block uint64, pc uint64, now int64, write bool, level mem.ReadLevel) (evicted Line, line *Line) {
 	set := t.SetIndex(block)
 	way := -1
-	for w, tag := range t.tags[set] {
-		if tag == invalidTag {
-			way = w
-			break
+	if int(t.valid[set]) < t.ways {
+		for w, tag := range t.tags[set] {
+			if tag == invalidTag {
+				way = w
+				break
+			}
 		}
-	}
-	if way < 0 {
-		// Every way is valid: the full-set victim path needs no candidate
-		// bookkeeping (victim() with an explicit subset exists for callers
-		// that partition a set).
-		way = t.repl[set].victimAll()
+	} else {
+		way = t.repl.victimAll(set)
 		evicted = t.lines[set][way]
 		t.unindex(set, way, evicted.Block)
-		t.repl[set].onInvalidate(way)
+		t.repl.onInvalidate(set, way)
+		t.valid[set]--
 		t.occupancy--
 	}
 	t.tags[set][way] = block
@@ -232,8 +226,9 @@ func (t *TagStore) Insert(block uint64, pc uint64, now int64, write bool, level 
 	} else {
 		l.Reads = 1
 	}
+	t.valid[set]++
 	t.occupancy++
-	t.repl[set].onInsert(way)
+	t.repl.onInsert(set, way)
 	return evicted, l
 }
 
@@ -249,7 +244,8 @@ func (t *TagStore) Invalidate(block uint64) Line {
 	old := *l
 	*l = Line{}
 	t.tags[set][way] = invalidTag
-	t.repl[set].onInvalidate(way)
+	t.repl.onInvalidate(set, way)
+	t.valid[set]--
 	t.occupancy--
 	return old
 }
@@ -299,12 +295,10 @@ func (t *TagStore) unindex(set, way int, block uint64) {
 // still has a free way.
 func (t *TagStore) VictimFor(block uint64) Line {
 	set := t.SetIndex(block)
-	for _, tag := range t.tags[set] {
-		if tag == invalidTag {
-			return Line{}
-		}
+	if int(t.valid[set]) < t.ways {
+		return Line{}
 	}
-	return t.lines[set][t.repl[set].victimAll()]
+	return t.lines[set][t.repl.victimAll(set)]
 }
 
 // ForEach calls fn for every valid line. Iteration order is deterministic
@@ -326,8 +320,9 @@ func (t *TagStore) Reset() {
 			t.lines[s][w] = Line{}
 			t.tags[s][w] = invalidTag
 		}
-		t.repl[s] = newReplacementState(t.kind, t.ways)
 	}
+	t.repl.reset()
+	clear(t.valid)
 	clear(t.index)
 	t.dups = 0
 	t.occupancy = 0

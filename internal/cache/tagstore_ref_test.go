@@ -10,21 +10,81 @@ import (
 
 // refTagStore is the linear-scan tag store the indexed TagStore replaced:
 // every search walks the set from way 0 and takes the first match, so when a
-// block is held twice the lowest way wins. The differential tests below hold
-// the indexed store to it operation by operation.
+// block is held twice the lowest way wins, and every free-way search scans
+// the set. The differential tests below hold the indexed store to it
+// operation by operation.
 type refTagStore struct {
 	sets  int
 	lines [][]Line
-	repl  []*replacementState
+	repl  []*refReplacement
 }
 
 func newRefTagStore(sets, ways int, kind ReplacementKind) *refTagStore {
 	r := &refTagStore{sets: sets}
 	for s := 0; s < sets; s++ {
 		r.lines = append(r.lines, make([]Line, ways))
-		r.repl = append(r.repl, newReplacementState(kind, ways))
+		r.repl = append(r.repl, &refReplacement{kind: kind, ways: ways, tree: make([]bool, ways)})
 	}
 	return r
+}
+
+// refReplacement is one set's victim-selection state as the store kept it
+// before the linked lists: LRU and FIFO hold an order slice of way indices
+// (least recent or oldest first) that every update searches and shifts.
+// Pseudo-LRU walks its own tree with the store's tree functions, which the
+// linked lists did not touch.
+type refReplacement struct {
+	kind  ReplacementKind
+	ways  int
+	order []int
+	tree  []bool
+}
+
+func (s *refReplacement) remove(way int) {
+	for i, w := range s.order {
+		if w == way {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			return
+		}
+	}
+}
+
+func (s *refReplacement) onInsert(way int) {
+	switch s.kind {
+	case LRU, FIFO:
+		s.remove(way)
+		s.order = append(s.order, way)
+	case PseudoLRU:
+		touchTree(s.tree, s.ways, way)
+	}
+}
+
+func (s *refReplacement) onAccess(way int) {
+	switch s.kind {
+	case LRU:
+		s.remove(way)
+		s.order = append(s.order, way)
+	case PseudoLRU:
+		touchTree(s.tree, s.ways, way)
+	}
+}
+
+func (s *refReplacement) onInvalidate(way int) {
+	if s.kind == LRU || s.kind == FIFO {
+		s.remove(way)
+	}
+}
+
+func (s *refReplacement) victimAll() int {
+	switch s.kind {
+	case LRU, FIFO:
+		if len(s.order) > 0 {
+			return s.order[0]
+		}
+		return 0
+	default:
+		return treeLeaf(s.tree, s.ways)
+	}
 }
 
 func (r *refTagStore) set(block uint64) int { return int(mem.BlockIndex(block)) % r.sets }
@@ -268,5 +328,68 @@ func TestTagStoreDuplicateCopies(t *testing.T) {
 	}
 	if _, _, hit := ts.Lookup(z); !hit || ts.Occupancy() != 1 {
 		t.Fatalf("unrelated block lost: occupancy %d", ts.Occupancy())
+	}
+}
+
+// TestTagStoreFullSetChurnMatchesReference keeps the store full for the
+// whole run, so nearly every insert takes the victim path: a 512-way FIFO
+// set (the STT-MRAM bank) and 64 4-way LRU sets. Invalidating held blocks
+// opens holes in the middle of the replacement lists, which the next insert
+// refills; touches reorder the LRU lists. Every eviction and, periodically,
+// the whole state must match the slice-based reference.
+func TestTagStoreFullSetChurnMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		sets, ways int
+		kind       ReplacementKind
+	}{{1, 512, FIFO}, {64, 4, LRU}} {
+		t.Run(fmt.Sprintf("%dx%d/%s", c.sets, c.ways, c.kind), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(7, 0xC4A2))
+			got := NewTagStore(c.sets, c.ways, c.kind)
+			want := newRefTagStore(c.sets, c.ways, c.kind)
+			capacity := c.sets * c.ways
+			next := 0 // blocks are never reused, so every insert misses
+			for ; next < capacity; next++ {
+				got.Insert(blockAddr(next), 0, int64(next), false, mem.WORM)
+				want.insert(blockAddr(next), 0, int64(next), false, mem.WORM)
+			}
+			evictions := 0
+			for i := 0; i < 20000; i++ {
+				now := int64(capacity + i)
+				// One of the more recently inserted blocks, most likely
+				// still held.
+				held := blockAddr(next - 1 - rng.IntN(capacity/2))
+				step := fmt.Sprintf("op %d", i)
+				switch rng.IntN(8) {
+				case 0:
+					write := rng.IntN(4) == 0
+					gl, gh := got.Touch(held, now, write)
+					wl, wh := want.touch(held, now, write)
+					if gh != wh || (gh && *gl != wl) {
+						t.Fatalf("%s: Touch hit %v, reference hit %v", step, gh, wh)
+					}
+				case 1:
+					if g, w := got.Invalidate(held), want.invalidate(held); g != w {
+						t.Fatalf("%s: Invalidate removed %+v, reference %+v", step, g, w)
+					}
+				}
+				block := blockAddr(next)
+				next++
+				gev, _ := got.Insert(block, uint64(i), now, false, mem.WORM)
+				wev, _ := want.insert(block, uint64(i), now, false, mem.WORM)
+				if gev != wev {
+					t.Fatalf("%s: Insert evicted %+v, reference %+v", step, gev, wev)
+				}
+				if gev.Valid {
+					evictions++
+				}
+				if i%257 == 0 {
+					checkSameState(t, step, got, want)
+				}
+			}
+			checkSameState(t, "end", got, want)
+			if evictions < 15000 {
+				t.Fatalf("only %d of 20000 inserts evicted: the store did not stay full", evictions)
+			}
+		})
 	}
 }

@@ -279,3 +279,18 @@ func BenchmarkTagStoreLookup(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTagStoreInsertFullFIFO measures one insert into the full 512-way
+// fully-associative FIFO set of the STT-MRAM bank: every insert evicts the
+// oldest block.
+func BenchmarkTagStoreInsertFullFIFO(b *testing.B) {
+	const ways = 512
+	ts := NewTagStore(1, ways, FIFO)
+	for i := 0; i < ways; i++ {
+		ts.Insert(blockAddr(i), 0, int64(i), false, mem.WORM)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ts.Insert(blockAddr(ways+i), 0, int64(ways+i), false, mem.WORM)
+	}
+}

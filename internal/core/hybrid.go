@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"fuse/internal/cache"
 	"fuse/internal/config"
 	"fuse/internal/mem"
@@ -42,6 +44,8 @@ type HybridL1D struct {
 	// have already been accounted, so that overlapping blocking windows and
 	// per-request retries never charge the same cycle twice.
 	sttStallChargedUntil int64
+	// stallHold is the StallHold of the latest rejected access.
+	stallHold int64
 
 	// outgoing is a head-indexed FIFO of misses and write-backs bound for
 	// the interconnect; outHead avoids the per-pop reslice that used to
@@ -150,6 +154,7 @@ func (h *HybridL1D) access(req mem.Request, now int64) AccessResult {
 	// within the same cycle), inflating the Figure-15 decomposition.
 	if now < h.blockedUntil {
 		h.chargeSTTStall(now, h.blockedUntil)
+		h.stallHold = h.blockedUntil
 		return AccessResult{Outcome: OutcomeStall}
 	}
 	write := req.Kind == mem.Write
@@ -248,9 +253,7 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 		// (Hybrid) a busy bank rejects the request; with one, the access
 		// is absorbed.
 		if !h.nonBlocking() && h.sttBank.Busy(now) {
-			h.chargeSTTStall(now, h.sttBank.BusyUntil())
-			h.undoAccess(write)
-			return AccessResult{Outcome: OutcomeStall, Bank: cache.DestSTTMRAM}
+			return h.sttBusyStall(now, write)
 		}
 		h.stt.Touch(block, now, false)
 		h.stats.Hits++
@@ -294,9 +297,7 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 	// Hybrid: the write goes straight into the STT-MRAM bank and blocks
 	// the cache for the full write latency.
 	if h.sttBank.Busy(now) {
-		h.chargeSTTStall(now, h.sttBank.BusyUntil())
-		h.undoAccess(write)
-		return AccessResult{Outcome: OutcomeStall, Bank: cache.DestSTTMRAM}
+		return h.sttBusyStall(now, write)
 	}
 	h.stt.Touch(block, now, true)
 	h.stats.Hits++
@@ -309,6 +310,21 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 	h.chargeSTTStall(now+1, done)
 	return AccessResult{Outcome: OutcomeHit, Latency: int(done - now), Bank: cache.DestSTTMRAM}
 }
+
+// sttBusyStall rejects an access that must wait for the busy STT-MRAM bank
+// (Hybrid has no tag queue to absorb it).
+func (h *HybridL1D) sttBusyStall(now int64, write bool) AccessResult {
+	h.chargeSTTStall(now, h.sttBank.BusyUntil())
+	h.undoAccess(write)
+	h.stallHold = h.sttBank.BusyUntil()
+	return AccessResult{Outcome: OutcomeStall, Bank: cache.DestSTTMRAM}
+}
+
+// StallHold implements L1D. Every stall path depends only on state that an
+// accepted access, a Fill or a Tick changes, plus the clock against the
+// blocking window or the bank's busy window; the predictor observes only
+// accepted accesses.
+func (h *HybridL1D) StallHold() int64 { return h.stallHold }
 
 // chargeSTTStall accounts the blocked cycles in [from, until) to the
 // STT-write stall counter, skipping any prefix that has already been charged.
@@ -375,6 +391,8 @@ func (h *HybridL1D) miss(req mem.Request, block uint64, now int64, write bool) A
 		} else {
 			h.stats.Misses--
 		}
+		// Only a Fill releases an MSHR entry or a merge slot.
+		h.stallHold = math.MaxInt64
 		return AccessResult{Outcome: OutcomeStall, Bank: dest}
 	}
 	if primary {
@@ -650,6 +668,7 @@ func (h *HybridL1D) Reset() {
 	}
 	h.blockedUntil = 0
 	h.sttStallChargedUntil = 0
+	h.stallHold = 0
 	h.outgoing = h.outgoing[:0]
 	h.outHead = 0
 	h.stats = Stats{}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"fuse/internal/cache"
@@ -652,5 +653,29 @@ func TestStallReasonConstants(t *testing.T) {
 			t.Errorf("duplicate stall reason value %d", r)
 		}
 		seen[r] = true
+	}
+}
+
+// BenchmarkHybridL1DAccess measures one Dy-FUSE access, including the
+// background work it causes: a seeded read/write stream over a working set
+// twice the cache's capacity, each miss filled at once, the tag queue
+// drained by Tick every cycle.
+func BenchmarkHybridL1DAccess(b *testing.B) {
+	h := newHybridKind(config.DyFUSE)
+	rng := rand.New(rand.NewPCG(1, 2))
+	blocks := 2 * (h.cfg.SRAMBlocks() + h.cfg.STTBlocks())
+	reqs := make([]mem.Request, 4096)
+	for i := range reqs {
+		reqs[i] = readReq(rng.IntN(blocks), uint64(0x40*rng.IntN(32)), rng.IntN(48))
+		if rng.IntN(4) == 0 {
+			reqs[i].Kind = mem.Write
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := int64(i)
+		h.Tick(now)
+		h.Access(reqs[i%len(reqs)], now)
+		fillAll(h, now)
 	}
 }

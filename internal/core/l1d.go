@@ -174,6 +174,15 @@ type L1D interface {
 	// must not skip past this cycle, or tag-queue retirements would slip
 	// and change the timing relative to cycle-by-cycle execution.
 	NextInternalEventAt(now int64) int64
+	// StallHold returns, right after an Access that returned OutcomeStall,
+	// the first cycle at which presenting the same request again could
+	// behave differently, assuming no Fill arrives and Tick retires nothing
+	// before then. Every earlier attempt stalls again with the same
+	// counter changes, which lets a simulator put the requesting SM to
+	// sleep and replay the rejected attempts when it wakes. math.MaxInt64
+	// means only a Fill or the internal machinery can end the stall; 0
+	// means no hold: each attempt changes state, so none may be skipped.
+	StallHold() int64
 	// Stats exposes the accumulated counters.
 	Stats() *Stats
 	// Banks returns the technology banks (for energy accounting). The

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"fuse/internal/cache"
 	"fuse/internal/config"
 	"fuse/internal/mem"
@@ -28,7 +30,9 @@ type SimpleL1D struct {
 	outHead  int
 	// fillBuf is the reusable waiting-request buffer Fill returns.
 	fillBuf []mem.Request
-	stats   Stats
+	// stallHold is the StallHold of the latest rejected access.
+	stallHold int64
+	stats     Stats
 }
 
 // newSimpleL1D builds a SimpleL1D from a pure-SRAM or pure-STT configuration.
@@ -97,6 +101,7 @@ func (s *SimpleL1D) Access(req mem.Request, now int64) AccessResult {
 	// that makes pure-NVM caches struggle on write-heavy workloads.
 	if s.isSTT() && s.bank.Busy(now) {
 		s.stats.STTWriteStallCycles++
+		s.stallHold = s.bank.BusyUntil()
 		return AccessResult{Outcome: OutcomeStall, Bank: s.bankDest()}
 	}
 
@@ -145,6 +150,8 @@ func (s *SimpleL1D) Access(req mem.Request, now int64) AccessResult {
 		} else {
 			s.stats.Misses--
 		}
+		// Only a Fill releases an MSHR entry or a merge slot.
+		s.stallHold = math.MaxInt64
 		return AccessResult{Outcome: OutcomeStall, Bank: dest}
 	}
 	if primary {
@@ -223,6 +230,16 @@ func (s *SimpleL1D) Tick(now int64) {}
 // NextInternalEventAt implements L1D: no background machinery, never busy.
 func (s *SimpleL1D) NextInternalEventAt(now int64) int64 { return -1 }
 
+// StallHold implements L1D. By-NVM's dead-write predictor observes every
+// attempt, rejected or not, so no rejection is a pure repeat: each attempt
+// sees a predictor the earlier ones trained, and By-NVM holds nothing.
+func (s *SimpleL1D) StallHold() int64 {
+	if s.deadWrite != nil {
+		return 0
+	}
+	return s.stallHold
+}
+
 // Reset implements L1D.
 func (s *SimpleL1D) Reset() {
 	s.store.Reset()
@@ -233,6 +250,7 @@ func (s *SimpleL1D) Reset() {
 	}
 	s.outgoing = s.outgoing[:0]
 	s.outHead = 0
+	s.stallHold = 0
 	s.stats = Stats{}
 }
 

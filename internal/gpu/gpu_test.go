@@ -256,3 +256,52 @@ func TestSMStatsIPCZeroCycles(t *testing.T) {
 		t.Errorf("IPC with zero cycles should be 0")
 	}
 }
+
+// TestHeldStallSleepsAndReplays covers the SM side of a held stall: once the
+// L1D rejects the greedy warp's access with a full MSHR file, the SM has no
+// self-event left (only a fill can end the stall), ReplayStalls charges the
+// skipped cycles as stall cycles, and a held access that the L1D would
+// accept — here because its MSHR was freed behind the SM's back — makes the
+// replay panic rather than silently diverge. A delivered fill ends the hold.
+func TestHeldStallSleepsAndReplays(t *testing.T) {
+	cfg := config.NewL1DConfig(config.L1SRAM)
+	cfg.MSHREntries, cfg.MSHRMergeWidth = 1, 0
+	prof, _ := trace.ProfileByName("GEMM")
+	sm := NewSM(0, 8, 100, trace.NewKernel(prof, 0, 3), core.MustNew(cfg))
+	now := int64(0)
+	for ; now < 2000 && !sm.Holding(); now++ {
+		sm.Cycle(now)
+	}
+	if !sm.Holding() {
+		t.Fatalf("the SM never held a stall")
+	}
+	if got := sm.NextSelfEventAt(now); got != -1 {
+		t.Fatalf("NextSelfEventAt = %d during an MSHR hold, want -1", got)
+	}
+	before := *sm.Stats()
+	sm.ReplayStalls(now, now+10)
+	if st := sm.Stats(); st.Cycles != before.Cycles+10 || st.L1DStallCycles != before.L1DStallCycles+10 ||
+		st.MemWaitCycles != before.MemWaitCycles+10 || st.Issued != before.Issued {
+		t.Fatalf("replaying 10 held cycles: stats %+v, before %+v", *st, before)
+	}
+	now += 10
+
+	miss, ok := sm.PopOutgoing()
+	if !ok {
+		t.Fatalf("the held miss should be queued toward the L2")
+	}
+	sm.L1D().Fill(miss.BlockAddr(), now) // frees the MSHR without telling the SM
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("replaying a held access the L1D accepts must panic")
+			}
+		}()
+		sm.ReplayStalls(now, now+1)
+	}()
+
+	sm.DeliverFill(miss.BlockAddr(), now+1)
+	if sm.Holding() {
+		t.Errorf("a delivered fill must end the hold")
+	}
+}

@@ -1,6 +1,9 @@
 package gpu
 
 import (
+	"fmt"
+	"math"
+
 	"fuse/internal/core"
 	"fuse/internal/mem"
 	"fuse/internal/trace"
@@ -66,6 +69,11 @@ type SM struct {
 
 	// greedyWarp is the warp the GTO scheduler sticks with until it stalls.
 	greedyWarp int
+	// hold is the L1D's StallHold for the greedy warp's rejected access, or
+	// 0 when no stall is held. Until the hold, a fill or the L1D's next
+	// internal event, every cycle would re-present the access and be
+	// rejected again, so the SM sleeps and ReplayStalls replays them.
+	hold int64
 
 	nextReqID uint64
 	stats     SMStats
@@ -174,7 +182,26 @@ func (sm *SM) HasReadyWarp(now int64) bool {
 // simulator delivers a fill. The sparse cycle engine schedules SM wake-ups
 // from this bound; it must never be later than the first cycle at which
 // cycling the SM would do real work, or skipped cycles would change timing.
+//
+// While a stall is held (Holding), the greedy warp stays picked and
+// re-presents its rejected access every cycle, so no other warp can issue
+// before the hold ends: the bound is the hold or the L1D's next internal
+// event, whichever comes first, and -1 when only a fill can end the stall.
+// The cycles slept through are replayed with ReplayStalls.
 func (sm *SM) NextSelfEventAt(now int64) int64 {
+	if sm.hold != 0 {
+		next := sm.hold
+		if next == math.MaxInt64 {
+			next = -1
+		}
+		if l1 := sm.l1d.NextInternalEventAt(now); l1 >= 0 && (next < 0 || l1 < next) {
+			next = l1
+		}
+		if next >= 0 && next < now {
+			next = now
+		}
+		return next
+	}
 	next := int64(-1)
 	for i := range sm.warps {
 		w := &sm.warps[i]
@@ -226,6 +253,7 @@ func (sm *SM) pickWarp(now int64) *Warp {
 //fuselint:noalloc
 func (sm *SM) Cycle(now int64) {
 	sm.stats.Cycles++
+	sm.hold = 0
 	sm.l1d.Tick(now)
 
 	w := sm.pickWarp(now)
@@ -250,30 +278,15 @@ func (sm *SM) Cycle(now int64) {
 		return
 	}
 
-	req := mem.Request{
-		Addr:  ins.Addr,
-		PC:    ins.PC,
-		Kind:  ins.Kind,
-		Size:  mem.BlockSize,
-		SM:    sm.ID,
-		Warp:  w.ID,
-		Issue: now,
-		ID:    sm.nextReqID,
-	}
-	sm.nextReqID++
+	req := sm.request(w.ID, ins, now)
 	res := sm.l1d.Access(req, now)
 	switch res.Outcome {
 	case core.OutcomeStall:
-		// Keep the instruction pending; the warp retries next cycle. When
-		// the rejection happens while fills are outstanding it is, in
-		// effect, back-pressure from the off-chip memory system (MSHR or
-		// queue full), so it also counts toward the off-chip wait time.
+		// Keep the instruction pending; the warp retries next cycle.
 		sm.pending[w.ID] = ins
 		sm.pendingSet[w.ID] = true
-		sm.stats.L1DStallCycles++
-		if len(sm.waiting) > 0 {
-			sm.stats.MemWaitCycles++
-		}
+		sm.chargeStall()
+		sm.hold = sm.l1d.StallHold()
 		return
 	case core.OutcomeHit:
 		sm.pendingSet[w.ID] = false
@@ -303,12 +316,79 @@ func (sm *SM) Cycle(now int64) {
 	}
 }
 
+// request builds the L1D request of a warp's memory instruction issued at
+// cycle now, consuming one request ID.
+func (sm *SM) request(warp int, ins trace.Instruction, now int64) mem.Request {
+	req := mem.Request{
+		Addr:  ins.Addr,
+		PC:    ins.PC,
+		Kind:  ins.Kind,
+		Size:  mem.BlockSize,
+		SM:    sm.ID,
+		Warp:  warp,
+		Issue: now,
+		ID:    sm.nextReqID,
+	}
+	sm.nextReqID++
+	return req
+}
+
+// chargeStall counts a cycle whose access the L1D rejected. When the
+// rejection happens while fills are outstanding it is, in effect,
+// back-pressure from the off-chip memory system (MSHR or queue full), so it
+// also counts toward the off-chip wait time.
+func (sm *SM) chargeStall() {
+	sm.stats.L1DStallCycles++
+	if len(sm.waiting) > 0 {
+		sm.stats.MemWaitCycles++
+	}
+}
+
+// Holding reports whether the SM is sleeping through a held stall (see
+// NextSelfEventAt): its skipped cycles must be replayed with ReplayStalls,
+// not charged as idle.
+func (sm *SM) Holding() bool { return sm.hold != 0 }
+
+// ReplayStalls performs the cycles [from, to) of a held stall exactly as
+// Cycle would have: each one re-presents the greedy warp's rejected access
+// to the L1D, with a fresh request ID and issue cycle, so every counter an
+// attempt touches (the SM's stall and memory-wait cycles, the L1D's stall
+// and search counters, the MSHR's rejections) moves as it would have. The
+// L1D's Tick is skipped: the caller stops before its next internal event,
+// so Tick would have done nothing. A replayed access that is not rejected
+// means the hold was wrong, which would silently change results; it panics.
+//
+//fuselint:noalloc
+func (sm *SM) ReplayStalls(from, to int64) {
+	if sm.hold != math.MaxInt64 && to > sm.hold {
+		sm.replayFailed("replays stalled cycles past its hold", to, sm.hold)
+	}
+	w := sm.greedyWarp
+	ins := sm.pending[w]
+	for now := from; now < to; now++ {
+		sm.stats.Cycles++
+		if res := sm.l1d.Access(sm.request(w, ins, now), now); res.Outcome != core.OutcomeStall {
+			sm.replayFailed("had a held access accepted", now, sm.hold)
+		}
+		sm.chargeStall()
+	}
+}
+
+// replayFailed reports a broken stall hold. It stays out of line so that the
+// message's allocation is not inlined into the allocation-free replay loop.
+//
+//go:noinline
+func (sm *SM) replayFailed(what string, cycle, hold int64) {
+	panic(fmt.Sprintf("gpu: SM %d %s (cycle %d, hold %d)", sm.ID, what, cycle, hold))
+}
+
 // PopOutgoing drains one outgoing request (miss or write-back) from the L1D.
 func (sm *SM) PopOutgoing() (mem.Request, bool) { return sm.l1d.PopOutgoing() }
 
 // DeliverFill hands a returning block to the L1D and wakes every warp that
 // was blocked on it.
 func (sm *SM) DeliverFill(block uint64, now int64) int {
+	sm.hold = 0
 	woken := sm.l1d.Fill(block, now)
 	ids, ok := sm.waiting[block]
 	delete(sm.waiting, block)
@@ -335,6 +415,7 @@ func (sm *SM) Reset() {
 	sm.waiting = make(map[uint64][]int)
 	sm.idFree = nil
 	sm.greedyWarp = 0
+	sm.hold = 0
 	sm.stats = SMStats{}
 	sm.l1d.Reset()
 }

@@ -203,3 +203,17 @@ func TestVoltaStyleWiderLinksAreFaster(t *testing.T) {
 		t.Errorf("wider links should deliver 128B responses faster: %d vs %d", b, a)
 	}
 }
+
+// BenchmarkNoCRoute measures one request and its response crossing the
+// paper's 15-SM, 12-bank butterfly: two routed packets per iteration, with
+// injection times advancing so the links see steady contention.
+func BenchmarkNoCRoute(b *testing.B) {
+	n := New(Config{})
+	cfg := n.Config()
+	for i := 0; i < b.N; i++ {
+		sm, bank := i%cfg.SMNodes, (i*7)%cfg.MemNodes
+		now := int64(i / 4)
+		arrive := n.SendRequest(sm, bank, 32, now)
+		n.SendResponse(bank, sm, 128, arrive+10)
+	}
+}

@@ -6,12 +6,12 @@ import (
 )
 
 // Arena is the reusable scratch region of one simulation run: the event heap
-// (its keys, event slab and free list), the wake heap, the lazily-charged
-// idle accounting, the flat per-warp state of every SM, and the parallel
-// engine's epoch buffers. A fresh simulator allocates all of these once and
-// then runs allocation-free; an Arena lets a caller that runs many
-// simulations back to back (engine.Runner, benchmark loops) reuse the
-// buffers across runs instead of re-allocating them.
+// (its keys, event slab and free list), the retry-batch slab, the wake heap,
+// the lazily-charged idle accounting, the flat per-warp state of every SM,
+// and the parallel engine's epoch buffers. A fresh simulator allocates all
+// of these once and then runs allocation-free; an Arena lets a caller that
+// runs many simulations back to back (engine.Runner, benchmark loops) reuse
+// the buffers across runs instead of re-allocating them.
 //
 // Usage: build simulators with NewWithArena, and call ReleaseArena when the
 // run is finished to hand the buffers back. An Arena serves one simulator at
@@ -19,6 +19,7 @@ import (
 // reused. The zero value is ready to use.
 type Arena struct {
 	events     eventHeap
+	retries    []retryMember
 	staleTicks []staleTick
 	wakeAt     []int64
 	wakePos    []int
@@ -60,6 +61,7 @@ func (s *Simulator) takeScratch(a *Arena, smCount, warpsPerSM int) {
 	}
 	s.events = a.events
 	s.events.reset()
+	s.retries.members = a.retries
 	s.staleTicks = a.staleTicks[:0]
 	s.wake.at = a.wakeAt
 	s.wake.pos = a.wakePos
@@ -104,6 +106,7 @@ func (s *Simulator) ReleaseArena() {
 	}
 	a.events = s.events
 	a.events.reset()
+	a.retries = s.retries.members[:0]
 	a.staleTicks = s.staleTicks[:0]
 	a.wakeAt = s.wake.at
 	a.wakePos = s.wake.pos

@@ -1,0 +1,130 @@
+package sim
+
+import (
+	"testing"
+
+	"fuse/internal/config"
+	"fuse/internal/mem"
+	"fuse/internal/trace"
+)
+
+// newMemSideSim builds a one-SM simulator whose memory side a test drives by
+// hand; the SM itself is never cycled.
+func newMemSideSim(t *testing.T) *Simulator {
+	t.Helper()
+	prof, _ := trace.ProfileByName("ATAX")
+	s, err := New(config.FermiGPU(config.NewL1DConfig(config.L1SRAM)), trace.Synthetic(prof), Options{SMOverride: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func readReq(block, id uint64) mem.Request {
+	return mem.Request{Addr: block, Kind: mem.Read, Size: mem.BlockSize, ID: id}
+}
+
+// batchIDs pops the next heap event, which must be a retry batch due at the
+// given cycle, and returns its members' request IDs in replay order.
+func batchIDs(t *testing.T, s *Simulator, at int64) []uint64 {
+	t.Helper()
+	e := s.events.pop()
+	if e.kind != evRetryBatch || e.at != at {
+		t.Fatalf("popped kind %d at %d, want a retry batch at %d", e.kind, e.at, at)
+	}
+	var ids []uint64
+	for i := e.batch; i >= 0; i = s.retries.members[i].next {
+		ids = append(ids, s.retries.members[i].req.ID)
+	}
+	return ids
+}
+
+// TestRetryBatchJoinRule pins when a NACKed request joins the open retry
+// batch: only for the same retry cycle and only while no sequence number has
+// been consumed since the batch was scheduled — exactly when, as separate
+// events, the requests would have held consecutive sequence numbers.
+func TestRetryBatchJoinRule(t *testing.T) {
+	s := newMemSideSim(t)
+	s.retryAt(100, 0, 0, readReq(0x1000, 1))
+	s.retryAt(100, 0, 0, readReq(0x2000, 2)) // joins
+	s.retryAt(100, 0, 0, readReq(0x3000, 3)) // joins
+	s.eventSeq++                             // e.g. a response scheduled or a tick armed
+	s.retryAt(100, 0, 0, readReq(0x4000, 4)) // a new batch: the sequence moved
+	s.retryAt(101, 0, 0, readReq(0x5000, 5)) // a new batch: another cycle
+	s.retryAt(100, 0, 0, readReq(0x6000, 6)) // a new batch: the open one retries at 101
+
+	if n := s.events.len(); n != 4 {
+		t.Fatalf("%d heap events for four batches", n)
+	}
+	want := []struct {
+		at  int64
+		ids []uint64
+	}{{100, []uint64{1, 2, 3}}, {100, []uint64{4}}, {100, []uint64{6}}, {101, []uint64{5}}}
+	for k, w := range want {
+		got := batchIDs(t, s, w.at)
+		if len(got) != len(w.ids) {
+			t.Fatalf("batch %d holds requests %v, want %v", k, got, w.ids)
+		}
+		for i := range got {
+			if got[i] != w.ids[i] {
+				t.Fatalf("batch %d holds requests %v, want %v", k, got, w.ids)
+			}
+		}
+	}
+}
+
+// TestRetryBatchYieldsToInheritedTick covers the batch split: a member's
+// handling re-arms the controller tick at the batch's own cycle under an
+// inherited sequence number below the batch's, so as separate events the
+// tick would have fired before the remaining members. Here the tick
+// completes the fill of block b; the batch's second member reads b and must
+// therefore hit the filled line instead of merging into the in-flight fill.
+func TestRetryBatchYieldsToInheritedTick(t *testing.T) {
+	const b, c = 0x40000, 0x80000
+
+	// A twin simulator finds the controller's event times up to and
+	// including the one that completes b's fill.
+	twin := newMemSideSim(t)
+	twin.l2.Access(readReq(b, 1), 0)
+	var times []int64
+	for len(times) < 1000 {
+		at := twin.l2.NextEventAt()
+		if at < 0 {
+			t.Fatal("the controller went idle before b's fill completed")
+		}
+		times = append(times, at)
+		if len(twin.l2.Advance(at)) > 0 {
+			break
+		}
+	}
+	fillAt := times[len(times)-1]
+
+	s := newMemSideSim(t)
+	s.l2.Access(readReq(b, 1), 0)
+	for _, at := range times[:len(times)-1] {
+		s.l2.Advance(at)
+	}
+	if next := s.l2.NextEventAt(); next != fillAt {
+		t.Fatalf("controller's next event at %d, want the fill at %d", next, fillAt)
+	}
+	// An abandoned tick at the fill cycle, older than anything below.
+	s.now = fillAt
+	s.eventSeq = 10
+	s.staleTicks = append(s.staleTicks, staleTick{at: fillAt, seq: 1})
+	s.retryAt(fillAt, 0, s.l2.BankFor(c), readReq(c, 2))
+	s.retryAt(fillAt, 0, s.l2.BankFor(b), readReq(b, 3))
+	if s.events.len() != 1 {
+		t.Fatalf("the two retries should share one batch, heap holds %d events", s.events.len())
+	}
+
+	s.processEvents()
+	if got := s.l2.MergedInFlight(); got != 0 {
+		t.Fatalf("the read of b merged into its in-flight fill (%d merges): the tick did not fire between the batch members", got)
+	}
+	if got := s.l2.FillsCompleted(); got != 1 {
+		t.Fatalf("%d fills completed, want b's", got)
+	}
+	if got := s.l2.Hits(); got != 1 {
+		t.Fatalf("%d L2 hits, want the read of b", got)
+	}
+}

@@ -12,6 +12,13 @@
 // step-every-cycle path — must produce bit-identical results, and the engine
 // equivalence test pins that.
 //
+// Back-pressure is event-driven too. An SM whose access the L1D rejected
+// sleeps until the rejection can change — the L1D's stall hold, its next
+// internal event or a fill — and the cycles it skipped replay the rejected
+// access against the L1D when it wakes, moving every counter a polled
+// retry would have moved. Requests the L2 NACKs back to back for the same
+// retry cycle share one retry-batch event instead of one heap event each.
+//
 // On top of the sparse engine sits a conservative-parallel mode
 // (SetWorkers): SM state is private between memory interactions, and the
 // memory system guarantees a minimum request round-trip latency, so the
@@ -102,13 +109,16 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// event is a memory-side event: a request arriving at an L2 bank or a
-// response arriving back at an SM. (The memory controller's own scheduling
-// points are tracked outside the heap — see armMemTick.)
+// event is a memory-side event: a request arriving at an L2 bank, a batch
+// of NACKed requests retrying there, or a response arriving back at an SM.
+// (The memory controller's own scheduling points are tracked outside the
+// heap — see armMemTick.)
 type event struct {
-	at    int64
-	seq   uint64
-	kind  eventKind
+	at   int64
+	seq  uint64
+	kind eventKind
+	// batch is an evRetryBatch's first member in the retry slab.
+	batch int32
 	sm    int
 	bank  int
 	req   mem.Request
@@ -120,6 +130,7 @@ type eventKind uint8
 const (
 	evReqAtL2 eventKind = iota
 	evRespAtSM
+	evRetryBatch
 )
 
 // eventKey is an event's place in the heap: its (at, seq) order and the slab
@@ -326,6 +337,57 @@ func (h *smWakeHeap) popDue(t int64, buf []int) []int {
 	return buf
 }
 
+// retryMember is one NACKed request waiting in a retry batch: the
+// arguments of the evReqAtL2 event it would otherwise have been, linked to
+// the next member of its batch (-1 ends the batch).
+type retryMember struct {
+	req  mem.Request
+	sm   int
+	bank int
+	next int32
+}
+
+// retrySlab holds the members of every pending retry batch in one slab whose
+// slots are recycled through a free list threaded through next, so a run
+// allocates member slots only up to its peak backlog.
+type retrySlab struct {
+	members  []retryMember
+	freeHead int32
+	// The open batch is the one a request NACKed now may join: the batch
+	// most recently scheduled, at openAt under sequence number openSeq,
+	// whose last member is openTail (-1 when no batch is open).
+	openAt   int64
+	openSeq  uint64
+	openTail int32
+}
+
+func (r *retrySlab) reset() {
+	r.members = r.members[:0]
+	r.freeHead, r.openTail = -1, -1
+}
+
+// add stores a member and returns its slot.
+func (r *retrySlab) add(req mem.Request, sm, bank int) int32 {
+	i := r.freeHead
+	if i >= 0 {
+		r.freeHead = r.members[i].next
+	} else {
+		i = int32(len(r.members))
+		r.members = append(r.members, retryMember{})
+	}
+	m := &r.members[i]
+	m.req, m.sm, m.bank, m.next = req, sm, bank, -1
+	return i
+}
+
+// take returns the member in slot i and frees the slot.
+func (r *retrySlab) take(i int32) retryMember {
+	m := r.members[i]
+	r.members[i].next = r.freeHead
+	r.freeHead = i
+	return m
+}
+
 // staleTick is a controller wake-up that was abandoned by an earlier re-arm;
 // its sequence position still matters if a later re-arm lands on its time.
 type staleTick struct {
@@ -351,6 +413,7 @@ type Simulator struct {
 
 	events   eventHeap //fuselint:serialonly
 	eventSeq uint64    //fuselint:serialonly
+	retries  retrySlab //fuselint:serialonly
 	now      int64     //fuselint:serialonly
 	// memTickAt/memTickSeq are the armed memory-controller wake-up: the
 	// earliest cycle the controller can make progress, ordered against the
@@ -478,6 +541,7 @@ func NewWithArena(gpuCfg config.GPUConfig, workload trace.Workload, opts Options
 		s.sms[i] = gpu.NewSMIn(i, warpsPerSM, opts.InstructionsPerWarp, source, l1d, arena.smStorage(i, warpsPerSM))
 	}
 	s.memTickAt = -1
+	s.retries.reset()
 	s.wake.init(smCount)
 	for i := range s.sms {
 		s.wake.update(i, 0) // every SM starts with ready warps at cycle 0
@@ -591,25 +655,9 @@ func (s *Simulator) processEvents() {
 func (s *Simulator) handleEvent(e event) {
 	switch e.kind {
 	case evReqAtL2:
-		res := s.l2.Access(e.req, e.at)
-		switch res.Outcome {
-		case l2.OutcomeHit:
-			if e.req.Kind != mem.Write { // write-backs need no response
-				s.respond(e.bank, e.sm, e.req.BlockAddr(), e.req.Issue, e.at, res.Done)
-			}
-		case l2.OutcomeMiss, l2.OutcomeMerged:
-			// Writes are absorbed; read data arrives with the fill.
-		case l2.OutcomeBlocked:
-			// MSHR back-pressure: retry the access later. The wait is
-			// memory-side time, but the retry makes the waiter's L2
-			// arrival time the *last* attempt, which respond() would
-			// charge to the NoC share — move it to the memory share
-			// here so the Figure 1 decomposition stays faithful.
-			s.memCycles += res.RetryAt - e.at
-			s.nocCycles -= res.RetryAt - e.at
-			s.schedule(event{at: res.RetryAt, kind: evReqAtL2, sm: e.sm, bank: e.bank, req: e.req})
-		}
-		s.armMemTick(e.at)
+		s.reqAtL2(e.at, e.sm, e.bank, e.req)
+	case evRetryBatch:
+		s.retryBatch(e.at, e.seq, e.batch)
 	case evRespAtSM:
 		if s.chargedTo[e.sm] > e.at {
 			// The SM has already been cycled past the fill's arrival time.
@@ -637,10 +685,78 @@ func (s *Simulator) handleEvent(e event) {
 	}
 }
 
-// catchUp charges SM i for the idle cycles between its last charged cycle and
-// the current one: the sparse engine never cycles a sleeping SM, so the skip
-// is accounted here with exactly the counters per-cycle execution would have
-// used (no ready warp; memory wait while fills are outstanding).
+// reqAtL2 presents a request to its L2 bank at cycle at.
+func (s *Simulator) reqAtL2(at int64, sm, bank int, req mem.Request) {
+	res := s.l2.Access(req, at)
+	switch res.Outcome {
+	case l2.OutcomeHit:
+		if req.Kind != mem.Write { // write-backs need no response
+			s.respond(bank, sm, req.BlockAddr(), req.Issue, at, res.Done)
+		}
+	case l2.OutcomeMiss, l2.OutcomeMerged:
+		// Writes are absorbed; read data arrives with the fill.
+	case l2.OutcomeBlocked:
+		// MSHR back-pressure: retry the access later. The wait is
+		// memory-side time, but the retry makes the waiter's L2 arrival
+		// time the *last* attempt, which respond() would charge to the NoC
+		// share — move it to the memory share here so the Figure 1
+		// decomposition stays faithful.
+		s.memCycles += res.RetryAt - at
+		s.nocCycles -= res.RetryAt - at
+		s.retryAt(res.RetryAt, sm, bank, req)
+	}
+	s.armMemTick(at)
+}
+
+// retryAt queues a NACKed request for another attempt at cycle at. Requests
+// NACKed back to back for the same retry cycle share one heap event: a
+// request joins the open batch when that batch retries at the same cycle and
+// no sequence number has been consumed since it was scheduled or last
+// joined. As separate events the members would have held consecutive
+// sequence numbers, so nothing could have been ordered between them.
+//
+//fuselint:noalloc
+func (s *Simulator) retryAt(at int64, sm, bank int, req mem.Request) {
+	r := &s.retries
+	m := r.add(req, sm, bank)
+	if r.openTail >= 0 && r.openAt == at && r.openSeq == s.eventSeq {
+		r.members[r.openTail].next = m
+		r.openTail = m
+		return
+	}
+	s.schedule(event{at: at, kind: evRetryBatch, batch: m})
+	r.openAt, r.openSeq, r.openTail = at, s.eventSeq, m
+}
+
+// retryBatch replays the members of a retry batch, popped at (at, seq), in
+// order through the request path. A member's handling can re-arm the
+// controller tick at this cycle under an inherited sequence number below the
+// batch's (see armMemTick); the tick then fires before the remaining
+// members, which go back on the heap under the batch's own (at, seq).
+//
+//fuselint:noalloc
+func (s *Simulator) retryBatch(at int64, seq uint64, first int32) {
+	r := &s.retries
+	if r.openTail >= 0 && r.openSeq == seq {
+		r.openTail = -1 // popped: nothing may join it any more
+	}
+	for i := first; i >= 0; {
+		m := r.take(i)
+		s.reqAtL2(at, m.sm, m.bank, m.req)
+		i = m.next
+		if i >= 0 && s.memTickAt == at && s.memTickSeq < seq {
+			s.events.push(event{at: at, seq: seq, kind: evRetryBatch, batch: i})
+			return
+		}
+	}
+}
+
+// catchUp charges SM i for the cycles between its last charged cycle and the
+// current one: the sparse engine never cycles a sleeping SM, so the skip is
+// accounted here with exactly the counters per-cycle execution would have
+// used. An SM sleeping through a held stall re-presents its rejected access
+// at each skipped cycle (gpu.SM.ReplayStalls); any other sleeping SM had no
+// ready warp (memory wait while fills are outstanding).
 func (s *Simulator) catchUp(i int) { s.catchUpTo(i, s.now) }
 
 // catchUpTo is catchUp against an explicit cycle: the parallel engine's
@@ -652,6 +768,11 @@ func (s *Simulator) catchUpTo(i int, now int64) {
 		return
 	}
 	sm := s.sms[i]
+	s.chargedTo[i] = now
+	if sm.Holding() {
+		sm.ReplayStalls(from, now)
+		return
+	}
 	skipped := uint64(now - from)
 	st := sm.Stats()
 	st.Cycles += skipped
@@ -659,7 +780,6 @@ func (s *Simulator) catchUpTo(i int, now int64) {
 	if sm.OutstandingFills() > 0 {
 		st.MemWaitCycles += skipped
 	}
-	s.chargedTo[i] = now
 }
 
 // markDirty queues SM i for this step's outgoing-traffic drain.

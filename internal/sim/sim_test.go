@@ -231,9 +231,10 @@ func TestSimulatorAccessors(t *testing.T) {
 // — cycles, stalls, off-chip decomposition, energy inputs — as stepping every
 // cycle. One memory-bound workload (ATAX: SMs spend most cycles asleep
 // waiting on fills) and one compute-bound workload (pathf: SMs almost never
-// sleep) exercise both extremes, across a blocking and a non-blocking L1D.
+// sleep) exercise both extremes, across every L1D organisation: each has its
+// own stall paths, and with them its own stall holds (By-NVM has none).
 func TestSparseEngineMatchesReference(t *testing.T) {
-	for _, kind := range []config.L1DKind{config.L1SRAM, config.Hybrid, config.DyFUSE} {
+	for _, kind := range config.AllL1DKinds {
 		for _, workload := range []string{"ATAX", "pathf"} {
 			opts := quickOpts()
 			prof, ok := trace.ProfileByName(workload)
@@ -273,14 +274,21 @@ func TestSparseEngineMatchesReferenceAtCycleLimit(t *testing.T) {
 	// gap regularly straddles a small MaxCycles.
 	gap := config.FermiGPU(config.NewL1DConfig(config.L1SRAM))
 	gap.WarpsPerSM = 1
+	// Two MSHR entries fill at once, so the SMs sleep through held stalls
+	// until a fill arrives; the run truncates while they do, and settle
+	// must replay the held accesses up to the limit.
+	held := config.FermiGPU(config.NewL1DConfig(config.DyFUSE))
+	held.L1D.MSHREntries = 2
 
 	cases := []struct {
-		name string
-		gpu  config.GPUConfig
-		opts Options
+		name    string
+		gpu     config.GPUConfig
+		opts    Options
+		midHold bool
 	}{
-		{"saturated", saturated, Options{InstructionsPerWarp: 100000, MaxCycles: 3000, SMOverride: 2, Seed: 3}},
-		{"event-gap-straddles-limit", gap, Options{InstructionsPerWarp: 100000, MaxCycles: 7, SMOverride: 1, Seed: 3}},
+		{"saturated", saturated, Options{InstructionsPerWarp: 100000, MaxCycles: 3000, SMOverride: 2, Seed: 3}, false},
+		{"event-gap-straddles-limit", gap, Options{InstructionsPerWarp: 100000, MaxCycles: 7, SMOverride: 1, Seed: 3}, false},
+		{"truncated-mid-hold", held, Options{InstructionsPerWarp: 100000, MaxCycles: 2500, SMOverride: 2, Seed: 3}, true},
 	}
 	for _, tc := range cases {
 		prof, _ := trace.ProfileByName("SM") // APKI 140: misses immediately
@@ -302,6 +310,17 @@ func TestSparseEngineMatchesReferenceAtCycleLimit(t *testing.T) {
 		if sparseRes.Cycles != tc.opts.MaxCycles {
 			t.Errorf("%s: truncated run must stop exactly at the cycle limit, got %d (want %d)",
 				tc.name, sparseRes.Cycles, tc.opts.MaxCycles)
+		}
+		if tc.midHold {
+			holding := 0
+			for _, sm := range sparse.SMs() {
+				if sm.Holding() {
+					holding++
+				}
+			}
+			if holding == 0 {
+				t.Errorf("%s: no SM was sleeping through a held stall at the limit", tc.name)
+			}
 		}
 	}
 }
