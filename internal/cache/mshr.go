@@ -121,6 +121,13 @@ func (m *MSHR) Allocations() uint64 { return m.allocCount }
 // a merge list) was full.
 func (m *MSHR) FullStalls() uint64 { return m.fullStalls }
 
+// RepeatFullStalls charges n more allocation attempts rejected exactly like
+// the latest one (a full file or merge list stays full until a Release), so a
+// caller that skips re-presenting a held miss still counts every rejection.
+//
+//fuselint:noalloc
+func (m *MSHR) RepeatFullStalls(n uint64) { m.fullStalls += n }
+
 // Lookup returns the entry for the block, if any.
 func (m *MSHR) Lookup(block uint64) (*MSHREntry, bool) {
 	e, ok := m.entries[block]

@@ -136,16 +136,23 @@ func (f *CountingBloomFilter) Remove(x uint64) {
 // Test reports whether x is (probably) present: it returns false only when x
 // is definitely absent ("negative"), true when all counters are non-zero
 // ("positive", possibly false).
-func (f *CountingBloomFilter) Test(x uint64) bool {
-	f.tests.Inc()
+func (f *CountingBloomFilter) Test(x uint64) bool { return f.RepeatTest(x, 1) }
+
+// RepeatTest performs n Tests of x against the unchanged filter — moving
+// every counter the n tests would have moved — while hashing x only once,
+// and returns their common answer.
+//
+//fuselint:noalloc
+func (f *CountingBloomFilter) RepeatTest(x uint64, n uint64) bool {
+	f.tests.Add(n)
 	for i := 0; i < f.hashes; i++ {
 		if f.counters[f.key(i, x)] == 0 {
 			return false
 		}
 	}
-	f.positives.Inc()
+	f.positives.Add(n)
 	if f.truth[x] == 0 {
-		f.falsePositive.Inc()
+		f.falsePositive.Add(n)
 	}
 	return true
 }
@@ -245,6 +252,14 @@ func (n *NVMCBF) Remove(block uint64) { n.Filter(n.PartitionFor(block)).Remove(b
 func (n *NVMCBF) Test(block uint64) (bool, int) {
 	region := n.PartitionFor(block)
 	return n.Filter(region).Test(block), region
+}
+
+// RepeatTest performs n Tests of the block against the unchanged array (see
+// CountingBloomFilter.RepeatTest) and returns their common answer.
+//
+//fuselint:noalloc
+func (n *NVMCBF) RepeatTest(block uint64, count uint64) bool {
+	return n.Filter(n.PartitionFor(block)).RepeatTest(block, count)
 }
 
 // FalsePositiveRate aggregates the false-positive rate across all CBFs.

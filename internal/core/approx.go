@@ -73,21 +73,36 @@ func (a *ApproxLogic) searchIterations() int {
 // present), the polling logic wastes those iterations, which is exactly the
 // cost the paper's Figure 20 sensitivity study quantifies.
 func (a *ApproxLogic) Lookup(block uint64, actuallyPresent bool) (mayHit bool, cycles int) {
-	a.searches++
 	positive, _ := a.filters.Test(block)
+	return a.charge(positive, actuallyPresent, 1)
+}
+
+// RepeatLookup charges n more Lookups of the block against unchanged filters
+// and tag array — every counter they would have moved — testing the filters
+// only once. It returns the answer each of them would have returned.
+//
+//fuselint:noalloc
+func (a *ApproxLogic) RepeatLookup(block uint64, actuallyPresent bool, n uint64) (mayHit bool, cycles int) {
+	return a.charge(a.filters.RepeatTest(block, n), actuallyPresent, n)
+}
+
+// charge accounts n searches whose membership tests answered positive or
+// not, and returns the answer and cost of one of them.
+func (a *ApproxLogic) charge(positive, actuallyPresent bool, n uint64) (mayHit bool, cycles int) {
+	a.searches += n
 	cycles = a.filters.TestLatency
 	if !positive {
-		a.negativeChecks++
-		a.searchCycles += uint64(cycles)
+		a.negativeChecks += n
+		a.searchCycles += n * uint64(cycles)
 		return false, cycles
 	}
 	cycles += a.searchIterations()
 	if !actuallyPresent {
-		a.falseSearches++
+		a.falseSearches += n
 		// The polling logic exhausts the region before concluding a miss.
 		cycles += a.searchIterations()
 	}
-	a.searchCycles += uint64(cycles)
+	a.searchCycles += n * uint64(cycles)
 	return true, cycles
 }
 

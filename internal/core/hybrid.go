@@ -44,8 +44,10 @@ type HybridL1D struct {
 	// have already been accounted, so that overlapping blocking windows and
 	// per-request retries never charge the same cycle twice.
 	sttStallChargedUntil int64
-	// stallHold is the StallHold of the latest rejected access.
+	// stallHold is the StallHold of the latest rejected access, and held
+	// what presenting that access once more moves (see RepeatStall).
 	stallHold int64
+	held      heldStall
 
 	// outgoing is a head-indexed FIFO of misses and write-backs bound for
 	// the interconnect; outHead avoids the per-pop reslice that used to
@@ -58,10 +60,21 @@ type HybridL1D struct {
 	// dropScratch is the reusable keep-list of dropQueuedOp.
 	dropScratch []TagOp
 	stats       Stats
+}
 
-	// DebugJudge, when non-nil, histograms judged predictions by
-	// "<level>/<outcome>" (temporary instrumentation).
-	DebugJudge map[string]int
+// heldStall is what re-presenting a rejected access moves again: the tag
+// search through the approximation logic when the access reached it, and,
+// for a full MSHR file or merge list, the rejection itself. Nothing else
+// moves: the access counters are undone within each attempt, and the first
+// rejection inside a blocking window or a busy bank's write already charged
+// the STT-write stall cycles up to its end.
+type heldStall struct {
+	reason StallReason
+	// searched reports that the access searched the STT-MRAM tags for block
+	// through the approximation logic; present is what the tag array said.
+	searched bool
+	present  bool
+	block    uint64
 }
 
 // newHybridL1D builds a HybridL1D from a hybrid configuration.
@@ -155,6 +168,7 @@ func (h *HybridL1D) access(req mem.Request, now int64) AccessResult {
 	if now < h.blockedUntil {
 		h.chargeSTTStall(now, h.blockedUntil)
 		h.stallHold = h.blockedUntil
+		h.held = heldStall{reason: StallSTTWrite}
 		return AccessResult{Outcome: OutcomeStall}
 	}
 	write := req.Kind == mem.Write
@@ -243,7 +257,7 @@ func (h *HybridL1D) access(req mem.Request, now int64) AccessResult {
 	}
 
 	// 5. Miss: decide the fill destination and allocate an MSHR entry.
-	return h.miss(req, block, now, write)
+	return h.miss(req, block, now, write, present)
 }
 
 // sttHit services a request that hit in the STT-MRAM bank.
@@ -253,7 +267,7 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 		// (Hybrid) a busy bank rejects the request; with one, the access
 		// is absorbed.
 		if !h.nonBlocking() && h.sttBank.Busy(now) {
-			return h.sttBusyStall(now, write)
+			return h.sttBusyStall(now, block, write)
 		}
 		h.stt.Touch(block, now, false)
 		h.stats.Hits++
@@ -297,7 +311,7 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 	// Hybrid: the write goes straight into the STT-MRAM bank and blocks
 	// the cache for the full write latency.
 	if h.sttBank.Busy(now) {
-		return h.sttBusyStall(now, write)
+		return h.sttBusyStall(now, block, write)
 	}
 	h.stt.Touch(block, now, true)
 	h.stats.Hits++
@@ -313,10 +327,11 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 
 // sttBusyStall rejects an access that must wait for the busy STT-MRAM bank
 // (Hybrid has no tag queue to absorb it).
-func (h *HybridL1D) sttBusyStall(now int64, write bool) AccessResult {
+func (h *HybridL1D) sttBusyStall(now int64, block uint64, write bool) AccessResult {
 	h.chargeSTTStall(now, h.sttBank.BusyUntil())
 	h.undoAccess(write)
 	h.stallHold = h.sttBank.BusyUntil()
+	h.held = heldStall{reason: StallSTTWrite, searched: h.approx != nil, present: true, block: block}
 	return AccessResult{Outcome: OutcomeStall, Bank: cache.DestSTTMRAM}
 }
 
@@ -325,6 +340,26 @@ func (h *HybridL1D) sttBusyStall(now int64, write bool) AccessResult {
 // blocking window or the bank's busy window; the predictor observes only
 // accepted accesses.
 func (h *HybridL1D) StallHold() int64 { return h.stallHold }
+
+// RepeatStall implements L1D: the n repeats re-run the recorded tag search
+// (one filter test for all of them) and, for an MSHR rejection, the
+// predictor's lookup and the rejection itself.
+//
+//fuselint:noalloc
+func (h *HybridL1D) RepeatStall(n uint64) {
+	hs := &h.held
+	if hs.searched {
+		_, cycles := h.approx.RepeatLookup(hs.block, hs.present, n)
+		h.stats.TagSearchStallCycles += n * uint64(cycles)
+	}
+	if hs.reason == StallMSHR {
+		h.stats.MSHRStallEvents += n
+		h.mshr.RepeatFullStalls(n)
+		if h.pred != nil {
+			h.pred.RepeatPredictions(n)
+		}
+	}
+}
 
 // chargeSTTStall accounts the blocked cycles in [from, until) to the
 // STT-write stall counter, skipping any prefix that has already been charged.
@@ -353,8 +388,9 @@ func (h *HybridL1D) undoAccess(write bool) {
 	}
 }
 
-// miss handles the cache-miss leg of the decision tree.
-func (h *HybridL1D) miss(req mem.Request, block uint64, now int64, write bool) AccessResult {
+// miss handles the cache-miss leg of the decision tree; present is what the
+// STT-MRAM tag search found (a CBF-negative search misses even then).
+func (h *HybridL1D) miss(req mem.Request, block uint64, now int64, write, present bool) AccessResult {
 	level, neutral, predicted := h.predict(req.PC)
 	dest := cache.DestSRAM
 	if predicted {
@@ -393,6 +429,7 @@ func (h *HybridL1D) miss(req mem.Request, block uint64, now int64, write bool) A
 		}
 		// Only a Fill releases an MSHR entry or a merge slot.
 		h.stallHold = math.MaxInt64
+		h.held = heldStall{reason: StallMSHR, searched: h.approx != nil, present: present, block: block}
 		return AccessResult{Outcome: OutcomeStall, Bank: dest}
 	}
 	if primary {
@@ -587,11 +624,7 @@ func (h *HybridL1D) judgePrediction(line cache.Line) {
 	if h.pred == nil || !line.Valid {
 		return
 	}
-	outcome := predictor.Judge(line.Level, line.Level == mem.ReadIntensive, line.Writes)
-	if h.DebugJudge != nil {
-		h.DebugJudge[line.Level.String()+"/"+outcome.String()]++
-	}
-	h.stats.Accuracy.Record(outcome)
+	h.stats.Accuracy.Record(predictor.Judge(line.Level, line.Level == mem.ReadIntensive, line.Writes))
 }
 
 // writeback queues a dirty eviction toward the L2.
@@ -669,6 +702,7 @@ func (h *HybridL1D) Reset() {
 	h.blockedUntil = 0
 	h.sttStallChargedUntil = 0
 	h.stallHold = 0
+	h.held = heldStall{}
 	h.outgoing = h.outgoing[:0]
 	h.outHead = 0
 	h.stats = Stats{}

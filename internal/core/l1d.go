@@ -183,6 +183,12 @@ type L1D interface {
 	// means only a Fill or the internal machinery can end the stall; 0
 	// means no hold: each attempt changes state, so none may be skipped.
 	StallHold() int64
+	// RepeatStall charges, right after an Access that returned OutcomeStall
+	// with a non-zero hold, n more presentations of the same request before
+	// the hold, with no Fill and no Tick in between: every counter the n
+	// rejected attempts would have moved, in O(1) instead of n Accesses. A
+	// cache that never reports a hold has no repeat to charge and panics.
+	RepeatStall(n uint64)
 	// Stats exposes the accumulated counters.
 	Stats() *Stats
 	// Banks returns the technology banks (for energy accounting). The

@@ -30,9 +30,11 @@ type SimpleL1D struct {
 	outHead  int
 	// fillBuf is the reusable waiting-request buffer Fill returns.
 	fillBuf []mem.Request
-	// stallHold is the StallHold of the latest rejected access.
-	stallHold int64
-	stats     Stats
+	// stallHold is the StallHold of the latest rejected access, and
+	// stallReason what rejected it (what RepeatStall charges).
+	stallHold   int64
+	stallReason StallReason
+	stats       Stats
 }
 
 // newSimpleL1D builds a SimpleL1D from a pure-SRAM or pure-STT configuration.
@@ -101,7 +103,7 @@ func (s *SimpleL1D) Access(req mem.Request, now int64) AccessResult {
 	// that makes pure-NVM caches struggle on write-heavy workloads.
 	if s.isSTT() && s.bank.Busy(now) {
 		s.stats.STTWriteStallCycles++
-		s.stallHold = s.bank.BusyUntil()
+		s.stallHold, s.stallReason = s.bank.BusyUntil(), StallSTTWrite
 		return AccessResult{Outcome: OutcomeStall, Bank: s.bankDest()}
 	}
 
@@ -151,7 +153,7 @@ func (s *SimpleL1D) Access(req mem.Request, now int64) AccessResult {
 			s.stats.Misses--
 		}
 		// Only a Fill releases an MSHR entry or a merge slot.
-		s.stallHold = math.MaxInt64
+		s.stallHold, s.stallReason = math.MaxInt64, StallMSHR
 		return AccessResult{Outcome: OutcomeStall, Bank: dest}
 	}
 	if primary {
@@ -240,6 +242,34 @@ func (s *SimpleL1D) StallHold() int64 {
 	return s.stallHold
 }
 
+// RepeatStall implements L1D: a busy bank charges one stall cycle per
+// attempt, a full MSHR file or merge list one rejection per attempt (the
+// access counters are undone within each attempt). By-NVM holds nothing, so
+// it has nothing to repeat.
+//
+//fuselint:noalloc
+func (s *SimpleL1D) RepeatStall(n uint64) {
+	if s.deadWrite != nil {
+		noHeldStall()
+	}
+	switch s.stallReason {
+	case StallSTTWrite:
+		s.stats.STTWriteStallCycles += n
+	case StallMSHR:
+		s.stats.MSHRStallEvents += n
+		s.mshr.RepeatFullStalls(n)
+	}
+}
+
+// noHeldStall reports a RepeatStall on a cache that holds no stall. It stays
+// out of line so that the message's allocation is not inlined into the
+// allocation-free caller.
+//
+//go:noinline
+func noHeldStall() {
+	panic("core: By-NVM reports no stall hold, so it has no stall to repeat")
+}
+
 // Reset implements L1D.
 func (s *SimpleL1D) Reset() {
 	s.store.Reset()
@@ -250,7 +280,7 @@ func (s *SimpleL1D) Reset() {
 	}
 	s.outgoing = s.outgoing[:0]
 	s.outHead = 0
-	s.stallHold = 0
+	s.stallHold, s.stallReason = 0, StallNone
 	s.stats = Stats{}
 }
 

@@ -66,6 +66,35 @@ func stallCases() []stallCase {
 		{"FA-SRAM/full-merge-list", fullMerge(config.FASRAM)},
 		{"Dy-FUSE/full-MSHR-file", fullMSHR(config.DyFUSE)},
 		{"FA-FUSE/full-merge-list", fullMerge(config.FAFUSE)},
+		{"FA-FUSE/full-MSHR-file-after-CBF-false-positive", func(t *testing.T) (L1D, mem.Request, int64, int64) {
+			// One single-slot CBF: once a migrated block is registered,
+			// every membership test is positive, so the rejected block's
+			// tag search is a false positive that scans its region twice.
+			cfg := config.NewL1DConfig(config.FAFUSE)
+			cfg.SRAMKB, cfg.SRAMSets, cfg.SRAMWays = 1, 4, 2
+			cfg.CBFCount, cfg.CBFSlots = 1, 1
+			cfg.MSHREntries = 1
+			h := MustNew(cfg).(*HybridL1D)
+			now := int64(0)
+			for _, block := range []int{0, 4, 8} { // all in SRAM set 0
+				mustOutcome(t, h, readReq(block, 0x40, 0), now, OutcomeMiss)
+				now++
+				fillAll(h, now)
+			}
+			for ; h.NextInternalEventAt(now) >= 0; now++ {
+				h.Tick(now) // retire block 0's migration into the STT-MRAM bank
+			}
+			if !h.stt.Probe(0) {
+				t.Fatal("block 0 should have migrated into the STT-MRAM bank")
+			}
+			mustOutcome(t, h, readReq(12, 0x40, 0), now, OutcomeMiss)
+			req := readReq(16, 0x40, 1)
+			mustOutcome(t, h, req, now, OutcomeStall)
+			if h.approx.WastedSearches() == 0 {
+				t.Fatal("the rejected access's tag search was no CBF false positive")
+			}
+			return h, req, now, math.MaxInt64
+		}},
 		{"Hybrid/blocking-migration", func(t *testing.T) (L1D, mem.Request, int64, int64) {
 			h, now := hybridWithMigratedBlock(t, 4)
 			if h.blockedUntil <= now+1 {
@@ -192,4 +221,46 @@ func TestByNVMReportsNoHold(t *testing.T) {
 	if got := l1d.StallHold(); got != 0 {
 		t.Fatalf("By-NVM StallHold() = %d after an MSHR stall, want 0", got)
 	}
+}
+
+// TestRepeatStallMatchesRepeatedAccess is the property SM.ReplayStalls rests
+// on: after a held rejection, RepeatStall(k) leaves the cache exactly as k
+// real re-presentations of the request before the hold would — every
+// counter of the cache and of its components (MSHR, counting Bloom filters,
+// approximation logic, predictor) included.
+func TestRepeatStallMatchesRepeatedAccess(t *testing.T) {
+	for _, c := range stallCases() {
+		t.Run(c.name, func(t *testing.T) {
+			replayed, req, at, hold := c.setup(t)
+			charged, _, _, _ := c.setup(t)
+			k := hold - at - 1
+			if hold == math.MaxInt64 {
+				k = 300 // only a fill ends it: repeat a window
+			}
+			for now := at + 1; now <= at+k; now++ {
+				req.Issue, req.ID = now, uint64(now)
+				mustOutcome(t, replayed, req, now, OutcomeStall)
+			}
+			charged.RepeatStall(uint64(k))
+			if !reflect.DeepEqual(replayed, charged) {
+				t.Fatalf("RepeatStall(%d) differs from %d re-presentations:\nreplayed: %+v\ncharged:  %+v",
+					k, k, *replayed.Stats(), *charged.Stats())
+			}
+		})
+	}
+}
+
+// TestByNVMRepeatStallPanics pins that a cache reporting no hold refuses to
+// guess what a repeat would move.
+func TestByNVMRepeatStallPanics(t *testing.T) {
+	l1d := NewKind(config.ByNVM)
+	mustOutcome(t, l1d, readReq(1, 0x40, 0), 0, OutcomeMiss)
+	fillAll(l1d, 10)
+	mustOutcome(t, l1d, readReq(1, 0x40, 0), 11, OutcomeStall)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("By-NVM RepeatStall did not panic")
+		}
+	}()
+	l1d.RepeatStall(1)
 }

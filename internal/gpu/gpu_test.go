@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"reflect"
 	"testing"
 
 	"fuse/internal/config"
@@ -303,5 +304,64 @@ func TestHeldStallSleepsAndReplays(t *testing.T) {
 	sm.DeliverFill(miss.BlockAddr(), now+1)
 	if sm.Holding() {
 		t.Errorf("a delivered fill must end the hold")
+	}
+}
+
+// TestReplayStallsMatchesCycling checks ReplayStalls against the cycles it
+// stands for: of two identical SMs sleeping through the same held stall,
+// one is cycled through every held cycle and the other replays them in one
+// call, and the two must end up identical — SM counters, request IDs, warp
+// state and the whole L1D with its components.
+func TestReplayStallsMatchesCycling(t *testing.T) {
+	for _, kind := range []config.L1DKind{config.L1SRAM, config.FASRAM, config.BaseFUSE, config.FAFUSE, config.DyFUSE} {
+		cfg := config.NewL1DConfig(kind)
+		cfg.MSHREntries = 2
+		prof, _ := trace.ProfileByName("ATAX")
+		newSM := func() *SM { return NewSM(0, 8, 100, trace.NewKernel(prof, 0, 3), core.MustNew(cfg)) }
+		cycled, replayed := newSM(), newSM()
+		now := int64(0)
+		for ; now < 2000 && !cycled.Holding(); now++ {
+			cycled.Cycle(now)
+			replayed.Cycle(now)
+		}
+		if !cycled.Holding() {
+			t.Fatalf("%v: the SM never held a stall", kind)
+		}
+		end := now + 50
+		if next := cycled.NextSelfEventAt(now); next >= 0 && next < end {
+			end = next
+		}
+		if end < now+2 {
+			t.Fatalf("%v: the hold at %d leaves no cycles to replay (next self-event %d)", kind, now, end)
+		}
+		for c := now; c < end; c++ {
+			cycled.Cycle(c)
+		}
+		replayed.ReplayStalls(now, end)
+		if !reflect.DeepEqual(cycled, replayed) {
+			t.Errorf("%v: replaying cycles [%d, %d) differs from cycling them:\ncycled:   %+v %+v\nreplayed: %+v %+v",
+				kind, now, end, *cycled.Stats(), *cycled.L1D().Stats(), *replayed.Stats(), *replayed.L1D().Stats())
+		}
+	}
+}
+
+// BenchmarkReplayStalls measures replaying 1,000 skipped cycles of a held
+// stall: a Dy-FUSE SM whose greedy warp's access the full MSHR file rejects.
+func BenchmarkReplayStalls(b *testing.B) {
+	cfg := config.NewL1DConfig(config.DyFUSE)
+	cfg.MSHREntries = 1
+	prof, _ := trace.ProfileByName("ATAX")
+	sm := NewSM(0, 8, 1<<20, trace.NewKernel(prof, 0, 3), core.MustNew(cfg))
+	now := int64(0)
+	for ; now < 2000 && !sm.Holding(); now++ {
+		sm.Cycle(now)
+	}
+	if !sm.Holding() || sm.NextSelfEventAt(now) != -1 {
+		b.Fatal("the SM should sleep through a held full-MSHR stall")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sm.ReplayStalls(now, now+1000)
+		now += 1000
 	}
 }

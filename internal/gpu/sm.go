@@ -351,26 +351,38 @@ func (sm *SM) Holding() bool { return sm.hold != 0 }
 
 // ReplayStalls performs the cycles [from, to) of a held stall exactly as
 // Cycle would have: each one re-presents the greedy warp's rejected access
-// to the L1D, with a fresh request ID and issue cycle, so every counter an
-// attempt touches (the SM's stall and memory-wait cycles, the L1D's stall
-// and search counters, the MSHR's rejections) moves as it would have. The
-// L1D's Tick is skipped: the caller stops before its next internal event,
-// so Tick would have done nothing. A replayed access that is not rejected
-// means the hold was wrong, which would silently change results; it panics.
+// to the L1D, with a fresh request ID and issue cycle, and is rejected again.
+// The first re-presentation goes through the real Access; a replayed access
+// that is not rejected means the hold was wrong, which would silently change
+// results, so it panics. Until the hold nothing the rejection depends on can
+// change — the caller stops before the L1D's next internal event (so Tick is
+// skipped: it would have done nothing) and before any fill — so every later
+// cycle repeats that rejection with identical counter changes, and the rest
+// are charged in one step: the SM's cycles, request IDs, stall and
+// memory-wait cycles, and the L1D's RepeatStall.
 //
 //fuselint:noalloc
 func (sm *SM) ReplayStalls(from, to int64) {
 	if sm.hold != math.MaxInt64 && to > sm.hold {
 		sm.replayFailed("replays stalled cycles past its hold", to, sm.hold)
 	}
+	if from >= to {
+		return
+	}
 	w := sm.greedyWarp
-	ins := sm.pending[w]
-	for now := from; now < to; now++ {
-		sm.stats.Cycles++
-		if res := sm.l1d.Access(sm.request(w, ins, now), now); res.Outcome != core.OutcomeStall {
-			sm.replayFailed("had a held access accepted", now, sm.hold)
+	sm.stats.Cycles++
+	if res := sm.l1d.Access(sm.request(w, sm.pending[w], from), from); res.Outcome != core.OutcomeStall {
+		sm.replayFailed("had a held access accepted", from, sm.hold)
+	}
+	sm.chargeStall()
+	if n := uint64(to - from - 1); n > 0 {
+		sm.stats.Cycles += n
+		sm.nextReqID += n
+		sm.stats.L1DStallCycles += n
+		if len(sm.waiting) > 0 {
+			sm.stats.MemWaitCycles += n
 		}
-		sm.chargeStall()
+		sm.l1d.RepeatStall(n)
 	}
 }
 

@@ -120,6 +120,15 @@ type bank struct {
 	// bounded fill path), and pump drains it ahead of new fills so write
 	// traffic still contends for the bounded channel queue.
 	wbq []uint64
+	// version moves on every change that can end a read NACK: a tag-store
+	// insert (the block may now be present), which also covers every MSHR
+	// release (a fill's entry is released as its block is inserted, freeing
+	// a slot or the block's merge list), and Reset. Allocations and merges
+	// need no bump: they only fill the file and the merge lists further. A
+	// NACK is stamped with the version; while it holds, a retry is NACKed
+	// again (see Renack). It starts at 1, so the zero version matches no
+	// bank.
+	version uint64
 }
 
 // L2 is the shared cache; it owns the memory controller so that a miss can
@@ -168,8 +177,9 @@ func New(cfg Config, d *dram.DRAM) *L2 {
 	l.banks = make([]*bank, cfg.Banks)
 	for i := range l.banks {
 		l.banks[i] = &bank{
-			store: cache.NewTagStore(sets, cfg.Ways, cache.LRU),
-			mshr:  make(map[uint64]*fillEntry),
+			store:   cache.NewTagStore(sets, cfg.Ways, cache.LRU),
+			mshr:    make(map[uint64]*fillEntry),
+			version: 1,
 		}
 	}
 	return l
@@ -241,6 +251,9 @@ type Result struct {
 	Done int64
 	// RetryAt is the cycle at which a blocked request should be retried.
 	RetryAt int64
+	// Version is, for OutcomeBlocked, the bank's version at the NACK: a
+	// retry that finds the bank still at it is blocked again (see Renack).
+	Version uint64
 }
 
 // Fill reports one completed DRAM fill: the block became visible in the tag
@@ -268,17 +281,19 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 	// bandwidth (otherwise retry traffic under a saturated MSHR file would
 	// starve the very fills that resolve it). A read is NACKed when its
 	// merge list is full, or when it needs a fresh MSHR entry and the file
-	// is full.
-	if !write && !b.store.Probe(block) {
-		blocked := false
-		if e, ok := b.mshr[block]; ok {
-			blocked = len(e.waiters) >= l.cfg.MergeWidth
-		} else {
-			blocked = len(b.mshr) >= l.cfg.PendingLimit
-		}
-		if blocked {
-			l.mshrStalls.Inc()
-			return Result{Outcome: OutcomeBlocked, RetryAt: l.retryAt(now)}
+	// is full. Its tag-store and MSHR lookups here are the only ones it
+	// makes: the port arbitration below reads neither, so a read hit may
+	// update the line's replacement state ahead of it.
+	var hit bool
+	var inFlight *fillEntry
+	if !write {
+		if _, hit = b.store.Touch(block, now, false); !hit {
+			inFlight = b.mshr[block]
+			if inFlight != nil && len(inFlight.waiters) >= l.cfg.MergeWidth ||
+				inFlight == nil && len(b.mshr) >= l.cfg.PendingLimit {
+				l.mshrStalls.Inc()
+				return Result{Outcome: OutcomeBlocked, RetryAt: l.retryAt(now), Version: b.version}
+			}
 		}
 	}
 
@@ -295,16 +310,19 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 	l.accesses.Inc()
 	if write {
 		l.writes.Inc()
+		if _, hit = b.store.Touch(block, now, true); !hit {
+			inFlight = b.mshr[block]
+		}
 	}
 
-	if _, hit := b.store.Touch(block, now, write); hit {
+	if hit {
 		l.hits.Inc()
 		return Result{Outcome: OutcomeHit, Done: ready}
 	}
 
 	// A miss on a block that is already being fetched merges with the
 	// in-flight fill.
-	if e, ok := b.mshr[block]; ok {
+	if e := inFlight; e != nil {
 		l.mergedFly.Inc()
 		l.hits.Inc() // counts as a hit for miss-rate purposes: no new DRAM access
 		if write {
@@ -344,6 +362,23 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 	return Result{Outcome: OutcomeMiss}
 }
 
+// Renack re-presents at cycle now a read that the bank NACKed at version v.
+// While the bank is still at v, nothing the NACK depended on has changed —
+// the block is still absent from the tag store, and its MSHR entry's merge
+// list or the bank's MSHR file is still full — so the read is NACKed again:
+// it is counted and given a fresh retry time exactly as Access would, without
+// Access's tag-store and MSHR lookups. ok is false when the bank has moved on;
+// the caller must then present the read through Access.
+//
+//fuselint:noalloc
+func (l *L2) Renack(bank int, v uint64, now int64) (res Result, ok bool) {
+	if l.banks[bank].version != v {
+		return Result{}, false
+	}
+	l.mshrStalls.Inc()
+	return Result{Outcome: OutcomeBlocked, RetryAt: l.retryAt(now), Version: v}, true
+}
+
 // retryAt picks the retry time of a NACKed request: just after the memory
 // controller's next event (the earliest moment a fill can retire and free
 // the MSHR slot the request is waiting for), or one bank latency out when
@@ -358,10 +393,11 @@ func (l *L2) retryAt(now int64) int64 {
 
 // insert allocates a block in the bank at cycle `at` and hands any dirty
 // victim to the memory controller (buffering it when the channel queue is
-// full).
+// full). It moves the bank's version: a read NACKed before may now hit.
 func (l *L2) insert(b *bank, block, pc uint64, at int64, dirty bool) {
 	evicted, line := b.store.Insert(block, pc, at, dirty, mem.WORM)
 	line.Dirty = dirty
+	b.version++
 	if evicted.Valid && evicted.Dirty {
 		l.wbToDRAM.Inc()
 		if _, ok := l.dram.Submit(evicted.Block, true, at); !ok {
@@ -440,7 +476,7 @@ func (l *L2) Advance(now int64) []Fill {
 			if e == nil {
 				continue // a fill raced a Reset; nothing to deliver
 			}
-			delete(b.mshr, c.Addr)
+			delete(b.mshr, c.Addr) // the insert below moves the version
 			l.insert(b, c.Addr, e.pc, c.Done, e.dirty)
 			l.fillsDone.Inc()
 			fills = append(fills, Fill{Bank: bankIdx, Block: c.Addr, Done: c.Done, Waiters: e.waiters})
@@ -506,6 +542,7 @@ func (l *L2) Reset() {
 		b.mshr = make(map[uint64]*fillEntry)
 		b.held = nil
 		b.wbq = nil
+		b.version++
 	}
 	l.fillBuf = nil
 	l.entryPool = nil

@@ -1,0 +1,112 @@
+package l2
+
+import (
+	"math/rand/v2"
+	"reflect"
+	"testing"
+
+	"fuse/internal/dram"
+	"fuse/internal/mem"
+)
+
+// TestRenackMatchesAccess drives two identical L2s with the same seeded mix
+// of reads, writes, controller advances, resets and retries of NACKed reads.
+// One L2 retries through Renack, its twin through Access; whenever Renack
+// says a read is still blocked, the twin's real Access must have NACKed it
+// too, at the same retry cycle and with the same counter changes — the twins
+// must stay identical in every field. A small, narrow L2 in front of a
+// one-channel DRAM keeps the MSHR files and merge lists full, the tag stores
+// churning and dirty victims flowing.
+func TestRenackMatchesAccess(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		renacked, fresh := runRenackTwins(t, seed, 20000)
+		if renacked < 1000 || fresh < 1000 {
+			t.Errorf("seed %d: %d retries NACKed by version, %d presented again; the mix exercises too little", seed, renacked, fresh)
+		}
+	}
+}
+
+// nacked is a read an L2 NACKed, with the bank version the NACK carried.
+type nacked struct {
+	req mem.Request
+	ver uint64
+}
+
+// runRenackTwins runs the twin-L2 differential for the given number of
+// steps and returns how many retries Renack NACKed and how many it sent
+// back through Access.
+func runRenackTwins(t *testing.T, seed uint64, steps int) (renacked, fresh int) {
+	t.Helper()
+	newTwin := func() *L2 {
+		cfg := Config{Banks: 2, TotalKB: 2, Ways: 2, LatencyCycles: 4, PendingLimit: 2, MergeWidth: 2}
+		return New(cfg, dram.New(dram.Config{Channels: 1, QueueDepth: 2}))
+	}
+	a, b := newTwin(), newTwin()
+	rng := rand.New(rand.NewPCG(seed, 0x5eed))
+	var pending []nacked
+	now := int64(0)
+	block := func() uint64 { return uint64(rng.IntN(24)) * mem.BlockSize }
+
+	// present hands a request to both twins through Access and queues a
+	// NACKed read for a later retry.
+	present := func(req mem.Request) {
+		ra, rb := a.Access(req, now), b.Access(req, now)
+		if ra != rb {
+			t.Fatalf("seed %d cycle %d: twins answered %+v and %+v to the same access", seed, now, ra, rb)
+		}
+		if ra.Outcome == OutcomeBlocked {
+			pending = append(pending, nacked{req: req, ver: ra.Version})
+		}
+	}
+	for step := 0; step < steps; step++ {
+		if rng.IntN(2000) == 0 {
+			// A reset leaves the pending NACKs stale: the next retry of
+			// each must find an empty bank, not its old verdict.
+			a.Reset()
+			b.Reset()
+			continue
+		}
+		switch op := rng.IntN(40); {
+		case op < 10:
+			present(mem.Request{Addr: block(), Kind: mem.Read, Size: mem.BlockSize, ID: uint64(step)})
+		case op < 12:
+			present(mem.Request{Addr: block(), Kind: mem.Write, Size: mem.BlockSize, ID: uint64(step)})
+		case op < 36:
+			if len(pending) == 0 {
+				continue
+			}
+			k := rng.IntN(len(pending))
+			n := pending[k]
+			pending = append(pending[:k], pending[k+1:]...)
+			ra, ok := a.Renack(a.BankFor(n.req.Addr), n.ver, now)
+			if !ok {
+				fresh++
+				present(n.req)
+				break
+			}
+			renacked++
+			rb := b.Access(n.req, now)
+			if rb.Outcome != OutcomeBlocked || rb.RetryAt != ra.RetryAt {
+				t.Fatalf("seed %d cycle %d: bank version %d unchanged, but Access answered %+v to the retry (Renack: %+v)",
+					seed, now, n.ver, rb, ra)
+			}
+			pending = append(pending, nacked{req: n.req, ver: ra.Version})
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("seed %d cycle %d: Renack and Access left the twins in different states (stalls %d/%d)",
+					seed, now, a.MSHRStalls(), b.MSHRStalls())
+			}
+		default:
+			now += int64(1 + rng.IntN(8))
+			for next := a.NextEventAt(); next >= 0 && next <= now; next = a.NextEventAt() {
+				fa, fb := a.Advance(next), b.Advance(next)
+				if !reflect.DeepEqual(fa, fb) {
+					t.Fatalf("seed %d cycle %d: twins completed different fills", seed, next)
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("seed %d: the twins diverged", seed)
+	}
+	return renacked, fresh
+}

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"fuse/internal/config"
+	"fuse/internal/l2"
 	"fuse/internal/mem"
 	"fuse/internal/trace"
 )
 
 // newMemSideSim builds a one-SM simulator whose memory side a test drives by
 // hand; the SM itself is never cycled.
-func newMemSideSim(t *testing.T) *Simulator {
+func newMemSideSim(t testing.TB) *Simulator {
 	t.Helper()
 	prof, _ := trace.ProfileByName("ATAX")
 	s, err := New(config.FermiGPU(config.NewL1DConfig(config.L1SRAM)), trace.Synthetic(prof), Options{SMOverride: 1})
@@ -45,13 +46,13 @@ func batchIDs(t *testing.T, s *Simulator, at int64) []uint64 {
 // events, the requests would have held consecutive sequence numbers.
 func TestRetryBatchJoinRule(t *testing.T) {
 	s := newMemSideSim(t)
-	s.retryAt(100, 0, 0, readReq(0x1000, 1))
-	s.retryAt(100, 0, 0, readReq(0x2000, 2)) // joins
-	s.retryAt(100, 0, 0, readReq(0x3000, 3)) // joins
-	s.eventSeq++                             // e.g. a response scheduled or a tick armed
-	s.retryAt(100, 0, 0, readReq(0x4000, 4)) // a new batch: the sequence moved
-	s.retryAt(101, 0, 0, readReq(0x5000, 5)) // a new batch: another cycle
-	s.retryAt(100, 0, 0, readReq(0x6000, 6)) // a new batch: the open one retries at 101
+	s.retryAt(100, 0, 0, readReq(0x1000, 1), 0)
+	s.retryAt(100, 0, 0, readReq(0x2000, 2), 0) // joins
+	s.retryAt(100, 0, 0, readReq(0x3000, 3), 0) // joins
+	s.eventSeq++                                // e.g. a response scheduled or a tick armed
+	s.retryAt(100, 0, 0, readReq(0x4000, 4), 0) // a new batch: the sequence moved
+	s.retryAt(101, 0, 0, readReq(0x5000, 5), 0) // a new batch: another cycle
+	s.retryAt(100, 0, 0, readReq(0x6000, 6), 0) // a new batch: the open one retries at 101
 
 	if n := s.events.len(); n != 4 {
 		t.Fatalf("%d heap events for four batches", n)
@@ -111,8 +112,8 @@ func TestRetryBatchYieldsToInheritedTick(t *testing.T) {
 	s.now = fillAt
 	s.eventSeq = 10
 	s.staleTicks = append(s.staleTicks, staleTick{at: fillAt, seq: 1})
-	s.retryAt(fillAt, 0, s.l2.BankFor(c), readReq(c, 2))
-	s.retryAt(fillAt, 0, s.l2.BankFor(b), readReq(b, 3))
+	s.retryAt(fillAt, 0, s.l2.BankFor(c), readReq(c, 2), 0)
+	s.retryAt(fillAt, 0, s.l2.BankFor(b), readReq(b, 3), 0)
 	if s.events.len() != 1 {
 		t.Fatalf("the two retries should share one batch, heap holds %d events", s.events.len())
 	}
@@ -126,5 +127,35 @@ func TestRetryBatchYieldsToInheritedTick(t *testing.T) {
 	}
 	if got := s.l2.Hits(); got != 1 {
 		t.Fatalf("%d L2 hits, want the read of b", got)
+	}
+}
+
+// BenchmarkRetryBatch measures one retry batch of 64 reads NACKed by a bank
+// whose MSHR file is full and stays unchanged, so every member is NACKed
+// again and relinked into the next batch.
+func BenchmarkRetryBatch(b *testing.B) {
+	const members = 64
+	s := newMemSideSim(b)
+	stride := uint64(s.l2.Banks()) * mem.BlockSize
+	for i := uint64(0); i < uint64(s.l2.Config().PendingLimit); i++ {
+		if res := s.l2.Access(readReq(i*stride, i), 0); res.Outcome != l2.OutcomeMiss {
+			b.Fatalf("filling the MSHR file: read %d %v", i, res.Outcome)
+		}
+	}
+	s.armMemTick(0) // armed before the NACKs, so they join one batch
+	for i := uint64(0); i < members; i++ {
+		s.reqAtL2(1, 0, 0, readReq((1000+i)*stride, 1000+i))
+	}
+	if s.events.len() != 1 {
+		b.Fatalf("%d heap events, want the one batch of all %d NACKed reads", s.events.len(), members)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := s.events.pop()
+		s.retryBatch(e.at, e.seq, e.batch)
+	}
+	b.StopTimer()
+	if got := s.l2.MSHRStalls(); got != uint64(members*(b.N+1)) {
+		b.Fatalf("%d NACKs, want %d", got, members*(b.N+1))
 	}
 }

@@ -14,10 +14,14 @@
 //
 // Back-pressure is event-driven too. An SM whose access the L1D rejected
 // sleeps until the rejection can change — the L1D's stall hold, its next
-// internal event or a fill — and the cycles it skipped replay the rejected
-// access against the L1D when it wakes, moving every counter a polled
-// retry would have moved. Requests the L2 NACKs back to back for the same
-// retry cycle share one retry-batch event instead of one heap event each.
+// internal event or a fill. When it wakes, the first cycle it skipped
+// re-presents the rejected access to the L1D and the rest of the held stall
+// is charged in one step, moving every counter polled retries would have.
+// Requests the L2 NACKs back to back for the same retry cycle share one
+// retry-batch event instead of one heap event each, and a member whose bank
+// has not changed since its NACK is charged its next NACK without a second
+// look at the bank: rejections whose outcome is already known are charged,
+// not re-executed.
 //
 // On top of the sparse engine sits a conservative-parallel mode
 // (SetWorkers): SM state is private between memory interactions, and the
@@ -338,12 +342,14 @@ func (h *smWakeHeap) popDue(t int64, buf []int) []int {
 }
 
 // retryMember is one NACKed request waiting in a retry batch: the
-// arguments of the evReqAtL2 event it would otherwise have been, linked to
-// the next member of its batch (-1 ends the batch).
+// arguments of the evReqAtL2 event it would otherwise have been and the bank
+// version its latest NACK carried (see l2.L2.Renack), linked to the next
+// member of its batch (-1 ends the batch).
 type retryMember struct {
 	req  mem.Request
 	sm   int
 	bank int
+	ver  uint64
 	next int32
 }
 
@@ -367,7 +373,7 @@ func (r *retrySlab) reset() {
 }
 
 // add stores a member and returns its slot.
-func (r *retrySlab) add(req mem.Request, sm, bank int) int32 {
+func (r *retrySlab) add(req mem.Request, sm, bank int, ver uint64) int32 {
 	i := r.freeHead
 	if i >= 0 {
 		r.freeHead = r.members[i].next
@@ -376,16 +382,14 @@ func (r *retrySlab) add(req mem.Request, sm, bank int) int32 {
 		r.members = append(r.members, retryMember{})
 	}
 	m := &r.members[i]
-	m.req, m.sm, m.bank, m.next = req, sm, bank, -1
+	m.req, m.sm, m.bank, m.ver, m.next = req, sm, bank, ver, -1
 	return i
 }
 
-// take returns the member in slot i and frees the slot.
-func (r *retrySlab) take(i int32) retryMember {
-	m := r.members[i]
+// free returns slot i to the free list.
+func (r *retrySlab) free(i int32) {
 	r.members[i].next = r.freeHead
 	r.freeHead = i
-	return m
 }
 
 // staleTick is a controller wake-up that was abandoned by an earlier re-arm;
@@ -687,6 +691,15 @@ func (s *Simulator) handleEvent(e event) {
 
 // reqAtL2 presents a request to its L2 bank at cycle at.
 func (s *Simulator) reqAtL2(at int64, sm, bank int, req mem.Request) {
+	if res := s.present(at, sm, bank, req); res.Outcome == l2.OutcomeBlocked {
+		s.retryAt(res.RetryAt, sm, bank, req, res.Version)
+	}
+	s.armMemTick(at)
+}
+
+// present hands a request to its L2 bank at cycle at and handles the
+// outcome, short of queueing a NACKed request for its retry.
+func (s *Simulator) present(at int64, sm, bank int, req mem.Request) l2.Result {
 	res := s.l2.Access(req, at)
 	switch res.Outcome {
 	case l2.OutcomeHit:
@@ -696,29 +709,40 @@ func (s *Simulator) reqAtL2(at int64, sm, bank int, req mem.Request) {
 	case l2.OutcomeMiss, l2.OutcomeMerged:
 		// Writes are absorbed; read data arrives with the fill.
 	case l2.OutcomeBlocked:
-		// MSHR back-pressure: retry the access later. The wait is
-		// memory-side time, but the retry makes the waiter's L2 arrival
-		// time the *last* attempt, which respond() would charge to the NoC
-		// share — move it to the memory share here so the Figure 1
-		// decomposition stays faithful.
-		s.memCycles += res.RetryAt - at
-		s.nocCycles -= res.RetryAt - at
-		s.retryAt(res.RetryAt, sm, bank, req)
+		s.chargeNack(at, res.RetryAt)
 	}
-	s.armMemTick(at)
+	return res
 }
 
-// retryAt queues a NACKed request for another attempt at cycle at. Requests
-// NACKed back to back for the same retry cycle share one heap event: a
-// request joins the open batch when that batch retries at the same cycle and
-// no sequence number has been consumed since it was scheduled or last
-// joined. As separate events the members would have held consecutive
+// chargeNack accounts a NACK at cycle at whose request retries at retry.
+// The wait is memory-side time, but the retry makes the waiter's L2 arrival
+// time the *last* attempt, which respond() would charge to the NoC share —
+// move it to the memory share here so the Figure 1 decomposition stays
+// faithful.
+func (s *Simulator) chargeNack(at, retry int64) {
+	s.memCycles += retry - at
+	s.nocCycles -= retry - at
+}
+
+// retryAt queues a NACKed request, whose NACK carried bank version ver, for
+// another attempt at cycle at.
+//
+//fuselint:noalloc
+func (s *Simulator) retryAt(at int64, sm, bank int, req mem.Request, ver uint64) {
+	s.requeue(at, s.retries.add(req, sm, bank, ver))
+}
+
+// requeue links the member in slot m into a retry batch at cycle at.
+// Requests NACKed back to back for the same retry cycle share one heap
+// event: a member joins the open batch when that batch retries at the same
+// cycle and no sequence number has been consumed since it was scheduled or
+// last joined. As separate events the members would have held consecutive
 // sequence numbers, so nothing could have been ordered between them.
 //
 //fuselint:noalloc
-func (s *Simulator) retryAt(at int64, sm, bank int, req mem.Request) {
+func (s *Simulator) requeue(at int64, m int32) {
 	r := &s.retries
-	m := r.add(req, sm, bank)
+	r.members[m].next = -1
 	if r.openTail >= 0 && r.openAt == at && r.openSeq == s.eventSeq {
 		r.members[r.openTail].next = m
 		r.openTail = m
@@ -729,10 +753,14 @@ func (s *Simulator) retryAt(at int64, sm, bank int, req mem.Request) {
 }
 
 // retryBatch replays the members of a retry batch, popped at (at, seq), in
-// order through the request path. A member's handling can re-arm the
-// controller tick at this cycle under an inherited sequence number below the
-// batch's (see armMemTick); the tick then fires before the remaining
-// members, which go back on the heap under the batch's own (at, seq).
+// order through the request path. A member whose bank has not changed since
+// its NACK is NACKed again without a second look at the bank (l2.L2.Renack);
+// the rest are presented as new arrivals. A member NACKed again keeps its
+// slot and is relinked into the batch of its next retry. A member's handling
+// can re-arm the controller tick at this cycle under an inherited sequence
+// number below the batch's (see armMemTick); the tick then fires before the
+// remaining members, which go back on the heap under the batch's own
+// (at, seq).
 //
 //fuselint:noalloc
 func (s *Simulator) retryBatch(at int64, seq uint64, first int32) {
@@ -741,9 +769,22 @@ func (s *Simulator) retryBatch(at int64, seq uint64, first int32) {
 		r.openTail = -1 // popped: nothing may join it any more
 	}
 	for i := first; i >= 0; {
-		m := r.take(i)
-		s.reqAtL2(at, m.sm, m.bank, m.req)
-		i = m.next
+		m := &r.members[i]
+		next := m.next
+		res, renacked := s.l2.Renack(m.bank, m.ver, at)
+		if renacked {
+			s.chargeNack(at, res.RetryAt)
+		} else {
+			res = s.present(at, m.sm, m.bank, m.req)
+		}
+		if res.Outcome == l2.OutcomeBlocked {
+			m.ver = res.Version
+			s.requeue(res.RetryAt, i)
+		} else {
+			r.free(i)
+		}
+		s.armMemTick(at)
+		i = next
 		if i >= 0 && s.memTickAt == at && s.memTickSeq < seq {
 			s.events.push(event{at: at, seq: seq, kind: evRetryBatch, batch: i})
 			return
@@ -754,9 +795,9 @@ func (s *Simulator) retryBatch(at int64, seq uint64, first int32) {
 // catchUp charges SM i for the cycles between its last charged cycle and the
 // current one: the sparse engine never cycles a sleeping SM, so the skip is
 // accounted here with exactly the counters per-cycle execution would have
-// used. An SM sleeping through a held stall re-presents its rejected access
-// at each skipped cycle (gpu.SM.ReplayStalls); any other sleeping SM had no
-// ready warp (memory wait while fills are outstanding).
+// used. An SM sleeping through a held stall is charged a rejection of its
+// held access at each skipped cycle (gpu.SM.ReplayStalls); any other
+// sleeping SM had no ready warp (memory wait while fills are outstanding).
 func (s *Simulator) catchUp(i int) { s.catchUpTo(i, s.now) }
 
 // catchUpTo is catchUp against an explicit cycle: the parallel engine's
