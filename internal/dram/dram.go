@@ -315,18 +315,21 @@ func (d *DRAM) NextEventAt() int64 {
 // FR-FCFS: among the requests whose constraints are satisfied, the oldest
 // row hit wins; with no issuable row hit, the oldest issuable request wins.
 // Age ordering comes from the queue itself — it is append-only with
-// order-preserving deletion, so earlier indices are always older requests.
-// It returns -1 when nothing can issue at `now`.
+// order-preserving deletion, so earlier indices are always older requests —
+// so the first issuable row hit is the pick and ends the scan. It returns -1
+// when nothing can issue at `now`.
 func (d *DRAM) pick(ch *channelState, now int64) int {
-	best, bestHit := -1, false
-	for i, r := range ch.queue {
-		if d.issueReadyAt(ch, r) > now {
+	best := -1
+	for i := range ch.queue {
+		r := &ch.queue[i]
+		if d.issueReadyAt(ch, *r) > now {
 			continue
 		}
-		b := &ch.banks[r.bank]
-		hit := b.hasOpenRow && b.openRow == r.row
-		if best < 0 || (hit && !bestHit) {
-			best, bestHit = i, hit
+		if b := &ch.banks[r.bank]; b.hasOpenRow && b.openRow == r.row {
+			return i
+		}
+		if best < 0 {
+			best = i
 		}
 	}
 	return best

@@ -429,3 +429,22 @@ func BenchmarkDRAMNextEventAt(b *testing.B) {
 		d.NextEventAt()
 	}
 }
+
+// BenchmarkDRAMPick measures one FR-FCFS pick on a channel whose queue is
+// full: every request is issuable, the oldest is a row miss and the second
+// oldest the only row hit, so the pick is the second request.
+func BenchmarkDRAMPick(b *testing.B) {
+	d := New(Config{Channels: 1})
+	ch := &d.channels[0]
+	ch.banks[0].openRow, ch.banks[0].hasOpenRow = 5, true
+	ch.queue = append(ch.queue, request{bank: 1, row: 3}, request{bank: 0, row: 5})
+	for i := len(ch.queue); i < d.cfg.QueueDepth; i++ {
+		ch.queue = append(ch.queue, request{bank: i % d.cfg.BanksPerChannel, row: int64(100 + i)})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d.pick(ch, 1000) != 1 {
+			b.Fatal("the row hit was not picked")
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -20,34 +21,42 @@ func newTestSM(kind config.L1DKind, warps int, budget uint64, workload string) *
 }
 
 func TestWarpStateMachine(t *testing.T) {
-	w := &Warp{ID: 3, Budget: 2}
-	if w.Done() || !w.ReadyAt(0) {
+	sm := newTestSM(config.L1SRAM, 2, 2, "pathf")
+	w := &sm.warps[1]
+	sm.greedyWarp = 1
+	if w.Done() || sm.pickWarp(0) != w {
 		t.Fatalf("fresh warp should be ready")
 	}
-	w.BlockFor(10, 5)
-	if w.ReadyAt(12) {
+	sm.blockFor(w, 10, 5)
+	sm.blockOnData(&sm.warps[0], 0x40)
+	if sm.pickWarp(12) != nil {
 		t.Errorf("warp should still be waiting at cycle 12")
 	}
-	if !w.ReadyAt(15) {
+	if sm.pickWarp(15) != w || w.State != WarpReady {
 		t.Errorf("warp should wake at cycle 15")
 	}
-	w.BlockOnData(0x80)
-	if w.ReadyAt(100) {
+	sm.blockOnData(w, 0x80)
+	if sm.pickWarp(100) != nil {
 		t.Errorf("data-blocked warp should not wake on its own")
 	}
-	w.Wake()
-	if !w.ReadyAt(100) || w.PendingBlock != 0 {
-		t.Errorf("Wake should make the warp ready and clear the pending block")
+	sm.wakeData(w)
+	if sm.pickWarp(100) != w || w.PendingBlock != 0 {
+		t.Errorf("a fill should make the warp ready and clear the pending block")
 	}
-	w.RetireOne()
-	w.RetireOne()
-	if !w.Done() {
+	checkSets(t, sm, 100)
+	if !sm.issue(w, 101) || sm.issue(w, 102) || !w.Done() {
 		t.Errorf("warp should be done after retiring its budget")
 	}
-	w.BlockFor(0, 0)
-	if w.State != WarpReady {
-		t.Errorf("BlockFor(0) should leave the warp ready")
+	if sm.Done() {
+		t.Errorf("the SM still has a live warp")
 	}
+	sm.wakeData(&sm.warps[0])
+	sm.issue(&sm.warps[0], 103)
+	sm.blockFor(&sm.warps[0], 104, 0)
+	if sm.warps[0].State != WarpReady {
+		t.Errorf("blockFor(0) should leave the warp ready")
+	}
+	checkSets(t, sm, 104)
 }
 
 func TestWarpStateString(t *testing.T) {
@@ -163,19 +172,32 @@ func TestSMWakesOnlyOnFill(t *testing.T) {
 
 func TestSMNextWakeAt(t *testing.T) {
 	sm := newTestSM(config.L1SRAM, 4, 10, "pathf")
-	if sm.NextWakeAt() != -1 {
-		t.Errorf("no timed waits yet, NextWakeAt should be -1")
+	if sm.minWake != math.MaxInt64 {
+		t.Errorf("no timed waits yet, minWake = %d", sm.minWake)
 	}
 	sm.Cycle(0)
-	// Force a timed wait directly.
-	smWarp := &sm.warps[1]
-	smWarp.BlockFor(5, 7)
-	if got := sm.NextWakeAt(); got != 12 {
-		t.Errorf("NextWakeAt = %d, want 12", got)
+	sm.blockFor(&sm.warps[1], 5, 7)
+	sm.blockFor(&sm.warps[2], 5, 9)
+	if sm.minWake != 12 {
+		t.Errorf("minWake = %d, want 12", sm.minWake)
 	}
-	if !sm.HasReadyWarp(0) {
-		t.Errorf("other warps should still be ready")
+	if got := sm.NextSelfEventAt(6); got != 6 {
+		t.Errorf("NextSelfEventAt = %d, want 6 (other warps still ready)", got)
 	}
+	sm.blockOnData(&sm.warps[0], 0x1000)
+	sm.blockOnData(&sm.warps[3], 0x2000)
+	if got := sm.NextSelfEventAt(6); got != 12 {
+		t.Errorf("NextSelfEventAt = %d, want 12 (earliest timed wake-up)", got)
+	}
+	// The pick at 12 promotes warp 1 and leaves warp 2's wake-up as the bound.
+	sm.greedyWarp = 0
+	if w := sm.pickWarp(12); w != &sm.warps[1] {
+		t.Fatalf("pickWarp(12) = %v, want warp 1", w)
+	}
+	if sm.minWake != 14 {
+		t.Errorf("minWake = %d after warp 1 woke, want 14", sm.minWake)
+	}
+	checkSets(t, sm, 12)
 }
 
 func TestSMNextSelfEventAt(t *testing.T) {
@@ -185,12 +207,14 @@ func TestSMNextSelfEventAt(t *testing.T) {
 		t.Errorf("NextSelfEventAt(0) = %d, want 0 (ready warps)", got)
 	}
 	// Warp 0 in a timed wait, warp 1 still ready: progress is still "now".
-	sm.warps[0].BlockFor(0, 20)
+	sm.issue(&sm.warps[0], 0)
+	sm.blockFor(&sm.warps[0], 0, 20)
 	if got := sm.NextSelfEventAt(3); got != 3 {
 		t.Errorf("NextSelfEventAt = %d, want 3 (warp 1 ready)", got)
 	}
 	// Both warps waiting: the earliest timed wake-up bounds the sleep.
-	sm.warps[1].BlockFor(0, 8)
+	sm.issue(&sm.warps[1], 0)
+	sm.blockFor(&sm.warps[1], 0, 8)
 	if got := sm.NextSelfEventAt(3); got != 8 {
 		t.Errorf("NextSelfEventAt = %d, want 8 (earliest WakeAt)", got)
 	}
@@ -199,11 +223,15 @@ func TestSMNextSelfEventAt(t *testing.T) {
 		t.Errorf("NextSelfEventAt = %d, want 9 (stale wait is ready)", got)
 	}
 	// Both warps blocked on data: nothing to do until a fill arrives.
-	sm.warps[0].BlockOnData(0x1000)
-	sm.warps[1].BlockOnData(0x2000)
-	if got := sm.NextSelfEventAt(10); got != -1 {
+	sm.promoteDue(20)
+	sm.issue(&sm.warps[0], 20)
+	sm.blockOnData(&sm.warps[0], 0x1000)
+	sm.issue(&sm.warps[1], 21)
+	sm.blockOnData(&sm.warps[1], 0x2000)
+	if got := sm.NextSelfEventAt(22); got != -1 {
 		t.Errorf("NextSelfEventAt = %d, want -1 (data-blocked SM sleeps)", got)
 	}
+	checkSets(t, sm, 22)
 }
 
 func TestSMGreedyThenOldestPrefersSameWarp(t *testing.T) {

@@ -3,6 +3,7 @@ package gpu
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"fuse/internal/core"
 	"fuse/internal/mem"
@@ -48,9 +49,9 @@ type SM struct {
 	ID int
 
 	// warps is stored flat (struct-of-values, not per-warp heap objects):
-	// the scheduler walks every warp each cycle, so one contiguous backing
-	// array is both allocation-free and cache-friendly. All access is by
-	// index/pointer because Warp methods mutate through their receiver.
+	// one contiguous backing array is both allocation-free and
+	// cache-friendly. All access is by index/pointer because the scheduler
+	// mutates warps through SM methods.
 	warps  []Warp
 	source trace.Source
 	l1d    core.L1D
@@ -67,6 +68,25 @@ type SM struct {
 	// steady state of a memory-bound run allocates no per-miss slices.
 	idFree [][]int
 
+	// Greedy-then-oldest picks the greedy warp while it is ready, otherwise
+	// the ready warp that issued least recently, the lowest index breaking
+	// ties. Warps are kept in that order in issue-order slots: order[s] is
+	// the warp in slot s (-1 when empty), and a warp that issues moves to
+	// the tail slot. Warps that never issued hold slots 0..W-1 in index
+	// order; a warp issuing at cycle 0 keeps its slot, because its issue
+	// time ties with theirs. The ring has 2W slots and is compacted when the
+	// tail reaches its end, which is amortised O(1) per issue. ready has bit
+	// s set when the warp in slot s is WarpReady, so the oldest ready warp is
+	// the first set bit. timed has bit w set when warp w is WarpWaiting, and
+	// minWake is the earliest WakeAt among them (math.MaxInt64 when none).
+	// live counts the warps not yet done.
+	order   []int32
+	tail    int
+	ready   []uint64
+	timed   []uint64
+	minWake int64
+	live    int
+
 	// greedyWarp is the warp the GTO scheduler sticks with until it stalls.
 	greedyWarp int
 	// hold is the L1D's StallHold for the greedy warp's rejected access, or
@@ -81,12 +101,23 @@ type SM struct {
 
 // SMStorage is caller-provided backing storage for an SM's flat per-warp
 // state; the simulator's arena carves these from slabs it reuses across runs.
-// Slices with insufficient capacity (or a zero SMStorage) are allocated fresh.
+// For W warps, Order needs 2W entries and Sets SetWords(W) words. Slices with
+// insufficient capacity (or a zero SMStorage) are allocated fresh.
 type SMStorage struct {
 	Warps      []Warp
 	Pending    []trace.Instruction
 	PendingSet []bool
+	Order      []int32
+	Sets       []uint64
 }
+
+// SetWords returns the number of words the scheduler's bit sets take for an
+// SM with the given number of warps: the ready set over 2W issue-order slots
+// plus the timed-wait set over W warps.
+func SetWords(warps int) int { return words(2*warps) + words(warps) }
+
+// words returns the number of 64-bit words a set of n bits takes.
+func words(n int) int { return (n + 63) >> 6 }
 
 // NewSM builds an SM with the given number of warps, each executing
 // `instrPerWarp` instructions of the source stream, backed by the given L1D
@@ -110,6 +141,13 @@ func NewSMIn(id, warps int, instrPerWarp uint64, source trace.Source, l1d core.L
 	if cap(st.PendingSet) < warps {
 		st.PendingSet = make([]bool, warps)
 	}
+	if cap(st.Order) < 2*warps {
+		st.Order = make([]int32, 2*warps)
+	}
+	if cap(st.Sets) < SetWords(warps) {
+		st.Sets = make([]uint64, SetWords(warps))
+	}
+	rw := words(2 * warps)
 	sm := &SM{
 		ID:         id,
 		source:     source,
@@ -118,12 +156,16 @@ func NewSMIn(id, warps int, instrPerWarp uint64, source trace.Source, l1d core.L
 		warps:      st.Warps[:warps],
 		pending:    st.Pending[:warps],
 		pendingSet: st.PendingSet[:warps],
+		order:      st.Order[:2*warps],
+		ready:      st.Sets[:rw:rw],
+		timed:      st.Sets[rw:SetWords(warps)],
 	}
 	for i := range sm.warps {
 		sm.warps[i] = Warp{ID: i, Budget: instrPerWarp}
 		sm.pending[i] = trace.Instruction{}
 		sm.pendingSet[i] = false
 	}
+	sm.resetSchedule()
 	return sm
 }
 
@@ -137,42 +179,10 @@ func (sm *SM) Stats() *SMStats { return &sm.stats }
 func (sm *SM) Warps() int { return len(sm.warps) }
 
 // Done reports whether every warp has retired its budget.
-func (sm *SM) Done() bool {
-	for i := range sm.warps {
-		if !sm.warps[i].Done() {
-			return false
-		}
-	}
-	return true
-}
+func (sm *SM) Done() bool { return sm.live == 0 }
 
 // OutstandingFills returns the number of distinct blocks the SM is waiting on.
 func (sm *SM) OutstandingFills() int { return len(sm.waiting) }
-
-// NextWakeAt returns the earliest cycle at which a currently waiting warp
-// becomes ready on its own (ignoring data-blocked warps, which are woken by
-// fills). It returns -1 when no warp is in the timed-wait state.
-func (sm *SM) NextWakeAt() int64 {
-	next := int64(-1)
-	for i := range sm.warps {
-		if w := &sm.warps[i]; w.State == WarpWaiting {
-			if next < 0 || w.WakeAt < next {
-				next = w.WakeAt
-			}
-		}
-	}
-	return next
-}
-
-// HasReadyWarp reports whether any warp can issue at the given cycle.
-func (sm *SM) HasReadyWarp(now int64) bool {
-	for i := range sm.warps {
-		if w := &sm.warps[i]; !w.Done() && w.ReadyAt(now) {
-			return true
-		}
-	}
-	return false
-}
 
 // NextSelfEventAt returns the earliest cycle >= now at which the SM can make
 // progress without external input: a warp that can issue (possibly right
@@ -202,20 +212,12 @@ func (sm *SM) NextSelfEventAt(now int64) int64 {
 		}
 		return next
 	}
+	if firstBit(sm.ready) >= 0 || sm.minWake <= now {
+		return now
+	}
 	next := int64(-1)
-	for i := range sm.warps {
-		w := &sm.warps[i]
-		switch w.State {
-		case WarpReady:
-			return now
-		case WarpWaiting:
-			if w.WakeAt <= now {
-				return now
-			}
-			if next < 0 || w.WakeAt < next {
-				next = w.WakeAt
-			}
-		}
+	if sm.minWake != math.MaxInt64 {
+		next = sm.minWake
 	}
 	if l1 := sm.l1d.NextInternalEventAt(now); l1 >= 0 && (next < 0 || l1 < next) {
 		next = l1
@@ -225,25 +227,190 @@ func (sm *SM) NextSelfEventAt(now int64) int64 {
 
 // pickWarp implements the greedy-then-oldest scheduling policy: keep issuing
 // from the current warp while it is ready, otherwise fall back to the oldest
-// (lowest last-issue time) ready warp.
+// (least recently issued) ready warp, which is the first ready slot in issue
+// order. A timed-wait warp whose wake-up time has come counts as ready; the
+// greedy warp is promoted on its own, the others only when the pick falls
+// back to the issue order.
+//
+//fuselint:noalloc
 func (sm *SM) pickWarp(now int64) *Warp {
-	if g := &sm.warps[sm.greedyWarp]; !g.Done() && g.ReadyAt(now) {
+	switch g := &sm.warps[sm.greedyWarp]; {
+	case g.State == WarpReady:
+		return g
+	case g.State == WarpWaiting && g.WakeAt <= now:
+		sm.promote(g)
+		if g.WakeAt == sm.minWake {
+			sm.promoteDue(math.MinInt64) // recomputes minWake, promotes nothing
+		}
 		return g
 	}
-	var best *Warp
+	if sm.minWake <= now {
+		sm.promoteDue(now)
+	}
+	s := firstBit(sm.ready)
+	if s < 0 {
+		return nil
+	}
+	w := &sm.warps[sm.order[s]]
+	sm.greedyWarp = w.ID
+	return w
+}
+
+// resetSchedule puts every warp, ready, in its never-issued slot.
+func (sm *SM) resetSchedule() {
+	for i := range sm.order {
+		sm.order[i] = -1
+	}
+	clear(sm.ready)
+	clear(sm.timed)
 	for i := range sm.warps {
-		w := &sm.warps[i]
-		if w.Done() || !w.ReadyAt(now) {
+		sm.order[i] = int32(i)
+		sm.warps[i].slot = i
+		setBit(sm.ready, i)
+	}
+	sm.tail = len(sm.warps)
+	sm.minWake = math.MaxInt64
+	sm.live = len(sm.warps)
+	sm.greedyWarp = 0
+}
+
+func setBit(set []uint64, i int)      { set[i>>6] |= 1 << (i & 63) }
+func clearBit(set []uint64, i int)    { set[i>>6] &^= 1 << (i & 63) }
+func hasBit(set []uint64, i int) bool { return set[i>>6]&(1<<(i&63)) != 0 }
+
+// firstBit returns the index of the lowest set bit, or -1 when none is set.
+//
+//fuselint:noalloc
+func firstBit(set []uint64) int {
+	for i, w := range set {
+		if w != 0 {
+			return i<<6 | bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
+// issue retires one instruction of ready warp w, picked at cycle now, and
+// moves it to the tail of the issue order (except at cycle 0, see
+// SM.order). A warp already in the last occupied slot is the newest already
+// and stays, so a greedy run of issues moves nothing. It reports whether the
+// warp is still live; a live warp stays ready until the caller blocks it.
+//
+//fuselint:noalloc
+func (sm *SM) issue(w *Warp, now int64) bool {
+	if now > 0 && w.slot != sm.tail-1 {
+		if sm.tail == len(sm.order) {
+			sm.compact()
+		}
+		clearBit(sm.ready, w.slot)
+		sm.order[w.slot] = -1
+		w.slot = sm.tail
+		sm.order[sm.tail] = int32(w.ID)
+		sm.tail++
+		setBit(sm.ready, w.slot)
+	}
+	w.Issued++
+	if w.Issued >= w.Budget {
+		w.State = WarpDone
+		clearBit(sm.ready, w.slot)
+		sm.order[w.slot] = -1
+		sm.live--
+		return false
+	}
+	return true
+}
+
+// compact moves the live warps, in issue order, to the front of the ring,
+// carrying their ready bits along.
+//
+//fuselint:noalloc
+func (sm *SM) compact() {
+	k := 0
+	for s := 0; s < sm.tail; s++ {
+		id := sm.order[s]
+		if id < 0 {
 			continue
 		}
-		if best == nil || w.lastIssue < best.lastIssue {
-			best = w
+		if k != s {
+			sm.order[k], sm.order[s] = id, -1
+			sm.warps[id].slot = k
+			if hasBit(sm.ready, s) {
+				clearBit(sm.ready, s)
+				setBit(sm.ready, k)
+			}
+		}
+		k++
+	}
+	sm.tail = k
+}
+
+// setReady makes warp w ready to issue.
+//
+//fuselint:noalloc
+func (sm *SM) setReady(w *Warp) {
+	w.State = WarpReady
+	setBit(sm.ready, w.slot)
+}
+
+// blockFor parks ready warp w for a fixed number of cycles starting at now.
+//
+//fuselint:noalloc
+func (sm *SM) blockFor(w *Warp, now int64, cycles int) {
+	if cycles <= 0 {
+		return
+	}
+	clearBit(sm.ready, w.slot)
+	w.State = WarpWaiting
+	w.WakeAt = now + int64(cycles)
+	setBit(sm.timed, w.ID)
+	sm.minWake = min(sm.minWake, w.WakeAt)
+}
+
+// blockOnData parks ready warp w until the fill for the given block arrives.
+//
+//fuselint:noalloc
+func (sm *SM) blockOnData(w *Warp, block uint64) {
+	clearBit(sm.ready, w.slot)
+	w.State = WarpWaitingData
+	w.PendingBlock = block
+}
+
+// wakeData makes a data-blocked warp ready again (on fill delivery).
+//
+//fuselint:noalloc
+func (sm *SM) wakeData(w *Warp) {
+	if w.State == WarpWaitingData {
+		w.PendingBlock = 0
+		sm.setReady(w)
+	}
+}
+
+// promote makes timed-wait warp w ready.
+//
+//fuselint:noalloc
+func (sm *SM) promote(w *Warp) {
+	clearBit(sm.timed, w.ID)
+	sm.setReady(w)
+}
+
+// promoteDue makes every timed-wait warp whose wake-up time has come by now
+// ready, and recomputes minWake over the rest.
+//
+//fuselint:noalloc
+func (sm *SM) promoteDue(now int64) {
+	next := int64(math.MaxInt64)
+	for i, word := range sm.timed {
+		for word != 0 {
+			w := &sm.warps[i<<6|bits.TrailingZeros64(word)]
+			word &= word - 1
+			if w.WakeAt <= now {
+				sm.promote(w)
+			} else {
+				next = min(next, w.WakeAt)
+			}
 		}
 	}
-	if best != nil {
-		sm.greedyWarp = best.ID
-	}
-	return best
+	sm.minWake = next
 }
 
 // Cycle advances the SM by one cycle: the L1D retires background work, warps
@@ -272,8 +439,7 @@ func (sm *SM) Cycle(now int64) {
 
 	if !ins.IsMem {
 		sm.pendingSet[w.ID] = false
-		w.lastIssue = now
-		w.RetireOne()
+		sm.issue(w, now)
 		sm.stats.Issued++
 		return
 	}
@@ -290,22 +456,20 @@ func (sm *SM) Cycle(now int64) {
 		return
 	case core.OutcomeHit:
 		sm.pendingSet[w.ID] = false
-		w.lastIssue = now
-		w.RetireOne()
+		live := sm.issue(w, now)
 		sm.stats.Issued++
 		sm.stats.MemInstructions++
-		if !w.Done() {
-			w.BlockFor(now, res.Latency)
+		if live {
+			sm.blockFor(w, now, res.Latency)
 		}
 	case core.OutcomeMiss, core.OutcomeMissMerged, core.OutcomeBypass:
 		sm.pendingSet[w.ID] = false
-		w.lastIssue = now
-		w.RetireOne()
+		live := sm.issue(w, now)
 		sm.stats.Issued++
 		sm.stats.MemInstructions++
 		block := req.BlockAddr()
-		if !w.Done() {
-			w.BlockOnData(block)
+		if live {
+			sm.blockOnData(w, block)
 			ids, ok := sm.waiting[block]
 			if !ok && len(sm.idFree) > 0 {
 				ids = sm.idFree[len(sm.idFree)-1]
@@ -405,7 +569,7 @@ func (sm *SM) DeliverFill(block uint64, now int64) int {
 	ids, ok := sm.waiting[block]
 	delete(sm.waiting, block)
 	for _, id := range ids {
-		sm.warps[id].Wake()
+		sm.wakeData(&sm.warps[id])
 	}
 	n := len(ids)
 	if ok {
@@ -424,9 +588,9 @@ func (sm *SM) Reset() {
 		sm.warps[i] = Warp{ID: i, Budget: sm.warps[i].Budget}
 		sm.pendingSet[i] = false
 	}
+	sm.resetSchedule()
 	sm.waiting = make(map[uint64][]int)
 	sm.idFree = nil
-	sm.greedyWarp = 0
 	sm.hold = 0
 	sm.stats = SMStats{}
 	sm.l1d.Reset()

@@ -40,7 +40,9 @@ func (s WarpState) String() string {
 	}
 }
 
-// Warp is one 32-thread SIMT group resident on an SM.
+// Warp is one 32-thread SIMT group resident on an SM. Its scheduling state
+// changes only through SM methods, which keep the SM's ready and timed-wait
+// sets in step with it.
 //
 //fuselint:smowned warps live in exactly one SM's warp table
 type Warp struct {
@@ -58,51 +60,9 @@ type Warp struct {
 	// PendingBlock is the block address the warp is waiting on when in
 	// WarpWaitingData (zero otherwise).
 	PendingBlock uint64
-	// lastIssue is used by the greedy-then-oldest scheduler.
-	lastIssue int64
+	// slot is the warp's place in its SM's issue order (see SM.order).
+	slot int
 }
 
 // Done reports whether the warp has retired its budget.
 func (w *Warp) Done() bool { return w.State == WarpDone }
-
-// ReadyAt reports whether the warp can issue at the given cycle, promoting
-// WarpWaiting warps whose wake-up time has passed.
-func (w *Warp) ReadyAt(now int64) bool {
-	if w.State == WarpWaiting && w.WakeAt <= now {
-		w.State = WarpReady
-	}
-	return w.State == WarpReady
-}
-
-// BlockOnData parks the warp until the fill for the given block arrives.
-func (w *Warp) BlockOnData(block uint64) {
-	w.State = WarpWaitingData
-	w.PendingBlock = block
-}
-
-// BlockFor parks the warp for a fixed number of cycles starting at now.
-func (w *Warp) BlockFor(now int64, cycles int) {
-	if cycles <= 0 {
-		w.State = WarpReady
-		return
-	}
-	w.State = WarpWaiting
-	w.WakeAt = now + int64(cycles)
-}
-
-// Wake makes a data-blocked warp ready again (called on fill delivery).
-func (w *Warp) Wake() {
-	if w.State == WarpWaitingData {
-		w.State = WarpReady
-		w.PendingBlock = 0
-	}
-}
-
-// RetireOne counts one issued instruction and marks the warp done when its
-// budget is exhausted.
-func (w *Warp) RetireOne() {
-	w.Issued++
-	if w.Issued >= w.Budget {
-		w.State = WarpDone
-	}
-}

@@ -16,6 +16,7 @@ package l2
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"fuse/internal/cache"
@@ -120,15 +121,17 @@ type bank struct {
 	// bounded fill path), and pump drains it ahead of new fills so write
 	// traffic still contends for the bounded channel queue.
 	wbq []uint64
-	// version moves on every change that can end a read NACK: a tag-store
-	// insert (the block may now be present), which also covers every MSHR
-	// release (a fill's entry is released as its block is inserted, freeing
-	// a slot or the block's merge list), and Reset. Allocations and merges
-	// need no bump: they only fill the file and the merge lists further. A
-	// NACK is stamped with the version; while it holds, a retry is NACKed
-	// again (see Renack). It starts at 1, so the zero version matches no
-	// bank.
-	version uint64
+	// setVer holds one version per tag-store set. A set's version moves on
+	// every change to the set that can end a read NACK of one of its
+	// blocks: an insert (the block may now be present), which also covers
+	// every MSHR release (a fill's entry is released as its block is
+	// inserted, freeing a slot or the block's merge list); an MSHR
+	// allocation (a block NACKed for a full file may now merge); and Reset.
+	// Merges need no bump: merge lists only grow until their release. A
+	// NACK is stamped with its block's set version; while that holds, a
+	// retry is NACKed again (see Renack). Versions start at 1, so the zero
+	// version matches no set.
+	setVer []uint64
 }
 
 // L2 is the shared cache; it owns the memory controller so that a miss can
@@ -140,6 +143,9 @@ type L2 struct {
 
 	// fillBuf is the reusable backing array of Advance's result slice.
 	fillBuf []Fill
+	// backlog has bit i set while bank i holds fills the controller
+	// rejected or buffered write-backs, so pump visits only those banks.
+	backlog []uint64
 	// entryPool recycles released MSHR entries (with their waiter slices),
 	// so a long memory-bound run stops allocating per miss. Entries retire
 	// through `retired` first: a delivered entry's waiters alias the Fill
@@ -177,11 +183,15 @@ func New(cfg Config, d *dram.DRAM) *L2 {
 	l.banks = make([]*bank, cfg.Banks)
 	for i := range l.banks {
 		l.banks[i] = &bank{
-			store:   cache.NewTagStore(sets, cfg.Ways, cache.LRU),
-			mshr:    make(map[uint64]*fillEntry),
-			version: 1,
+			store:  cache.NewTagStore(sets, cfg.Ways, cache.LRU),
+			mshr:   make(map[uint64]*fillEntry),
+			setVer: make([]uint64, sets),
+		}
+		for s := range l.banks[i].setVer {
+			l.banks[i].setVer[s] = 1
 		}
 	}
+	l.backlog = make([]uint64, (cfg.Banks+63)>>6)
 	return l
 }
 
@@ -251,8 +261,10 @@ type Result struct {
 	Done int64
 	// RetryAt is the cycle at which a blocked request should be retried.
 	RetryAt int64
-	// Version is, for OutcomeBlocked, the bank's version at the NACK: a
-	// retry that finds the bank still at it is blocked again (see Renack).
+	// Version is, for OutcomeBlocked, the version of the NACKed block's set
+	// at the NACK, shifted left by one, with the low bit set when the NACK
+	// was for a full MSHR file rather than a full merge list: a retry that
+	// finds the set still at it is blocked again (see Renack).
 	Version uint64
 }
 
@@ -273,7 +285,8 @@ type Fill struct {
 // fetching from DRAM (the entire block is being overwritten).
 func (l *L2) Access(req mem.Request, now int64) Result {
 	block := req.BlockAddr()
-	b := l.banks[l.BankFor(block)]
+	bankIdx := l.BankFor(block)
+	b := l.banks[bankIdx]
 	write := req.Kind == mem.Write
 
 	// Structural hazards are discovered at the bank's input arbitration,
@@ -289,10 +302,14 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 	if !write {
 		if _, hit = b.store.Touch(block, now, false); !hit {
 			inFlight = b.mshr[block]
-			if inFlight != nil && len(inFlight.waiters) >= l.cfg.MergeWidth ||
-				inFlight == nil && len(b.mshr) >= l.cfg.PendingLimit {
+			fileFull := inFlight == nil && len(b.mshr) >= l.cfg.PendingLimit
+			if fileFull || inFlight != nil && len(inFlight.waiters) >= l.cfg.MergeWidth {
 				l.mshrStalls.Inc()
-				return Result{Outcome: OutcomeBlocked, RetryAt: l.retryAt(now), Version: b.version}
+				v := b.setVer[b.store.SetIndex(block)] << 1
+				if fileFull {
+					v |= 1
+				}
+				return Result{Outcome: OutcomeBlocked, RetryAt: l.retryAt(now), Version: v}
 			}
 		}
 	}
@@ -338,7 +355,7 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 	l.misses.Inc()
 	if write {
 		// Write-back miss: allocate without fetching (full-block write).
-		l.insert(b, block, req.PC, now, true)
+		l.insert(bankIdx, block, req.PC, now, true)
 		return Result{Outcome: OutcomeMiss, Done: ready}
 	}
 
@@ -356,23 +373,28 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 	e.readyAt = ready // the fill leaves for DRAM once the tag lookup completes
 	e.waiters = append(e.waiters, Waiter{Req: req, Arrive: now, Ready: ready})
 	b.mshr[block] = e
+	b.setVer[b.store.SetIndex(block)]++ // a read NACKed for a full file may now merge
 	if _, ok := l.dram.Submit(block, false, ready); !ok {
 		b.held = append(b.held, e)
+		l.backlog[bankIdx>>6] |= 1 << (bankIdx & 63)
 	}
 	return Result{Outcome: OutcomeMiss}
 }
 
-// Renack re-presents at cycle now a read that the bank NACKed at version v.
-// While the bank is still at v, nothing the NACK depended on has changed —
-// the block is still absent from the tag store, and its MSHR entry's merge
-// list or the bank's MSHR file is still full — so the read is NACKed again:
-// it is counted and given a fresh retry time exactly as Access would, without
-// Access's tag-store and MSHR lookups. ok is false when the bank has moved on;
-// the caller must then present the read through Access.
+// Renack re-presents at cycle now a read of the given block that the bank
+// NACKed with version v (see Result.Version). While the block's set is still
+// at the version, the block is still absent from the tag store and its MSHR
+// entry has been neither allocated nor released; merge lists only grow. So a
+// read NACKed for a full merge list is NACKed again, and so is one NACKed
+// for a full MSHR file while the file is still full: it is counted and given
+// a fresh retry time exactly as Access would, without Access's tag-store and
+// MSHR lookups. ok is false when the NACK may no longer hold; the caller
+// must then present the read through Access.
 //
 //fuselint:noalloc
-func (l *L2) Renack(bank int, v uint64, now int64) (res Result, ok bool) {
-	if l.banks[bank].version != v {
+func (l *L2) Renack(bank int, block, v uint64, now int64) (res Result, ok bool) {
+	b := l.banks[bank]
+	if b.setVer[b.store.SetIndex(block)] != v>>1 || v&1 == 1 && len(b.mshr) < l.cfg.PendingLimit {
 		return Result{}, false
 	}
 	l.mshrStalls.Inc()
@@ -391,44 +413,54 @@ func (l *L2) retryAt(now int64) int64 {
 	return now + int64(l.cfg.LatencyCycles)
 }
 
-// insert allocates a block in the bank at cycle `at` and hands any dirty
-// victim to the memory controller (buffering it when the channel queue is
-// full). It moves the bank's version: a read NACKed before may now hit.
-func (l *L2) insert(b *bank, block, pc uint64, at int64, dirty bool) {
+// insert allocates a block in bank bankIdx at cycle `at` and hands any
+// dirty victim to the memory controller (buffering it when the channel queue
+// is full). It moves the set's version: a read NACKed before may now hit.
+func (l *L2) insert(bankIdx int, block, pc uint64, at int64, dirty bool) {
+	b := l.banks[bankIdx]
 	evicted, line := b.store.Insert(block, pc, at, dirty, mem.WORM)
 	line.Dirty = dirty
-	b.version++
+	b.setVer[b.store.SetIndex(block)]++
 	if evicted.Valid && evicted.Dirty {
 		l.wbToDRAM.Inc()
 		if _, ok := l.dram.Submit(evicted.Block, true, at); !ok {
 			b.wbq = append(b.wbq, evicted.Block)
+			l.backlog[bankIdx>>6] |= 1 << (bankIdx & 63)
 		}
 	}
 }
 
-// pump retries work held back by controller back-pressure: buffered dirty
-// write-backs first, then held MSHR fills, in allocation order. It reports
-// whether anything new was handed to the controller.
+// pump retries work held back by controller back-pressure, bank by bank in
+// bank order: buffered dirty write-backs first, then held MSHR fills, in
+// allocation order. Only banks in the backlog hold any. It reports whether
+// anything new was handed to the controller.
 func (l *L2) pump(now int64) bool {
 	submitted := false
-	for _, b := range l.banks {
-		for len(b.wbq) > 0 {
-			if _, ok := l.dram.Resubmit(b.wbq[0], true, now); !ok {
-				break
+	for k, word := range l.backlog {
+		for ; word != 0; word &= word - 1 {
+			i := k<<6 | bits.TrailingZeros64(word)
+			b := l.banks[i]
+			for len(b.wbq) > 0 {
+				if _, ok := l.dram.Resubmit(b.wbq[0], true, now); !ok {
+					break
+				}
+				b.wbq = slices.Delete(b.wbq, 0, 1)
+				submitted = true
 			}
-			b.wbq = slices.Delete(b.wbq, 0, 1)
-			submitted = true
-		}
-		issued := 0
-		for _, e := range b.held {
-			if _, ok := l.dram.Resubmit(e.block, false, max(e.readyAt, now)); !ok {
-				break
+			issued := 0
+			for _, e := range b.held {
+				if _, ok := l.dram.Resubmit(e.block, false, max(e.readyAt, now)); !ok {
+					break
+				}
+				issued++
 			}
-			issued++
-		}
-		if issued > 0 {
-			b.held = slices.Delete(b.held, 0, issued)
-			submitted = true
+			if issued > 0 {
+				b.held = slices.Delete(b.held, 0, issued)
+				submitted = true
+			}
+			if len(b.wbq) == 0 && len(b.held) == 0 {
+				l.backlog[k] &^= 1 << (i & 63)
+			}
 		}
 	}
 	return submitted
@@ -476,8 +508,8 @@ func (l *L2) Advance(now int64) []Fill {
 			if e == nil {
 				continue // a fill raced a Reset; nothing to deliver
 			}
-			delete(b.mshr, c.Addr) // the insert below moves the version
-			l.insert(b, c.Addr, e.pc, c.Done, e.dirty)
+			delete(b.mshr, c.Addr) // the insert below moves the set's version
+			l.insert(bankIdx, c.Addr, e.pc, c.Done, e.dirty)
 			l.fillsDone.Inc()
 			fills = append(fills, Fill{Bank: bankIdx, Block: c.Addr, Done: c.Done, Waiters: e.waiters})
 			l.retired = append(l.retired, e)
@@ -542,8 +574,11 @@ func (l *L2) Reset() {
 		b.mshr = make(map[uint64]*fillEntry)
 		b.held = nil
 		b.wbq = nil
-		b.version++
+		for s := range b.setVer {
+			b.setVer[s]++
+		}
 	}
+	clear(l.backlog)
 	l.fillBuf = nil
 	l.entryPool = nil
 	l.retired = nil

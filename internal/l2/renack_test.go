@@ -16,26 +16,28 @@ import (
 // too, at the same retry cycle and with the same counter changes — the twins
 // must stay identical in every field. A small, narrow L2 in front of a
 // one-channel DRAM keeps the MSHR files and merge lists full, the tag stores
-// churning and dirty victims flowing.
+// churning and dirty victims flowing, and retries re-NACKed by version must
+// include both full-file and full-merge-list NACKs.
 func TestRenackMatchesAccess(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		renacked, fresh := runRenackTwins(t, seed, 20000)
-		if renacked < 1000 || fresh < 1000 {
-			t.Errorf("seed %d: %d retries NACKed by version, %d presented again; the mix exercises too little", seed, renacked, fresh)
+		if renacked[0] < 1000 || renacked[1] < 1000 || fresh < 1000 {
+			t.Errorf("seed %d: %d full-merge-list and %d full-file retries NACKed by version, %d presented again; the mix exercises too little",
+				seed, renacked[0], renacked[1], fresh)
 		}
 	}
 }
 
-// nacked is a read an L2 NACKed, with the bank version the NACK carried.
+// nacked is a read an L2 NACKed, with the version the NACK carried.
 type nacked struct {
 	req mem.Request
 	ver uint64
 }
 
 // runRenackTwins runs the twin-L2 differential for the given number of
-// steps and returns how many retries Renack NACKed and how many it sent
-// back through Access.
-func runRenackTwins(t *testing.T, seed uint64, steps int) (renacked, fresh int) {
+// steps and returns how many retries Renack NACKed, by the kind of NACK
+// (index 1 for a full MSHR file), and how many it sent back through Access.
+func runRenackTwins(t *testing.T, seed uint64, steps int) (renacked [2]int, fresh int) {
 	t.Helper()
 	newTwin := func() *L2 {
 		cfg := Config{Banks: 2, TotalKB: 2, Ways: 2, LatencyCycles: 4, PendingLimit: 2, MergeWidth: 2}
@@ -78,16 +80,16 @@ func runRenackTwins(t *testing.T, seed uint64, steps int) (renacked, fresh int) 
 			k := rng.IntN(len(pending))
 			n := pending[k]
 			pending = append(pending[:k], pending[k+1:]...)
-			ra, ok := a.Renack(a.BankFor(n.req.Addr), n.ver, now)
+			ra, ok := a.Renack(a.BankFor(n.req.Addr), n.req.BlockAddr(), n.ver, now)
 			if !ok {
 				fresh++
 				present(n.req)
 				break
 			}
-			renacked++
+			renacked[n.ver&1]++
 			rb := b.Access(n.req, now)
 			if rb.Outcome != OutcomeBlocked || rb.RetryAt != ra.RetryAt {
-				t.Fatalf("seed %d cycle %d: bank version %d unchanged, but Access answered %+v to the retry (Renack: %+v)",
+				t.Fatalf("seed %d cycle %d: NACK version %d still holds, but Access answered %+v to the retry (Renack: %+v)",
 					seed, now, n.ver, rb, ra)
 			}
 			pending = append(pending, nacked{req: n.req, ver: ra.Version})

@@ -7,11 +7,12 @@ import (
 
 // Arena is the reusable scratch region of one simulation run: the event heap
 // (its keys, event slab and free list), the retry-batch slab, the wake heap,
-// the lazily-charged idle accounting, the flat per-warp state of every SM,
-// and the parallel engine's epoch buffers. A fresh simulator allocates all
-// of these once and then runs allocation-free; an Arena lets a caller that
-// runs many simulations back to back (engine.Runner, benchmark loops) reuse
-// the buffers across runs instead of re-allocating them.
+// the lazily-charged idle accounting, the due and dirty SM sets, the flat
+// per-warp and scheduler state of every SM, and the parallel engine's epoch
+// buffers. A fresh simulator allocates all of these once and then runs
+// allocation-free; an Arena lets a caller that runs many simulations back to
+// back (engine.Runner, benchmark loops) reuse the buffers across runs
+// instead of re-allocating them.
 //
 // Usage: build simulators with NewWithArena, and call ReleaseArena when the
 // run is finished to hand the buffers back. An Arena serves one simulator at
@@ -25,15 +26,16 @@ type Arena struct {
 	wakePos    []int
 	wakeOrd    []int
 	chargedTo  []int64
-	dirty      []int
-	dirtyMark  []bool
-	readyBuf   []int
+	dirty      []uint64
+	due        []uint64
 	sms        []*gpu.SM
 
 	// Flat per-warp slabs, carved into per-SM windows by NewWithArena.
 	warps      []gpu.Warp
 	pending    []trace.Instruction
 	pendingSet []bool
+	order      []int32
+	sets       []uint64
 
 	// Parallel-engine scratch (see parallel.go).
 	parts      []epochPart
@@ -56,9 +58,6 @@ func grow[T any](buf []T, n int) []T {
 // NewWithArena before the scratch structures are initialised).
 func (s *Simulator) takeScratch(a *Arena, smCount, warpsPerSM int) {
 	s.arena = a
-	if a == nil {
-		return
-	}
 	s.events = a.events
 	s.events.reset()
 	s.retries.members = a.retries
@@ -68,10 +67,10 @@ func (s *Simulator) takeScratch(a *Arena, smCount, warpsPerSM int) {
 	s.wake.ord = a.wakeOrd
 	s.chargedTo = grow(a.chargedTo, smCount)
 	clear(s.chargedTo)
-	s.dirty = a.dirty[:0]
-	s.dirtyMark = grow(a.dirtyMark, smCount)
-	clear(s.dirtyMark)
-	s.readyBuf = a.readyBuf[:0]
+	s.dirty = grow(a.dirty, smSetWords(smCount))
+	clear(s.dirty)
+	s.due = grow(a.due, smSetWords(smCount))
+	clear(s.due)
 	s.sms = grow(a.sms, smCount)
 	clear(s.sms)
 	s.parts = a.parts
@@ -79,31 +78,32 @@ func (s *Simulator) takeScratch(a *Arena, smCount, warpsPerSM int) {
 	a.warps = grow(a.warps, smCount*warpsPerSM)
 	a.pending = grow(a.pending, smCount*warpsPerSM)
 	a.pendingSet = grow(a.pendingSet, smCount*warpsPerSM)
+	a.order = grow(a.order, smCount*2*warpsPerSM)
+	a.sets = grow(a.sets, smCount*gpu.SetWords(warpsPerSM))
 }
 
 // smStorage carves SM i's per-warp backing out of the arena's slabs. The
 // three-index slice expressions keep the windows from ever growing into a
 // neighbour's region.
 func (a *Arena) smStorage(i, warpsPerSM int) gpu.SMStorage {
-	if a == nil {
-		return gpu.SMStorage{}
-	}
 	lo, hi := i*warpsPerSM, (i+1)*warpsPerSM
+	olo, ohi := 2*lo, 2*hi
+	sw := gpu.SetWords(warpsPerSM)
+	slo, shi := i*sw, (i+1)*sw
 	return gpu.SMStorage{
 		Warps:      a.warps[lo:hi:hi],
 		Pending:    a.pending[lo:hi:hi],
 		PendingSet: a.pendingSet[lo:hi:hi],
+		Order:      a.order[olo:ohi:ohi],
+		Sets:       a.sets[slo:shi:shi],
 	}
 }
 
 // ReleaseArena hands the simulator's scratch buffers back to the arena the
-// simulator was built with (a no-op for simulators built without one). The
-// simulator must not be used afterwards once the arena is reused.
+// simulator was built with (New's private arena, when built without one).
+// The simulator must not be used afterwards once the arena is reused.
 func (s *Simulator) ReleaseArena() {
 	a := s.arena
-	if a == nil {
-		return
-	}
 	a.events = s.events
 	a.events.reset()
 	a.retries = s.retries.members[:0]
@@ -112,9 +112,8 @@ func (s *Simulator) ReleaseArena() {
 	a.wakePos = s.wake.pos
 	a.wakeOrd = s.wake.ord[:0]
 	a.chargedTo = s.chargedTo
-	a.dirty = s.dirty[:0]
-	a.dirtyMark = s.dirtyMark
-	a.readyBuf = s.readyBuf[:0]
+	a.dirty = s.dirty
+	a.due = s.due
 	a.sms = s.sms
 	a.parts = s.parts
 	a.commitRecs = s.commitRecs[:0]

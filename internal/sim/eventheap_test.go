@@ -42,7 +42,9 @@ func TestEventHeapMatchesSortedOrder(t *testing.T) {
 				if head := q.head(); head.at != ref[0].at || head.seq != ref[0].seq {
 					t.Fatalf("seed %d op %d: head (%d,%d), reference (%d,%d)", seed, i, head.at, head.seq, ref[0].at, ref[0].seq)
 				}
-				got := q.pop()
+				slot := q.pop()
+				got := q.slab[slot]
+				q.release(slot)
 				if got != ref[0] {
 					t.Fatalf("seed %d op %d: popped %+v, reference %+v", seed, i, got, ref[0])
 				}
@@ -82,7 +84,9 @@ func BenchmarkEventHeap(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := q.pop()
+		slot := q.pop()
+		e := &q.slab[slot]
+		q.release(slot)
 		seq++
 		q.push(event{at: e.at + int64(rng.IntN(1000)), seq: seq, req: e.req})
 	}

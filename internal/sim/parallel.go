@@ -33,6 +33,7 @@ package sim
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -207,18 +208,22 @@ func (s *Simulator) runEpoch(t0, rtMin, zllResp int64, work chan epochTask) bool
 
 	// Participants: every SM that would wake before the horizon. They are
 	// removed from the wake heap for the duration of the epoch.
-	due := s.wake.popDue(horizon-1, s.readyBuf[:0])
-	s.readyBuf = due[:0]
-	if len(due) == 0 {
+	s.wake.popDue(horizon-1, s.due)
+	n := 0
+	for _, word := range s.due {
+		n += bits.OnesCount64(word)
+	}
+	if n == 0 {
 		return false
 	}
-	slices.Sort(due)
-	for len(s.parts) < len(due) {
+	for len(s.parts) < n {
 		s.parts = append(s.parts, epochPart{})
 	}
-	parts := s.parts[:len(due)]
-	for k, id := range due {
+	parts := s.parts[:n]
+	k := 0
+	forEachSM(s.due, func(id int) {
 		p := &parts[k]
+		k++
 		p.sm = id
 		p.wakeAt = s.wake.at[id]
 		p.reqs = p.reqs[:0]
@@ -226,7 +231,7 @@ func (s *Simulator) runEpoch(t0, rtMin, zllResp int64, work chan epochTask) bool
 		p.next = 0
 		p.slept = false
 		p.finished = false
-	}
+	})
 
 	// Advance phase: strictly SM-local work, safe to run on workers. Each
 	// worker touches only its participant's SM, L1D, instruction source,

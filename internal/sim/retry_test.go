@@ -21,6 +21,13 @@ func newMemSideSim(t testing.TB) *Simulator {
 	return s
 }
 
+// popEvent pops the earliest heap event and returns a copy of it.
+func popEvent(s *Simulator) event {
+	slot := s.events.pop()
+	defer s.events.release(slot)
+	return s.events.slab[slot]
+}
+
 func readReq(block, id uint64) mem.Request {
 	return mem.Request{Addr: block, Kind: mem.Read, Size: mem.BlockSize, ID: id}
 }
@@ -29,7 +36,7 @@ func readReq(block, id uint64) mem.Request {
 // given cycle, and returns its members' request IDs in replay order.
 func batchIDs(t *testing.T, s *Simulator, at int64) []uint64 {
 	t.Helper()
-	e := s.events.pop()
+	e := popEvent(s)
 	if e.kind != evRetryBatch || e.at != at {
 		t.Fatalf("popped kind %d at %d, want a retry batch at %d", e.kind, e.at, at)
 	}
@@ -144,14 +151,15 @@ func BenchmarkRetryBatch(b *testing.B) {
 	}
 	s.armMemTick(0) // armed before the NACKs, so they join one batch
 	for i := uint64(0); i < members; i++ {
-		s.reqAtL2(1, 0, 0, readReq((1000+i)*stride, 1000+i))
+		req := readReq((1000+i)*stride, 1000+i)
+		s.reqAtL2(1, 0, 0, &req)
 	}
 	if s.events.len() != 1 {
 		b.Fatalf("%d heap events, want the one batch of all %d NACKed reads", s.events.len(), members)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := s.events.pop()
+		e := popEvent(s)
 		s.retryBatch(e.at, e.seq, e.batch)
 	}
 	b.StopTimer()

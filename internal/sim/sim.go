@@ -18,10 +18,10 @@
 // re-presents the rejected access to the L1D and the rest of the held stall
 // is charged in one step, moving every counter polled retries would have.
 // Requests the L2 NACKs back to back for the same retry cycle share one
-// retry-batch event instead of one heap event each, and a member whose bank
-// has not changed since its NACK is charged its next NACK without a second
-// look at the bank: rejections whose outcome is already known are charged,
-// not re-executed.
+// retry-batch event instead of one heap event each, and a member whose
+// block's L2 set has not changed since its NACK is charged its next NACK
+// without a second look at the bank: rejections whose outcome is already
+// known are charged, not re-executed.
 //
 // On top of the sparse engine sits a conservative-parallel mode
 // (SetWorkers): SM state is private between memory interactions, and the
@@ -54,7 +54,7 @@ package sim
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -156,8 +156,10 @@ func (k *eventKey) before(at int64, seq uint64) bool {
 
 // eventHeap is a typed min-heap of events ordered by (at, seq). The heap
 // sifts 24-byte keys while the events stay in a slab whose slots are
-// recycled through a free list, so a push or a pop copies one event instead
-// of one per heap level. All three buffers are reused for the whole run.
+// recycled through a free list, so a push copies one event instead of one
+// per heap level, and a pop copies none: it hands out the event's slot, which
+// the handler reads in place and releases once it no longer needs the event.
+// All three buffers are reused for the whole run.
 type eventHeap struct {
 	keys []eventKey
 	slab []event
@@ -198,8 +200,11 @@ func (q *eventHeap) push(e event) {
 	q.keys = h
 }
 
+// pop removes the earliest event and returns its slab slot, which stays
+// reserved until release.
+//
 //fuselint:noalloc
-func (q *eventHeap) pop() event {
+func (q *eventHeap) pop() int32 {
 	h := q.keys
 	top := h[0]
 	n := len(h) - 1
@@ -222,9 +227,13 @@ func (q *eventHeap) pop() event {
 		i = least
 	}
 	q.keys = h
-	q.free = append(q.free, top.slot)
-	return q.slab[top.slot]
+	return top.slot
 }
+
+// release returns a popped event's slot to the free list.
+//
+//fuselint:noalloc
+func (q *eventHeap) release(slot int32) { q.free = append(q.free, slot) }
 
 // smWakeHeap is an indexed min-heap of per-SM wake cycles: the earliest cycle
 // at which each live SM can make progress on its own (ready warp, timed warp
@@ -330,19 +339,37 @@ func (h *smWakeHeap) remove(sm int) {
 	}
 }
 
-// popDue appends to buf every SM whose wake cycle is <= t, removing them from
-// the heap, and returns the extended buffer (in arbitrary order).
-func (h *smWakeHeap) popDue(t int64, buf []int) []int {
+// popDue removes from the heap every SM whose wake cycle is <= t and marks
+// it in the due set.
+//
+//fuselint:noalloc
+func (h *smWakeHeap) popDue(t int64, due []uint64) {
 	for len(h.ord) > 0 && h.at[h.ord[0]] <= t {
 		sm := h.ord[0]
 		h.remove(sm)
-		buf = append(buf, sm)
+		due[sm>>6] |= 1 << (sm & 63)
 	}
-	return buf
+}
+
+// smSetWords returns the number of words a set of n SMs takes.
+func smSetWords(n int) int { return (n + 63) >> 6 }
+
+// forEachSM calls fn for every SM in the set, in SM order, emptying the set
+// as it goes. fn must not add SMs to the set.
+//
+//fuselint:noalloc
+func forEachSM(set []uint64, fn func(i int)) {
+	for k, word := range set {
+		set[k] = 0
+		for word != 0 {
+			fn(k<<6 | bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
 }
 
 // retryMember is one NACKed request waiting in a retry batch: the
-// arguments of the evReqAtL2 event it would otherwise have been and the bank
+// arguments of the evReqAtL2 event it would otherwise have been and the
 // version its latest NACK carried (see l2.L2.Renack), linked to the next
 // member of its batch (-1 ends the batch).
 type retryMember struct {
@@ -427,21 +454,22 @@ type Simulator struct {
 	staleTicks []staleTick //fuselint:serialonly
 
 	// Sparse-engine state: per-SM wake heap, lazily charged idle cycles,
-	// and the dirty list drainOutgoing pulls from.
+	// the set of SMs drainOutgoing pulls from and the set of SMs due this
+	// step (bit i of word i/64 stands for SM i; iterating a set visits the
+	// SMs in order, which keeps issue and drain deterministic).
 	wake      smWakeHeap //fuselint:serialonly
 	chargedTo []int64    // SM i is charged for every cycle < chargedTo[i]
 	doneSMs   int        //fuselint:serialonly
-	dirty     []int      //fuselint:serialonly
-	dirtyMark []bool     //fuselint:serialonly
-	readyBuf  []int      //fuselint:serialonly
+	dirty     []uint64   //fuselint:serialonly
+	due       []uint64   //fuselint:serialonly
 
 	// Latency decomposition of completed fills (Figure 1).
 	nocCycles int64  //fuselint:serialonly
 	memCycles int64  //fuselint:serialonly
 	fills     uint64 //fuselint:serialonly
 
-	// arena is the scratch region the simulator was built with (nil when
-	// the buffers are privately owned); see arena.go.
+	// arena is the scratch region the simulator was built with (a private
+	// one for New); see arena.go.
 	arena *Arena
 
 	// Parallel-engine state (see parallel.go): the worker count selected
@@ -465,7 +493,8 @@ func New(gpuCfg config.GPUConfig, workload trace.Workload, opts Options) (*Simul
 // NewWithArena is New with a reusable scratch arena: the simulator's event
 // heap, wake heap, idle-charge accounting and flat per-warp state are carved
 // out of the arena instead of freshly allocated. A nil arena behaves exactly
-// like New. Call ReleaseArena when the run is done to hand the buffers back.
+// like New, which carves them from a private arena. Call ReleaseArena when
+// the run is done to hand the buffers back.
 func NewWithArena(gpuCfg config.GPUConfig, workload trace.Workload, opts Options, arena *Arena) (*Simulator, error) {
 	if err := gpuCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -527,12 +556,10 @@ func NewWithArena(gpuCfg config.GPUConfig, workload trace.Workload, opts Options
 	})
 
 	warpsPerSM := max(1, gpuCfg.WarpsPerSM)
-	s.takeScratch(arena, smCount, warpsPerSM)
 	if arena == nil {
-		s.sms = make([]*gpu.SM, smCount)
-		s.chargedTo = make([]int64, smCount)
-		s.dirtyMark = make([]bool, smCount)
+		arena = NewArena()
 	}
+	s.takeScratch(arena, smCount, warpsPerSM)
 	for i := range s.sms {
 		l1d, err := core.New(gpuCfg.L1D)
 		if err != nil {
@@ -655,52 +682,61 @@ func (s *Simulator) processEvents() {
 	}
 }
 
-// handleEvent dispatches one popped event.
-func (s *Simulator) handleEvent(e event) {
+// handleEvent dispatches the popped event in the given slab slot, reading
+// it in place, and releases the slot once the event is no longer needed: a
+// request is released only after it has been presented, because presenting
+// it can schedule a response that would otherwise reuse the slot.
+func (s *Simulator) handleEvent(slot int32) {
+	e := &s.events.slab[slot]
 	switch e.kind {
 	case evReqAtL2:
-		s.reqAtL2(e.at, e.sm, e.bank, e.req)
+		s.reqAtL2(e.at, e.sm, e.bank, &e.req)
+		s.events.release(slot)
 	case evRetryBatch:
-		s.retryBatch(e.at, e.seq, e.batch)
+		at, seq, batch := e.at, e.seq, e.batch
+		s.events.release(slot)
+		s.retryBatch(at, seq, batch)
 	case evRespAtSM:
-		if s.chargedTo[e.sm] > e.at {
+		at, i, block := e.at, e.sm, e.block
+		s.events.release(slot)
+		if s.chargedTo[i] > at {
 			// The SM has already been cycled past the fill's arrival time.
 			// Sequential execution cannot get here (events are delivered at
 			// exactly their due cycle, before any SM cycles at it); for the
 			// parallel engine this is the canary that the conservative
 			// lookahead bound was violated.
 			panic(fmt.Sprintf("sim: fill for SM %d delivered at cycle %d, but the SM is already charged to cycle %d (lookahead violation)",
-				e.sm, e.at, s.chargedTo[e.sm]))
+				i, at, s.chargedTo[i]))
 		}
 		s.fills++
-		sm := s.sms[e.sm]
+		sm := s.sms[i]
 		if !sm.Done() {
 			// Charge the idle cycles the SM slept through before the fill
 			// changes its outstanding-fill count, then wake it this cycle.
-			s.catchUp(e.sm)
-			sm.DeliverFill(e.block, e.at)
-			s.wake.update(e.sm, e.at)
+			s.catchUp(i)
+			sm.DeliverFill(block, at)
+			s.wake.update(i, at)
 		} else {
 			// A done SM still owns its cache: the fill lands (and may evict
 			// a dirty victim that must be drained), but costs no SM cycles.
-			sm.DeliverFill(e.block, e.at)
+			sm.DeliverFill(block, at)
 		}
-		s.markDirty(e.sm)
+		s.markDirty(i)
 	}
 }
 
 // reqAtL2 presents a request to its L2 bank at cycle at.
-func (s *Simulator) reqAtL2(at int64, sm, bank int, req mem.Request) {
+func (s *Simulator) reqAtL2(at int64, sm, bank int, req *mem.Request) {
 	if res := s.present(at, sm, bank, req); res.Outcome == l2.OutcomeBlocked {
-		s.retryAt(res.RetryAt, sm, bank, req, res.Version)
+		s.retryAt(res.RetryAt, sm, bank, *req, res.Version)
 	}
 	s.armMemTick(at)
 }
 
 // present hands a request to its L2 bank at cycle at and handles the
 // outcome, short of queueing a NACKed request for its retry.
-func (s *Simulator) present(at int64, sm, bank int, req mem.Request) l2.Result {
-	res := s.l2.Access(req, at)
+func (s *Simulator) present(at int64, sm, bank int, req *mem.Request) l2.Result {
+	res := s.l2.Access(*req, at)
 	switch res.Outcome {
 	case l2.OutcomeHit:
 		if req.Kind != mem.Write { // write-backs need no response
@@ -724,7 +760,7 @@ func (s *Simulator) chargeNack(at, retry int64) {
 	s.nocCycles -= retry - at
 }
 
-// retryAt queues a NACKed request, whose NACK carried bank version ver, for
+// retryAt queues a NACKed request, whose NACK carried version ver, for
 // another attempt at cycle at.
 //
 //fuselint:noalloc
@@ -753,8 +789,9 @@ func (s *Simulator) requeue(at int64, m int32) {
 }
 
 // retryBatch replays the members of a retry batch, popped at (at, seq), in
-// order through the request path. A member whose bank has not changed since
-// its NACK is NACKed again without a second look at the bank (l2.L2.Renack);
+// order through the request path. A member whose NACK still holds — its
+// block's set has not changed since, and a full MSHR file is still full — is
+// NACKed again without a second look at the bank (l2.L2.Renack);
 // the rest are presented as new arrivals. A member NACKed again keeps its
 // slot and is relinked into the batch of its next retry. A member's handling
 // can re-arm the controller tick at this cycle under an inherited sequence
@@ -771,11 +808,11 @@ func (s *Simulator) retryBatch(at int64, seq uint64, first int32) {
 	for i := first; i >= 0; {
 		m := &r.members[i]
 		next := m.next
-		res, renacked := s.l2.Renack(m.bank, m.ver, at)
+		res, renacked := s.l2.Renack(m.bank, m.req.BlockAddr(), m.ver, at)
 		if renacked {
 			s.chargeNack(at, res.RetryAt)
 		} else {
-			res = s.present(at, m.sm, m.bank, m.req)
+			res = s.present(at, m.sm, m.bank, &m.req)
 		}
 		if res.Outcome == l2.OutcomeBlocked {
 			m.ver = res.Version
@@ -824,41 +861,38 @@ func (s *Simulator) catchUpTo(i int, now int64) {
 }
 
 // markDirty queues SM i for this step's outgoing-traffic drain.
-func (s *Simulator) markDirty(i int) {
-	if !s.dirtyMark[i] {
-		s.dirtyMark[i] = true
-		s.dirty = append(s.dirty, i)
-	}
-}
+//
+//fuselint:noalloc
+func (s *Simulator) markDirty(i int) { s.dirty[i>>6] |= 1 << (i & 63) }
 
 // drainOutgoing moves freshly generated misses and write-backs into the
 // interconnect. Only SMs that were cycled or received a fill this step can
-// have new outgoing traffic, so it pulls from the step's dirty list (in SM
+// have new outgoing traffic, so it pulls from the step's dirty set (in SM
 // order, for deterministic link arbitration) instead of scanning every SM.
-func (s *Simulator) drainOutgoing() {
-	slices.Sort(s.dirty)
-	for _, i := range s.dirty {
-		s.dirtyMark[i] = false
-		sm := s.sms[i]
-		for {
-			req, ok := sm.PopOutgoing()
-			if !ok {
-				break
-			}
-			bank := s.l2.BankFor(req.BlockAddr())
-			bytes := s.opts.RequestBytes
-			if req.Kind == mem.Write {
-				bytes = mem.BlockSize
-			}
-			if req.Issue == 0 {
-				req.Issue = s.now
-			}
-			req.SM = sm.ID
-			arrive := s.net.SendRequest(sm.ID, bank, bytes, s.now)
-			s.schedule(event{at: arrive, kind: evReqAtL2, sm: sm.ID, bank: bank, req: req})
+func (s *Simulator) drainOutgoing() { forEachSM(s.dirty, s.drainSM) }
+
+// drainSM moves SM i's outgoing traffic into the interconnect.
+//
+//fuselint:noalloc
+func (s *Simulator) drainSM(i int) {
+	sm := s.sms[i]
+	for {
+		req, ok := sm.PopOutgoing()
+		if !ok {
+			return
 		}
+		bank := s.l2.BankFor(req.BlockAddr())
+		bytes := s.opts.RequestBytes
+		if req.Kind == mem.Write {
+			bytes = mem.BlockSize
+		}
+		if req.Issue == 0 {
+			req.Issue = s.now
+		}
+		req.SM = sm.ID
+		arrive := s.net.SendRequest(sm.ID, bank, bytes, s.now)
+		s.schedule(event{at: arrive, kind: evReqAtL2, sm: sm.ID, bank: bank, req: req})
 	}
-	s.dirty = s.dirty[:0]
 }
 
 // cycleSM runs one cycle of SM i at the current time and reschedules it.
@@ -887,12 +921,8 @@ func (s *Simulator) cycleSM(i int) {
 // their traffic, advance the clock.
 func (s *Simulator) stepSparse() {
 	s.processEvents()
-	ready := s.wake.popDue(s.now, s.readyBuf[:0])
-	slices.Sort(ready) // SM order: deterministic issue and drain sequence
-	for _, i := range ready {
-		s.cycleSM(i)
-	}
-	s.readyBuf = ready[:0]
+	s.wake.popDue(s.now, s.due)
+	forEachSM(s.due, s.cycleSM) // SM order: deterministic issue and drain sequence
 	s.drainOutgoing()
 	s.now++
 }

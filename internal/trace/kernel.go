@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"slices"
+
 	"fuse/internal/mem"
 )
 
@@ -133,8 +135,9 @@ type Kernel struct {
 	wmBlocks []uint64
 	wmNext   uint64
 
-	// Per-warp private regions, created lazily.
-	warps map[int]*warpRegions
+	// Per-warp private regions indexed by warp, created lazily (nil until
+	// the warp's first memory reference).
+	warps []*warpRegions
 
 	// Per-warp window sizes derived from the profile.
 	riWindowSize   int
@@ -147,11 +150,10 @@ type Kernel struct {
 // NewKernel instantiates the benchmark on one SM with a deterministic seed.
 func NewKernel(prof Profile, sm int, seed uint64) *Kernel {
 	k := &Kernel{
-		prof:  prof,
-		sm:    sm,
-		rng:   newRNG(seed ^ uint64(sm)*0x9E3779B97F4A7C15 ^ hashName(prof.Name)),
-		base:  uint64(sm) * addressSpacePerSM,
-		warps: make(map[int]*warpRegions),
+		prof: prof,
+		sm:   sm,
+		rng:  newRNG(seed ^ uint64(sm)*0x9E3779B97F4A7C15 ^ hashName(prof.Name)),
+		base: uint64(sm) * addressSpacePerSM,
 	}
 	k.memProb = prof.APKI * threadsPerWarp / 1000.0
 	if k.memProb > maxMemFraction {
@@ -240,8 +242,11 @@ func (k *Kernel) blockAddr(region int, idx uint64) uint64 {
 
 // warpState returns (creating on first use) the private regions of a warp.
 func (k *Kernel) warpState(warp int) *warpRegions {
-	if w, ok := k.warps[warp]; ok {
-		return w
+	if warp < len(k.warps) && k.warps[warp] != nil {
+		return k.warps[warp]
+	}
+	if warp >= len(k.warps) {
+		k.warps = slices.Grow(k.warps, warp+1-len(k.warps))[:warp+1]
 	}
 	w := &warpRegions{}
 	// Each warp owns a disjoint slice of the index space.
