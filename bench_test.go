@@ -278,43 +278,33 @@ func BenchmarkFig13_FullMatrix(b *testing.B) {
 
 // BenchmarkSingleSimulation measures the raw simulator throughput (cycles
 // simulated per second) of one Dy-FUSE run — the cost of the cycle engine
-// itself. The workers=1 sub-benchmark is the sequential sparse engine; the
-// others run the conservative-parallel epoch engine, whose results must stay
-// byte-identical (asserted on the cycle count and IPC every iteration).
-// Every iteration reuses one sim.Arena, so steady-state allocations measure
-// the engine, not the construction of its buffers.
+// itself. Every iteration reuses one sim.Arena, so steady-state allocations
+// measure the engine, not the construction of its buffers; each iteration
+// must reproduce the first one's cycle count and IPC.
 func BenchmarkSingleSimulation(b *testing.B) {
 	prof, _ := trace.ProfileByName("ATAX")
-	workerCounts := []int{1, 2, 4, runtime.NumCPU()}
+	arena := sim.NewArena()
 	var refCycles int64
 	var refIPC float64
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			arena := sim.NewArena()
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				gpuCfg := config.FermiGPU(config.NewL1DConfig(config.DyFUSE))
-				s, err := sim.NewWithArena(gpuCfg, trace.Synthetic(prof), benchScale.Options(), arena)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.SetWorkers(workers)
-				res := s.Run()
-				s.ReleaseArena()
-				cycles = res.Cycles
-				if workers == 1 && refCycles == 0 {
-					refCycles, refIPC = res.Cycles, res.IPC
-				}
-				if refCycles != 0 && (res.Cycles != refCycles || res.IPC != refIPC) {
-					b.Fatalf("workers=%d diverged: cycles=%d ipc=%v, want cycles=%d ipc=%v",
-						workers, res.Cycles, res.IPC, refCycles, refIPC)
-				}
-				b.ReportMetric(float64(res.Cycles), "cycles")
-				b.ReportMetric(res.IPC, "ipc")
-			}
-			b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-		})
+	for i := 0; i < b.N; i++ {
+		gpuCfg := config.FermiGPU(config.NewL1DConfig(config.DyFUSE))
+		s, err := sim.NewWithArena(gpuCfg, trace.Synthetic(prof), benchScale.Options(), arena)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res := s.Run()
+		s.ReleaseArena()
+		if i == 0 {
+			refCycles, refIPC = res.Cycles, res.IPC
+		}
+		if res.Cycles != refCycles || res.IPC != refIPC {
+			b.Fatalf("iteration %d diverged through the arena: cycles=%d ipc=%v, want cycles=%d ipc=%v",
+				i, res.Cycles, res.IPC, refCycles, refIPC)
+		}
+		b.ReportMetric(float64(res.Cycles), "cycles")
+		b.ReportMetric(res.IPC, "ipc")
 	}
+	b.ReportMetric(float64(refCycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
 }
 
 // BenchmarkEnergyModel measures the energy-accounting overhead alone.

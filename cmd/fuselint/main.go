@@ -1,5 +1,5 @@
 // Command fuselint runs the repository's static-analysis suite — detmap,
-// keydrift, hotalloc, phasesafe, statflow, ctxflow and lockorder (see
+// keydrift, hotalloc, statflow, ctxflow and lockorder (see
 // internal/analysis) — over the packages matching the given patterns and
 // exits non-zero when any invariant is violated. CI runs it as a hard gate:
 //
@@ -11,8 +11,7 @@
 // findings are printed as a JSON array instead of file:line:col lines.
 //
 // The directives the analyzers understand (//fuselint:ordered, noalloc,
-// execonly, keyroot, jobkey, workerphase, serialonly, smowned, internalstat,
-// noctx, blocking) are documented in the README under "Invariants &
+// execonly, keyroot, jobkey, internalstat, noctx, blocking) are documented in the README under "Invariants &
 // annotations".
 package main
 

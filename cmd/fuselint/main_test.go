@@ -65,7 +65,7 @@ func TestExitCodeOnList(t *testing.T) {
 	if code != exitClean {
 		t.Fatalf("run -list: exit %d, want %d", code, exitClean)
 	}
-	for _, name := range []string{"detmap", "keydrift", "hotalloc", "phasesafe", "statflow", "ctxflow", "lockorder"} {
+	for _, name := range []string{"detmap", "keydrift", "hotalloc", "statflow", "ctxflow", "lockorder"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output does not mention %s:\n%s", name, stdout.String())
 		}

@@ -64,7 +64,7 @@ func newChaosServer(t *testing.T, plan fault.Plan) (*httptest.Server, *engine.Ru
 	})
 	app := newServer(serverConfig{
 		scale: experiments.QuickScale, runner: runner, results: faultCache,
-		health: tiered, timeout: 5 * time.Minute, simWorkers: 1,
+		health: tiered, timeout: 5 * time.Minute,
 	})
 	ts := httptest.NewServer(app)
 	t.Cleanup(ts.Close)
@@ -243,7 +243,7 @@ func TestGracefulShutdownDrainsInFlightBatch(t *testing.T) {
 	})
 	app := newServer(serverConfig{
 		scale: experiments.QuickScale, runner: runner, results: cache,
-		timeout: time.Minute, simWorkers: 1,
+		timeout: time.Minute,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -27,7 +27,7 @@ func newClusterServer(t *testing.T, n int) (*httptest.Server, *cluster.Coordinat
 	runner := engine.New(engine.Config{Cache: cache, Retries: 1, Exec: coord.Execute})
 	ts := httptest.NewServer(newServer(serverConfig{
 		scale: experiments.QuickScale, runner: runner, results: cache,
-		health: cache, timeout: time.Minute, simWorkers: 8, coord: coord,
+		health: cache, timeout: time.Minute, coord: coord,
 	}))
 	t.Cleanup(ts.Close)
 	if n > 0 {
@@ -74,7 +74,7 @@ func TestCoordinatorModeFigureByteIdentical(t *testing.T) {
 	runner := engine.New(engine.Config{Cache: cache})
 	ref := httptest.NewServer(newServer(serverConfig{
 		scale: experiments.QuickScale, runner: runner, results: cache,
-		health: cache, timeout: time.Minute, simWorkers: 8,
+		health: cache, timeout: time.Minute,
 	}))
 	defer ref.Close()
 	want := getFigure(t, ref, fig)

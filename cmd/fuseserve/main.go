@@ -38,7 +38,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -57,7 +56,6 @@ func main() {
 		scaleName   = flag.String("scale", "bench", "simulation scale: quick, bench or full")
 		storeDir    = flag.String("store", "", "persistent result-store directory shared with fusesim/fusetables (empty = memory only)")
 		parallel    = flag.Int("parallel", 0, "number of concurrent simulations (0 = GOMAXPROCS)")
-		simCap      = flag.Int("simworkers", runtime.GOMAXPROCS(0), "cap on the per-simulation worker goroutines a batch may request (0 = always sequential)")
 		timeout     = flag.Duration("timeout", 0, "per-request timeout (0 = no limit)")
 		backend     = flag.String("backend", "", "default memory backend for batch jobs and figures (GDDR5, GDDR5X, HBM2, STT-MRAM; empty = each GPU model's default)")
 		workFile    = flag.String("workloads", "", "workload file (JSON) of custom profiles and phased workloads to register at startup")
@@ -136,7 +134,6 @@ func main() {
 		health:      cache,
 		timeout:     *timeout,
 		backend:     *backend,
-		simWorkers:  *simCap,
 		maxInflight: *maxInflight,
 		coord:       coord,
 	})

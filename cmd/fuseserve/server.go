@@ -40,11 +40,6 @@ type server struct {
 	// backend is the server-wide default memory backend ("" = each GPU
 	// model's own); batch requests may override it per batch.
 	backend string
-	// simWorkers caps the per-simulation worker goroutines a batch may
-	// request (0 = batches run sequential simulations regardless of what
-	// they ask for). The Runner's own oversubscription clamp applies on
-	// top, so pool × per-simulation workers never exceeds the core budget.
-	simWorkers int
 	// maxInflight bounds the simulation-bearing requests (batches and
 	// figures) admitted at once; excess requests get 503 + Retry-After
 	// instead of queueing without bound. 0 = unlimited.
@@ -73,7 +68,6 @@ type serverConfig struct {
 	health      *store.Tiered
 	timeout     time.Duration
 	backend     string
-	simWorkers  int
 	maxInflight int
 	// coord runs the server in coordinator mode (nil = single process).
 	coord *cluster.Coordinator
@@ -89,7 +83,6 @@ func newServer(cfg serverConfig) *server {
 		results:     cfg.results,
 		timeout:     cfg.timeout,
 		backend:     cfg.backend,
-		simWorkers:  cfg.simWorkers,
 		maxInflight: cfg.maxInflight,
 		health:      cfg.health,
 		coord:       cfg.coord,
@@ -286,10 +279,6 @@ type batchOptions struct {
 	// Backend overrides the memory backend (see dram.Backends) for every
 	// job of the batch; empty inherits the server's -backend default.
 	Backend string `json:"backend,omitempty"`
-	// SimWorkers requests parallel execution of each simulation in the
-	// batch with this many worker goroutines. The value is clamped to the
-	// server's -simworkers cap; results are byte-identical regardless.
-	SimWorkers int `json:"simWorkers,omitempty"`
 }
 
 // batchRequest is the body of POST /v1/batch. Workloads, when present, is an
@@ -352,11 +341,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	opts := s.matrix.Scale().Options()
 	backend := s.backend
-	simWorkers := 1 // sequential unless the batch asks for more
 	if o := req.Options; o != nil {
-		if o.SimWorkers > 0 {
-			simWorkers = max(1, min(o.SimWorkers, s.simWorkers))
-		}
 		if o.InstructionsPerWarp > 0 {
 			opts.InstructionsPerWarp = o.InstructionsPerWarp
 		}
@@ -390,7 +375,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if backend != "" {
 			job = engine.BackendJob(kind, j.Workload, backend, opts)
 		}
-		job.SimWorkers = simWorkers
 		jobs = append(jobs, job)
 	}
 

@@ -38,7 +38,7 @@ func newTestServer(t *testing.T, dir string, execs *atomic.Int32) *httptest.Serv
 	})
 	ts := httptest.NewServer(newServer(serverConfig{
 		scale: experiments.QuickScale, runner: runner, results: cache,
-		health: cache, timeout: time.Minute, simWorkers: 8,
+		health: cache, timeout: time.Minute,
 	}))
 	t.Cleanup(ts.Close)
 	return ts
@@ -137,6 +137,7 @@ func TestBatchValidation(t *testing.T) {
 		{"unknown kind", `{"jobs":[{"kind":"NVRAM","workload":"ATAX"}]}`},
 		{"unknown workload", `{"jobs":[{"kind":"Dy-FUSE","workload":"nope"}]}`},
 		{"unknown field", `{"jobs":[{"kind":"Dy-FUSE","workload":"ATAX"}],"bogus":1}`},
+		{"removed simWorkers option", `{"jobs":[{"kind":"Dy-FUSE","workload":"ATAX"}],"options":{"simWorkers":2}}`},
 	}
 	for _, tc := range cases {
 		resp, _ := postBatch(t, ts, tc.body)
@@ -278,7 +279,7 @@ func TestPerRequestTimeout(t *testing.T) {
 	})
 	ts := httptest.NewServer(newServer(serverConfig{
 		scale: experiments.QuickScale, runner: runner, results: cache,
-		health: cache, timeout: 50 * time.Millisecond, simWorkers: 8,
+		health: cache, timeout: 50 * time.Millisecond,
 	}))
 	defer ts.Close()
 
@@ -437,58 +438,6 @@ func TestBatchInlineWorkloadDefinitions(t *testing.T) {
 	}
 }
 
-func TestBatchSimWorkersClampedAndDeterministic(t *testing.T) {
-	// A custom executor captures the per-job sim-worker counts the server
-	// resolves; the clamp is the server-wide cap passed to newServer.
-	var seen []int
-	var mu sync.Mutex
-	cache := store.NewTiered(store.NewMemory())
-	runner := engine.New(engine.Config{
-		Cache: cache,
-		Exec: func(ctx context.Context, job engine.Job) (sim.Result, error) {
-			mu.Lock()
-			seen = append(seen, job.SimWorkers)
-			mu.Unlock()
-			return engine.Execute(ctx, job)
-		},
-	})
-	ts := httptest.NewServer(newServer(serverConfig{
-		scale: experiments.QuickScale, runner: runner, results: cache,
-		health: cache, timeout: time.Minute, simWorkers: 2,
-	}))
-	t.Cleanup(ts.Close)
-
-	// Request far more sim workers than the server cap of 2.
-	resp, br := postBatch(t, ts, `{"jobs":[{"kind":"L1-SRAM","workload":"ATAX"}],
-		"options":{"simWorkers":64}}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	parallel := *br.Results[0].Result
-
-	mu.Lock()
-	got := append([]int(nil), seen...)
-	mu.Unlock()
-	if len(got) != 1 || got[0] > 2 {
-		t.Fatalf("sim workers not clamped to the server cap: %v", got)
-	}
-
-	// The same job without simWorkers (sequential) must hit the store —
-	// parallel execution cannot change the content-addressed key — and
-	// return the identical result.
-	execsBefore := runner.Executed()
-	resp, br = postBatch(t, ts, `{"jobs":[{"kind":"L1-SRAM","workload":"ATAX"}]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if runner.Executed() != execsBefore {
-		t.Errorf("sequential re-request should be served from the store")
-	}
-	if *br.Results[0].Result != parallel {
-		t.Errorf("parallel and sequential batch results differ")
-	}
-}
-
 // getJSON fetches a URL and decodes its JSON body into v.
 func getJSON(t *testing.T, url string, v any) *http.Response {
 	t.Helper()
@@ -588,7 +537,7 @@ func TestAdmissionControlBoundsInflightBatches(t *testing.T) {
 	})
 	ts := httptest.NewServer(newServer(serverConfig{
 		scale: experiments.QuickScale, runner: runner, results: cache,
-		timeout: time.Minute, simWorkers: 1, maxInflight: 1,
+		timeout: time.Minute, maxInflight: 1,
 	}))
 	defer ts.Close()
 	var releaseOnce sync.Once
@@ -646,7 +595,7 @@ func TestDrainingRefusesNewWork(t *testing.T) {
 	runner := engine.New(engine.Config{Cache: cache})
 	app := newServer(serverConfig{
 		scale: experiments.QuickScale, runner: runner, results: cache,
-		health: store.NewTiered(store.NewMemory()), timeout: time.Minute, simWorkers: 1,
+		health: store.NewTiered(store.NewMemory()), timeout: time.Minute,
 	})
 	ts := httptest.NewServer(app)
 	defer ts.Close()
@@ -682,7 +631,7 @@ func TestPanicMiddlewareReturnsStructured500(t *testing.T) {
 	runner := engine.New(engine.Config{Cache: cache})
 	app := newServer(serverConfig{
 		scale: experiments.QuickScale, runner: runner, results: cache,
-		timeout: time.Minute, simWorkers: 1,
+		timeout: time.Minute,
 	})
 	// Route a deliberately panicking handler through the middleware.
 	app.mux.HandleFunc("GET /boom", func(w http.ResponseWriter, r *http.Request) {

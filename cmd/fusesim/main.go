@@ -64,7 +64,6 @@ func main() {
 		list         = flag.Bool("list", false, "list available workloads and configurations, then exit")
 		showEnergy   = flag.Bool("energy", true, "print the energy breakdown")
 		parallel     = flag.Int("parallel", 0, "number of concurrent simulations (0 = GOMAXPROCS)")
-		simWorkers   = flag.Int("simworkers", 0, "worker goroutines inside each simulation (0 = divide the cores across -parallel; results are identical for any value)")
 		timeout      = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 		storeDir     = flag.String("store", "", "persistent result-store directory shared with fusetables/fuseserve (empty = no store)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the simulation batch to this file")
@@ -201,7 +200,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	cfg := engine.Config{Workers: *parallel, SimWorkers: *simWorkers}
+	cfg := engine.Config{Workers: *parallel}
 	if *storeDir != "" {
 		// An unopenable store directory degrades to a memory-only cache with
 		// a warning: the run still completes, it just cannot persist.

@@ -50,7 +50,6 @@ func main() {
 		workloads = flag.String("workloads", "", "comma-separated workload subset (default: the experiment's own set)")
 		timing    = flag.Bool("time", false, "print wall-clock time per experiment")
 		parallel  = flag.Int("parallel", 0, "number of concurrent simulations (0 = GOMAXPROCS)")
-		simCap    = flag.Int("simworkers", 0, "worker goroutines inside each simulation (0 = divide the cores across -parallel; results are identical for any value)")
 		timeout   = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 		progress  = flag.Bool("progress", false, "print per-simulation progress to stderr")
 		storeDir  = flag.String("store", "", "persistent result-store directory shared with fusesim/fuseserve (empty = no store)")
@@ -109,7 +108,7 @@ func main() {
 		defer cancel()
 	}
 
-	cfg := engine.Config{Workers: *parallel, SimWorkers: *simCap}
+	cfg := engine.Config{Workers: *parallel}
 	if *storeDir != "" {
 		// An unopenable store directory degrades to a memory-only cache with
 		// a warning: the tables still render, they just cannot persist.

@@ -44,7 +44,6 @@ func main() {
 		id          = flag.String("id", "", "worker identity, unique in the fleet (default host-pid)")
 		storeDir    = flag.String("store", "", "persistent result-store directory for this node (empty = memory only)")
 		parallel    = flag.Int("parallel", 0, "number of concurrent simulations, which is also the number of jobs pulled at once (0 = GOMAXPROCS)")
-		simCap      = flag.Int("simworkers", 0, "worker goroutines inside each simulation (0 = divide the cores across -parallel; results are identical for any value)")
 		retries     = flag.Int("retries", 1, "per-job retries on transient execution failures (0 = none)")
 		memCap      = flag.Int("memcap", 65536, "memory cache-tier entry bound with LRU eviction (0 = unbounded)")
 		noRemote    = flag.Bool("noremotestore", false, "disable the read-through remote store tier (coordinator store endpoint)")
@@ -96,10 +95,9 @@ func main() {
 	// same dedup, store write-through, retry and panic-containment pipeline
 	// as a single-process fuseserve.
 	runner := engine.New(engine.Config{
-		Workers:    *parallel,
-		SimWorkers: *simCap,
-		Cache:      cache,
-		Retries:    *retries,
+		Workers: *parallel,
+		Cache:   cache,
+		Retries: *retries,
 	})
 
 	w, err := cluster.NewWorker(cluster.WorkerConfig{

@@ -1,7 +1,7 @@
 // Package analysis is fuselint's static-analysis suite: a small, dependency-
 // free framework in the spirit of golang.org/x/tools/go/analysis (which is
 // intentionally not imported — the module has no third-party dependencies)
-// plus the seven analyzers that pin this repository's load-bearing
+// plus the six analyzers that pin this repository's load-bearing
 // invariants at compile time:
 //
 //   - detmap — determinism: no map-ordered iteration, wall clocks, global
@@ -13,11 +13,6 @@
 //   - hotalloc — allocation budget: functions annotated //fuselint:noalloc
 //     are checked against the compiler's escape analysis, with a golden
 //     allowlist for the few deliberate allocations (see hotalloc.go);
-//   - phasesafe — parallel-phase safety, whole-program: code reachable from
-//     the parallel engine's worker-phase roots — across packages, through
-//     in-repo interfaces — must not touch serial-only simulator state,
-//     package-level variables, non-SM-owned receivers or peer-SM instances
-//     (see phasesafe.go and the call-graph substrate in xpkg.go);
 //   - statflow — metric conservation: every counter the simulation core
 //     increments must be read (aggregated, rendered or exposed) or annotated
 //     //fuselint:internalstat, and every sim.Result field must survive into
@@ -160,5 +155,5 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full fuselint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detmap, Keydrift, Hotalloc, Phasesafe, Statflow, Ctxflow, Lockorder}
+	return []*Analyzer{Detmap, Keydrift, Hotalloc, Statflow, Ctxflow, Lockorder}
 }

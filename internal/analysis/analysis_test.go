@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"bufio"
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -148,13 +147,6 @@ func TestHotallocFixture(t *testing.T) {
 	runFixture(t, "hotalloc", "hotallocfix")
 }
 
-func TestPhasesafeFixture(t *testing.T) { runFixture(t, "phasesafe", "phasesafefix") }
-
-// TestPhasesafeCrossPackageFixture proves the worker-phase walk crosses
-// package boundaries and interfaces: every seeded violation lives in a
-// subpackage the root only reaches through calls.
-func TestPhasesafeCrossPackageFixture(t *testing.T) { runFixture(t, "phasesafe", "phasesafexfix") }
-
 func TestStatflowFixture(t *testing.T)  { runFixture(t, "statflow", "statflowfix") }
 func TestCtxflowFixture(t *testing.T)   { runFixture(t, "ctxflow", "ctxflowfix") }
 func TestLockorderFixture(t *testing.T) { runFixture(t, "lockorder", "lockorderfix") }
@@ -162,7 +154,7 @@ func TestLockorderFixture(t *testing.T) { runFixture(t, "lockorder", "lockorderf
 // TestRepoIsClean runs the full suite over the real tree — the same gate CI
 // enforces with `go run ./cmd/fuselint ./...`. Any regression against the
 // repo's invariants (a new map-ordered loop, an unkeyed config field, a hot-
-// path allocation, a worker-phase write to serial state) fails this test.
+// path allocation, a lock held across blocking work) fails this test.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -183,52 +175,62 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
+// scopexfix is the directive-scoping fixture: lib declares one trailing
+// execonly directive, the root package none.
+const (
+	scopeRoot = "fuse/internal/analysis/testdata/src/scopexfix"
+	scopeLib  = scopeRoot + "/lib"
+)
+
 // TestDirectiveScoping pins the trailing-vs-standalone attribution rule: a
-// trailing directive governs only its own line, never the next one (the
-// chargedTo field in sim.Simulator must not inherit wake's serialonly).
+// trailing directive governs only its own line, never the next one (lib.Job's
+// Seed field must not inherit the execonly on Workers).
 func TestDirectiveScoping(t *testing.T) {
-	prog, err := Load(".", "fuse/internal/sim")
-	if err != nil {
-		t.Fatal(err)
+	prog, _ := loadFixture(t, "scopexfix")
+	pkg, ok := prog.Lookup(scopeLib)
+	if !ok {
+		t.Fatalf("fixture package %s not loaded", scopeLib)
 	}
-	pkg := prog.Packages[0]
-	var got []string
-	for _, f := range pkg.Files {
-		for _, d := range pkg.fileDirectives(prog.Fset, f) {
-			if d.Name == "serialonly" && d.Standalone {
-				got = append(got, fmt.Sprintf("%s: standalone serialonly at line %d", prog.Fset.Position(d.Pos).Filename, d.Line))
-			}
+	f := pkg.Files[0]
+	var trailing []Directive
+	for _, d := range pkg.fileDirectives(prog.Fset, f) {
+		if d.Name == "execonly" {
+			trailing = append(trailing, d)
 		}
 	}
-	if len(got) != 0 {
-		t.Errorf("serialonly directives in sim are trailing by convention; standalone ones risk annotating the wrong field:\n%s", strings.Join(got, "\n"))
+	if len(trailing) != 1 || trailing[0].Standalone {
+		t.Fatalf("lib declares one trailing execonly directive, scan found %+v", trailing)
+	}
+	line := trailing[0].Line
+	if _, ok := pkg.directiveAt(prog.Fset, f, line, "execonly"); !ok {
+		t.Errorf("a trailing directive must govern its own line %d", line)
+	}
+	if d, ok := pkg.directiveAt(prog.Fset, f, line+1, "execonly"); ok {
+		t.Errorf("the trailing directive on line %d leaked onto line %d", d.Line, line+1)
 	}
 }
 
 // TestDirectiveScopingAcrossPackages pins that directives belong to the
-// package whose file declares them: the smowned annotation in the
-// phasesafexfix fixture lives on smlib.SM, so it must be visible when
-// scanning smlib and invisible from the root fixture package — a leak in
-// either direction would let one package annotate away another package's
-// violations.
+// package whose file declares them: the execonly annotation in the scopexfix
+// fixture lives on lib.Job, so it must be visible when scanning lib and
+// invisible from the root fixture package — a leak in either direction would
+// let one package annotate away another package's violations.
 func TestDirectiveScopingAcrossPackages(t *testing.T) {
-	prog, _ := loadFixture(t, "phasesafexfix")
-	smowned := make(map[string]int)
+	prog, _ := loadFixture(t, "scopexfix")
+	execonly := make(map[string]int)
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
 			for _, d := range pkg.fileDirectives(prog.Fset, f) {
-				if d.Name == "smowned" {
-					smowned[pkg.Path]++
+				if d.Name == "execonly" {
+					execonly[pkg.Path]++
 				}
 			}
 		}
 	}
-	const root = "fuse/internal/analysis/testdata/src/phasesafexfix"
-	const sub = root + "/smlib"
-	if smowned[sub] != 1 {
-		t.Errorf("smlib declares 1 smowned directive, scan found %d", smowned[sub])
+	if execonly[scopeLib] != 1 {
+		t.Errorf("lib declares 1 execonly directive, scan found %d", execonly[scopeLib])
 	}
-	if smowned[root] != 0 {
-		t.Errorf("the root fixture package declares no smowned directives, scan found %d — a directive leaked across the package boundary", smowned[root])
+	if execonly[scopeRoot] != 0 {
+		t.Errorf("the root fixture package declares no execonly directives, scan found %d — a directive leaked across the package boundary", execonly[scopeRoot])
 	}
 }

@@ -237,8 +237,6 @@ func checkNondetCall(pass *Pass, info *types.Info, call *ast.CallExpr) {
 
 // nondetCall classifies a call against the nondeterminism denylist and
 // returns the offending call ("time.Now") and the reason it is forbidden.
-// Shared by detmap's per-package scan and phasesafe's interprocedural
-// worker-phase walk.
 func nondetCall(info *types.Info, call *ast.CallExpr) (what, why string, ok bool) {
 	sel, okSel := call.Fun.(*ast.SelectorExpr)
 	if !okSel {

@@ -20,13 +20,12 @@ import (
 // (a ~49x reduction over the naive implementation, see ROADMAP); a stray
 // heap allocation in the per-cycle path silently costs that back. Functions
 // annotated `//fuselint:noalloc` (SM advance, L1D access, MSHR handling,
-// event-heap operations, the parallel engine's epoch drain) are checked
-// against the compiler's own escape analysis: `go build -gcflags=-m` output
-// is parsed, and any "escapes to heap" / "moved to heap" diagnostic landing
-// inside a noalloc function is a finding — unless it is recorded in the
-// golden allowlist (internal/analysis/noalloc_allowlist.json), which exists
-// for deliberate, reviewed allocations (e.g. a slice growth that amortises
-// to zero).
+// event-heap operations, retry batches) are checked against the compiler's
+// own escape analysis: `go build -gcflags=-m` output is parsed, and any
+// "escapes to heap" / "moved to heap" diagnostic landing inside a noalloc
+// function is a finding — unless it is recorded in the golden allowlist
+// (internal/analysis/noalloc_allowlist.json), which exists for deliberate,
+// reviewed allocations (e.g. a slice growth that amortises to zero).
 //
 // The check runs in Finish: Run only collects the annotated spans, then a
 // single `go build` over the owning packages produces the compiler facts.

@@ -15,8 +15,8 @@ import (
 
 // Keydrift pins the content-addressed store-key schema: every input that can
 // change a simulation's outcome must reach the canonical key encoding, and
-// every input that deliberately does not (an execution-resource knob like
-// engine.Job.SimWorkers) must say so in the source. Adding a config field
+// every input that deliberately does not (an execution-resource knob such
+// as a worker-pool size) must say so in the source. Adding a config field
 // without making that decision is a build failure, not a silent cache-aliasing
 // bug.
 //

@@ -3,13 +3,11 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sort"
-	"strings"
 )
 
-// The cross-package substrate: a program-wide function index and an
-// inter-procedural call graph that the whole-program analyzers (phasesafe,
-// statflow, lockorder) walk.
+// The cross-package substrate: a program-wide index of source-declared
+// functions, which lockorder consults for a callee's //fuselint:blocking
+// directive across packages, plus the stable IDs statflow keys fields by.
 //
 // Identity across type-check universes. Each source package is type-checked
 // against compiled export data, so the *types.Func a caller package sees for
@@ -18,17 +16,6 @@ import (
 // a stable string ID — "pkg/path.Name" or "pkg/path.(*Recv).Name" — computed
 // identically from either universe, and the same convention is used for
 // struct fields ("pkg/path.Struct.Field").
-//
-// Interface calls. A call through an interface declared in a loaded package
-// resolves to every loaded named type whose declared method-name set covers
-// the interface — conservative name-based matching rather than
-// types.Implements, because signature identity does not survive the
-// source-vs-export-data universe split. Over-approximating the callee set
-// only adds edges, which is the safe direction for a reachability proof.
-// Interfaces declared outside the program (error, io.Reader, ...) are not
-// resolved: the invariants guarded here live at the repo's own composition
-// joints (trace.Source, trace.Workload, core.L1D, store.Cache,
-// dram.Backend).
 
 // funcInfo is one source-declared function or method.
 type funcInfo struct {
@@ -41,17 +28,8 @@ type funcInfo struct {
 // xpkgIndex is the program-wide view, built once per Run and cached in
 // Program.State.
 type xpkgIndex struct {
-	prog *Program
 	// byID maps the stable function ID to its declaration.
 	byID map[string]*funcInfo
-	// methodsOf maps "pkg/path.TypeName" to the type's declared methods by
-	// name (explicit declarations only; promoted methods from embedding are
-	// not indexed — none of the repo's interface implementations rely on
-	// promotion).
-	methodsOf map[string]map[string]*funcInfo
-	// ifaceImpl caches interface-resolution results by interface identity
-	// key (sorted method-name list).
-	ifaceImpl map[string][]string
 }
 
 // funcID renders the stable cross-universe ID of a function object, or ""
@@ -127,12 +105,7 @@ func xpkgOf(prog *Program) *xpkgIndex {
 	if idx, ok := prog.State["xpkg"].(*xpkgIndex); ok {
 		return idx
 	}
-	idx := &xpkgIndex{
-		prog:      prog,
-		byID:      make(map[string]*funcInfo),
-		methodsOf: make(map[string]map[string]*funcInfo),
-		ifaceImpl: make(map[string][]string),
-	}
+	idx := &xpkgIndex{byID: make(map[string]*funcInfo)}
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -144,21 +117,8 @@ func xpkgOf(prog *Program) *xpkgIndex {
 				if !ok {
 					continue
 				}
-				id := funcID(obj)
-				if id == "" {
-					continue
-				}
-				fi := &funcInfo{Pkg: pkg, File: f, Decl: fd, ID: id}
-				idx.byID[id] = fi
-				if fd.Recv != nil {
-					if tid := recvTypeID(obj); tid != "" {
-						m := idx.methodsOf[tid]
-						if m == nil {
-							m = make(map[string]*funcInfo)
-							idx.methodsOf[tid] = m
-						}
-						m[fd.Name.Name] = fi
-					}
+				if id := funcID(obj); id != "" {
+					idx.byID[id] = &funcInfo{Pkg: pkg, File: f, Decl: fd, ID: id}
 				}
 			}
 		}
@@ -167,150 +127,17 @@ func xpkgOf(prog *Program) *xpkgIndex {
 	return idx
 }
 
-// recvTypeID returns the receiver's named-type ID of a method object.
-func recvTypeID(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, okp := t.(*types.Pointer); okp {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
+// selFieldID returns the stable field ID of a field selection, or "".
+func selFieldID(info *types.Info, sel *ast.SelectorExpr) string {
+	s, ok := info.Selections[sel]
 	if !ok {
 		return ""
 	}
-	return typeID(named)
+	return fieldID(s)
 }
 
-// ifaceFor extracts the interface underlying a type, along with the named
-// declaration when there is one.
-func ifaceFor(t types.Type) (*types.Interface, *types.Named) {
-	for {
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-			continue
-		}
-		break
-	}
-	named, _ := t.(*types.Named)
-	iface, ok := t.Underlying().(*types.Interface)
-	if !ok {
-		return nil, nil
-	}
-	return iface, named
-}
-
-// resolveInterface returns the function IDs of every loaded type's method
-// that a call of `methodName` through the given interface could dispatch to.
-// Only interfaces declared inside the loaded program are resolved.
-func (idx *xpkgIndex) resolveInterface(iface *types.Interface, named *types.Named, methodName string) []string {
-	if iface == nil || named == nil || named.Obj().Pkg() == nil {
-		return nil
-	}
-	if _, loaded := idx.prog.Lookup(named.Obj().Pkg().Path()); !loaded {
-		return nil
-	}
-	var methodNames []string
-	for i := 0; i < iface.NumMethods(); i++ {
-		methodNames = append(methodNames, iface.Method(i).Name())
-	}
-	sort.Strings(methodNames)
-	cacheKey := typeID(named) + "{" + strings.Join(methodNames, ",") + "}." + methodName
-	if ids, ok := idx.ifaceImpl[cacheKey]; ok {
-		return ids
-	}
-	var ids []string
-	//fuselint:ordered the candidate list is sorted before caching and use
-	for _, methods := range idx.methodsOf {
-		covers := true
-		for _, name := range methodNames {
-			if _, ok := methods[name]; !ok {
-				covers = false
-				break
-			}
-		}
-		if !covers {
-			continue
-		}
-		if fi, ok := methods[methodName]; ok {
-			ids = append(ids, fi.ID)
-		}
-	}
-	sort.Strings(ids)
-	idx.ifaceImpl[cacheKey] = ids
-	return ids
-}
-
-// callees returns the IDs of every in-program function the body of fn may
-// reference: direct calls, method calls, function/method values (any use of
-// a func identifier counts, which over-approximates reachability and is
-// therefore safe), plus all conservative resolutions of interface-method
-// uses.
-func (idx *xpkgIndex) callees(fn *funcInfo) []string {
-	if fn.Decl.Body == nil {
-		return nil
-	}
-	info := fn.Pkg.Info
-	seen := make(map[string]bool)
-	var out []string
-	add := func(id string) {
-		if id != "" && !seen[id] {
-			if _, ok := idx.byID[id]; ok {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if obj, ok := info.Uses[n].(*types.Func); ok {
-				add(funcID(obj))
-			}
-		case *ast.SelectorExpr:
-			sel, ok := info.Selections[n]
-			if !ok || (sel.Kind() != types.MethodVal && sel.Kind() != types.MethodExpr) {
-				return true
-			}
-			iface, named := ifaceFor(sel.Recv())
-			if iface == nil {
-				return true
-			}
-			for _, id := range idx.resolveInterface(iface, named, n.Sel.Name) {
-				add(id)
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// reachable walks the call graph from the given roots and returns every
-// in-program function reachable from them (the roots included), in a stable
-// order.
-func (idx *xpkgIndex) reachable(roots []*funcInfo) []*funcInfo {
-	seen := make(map[string]bool)
-	var work []*funcInfo
-	for _, r := range roots {
-		if !seen[r.ID] {
-			seen[r.ID] = true
-			work = append(work, r)
-		}
-	}
-	var out []*funcInfo
-	for len(work) > 0 {
-		fn := work[len(work)-1]
-		work = work[:len(work)-1]
-		out = append(out, fn)
-		for _, id := range idx.callees(fn) {
-			if !seen[id] {
-				seen[id] = true
-				work = append(work, idx.byID[id])
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+// isPkgLevelVar reports whether the object is a package-scope variable.
+func isPkgLevelVar(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	return ok && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }

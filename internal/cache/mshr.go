@@ -65,8 +65,6 @@ func (e *MSHREntry) Requests() []mem.Request {
 
 // MSHR is a miss status holding register file: a bounded map from block
 // address to outstanding-miss entry with bounded merging.
-//
-//fuselint:smowned one MSHR per L1D, and each L1D belongs to exactly one SM
 type MSHR struct {
 	maxEntries int
 	maxMerge   int

@@ -46,8 +46,6 @@ func (k ReplacementKind) String() string {
 // newest insertion (FIFO): the head is the victim. Moving, removing and
 // evicting a way are O(1), where a per-set order slice needed a search and
 // a memmove over up to 512 ways.
-//
-//fuselint:smowned embedded in TagStore, one tag store per SM-owned L1D
 type replacement struct {
 	kind ReplacementKind
 	ways int

@@ -44,8 +44,6 @@ const invalidTag = ^uint64(0)
 
 // TagStore is a set-associative tag array. A fully-associative store is
 // simply a TagStore with a single set.
-//
-//fuselint:smowned one tag store per SM-owned L1D, never shared across SMs
 type TagStore struct {
 	sets  int
 	ways  int

@@ -39,8 +39,6 @@ func mix64(x uint64) uint64 {
 
 // CountingBloomFilter is a single counting Bloom filter: k hash functions
 // over an array of small saturating counters.
-//
-//fuselint:smowned one filter per SM-owned L1D, tracking only that cache's lines
 type CountingBloomFilter struct {
 	counters   []uint8
 	hashes     int

@@ -10,8 +10,6 @@ import (
 // partitioned into regions, each guarded by a counting Bloom filter; a
 // membership test narrows the search to one region, which the polling logic
 // then scans with `comparators` parallel comparators per cycle.
-//
-//fuselint:smowned component of the SM-owned hybrid L1D
 type ApproxLogic struct {
 	filters     *cbf.NVMCBF
 	comparators int

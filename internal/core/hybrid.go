@@ -21,8 +21,6 @@ import (
 //   - FA-FUSE: additionally organises the STT-MRAM bank as an approximately
 //     fully-associative cache guarded by counting Bloom filters.
 //   - Dy-FUSE: additionally steers blocks with the read-level predictor.
-//
-//fuselint:smowned one L1D per SM, advanced only by that SM's worker within an epoch
 type HybridL1D struct {
 	cfg config.L1DConfig
 

@@ -14,8 +14,6 @@ import (
 // cache, the fully-associative FA-SRAM reference, the pure STT-MRAM By-NVM
 // cache with dead-write bypassing, and the Oracle cache of the motivation
 // study. One tag store, one technology bank, one MSHR.
-//
-//fuselint:smowned one L1D per SM, advanced only by that SM's worker within an epoch
 type SimpleL1D struct {
 	cfg   config.L1DConfig
 	store *cache.TagStore

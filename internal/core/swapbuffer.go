@@ -15,8 +15,6 @@ type swapEntry struct {
 // the swap buffer it is still logically present in the L1D, so lookups snoop
 // it (FUSE avoids real snooping hardware by pairing the buffer with the
 // FIFO-ordered tag queue; the functional effect is the same).
-//
-//fuselint:smowned component of the SM-owned hybrid L1D
 type SwapBuffer struct {
 	entries []swapEntry
 

@@ -39,8 +39,6 @@ type TagOp struct {
 // The queue is a head-indexed ring over one backing slice: Pop advances the
 // head instead of reslicing, so the steady state of a write-heavy run reuses
 // the same backing array instead of allocating on every push/pop cycle.
-//
-//fuselint:smowned component of the SM-owned hybrid L1D
 type TagQueue struct {
 	ops  []TagOp
 	head int

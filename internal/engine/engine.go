@@ -52,15 +52,6 @@ type Job struct {
 	GPU *config.GPUConfig
 	// Opts are the simulation options (scale, seed, SM override...).
 	Opts sim.Options
-	// SimWorkers is the number of goroutines the simulator itself may use
-	// for this job (sim.Simulator.SetWorkers); zero or one selects the
-	// sequential engine, and zero lets the Runner substitute its default.
-	// It is an execution-resource knob, not part of the job's identity —
-	// results are byte-identical for every value — so it is excluded from
-	// Key() and from the content-addressed store key.
-	//
-	//fuselint:execonly worker count never changes results (TestParallelEngineMatchesSequential)
-	SimWorkers int
 }
 
 // Key is the comparable dedup identity of a Job.
@@ -142,7 +133,7 @@ var arenas = sync.Pool{New: func() any { return sim.NewArena() }}
 // and the single place where the engine touches the simulator. The context
 // is threaded into the simulator's cycle loop, so cancellation aborts
 // in-flight simulations, not just queued ones. The simulator is built on a
-// pooled arena and honours the job's SimWorkers count.
+// pooled arena.
 //
 //fuselint:blocking runs a full simulation to completion
 func Execute(ctx context.Context, job Job) (sim.Result, error) {
@@ -156,7 +147,6 @@ func Execute(ctx context.Context, job Job) (sim.Result, error) {
 		arenas.Put(arena)
 		return sim.Result{}, err
 	}
-	s.SetWorkers(job.SimWorkers)
 	res, err := s.RunContext(ctx)
 	s.ReleaseArena()
 	arenas.Put(arena)
@@ -180,16 +170,6 @@ type Config struct {
 	// Workers bounds the number of simulations executing at once.
 	// Zero or negative means GOMAXPROCS.
 	Workers int
-	// SimWorkers is the per-simulation worker count given to jobs that do
-	// not set their own (see Job.SimWorkers). Zero means automatic: divide
-	// MaxParallelism evenly across the pool. Both the default and any
-	// per-job request are clamped so that Workers × per-simulation workers
-	// never exceeds MaxParallelism — a full pool cannot oversubscribe the
-	// machine no matter what the jobs ask for.
-	SimWorkers int
-	// MaxParallelism is the total goroutine budget shared by the pool and
-	// the per-simulation workers. Zero or negative means GOMAXPROCS.
-	MaxParallelism int
 	// Exec overrides the job executor (tests use this to count or stall
 	// executions; fuseserve's coordinator mode plugs in the cluster's
 	// fan-out executor). Nil means Execute.
@@ -281,13 +261,11 @@ type call struct {
 // Runner executes batches of simulation jobs on a worker pool, caching every
 // completed result for the lifetime of the Runner.
 type Runner struct {
-	workers    int
-	simWorkers int // per-simulation default for jobs that don't set one
-	simCap     int // hard per-simulation cap: max(1, MaxParallelism/workers)
-	exec       func(context.Context, Job) (sim.Result, error)
-	progress   func(Progress)
-	cache      Cache
-	sem        chan struct{}
+	workers  int
+	exec     func(context.Context, Job) (sim.Result, error)
+	progress func(Progress)
+	cache    Cache
+	sem      chan struct{}
 
 	retries    int
 	backoff    time.Duration
@@ -313,18 +291,6 @@ func New(cfg Config) *Runner {
 	if exec == nil {
 		exec = Execute
 	}
-	budget := cfg.MaxParallelism
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	simCap := budget / workers
-	if simCap < 1 {
-		simCap = 1
-	}
-	simWorkers := simCap // automatic: split the budget across the pool
-	if cfg.SimWorkers > 0 && cfg.SimWorkers < simWorkers {
-		simWorkers = cfg.SimWorkers
-	}
 	backoff := cfg.RetryBackoff
 	if backoff <= 0 {
 		backoff = DefaultRetryBackoff
@@ -335,8 +301,6 @@ func New(cfg Config) *Runner {
 	}
 	return &Runner{
 		workers:    workers,
-		simWorkers: simWorkers,
-		simCap:     simCap,
 		exec:       exec,
 		progress:   cfg.Progress,
 		cache:      cfg.Cache,
@@ -350,26 +314,6 @@ func New(cfg Config) *Runner {
 
 // Workers returns the size of the worker pool.
 func (r *Runner) Workers() int { return r.workers }
-
-// SimWorkers returns the per-simulation worker count handed to jobs that do
-// not request their own: the Runner's configured default after the
-// oversubscription clamp (Workers × SimWorkers never exceeds the
-// MaxParallelism budget).
-func (r *Runner) SimWorkers() int { return r.simWorkers }
-
-// simWorkersFor resolves a job's effective per-simulation worker count: the
-// job's own request (or the Runner default when it has none), clamped by the
-// Runner's oversubscription cap.
-func (r *Runner) simWorkersFor(job Job) int {
-	n := job.SimWorkers
-	if n <= 0 {
-		n = r.simWorkers
-	}
-	if n > r.simCap {
-		n = r.simCap
-	}
-	return n
-}
 
 // Completed returns the number of successfully completed (cached) jobs.
 func (r *Runner) Completed() int {
@@ -553,7 +497,6 @@ func (r *Runner) execWithRetry(ctx context.Context, job Job) (sim.Result, error)
 // skips the worker pool entirely), then on the pool itself, writing fresh
 // results back through the cache.
 func (r *Runner) run(ctx context.Context, k Key, c *call, job Job, p *progressState) {
-	job.SimWorkers = r.simWorkersFor(job)
 	storeKey := ""
 	if r.cache != nil {
 		if key, err := StoreKey(job); err == nil {

@@ -12,6 +12,7 @@ import (
 
 	"fuse/internal/config"
 	"fuse/internal/sim"
+	"fuse/internal/trace"
 )
 
 // quickOpts keeps real-simulator test runs small and fast.
@@ -461,102 +462,34 @@ func TestFailedJobsAreNotCached(t *testing.T) {
 	}
 }
 
-// TestSimWorkersClampedByBudget pins the oversubscription rule: a full pool
-// of per-simulation worker groups never claims more goroutines than the
-// MaxParallelism budget, no matter what the config or the jobs request.
-func TestSimWorkersClampedByBudget(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		want int
-	}{
-		// 4 pool workers on an 8-goroutine budget: 2 per simulation.
-		{"auto-split", Config{Workers: 4, MaxParallelism: 8}, 2},
-		// An explicit request above the split is clamped down.
-		{"explicit-clamped", Config{Workers: 4, SimWorkers: 8, MaxParallelism: 8}, 2},
-		// An explicit request below the split is honoured.
-		{"explicit-honoured", Config{Workers: 2, SimWorkers: 3, MaxParallelism: 16}, 3},
-		// More pool workers than budget: simulations stay sequential.
-		{"pool-saturates-budget", Config{Workers: 8, MaxParallelism: 4}, 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := New(tc.cfg).SimWorkers(); got != tc.want {
-				t.Errorf("SimWorkers() = %d, want %d", got, tc.want)
-			}
-		})
-	}
-}
-
-// TestJobSimWorkersResolved pins how a job's own SimWorkers request meets the
-// Runner's clamp: honoured up to the cap, capped beyond it, defaulted when
-// absent — and always invisible to the dedup identity.
-func TestJobSimWorkersResolved(t *testing.T) {
-	var got atomic.Int64
-	r := New(Config{Workers: 4, MaxParallelism: 16, Exec: func(_ context.Context, job Job) (sim.Result, error) {
-		got.Store(int64(job.SimWorkers))
-		return sim.Result{}, nil
-	}})
-	run := func(j Job) int {
-		t.Helper()
-		if _, err := r.RunBatch(context.Background(), []Job{j}); err != nil {
-			t.Fatal(err)
-		}
-		return int(got.Load())
-	}
-	base := Job{Kind: config.L1SRAM, Workload: "ATAX", Opts: quickOpts()}
-
-	withTwo := base
-	withTwo.SimWorkers = 2
-	if n := run(withTwo); n != 2 {
-		t.Errorf("job requesting 2 sim workers executed with %d", n)
-	}
-
-	over := base
-	over.Workload = "BICG"
-	over.SimWorkers = 64
-	if n := run(over); n != 4 { // cap = 16/4
-		t.Errorf("job requesting 64 sim workers should be capped to 4, got %d", n)
-	}
-
-	deflt := base
-	deflt.Workload = "MVT"
-	if n := run(deflt); n != 4 { // runner default = auto split
-		t.Errorf("job without a request should get the runner default 4, got %d", n)
-	}
-
-	// SimWorkers is not identity: a duplicate with a different count is
-	// deduplicated against the already-completed call, not re-executed.
-	executedBefore := got.Load()
-	dup := withTwo
-	dup.SimWorkers = 3
-	if dup.Key() != withTwo.Key() {
-		t.Fatalf("SimWorkers must not enter the dedup Key")
-	}
-	if _, err := r.RunBatch(context.Background(), []Job{dup}); err != nil {
-		t.Fatal(err)
-	}
-	if got.Load() != executedBefore {
-		t.Errorf("duplicate job with different SimWorkers re-executed")
-	}
-}
-
-// TestExecuteParallelSimulatorMatches runs the real simulator through
-// Execute with a parallel job and checks the result against the sequential
-// engine — the engine-level slice of the determinism guarantee, through the
-// pooled-arena path.
-func TestExecuteParallelSimulatorMatches(t *testing.T) {
+// TestExecutePooledArenaMatchesFreshRun runs the real simulator through
+// Execute, whose simulators are built on pooled arenas, and checks each
+// result against a fresh sim.New(...).Run(). The jobs differ in L1D kind and
+// workload and run twice, so arenas are reused across shapes.
+func TestExecutePooledArenaMatchesFreshRun(t *testing.T) {
 	opts := sim.Options{InstructionsPerWarp: 300, Seed: 7, SMOverride: 2, MaxCycles: 2_000_000}
-	seq, err := Execute(context.Background(), Job{Kind: config.DyFUSE, Workload: "ATAX", Opts: opts})
-	if err != nil {
-		t.Fatal(err)
+	jobs := []Job{
+		{Kind: config.DyFUSE, Workload: "ATAX", Opts: opts},
+		{Kind: config.L1SRAM, Workload: "GEMM", Opts: opts},
 	}
-	par, err := Execute(context.Background(), Job{Kind: config.DyFUSE, Workload: "ATAX", Opts: opts, SimWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par != seq {
-		t.Errorf("parallel Execute diverged from sequential:\n got: %+v\nwant: %+v", par, seq)
+	for pass := 0; pass < 2; pass++ {
+		for _, job := range jobs {
+			got, err := Execute(context.Background(), job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := trace.LookupWorkload(job.Workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := sim.New(job.GPUConfig(), w, job.Opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := s.Run(); got != want {
+				t.Errorf("pass %d, %s: pooled-arena Execute diverged from a fresh run:\n got: %+v\nwant: %+v", pass, job, got, want)
+			}
+		}
 	}
 }
 

@@ -42,8 +42,6 @@ func (s *SMStats) IPC() float64 {
 
 // SM is one streaming multiprocessor: a set of resident warps, a shared
 // instruction stream (any trace.Source), and a private L1D cache.
-//
-//fuselint:smowned the unit of worker-phase ownership: each SM is advanced by exactly one worker per epoch
 type SM struct {
 	// ID is the SM index within the GPU.
 	ID int

@@ -43,8 +43,6 @@ func (s WarpState) String() string {
 // Warp is one 32-thread SIMT group resident on an SM. Its scheduling state
 // changes only through SM methods, which keep the SM's ready and timed-wait
 // sets in step with it.
-//
-//fuselint:smowned warps live in exactly one SM's warp table
 type Warp struct {
 	// ID is the warp index within its SM.
 	ID int

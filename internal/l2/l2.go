@@ -471,15 +471,6 @@ func (l *L2) pump(now int64) bool {
 // idles the controller: the queue that rejected it is by definition full.
 func (l *L2) NextEventAt() int64 { return l.dram.NextEventAt() }
 
-// MinResponseLatency returns a conservative lower bound on the cycles between
-// a request arriving at a bank and its response leaving it. Every access is
-// port-serialised and pays at least the bank latency (a Waiter's Ready is its
-// port start plus LatencyCycles, and DoneAt is never earlier than Ready), so
-// no response can leave sooner than this after arrival — hits, misses, merges
-// and retries alike. The parallel engine's conservative lookahead horizon is
-// built from this bound; weakening it breaks that engine's determinism.
-func (l *L2) MinResponseLatency() int64 { return int64(l.cfg.LatencyCycles) }
-
 // Advance runs the memory controller up to cycle now and returns the fills
 // that completed: each block is inserted into its bank's tag store at its
 // completion time (never earlier — this is the ordering the whole off-chip

@@ -191,8 +191,6 @@ func (p *Params) AccessEnergy(write bool) float64 {
 // Bank is a stateful model of a single memory bank: it tracks when the bank
 // becomes free again after an access so that callers can model bank
 // conflicts, and it accumulates access counts for the energy model.
-//
-//fuselint:smowned banks model the SM-owned L1D arrays; the shared DRAM path runs in the serial phase
 type Bank struct {
 	Params Params
 	// Name is a human-readable identifier used in reports.

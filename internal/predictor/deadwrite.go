@@ -14,8 +14,6 @@ import (
 // The implementation mirrors the read-level predictor's sampler/history
 // structure but collapses the decision to a single dead/alive bit per PC
 // signature, which is all DASCA needs.
-//
-//fuselint:smowned one predictor per SM-owned hybrid L1D
 type DeadWritePredictor struct {
 	cfg     Config
 	sampler [][]samplerEntry

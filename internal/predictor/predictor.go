@@ -108,8 +108,6 @@ func (c Config) withDefaults() Config {
 // ReadLevelPredictor speculates the read level (WM / read-intensive / WORM /
 // WORO) of the cache block an incoming memory reference will allocate, based
 // on the history of the instruction (PC) issuing it.
-//
-//fuselint:smowned one predictor per SM-owned hybrid L1D
 type ReadLevelPredictor struct {
 	cfg     Config
 	sampler [][]samplerEntry

@@ -7,12 +7,11 @@ import (
 
 // Arena is the reusable scratch region of one simulation run: the event heap
 // (its keys, event slab and free list), the retry-batch slab, the wake heap,
-// the lazily-charged idle accounting, the due and dirty SM sets, the flat
-// per-warp and scheduler state of every SM, and the parallel engine's epoch
-// buffers. A fresh simulator allocates all of these once and then runs
-// allocation-free; an Arena lets a caller that runs many simulations back to
-// back (engine.Runner, benchmark loops) reuse the buffers across runs
-// instead of re-allocating them.
+// the lazily-charged idle accounting, the due and dirty SM sets, and the
+// flat per-warp and scheduler state of every SM. A fresh simulator allocates
+// all of these once and then runs allocation-free; an Arena lets a caller
+// that runs many simulations back to back (engine.Runner, benchmark loops)
+// reuse the buffers across runs instead of re-allocating them.
 //
 // Usage: build simulators with NewWithArena, and call ReleaseArena when the
 // run is finished to hand the buffers back. An Arena serves one simulator at
@@ -36,10 +35,6 @@ type Arena struct {
 	pendingSet []bool
 	order      []int32
 	sets       []uint64
-
-	// Parallel-engine scratch (see parallel.go).
-	parts      []epochPart
-	commitRecs []commitRec
 }
 
 // NewArena returns an empty arena.
@@ -73,8 +68,6 @@ func (s *Simulator) takeScratch(a *Arena, smCount, warpsPerSM int) {
 	clear(s.due)
 	s.sms = grow(a.sms, smCount)
 	clear(s.sms)
-	s.parts = a.parts
-	s.commitRecs = a.commitRecs[:0]
 	a.warps = grow(a.warps, smCount*warpsPerSM)
 	a.pending = grow(a.pending, smCount*warpsPerSM)
 	a.pendingSet = grow(a.pendingSet, smCount*warpsPerSM)
@@ -115,6 +108,4 @@ func (s *Simulator) ReleaseArena() {
 	a.dirty = s.dirty
 	a.due = s.due
 	a.sms = s.sms
-	a.parts = s.parts
-	a.commitRecs = s.commitRecs[:0]
 }

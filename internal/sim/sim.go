@@ -23,40 +23,23 @@
 // without a second look at the bank: rejections whose outcome is already
 // known are charged, not re-executed.
 //
-// On top of the sparse engine sits a conservative-parallel mode
-// (SetWorkers): SM state is private between memory interactions, and the
-// memory system guarantees a minimum request round-trip latency, so the
-// engine advances independent SMs on worker goroutines up to a shared
-// conservative horizon and re-plays their memory traffic serially at the
-// epoch barrier, in exactly the order the sequential engine would have
-// produced it. Epochs whose lookahead window is degenerate fall back to
-// single sparse steps, so parallel execution is — like the sparse engine
-// itself — a pure speedup: every counter and figure is byte-identical for
-// any worker count (see parallel.go for the horizon argument).
-//
 // Construction supports a reusable scratch Arena (NewWithArena/ReleaseArena)
 // so callers that run many simulations back to back — the batch engine,
 // benchmark loops — reuse the event heaps, wake heaps and flat per-warp
 // slabs instead of re-allocating them per run.
 //
 // The package's invariants — determinism, store-key completeness of Options,
-// the allocation-free hot path, the worker/serial phase split of the
-// parallel engine (checked whole-program: phasesafe walks the cross-package
-// call graph from advancePart through gpu, core, cache and the in-repo
-// interfaces, so the split is verified everywhere the worker phase reaches,
-// not just in this package), and the conservation of every hot-path counter
-// into Result or a figure table (statflow) — are machine-checked by fuselint
-// (go run ./cmd/fuselint ./...) via //fuselint: annotations on the relevant
-// declarations; the directives are documented in the repository README under
-// "Invariants & annotations".
+// the allocation-free hot path, and the conservation of every hot-path
+// counter into Result or a figure table (statflow) — are machine-checked by
+// fuselint (go run ./cmd/fuselint ./...) via //fuselint: annotations on the
+// relevant declarations; the directives are documented in the repository
+// README under "Invariants & annotations".
 package sim
 
 import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"fuse/internal/config"
 	"fuse/internal/core"
@@ -73,8 +56,7 @@ import (
 // Options is serialised verbatim into the content-addressed result-store key
 // (store.Key): every field must either be keyed or carry an explicit
 // //fuselint:execonly justification — fuselint's keydrift analyzer enforces
-// this. Execution-resource knobs that never change results (like the worker
-// count) live outside Options for exactly this reason (see SetWorkers).
+// this.
 //
 //fuselint:keyroot
 type Options struct {
@@ -432,54 +414,40 @@ type Simulator struct {
 	workload trace.Workload
 	opts     Options
 
-	// The shared machine and the clock belong to the serial phase of the
-	// parallel engine: code reachable from a //fuselint:workerphase root
-	// must never mutate them (fuselint's phasesafe analyzer enforces this).
-	// sms and the per-SM chargedTo slots are worker-phase state — each
-	// epoch participant is owned by exactly one worker.
 	sms  []*gpu.SM
-	net  *noc.Network //fuselint:serialonly
-	l2   *l2.L2       //fuselint:serialonly
-	dram *dram.DRAM   //fuselint:serialonly
+	net  *noc.Network
+	l2   *l2.L2
+	dram *dram.DRAM
 
-	events   eventHeap //fuselint:serialonly
-	eventSeq uint64    //fuselint:serialonly
-	retries  retrySlab //fuselint:serialonly
-	now      int64     //fuselint:serialonly
+	events   eventHeap
+	eventSeq uint64
+	retries  retrySlab
+	now      int64
 	// memTickAt/memTickSeq are the armed memory-controller wake-up: the
 	// earliest cycle the controller can make progress, ordered against the
 	// event heap by (at, seq). -1 when the controller is idle.
-	memTickAt  int64       //fuselint:serialonly
-	memTickSeq uint64      //fuselint:serialonly
-	staleTicks []staleTick //fuselint:serialonly
+	memTickAt  int64
+	memTickSeq uint64
+	staleTicks []staleTick
 
 	// Sparse-engine state: per-SM wake heap, lazily charged idle cycles,
 	// the set of SMs drainOutgoing pulls from and the set of SMs due this
 	// step (bit i of word i/64 stands for SM i; iterating a set visits the
 	// SMs in order, which keeps issue and drain deterministic).
-	wake      smWakeHeap //fuselint:serialonly
-	chargedTo []int64    // SM i is charged for every cycle < chargedTo[i]
-	doneSMs   int        //fuselint:serialonly
-	dirty     []uint64   //fuselint:serialonly
-	due       []uint64   //fuselint:serialonly
+	wake      smWakeHeap
+	chargedTo []int64 // SM i is charged for every cycle < chargedTo[i]
+	doneSMs   int
+	dirty     []uint64
+	due       []uint64
 
 	// Latency decomposition of completed fills (Figure 1).
-	nocCycles int64  //fuselint:serialonly
-	memCycles int64  //fuselint:serialonly
-	fills     uint64 //fuselint:serialonly
+	nocCycles int64
+	memCycles int64
+	fills     uint64
 
 	// arena is the scratch region the simulator was built with (a private
 	// one for New); see arena.go.
 	arena *Arena
-
-	// Parallel-engine state (see parallel.go): the worker count selected
-	// with SetWorkers, the reusable epoch buffers, and the per-epoch
-	// dispatch primitives shared with the parked helper goroutines.
-	workers    int
-	parts      []epochPart
-	commitRecs []commitRec //fuselint:serialonly
-	epochNext  atomic.Int64
-	epochWG    sync.WaitGroup
 }
 
 // New builds a simulator for the given GPU configuration and workload
@@ -701,11 +669,10 @@ func (s *Simulator) handleEvent(slot int32) {
 		s.events.release(slot)
 		if s.chargedTo[i] > at {
 			// The SM has already been cycled past the fill's arrival time.
-			// Sequential execution cannot get here (events are delivered at
-			// exactly their due cycle, before any SM cycles at it); for the
-			// parallel engine this is the canary that the conservative
-			// lookahead bound was violated.
-			panic(fmt.Sprintf("sim: fill for SM %d delivered at cycle %d, but the SM is already charged to cycle %d (lookahead violation)",
+			// Events are delivered at exactly their due cycle, before any SM
+			// cycles at it, so reaching this means the engine charged the SM
+			// for cycles it had not lived through yet: a broken invariant.
+			panic(fmt.Sprintf("sim: fill for SM %d delivered at cycle %d, but the SM is already charged to cycle %d (fill arrived in the SM's past)",
 				i, at, s.chargedTo[i]))
 		}
 		s.fills++
@@ -835,12 +802,8 @@ func (s *Simulator) retryBatch(at int64, seq uint64, first int32) {
 // used. An SM sleeping through a held stall is charged a rejection of its
 // held access at each skipped cycle (gpu.SM.ReplayStalls); any other
 // sleeping SM had no ready warp (memory wait while fills are outstanding).
-func (s *Simulator) catchUp(i int) { s.catchUpTo(i, s.now) }
-
-// catchUpTo is catchUp against an explicit cycle: the parallel engine's
-// workers advance SMs ahead of the shared clock, so they charge idle gaps
-// against their SM-local time rather than s.now.
-func (s *Simulator) catchUpTo(i int, now int64) {
+func (s *Simulator) catchUp(i int) {
+	now := s.now
 	from := s.chargedTo[i]
 	if from >= now {
 		return
@@ -974,13 +937,8 @@ func (s *Simulator) Run() Result {
 
 // RunContext is Run with cancellation: the context is polled every few
 // thousand steps (cheap enough to be invisible in profiles), and an expired
-// context aborts the run with the context's error. With SetWorkers(n > 1)
-// the run executes on the conservative-parallel epoch engine instead of the
-// sequential sparse loop; the results are byte-identical either way.
+// context aborts the run with the context's error.
 func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
-	if s.workers > 1 {
-		return s.runParallel(ctx)
-	}
 	opts := s.opts
 	var steps uint
 	for s.doneSMs < len(s.sms) && s.now < opts.MaxCycles {

@@ -225,6 +225,18 @@ func TestSimulatorAccessors(t *testing.T) {
 	}
 }
 
+// lowLatencyGPU shrinks every memory-side latency to the smallest the
+// machine can express — a 1-cycle L2, a zero-hop NoC and flits wide enough to
+// carry a whole packet — so fills land within a cycle or two of their
+// request, the tightest timing the sparse engine's wake bookkeeping faces.
+func lowLatencyGPU(kind config.L1DKind) config.GPUConfig {
+	cfg := config.FermiGPU(config.NewL1DConfig(kind))
+	cfg.L2LatencyCycles = 1
+	cfg.NoCLatencyPerHop = 0
+	cfg.NoCFlitBytes = 1024 // whole request/response in one flit
+	return cfg
+}
+
 // TestSparseEngineMatchesReference pins the sparse cycle engine's core
 // invariant: cycling only the SMs that can make progress (and lazily charging
 // the cycles they sleep through) must produce exactly the same Result struct
@@ -232,32 +244,42 @@ func TestSimulatorAccessors(t *testing.T) {
 // cycle. One memory-bound workload (ATAX: SMs spend most cycles asleep
 // waiting on fills) and one compute-bound workload (pathf: SMs almost never
 // sleep) exercise both extremes, across every L1D organisation: each has its
-// own stall paths, and with them its own stall holds (By-NVM has none).
+// own stall paths, and with them its own stall holds (By-NVM has none). Each
+// runs on the Fermi machine and on the minimal-latency one.
 func TestSparseEngineMatchesReference(t *testing.T) {
-	for _, kind := range config.AllL1DKinds {
-		for _, workload := range []string{"ATAX", "pathf"} {
-			opts := quickOpts()
-			prof, ok := trace.ProfileByName(workload)
-			if !ok {
-				t.Fatalf("workload %s missing", workload)
-			}
-			gpuCfg := config.FermiGPU(config.NewL1DConfig(kind))
+	machines := []struct {
+		name string
+		gpu  func(config.L1DKind) config.GPUConfig
+	}{
+		{"fermi", func(k config.L1DKind) config.GPUConfig { return config.FermiGPU(config.NewL1DConfig(k)) }},
+		{"low-latency", lowLatencyGPU},
+	}
+	for _, m := range machines {
+		for _, kind := range config.AllL1DKinds {
+			for _, workload := range []string{"ATAX", "pathf"} {
+				opts := quickOpts()
+				prof, ok := trace.ProfileByName(workload)
+				if !ok {
+					t.Fatalf("workload %s missing", workload)
+				}
+				gpuCfg := m.gpu(kind)
 
-			sparse, err := New(gpuCfg, trace.Synthetic(prof), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sparseRes := sparse.Run()
+				sparse, err := New(gpuCfg, trace.Synthetic(prof), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sparseRes := sparse.Run()
 
-			ref, err := New(gpuCfg, trace.Synthetic(prof), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refRes := ref.RunReference()
+				ref, err := New(gpuCfg, trace.Synthetic(prof), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refRes := ref.RunReference()
 
-			if sparseRes != refRes {
-				t.Errorf("%v/%s: sparse engine result differs from step-every-cycle reference:\nsparse: %+v\nref:    %+v",
-					kind, workload, sparseRes, refRes)
+				if sparseRes != refRes {
+					t.Errorf("%s %v/%s: sparse engine result differs from step-every-cycle reference:\nsparse: %+v\nref:    %+v",
+						m.name, kind, workload, sparseRes, refRes)
+				}
 			}
 		}
 	}
@@ -412,5 +434,40 @@ func TestPhasedWorkloadRunsDeterministically(t *testing.T) {
 	}
 	if a.Workload != "sim-phased" || a.Instructions == 0 {
 		t.Errorf("phased workload result malformed: %+v", a)
+	}
+}
+
+// TestArenaReuseAcrossRuns pins the arena path: back-to-back runs through one
+// arena must produce identical results to fresh simulators, for different
+// configurations sharing the same buffers.
+func TestArenaReuseAcrossRuns(t *testing.T) {
+	arena := NewArena()
+	opts := quickOpts()
+	runs := []struct {
+		kind     config.L1DKind
+		workload string
+	}{
+		{config.L1SRAM, "ATAX"},
+		{config.DyFUSE, "ATAX"},
+		{config.L1SRAM, "pathf"},
+		{config.DyFUSE, "GEMM"},
+		{config.L1SRAM, "ATAX"}, // repeat of the first: exact same buffers again
+	}
+	for i, rc := range runs {
+		want := mustRun(t, rc.kind, rc.workload, opts)
+		w, err := trace.LookupWorkload(rc.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewWithArena(config.FermiGPU(config.NewL1DConfig(rc.kind)), w, opts, arena)
+		if err != nil {
+			t.Fatalf("run %d: NewWithArena: %v", i, err)
+		}
+		got := s.Run()
+		s.ReleaseArena()
+		if got != want {
+			t.Errorf("run %d (%v/%s) diverged through the arena:\n got: %+v\nwant: %+v",
+				i, rc.kind, rc.workload, got, want)
+		}
 	}
 }

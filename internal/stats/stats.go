@@ -12,8 +12,6 @@ import (
 )
 
 // Counter is a simple monotonically increasing event counter.
-//
-//fuselint:smowned counters are embedded in per-SM-owned structures; cross-SM aggregation happens in the serial collect phase
 type Counter struct {
 	n uint64
 }

@@ -20,8 +20,6 @@ type Instruction struct {
 // rngState is a splitmix64 pseudo-random generator: tiny, fast and
 // deterministic, which keeps every experiment reproducible without touching
 // math/rand's global state.
-//
-//fuselint:smowned per-source PRNG state, one source per SM
 type rngState uint64
 
 func newRNG(seed uint64) *rngState {
@@ -112,8 +110,6 @@ type warpRegions struct {
 // The write-multiple hot set is shared by all warps (accumulation buffers,
 // histogram bins); the WORM / read-intensive / streaming regions are private
 // per warp.
-//
-//fuselint:smowned NewSource returns a fresh per-(SM, seed) kernel instance
 type Kernel struct {
 	prof Profile
 	sm   int

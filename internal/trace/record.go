@@ -126,8 +126,6 @@ func (r *Recorder) Trace(meta TraceMeta) *Trace {
 // recordingSource passes Next through and appends each instruction to the
 // recorder's per-SM slice. Sources are per-SM and the simulator is
 // single-threaded per run, so the append needs no locking.
-//
-//fuselint:smowned one recording source per SM, appending to its own per-SM slot
 type recordingSource struct {
 	src Source
 	out *[]TraceStep
@@ -235,8 +233,6 @@ func (w *ReplayWorkload) Diverged() uint64 {
 // more instructions than were recorded, or from a different warp sequence,
 // has diverged from the recording schedule; the source keeps the run alive
 // (padding with ALU no-ops) and counts the divergence for diagnostics.
-//
-//fuselint:smowned one replay cursor per SM
 type replaySource struct {
 	steps     []TraceStep
 	pos       int

@@ -158,8 +158,6 @@ func (w *PhasedWorkload) KeyMaterial() (json.RawMessage, error) {
 // is spent, then constructs the next phase's kernel. Each phase reseeds its
 // kernel with the phase index mixed in, so two phases over the same profile
 // generate distinct (but deterministic) streams.
-//
-//fuselint:smowned one phased source per SM
 type phasedSource struct {
 	phases []Phase
 	sm     int
