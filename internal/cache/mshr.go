@@ -55,20 +55,14 @@ type MSHREntry struct {
 	Level mem.ReadLevel
 }
 
-// Requests returns the primary request followed by all merged requests.
-func (e *MSHREntry) Requests() []mem.Request {
-	out := make([]mem.Request, 0, 1+len(e.Merged))
-	out = append(out, e.Primary)
-	out = append(out, e.Merged...)
-	return out
-}
-
 // MSHR is a miss status holding register file: a bounded map from block
 // address to outstanding-miss entry with bounded merging.
 type MSHR struct {
 	maxEntries int
 	maxMerge   int
-	entries    map[uint64]*MSHREntry
+	// entries never holds more than maxEntries blocks, so its table, sized
+	// to that bound, never grows.
+	entries mem.BlockTable[*MSHREntry]
 	// free recycles released entries (see Recycle): the MSHR working set is
 	// bounded by maxEntries, so the steady state of a miss-heavy run
 	// allocates no entry structs at all.
@@ -92,7 +86,7 @@ func NewMSHR(entries, mergeWidth int) *MSHR {
 	return &MSHR{
 		maxEntries: entries,
 		maxMerge:   mergeWidth,
-		entries:    make(map[uint64]*MSHREntry, entries),
+		entries:    mem.NewBlockTable[*MSHREntry](entries),
 	}
 }
 
@@ -100,10 +94,10 @@ func NewMSHR(entries, mergeWidth int) *MSHR {
 func (m *MSHR) Capacity() int { return m.maxEntries }
 
 // Occupancy returns the number of outstanding primary misses.
-func (m *MSHR) Occupancy() int { return len(m.entries) }
+func (m *MSHR) Occupancy() int { return m.entries.Len() }
 
 // Full reports whether a new primary miss cannot be accepted.
-func (m *MSHR) Full() bool { return len(m.entries) >= m.maxEntries }
+func (m *MSHR) Full() bool { return m.entries.Len() >= m.maxEntries }
 
 // PeakOccupancy returns the maximum number of simultaneously outstanding
 // primary misses observed.
@@ -127,10 +121,7 @@ func (m *MSHR) FullStalls() uint64 { return m.fullStalls }
 func (m *MSHR) RepeatFullStalls(n uint64) { m.fullStalls += n }
 
 // Lookup returns the entry for the block, if any.
-func (m *MSHR) Lookup(block uint64) (*MSHREntry, bool) {
-	e, ok := m.entries[block]
-	return e, ok
-}
+func (m *MSHR) Lookup(block uint64) (*MSHREntry, bool) { return m.entries.Get(block) }
 
 // Allocate records a miss for req's block. If an entry already exists the
 // request is merged (subject to the merge width); otherwise a new primary
@@ -141,7 +132,7 @@ func (m *MSHR) Lookup(block uint64) (*MSHREntry, bool) {
 //fuselint:noalloc
 func (m *MSHR) Allocate(req mem.Request, dest DestBank, level mem.ReadLevel) (bool, error) {
 	block := req.BlockAddr()
-	if e, ok := m.entries[block]; ok {
+	if e, ok := m.entries.Get(block); ok {
 		if len(e.Merged) >= m.maxMerge {
 			m.fullStalls++
 			return false, ErrMSHRMergeFull
@@ -162,10 +153,10 @@ func (m *MSHR) Allocate(req mem.Request, dest DestBank, level mem.ReadLevel) (bo
 	} else {
 		e = &MSHREntry{Block: block, Primary: req, Dest: dest, Level: level}
 	}
-	m.entries[block] = e
+	m.entries.Put(block, e)
 	m.allocCount++
-	if len(m.entries) > m.peakOccupancy {
-		m.peakOccupancy = len(m.entries)
+	if n := m.entries.Len(); n > m.peakOccupancy {
+		m.peakOccupancy = n
 	}
 	return true, nil
 }
@@ -174,14 +165,7 @@ func (m *MSHR) Allocate(req mem.Request, dest DestBank, level mem.ReadLevel) (bo
 // second result is false if no entry existed.
 //
 //fuselint:noalloc
-func (m *MSHR) Release(block uint64) (*MSHREntry, bool) {
-	e, ok := m.entries[block]
-	if !ok {
-		return nil, false
-	}
-	delete(m.entries, block)
-	return e, true
-}
+func (m *MSHR) Release(block uint64) (*MSHREntry, bool) { return m.entries.Delete(block) }
 
 // Recycle returns a released entry to the MSHR's free list so a later
 // Allocate can reuse it. Callers hand the entry back once they are done with
@@ -197,7 +181,7 @@ func (m *MSHR) Recycle(e *MSHREntry) {
 
 // Reset clears all entries and statistics.
 func (m *MSHR) Reset() {
-	m.entries = make(map[uint64]*MSHREntry, m.maxEntries)
+	m.entries.Clear()
 	m.peakOccupancy = 0
 	m.mergedCount = 0
 	m.allocCount = 0

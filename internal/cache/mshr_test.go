@@ -29,7 +29,7 @@ func TestMSHRAllocateAndMerge(t *testing.T) {
 		t.Errorf("merge accounting wrong: merged=%d alloc=%d", m.Merged(), m.Allocations())
 	}
 	e, ok := m.Lookup(mem.BlockAlign(uint64(mem.BlockSize)))
-	if !ok || len(e.Requests()) != 2 {
+	if !ok || e.Primary.Addr != mem.BlockSize || len(e.Merged) != 1 || e.Merged[0].Addr != mem.BlockSize {
 		t.Errorf("entry should hold primary + 1 merged request")
 	}
 	// Third request to the same block exceeds merge width 2 after one more.
@@ -118,13 +118,13 @@ func TestVictimCache(t *testing.T) {
 	if _, hit := v.Probe(blockAddr(1)); hit {
 		t.Errorf("empty victim cache should miss")
 	}
-	v.Insert(blockAddr(1), 0, 0, true)
-	v.Insert(blockAddr(2), 0, 1, false)
+	v.Insert(blockAddr(1), 0, true)
+	v.Insert(blockAddr(2), 0, false)
 	if v.Occupancy() != 2 {
 		t.Errorf("occupancy = %d", v.Occupancy())
 	}
 	// Inserting a third displaces the oldest (FIFO).
-	displaced := v.Insert(blockAddr(3), 0, 2, false)
+	displaced := v.Insert(blockAddr(3), 0, false)
 	if !displaced.Valid || displaced.Block != blockAddr(1) {
 		t.Errorf("expected block 1 displaced, got %+v", displaced)
 	}

@@ -116,24 +116,21 @@ func (r *refTagStore) lookup(block uint64) (Line, int, bool) {
 	return r.lines[set][w], w, true
 }
 
-func (r *refTagStore) touch(block uint64, now int64, write bool) (Line, bool) {
+func (r *refTagStore) touch(block uint64, write bool) (Line, bool) {
 	set, w := r.find(block)
 	if w < 0 {
 		return Line{}, false
 	}
 	l := &r.lines[set][w]
-	l.LastAccess = now
 	if write {
 		l.Writes++
 		l.Dirty = true
-	} else {
-		l.Reads++
 	}
 	r.repl[set].onAccess(w)
 	return *l, true
 }
 
-func (r *refTagStore) insert(block, pc uint64, now int64, write bool, level mem.ReadLevel) (evicted, line Line) {
+func (r *refTagStore) insert(block, pc uint64, write bool, level mem.ReadLevel) (evicted, line Line) {
 	set := r.set(block)
 	way := r.freeWay(set)
 	if way < 0 {
@@ -141,11 +138,9 @@ func (r *refTagStore) insert(block, pc uint64, now int64, write bool, level mem.
 		evicted = r.lines[set][way]
 		r.repl[set].onInvalidate(way)
 	}
-	l := Line{Valid: true, Block: block, PC: pc, Level: level, InsertCycle: now, LastAccess: now}
+	l := Line{Valid: true, Block: block, PC: pc, Level: level}
 	if write {
 		l.Writes, l.Dirty = 1, true
-	} else {
-		l.Reads = 1
 	}
 	r.lines[set][way] = l
 	r.repl[set].onInsert(way)
@@ -191,8 +186,8 @@ func checkSameState(t *testing.T, step string, got *TagStore, want *refTagStore)
 	}
 	for s := range want.lines {
 		for w := range want.lines[s] {
-			if got.lines[s][w] != want.lines[s][w] {
-				t.Fatalf("%s: set %d way %d holds %+v, reference %+v", step, s, w, got.lines[s][w], want.lines[s][w])
+			if g := got.lines[s*got.ways+w]; g != want.lines[s][w] {
+				t.Fatalf("%s: set %d way %d holds %+v, reference %+v", step, s, w, g, want.lines[s][w])
 			}
 		}
 	}
@@ -227,7 +222,6 @@ func diffTagStore(t *testing.T, sets, ways int, kind ReplacementKind, seed uint6
 	dupInserts := 0
 	for i := 0; i < 20000; i++ {
 		block := blockAddr(rng.IntN(universe))
-		now := int64(i)
 		write := rng.IntN(4) == 0
 		var step string
 		switch op := rng.IntN(10); op {
@@ -243,16 +237,16 @@ func diffTagStore(t *testing.T, sets, ways int, kind ReplacementKind, seed uint6
 			}
 		case 2, 3: // Touch
 			step = fmt.Sprintf("op %d Touch(%#x)", i, block)
-			gl, gh := got.Touch(block, now, write)
-			wl, wh := want.touch(block, now, write)
+			gl, gh := got.Touch(block, write)
+			wl, wh := want.touch(block, write)
 			if gh != wh || (gh && *gl != wl) {
 				t.Fatalf("%s: got hit %v, reference hit %v", step, gh, wh)
 			}
 		case 4, 5: // Insert on miss, the caches' usual pattern
 			step = fmt.Sprintf("op %d InsertOnMiss(%#x)", i, block)
 			if _, _, hit := want.lookup(block); hit {
-				got.Touch(block, now, write)
-				want.touch(block, now, write)
+				got.Touch(block, write)
+				want.touch(block, write)
 				break
 			}
 			fallthrough
@@ -263,8 +257,8 @@ func diffTagStore(t *testing.T, sets, ways int, kind ReplacementKind, seed uint6
 			}
 			pc := rng.Uint64()
 			level := mem.ReadLevel(rng.IntN(3))
-			gev, gl := got.Insert(block, pc, now, write, level)
-			wev, wl := want.insert(block, pc, now, write, level)
+			gev, gl := got.Insert(block, pc, write, level)
+			wev, wl := want.insert(block, pc, write, level)
 			if gev != wev || *gl != wl {
 				t.Fatalf("%s: evicted %+v / line %+v, reference %+v / %+v", step, gev, *gl, wev, wl)
 			}
@@ -273,14 +267,10 @@ func diffTagStore(t *testing.T, sets, ways int, kind ReplacementKind, seed uint6
 			if g, w := got.Invalidate(block), want.invalidate(block); g != w {
 				t.Fatalf("%s: removed %+v, reference %+v", step, g, w)
 			}
-		case 9: // VictimFor and HasFreeWay
+		case 9: // VictimFor
 			step = fmt.Sprintf("op %d VictimFor(%#x)", i, block)
-			w := want.victimFor(block)
-			if g := got.VictimFor(block); g != w {
+			if g, w := got.VictimFor(block), want.victimFor(block); g != w {
 				t.Fatalf("%s: victim %+v, reference %+v", step, g, w)
-			}
-			if got.HasFreeWay(block) != !w.Valid {
-				t.Fatalf("%s: HasFreeWay disagrees with the reference", step)
 			}
 		}
 		if i%97 == 0 || i < 2*sets*ways {
@@ -299,18 +289,18 @@ func diffTagStore(t *testing.T, sets, ways int, kind ReplacementKind, seed uint6
 func TestTagStoreDuplicateCopies(t *testing.T) {
 	ts := NewTagStore(1, indexMinWays, LRU) // an indexed store
 	x, y, z := blockAddr(1), blockAddr(2), blockAddr(3)
-	ts.Insert(x, 0, 0, false, mem.WORM) // way 0
-	ts.Insert(y, 0, 1, false, mem.WORM) // way 1
-	ts.Insert(z, 0, 2, false, mem.WORM) // way 2
-	ts.Invalidate(x)                    // frees way 0
+	ts.Insert(x, 0, false, mem.WORM) // way 0
+	ts.Insert(y, 0, false, mem.WORM) // way 1
+	ts.Insert(z, 0, false, mem.WORM) // way 2
+	ts.Invalidate(x)                 // frees way 0
 
 	// A second copy of y lands below the first one and takes over searches.
-	ts.Insert(y, 0xA, 3, true, mem.WORM)
+	ts.Insert(y, 0xA, true, mem.WORM)
 	if _, way, hit := ts.Lookup(y); !hit || way != 0 {
 		t.Fatalf("lower copy should win: Lookup(y) way %d hit %v, want way 0", way, hit)
 	}
 	// A third copy lands above both and changes nothing.
-	ts.Insert(y, 0xB, 4, false, mem.WORM) // way 3
+	ts.Insert(y, 0xB, false, mem.WORM) // way 3
 	if l, way, _ := ts.Lookup(y); way != 0 || l.PC != 0xA {
 		t.Fatalf("higher copy must not shadow the lowest: way %d pc %#x", way, l.PC)
 	}
@@ -349,12 +339,11 @@ func TestTagStoreFullSetChurnMatchesReference(t *testing.T) {
 			capacity := c.sets * c.ways
 			next := 0 // blocks are never reused, so every insert misses
 			for ; next < capacity; next++ {
-				got.Insert(blockAddr(next), 0, int64(next), false, mem.WORM)
-				want.insert(blockAddr(next), 0, int64(next), false, mem.WORM)
+				got.Insert(blockAddr(next), 0, false, mem.WORM)
+				want.insert(blockAddr(next), 0, false, mem.WORM)
 			}
 			evictions := 0
 			for i := 0; i < 20000; i++ {
-				now := int64(capacity + i)
 				// One of the more recently inserted blocks, most likely
 				// still held.
 				held := blockAddr(next - 1 - rng.IntN(capacity/2))
@@ -362,8 +351,8 @@ func TestTagStoreFullSetChurnMatchesReference(t *testing.T) {
 				switch rng.IntN(8) {
 				case 0:
 					write := rng.IntN(4) == 0
-					gl, gh := got.Touch(held, now, write)
-					wl, wh := want.touch(held, now, write)
+					gl, gh := got.Touch(held, write)
+					wl, wh := want.touch(held, write)
 					if gh != wh || (gh && *gl != wl) {
 						t.Fatalf("%s: Touch hit %v, reference hit %v", step, gh, wh)
 					}
@@ -374,8 +363,8 @@ func TestTagStoreFullSetChurnMatchesReference(t *testing.T) {
 				}
 				block := blockAddr(next)
 				next++
-				gev, _ := got.Insert(block, uint64(i), now, false, mem.WORM)
-				wev, _ := want.insert(block, uint64(i), now, false, mem.WORM)
+				gev, _ := got.Insert(block, uint64(i), false, mem.WORM)
+				wev, _ := want.insert(block, uint64(i), false, mem.WORM)
 				if gev != wev {
 					t.Fatalf("%s: Insert evicted %+v, reference %+v", step, gev, wev)
 				}

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"fuse/internal/mem"
 )
@@ -17,11 +18,11 @@ func TestTagStoreBasicInsertLookup(t *testing.T) {
 	if ts.FullyAssociative() {
 		t.Errorf("4-set store should not be fully associative")
 	}
-	ev, line := ts.Insert(blockAddr(1), 0x100, 10, false, mem.WORM)
+	ev, line := ts.Insert(blockAddr(1), 0x100, false, mem.WORM)
 	if ev.Valid {
 		t.Errorf("unexpected eviction on empty store")
 	}
-	if !line.Valid || line.Block != blockAddr(1) || line.Reads != 1 || line.Writes != 0 {
+	if !line.Valid || line.Dirty || line.Block != blockAddr(1) || line.PC != 0x100 || line.Level != mem.WORM || line.Writes != 0 {
 		t.Errorf("inserted line malformed: %+v", line)
 	}
 	got, way, hit := ts.Lookup(blockAddr(1))
@@ -41,35 +42,39 @@ func TestTagStoreBasicInsertLookup(t *testing.T) {
 
 func TestTagStoreTouchUpdatesCounters(t *testing.T) {
 	ts := NewTagStore(2, 2, LRU)
-	ts.Insert(blockAddr(4), 0, 0, true, mem.WriteMultiple)
-	l, hit := ts.Touch(blockAddr(4), 5, false)
-	if !hit || l.Reads != 1 || l.Writes != 1 || l.LastAccess != 5 {
+	ts.Insert(blockAddr(4), 0, true, mem.WriteMultiple)
+	l, hit := ts.Touch(blockAddr(4), false)
+	if !hit || l.Writes != 1 || !l.Dirty {
 		t.Errorf("Touch read failed: %+v", l)
 	}
-	l, hit = ts.Touch(blockAddr(4), 6, true)
+	l, hit = ts.Touch(blockAddr(4), true)
 	if !hit || l.Writes != 2 || !l.Dirty {
 		t.Errorf("Touch write failed: %+v", l)
 	}
-	if _, hit := ts.Touch(blockAddr(5), 7, false); hit {
+	if _, hit := ts.Touch(blockAddr(5), false); hit {
 		t.Errorf("Touch of absent block should miss")
 	}
-	l.ResetCounters()
-	if l.Reads != 0 || l.Writes != 0 {
-		t.Errorf("ResetCounters failed")
+}
+
+// TestLineIs32Bytes pins the packed Line layout: tag-store victim copies and
+// set scans move whole Lines, so the size is a host-performance property.
+func TestLineIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 32 {
+		t.Errorf("Line is %d bytes, want 32", got)
 	}
 }
 
 func TestTagStoreLRUEviction(t *testing.T) {
 	// Single set, 2 ways, LRU: after touching A, inserting C should evict B.
 	ts := NewTagStore(1, 2, LRU)
-	ts.Insert(blockAddr(1), 0, 0, false, mem.WORM) // A
-	ts.Insert(blockAddr(2), 0, 1, false, mem.WORM) // B
-	ts.Touch(blockAddr(1), 2, false)               // A is now MRU
+	ts.Insert(blockAddr(1), 0, false, mem.WORM) // A
+	ts.Insert(blockAddr(2), 0, false, mem.WORM) // B
+	ts.Touch(blockAddr(1), false)               // A is now MRU
 	victim := ts.VictimFor(blockAddr(3))
 	if !victim.Valid || victim.Block != blockAddr(2) {
 		t.Errorf("VictimFor should pick B, got %+v", victim)
 	}
-	ev, _ := ts.Insert(blockAddr(3), 0, 3, false, mem.WORM)
+	ev, _ := ts.Insert(blockAddr(3), 0, false, mem.WORM)
 	if !ev.Valid || ev.Block != blockAddr(2) {
 		t.Errorf("LRU should evict B, evicted %+v", ev)
 	}
@@ -81,10 +86,10 @@ func TestTagStoreLRUEviction(t *testing.T) {
 func TestTagStoreFIFOEviction(t *testing.T) {
 	// FIFO ignores touches: oldest insertion is evicted regardless of hits.
 	ts := NewTagStore(1, 2, FIFO)
-	ts.Insert(blockAddr(1), 0, 0, false, mem.WORM)
-	ts.Insert(blockAddr(2), 0, 1, false, mem.WORM)
-	ts.Touch(blockAddr(1), 2, false)
-	ev, _ := ts.Insert(blockAddr(3), 0, 3, false, mem.WORM)
+	ts.Insert(blockAddr(1), 0, false, mem.WORM)
+	ts.Insert(blockAddr(2), 0, false, mem.WORM)
+	ts.Touch(blockAddr(1), false)
+	ev, _ := ts.Insert(blockAddr(3), 0, false, mem.WORM)
 	if !ev.Valid || ev.Block != blockAddr(1) {
 		t.Errorf("FIFO should evict the oldest block 1, evicted %+v", ev)
 	}
@@ -93,12 +98,12 @@ func TestTagStoreFIFOEviction(t *testing.T) {
 func TestTagStorePseudoLRUEvictsSomethingValid(t *testing.T) {
 	ts := NewTagStore(1, 4, PseudoLRU)
 	for i := 1; i <= 4; i++ {
-		ts.Insert(blockAddr(i), 0, int64(i), false, mem.WORM)
+		ts.Insert(blockAddr(i), 0, false, mem.WORM)
 	}
 	// Touch 1 and 2 so 3 or 4 should be the victim.
-	ts.Touch(blockAddr(1), 10, false)
-	ts.Touch(blockAddr(2), 11, false)
-	ev, _ := ts.Insert(blockAddr(5), 0, 12, false, mem.WORM)
+	ts.Touch(blockAddr(1), false)
+	ts.Touch(blockAddr(2), false)
+	ev, _ := ts.Insert(blockAddr(5), 0, false, mem.WORM)
 	if !ev.Valid {
 		t.Fatalf("expected an eviction from a full set")
 	}
@@ -109,7 +114,7 @@ func TestTagStorePseudoLRUEvictsSomethingValid(t *testing.T) {
 
 func TestTagStoreInvalidate(t *testing.T) {
 	ts := NewTagStore(2, 2, LRU)
-	ts.Insert(blockAddr(1), 0, 0, true, mem.WriteMultiple)
+	ts.Insert(blockAddr(1), 0, true, mem.WriteMultiple)
 	old := ts.Invalidate(blockAddr(1))
 	if !old.Valid || !old.Dirty {
 		t.Errorf("Invalidate should return the dirty line, got %+v", old)
@@ -147,13 +152,13 @@ func TestTagStoreConflictMissesVsFullyAssociative(t *testing.T) {
 	missSA, missFA := 0, 0
 	for round := 0; round < 4; round++ {
 		for _, b := range conflicting {
-			if _, hit := setAssoc.Touch(b, 0, false); !hit {
+			if _, hit := setAssoc.Touch(b, false); !hit {
 				missSA++
-				setAssoc.Insert(b, 0, 0, false, mem.WORM)
+				setAssoc.Insert(b, 0, false, mem.WORM)
 			}
-			if _, hit := fullAssoc.Touch(b, 0, false); !hit {
+			if _, hit := fullAssoc.Touch(b, false); !hit {
 				missFA++
-				fullAssoc.Insert(b, 0, 0, false, mem.WORM)
+				fullAssoc.Insert(b, 0, false, mem.WORM)
 			}
 		}
 	}
@@ -168,7 +173,7 @@ func TestTagStoreConflictMissesVsFullyAssociative(t *testing.T) {
 func TestTagStoreForEachAndReset(t *testing.T) {
 	ts := NewTagStore(4, 2, LRU)
 	for i := 0; i < 6; i++ {
-		ts.Insert(blockAddr(i), 0, 0, false, mem.WORM)
+		ts.Insert(blockAddr(i), 0, false, mem.WORM)
 	}
 	count := 0
 	ts.ForEach(func(l *Line) { count++ })
@@ -203,12 +208,12 @@ func TestTagStoreOccupancyInvariant(t *testing.T) {
 	// exceeds capacity, under random insert/invalidate sequences.
 	prop := func(ops []uint16) bool {
 		ts := NewTagStore(8, 2, LRU)
-		for i, op := range ops {
+		for _, op := range ops {
 			b := blockAddr(int(op % 64))
 			if op%3 == 0 {
 				ts.Invalidate(b)
 			} else {
-				ts.Insert(b, 0, int64(i), op%2 == 0, mem.WORM)
+				ts.Insert(b, 0, op%2 == 0, mem.WORM)
 			}
 			valid := 0
 			ts.ForEach(func(l *Line) { valid++ })
@@ -227,10 +232,10 @@ func TestTagStoreNoDuplicateBlocks(t *testing.T) {
 	// Property: a block address never occupies two ways at once.
 	prop := func(ops []uint16) bool {
 		ts := NewTagStore(4, 4, FIFO)
-		for i, op := range ops {
+		for _, op := range ops {
 			b := blockAddr(int(op % 32))
-			if _, hit := ts.Touch(b, int64(i), false); !hit {
-				ts.Insert(b, 0, int64(i), false, mem.WORM)
+			if _, hit := ts.Touch(b, false); !hit {
+				ts.Insert(b, 0, false, mem.WORM)
 			}
 			seen := map[uint64]int{}
 			dup := false
@@ -266,7 +271,7 @@ func BenchmarkTagStoreLookup(b *testing.B) {
 	const ways = 512
 	ts := NewTagStore(1, ways, FIFO)
 	for i := 0; i < ways; i++ {
-		ts.Insert(blockAddr(i), 0, int64(i), false, mem.WORM)
+		ts.Insert(blockAddr(i), 0, false, mem.WORM)
 	}
 	for _, c := range []struct {
 		name string
@@ -287,10 +292,10 @@ func BenchmarkTagStoreInsertFullFIFO(b *testing.B) {
 	const ways = 512
 	ts := NewTagStore(1, ways, FIFO)
 	for i := 0; i < ways; i++ {
-		ts.Insert(blockAddr(i), 0, int64(i), false, mem.WORM)
+		ts.Insert(blockAddr(i), 0, false, mem.WORM)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ts.Insert(blockAddr(ways+i), 0, int64(ways+i), false, mem.WORM)
+		ts.Insert(blockAddr(ways+i), 0, false, mem.WORM)
 	}
 }

@@ -28,8 +28,8 @@ func (v *VictimCache) Capacity() int { return v.store.Ways() }
 
 // Insert places an evicted block into the victim cache, returning the block
 // displaced from the victim cache itself (Valid=false if none).
-func (v *VictimCache) Insert(block uint64, pc uint64, now int64, dirty bool) Line {
-	evicted, line := v.store.Insert(block, pc, now, false, mem.WORO)
+func (v *VictimCache) Insert(block uint64, pc uint64, dirty bool) Line {
+	evicted, line := v.store.Insert(block, pc, false, mem.WORO)
 	line.Dirty = dirty
 	return evicted
 }

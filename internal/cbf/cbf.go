@@ -8,6 +8,7 @@ package cbf
 import (
 	"fmt"
 
+	"fuse/internal/mem"
 	"fuse/internal/stats"
 )
 
@@ -45,9 +46,10 @@ type CountingBloomFilter struct {
 	counterMax uint8
 
 	// Accuracy bookkeeping (used for the Figure 20 analysis): the filter
-	// optionally tracks the true membership multiset to label test results
-	// as true/false positives/negatives.
-	truth map[uint64]int
+	// tracks the true membership multiset to label test results as
+	// true/false positives/negatives. Its population depends on the data,
+	// so the table starts at truthInitial elements and grows.
+	truth mem.BlockTable[int]
 
 	tests stats.Counter
 	//fuselint:internalstat only the false-positive and test counts reach FalsePositiveRate; raw positives stay a filter-local diagnostic
@@ -79,9 +81,13 @@ func New(slots, hashes, counterBits int) *CountingBloomFilter {
 		counters:   make([]uint8, slots),
 		hashes:     hashes,
 		counterMax: uint8(1<<counterBits - 1),
-		truth:      make(map[uint64]int),
+		truth:      mem.NewBlockTable[int](truthInitial),
 	}
 }
+
+// truthInitial is the ground-truth table's starting size: the paper's NVM-CBF
+// spreads a 512-block STT-MRAM bank over 128 filters, about 4 blocks each.
+const truthInitial = 8
 
 // Slots returns the number of counters.
 func (f *CountingBloomFilter) Slots() int { return len(f.counters) }
@@ -107,7 +113,11 @@ func (f *CountingBloomFilter) Insert(x uint64) {
 			f.saturations.Inc()
 		}
 	}
-	f.truth[x]++
+	if n := f.truth.Ptr(x); n != nil {
+		*n++
+	} else {
+		f.truth.Put(x, 1)
+	}
 }
 
 // Remove decrements the counters for x ("decrement"). Removing an element
@@ -116,7 +126,8 @@ func (f *CountingBloomFilter) Insert(x uint64) {
 // CBF is evicted from the STT-MRAM bank, so a spurious decrement would
 // corrupt shared counters and create false negatives.
 func (f *CountingBloomFilter) Remove(x uint64) {
-	if f.truth[x] == 0 {
+	n := f.truth.Ptr(x)
+	if n == nil {
 		return
 	}
 	for i := 0; i < f.hashes; i++ {
@@ -124,10 +135,10 @@ func (f *CountingBloomFilter) Remove(x uint64) {
 			f.counters[k]--
 		}
 	}
-	if n := f.truth[x]; n > 1 {
-		f.truth[x] = n - 1
+	if *n > 1 {
+		*n--
 	} else {
-		delete(f.truth, x)
+		f.truth.Delete(x)
 	}
 }
 
@@ -149,7 +160,7 @@ func (f *CountingBloomFilter) RepeatTest(x uint64, n uint64) bool {
 		}
 	}
 	f.positives.Add(n)
-	if f.truth[x] == 0 {
+	if !f.Contains(x) {
 		f.falsePositive.Add(n)
 	}
 	return true
@@ -157,7 +168,10 @@ func (f *CountingBloomFilter) RepeatTest(x uint64, n uint64) bool {
 
 // Contains reports ground-truth membership (for testing and accuracy
 // accounting; real hardware does not have this).
-func (f *CountingBloomFilter) Contains(x uint64) bool { return f.truth[x] > 0 }
+func (f *CountingBloomFilter) Contains(x uint64) bool {
+	_, ok := f.truth.Get(x)
+	return ok
+}
 
 // Tests returns the number of membership tests performed.
 func (f *CountingBloomFilter) Tests() uint64 { return f.tests.Value() }
@@ -183,7 +197,7 @@ func (f *CountingBloomFilter) Reset() {
 	for i := range f.counters {
 		f.counters[i] = 0
 	}
-	f.truth = make(map[uint64]int)
+	f.truth.Clear()
 	f.tests.Reset()
 	f.positives.Reset()
 	f.falsePositive.Reset()

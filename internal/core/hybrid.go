@@ -52,9 +52,6 @@ type HybridL1D struct {
 	// leak the backing array's capacity.
 	outgoing []mem.Request
 	outHead  int
-	// fillBuf is the reusable waiting-request buffer Fill returns; it is
-	// valid until the next Fill call.
-	fillBuf []mem.Request
 	// dropScratch is the reusable keep-list of dropQueuedOp.
 	dropScratch []TagOp
 	stats       Stats
@@ -181,7 +178,7 @@ func (h *HybridL1D) access(req mem.Request, now int64) AccessResult {
 
 	// 1. SRAM tag lookup: always single-cycle, always in parallel with the
 	// STT-MRAM search, so an SRAM hit terminates the STT-MRAM search.
-	if _, hit := h.sram.Touch(block, now, write); hit {
+	if _, hit := h.sram.Touch(block, write); hit {
 		h.stats.Hits++
 		h.stats.SRAMHits++
 		done := h.sramBank.Access(now, write)
@@ -267,7 +264,7 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 		if !h.nonBlocking() && h.sttBank.Busy(now) {
 			return h.sttBusyStall(now, block, write)
 		}
-		h.stt.Touch(block, now, false)
+		h.stt.Touch(block, false)
 		h.stats.Hits++
 		h.stats.STTHits++
 		done := h.sttBank.Access(now, false)
@@ -311,7 +308,7 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 	if h.sttBank.Busy(now) {
 		return h.sttBusyStall(now, block, write)
 	}
-	h.stt.Touch(block, now, true)
+	h.stt.Touch(block, true)
 	h.stats.Hits++
 	h.stats.STTHits++
 	done := h.sttBank.Access(now, true)
@@ -447,15 +444,13 @@ func (h *HybridL1D) miss(req mem.Request, block uint64, now int64, write, presen
 
 // Fill implements L1D: the MSHR's destination bits steer the returning block
 // into the SRAM bank, the STT-MRAM bank (via the tag queue when present) or
-// straight to the core (bypass). The returned slice is owned by the cache and
-// valid until the next Fill call.
-func (h *HybridL1D) Fill(block uint64, now int64) []mem.Request {
+// straight to the core (bypass).
+func (h *HybridL1D) Fill(block uint64, now int64) int {
 	entry, ok := h.mshr.Release(block)
 	if !ok {
-		return nil
+		return 0
 	}
-	h.fillBuf = append(h.fillBuf[:0], entry.Primary)
-	h.fillBuf = append(h.fillBuf, entry.Merged...)
+	served := 1 + len(entry.Merged)
 	write := entry.Primary.Kind == mem.Write
 	pc := entry.Primary.PC
 	dest, level := entry.Dest, entry.Level
@@ -469,7 +464,7 @@ func (h *HybridL1D) Fill(block uint64, now int64) []mem.Request {
 	case cache.DestSTTMRAM:
 		h.fillSTT(block, pc, now, write, level)
 	}
-	return h.fillBuf
+	return served
 }
 
 // insertSRAM allocates a block in the SRAM bank and handles the resulting
@@ -477,7 +472,7 @@ func (h *HybridL1D) Fill(block uint64, now int64) []mem.Request {
 // victims migrate to the STT-MRAM bank (through the swap buffer when
 // available, blocking the cache otherwise).
 func (h *HybridL1D) insertSRAM(block, pc uint64, now int64, write bool, level mem.ReadLevel, dirty bool) {
-	evicted, line := h.sram.Insert(block, pc, now, write, level)
+	evicted, line := h.sram.Insert(block, pc, write, level)
 	if dirty {
 		line.Dirty = true
 	}
@@ -548,7 +543,7 @@ func (h *HybridL1D) fillSTT(block, pc uint64, now int64, write bool, level mem.R
 // writeSTT performs the actual STT-MRAM array write for a fill or migration,
 // handling the eviction of the victim line.
 func (h *HybridL1D) writeSTT(block, pc uint64, now int64, dirty bool, level mem.ReadLevel) int64 {
-	evicted, line := h.stt.Insert(block, pc, now, false, level)
+	evicted, line := h.stt.Insert(block, pc, false, level)
 	line.Dirty = dirty
 	done := h.sttBank.Access(now, true)
 	h.stats.STTWrites++

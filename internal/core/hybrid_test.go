@@ -638,7 +638,7 @@ func TestHybridResetClearsEverything(t *testing.T) {
 
 func TestHybridFillUnknownBlockIsNoop(t *testing.T) {
 	h := newHybridKind(config.BaseFUSE)
-	if woken := h.Fill(0xdead00, 3); len(woken) != 0 {
+	if woken := h.Fill(0xdead00, 3); woken != 0 {
 		t.Errorf("fill without an MSHR entry should wake nobody")
 	}
 }

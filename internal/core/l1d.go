@@ -158,9 +158,9 @@ type L1D interface {
 	// Access presents one (coalesced) memory request at cycle `now`.
 	Access(req mem.Request, now int64) AccessResult
 	// Fill delivers the data for a previously missed block at cycle `now`
-	// and returns the requests (primary and merged) that were waiting on
-	// it so the simulator can wake the corresponding warps.
-	Fill(block uint64, now int64) []mem.Request
+	// and returns the number of requests (primary and merged) it served, 0
+	// when no miss on the block was outstanding.
+	Fill(block uint64, now int64) int
 	// PopOutgoing returns the next request that must be sent toward the L2
 	// (a miss or a write-back), if any.
 	PopOutgoing() (mem.Request, bool)

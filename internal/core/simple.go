@@ -26,8 +26,6 @@ type SimpleL1D struct {
 	// outgoing is a head-indexed FIFO (see HybridL1D.outgoing).
 	outgoing []mem.Request
 	outHead  int
-	// fillBuf is the reusable waiting-request buffer Fill returns.
-	fillBuf []mem.Request
 	// stallHold is the StallHold of the latest rejected access, and
 	// stallReason what rejected it (what RepeatStall charges).
 	stallHold   int64
@@ -112,7 +110,7 @@ func (s *SimpleL1D) Access(req mem.Request, now int64) AccessResult {
 		s.stats.Reads++
 	}
 
-	if _, hit := s.store.Touch(block, now, write); hit {
+	if _, hit := s.store.Touch(block, write); hit {
 		s.stats.Hits++
 		if s.isSTT() {
 			s.stats.STTHits++
@@ -169,23 +167,21 @@ func (s *SimpleL1D) Access(req mem.Request, now int64) AccessResult {
 	return AccessResult{Outcome: OutcomeMissMerged, Bank: dest}
 }
 
-// Fill implements L1D. The returned slice is owned by the cache and valid
-// until the next Fill call.
-func (s *SimpleL1D) Fill(block uint64, now int64) []mem.Request {
+// Fill implements L1D.
+func (s *SimpleL1D) Fill(block uint64, now int64) int {
 	entry, ok := s.mshr.Release(block)
 	if !ok {
-		return nil
+		return 0
 	}
-	s.fillBuf = append(s.fillBuf[:0], entry.Primary)
-	s.fillBuf = append(s.fillBuf, entry.Merged...)
+	served := 1 + len(entry.Merged)
 	write := entry.Primary.Kind == mem.Write
 	pc := entry.Primary.PC
 	dest, level := entry.Dest, entry.Level
 	s.mshr.Recycle(entry)
 	if dest == cache.DestBypass {
-		return s.fillBuf
+		return served
 	}
-	evicted, _ := s.store.Insert(block, pc, now, write, level)
+	evicted, _ := s.store.Insert(block, pc, write, level)
 	s.bank.Access(now, true) // the fill itself is a bank write
 	s.recordBankAccess(true)
 	if evicted.Valid {
@@ -194,7 +190,7 @@ func (s *SimpleL1D) Fill(block uint64, now int64) []mem.Request {
 			s.writeback(evicted, now)
 		}
 	}
-	return s.fillBuf
+	return served
 }
 
 // writeback queues a dirty eviction toward the L2.

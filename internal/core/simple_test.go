@@ -53,7 +53,7 @@ func TestSimpleL1DMissThenHit(t *testing.T) {
 		if !ok {
 			break
 		}
-		woken += len(l1d.Fill(req.BlockAddr(), 100))
+		woken += l1d.Fill(req.BlockAddr(), 100)
 	}
 	if woken != 2 {
 		t.Errorf("fill should wake both requests, woke %d", woken)
@@ -201,7 +201,7 @@ func TestSimpleL1DMSHRStall(t *testing.T) {
 
 func TestSimpleL1DFillUnknownBlock(t *testing.T) {
 	l1d := NewKind(config.L1SRAM)
-	if woken := l1d.Fill(0x12345680, 5); len(woken) != 0 {
+	if woken := l1d.Fill(0x12345680, 5); woken != 0 {
 		t.Errorf("fill of unknown block should wake nobody")
 	}
 }

@@ -58,11 +58,11 @@ func (c *scriptL1D) Access(req mem.Request, now int64) core.AccessResult {
 	}
 	return c.res
 }
-func (c *scriptL1D) Fill(block uint64, now int64) []mem.Request { return nil }
-func (c *scriptL1D) PopOutgoing() (mem.Request, bool)           { return mem.Request{}, false }
-func (c *scriptL1D) Tick(now int64)                             {}
-func (c *scriptL1D) StallHold() int64                           { return c.hold }
-func (c *scriptL1D) NextInternalEventAt(now int64) int64        { return c.nextInt }
+func (c *scriptL1D) Fill(block uint64, now int64) int    { return 0 }
+func (c *scriptL1D) PopOutgoing() (mem.Request, bool)    { return mem.Request{}, false }
+func (c *scriptL1D) Tick(now int64)                      {}
+func (c *scriptL1D) StallHold() int64                    { return c.hold }
+func (c *scriptL1D) NextInternalEventAt(now int64) int64 { return c.nextInt }
 
 // refWarp is the reference model's view of one warp: the per-warp last-issue
 // time the greedy-then-oldest scan orders by.

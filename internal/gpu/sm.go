@@ -61,7 +61,9 @@ type SM struct {
 	pendingSet []bool
 
 	// waiting maps an outstanding block address to the warps blocked on it.
-	waiting map[uint64][]int
+	// Each entry holds at least one warp and a warp waits on one block at a
+	// time, so its table, sized to the warp count, never grows.
+	waiting mem.BlockTable[[]int]
 	// idFree recycles the waiter-ID slices that DeliverFill releases, so the
 	// steady state of a memory-bound run allocates no per-miss slices.
 	idFree [][]int
@@ -150,7 +152,7 @@ func NewSMIn(id, warps int, instrPerWarp uint64, source trace.Source, l1d core.L
 		ID:         id,
 		source:     source,
 		l1d:        l1d,
-		waiting:    make(map[uint64][]int),
+		waiting:    mem.NewBlockTable[[]int](warps),
 		warps:      st.Warps[:warps],
 		pending:    st.Pending[:warps],
 		pendingSet: st.PendingSet[:warps],
@@ -180,7 +182,7 @@ func (sm *SM) Warps() int { return len(sm.warps) }
 func (sm *SM) Done() bool { return sm.live == 0 }
 
 // OutstandingFills returns the number of distinct blocks the SM is waiting on.
-func (sm *SM) OutstandingFills() int { return len(sm.waiting) }
+func (sm *SM) OutstandingFills() int { return sm.waiting.Len() }
 
 // NextSelfEventAt returns the earliest cycle >= now at which the SM can make
 // progress without external input: a warp that can issue (possibly right
@@ -424,7 +426,7 @@ func (sm *SM) Cycle(now int64) {
 	w := sm.pickWarp(now)
 	if w == nil {
 		sm.stats.NoReadyWarpCycles++
-		if len(sm.waiting) > 0 {
+		if sm.waiting.Len() > 0 {
 			sm.stats.MemWaitCycles++
 		}
 		return
@@ -468,12 +470,16 @@ func (sm *SM) Cycle(now int64) {
 		block := req.BlockAddr()
 		if live {
 			sm.blockOnData(w, block)
-			ids, ok := sm.waiting[block]
-			if !ok && len(sm.idFree) > 0 {
-				ids = sm.idFree[len(sm.idFree)-1]
-				sm.idFree = sm.idFree[:len(sm.idFree)-1]
+			if ids := sm.waiting.Ptr(block); ids != nil {
+				*ids = append(*ids, w.ID)
+			} else {
+				var fresh []int
+				if n := len(sm.idFree); n > 0 {
+					fresh = sm.idFree[n-1]
+					sm.idFree = sm.idFree[:n-1]
+				}
+				sm.waiting.Put(block, append(fresh, w.ID))
 			}
-			sm.waiting[block] = append(ids, w.ID)
 		}
 	}
 }
@@ -501,7 +507,7 @@ func (sm *SM) request(warp int, ins trace.Instruction, now int64) mem.Request {
 // also counts toward the off-chip wait time.
 func (sm *SM) chargeStall() {
 	sm.stats.L1DStallCycles++
-	if len(sm.waiting) > 0 {
+	if sm.waiting.Len() > 0 {
 		sm.stats.MemWaitCycles++
 	}
 }
@@ -541,7 +547,7 @@ func (sm *SM) ReplayStalls(from, to int64) {
 		sm.stats.Cycles += n
 		sm.nextReqID += n
 		sm.stats.L1DStallCycles += n
-		if len(sm.waiting) > 0 {
+		if sm.waiting.Len() > 0 {
 			sm.stats.MemWaitCycles += n
 		}
 		sm.l1d.RepeatStall(n)
@@ -560,12 +566,11 @@ func (sm *SM) replayFailed(what string, cycle, hold int64) {
 func (sm *SM) PopOutgoing() (mem.Request, bool) { return sm.l1d.PopOutgoing() }
 
 // DeliverFill hands a returning block to the L1D and wakes every warp that
-// was blocked on it.
+// was blocked on it, returning how many it woke.
 func (sm *SM) DeliverFill(block uint64, now int64) int {
 	sm.hold = 0
-	woken := sm.l1d.Fill(block, now)
-	ids, ok := sm.waiting[block]
-	delete(sm.waiting, block)
+	sm.l1d.Fill(block, now)
+	ids, ok := sm.waiting.Delete(block)
 	for _, id := range ids {
 		sm.wakeData(&sm.warps[id])
 	}
@@ -573,10 +578,6 @@ func (sm *SM) DeliverFill(block uint64, now int64) int {
 	if ok {
 		sm.idFree = append(sm.idFree, ids[:0])
 	}
-	// Warps recorded in the MSHR (merged requests) may belong to this SM as
-	// well; the waiting map already covers them, so the returned slice is
-	// only used for its length (diagnostics).
-	_ = woken
 	return n
 }
 
@@ -587,7 +588,7 @@ func (sm *SM) Reset() {
 		sm.pendingSet[i] = false
 	}
 	sm.resetSchedule()
-	sm.waiting = make(map[uint64][]int)
+	sm.waiting.Clear()
 	sm.idFree = nil
 	sm.hold = 0
 	sm.stats = SMStats{}

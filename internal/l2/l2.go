@@ -110,7 +110,10 @@ type fillEntry struct {
 type bank struct {
 	store  *cache.TagStore
 	portAt int64
-	mshr   map[uint64]*fillEntry
+	// mshr maps a block to its outstanding fill. Reads allocate only while
+	// fewer than PendingLimit entries are outstanding, so its table, sized
+	// to that bound, never grows.
+	mshr mem.BlockTable[*fillEntry]
 	// held lists the MSHR entries whose fill the controller rejected, in
 	// allocation order; pump resubmits them from the front.
 	held []*fillEntry
@@ -129,7 +132,7 @@ type bank struct {
 	// allocation (a block NACKed for a full file may now merge); and Reset.
 	// Merges need no bump: merge lists only grow until their release. A
 	// NACK is stamped with its block's set version; while that holds, a
-	// retry is NACKed again (see Renack). Versions start at 1, so the zero
+	// retry is NACKed again (see NackHolds). Versions start at 1, so the zero
 	// version matches no set.
 	setVer []uint64
 }
@@ -184,7 +187,7 @@ func New(cfg Config, d *dram.DRAM) *L2 {
 	for i := range l.banks {
 		l.banks[i] = &bank{
 			store:  cache.NewTagStore(sets, cfg.Ways, cache.LRU),
-			mshr:   make(map[uint64]*fillEntry),
+			mshr:   mem.NewBlockTable[*fillEntry](cfg.PendingLimit),
 			setVer: make([]uint64, sets),
 		}
 		for s := range l.banks[i].setVer {
@@ -264,8 +267,11 @@ type Result struct {
 	// Version is, for OutcomeBlocked, the version of the NACKed block's set
 	// at the NACK, shifted left by one, with the low bit set when the NACK
 	// was for a full MSHR file rather than a full merge list: a retry that
-	// finds the set still at it is blocked again (see Renack).
+	// finds the set still at it is blocked again (see NackHolds).
 	Version uint64
+	// Set is, for OutcomeBlocked, the NACKed block's set in its bank's tag
+	// store, the set whose version Version records.
+	Set int
 }
 
 // Fill reports one completed DRAM fill: the block became visible in the tag
@@ -300,16 +306,17 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 	var hit bool
 	var inFlight *fillEntry
 	if !write {
-		if _, hit = b.store.Touch(block, now, false); !hit {
-			inFlight = b.mshr[block]
-			fileFull := inFlight == nil && len(b.mshr) >= l.cfg.PendingLimit
+		if _, hit = b.store.Touch(block, false); !hit {
+			inFlight, _ = b.mshr.Get(block)
+			fileFull := inFlight == nil && b.mshr.Len() >= l.cfg.PendingLimit
 			if fileFull || inFlight != nil && len(inFlight.waiters) >= l.cfg.MergeWidth {
 				l.mshrStalls.Inc()
-				v := b.setVer[b.store.SetIndex(block)] << 1
+				set := b.store.SetIndex(block)
+				v := b.setVer[set] << 1
 				if fileFull {
 					v |= 1
 				}
-				return Result{Outcome: OutcomeBlocked, RetryAt: l.retryAt(now), Version: v}
+				return Result{Outcome: OutcomeBlocked, RetryAt: l.RetryAt(now), Version: v, Set: set}
 			}
 		}
 	}
@@ -327,8 +334,8 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 	l.accesses.Inc()
 	if write {
 		l.writes.Inc()
-		if _, hit = b.store.Touch(block, now, true); !hit {
-			inFlight = b.mshr[block]
+		if _, hit = b.store.Touch(block, true); !hit {
+			inFlight, _ = b.mshr.Get(block)
 		}
 	}
 
@@ -372,7 +379,7 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 	e.pc = req.PC
 	e.readyAt = ready // the fill leaves for DRAM once the tag lookup completes
 	e.waiters = append(e.waiters, Waiter{Req: req, Arrive: now, Ready: ready})
-	b.mshr[block] = e
+	b.mshr.Put(block, e)
 	b.setVer[b.store.SetIndex(block)]++ // a read NACKed for a full file may now merge
 	if _, ok := l.dram.Submit(block, false, ready); !ok {
 		b.held = append(b.held, e)
@@ -381,32 +388,36 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 	return Result{Outcome: OutcomeMiss}
 }
 
-// Renack re-presents at cycle now a read of the given block that the bank
-// NACKed with version v (see Result.Version). While the block's set is still
-// at the version, the block is still absent from the tag store and its MSHR
-// entry has been neither allocated nor released; merge lists only grow. So a
-// read NACKed for a full merge list is NACKed again, and so is one NACKed
-// for a full MSHR file while the file is still full: it is counted and given
-// a fresh retry time exactly as Access would, without Access's tag-store and
-// MSHR lookups. ok is false when the NACK may no longer hold; the caller
-// must then present the read through Access.
+// NackHolds reports whether a read that bank NACKed with version v in the
+// given set (see Result.Version and Result.Set) would be NACKed again if
+// presented now. While the set is still at the version, the block is still
+// absent from the tag store and its MSHR entry has been neither allocated
+// nor released; merge lists only grow. So a read NACKed for a full merge list
+// is NACKed again, and so is one NACKed for a full MSHR file while the file
+// is still full, with the same version and set. The caller charges such a
+// read with Renack and RetryAt instead of presenting it through Access,
+// whose tag-store and MSHR lookups it skips; when NackHolds is false the
+// read must go through Access.
 //
 //fuselint:noalloc
-func (l *L2) Renack(bank int, block, v uint64, now int64) (res Result, ok bool) {
+func (l *L2) NackHolds(bank, set int, v uint64) bool {
 	b := l.banks[bank]
-	if b.setVer[b.store.SetIndex(block)] != v>>1 || v&1 == 1 && len(b.mshr) < l.cfg.PendingLimit {
-		return Result{}, false
-	}
-	l.mshrStalls.Inc()
-	return Result{Outcome: OutcomeBlocked, RetryAt: l.retryAt(now), Version: v}, true
+	return b.setVer[set] == v>>1 && (v&1 == 0 || b.mshr.Len() >= l.cfg.PendingLimit)
 }
 
-// retryAt picks the retry time of a NACKed request: just after the memory
-// controller's next event (the earliest moment a fill can retire and free
-// the MSHR slot the request is waiting for), or one bank latency out when
-// the controller reports nothing sooner. Always strictly later than now, so
-// retries cannot live-lock the event loop.
-func (l *L2) retryAt(now int64) int64 {
+// Renack counts n reads NACKed again without a second look at the bank (see
+// NackHolds), exactly as n rejected Accesses would.
+//
+//fuselint:noalloc
+func (l *L2) Renack(n uint64) { l.mshrStalls.Add(n) }
+
+// RetryAt picks the retry time of a request NACKed at cycle now: just after
+// the memory controller's next event (the earliest moment a fill can retire
+// and free the MSHR slot the request is waiting for), or one bank latency out
+// when the controller reports nothing sooner. Always strictly later than now,
+// so retries cannot live-lock the event loop. It changes only when the
+// controller does: through an Access that submits work, or an Advance.
+func (l *L2) RetryAt(now int64) int64 {
 	if next := l.dram.NextEventAt(); next > now {
 		return next + 1
 	}
@@ -418,7 +429,7 @@ func (l *L2) retryAt(now int64) int64 {
 // is full). It moves the set's version: a read NACKed before may now hit.
 func (l *L2) insert(bankIdx int, block, pc uint64, at int64, dirty bool) {
 	b := l.banks[bankIdx]
-	evicted, line := b.store.Insert(block, pc, at, dirty, mem.WORM)
+	evicted, line := b.store.Insert(block, pc, dirty, mem.WORM)
 	line.Dirty = dirty
 	b.setVer[b.store.SetIndex(block)]++
 	if evicted.Valid && evicted.Dirty {
@@ -495,11 +506,10 @@ func (l *L2) Advance(now int64) []Fill {
 			}
 			bankIdx := l.BankFor(c.Addr)
 			b := l.banks[bankIdx]
-			e := b.mshr[c.Addr]
-			if e == nil {
+			e, ok := b.mshr.Delete(c.Addr) // the insert below moves the set's version
+			if !ok {
 				continue // a fill raced a Reset; nothing to deliver
 			}
-			delete(b.mshr, c.Addr) // the insert below moves the set's version
 			l.insert(bankIdx, c.Addr, e.pc, c.Done, e.dirty)
 			l.fillsDone.Inc()
 			fills = append(fills, Fill{Bank: bankIdx, Block: c.Addr, Done: c.Done, Waiters: e.waiters})
@@ -549,7 +559,7 @@ func (l *L2) FillsCompleted() uint64 { return l.fillsDone.Value() }
 func (l *L2) PendingFills() int {
 	n := 0
 	for _, b := range l.banks {
-		n += len(b.mshr)
+		n += b.mshr.Len()
 	}
 	return n
 }
@@ -562,7 +572,7 @@ func (l *L2) Reset() {
 	for _, b := range l.banks {
 		b.store.Reset()
 		b.portAt = 0
-		b.mshr = make(map[uint64]*fillEntry)
+		b.mshr.Clear()
 		b.held = nil
 		b.wbq = nil
 		for s := range b.setVer {

@@ -11,10 +11,11 @@ import (
 
 // TestRenackMatchesAccess drives two identical L2s with the same seeded mix
 // of reads, writes, controller advances, resets and retries of NACKed reads.
-// One L2 retries through Renack, its twin through Access; whenever Renack
-// says a read is still blocked, the twin's real Access must have NACKed it
-// too, at the same retry cycle and with the same counter changes — the twins
-// must stay identical in every field. A small, narrow L2 in front of a
+// One L2 retries through NackHolds, Renack and RetryAt, its twin through
+// Access; whenever NackHolds says a read is still blocked, the twin's real
+// Access must have NACKed it too, at the same retry cycle, with the same
+// version and set and the same counter changes — the twins must stay
+// identical in every field. A small, narrow L2 in front of a
 // one-channel DRAM keeps the MSHR files and merge lists full, the tag stores
 // churning and dirty victims flowing, and retries re-NACKed by version must
 // include both full-file and full-merge-list NACKs.
@@ -28,14 +29,14 @@ func TestRenackMatchesAccess(t *testing.T) {
 	}
 }
 
-// nacked is a read an L2 NACKed, with the version the NACK carried.
+// nacked is a read an L2 NACKed, with the NACK's result.
 type nacked struct {
 	req mem.Request
-	ver uint64
+	res Result
 }
 
 // runRenackTwins runs the twin-L2 differential for the given number of
-// steps and returns how many retries Renack NACKed, by the kind of NACK
+// steps and returns how many retries NackHolds NACKed, by the kind of NACK
 // (index 1 for a full MSHR file), and how many it sent back through Access.
 func runRenackTwins(t *testing.T, seed uint64, steps int) (renacked [2]int, fresh int) {
 	t.Helper()
@@ -57,7 +58,7 @@ func runRenackTwins(t *testing.T, seed uint64, steps int) (renacked [2]int, fres
 			t.Fatalf("seed %d cycle %d: twins answered %+v and %+v to the same access", seed, now, ra, rb)
 		}
 		if ra.Outcome == OutcomeBlocked {
-			pending = append(pending, nacked{req: req, ver: ra.Version})
+			pending = append(pending, nacked{req: req, res: ra})
 		}
 	}
 	for step := 0; step < steps; step++ {
@@ -80,19 +81,19 @@ func runRenackTwins(t *testing.T, seed uint64, steps int) (renacked [2]int, fres
 			k := rng.IntN(len(pending))
 			n := pending[k]
 			pending = append(pending[:k], pending[k+1:]...)
-			ra, ok := a.Renack(a.BankFor(n.req.Addr), n.req.BlockAddr(), n.ver, now)
-			if !ok {
+			if !a.NackHolds(a.BankFor(n.req.Addr), n.res.Set, n.res.Version) {
 				fresh++
 				present(n.req)
 				break
 			}
-			renacked[n.ver&1]++
-			rb := b.Access(n.req, now)
-			if rb.Outcome != OutcomeBlocked || rb.RetryAt != ra.RetryAt {
-				t.Fatalf("seed %d cycle %d: NACK version %d still holds, but Access answered %+v to the retry (Renack: %+v)",
-					seed, now, n.ver, rb, ra)
+			renacked[n.res.Version&1]++
+			a.Renack(1)
+			ra := Result{Outcome: OutcomeBlocked, RetryAt: a.RetryAt(now), Version: n.res.Version, Set: n.res.Set}
+			if rb := b.Access(n.req, now); rb != ra {
+				t.Fatalf("seed %d cycle %d: NACK version %d still holds, but Access answered %+v to the retry (want %+v)",
+					seed, now, n.res.Version, rb, ra)
 			}
-			pending = append(pending, nacked{req: n.req, ver: ra.Version})
+			pending = append(pending, n)
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("seed %d cycle %d: Renack and Access left the twins in different states (stalls %d/%d)",
 					seed, now, a.MSHRStalls(), b.MSHRStalls())

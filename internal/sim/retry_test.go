@@ -32,6 +32,10 @@ func readReq(block, id uint64) mem.Request {
 	return mem.Request{Addr: block, Kind: mem.Read, Size: mem.BlockSize, ID: id}
 }
 
+// nackAt is a NACK retrying at cycle at whose version matches no set, so the
+// retry is presented to the bank again.
+func nackAt(at int64) l2.Result { return l2.Result{Outcome: l2.OutcomeBlocked, RetryAt: at} }
+
 // batchIDs pops the next heap event, which must be a retry batch due at the
 // given cycle, and returns its members' request IDs in replay order.
 func batchIDs(t *testing.T, s *Simulator, at int64) []uint64 {
@@ -53,13 +57,13 @@ func batchIDs(t *testing.T, s *Simulator, at int64) []uint64 {
 // events, the requests would have held consecutive sequence numbers.
 func TestRetryBatchJoinRule(t *testing.T) {
 	s := newMemSideSim(t)
-	s.retryAt(100, 0, 0, readReq(0x1000, 1), 0)
-	s.retryAt(100, 0, 0, readReq(0x2000, 2), 0) // joins
-	s.retryAt(100, 0, 0, readReq(0x3000, 3), 0) // joins
-	s.eventSeq++                                // e.g. a response scheduled or a tick armed
-	s.retryAt(100, 0, 0, readReq(0x4000, 4), 0) // a new batch: the sequence moved
-	s.retryAt(101, 0, 0, readReq(0x5000, 5), 0) // a new batch: another cycle
-	s.retryAt(100, 0, 0, readReq(0x6000, 6), 0) // a new batch: the open one retries at 101
+	s.queueRetry(0, 0, readReq(0x1000, 1), nackAt(100))
+	s.queueRetry(0, 0, readReq(0x2000, 2), nackAt(100)) // joins
+	s.queueRetry(0, 0, readReq(0x3000, 3), nackAt(100)) // joins
+	s.eventSeq++                                        // e.g. a response scheduled or a tick armed
+	s.queueRetry(0, 0, readReq(0x4000, 4), nackAt(100)) // a new batch: the sequence moved
+	s.queueRetry(0, 0, readReq(0x5000, 5), nackAt(101)) // a new batch: another cycle
+	s.queueRetry(0, 0, readReq(0x6000, 6), nackAt(100)) // a new batch: the open one retries at 101
 
 	if n := s.events.len(); n != 4 {
 		t.Fatalf("%d heap events for four batches", n)
@@ -119,8 +123,8 @@ func TestRetryBatchYieldsToInheritedTick(t *testing.T) {
 	s.now = fillAt
 	s.eventSeq = 10
 	s.staleTicks = append(s.staleTicks, staleTick{at: fillAt, seq: 1})
-	s.retryAt(fillAt, 0, s.l2.BankFor(c), readReq(c, 2), 0)
-	s.retryAt(fillAt, 0, s.l2.BankFor(b), readReq(b, 3), 0)
+	s.queueRetry(0, s.l2.BankFor(c), readReq(c, 2), nackAt(fillAt))
+	s.queueRetry(0, s.l2.BankFor(b), readReq(b, 3), nackAt(fillAt))
 	if s.events.len() != 1 {
 		t.Fatalf("the two retries should share one batch, heap holds %d events", s.events.len())
 	}
@@ -139,8 +143,19 @@ func TestRetryBatchYieldsToInheritedTick(t *testing.T) {
 
 // BenchmarkRetryBatch measures one retry batch of 64 reads NACKed by a bank
 // whose MSHR file is full and stays unchanged, so every member is NACKed
-// again and relinked into the next batch.
+// again and relinked into the next batch. In "renacked" every member's NACK
+// still holds by version, the run the batch charges at once; in "presented"
+// every member's version is stale, so each goes through L2.Access again.
 func BenchmarkRetryBatch(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		stale bool
+	}{{"renacked", false}, {"presented", true}} {
+		b.Run(c.name, func(b *testing.B) { benchRetryBatch(b, c.stale) })
+	}
+}
+
+func benchRetryBatch(b *testing.B, stale bool) {
 	const members = 64
 	s := newMemSideSim(b)
 	stride := uint64(s.l2.Banks()) * mem.BlockSize
@@ -160,10 +175,18 @@ func BenchmarkRetryBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := popEvent(s)
+		if stale {
+			for m := e.batch; m >= 0; m = s.retries.members[m].next {
+				s.retries.members[m].ver = 0 // matches no set
+			}
+		}
 		s.retryBatch(e.at, e.seq, e.batch)
 	}
 	b.StopTimer()
 	if got := s.l2.MSHRStalls(); got != uint64(members*(b.N+1)) {
 		b.Fatalf("%d NACKs, want %d", got, members*(b.N+1))
+	}
+	if got := s.l2.Accesses(); got != uint64(s.l2.Config().PendingLimit) {
+		b.Fatalf("%d bank accesses: a NACK took the port", got)
 	}
 }

@@ -352,13 +352,14 @@ func forEachSM(set []uint64, fn func(i int)) {
 
 // retryMember is one NACKed request waiting in a retry batch: the
 // arguments of the evReqAtL2 event it would otherwise have been and the
-// version its latest NACK carried (see l2.L2.Renack), linked to the next
-// member of its batch (-1 ends the batch).
+// version and set its latest NACK carried (see l2.L2.NackHolds), linked to
+// the next member of its batch (-1 ends the batch).
 type retryMember struct {
 	req  mem.Request
 	sm   int
 	bank int
 	ver  uint64
+	set  int32
 	next int32
 }
 
@@ -382,7 +383,7 @@ func (r *retrySlab) reset() {
 }
 
 // add stores a member and returns its slot.
-func (r *retrySlab) add(req mem.Request, sm, bank int, ver uint64) int32 {
+func (r *retrySlab) add(req mem.Request, sm, bank int, nack l2.Result) int32 {
 	i := r.freeHead
 	if i >= 0 {
 		r.freeHead = r.members[i].next
@@ -391,7 +392,7 @@ func (r *retrySlab) add(req mem.Request, sm, bank int, ver uint64) int32 {
 		r.members = append(r.members, retryMember{})
 	}
 	m := &r.members[i]
-	m.req, m.sm, m.bank, m.ver, m.next = req, sm, bank, ver, -1
+	m.req, m.sm, m.bank, m.ver, m.set, m.next = req, sm, bank, nack.Version, int32(nack.Set), -1
 	return i
 }
 
@@ -695,7 +696,7 @@ func (s *Simulator) handleEvent(slot int32) {
 // reqAtL2 presents a request to its L2 bank at cycle at.
 func (s *Simulator) reqAtL2(at int64, sm, bank int, req *mem.Request) {
 	if res := s.present(at, sm, bank, req); res.Outcome == l2.OutcomeBlocked {
-		s.retryAt(res.RetryAt, sm, bank, *req, res.Version)
+		s.queueRetry(sm, bank, *req, res)
 	}
 	s.armMemTick(at)
 }
@@ -727,12 +728,12 @@ func (s *Simulator) chargeNack(at, retry int64) {
 	s.nocCycles -= retry - at
 }
 
-// retryAt queues a NACKed request, whose NACK carried version ver, for
-// another attempt at cycle at.
+// queueRetry queues a request for another attempt at the retry time of its
+// NACK.
 //
 //fuselint:noalloc
-func (s *Simulator) retryAt(at int64, sm, bank int, req mem.Request, ver uint64) {
-	s.requeue(at, s.retries.add(req, sm, bank, ver))
+func (s *Simulator) queueRetry(sm, bank int, req mem.Request, nack l2.Result) {
+	s.requeue(nack.RetryAt, s.retries.add(req, sm, bank, nack))
 }
 
 // requeue links the member in slot m into a retry batch at cycle at.
@@ -758,13 +759,20 @@ func (s *Simulator) requeue(at int64, m int32) {
 // retryBatch replays the members of a retry batch, popped at (at, seq), in
 // order through the request path. A member whose NACK still holds — its
 // block's set has not changed since, and a full MSHR file is still full — is
-// NACKed again without a second look at the bank (l2.L2.Renack);
-// the rest are presented as new arrivals. A member NACKed again keeps its
-// slot and is relinked into the batch of its next retry. A member's handling
-// can re-arm the controller tick at this cycle under an inherited sequence
-// number below the batch's (see armMemTick); the tick then fires before the
-// remaining members, which go back on the heap under the batch's own
-// (at, seq).
+// NACKed again without a second look at the bank (l2.L2.NackHolds); the rest
+// are presented as new arrivals. A member NACKed again keeps its slot and is
+// relinked into the batch of its next retry.
+//
+// A member NACKed again changes nothing on the memory side, so it needs no
+// controller re-arm, and every member of a run of them retries at the same
+// cycle: the controller's next event moves only when a member goes through
+// L2.Access. The run shares one retry time and is charged at once when it
+// ends.
+//
+// A presented member's handling can re-arm the controller tick at this
+// cycle under an inherited sequence number below the batch's (see
+// armMemTick); the tick then fires before the remaining members, which go
+// back on the heap under the batch's own (at, seq).
 //
 //fuselint:noalloc
 func (s *Simulator) retryBatch(at int64, seq uint64, first int32) {
@@ -772,17 +780,24 @@ func (s *Simulator) retryBatch(at int64, seq uint64, first int32) {
 	if r.openTail >= 0 && r.openSeq == seq {
 		r.openTail = -1 // popped: nothing may join it any more
 	}
+	var run uint64    // members NACKed again since the last presented one
+	retry := int64(0) // their retry time, valid while run > 0
 	for i := first; i >= 0; {
 		m := &r.members[i]
 		next := m.next
-		res, renacked := s.l2.Renack(m.bank, m.req.BlockAddr(), m.ver, at)
-		if renacked {
-			s.chargeNack(at, res.RetryAt)
-		} else {
-			res = s.present(at, m.sm, m.bank, &m.req)
+		if s.l2.NackHolds(m.bank, int(m.set), m.ver) {
+			if run == 0 {
+				retry = s.l2.RetryAt(at)
+			}
+			run++
+			s.requeue(retry, i)
+			i = next
+			continue
 		}
-		if res.Outcome == l2.OutcomeBlocked {
-			m.ver = res.Version
+		s.chargeRenacks(at, retry, run)
+		run = 0
+		if res := s.present(at, m.sm, m.bank, &m.req); res.Outcome == l2.OutcomeBlocked {
+			m.ver, m.set = res.Version, int32(res.Set)
 			s.requeue(res.RetryAt, i)
 		} else {
 			r.free(i)
@@ -794,6 +809,22 @@ func (s *Simulator) retryBatch(at int64, seq uint64, first int32) {
 			return
 		}
 	}
+	s.chargeRenacks(at, retry, run)
+}
+
+// chargeRenacks charges n requests NACKed again at cycle at without a look
+// at the bank, all retrying at retry: the bank counts their NACKs and each
+// one's wait is charged as chargeNack would.
+//
+//fuselint:noalloc
+func (s *Simulator) chargeRenacks(at, retry int64, n uint64) {
+	if n == 0 {
+		return
+	}
+	s.l2.Renack(n)
+	wait := int64(n) * (retry - at)
+	s.memCycles += wait
+	s.nocCycles -= wait
 }
 
 // catchUp charges SM i for the cycles between its last charged cycle and the
