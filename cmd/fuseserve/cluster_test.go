@@ -22,7 +22,7 @@ import (
 func newClusterServer(t *testing.T, n int) (*httptest.Server, *cluster.Coordinator) {
 	t.Helper()
 	cache := store.NewTiered(store.NewMemory())
-	coord := cluster.New(cluster.Config{Cache: cache, LocalExec: engine.Execute})
+	coord := cluster.New(cluster.Config{LocalExec: engine.Execute})
 	t.Cleanup(coord.Close)
 	runner := engine.New(engine.Config{Cache: cache, Retries: 1, Exec: coord.Execute})
 	ts := httptest.NewServer(newServer(serverConfig{
@@ -107,8 +107,8 @@ func TestCoordinatorModeBatchFallsBackLocally(t *testing.T) {
 }
 
 // TestHealthzClusterFields: /healthz carries the fleet snapshot in
-// coordinator mode — workers registered, in-flight jobs, re-dispatch and
-// remote-store counters — and omits it otherwise.
+// coordinator mode — workers registered, in-flight jobs and re-dispatch
+// counters — and omits it otherwise.
 func TestHealthzClusterFields(t *testing.T) {
 	ts, _ := newClusterServer(t, 2)
 
@@ -144,7 +144,7 @@ func TestHealthzClusterFields(t *testing.T) {
 	}
 	defer hr2.Body.Close()
 	raw, _ := io.ReadAll(hr2.Body)
-	for _, field := range []string{"workers", "inFlight", "redispatched", "remoteStoreHits", "remoteStoreMisses"} {
+	for _, field := range []string{"workers", "inFlight", "redispatched"} {
 		if !strings.Contains(string(raw), field) {
 			t.Errorf("healthz JSON missing cluster field %q:\n%s", field, raw)
 		}

@@ -63,7 +63,7 @@ func main() {
 		maxInflight = flag.Int("maxinflight", 64, "max concurrent simulation-bearing requests before 503 + Retry-After (0 = unlimited)")
 		memCap      = flag.Int("memcap", 65536, "memory cache-tier entry bound with LRU eviction (0 = unbounded)")
 		retries     = flag.Int("retries", 1, "per-job retries on transient execution failures (0 = none)")
-		coordMode   = flag.Bool("coordinator", false, "run as a fleet coordinator: shard batch jobs across registered fuseworkers (jobs run locally while none are registered)")
+		coordMode   = flag.Bool("coordinator", false, "run as a fleet coordinator: queue batch jobs for registered fuseworkers to pull (jobs run locally while none are registered)")
 		localN      = flag.Int("localworkers", 0, "coordinator mode: also spawn this many in-process workers over the loopback transport")
 		lease       = flag.Duration("lease", cluster.DefaultLease, "coordinator mode: per-job lease; a job unheartbeated this long is re-dispatched")
 	)
@@ -116,14 +116,14 @@ func main() {
 
 	// In coordinator mode the Runner's executor fans out to the fleet: the
 	// Runner still deduplicates, probes the cache and writes results
-	// through, but the simulation itself runs on whichever worker owns the
-	// job's store key. While no worker is registered the coordinator falls
-	// back to local execution, so a lone coordinator serves exactly like a
+	// through, but the simulation itself runs on whichever worker pulls the
+	// job next. While no worker is registered the coordinator falls back to
+	// local execution, so a lone coordinator serves exactly like a
 	// single-process fuseserve.
 	engCfg := engine.Config{Workers: *parallel, Cache: cache, Retries: *retries}
 	var coord *cluster.Coordinator
 	if *coordMode {
-		coord = cluster.New(cluster.Config{Lease: *lease, Cache: cache, LocalExec: engine.Execute})
+		coord = cluster.New(cluster.Config{Lease: *lease, LocalExec: engine.Execute})
 		engCfg.Exec = coord.Execute
 	}
 	runner := engine.New(engCfg)

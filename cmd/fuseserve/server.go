@@ -95,9 +95,8 @@ func newServer(cfg serverConfig) *server {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	if s.coord != nil {
-		// The cluster protocol (register/pull/heartbeat/result/store) rides
-		// on the same listener as the API, so a fleet needs exactly one
-		// address and the store endpoint shares the server's tiered cache.
+		// The cluster protocol (register/pull/heartbeat/result) rides on the
+		// same listener as the API, so a fleet needs exactly one address.
 		mux.Handle("/cluster/v1/", s.coord.Handler())
 	}
 	s.mux = mux
@@ -159,8 +158,8 @@ type healthResponse struct {
 	// Store is the per-tier health of the result cache, fastest first.
 	Store []store.Health `json:"store,omitempty"`
 	// Cluster is the fleet snapshot in coordinator mode: registered
-	// workers, queued/in-flight jobs, re-dispatch and steal counts, and the
-	// remote-store endpoint's hit/miss traffic.
+	// workers, queued/in-flight jobs, and dispatch, re-dispatch, completion
+	// and local-fallback counts.
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
 }
 

@@ -3,11 +3,11 @@
 // executes them through the same engine/store pipeline a single process
 // uses, and streams results back.
 //
-// Each worker owns a local cache (memory tier, optional disk tier) plus a
-// read-through remote tier pointed back at the coordinator's store endpoint,
-// so any result any node has ever computed is warm fleet-wide. Jobs are
-// sharded to workers by content-addressed store key, which keeps each
-// worker's disk tier hot for its share of the design space across batches.
+// The coordinator's own Runner probes its result store before it queues a
+// job, so a job reaches a worker only when the whole fleet has missed it.
+// Workers pull from one FIFO queue, so a busy worker simply pulls less. Each
+// worker also keeps a local cache (memory tier, optional disk tier) for the
+// jobs it has run.
 //
 // Usage:
 //
@@ -46,7 +46,6 @@ func main() {
 		parallel    = flag.Int("parallel", 0, "number of concurrent simulations, which is also the number of jobs pulled at once (0 = GOMAXPROCS)")
 		retries     = flag.Int("retries", 1, "per-job retries on transient execution failures (0 = none)")
 		memCap      = flag.Int("memcap", 65536, "memory cache-tier entry bound with LRU eviction (0 = unbounded)")
-		noRemote    = flag.Bool("noremotestore", false, "disable the read-through remote store tier (coordinator store endpoint)")
 		workFile    = flag.String("workloads", "", "workload file (JSON) of custom profiles to register at startup; must match the coordinator's")
 	)
 	flag.Parse()
@@ -72,11 +71,7 @@ func main() {
 		log.Printf("fuseworker: registered workloads from %s: %s", *workFile, strings.Join(names, ", "))
 	}
 
-	// Cache tiers, fastest first: memory, disk (optional), then the
-	// coordinator's store endpoint as the shared remote tier. The remote
-	// tier behaves as empty when the coordinator is unreachable (and
-	// reports Degraded), so a network wobble costs recomputation, never
-	// correctness.
+	// Cache tiers, fastest first: memory, then disk (optional).
 	tiers := []store.Cache{store.NewMemoryLRU(*memCap)}
 	if *storeDir != "" {
 		disk, err := store.Open(*storeDir)
@@ -85,9 +80,6 @@ func main() {
 		} else {
 			tiers = append(tiers, disk)
 		}
-	}
-	if !*noRemote {
-		tiers = append(tiers, store.NewRemote(strings.TrimSuffix(*coordinator, "/")+cluster.PathStore, nil))
 	}
 	cache := store.NewTiered(tiers...)
 

@@ -13,7 +13,6 @@ import (
 	"fuse/internal/cluster"
 	"fuse/internal/engine"
 	"fuse/internal/experiments"
-	"fuse/internal/store"
 )
 
 // buildTool compiles this command into a temp binary once per test.
@@ -37,7 +36,7 @@ func TestWorkerBinaryEndToEnd(t *testing.T) {
 	}
 	bin := buildTool(t)
 
-	coord := cluster.New(cluster.Config{Cache: store.NewMemory()})
+	coord := cluster.New(cluster.Config{})
 	defer coord.Close()
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()

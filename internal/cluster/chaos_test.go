@@ -13,9 +13,9 @@ import (
 // TestChaosWorkerKillByteIdentical is the cluster half of the chaos suite:
 // a seeded fault.Plan kills one of two workers at a deterministic point
 // mid-batch (its KillAfter hook cancels the worker's own context, dropping
-// its in-flight job and its queue on the floor), and the figure matrix must
-// still render the exact bytes of the fault-free single-process run — via
-// lease expiry, worker-loss re-dispatch and work stealing.
+// its in-flight job on the floor), and the figure matrix must still render
+// the exact bytes of the fault-free single-process run — via lease expiry
+// and worker-loss re-dispatch.
 func TestChaosWorkerKillByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full quick-scale simulations")
@@ -69,9 +69,11 @@ func TestChaosWorkerKillByteIdentical(t *testing.T) {
 	if s := inj.Stats(); s.Kills != 1 {
 		t.Errorf("injected kills = %d, want 1", s.Kills)
 	}
-	if s := coord.Stats(); s.Redispatched == 0 {
+	s := coord.Stats()
+	if s.Redispatched == 0 {
 		t.Errorf("Redispatched = 0, want ≥ 1 (the killed worker's job was never re-dispatched)")
 	}
+	checkConservation(t, "worker kill", s, runner.Executed())
 
 	w2stop()
 	<-w1done

@@ -1,35 +1,33 @@
 // Package cluster is the distributed simulation fleet: a coordinator that
-// shards simulation jobs across registered workers, and the worker loop that
+// queues simulation jobs for registered workers, and the worker loop that
 // pulls, executes and acknowledges them.
 //
 // The design reuses the repository's existing primitives instead of invent-
 // ing new ones: jobs are engine.Job values, job identity on the wire is the
 // content-addressed store key (store.Key over config + workload + options),
-// execution on a worker goes through the same fault-wrapped engine path a
-// single process uses, and results flow back into the same store.Cache tiers.
-// Determinism therefore comes for free — a simulation result is a pure
-// function of the job, so any assignment of jobs to workers (including
-// re-dispatch after a worker crash) renders byte-identical figure tables.
+// and execution on a worker goes through the same fault-wrapped engine path
+// a single process uses. Determinism therefore comes for free — a simulation
+// result is a pure function of the job, so any assignment of jobs to workers
+// (including re-dispatch after a worker crash) renders byte-identical figure
+// tables.
 //
 // Topology:
 //
 //	client ── POST /v1/batch ──▶ fuseserve (-coordinator)
 //	                               │  engine.Runner (dedup, retry, store)
 //	                               ▼  Exec = Coordinator.Execute
-//	                            Coordinator ── shard by store key (HRW)
+//	                            Coordinator ── one FIFO queue
 //	                               ▲▼ /cluster/v1/{register,pull,heartbeat,result}
-//	                            fuseworker × N (each with its own store tiers,
-//	                               plus a read-through remote tier back to the
-//	                               coordinator's /cluster/v1/store/{key})
+//	                            fuseworker × N
 //
-// Sharding is highest-random-weight (rendezvous) hashing by store key, so
-// the same design point always lands on the same worker's warm disk store
-// while workers join and leave; an idle worker steals queued jobs from busy
-// peers so stragglers cannot serialise a batch. Every dispatched job carries
-// a lease: the worker renews it by heartbeat while executing, and a job whose
-// lease expires — or whose worker misses its liveness window — is
-// re-dispatched to the next owner. Duplicate executions are harmless (first
-// result wins; results are identical by construction).
+// The front-end Runner probes the store before it calls Execute and writes
+// every result back after it, so a job reaches the coordinator only when the
+// whole fleet has missed it. The coordinator keeps one FIFO queue and hands
+// its oldest job to whichever worker pulls next; a busy worker simply pulls
+// less. Every dispatched job carries a lease: the worker renews it by
+// heartbeat while executing, and a job whose lease expires — or whose worker
+// misses its liveness window — goes back on the queue. Duplicate executions
+// are harmless (first result wins; results are identical by construction).
 //
 // Everything speaks plain HTTP+JSON, and the Loopback transport dispatches
 // the same protocol in-process (no sockets), so the whole fleet — including
@@ -50,15 +48,11 @@ const (
 	pathPull      = "/cluster/v1/pull"
 	pathHeartbeat = "/cluster/v1/heartbeat"
 	pathResult    = "/cluster/v1/result"
-	// PathStore is the coordinator's result-store endpoint: GET serves the
-	// envelope of a stored result, PUT accepts one. store.NewRemote pointed
-	// here turns the coordinator's cache into every worker's shared tier.
-	PathStore = "/cluster/v1/store"
 )
 
 // Task is one dispatched job on the wire. ID is the coordinator's dispatch
 // identity (unique per submission); Key is the job's content-addressed store
-// key, which is also its shard identity.
+// key.
 type Task struct {
 	ID  uint64     `json:"id"`
 	Key string     `json:"key"`
@@ -66,7 +60,7 @@ type Task struct {
 }
 
 // registerRequest announces a worker. Re-registering an existing ID resets
-// its liveness and abandons any earlier incarnation's queue.
+// its liveness.
 type registerRequest struct {
 	Worker string `json:"worker"`
 }

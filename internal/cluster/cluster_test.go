@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,8 +15,8 @@ import (
 )
 
 // testWorkloads is the figure-matrix subset the cluster tests render: small
-// enough to keep `go test` fast, two workloads so sharding has something to
-// spread.
+// enough to keep `go test` fast, two workloads so the queue holds more jobs
+// than one worker runs at once.
 var testWorkloads = []string{"ATAX", "GEMM"}
 
 // refFig13 renders the single-process reference table for Fig 13 at quick
@@ -32,8 +33,9 @@ func refFig13(t *testing.T) string {
 }
 
 // fleetFig13 renders the same table through a coordinator + n loopback
-// workers and returns the bytes plus the coordinator stats.
-func fleetFig13(t *testing.T, n int) (string, Stats) {
+// workers and returns the bytes, the coordinator stats and the number of
+// simulations the front-end runner counted as executed.
+func fleetFig13(t *testing.T, n int) (string, Stats, int) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -52,7 +54,20 @@ func fleetFig13(t *testing.T, n int) (string, Stats) {
 	if err != nil {
 		t.Fatalf("fleet fig13 (%d workers): %v", n, err)
 	}
-	return table.String(), coord.Stats()
+	return table.String(), coord.Stats(), runner.Executed()
+}
+
+// checkConservation asserts the fleet's books balance once a run has
+// returned: nothing left queued or leased, nothing failed, and exactly one
+// coordinator completion per simulation the front-end runner executed.
+func checkConservation(t *testing.T, label string, s Stats, executed int) {
+	t.Helper()
+	if s.Queued != 0 || s.InFlight != 0 || s.Failed != 0 {
+		t.Errorf("%s: Queued=%d InFlight=%d Failed=%d after the run, want all 0", label, s.Queued, s.InFlight, s.Failed)
+	}
+	if s.Completed != int64(executed) {
+		t.Errorf("%s: coordinator Completed=%d, runner Executed=%d, want equal", label, s.Completed, executed)
+	}
 }
 
 // TestFleetMatrixByteIdentical is the tentpole acceptance test: the Fig 13
@@ -65,7 +80,7 @@ func TestFleetMatrixByteIdentical(t *testing.T) {
 	}
 	ref := refFig13(t)
 	for _, n := range []int{1, 2, 4} {
-		got, stats := fleetFig13(t, n)
+		got, stats, executed := fleetFig13(t, n)
 		if got != ref {
 			t.Errorf("%d workers: table differs from single-process run\nref:\n%s\ngot:\n%s", n, ref, got)
 		}
@@ -78,6 +93,7 @@ func TestFleetMatrixByteIdentical(t *testing.T) {
 		if stats.Completed == 0 {
 			t.Errorf("%d workers: no completions recorded", n)
 		}
+		checkConservation(t, fmt.Sprintf("%d workers", n), stats, executed)
 	}
 }
 
@@ -89,22 +105,13 @@ func countingExec(n *atomic.Int64) engine.ExecFunc {
 	}
 }
 
-// workerExec builds a worker-side executor the way cmd/fuseworker does: a
-// full engine.Runner over a local memory tier plus the coordinator's remote
-// store tier, executing through exec.
-func workerExec(coord *Coordinator, exec engine.ExecFunc) engine.ExecFunc {
-	remote := store.NewRemote(LoopbackBase+PathStore, LoopbackClient(coord.Handler()))
-	cache := store.NewTiered(store.NewMemory(), remote)
-	runner := engine.New(engine.Config{Workers: 1, Cache: cache, Exec: exec})
-	return runner.Get
-}
-
-// TestFleetWarmRerunExecutesNothing proves the remote store tier closes the
-// loop: after a cold fleet run populates the coordinator's cache, a
+// TestFleetWarmRerunExecutesNothing runs the production wiring twice: the
+// front-end runner sits over a shared cache and executes through a
+// coordinator with two workers. After a cold run populates the cache, a
 // completely fresh fleet (fresh coordinator, fresh workers, fresh front-end
-// runner, empty local caches) sharing only that cache serves the same matrix
-// with zero simulations — every job resolves through the workers' remote
-// tier.
+// runner) sharing only that cache serves the same matrix with zero
+// simulations and zero dispatches — the front-end cache answers every job
+// before the coordinator sees it.
 func TestFleetWarmRerunExecutesNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full quick-scale simulations")
@@ -112,18 +119,18 @@ func TestFleetWarmRerunExecutesNothing(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	shared := store.NewMemory() // the coordinator-side store both phases share
+	shared := store.NewMemory() // the front-end store both phases share
 
 	run := func(phase string) (string, int64, Stats) {
 		var sims atomic.Int64
-		coord := New(Config{Cache: shared})
+		coord := New(Config{})
 		defer coord.Close()
-		fleet, err := StartFleet(ctx, coord, 2, workerExec(coord, countingExec(&sims)))
+		fleet, err := StartFleet(ctx, coord, 2, countingExec(&sims))
 		if err != nil {
 			t.Fatalf("%s: starting fleet: %v", phase, err)
 		}
 		defer fleet.Stop()
-		runner := engine.New(engine.Config{Exec: coord.Execute})
+		runner := engine.New(engine.Config{Cache: shared, Exec: coord.Execute})
 		matrix := experiments.NewMatrixRunner(experiments.QuickScale, runner)
 		table, err := experiments.RunContext(ctx, matrix, experiments.ExpFig13, testWorkloads)
 		if err != nil {
@@ -133,11 +140,8 @@ func TestFleetWarmRerunExecutesNothing(t *testing.T) {
 	}
 
 	cold, coldSims, coldStats := run("cold")
-	if coldSims == 0 {
-		t.Fatalf("cold run executed no simulations")
-	}
-	if coldStats.StorePuts == 0 {
-		t.Fatalf("cold run wrote nothing through the remote store endpoint")
+	if coldSims == 0 || coldStats.Dispatched == 0 {
+		t.Fatalf("cold run executed %d simulations over %d dispatches, want both > 0", coldSims, coldStats.Dispatched)
 	}
 
 	warm, warmSims, warmStats := run("warm")
@@ -145,10 +149,10 @@ func TestFleetWarmRerunExecutesNothing(t *testing.T) {
 		t.Errorf("warm table differs from cold table")
 	}
 	if warmSims != 0 {
-		t.Errorf("warm rerun executed %d simulations, want 0 (remote tier should have served them all)", warmSims)
+		t.Errorf("warm rerun executed %d simulations, want 0 (the shared cache should have served them all)", warmSims)
 	}
-	if warmStats.StoreHits == 0 {
-		t.Errorf("warm rerun recorded no remote-store hits")
+	if warmStats.Dispatched != 0 {
+		t.Errorf("warm rerun dispatched %d jobs, want 0", warmStats.Dispatched)
 	}
 }
 
@@ -184,8 +188,8 @@ func TestLocalFallback(t *testing.T) {
 }
 
 // TestUnassignedDrainsOnRegister: a job submitted while no worker is alive
-// (and no local fallback exists) parks, then completes as soon as the first
-// worker registers.
+// (and no local fallback exists) waits in the queue, then completes as soon
+// as the first worker registers and pulls.
 func TestUnassignedDrainsOnRegister(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -202,7 +206,7 @@ func TestUnassignedDrainsOnRegister(t *testing.T) {
 		done <- outcome{res, err}
 	}()
 
-	// Give the submission time to park unassigned, then bring up a worker.
+	// Give the submission time to queue, then bring up a worker.
 	time.Sleep(50 * time.Millisecond)
 	if s := coord.Stats(); s.Queued != 1 {
 		t.Fatalf("Queued = %d before any worker, want 1", s.Queued)
@@ -328,10 +332,10 @@ func TestLeaseExpiryRedispatch(t *testing.T) {
 	}
 }
 
-// TestWorkStealing: with one worker wedged on a long job and a backlog in
-// its queue, an idle second worker steals the queued jobs instead of
-// letting the straggler serialise the batch.
-func TestWorkStealing(t *testing.T) {
+// TestIdleWorkerTakesBacklog: with one worker wedged on a long job and a
+// backlog in the queue, an idle second worker takes the queued jobs instead
+// of letting the straggler serialise the batch.
+func TestIdleWorkerTakesBacklog(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	coord := New(Config{})
@@ -355,8 +359,8 @@ func TestWorkStealing(t *testing.T) {
 	defer w1cancel()
 	go func() { defer close(w1done); _ = w1.Run(w1ctx) }()
 
-	// Submit several distinct jobs; all shard to w1 (the only worker), which
-	// wedges on the first and queues the rest.
+	// Submit several distinct jobs; w1 (the only worker) pulls and wedges on
+	// one, and the rest wait in the queue.
 	workloads := []string{"ATAX", "GEMM", "BICG", "MVT"}
 	done := make(chan error, len(workloads))
 	for _, wl := range workloads {
@@ -373,10 +377,10 @@ func TestWorkStealing(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// An idle second worker must steal the backlog.
+	// An idle second worker must take the backlog.
 	fleet, err := StartFleet(ctx, coord, 1, engine.Execute)
 	if err != nil {
-		t.Fatalf("starting stealing worker: %v", err)
+		t.Fatalf("starting idle worker: %v", err)
 	}
 	defer fleet.Stop()
 
@@ -384,14 +388,11 @@ func TestWorkStealing(t *testing.T) {
 		select {
 		case err := <-done:
 			if err != nil {
-				t.Fatalf("stolen job failed: %v", err)
+				t.Fatalf("backlog job failed: %v", err)
 			}
 		case <-ctx.Done():
-			t.Fatalf("stolen jobs never completed while w1 was wedged")
+			t.Fatalf("backlog jobs never completed while w1 was wedged")
 		}
-	}
-	if s := coord.Stats(); s.Stolen == 0 {
-		t.Errorf("Stolen = 0, want ≥ 1 (idle worker did not steal)")
 	}
 
 	close(gate) // release the wedged job
@@ -407,27 +408,74 @@ func TestWorkStealing(t *testing.T) {
 	<-w1done
 }
 
-// TestHRWSharding: the same key always picks the same owner for a fixed
-// worker set, and keys spread across workers.
-func TestHRWSharding(t *testing.T) {
-	coord := New(Config{})
+// TestLastWorkerLostRunsQueueLocally: when the only worker goes silent with
+// jobs still queued and a LocalExec fallback is configured, losing the worker
+// hands every queued job to the fallback.
+func TestLastWorkerLostRunsQueueLocally(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var local atomic.Int64
+	coord := New(Config{
+		Lease:       100 * time.Millisecond,
+		PollTimeout: 50 * time.Millisecond,
+		Liveness:    500 * time.Millisecond,
+		LocalExec: func(ctx context.Context, job engine.Job) (sim.Result, error) {
+			local.Add(1)
+			return sim.Result{Workload: job.Workload}, nil
+		},
+	})
 	defer coord.Close()
-	coord.mu.Lock()
-	for _, id := range []string{"w1", "w2", "w3"} {
-		coord.workers[id] = &workerState{id: id, inflight: map[uint64]*task{}}
+
+	// The worker registers and then never pulls, heartbeats or reports.
+	silent, err := NewWorker(WorkerConfig{Coordinator: LoopbackBase, Client: LoopbackClient(coord.Handler()), ID: "silent", Exec: engine.Execute})
+	if err != nil {
+		t.Fatal(err)
 	}
-	owners := map[string]int{}
-	keys := []string{"k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8", "k9", "k10"}
-	for _, k := range keys {
-		o1 := coord.ownerForLocked(k, "")
-		o2 := coord.ownerForLocked(k, "")
-		if o1 != o2 {
-			t.Errorf("key %s: owner not stable (%s then %s)", k, o1, o2)
+	if err := silent.register(ctx); err != nil {
+		t.Fatalf("registering silent worker: %v", err)
+	}
+
+	workloads := []string{"ATAX", "GEMM", "BICG"}
+	type outcome struct {
+		workload string
+		res      sim.Result
+		err      error
+	}
+	done := make(chan outcome, len(workloads))
+	for _, wl := range workloads {
+		go func() {
+			res, err := coord.Execute(ctx, testJob(wl))
+			done <- outcome{wl, res, err}
+		}()
+	}
+	// Every job must be queued behind the live worker before it is lost.
+	for coord.Stats().Queued < len(workloads) {
+		if s := coord.Stats(); s.WorkersLost > 0 || ctx.Err() != nil {
+			t.Fatalf("worker lost before all jobs queued: %+v", s)
 		}
-		owners[o1]++
+		time.Sleep(5 * time.Millisecond)
 	}
-	coord.mu.Unlock()
-	if len(owners) < 2 {
-		t.Errorf("10 keys all landed on one worker: %v (degenerate sharding)", owners)
+	for i := range workloads {
+		select {
+		case out := <-done:
+			if out.err != nil {
+				t.Fatalf("Execute(%s): %v", out.workload, out.err)
+			}
+			if out.res.Workload != out.workload {
+				t.Errorf("Execute(%s) returned the result for %q", out.workload, out.res.Workload)
+			}
+		case <-ctx.Done():
+			t.Fatalf("only %d of %d queued jobs completed after the worker was lost", i, len(workloads))
+		}
+	}
+	s := coord.Stats()
+	if s.WorkersLost != 1 || s.Workers != 0 {
+		t.Errorf("Workers=%d WorkersLost=%d, want 0 and 1", s.Workers, s.WorkersLost)
+	}
+	if s.LocalRuns != int64(len(workloads)) || local.Load() != int64(len(workloads)) {
+		t.Errorf("LocalRuns=%d, local executions=%d, want %d each", s.LocalRuns, local.Load(), len(workloads))
+	}
+	if s.Dispatched != 0 {
+		t.Errorf("Dispatched = %d, want 0 (the silent worker never pulled)", s.Dispatched)
 	}
 }

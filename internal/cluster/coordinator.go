@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -14,11 +12,10 @@ import (
 
 	"fuse/internal/engine"
 	"fuse/internal/sim"
-	"fuse/internal/store"
 )
 
 // Config configures a Coordinator. The zero value is valid: default
-// intervals, no store endpoint, no local fallback.
+// intervals, no local fallback.
 type Config struct {
 	// Lease is how long a dispatched task may go without a heartbeat or a
 	// result before it is re-dispatched. Zero means DefaultLease.
@@ -37,14 +34,11 @@ type Config struct {
 	// plus re-dispatches); a task exceeding it fails with an error instead
 	// of cycling forever. Zero means DefaultMaxAttempts.
 	MaxAttempts int
-	// Cache, when non-nil, backs the /cluster/v1/store/{key} endpoint that
-	// workers mount as their remote read-through tier. Point it at the same
-	// tiered cache the serving Runner writes through, and every result any
-	// node computes becomes visible to every other node.
-	Cache store.Cache
 	// LocalExec, when non-nil, executes jobs in-process while no worker is
-	// registered, so a lone coordinator still serves traffic. When nil,
-	// submissions wait (context-cancellably) for a worker to arrive.
+	// registered, so a lone coordinator still serves traffic: jobs submitted
+	// to an empty fleet, and every queued or leased job when the last worker
+	// is lost. When nil, submissions wait (context-cancellably) in the queue
+	// for a worker to arrive.
 	LocalExec engine.ExecFunc
 }
 
@@ -81,7 +75,7 @@ var ErrClosed = errors.New("cluster: coordinator closed")
 type taskState int
 
 const (
-	taskQueued   taskState = iota // in a worker's queue or unassigned
+	taskQueued   taskState = iota // in the coordinator's queue
 	taskInflight                  // pulled by a worker, lease armed
 	taskDone                      // outcome delivered (or abandoned)
 )
@@ -115,41 +109,36 @@ type task struct {
 type workerState struct {
 	id         string
 	generation uint64 // bumped per (re)register; guards stale liveness timers
-	queue      []*task
 	inflight   map[uint64]*task
-	waiters    []chan struct{} // parked pulls awaiting work, each buffered 1
 	liveness   *time.Timer
 	gone       bool
 }
 
-// Coordinator accepts jobs, shards them across registered workers by store
-// key, re-dispatches on worker loss or lease expiry, and serves the shared
-// store endpoint. It is an engine executor: plug Execute into
-// engine.Config.Exec and the Runner's dedup, retry and store write-through
-// machinery front a whole fleet instead of a local simulator.
+// Coordinator accepts jobs into one FIFO queue, hands them to whichever
+// registered worker pulls next, and re-dispatches on worker loss or lease
+// expiry. It is an engine executor: plug Execute into engine.Config.Exec and
+// the Runner's dedup, retry and store write-through machinery front a whole
+// fleet instead of a local simulator.
 type Coordinator struct {
 	cfg Config
 	mux *http.ServeMux
 
-	mu         sync.Mutex
-	closed     bool
-	workers    map[string]*workerState
-	tasks      map[uint64]*task
-	unassigned []*task // submitted while no worker was alive
-	nextID     uint64
+	mu      sync.Mutex
+	closed  bool
+	workers map[string]*workerState
+	tasks   map[uint64]*task
+	queue   []*task         // FIFO; entries retired while queued are skipped on pop
+	waiters []chan struct{} // parked pulls awaiting work, each buffered 1
+	nextID  uint64
 
 	// Counters (guarded by mu), snapshotted by Stats.
 	dispatched   int64
 	redispatched int64
-	stolen       int64
 	completed    int64
 	failed       int64
 	localRuns    int64
 	workersEver  int64
 	workersLost  int64
-	storeGetHits int64
-	storeGetMiss int64
-	storePuts    int64
 }
 
 // New creates a Coordinator.
@@ -164,8 +153,6 @@ func New(cfg Config) *Coordinator {
 	mux.HandleFunc("POST "+pathPull, c.handlePull)
 	mux.HandleFunc("POST "+pathHeartbeat, c.handleHeartbeat)
 	mux.HandleFunc("POST "+pathResult, c.handleResult)
-	mux.HandleFunc("GET "+PathStore+"/{key}", c.handleStoreGet)
-	mux.HandleFunc("PUT "+PathStore+"/{key}", c.handleStorePut)
 	c.mux = mux
 	return c
 }
@@ -185,20 +172,14 @@ type Stats struct {
 	Queued   int `json:"queued"`
 	InFlight int `json:"inFlight"`
 	// Dispatched counts task handoffs to workers; Redispatched counts the
-	// subset re-dispatched after a lease expiry or worker loss; Stolen
-	// counts pulls served from another worker's queue.
+	// subset re-dispatched after a lease expiry or worker loss.
 	Dispatched   int64 `json:"dispatched"`
 	Redispatched int64 `json:"redispatched"`
-	Stolen       int64 `json:"stolen"`
 	// Completed and Failed count delivered outcomes; LocalRuns counts jobs
 	// executed by the local fallback because no worker was registered.
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
 	LocalRuns int64 `json:"localRuns"`
-	// Remote-store endpoint traffic (the workers' shared tier).
-	StoreHits   int64 `json:"remoteStoreHits"`
-	StoreMisses int64 `json:"remoteStoreMisses"`
-	StorePuts   int64 `json:"remoteStorePuts"`
 }
 
 // Stats snapshots the coordinator.
@@ -211,13 +192,9 @@ func (c *Coordinator) Stats() Stats {
 		WorkersLost:  c.workersLost,
 		Dispatched:   c.dispatched,
 		Redispatched: c.redispatched,
-		Stolen:       c.stolen,
 		Completed:    c.completed,
 		Failed:       c.failed,
 		LocalRuns:    c.localRuns,
-		StoreHits:    c.storeGetHits,
-		StoreMisses:  c.storeGetMiss,
-		StorePuts:    c.storePuts,
 	}
 	queued, inflight := 0, 0
 	//fuselint:ordered order-insensitive count of task states
@@ -267,10 +244,10 @@ func (c *Coordinator) runLocal(t *task) {
 	c.perform(acts)
 }
 
-// Execute runs one job on the fleet: sharded to its owner worker, stolen by
-// an idle one, or executed by the LocalExec fallback when no worker is
-// registered. It blocks until the job completes, fails its attempt budget,
-// or ctx is cancelled. It is an engine.ExecFunc.
+// Execute runs one job on the fleet: queued for the next worker that pulls,
+// or executed by the LocalExec fallback when no worker is registered. It
+// blocks until the job completes, fails its attempt budget, or ctx is
+// cancelled. It is an engine.ExecFunc.
 //
 //fuselint:blocking waits for a worker (or the local fallback) to finish the job
 func (c *Coordinator) Execute(ctx context.Context, job engine.Job) (sim.Result, error) {
@@ -316,12 +293,7 @@ func (c *Coordinator) submit(ctx context.Context, key string, job engine.Job) (t
 		submittedCtx: ctx,
 	}
 	c.tasks[t.id] = t
-	var acts []action
-	if len(c.workers) == 0 {
-		c.unassigned = append(c.unassigned, t)
-	} else {
-		acts = c.enqueueLocked(t, "")
-	}
+	acts := c.enqueueLocked(t)
 	c.mu.Unlock()
 	c.perform(acts)
 	return t, false, nil
@@ -348,71 +320,18 @@ func stopLease(t *task) {
 	}
 }
 
-// aliveIDs returns the registered worker IDs in sorted order (mu held).
-func (c *Coordinator) aliveIDs() []string {
-	ids := make([]string, 0, len(c.workers))
-	for id := range c.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// hrwScore is the rendezvous-hashing weight of (worker, key): the worker
-// with the highest score owns the key. FNV-64a over both strings, mixed
-// through a splitmix64 finaliser for uniformity.
-func hrwScore(workerID, key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(workerID))
-	h.Write([]byte{0})
-	h.Write([]byte(key))
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// ownerForLocked picks the key's shard owner among live workers, skipping
-// exclude when an alternative exists (mu held; requires ≥1 worker).
-func (c *Coordinator) ownerForLocked(key, exclude string) string {
-	best, bestScore := "", uint64(0)
-	for _, id := range c.aliveIDs() {
-		if id == exclude && len(c.workers) > 1 {
-			continue
-		}
-		if s := hrwScore(id, key); best == "" || s > bestScore {
-			best, bestScore = id, s
-		}
-	}
-	return best
-}
-
-// enqueueLocked queues a task on its shard owner (skipping exclude) and
-// picks one parked pull to wake: the owner's own, or — so an idle worker
-// picks up work for a busy peer immediately — any other worker's (mu held).
-func (c *Coordinator) enqueueLocked(t *task, exclude string) []action {
-	owner := c.ownerForLocked(t.key, exclude)
-	w := c.workers[owner]
+// enqueueLocked appends a task to the queue and wakes one parked pull, if
+// any (mu held).
+func (c *Coordinator) enqueueLocked(t *task) []action {
 	t.state = taskQueued
 	t.owner = ""
-	w.queue = append(w.queue, t)
-	if len(w.waiters) > 0 {
-		wake := w.waiters[0]
-		w.waiters = w.waiters[1:]
-		return []action{{wake: wake}}
+	c.queue = append(c.queue, t)
+	if len(c.waiters) == 0 {
+		return nil
 	}
-	for _, id := range c.aliveIDs() {
-		other := c.workers[id]
-		if len(other.waiters) > 0 {
-			wake := other.waiters[0]
-			other.waiters = other.waiters[1:]
-			return []action{{wake: wake}}
-		}
-	}
-	return nil
+	wake := c.waiters[0]
+	c.waiters = c.waiters[1:]
+	return []action{{wake: wake}}
 }
 
 // completeLocked delivers a task's outcome exactly once (mu held).
@@ -435,10 +354,9 @@ func (c *Coordinator) completeLocked(t *task, out taskOutcome) []action {
 }
 
 // requeueLocked puts a task back in play after a lease expiry or worker
-// loss: back on a (preferably different) owner's queue, to the local
-// fallback when the fleet is empty, or failed outright once its dispatch
-// attempts are spent (mu held).
-func (c *Coordinator) requeueLocked(t *task, lastOwner string) []action {
+// loss: back on the queue, to the local fallback when the fleet is empty, or
+// failed outright once its dispatch attempts are spent (mu held).
+func (c *Coordinator) requeueLocked(t *task) []action {
 	if t.state == taskDone {
 		return nil
 	}
@@ -446,19 +364,18 @@ func (c *Coordinator) requeueLocked(t *task, lastOwner string) []action {
 		err := fmt.Errorf("cluster: job %s (task %d) failed after %d dispatch attempts", t.job, t.id, t.attempts)
 		return c.completeLocked(t, taskOutcome{err: err})
 	}
-	if len(c.workers) == 0 {
-		if c.cfg.LocalExec != nil {
-			c.localRuns++
-			t.state = taskInflight
-			t.owner = ""
-			return []action{{local: t}}
-		}
-		t.state = taskQueued
-		t.owner = ""
-		c.unassigned = append(c.unassigned, t)
-		return nil
+	if len(c.workers) == 0 && c.cfg.LocalExec != nil {
+		return c.runLocalLocked(t)
 	}
-	return c.enqueueLocked(t, lastOwner)
+	return c.enqueueLocked(t)
+}
+
+// runLocalLocked hands a task to the LocalExec fallback (mu held).
+func (c *Coordinator) runLocalLocked(t *task) []action {
+	c.localRuns++
+	t.state = taskInflight
+	t.owner = ""
+	return []action{{local: t}}
 }
 
 // dispatchLocked hands a queued task to a worker: leased, counted, and
@@ -486,12 +403,11 @@ func (c *Coordinator) expireLease(id, seq uint64) {
 		c.mu.Unlock()
 		return
 	}
-	lastOwner := t.owner
-	if w := c.workers[lastOwner]; w != nil {
+	if w := c.workers[t.owner]; w != nil {
 		delete(w.inflight, t.id)
 	}
 	c.redispatched++
-	acts := c.requeueLocked(t, lastOwner)
+	acts := c.requeueLocked(t)
 	c.mu.Unlock()
 	c.perform(acts)
 }
@@ -517,7 +433,9 @@ func (c *Coordinator) resetLivenessLocked(w *workerState) {
 }
 
 // workerLost removes a worker that missed its liveness window and puts every
-// job it held back in play.
+// job it held back in play. When it was the last worker and a LocalExec
+// fallback exists, the jobs still queued go to the fallback too: no worker
+// is left to pull them.
 func (c *Coordinator) workerLost(id string, gen uint64) {
 	c.mu.Lock()
 	w := c.workers[id]
@@ -532,10 +450,9 @@ func (c *Coordinator) workerLost(id string, gen uint64) {
 	delete(c.workers, id)
 	c.workersLost++
 	var acts []action
-	// Queued jobs re-shard silently; leased ones count as re-dispatches.
-	for _, t := range w.queue {
-		if t.state == taskQueued {
-			acts = append(acts, c.requeueLocked(t, id)...)
+	if len(c.workers) == 0 && c.cfg.LocalExec != nil {
+		for t := c.popQueueLocked(); t != nil; t = c.popQueueLocked() {
+			acts = append(acts, c.runLocalLocked(t)...)
 		}
 	}
 	ids := make([]uint64, 0, len(w.inflight))
@@ -549,7 +466,7 @@ func (c *Coordinator) workerLost(id string, gen uint64) {
 			continue
 		}
 		c.redispatched++
-		acts = append(acts, c.requeueLocked(t, id)...)
+		acts = append(acts, c.requeueLocked(t)...)
 	}
 	c.mu.Unlock()
 	c.perform(acts)
@@ -585,8 +502,8 @@ func (c *Coordinator) Close() {
 
 // --- HTTP handlers -------------------------------------------------------
 
-// handleRegister admits (or refreshes) a worker and drains any jobs that
-// were submitted while the fleet was empty.
+// handleRegister admits (or refreshes) a worker. Jobs submitted while the
+// fleet was empty are already queued; the worker's first pull takes them.
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
 	if !decodeInto(w, r, &req) {
@@ -611,16 +528,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	ws.generation++
 	ws.gone = false
 	c.resetLivenessLocked(ws)
-	var acts []action
-	pending := c.unassigned
-	c.unassigned = nil
-	for _, t := range pending {
-		if t.state == taskQueued {
-			acts = append(acts, c.enqueueLocked(t, "")...)
-		}
-	}
 	c.mu.Unlock()
-	c.perform(acts)
 	writeJSON(w, http.StatusOK, registerResponse{
 		LeaseMillis:     c.cfg.Lease.Milliseconds(),
 		PollMillis:      c.cfg.PollTimeout.Milliseconds(),
@@ -628,9 +536,8 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// takeOrPark serves one pull attempt: a task from the worker's own queue, a
-// stolen one from the most backlogged peer, or a parked waiter channel to
-// wait on. unknown=true means the worker must re-register.
+// takeOrPark serves one pull attempt: the oldest queued task, or a parked
+// waiter channel to wait on. unknown=true means the worker must re-register.
 func (c *Coordinator) takeOrPark(workerID string) (wire *Task, wait chan struct{}, unknown bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -639,29 +546,22 @@ func (c *Coordinator) takeOrPark(workerID string) (wire *Task, wait chan struct{
 		return nil, nil, true
 	}
 	c.resetLivenessLocked(w)
-	t := popQueueLocked(w)
-	if t == nil {
-		if victim := c.longestQueueLocked(workerID); victim != nil {
-			if t = popQueueLocked(victim); t != nil {
-				c.stolen++
-			}
-		}
-	}
-	if t != nil {
+	if t := c.popQueueLocked(); t != nil {
 		c.dispatchLocked(t, w)
 		return &Task{ID: t.id, Key: t.key, Job: t.job}, nil, false
 	}
 	ch := make(chan struct{}, 1)
-	w.waiters = append(w.waiters, ch)
+	c.waiters = append(c.waiters, ch)
 	return nil, ch, false
 }
 
 // popQueueLocked pops the oldest still-queued task, dropping entries that
 // completed or were abandoned while waiting (mu held).
-func popQueueLocked(w *workerState) *task {
-	for len(w.queue) > 0 {
-		t := w.queue[0]
-		w.queue = w.queue[1:]
+func (c *Coordinator) popQueueLocked() *task {
+	for len(c.queue) > 0 {
+		t := c.queue[0]
+		c.queue[0] = nil
+		c.queue = c.queue[1:]
 		if t.state == taskQueued {
 			return t
 		}
@@ -669,42 +569,15 @@ func popQueueLocked(w *workerState) *task {
 	return nil
 }
 
-// longestQueueLocked finds the steal victim: the worker with the deepest
-// queue of still-queued tasks, ties broken by smallest ID (mu held).
-func (c *Coordinator) longestQueueLocked(except string) *workerState {
-	var victim *workerState
-	depth := 0
-	for _, id := range c.aliveIDs() {
-		if id == except {
-			continue
-		}
-		w := c.workers[id]
-		n := 0
-		for _, t := range w.queue {
-			if t.state == taskQueued {
-				n++
-			}
-		}
-		if n > depth {
-			victim, depth = w, n
-		}
-	}
-	return victim
-}
-
 // dropWaiter removes a parked pull's wake channel after a timeout or a
 // client disconnect; a signal that already consumed the waiter is harmless
-// (the task stays queued for the worker's next pull).
-func (c *Coordinator) dropWaiter(workerID string, ch chan struct{}) {
+// (the task stays queued for the next pull).
+func (c *Coordinator) dropWaiter(ch chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.workers[workerID]
-	if w == nil {
-		return
-	}
-	for i, have := range w.waiters {
+	for i, have := range c.waiters {
 		if have == ch {
-			w.waiters = append(w.waiters[:i], w.waiters[i+1:]...)
+			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
 			return
 		}
 	}
@@ -734,11 +607,11 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 		case <-wait:
 			continue // work may be available; take again
 		case <-deadline.C:
-			c.dropWaiter(req.Worker, wait)
+			c.dropWaiter(wait)
 			w.WriteHeader(http.StatusNoContent)
 			return
 		case <-ctx.Done():
-			c.dropWaiter(req.Worker, wait)
+			c.dropWaiter(wait)
 			return
 		}
 	}
@@ -798,72 +671,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	c.perform(acts)
 	writeJSON(w, http.StatusOK, struct{}{})
 }
-
-// handleStoreGet serves one stored result envelope to a worker's remote
-// tier. Misses are 404s; an unconfigured store endpoint always misses.
-func (c *Coordinator) handleStoreGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !store.ValidKey(key) {
-		httpError(w, http.StatusBadRequest, "malformed key %q", key)
-		return
-	}
-	if c.cfg.Cache == nil {
-		httpError(w, http.StatusNotFound, "no store configured")
-		return
-	}
-	res, ok := c.cfg.Cache.Get(key)
-	c.mu.Lock()
-	if ok {
-		c.storeGetHits++
-	} else {
-		c.storeGetMiss++
-	}
-	c.mu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, "no result for key %s", key)
-		return
-	}
-	data, err := store.Encode(res)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(data)
-}
-
-// handleStorePut accepts one result envelope from a worker, validating it
-// before it touches the cache: a corrupt envelope is the sender's bug and is
-// rejected, never stored.
-func (c *Coordinator) handleStorePut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !store.ValidKey(key) {
-		httpError(w, http.StatusBadRequest, "malformed key %q", key)
-		return
-	}
-	if c.cfg.Cache == nil {
-		httpError(w, http.StatusNotFound, "no store configured")
-		return
-	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxEnvelopeBytes))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	res, err := store.Decode(data)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	c.cfg.Cache.Put(key, res)
-	c.mu.Lock()
-	c.storePuts++
-	c.mu.Unlock()
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// maxEnvelopeBytes bounds a PUT body; result envelopes are a few KB.
-const maxEnvelopeBytes = 32 << 20
 
 // decodeInto parses a JSON request body, answering 400 on malformed input.
 func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {

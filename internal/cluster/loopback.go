@@ -78,8 +78,8 @@ func (r *readCloser) Read(p []byte) (int, error) { return r.Reader.Read(p) }
 func (r *readCloser) Close() error               { return nil }
 
 // LoopbackClient returns an *http.Client whose requests dispatch directly
-// into h. Point workers (and store.NewRemote) at a coordinator's Handler
-// with base URL LoopbackBase to run a fleet in-process.
+// into h. Point workers at a coordinator's Handler with base URL
+// LoopbackBase to run a fleet in-process.
 func LoopbackClient(h http.Handler) *http.Client {
 	return &http.Client{Transport: &loopback{handler: h}}
 }

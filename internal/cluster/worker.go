@@ -131,7 +131,7 @@ func (w *Worker) register(ctx context.Context) error {
 		if !sleepCtx(ctx, backoff) {
 			return err
 		}
-		backoff = minDuration(2*backoff, 2*time.Second)
+		backoff = min(2*backoff, 2*time.Second)
 	}
 }
 
@@ -145,7 +145,7 @@ func (w *Worker) pullLoop(ctx context.Context) {
 			if !sleepCtx(ctx, backoff) {
 				return
 			}
-			backoff = minDuration(2*backoff, 2*time.Second)
+			backoff = min(2*backoff, 2*time.Second)
 		case status == http.StatusGone:
 			// The coordinator forgot us (restart, liveness loss): rejoin.
 			if w.register(ctx) != nil {
@@ -293,13 +293,6 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-func minDuration(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // The coordinator is an engine executor: compile-time proof.

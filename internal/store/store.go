@@ -176,11 +176,6 @@ type Health struct {
 	// IOFailures is the current run of consecutive disk I/O failures; any
 	// successful read or write resets it.
 	IOFailures int64 `json:"ioFailures,omitempty"`
-	// Hits and Misses count lookups answered and not answered by the tier
-	// (remote tier only: it is the one tier whose traffic crosses a network
-	// and is therefore worth metering per node).
-	Hits   int64 `json:"hits,omitempty"`
-	Misses int64 `json:"misses,omitempty"`
 	// Degraded reports whether the tier has tripped its degraded state
 	// (the disk tier trips after DegradedThreshold consecutive I/O
 	// failures and recovers on the next success).
