@@ -278,27 +278,25 @@ func BenchmarkFig13_FullMatrix(b *testing.B) {
 
 // BenchmarkSingleSimulation measures the raw simulator throughput (cycles
 // simulated per second) of one Dy-FUSE run — the cost of the cycle engine
-// itself. Every iteration reuses one sim.Arena, so steady-state allocations
-// measure the engine, not the construction of its buffers; each iteration
-// must reproduce the first one's cycle count and IPC.
+// itself. Every iteration builds its simulator with sim.New, so allocations
+// per op include the construction of its buffers; each iteration must
+// reproduce the first one's cycle count and IPC.
 func BenchmarkSingleSimulation(b *testing.B) {
 	prof, _ := trace.ProfileByName("ATAX")
-	arena := sim.NewArena()
 	var refCycles int64
 	var refIPC float64
 	for i := 0; i < b.N; i++ {
 		gpuCfg := config.FermiGPU(config.NewL1DConfig(config.DyFUSE))
-		s, err := sim.NewWithArena(gpuCfg, trace.Synthetic(prof), benchScale.Options(), arena)
+		s, err := sim.New(gpuCfg, trace.Synthetic(prof), benchScale.Options())
 		if err != nil {
 			b.Fatal(err)
 		}
 		res := s.Run()
-		s.ReleaseArena()
 		if i == 0 {
 			refCycles, refIPC = res.Cycles, res.IPC
 		}
 		if res.Cycles != refCycles || res.IPC != refIPC {
-			b.Fatalf("iteration %d diverged through the arena: cycles=%d ipc=%v, want cycles=%d ipc=%v",
+			b.Fatalf("iteration %d diverged: cycles=%d ipc=%v, want cycles=%d ipc=%v",
 				i, res.Cycles, res.IPC, refCycles, refIPC)
 		}
 		b.ReportMetric(float64(res.Cycles), "cycles")

@@ -103,16 +103,10 @@ func main() {
 	// shares them with the CLI tools. A failed disk open degrades to
 	// memory-only with a warning: a serving process with a broken store
 	// directory still serves.
-	tiers := []store.Cache{store.NewMemoryLRU(*memCap)}
-	if *storeDir != "" {
-		disk, err := store.Open(*storeDir)
-		if err != nil {
-			log.Printf("fuseserve: warning: %v; continuing with the in-memory cache only", err)
-		} else {
-			tiers = append(tiers, disk)
-		}
+	cache, warn := store.OpenTiered(*storeDir, *memCap)
+	if warn != nil {
+		log.Printf("fuseserve: warning: %v; continuing with the in-memory cache only", warn)
 	}
-	cache := store.NewTiered(tiers...)
 
 	// In coordinator mode the Runner's executor fans out to the fleet: the
 	// Runner still deduplicates, probes the cache and writes results

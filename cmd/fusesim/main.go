@@ -204,7 +204,7 @@ func main() {
 	if *storeDir != "" {
 		// An unopenable store directory degrades to a memory-only cache with
 		// a warning: the run still completes, it just cannot persist.
-		cache, warn := store.OpenTieredResilient(*storeDir)
+		cache, warn := store.OpenTiered(*storeDir, 0)
 		if warn != nil {
 			fmt.Fprintf(os.Stderr, "fusesim: warning: %v; continuing without the persistent store\n", warn)
 		}

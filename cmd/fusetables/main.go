@@ -112,7 +112,7 @@ func main() {
 	if *storeDir != "" {
 		// An unopenable store directory degrades to a memory-only cache with
 		// a warning: the tables still render, they just cannot persist.
-		cache, warn := store.OpenTieredResilient(*storeDir)
+		cache, warn := store.OpenTiered(*storeDir, 0)
 		if warn != nil {
 			fmt.Fprintf(os.Stderr, "fusetables: warning: %v; continuing without the persistent store\n", warn)
 		}

@@ -72,16 +72,10 @@ func main() {
 	}
 
 	// Cache tiers, fastest first: memory, then disk (optional).
-	tiers := []store.Cache{store.NewMemoryLRU(*memCap)}
-	if *storeDir != "" {
-		disk, err := store.Open(*storeDir)
-		if err != nil {
-			log.Printf("fuseworker: warning: %v; continuing without the disk tier", err)
-		} else {
-			tiers = append(tiers, disk)
-		}
+	cache, warn := store.OpenTiered(*storeDir, *memCap)
+	if warn != nil {
+		log.Printf("fuseworker: warning: %v; continuing without the disk tier", warn)
 	}
-	cache := store.NewTiered(tiers...)
 
 	// Pulled jobs run through a full engine.Runner, so a worker gets the
 	// same dedup, store write-through, retry and panic-containment pipeline

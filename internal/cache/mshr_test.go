@@ -109,41 +109,3 @@ func TestDestBankString(t *testing.T) {
 		t.Errorf("unknown DestBank should render as unknown")
 	}
 }
-
-func TestVictimCache(t *testing.T) {
-	v := NewVictimCache(2)
-	if v.Capacity() != 2 {
-		t.Fatalf("capacity = %d", v.Capacity())
-	}
-	if _, hit := v.Probe(blockAddr(1)); hit {
-		t.Errorf("empty victim cache should miss")
-	}
-	v.Insert(blockAddr(1), 0, true)
-	v.Insert(blockAddr(2), 0, false)
-	if v.Occupancy() != 2 {
-		t.Errorf("occupancy = %d", v.Occupancy())
-	}
-	// Inserting a third displaces the oldest (FIFO).
-	displaced := v.Insert(blockAddr(3), 0, false)
-	if !displaced.Valid || displaced.Block != blockAddr(1) {
-		t.Errorf("expected block 1 displaced, got %+v", displaced)
-	}
-	line, hit := v.Probe(blockAddr(2))
-	if !hit || line.Block != blockAddr(2) {
-		t.Errorf("probe of present block failed")
-	}
-	// A probe hit removes the line.
-	if _, hit := v.Probe(blockAddr(2)); hit {
-		t.Errorf("probe hit should remove the line")
-	}
-	if v.HitRate() <= 0 || v.HitRate() >= 1 {
-		t.Errorf("hit rate should be strictly between 0 and 1, got %v", v.HitRate())
-	}
-	if NewVictimCache(0).Capacity() != 1 {
-		t.Errorf("zero-capacity victim cache should clamp to 1")
-	}
-	empty := NewVictimCache(4)
-	if empty.HitRate() != 0 {
-		t.Errorf("hit rate of unused cache should be 0")
-	}
-}

@@ -23,7 +23,7 @@ func newRefTagStore(sets, ways int, kind ReplacementKind) *refTagStore {
 	r := &refTagStore{sets: sets}
 	for s := 0; s < sets; s++ {
 		r.lines = append(r.lines, make([]Line, ways))
-		r.repl = append(r.repl, &refReplacement{kind: kind, ways: ways, tree: make([]bool, ways)})
+		r.repl = append(r.repl, &refReplacement{kind: kind})
 	}
 	return r
 }
@@ -31,13 +31,9 @@ func newRefTagStore(sets, ways int, kind ReplacementKind) *refTagStore {
 // refReplacement is one set's victim-selection state as the store kept it
 // before the linked lists: LRU and FIFO hold an order slice of way indices
 // (least recent or oldest first) that every update searches and shifts.
-// Pseudo-LRU walks its own tree with the store's tree functions, which the
-// linked lists did not touch.
 type refReplacement struct {
 	kind  ReplacementKind
-	ways  int
 	order []int
-	tree  []bool
 }
 
 func (s *refReplacement) remove(way int) {
@@ -50,41 +46,24 @@ func (s *refReplacement) remove(way int) {
 }
 
 func (s *refReplacement) onInsert(way int) {
-	switch s.kind {
-	case LRU, FIFO:
-		s.remove(way)
-		s.order = append(s.order, way)
-	case PseudoLRU:
-		touchTree(s.tree, s.ways, way)
-	}
+	s.remove(way)
+	s.order = append(s.order, way)
 }
 
 func (s *refReplacement) onAccess(way int) {
-	switch s.kind {
-	case LRU:
+	if s.kind == LRU {
 		s.remove(way)
 		s.order = append(s.order, way)
-	case PseudoLRU:
-		touchTree(s.tree, s.ways, way)
 	}
 }
 
-func (s *refReplacement) onInvalidate(way int) {
-	if s.kind == LRU || s.kind == FIFO {
-		s.remove(way)
-	}
-}
+func (s *refReplacement) onInvalidate(way int) { s.remove(way) }
 
 func (s *refReplacement) victimAll() int {
-	switch s.kind {
-	case LRU, FIFO:
-		if len(s.order) > 0 {
-			return s.order[0]
-		}
-		return 0
-	default:
-		return treeLeaf(s.tree, s.ways)
+	if len(s.order) > 0 {
+		return s.order[0]
 	}
+	return 0
 }
 
 func (r *refTagStore) set(block uint64) int { return int(mem.BlockIndex(block)) % r.sets }
@@ -200,7 +179,7 @@ func checkSameState(t *testing.T, step string, got *TagStore, want *refTagStore)
 func TestTagStoreMatchesLinearScanReference(t *testing.T) {
 	// Fully associative and set-associative, indexed and scanned.
 	geometries := []struct{ sets, ways int }{{1, 512}, {4, indexMinWays}, {64, 4}}
-	kinds := []ReplacementKind{LRU, FIFO, PseudoLRU}
+	kinds := []ReplacementKind{LRU, FIFO}
 	for _, g := range geometries {
 		for _, kind := range kinds {
 			for seed := uint64(1); seed <= 3; seed++ {

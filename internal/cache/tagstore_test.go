@@ -95,23 +95,6 @@ func TestTagStoreFIFOEviction(t *testing.T) {
 	}
 }
 
-func TestTagStorePseudoLRUEvictsSomethingValid(t *testing.T) {
-	ts := NewTagStore(1, 4, PseudoLRU)
-	for i := 1; i <= 4; i++ {
-		ts.Insert(blockAddr(i), 0, false, mem.WORM)
-	}
-	// Touch 1 and 2 so 3 or 4 should be the victim.
-	ts.Touch(blockAddr(1), false)
-	ts.Touch(blockAddr(2), false)
-	ev, _ := ts.Insert(blockAddr(5), 0, false, mem.WORM)
-	if !ev.Valid {
-		t.Fatalf("expected an eviction from a full set")
-	}
-	if ev.Block == blockAddr(1) || ev.Block == blockAddr(2) {
-		t.Errorf("pseudo-LRU evicted a recently touched block %#x", ev.Block)
-	}
-}
-
 func TestTagStoreInvalidate(t *testing.T) {
 	ts := NewTagStore(2, 2, LRU)
 	ts.Insert(blockAddr(1), 0, true, mem.WriteMultiple)
@@ -257,7 +240,7 @@ func TestTagStoreNoDuplicateBlocks(t *testing.T) {
 }
 
 func TestReplacementKindString(t *testing.T) {
-	if LRU.String() != "LRU" || FIFO.String() != "FIFO" || PseudoLRU.String() != "PseudoLRU" {
+	if LRU.String() != "LRU" || FIFO.String() != "FIFO" {
 		t.Errorf("unexpected replacement kind strings")
 	}
 	if ReplacementKind(9).String() == "" {

@@ -124,16 +124,10 @@ type ExecFunc = func(context.Context, Job) (sim.Result, error)
 // for concurrent use.
 type Cache = store.Cache
 
-// arenas pools simulation scratch arenas across Execute calls: a Runner
-// executing a figure matrix reuses the same event heaps, wake heaps and flat
-// warp slabs for every job instead of re-allocating them per simulation.
-var arenas = sync.Pool{New: func() any { return sim.NewArena() }}
-
 // Execute runs one job to completion. It is the default executor of a Runner
 // and the single place where the engine touches the simulator. The context
 // is threaded into the simulator's cycle loop, so cancellation aborts
-// in-flight simulations, not just queued ones. The simulator is built on a
-// pooled arena.
+// in-flight simulations, not just queued ones.
 //
 //fuselint:blocking runs a full simulation to completion
 func Execute(ctx context.Context, job Job) (sim.Result, error) {
@@ -141,16 +135,11 @@ func Execute(ctx context.Context, job Job) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("engine: %w", err)
 	}
-	arena := arenas.Get().(*sim.Arena)
-	s, err := sim.NewWithArena(job.GPUConfig(), w, job.Opts, arena)
+	s, err := sim.New(job.GPUConfig(), w, job.Opts)
 	if err != nil {
-		arenas.Put(arena)
 		return sim.Result{}, err
 	}
-	res, err := s.RunContext(ctx)
-	s.ReleaseArena()
-	arenas.Put(arena)
-	return res, err
+	return s.RunContext(ctx)
 }
 
 // Progress is one progress-callback notification, fired when a job finishes

@@ -12,7 +12,6 @@ import (
 
 	"fuse/internal/config"
 	"fuse/internal/sim"
-	"fuse/internal/trace"
 )
 
 // quickOpts keeps real-simulator test runs small and fast.
@@ -459,37 +458,6 @@ func TestFailedJobsAreNotCached(t *testing.T) {
 	}
 	if r.Executed() != 0 {
 		t.Errorf("failed executions should not count: Executed = %d", r.Executed())
-	}
-}
-
-// TestExecutePooledArenaMatchesFreshRun runs the real simulator through
-// Execute, whose simulators are built on pooled arenas, and checks each
-// result against a fresh sim.New(...).Run(). The jobs differ in L1D kind and
-// workload and run twice, so arenas are reused across shapes.
-func TestExecutePooledArenaMatchesFreshRun(t *testing.T) {
-	opts := sim.Options{InstructionsPerWarp: 300, Seed: 7, SMOverride: 2, MaxCycles: 2_000_000}
-	jobs := []Job{
-		{Kind: config.DyFUSE, Workload: "ATAX", Opts: opts},
-		{Kind: config.L1SRAM, Workload: "GEMM", Opts: opts},
-	}
-	for pass := 0; pass < 2; pass++ {
-		for _, job := range jobs {
-			got, err := Execute(context.Background(), job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := trace.LookupWorkload(job.Workload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := sim.New(job.GPUConfig(), w, job.Opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := s.Run(); got != want {
-				t.Errorf("pass %d, %s: pooled-arena Execute diverged from a fresh run:\n got: %+v\nwant: %+v", pass, job, got, want)
-			}
-		}
 	}
 }
 

@@ -99,23 +99,6 @@ type SM struct {
 	stats     SMStats
 }
 
-// SMStorage is caller-provided backing storage for an SM's flat per-warp
-// state; the simulator's arena carves these from slabs it reuses across runs.
-// For W warps, Order needs 2W entries and Sets SetWords(W) words. Slices with
-// insufficient capacity (or a zero SMStorage) are allocated fresh.
-type SMStorage struct {
-	Warps      []Warp
-	Pending    []trace.Instruction
-	PendingSet []bool
-	Order      []int32
-	Sets       []uint64
-}
-
-// SetWords returns the number of words the scheduler's bit sets take for an
-// SM with the given number of warps: the ready set over 2W issue-order slots
-// plus the timed-wait set over W warps.
-func SetWords(warps int) int { return words(2*warps) + words(warps) }
-
 // words returns the number of 64-bit words a set of n bits takes.
 func words(n int) int { return (n + 63) >> 6 }
 
@@ -123,47 +106,23 @@ func words(n int) int { return (n + 63) >> 6 }
 // `instrPerWarp` instructions of the source stream, backed by the given L1D
 // cache.
 func NewSM(id, warps int, instrPerWarp uint64, source trace.Source, l1d core.L1D) *SM {
-	return NewSMIn(id, warps, instrPerWarp, source, l1d, SMStorage{})
-}
-
-// NewSMIn is NewSM with caller-provided backing storage for the per-warp
-// state (see SMStorage).
-func NewSMIn(id, warps int, instrPerWarp uint64, source trace.Source, l1d core.L1D, st SMStorage) *SM {
 	if warps <= 0 {
 		warps = 1
 	}
-	if cap(st.Warps) < warps {
-		st.Warps = make([]Warp, warps)
-	}
-	if cap(st.Pending) < warps {
-		st.Pending = make([]trace.Instruction, warps)
-	}
-	if cap(st.PendingSet) < warps {
-		st.PendingSet = make([]bool, warps)
-	}
-	if cap(st.Order) < 2*warps {
-		st.Order = make([]int32, 2*warps)
-	}
-	if cap(st.Sets) < SetWords(warps) {
-		st.Sets = make([]uint64, SetWords(warps))
-	}
-	rw := words(2 * warps)
 	sm := &SM{
 		ID:         id,
 		source:     source,
 		l1d:        l1d,
 		waiting:    mem.NewBlockTable[[]int](warps),
-		warps:      st.Warps[:warps],
-		pending:    st.Pending[:warps],
-		pendingSet: st.PendingSet[:warps],
-		order:      st.Order[:2*warps],
-		ready:      st.Sets[:rw:rw],
-		timed:      st.Sets[rw:SetWords(warps)],
+		warps:      make([]Warp, warps),
+		pending:    make([]trace.Instruction, warps),
+		pendingSet: make([]bool, warps),
+		order:      make([]int32, 2*warps),
+		ready:      make([]uint64, words(2*warps)),
+		timed:      make([]uint64, words(warps)),
 	}
 	for i := range sm.warps {
 		sm.warps[i] = Warp{ID: i, Budget: instrPerWarp}
-		sm.pending[i] = trace.Instruction{}
-		sm.pendingSet[i] = false
 	}
 	sm.resetSchedule()
 	return sm

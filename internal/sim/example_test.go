@@ -1,11 +1,4 @@
-// Quickstart: build a Dy-FUSE L1D cache inside the paper's Fermi-class GPU
-// model, run an irregular PolyBench workload on it, and compare the result
-// against the conventional SRAM cache.
-//
-// Run with:
-//
-//	go run ./examples/quickstart
-package main
+package sim_test
 
 import (
 	"fmt"
@@ -16,15 +9,18 @@ import (
 	"fuse/internal/trace"
 )
 
-func main() {
-	// 1. Pick a workload. ATAX (matrix-transpose-vector product) is one of
-	// the irregular, thrash-prone kernels the paper's introduction motivates.
+// ExampleNew builds a Dy-FUSE L1D cache inside the paper's Fermi-class GPU
+// model, runs an irregular PolyBench workload on it, and compares the result
+// against the conventional SRAM cache.
+func ExampleNew() {
+	// ATAX (matrix-transpose-vector product) is one of the irregular,
+	// thrash-prone kernels the paper's introduction motivates.
 	profile, ok := trace.ProfileByName("ATAX")
 	if !ok {
 		log.Fatal("workload ATAX not found")
 	}
 
-	// 2. Simulation options: a short run is enough to see the effect.
+	// A short run is enough to see the effect.
 	opts := sim.Options{
 		InstructionsPerWarp: 600,
 		SMOverride:          4, // simulate 4 of the 15 SMs (memory side scales down with it)
@@ -40,11 +36,10 @@ func main() {
 		return s.Run()
 	}
 
-	// 3. Run the conventional SRAM L1D and the full FUSE proposal.
+	// Run the conventional SRAM L1D and the full FUSE proposal.
 	baseline := run(config.L1SRAM)
 	fuse := run(config.DyFUSE)
 
-	// 4. Report.
 	fmt.Println("=== FUSE quickstart: ATAX on a Fermi-class GPU ===")
 	fmt.Printf("%-22s %12s %12s\n", "", "L1-SRAM", "Dy-FUSE")
 	fmt.Printf("%-22s %12.3f %12.3f\n", "IPC", baseline.IPC, fuse.IPC)
@@ -58,4 +53,15 @@ func main() {
 		fmt.Printf("Read-level predictor: %.0f%% confident-correct, %.0f%% neutral, %.0f%% wrong\n",
 			fuse.PredTrue*100, fuse.PredNeutral*100, fuse.PredFalse*100)
 	}
+	// Output:
+	// === FUSE quickstart: ATAX on a Fermi-class GPU ===
+	//                             L1-SRAM      Dy-FUSE
+	// IPC                           0.627        1.056
+	// L1D miss rate                 0.541        0.303
+	// outgoing refs / SM          12884.5       8015.5
+	// off-chip time fraction         0.84         0.73
+	//
+	// Dy-FUSE speedup over L1-SRAM: 1.68x
+	// Outgoing memory references reduced by 38%
+	// Read-level predictor: 69% confident-correct, 30% neutral, 1% wrong
 }

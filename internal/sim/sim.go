@@ -23,11 +23,6 @@
 // without a second look at the bank: rejections whose outcome is already
 // known are charged, not re-executed.
 //
-// Construction supports a reusable scratch Arena (NewWithArena/ReleaseArena)
-// so callers that run many simulations back to back — the batch engine,
-// benchmark loops — reuse the event heaps, wake heaps and flat per-warp
-// slabs instead of re-allocating them per run.
-//
 // The package's invariants — determinism, store-key completeness of Options,
 // the allocation-free hot path, and the conservation of every hot-path
 // counter into Result or a figure table (statflow) — are machine-checked by
@@ -150,11 +145,6 @@ type eventHeap struct {
 
 func (q *eventHeap) len() int { return len(q.keys) }
 
-// reset empties the heap, keeping its buffers.
-func (q *eventHeap) reset() {
-	q.keys, q.slab, q.free = q.keys[:0], q.slab[:0], q.free[:0]
-}
-
 // head returns the earliest key; the heap must not be empty.
 func (q *eventHeap) head() *eventKey { return &q.keys[0] }
 
@@ -229,13 +219,9 @@ type smWakeHeap struct {
 }
 
 func (h *smWakeHeap) init(n int) {
-	h.at = grow(h.at, n)
-	h.pos = grow(h.pos, n)
-	if cap(h.ord) >= n {
-		h.ord = h.ord[:0]
-	} else {
-		h.ord = make([]int, 0, n)
-	}
+	h.at = make([]int64, n)
+	h.pos = make([]int, n)
+	h.ord = make([]int, 0, n)
 	for i := range h.pos {
 		h.pos[i] = -1
 	}
@@ -445,10 +431,6 @@ type Simulator struct {
 	nocCycles int64
 	memCycles int64
 	fills     uint64
-
-	// arena is the scratch region the simulator was built with (a private
-	// one for New); see arena.go.
-	arena *Arena
 }
 
 // New builds a simulator for the given GPU configuration and workload
@@ -456,15 +438,6 @@ type Simulator struct {
 // replay workloads plug in the same way — the simulator only sees the
 // per-SM instruction Sources the workload constructs.
 func New(gpuCfg config.GPUConfig, workload trace.Workload, opts Options) (*Simulator, error) {
-	return NewWithArena(gpuCfg, workload, opts, nil)
-}
-
-// NewWithArena is New with a reusable scratch arena: the simulator's event
-// heap, wake heap, idle-charge accounting and flat per-warp state are carved
-// out of the arena instead of freshly allocated. A nil arena behaves exactly
-// like New, which carves them from a private arena. Call ReleaseArena when
-// the run is done to hand the buffers back.
-func NewWithArena(gpuCfg config.GPUConfig, workload trace.Workload, opts Options, arena *Arena) (*Simulator, error) {
 	if err := gpuCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
@@ -524,11 +497,10 @@ func NewWithArena(gpuCfg config.GPUConfig, workload trace.Workload, opts Options
 		FlitBytes:  gpuCfg.NoCFlitBytes,
 	})
 
-	warpsPerSM := max(1, gpuCfg.WarpsPerSM)
-	if arena == nil {
-		arena = NewArena()
-	}
-	s.takeScratch(arena, smCount, warpsPerSM)
+	s.sms = make([]*gpu.SM, smCount)
+	s.chargedTo = make([]int64, smCount)
+	s.dirty = make([]uint64, smSetWords(smCount))
+	s.due = make([]uint64, smSetWords(smCount))
 	for i := range s.sms {
 		l1d, err := core.New(gpuCfg.L1D)
 		if err != nil {
@@ -538,7 +510,7 @@ func NewWithArena(gpuCfg config.GPUConfig, workload trace.Workload, opts Options
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		s.sms[i] = gpu.NewSMIn(i, warpsPerSM, opts.InstructionsPerWarp, source, l1d, arena.smStorage(i, warpsPerSM))
+		s.sms[i] = gpu.NewSM(i, gpuCfg.WarpsPerSM, opts.InstructionsPerWarp, source, l1d)
 	}
 	s.memTickAt = -1
 	s.retries.reset()

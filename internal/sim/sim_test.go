@@ -436,38 +436,3 @@ func TestPhasedWorkloadRunsDeterministically(t *testing.T) {
 		t.Errorf("phased workload result malformed: %+v", a)
 	}
 }
-
-// TestArenaReuseAcrossRuns pins the arena path: back-to-back runs through one
-// arena must produce identical results to fresh simulators, for different
-// configurations sharing the same buffers.
-func TestArenaReuseAcrossRuns(t *testing.T) {
-	arena := NewArena()
-	opts := quickOpts()
-	runs := []struct {
-		kind     config.L1DKind
-		workload string
-	}{
-		{config.L1SRAM, "ATAX"},
-		{config.DyFUSE, "ATAX"},
-		{config.L1SRAM, "pathf"},
-		{config.DyFUSE, "GEMM"},
-		{config.L1SRAM, "ATAX"}, // repeat of the first: exact same buffers again
-	}
-	for i, rc := range runs {
-		want := mustRun(t, rc.kind, rc.workload, opts)
-		w, err := trace.LookupWorkload(rc.workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewWithArena(config.FermiGPU(config.NewL1DConfig(rc.kind)), w, opts, arena)
-		if err != nil {
-			t.Fatalf("run %d: NewWithArena: %v", i, err)
-		}
-		got := s.Run()
-		s.ReleaseArena()
-		if got != want {
-			t.Errorf("run %d (%v/%s) diverged through the arena:\n got: %+v\nwant: %+v",
-				i, rc.kind, rc.workload, got, want)
-		}
-	}
-}

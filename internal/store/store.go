@@ -493,29 +493,22 @@ func (d *Disk) Len() int {
 	return n
 }
 
-// OpenTiered opens (creating if necessary) a disk store at dir and composes
-// a fresh memory tier over it — the standard wiring of every CLI tool and
-// server that takes a -store flag.
-func OpenTiered(dir string) (*Tiered, error) {
+// OpenTiered is the standard wiring of every CLI tool and server that takes
+// a -store flag: a memory tier bounded to memCap entries with LRU eviction
+// (0 = unbounded) over the disk store at dir, created if necessary. An empty
+// dir gives the memory tier alone. When the disk store cannot be opened the
+// memory tier is returned alone together with the open error, which callers
+// report as a warning: the returned Tiered is always usable.
+func OpenTiered(dir string, memCap int) (*Tiered, error) {
+	mem := NewMemoryLRU(memCap)
+	if dir == "" {
+		return NewTiered(mem), nil
+	}
 	disk, err := Open(dir)
 	if err != nil {
-		return nil, err
+		return NewTiered(mem), err
 	}
-	return NewTiered(NewMemory(), disk), nil
-}
-
-// OpenTieredResilient opens a tiered store at dir; if the disk tier cannot
-// be opened it degrades to a memory-only cache instead of failing, returning
-// the open error as a warning. The returned Tiered is always usable:
-//
-//	cache, warn := store.OpenTieredResilient(dir)
-//	if warn != nil { log.Printf("warning: %v; continuing memory-only", warn) }
-func OpenTieredResilient(dir string) (*Tiered, error) {
-	t, err := OpenTiered(dir)
-	if err != nil {
-		return NewTiered(NewMemory()), err
-	}
-	return t, nil
+	return NewTiered(mem, disk), nil
 }
 
 // Tiered layers cache tiers fastest-first: Get probes in order and backfills

@@ -622,38 +622,65 @@ func TestOpenSweepsStaleTempFiles(t *testing.T) {
 	}
 }
 
-func TestOpenTieredResilientFallsBackToMemory(t *testing.T) {
+func TestOpenTiered(t *testing.T) {
 	// A FILE as the parent path makes MkdirAll fail with ENOTDIR even as
 	// root, so the disk tier cannot be created.
-	parent := filepath.Join(t.TempDir(), "blocker")
-	if err := os.WriteFile(parent, []byte("x"), 0o644); err != nil {
+	blocker := filepath.Join(t.TempDir(), "blocker")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cache, warn := OpenTieredResilient(filepath.Join(parent, "store"))
-	if warn == nil {
-		t.Fatalf("expected a warning for an unopenable store dir")
+	cases := []struct {
+		name    string
+		dir     string
+		memCap  int
+		tiers   []string
+		wantErr bool
+	}{
+		{"no dir", "", 0, []string{"memory"}, false},
+		{"unopenable dir", filepath.Join(blocker, "store"), 0, []string{"memory"}, true},
+		{"disk", t.TempDir(), 2, []string{"memory", "disk"}, false},
 	}
-	if cache == nil {
-		t.Fatalf("resilient open must still return a usable cache")
-	}
-	res := sampleResult(rand.New(rand.NewSource(10)))
-	key := hexKey(0x50)
-	cache.Put(key, res)
-	if got, ok := cache.Get(key); !ok || !reflect.DeepEqual(got, res) {
-		t.Errorf("memory-only fallback should round-trip results")
-	}
-
-	// The happy path still opens both tiers and reports both healths.
-	ok, warn := OpenTieredResilient(t.TempDir())
-	if warn != nil {
-		t.Fatalf("unexpected warning: %v", warn)
-	}
-	tiers := ok.Health()
-	if len(tiers) != 2 || tiers[0].Tier != "memory" || tiers[1].Tier != "disk" {
-		t.Errorf("Health tiers = %+v, want [memory disk]", tiers)
-	}
-	if ok.Degraded() {
-		t.Errorf("fresh tiered store should not be degraded")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cache, err := OpenTiered(tc.dir, tc.memCap)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("OpenTiered error = %v, want error %v", err, tc.wantErr)
+			}
+			var tiers []string
+			for _, h := range cache.Health() {
+				tiers = append(tiers, h.Tier)
+			}
+			if !reflect.DeepEqual(tiers, tc.tiers) {
+				t.Fatalf("tiers = %v, want %v", tiers, tc.tiers)
+			}
+			if cache.Degraded() {
+				t.Errorf("freshly opened store should not be degraded")
+			}
+			res := sampleResult(rand.New(rand.NewSource(10)))
+			key := hexKey(0x50)
+			cache.Put(key, res)
+			if got, ok := cache.Get(key); !ok || !reflect.DeepEqual(got, res) {
+				t.Errorf("round trip through %v failed", tc.tiers)
+			}
+			if tc.memCap == 0 {
+				return
+			}
+			// Fill the memory tier past memCap: key, the least recently
+			// used entry, is the one evicted.
+			mem := cache.tiers[0].(*Memory)
+			for i := 1; i <= tc.memCap; i++ {
+				cache.Put(hexKey(byte(0x50+i)), res)
+			}
+			if mem.Len() != tc.memCap {
+				t.Errorf("memory tier holds %d entries, want memCap %d", mem.Len(), tc.memCap)
+			}
+			if _, ok := mem.Get(key); ok {
+				t.Errorf("memory tier kept the LRU entry past memCap")
+			}
+			if _, ok := mem.Get(hexKey(byte(0x50 + tc.memCap))); !ok {
+				t.Errorf("memory tier evicted the most recent entry")
+			}
+		})
 	}
 }
 
