@@ -482,20 +482,19 @@ func TestReadyzReportsDegradedDiskTier(t *testing.T) {
 	var execs atomic.Int32
 	ts := newTestServer(t, dir, &execs)
 
-	// Plant a directory at a valid key's entry path: every read of that key
-	// fails with a non-ENOENT error, and DegradedThreshold consecutive
-	// failures trip the disk tier.
-	disk, err := store.Open(dir)
-	if err != nil {
+	// Replace the store directory with a regular file: the rescan every
+	// disk-tier miss makes fails with a non-ENOENT error, and
+	// DegradedThreshold consecutive failures trip the disk tier.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	key := strings.Repeat("ab", 32)
-	if err := os.MkdirAll(disk.EntryPath(key), 0o755); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < store.DegradedThreshold; i++ {
 		if resp := getJSON(t, ts.URL+"/v1/result/"+key, nil); resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("unreadable entry should read as a miss, got %d", resp.StatusCode)
+			t.Fatalf("unreadable store should read as a miss, got %d", resp.StatusCode)
 		}
 	}
 
@@ -510,12 +509,26 @@ func TestReadyzReportsDegradedDiskTier(t *testing.T) {
 		t.Errorf("/readyz status = %d, want 503 while the disk tier is tripped", resp.StatusCode)
 	}
 
-	// A successful store write recovers the tier and readiness.
+	// Once the directory is back, a successful store write recovers the
+	// tier and readiness.
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if resp := getJSON(t, ts.URL+"/v1/figures/13?workloads=ATAX", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("figure request failed: %d", resp.StatusCode)
 	}
 	if resp := getJSON(t, ts.URL+"/readyz", &h); resp.StatusCode != http.StatusOK {
 		t.Errorf("/readyz should recover after successful I/O, got %d (%+v)", resp.StatusCode, h)
+	}
+	// The disk tier counts the records the figure request wrote.
+	if resp := getJSON(t, ts.URL+"/healthz", &h); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz status = %d", resp.StatusCode)
+	}
+	if len(h.Store) != 2 || h.Store[1].Tier != "disk" || h.Store[1].Entries == 0 {
+		t.Errorf("healthz store tiers = %+v, want a disk tier with entries", h.Store)
 	}
 }
 

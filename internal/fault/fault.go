@@ -17,22 +17,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"fuse/internal/sim"
 	"fuse/internal/store"
 )
-
-// writeRaw overwrites a file with raw bytes, creating the parent directory —
-// how corrupting Puts plant undecodable entries.
-func writeRaw(path string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
 
 // Plan is a seeded fault-injection plan. The zero value injects nothing;
 // probabilities are in [0, 1].
@@ -46,11 +36,11 @@ type Plan struct {
 	GetFailProb float64
 	// PutDropProb is the probability that a cache Put is silently dropped.
 	PutDropProb float64
-	// PutCorruptProb is the probability that a cache Put is replaced by
-	// garbage bytes written directly to the disk tier's entry file —
-	// detectably corrupt (it cannot decode), never wrong-but-valid, so the
-	// store's quarantine path is exercised instead of poisoning results.
-	// Requires a Disk to corrupt; ignored otherwise.
+	// PutCorruptProb is the probability that a cache Put is written to the
+	// disk tier alone and then has bytes inside its record overwritten —
+	// detectably corrupt (its CRC no longer matches), never wrong-but-valid,
+	// so the store's quarantine path is exercised instead of poisoning
+	// results. Requires a Disk to corrupt; ignored otherwise.
 	PutCorruptProb float64
 
 	// ExecFailProb is the probability that a job execution is replaced by a
@@ -139,8 +129,8 @@ type CacheStats struct {
 }
 
 // Cache wraps a store.Cache with plan-driven faults: failed Gets read as
-// misses, failed Puts are dropped, and corrupting Puts write garbage bytes
-// to the disk tier (when one is attached) so the quarantine path runs.
+// misses, failed Puts are dropped, and corrupting Puts leave a damaged record
+// in the disk tier (when one is attached) so the quarantine path runs.
 type Cache struct {
 	plan  Plan
 	inner store.Cache
@@ -154,8 +144,8 @@ type Cache struct {
 }
 
 // WrapCache wraps inner with the plan's store faults. disk, when non-nil, is
-// the tier whose entry files corrupting Puts overwrite (pass the same *Disk
-// that backs inner).
+// the tier whose records corrupting Puts damage (pass the same *Disk that
+// backs inner).
 func WrapCache(plan Plan, inner store.Cache, disk *store.Disk) *Cache {
 	return &Cache{plan: plan, inner: inner, disk: disk}
 }
@@ -185,7 +175,7 @@ func (c *Cache) Get(key string) (sim.Result, bool) {
 }
 
 // Put implements store.Cache: an injected drop discards the write, an
-// injected corruption replaces the disk entry with undecodable bytes.
+// injected corruption writes the disk record and then damages it.
 func (c *Cache) Put(key string, res sim.Result) {
 	seq := c.putSeq.next(key)
 	if c.plan.decide("put-drop", key, seq, c.plan.PutDropProb) {
@@ -193,8 +183,7 @@ func (c *Cache) Put(key string, res sim.Result) {
 		return
 	}
 	if c.disk != nil && c.plan.decide("put-corrupt", key, seq, c.plan.PutCorruptProb) {
-		if path := c.disk.EntryPath(key); path != "" {
-			c.corrupt(path)
+		if c.corrupt(key, res) == nil {
 			c.bump(func(s *CacheStats) { s.PutsCorrupt++ })
 			return
 		}
@@ -203,11 +192,26 @@ func (c *Cache) Put(key string, res sim.Result) {
 	c.inner.Put(key, res)
 }
 
-// corrupt writes a truncated envelope to the entry path: bytes that exist —
-// so the disk tier finds and reads them — but can never decode, so the read
-// path must quarantine and miss rather than return a wrong result.
-func (c *Cache) corrupt(path string) {
-	_ = writeRaw(path, []byte(`{"schema":2,"result":`))
+// corrupt appends key's record to the disk tier, then overwrites the tail of
+// its envelope: the record exists — so the disk tier indexes and reads it —
+// but fails its CRC, so the read path must quarantine and miss rather than
+// return a wrong result.
+func (c *Cache) corrupt(key string, res sim.Result) error {
+	if err := c.disk.Write(key, res); err != nil {
+		return err
+	}
+	rec, ok := c.disk.Locate(key)
+	if !ok {
+		return fmt.Errorf("fault: record of %s not indexed after its write", key)
+	}
+	f, err := os.OpenFile(rec.Path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	garbage := []byte(`{"schema":2,"result":`)
+	_, err = f.WriteAt(garbage, rec.Offset+int64(rec.Len-len(garbage)))
+	return err
 }
 
 // ExecFunc matches the engine's executor signature without importing the

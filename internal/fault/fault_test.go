@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -98,7 +97,7 @@ func TestCacheDropsAndCorruptsPuts(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		key := hexKey(byte(i))
 		c.Put(key, res)
-		if _, err := os.Stat(disk.EntryPath(key)); err != nil {
+		if _, ok := disk.Locate(key); !ok {
 			dropped = append(dropped, key)
 		} else if _, ok := disk.Get(key); ok {
 			stored = append(stored, key)

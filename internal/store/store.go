@@ -10,11 +10,20 @@
 // Canonical means object keys are sorted and numbers are preserved verbatim,
 // so the key does not depend on the order in which fields were encoded.
 //
-// Disk layout: one versioned JSON envelope per result at
-// <dir>/<key[:2]>/<key>.json, written atomically (temp file + rename).
-// Corrupt, truncated or wrong-schema entries are treated as cache misses,
-// never as errors; on read they are quarantined (renamed to <key>.corrupt)
-// so the key becomes writable again instead of silently re-missing forever.
+// Disk layout: append-only segment files, <dir>/<seq>.seg, one per writing
+// Disk, named by a sequence number so that they sort in creation order. Each result
+// is one framed record appended with a single write: magic, payload length,
+// a CRC-32C over key and payload, the 32-byte binary key, then the versioned
+// JSON envelope. Open streams every segment into an in-memory index (key ->
+// segment, offset, length); the last valid record of a key wins. A Get that
+// misses the index first rescans the bytes the segments gained, so processes
+// sharing a directory see each other's results. A torn tail (a writer killed
+// mid-append) ends its segment's scan; a record failing its CRC, key or
+// decode check is quarantined (counted, and read as a miss until the key is
+// written again). Defects are cache misses, never errors. The directory
+// accumulates one segment per writing process and is never compacted; the
+// one-file-per-result trees of earlier versions (<key[:2]>/<key>.json) are
+// not read.
 //
 // The Cache interface composes: Memory is the in-process tier (optionally
 // bounded, with LRU eviction), Disk the persistent one, and Tiered layers
@@ -24,15 +33,21 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -163,15 +178,16 @@ type Cache interface {
 type Health struct {
 	// Tier names the tier ("memory" or "disk").
 	Tier string `json:"tier"`
-	// Entries is the resident entry count (memory tier only: the disk tier
-	// would have to walk its directory to count).
+	// Entries is the resident entry count: the memory tier's map, the disk
+	// tier's index of records.
 	Entries int `json:"entries,omitempty"`
 	// Capacity is the memory tier's entry bound (0 = unbounded).
 	Capacity int `json:"capacity,omitempty"`
 	// Evictions counts entries the memory tier evicted to stay within its
 	// capacity.
 	Evictions int64 `json:"evictions,omitempty"`
-	// Quarantined counts corrupt disk entries renamed aside on read.
+	// Quarantined counts disk records that failed their CRC, key or decode
+	// check.
 	Quarantined int64 `json:"quarantined,omitempty"`
 	// IOFailures is the current run of consecutive disk I/O failures; any
 	// successful read or write resets it.
@@ -314,20 +330,73 @@ func (c *Memory) Health() Health {
 // health endpoints so operators and load balancers can react.
 const DegradedThreshold = 3
 
-// Disk is the persistent, content-addressed cache tier.
+// Segment record framing. A record is a fixed header — magic, payload
+// length, CRC-32C over key and payload, the 32-byte binary key — followed by
+// the payload, which is exactly the Encode envelope. All integers are
+// little-endian.
+const (
+	recMagic  = 0x52455346 // "FSER" on disk
+	keyLen    = sha256.Size
+	headerLen = 4 + 4 + 4 + keyLen
+	segExt    = ".seg"
+)
+
+// castagnoli is the CRC-32C table records are checksummed with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Disk is the persistent, content-addressed cache tier: a directory of
+// append-only segment files and an in-memory index over them. Each Disk
+// appends to one segment of its own, created on its first Put; it reads
+// every segment in the directory, including those other processes are still
+// appending to.
 type Disk struct {
 	dir string
 
-	// quarantined counts corrupt entries renamed aside on read.
+	// wmu serialises appends to own, this Disk's segment (nil until the
+	// first Put, and again after a failed append). ownEnd is own's length.
+	wmu    sync.Mutex
+	own    *segment
+	ownID  uint32
+	ownEnd int64
+
+	// scanMu serialises scans: Open's, and the rescans of Get misses and
+	// Len. A scan reads only the bytes segments gained since the last one.
+	scanMu sync.Mutex
+
+	// mu guards the index and the segment table. lastSeq is the highest
+	// segment sequence number seen in the directory.
+	mu      sync.Mutex
+	index   map[[keyLen]byte]loc
+	segs    []*segment // by segment id
+	byName  map[string]uint32
+	lastSeq uint64
+
+	// quarantined counts records that failed their CRC, key or decode
+	// check; such a key reads as a miss until the next Put of it.
 	quarantined atomic.Int64
-	// ioFailures is the current run of consecutive I/O failures (reads or
-	// writes that error for reasons other than the entry not existing); a
-	// successful read or write resets it.
+	// ioFailures is the current run of consecutive I/O failures (reads,
+	// rescans or writes that error); a successful read or write resets it.
 	ioFailures atomic.Int64
 }
 
-// Open creates (if necessary) and opens a disk store rooted at dir, sweeping
-// any stale .tmp-* files a crashed writer may have left behind.
+// segment is one open segment file. scanned (the offset of the first record
+// not yet indexed) and size (the file size the last scan saw) belong to the
+// scanner and are touched only under Disk.scanMu.
+type segment struct {
+	f             *os.File
+	own           bool // written by this Disk, which indexes its records as it appends them
+	scanned, size int64
+}
+
+// loc locates one record: segment id, offset and length (header included).
+type loc struct {
+	seg uint32
+	n   uint32
+	off int64
+}
+
+// Open creates (if necessary) and opens a disk store rooted at dir, indexing
+// every segment file in it.
 func Open(dir string) (*Disk, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
@@ -335,92 +404,144 @@ func Open(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	sweepTempFiles(dir)
-	return &Disk{dir: dir}, nil
-}
-
-// sweepTempFiles removes .tmp-* files from the store's fan-out directories.
-// Writers create them with os.CreateTemp and rename them into place; a
-// writer killed between the two leaves an orphan that would otherwise
-// accumulate forever. Removal is best-effort — a sweep failure never blocks
-// opening the store.
-func sweepTempFiles(dir string) {
-	stale, err := filepath.Glob(filepath.Join(dir, "*", ".tmp-*"))
-	if err != nil {
-		return
+	d := &Disk{dir: dir, index: make(map[[keyLen]byte]loc), byName: make(map[string]uint32)}
+	if err := d.rescan(); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	for _, path := range stale {
-		_ = os.Remove(path)
-	}
+	return d, nil
 }
 
 // Dir returns the store's root directory.
 func (d *Disk) Dir() string { return d.dir }
 
-// path maps a key to its entry file: a two-character fan-out directory keeps
-// any single directory small even for very large stores.
-func (d *Disk) path(key string) string {
-	return filepath.Join(d.dir, key[:2], key+".json")
-}
-
-// EntryPath returns the on-disk path of a key's entry file. Exposed for
-// tooling and fault injection that needs to manipulate entries at the byte
-// level; returns "" for an invalid key.
-func (d *Disk) EntryPath(key string) string {
+// parseKey decodes a store key to its binary form.
+func parseKey(key string) ([keyLen]byte, bool) {
+	var k [keyLen]byte
 	if !ValidKey(key) {
-		return ""
+		return k, false
 	}
-	return d.path(key)
+	_, err := hex.Decode(k[:], []byte(key))
+	return k, err == nil
 }
 
-// quarantinePath is where a corrupt entry is renamed: same fan-out
-// directory, .corrupt extension.
-func (d *Disk) quarantinePath(key string) string {
-	return filepath.Join(d.dir, key[:2], key+".corrupt")
+// Locator is where a key's current record lives: the segment file's path,
+// the record's offset in it and its length. Exposed for fault injection that
+// manipulates records at the byte level.
+type Locator struct {
+	Path   string
+	Offset int64
+	Len    int
+}
+
+// Locate returns the locator of key's indexed record, or false if the key is
+// invalid or not indexed.
+func (d *Disk) Locate(key string) (Locator, bool) {
+	k, ok := parseKey(key)
+	if !ok {
+		return Locator{}, false
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	l, ok := d.index[k]
+	if !ok {
+		return Locator{}, false
+	}
+	return Locator{Path: d.segs[l.seg].f.Name(), Offset: l.off, Len: int(l.n)}, true
 }
 
 // ioFailed records one I/O failure; ioOK ends the failure run.
 func (d *Disk) ioFailed() { d.ioFailures.Add(1) }
 func (d *Disk) ioOK()     { d.ioFailures.Store(0) }
 
-// Get implements Cache. Unreadable entries are misses; corrupt entries
-// (truncated, malformed, wrong schema) are quarantined — renamed to
-// <key>.corrupt — so the key reads as a genuine miss and the next Put
-// repopulates it, instead of the store re-missing on the same bad bytes
-// forever.
+// lookup returns key's indexed record and the file holding it.
+func (d *Disk) lookup(k [keyLen]byte) (loc, *os.File, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	l, ok := d.index[k]
+	if !ok {
+		return loc{}, nil, false
+	}
+	return l, d.segs[l.seg].f, true
+}
+
+// quarantine counts a record that failed its checks and drops it from the
+// index — unless a newer record of the key has replaced it meanwhile — so
+// the key reads as a miss until the next Put appends a fresh record.
+func (d *Disk) quarantine(k [keyLen]byte, l loc) {
+	d.quarantined.Add(1)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.index[k] == l {
+		delete(d.index, k)
+	}
+}
+
+// Get implements Cache. On an index miss it first rescans what the segments
+// gained, so results other processes appended are found. A record that fails
+// its CRC, key or decode check is quarantined and reads as a miss.
 //
-//fuselint:blocking reads the entry from disk
+//fuselint:blocking reads the record from disk
 func (d *Disk) Get(key string) (sim.Result, bool) {
-	if !ValidKey(key) {
+	k, ok := parseKey(key)
+	if !ok {
 		return sim.Result{}, false
 	}
-	path := d.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
+	l, f, ok := d.lookup(k)
+	if !ok {
+		if err := d.rescan(); err != nil {
+			d.ioFailed()
+			return sim.Result{}, false
+		}
+		if l, f, ok = d.lookup(k); !ok {
+			return sim.Result{}, false
+		}
+	}
+	rec := make([]byte, l.n)
+	if _, err := f.ReadAt(rec, l.off); err != nil {
+		if errors.Is(err, io.EOF) { // the segment shrank under its index
+			d.quarantine(k, l)
+		} else {
 			d.ioFailed()
 		}
 		return sim.Result{}, false
 	}
-	res, err := Decode(data)
+	n, crc, ok := parseHeader(rec)
+	if !ok || int(n) != len(rec)-headerLen || [keyLen]byte(rec[12:headerLen]) != k ||
+		crc32.Checksum(rec[12:], castagnoli) != crc {
+		d.quarantine(k, l)
+		return sim.Result{}, false
+	}
+	res, err := Decode(rec[headerLen:])
 	if err != nil {
-		if os.Rename(path, d.quarantinePath(key)) == nil {
-			d.quarantined.Add(1)
-		}
+		d.quarantine(k, l)
 		return sim.Result{}, false
 	}
 	d.ioOK()
 	return res, true
 }
 
-// Quarantined returns the number of corrupt entries quarantined on read.
+// parseHeader checks a record header's magic and returns its payload length
+// and CRC. A zero length is a bad header: no envelope is empty.
+func parseHeader(h []byte) (n, crc uint32, ok bool) {
+	if binary.LittleEndian.Uint32(h) != recMagic {
+		return 0, 0, false
+	}
+	n = binary.LittleEndian.Uint32(h[4:])
+	return n, binary.LittleEndian.Uint32(h[8:]), n > 0
+}
+
+// Quarantined returns the number of records that failed their checks.
 func (d *Disk) Quarantined() int64 { return d.quarantined.Load() }
 
 // Health implements HealthReporter.
 func (d *Disk) Health() Health {
+	d.mu.Lock()
+	entries := len(d.index)
+	d.mu.Unlock()
 	fails := d.ioFailures.Load()
 	return Health{
 		Tier:        "disk",
+		Entries:     entries,
 		Quarantined: d.quarantined.Load(),
 		IOFailures:  fails,
 		Degraded:    fails >= DegradedThreshold,
@@ -431,66 +552,226 @@ func (d *Disk) Health() Health {
 // degrades to a pass-through cache, it does not fail the simulation).
 func (d *Disk) Put(key string, res sim.Result) { _ = d.Write(key, res) }
 
-// Write stores one result, reporting errors. The entry is written to a
-// temporary file in the destination directory and renamed into place, so
-// concurrent writers and crashed processes can never leave a torn entry
-// behind — only a complete one or none.
+// Write stores one result, reporting errors: the framed record is appended
+// to this Disk's segment with a single write. A process killed mid-write
+// leaves at most a torn record at its segment's tail, which scans stop at.
 //
-//fuselint:blocking writes and renames the entry on disk
+//fuselint:blocking appends the record on disk
 func (d *Disk) Write(key string, res sim.Result) error {
-	if !ValidKey(key) {
+	k, ok := parseKey(key)
+	if !ok {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
 	data, err := Encode(res)
 	if err != nil {
 		return err
 	}
-	if err := d.writeEntry(d.path(key), data); err != nil {
+	l, err := d.append(frame(k, data))
+	if err != nil {
 		d.ioFailed()
 		return err
 	}
+	d.mu.Lock()
+	d.index[k] = l
+	d.mu.Unlock()
 	d.ioOK()
 	return nil
 }
 
-// writeEntry performs the atomic temp-file + rename write of one entry.
-func (d *Disk) writeEntry(path string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
+// frame builds the segment record of one payload.
+func frame(k [keyLen]byte, payload []byte) []byte {
+	rec := make([]byte, headerLen, headerLen+len(payload))
+	binary.LittleEndian.PutUint32(rec, recMagic)
+	binary.LittleEndian.PutUint32(rec[4:], uint32(len(payload)))
+	copy(rec[12:], k[:])
+	rec = append(rec, payload...)
+	binary.LittleEndian.PutUint32(rec[8:], crc32.Checksum(rec[12:], castagnoli))
+	return rec
+}
+
+// append writes one record at the end of this Disk's segment, creating the
+// segment on first use. After a failed write the segment is abandoned — it
+// may end in a torn record — and the next append starts a fresh one.
+func (d *Disk) append(rec []byte) (loc, error) {
+	d.wmu.Lock()
+	defer d.wmu.Unlock()
+	if d.own == nil {
+		if err := d.createSegment(); err != nil {
+			return loc{}, fmt.Errorf("store: %w", err)
+		}
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if _, err := d.own.f.Write(rec); err != nil {
+		d.own = nil
+		return loc{}, fmt.Errorf("store: %w", err)
+	}
+	l := loc{seg: d.ownID, n: uint32(len(rec)), off: d.ownEnd}
+	d.ownEnd += int64(len(rec))
+	return l, nil
+}
+
+// createSegment creates this Disk's segment. Segments are named by a
+// sequence number, 16 hex digits wide so that names sort in creation order:
+// the first number above every segment seen that is still free. O_EXCL
+// settles races with other writers, which move on to the next number.
+func (d *Disk) createSegment() error {
+	d.mu.Lock()
+	seq := d.lastSeq
+	d.mu.Unlock()
+	for {
+		seq++
+		name := segName(seq)
+		f, err := os.OpenFile(filepath.Join(d.dir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
+		if errors.Is(err, fs.ErrExist) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		d.own, d.ownID, d.ownEnd = &segment{f: f, own: true}, uint32(len(d.segs)), 0
+		d.segs = append(d.segs, d.own)
+		d.byName[name] = d.ownID
+		d.lastSeq = max(d.lastSeq, seq)
+		return nil
+	}
+}
+
+// segName and segSeq convert between a segment's sequence number and its
+// file name; segSeq reports false for names that are not segments.
+func segName(seq uint64) string { return fmt.Sprintf("%016x%s", seq, segExt) }
+
+func segSeq(name string) (uint64, bool) {
+	hexSeq, ok := strings.CutSuffix(name, segExt)
+	if !ok || len(hexSeq) != 16 {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(hexSeq, 16, 64)
+	return seq, err == nil
+}
+
+// rescan opens the segments that appeared in the directory since the last
+// scan, in name order, then indexes the records every segment gained. Of
+// several records of one key, the last one read wins.
+func (d *Disk) rescan() error {
+	d.scanMu.Lock()
+	defer d.scanMu.Unlock()
+	entries, err := os.ReadDir(d.dir)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+	for _, e := range entries {
+		name := e.Name()
+		seq, ok := segSeq(name)
+		if !ok || !e.Type().IsRegular() {
+			continue
+		}
+		d.mu.Lock()
+		_, known := d.byName[name]
+		d.mu.Unlock()
+		if known {
+			continue
+		}
+		f, err := os.Open(filepath.Join(d.dir, name))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // removed since the listing
+		}
+		if err != nil {
+			return err
+		}
+		d.mu.Lock()
+		d.byName[name] = uint32(len(d.segs))
+		d.segs = append(d.segs, &segment{f: f})
+		d.lastSeq = max(d.lastSeq, seq)
+		d.mu.Unlock()
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+	d.mu.Lock()
+	segs := d.segs
+	d.mu.Unlock()
+	for id, s := range segs {
+		if s.own {
+			continue
+		}
+		if err := d.scanSegment(uint32(id), s); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// Len walks the store and returns the number of valid-looking entries.
-func (d *Disk) Len() int {
-	n := 0
-	_ = filepath.WalkDir(d.dir, func(path string, entry os.DirEntry, err error) error {
-		if err != nil || entry.IsDir() {
-			return nil
-		}
-		if filepath.Ext(path) == ".json" {
-			n++
-		}
+// scanBuf bounds the memory a scan reads through: a segment streams through
+// a buffer of at most this size, never as a whole-file read.
+const scanBuf = 64 << 10
+
+// scanSegment indexes the records s gained since its last scan, checking
+// each one's CRC. A bad header, or a record running past the end of the
+// file — a torn tail from a killed writer, or an append still in flight —
+// ends the scan at that record; the next scan resumes there once the file
+// has grown. A CRC failure is quarantined and skipped.
+func (d *Disk) scanSegment(id uint32, s *segment) error {
+	fi, err := s.f.Stat()
+	if err != nil {
+		return err
+	}
+	size := fi.Size()
+	if size == s.size {
 		return nil
-	})
-	return n
+	}
+	gained := size - s.scanned
+	r := bufio.NewReaderSize(io.NewSectionReader(s.f, s.scanned, gained), int(min(gained, scanBuf)))
+	type indexed struct {
+		k [keyLen]byte
+		l loc
+	}
+	var found []indexed
+	off := s.scanned
+	var hdr [headerLen]byte
+	for {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				break
+			}
+			return err
+		}
+		n, want, ok := parseHeader(hdr[:])
+		end := off + headerLen + int64(n)
+		if !ok || end > size {
+			break
+		}
+		crc := crc32.Update(0, castagnoli, hdr[12:])
+		for rem := int(n); rem > 0; {
+			chunk, err := r.Peek(min(rem, r.Size()))
+			if err != nil {
+				return err
+			}
+			crc = crc32.Update(crc, castagnoli, chunk)
+			rem -= len(chunk)
+			_, _ = r.Discard(len(chunk)) // cannot fail: the bytes are buffered
+		}
+		if crc == want {
+			found = append(found, indexed{[keyLen]byte(hdr[12:]), loc{seg: id, n: uint32(end - off), off: off}})
+		} else {
+			d.quarantined.Add(1)
+		}
+		off = end
+	}
+	s.scanned, s.size = off, size
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, e := range found {
+		d.index[e.k] = e.l
+	}
+	return nil
+}
+
+// Len rescans the store and returns the number of indexed records.
+//
+//fuselint:blocking rescans the segments
+func (d *Disk) Len() int {
+	_ = d.rescan()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.index)
 }
 
 // OpenTiered is the standard wiring of every CLI tool and server that takes

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"fuse/internal/config"
@@ -212,14 +213,11 @@ func TestDiskPutGetAndCorruptEntriesAreMisses(t *testing.T) {
 		t.Errorf("Len = %d, want 1", d.Len())
 	}
 
-	// Corrupt the entry in place: the next Get must be a miss, not an error
-	// or a garbage result.
-	path := d.path(key)
-	if err := os.WriteFile(path, []byte(`{"schema":1,"result":`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Corrupt the record in place: the next Get must be a miss, not an
+	// error or a garbage result.
+	overwrite(t, d, key, headerLen, []byte(`{"schema":1,"result":`))
 	if _, ok := d.Get(key); ok {
-		t.Errorf("truncated entry should read as a miss")
+		t.Errorf("corrupted record should read as a miss")
 	}
 
 	// Malformed keys never touch the filesystem.
@@ -231,25 +229,43 @@ func TestDiskPutGetAndCorruptEntriesAreMisses(t *testing.T) {
 	}
 }
 
-func TestDiskWriteIsAtomicRename(t *testing.T) {
-	d, err := Open(t.TempDir())
+func TestDiskAppendsToOneSegment(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sampleResult(rand.New(rand.NewSource(4)))
-	key := strings.Repeat("ab", 32)
-	if err := d.Write(key, res); err != nil {
-		t.Fatal(err)
-	}
-	// No temp files left behind.
-	entries, err := os.ReadDir(filepath.Dir(d.path(key)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".tmp-") {
-			t.Errorf("temp file %s left behind", e.Name())
+	rng := rand.New(rand.NewSource(4))
+	var want int64
+	for _, b := range []byte{0x01, 0x02, 0x03, 0x02} { // one key written twice
+		res := sampleResult(rng)
+		enc, err := Encode(res)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := d.Write(hexKey(b), res); err != nil {
+			t.Fatal(err)
+		}
+		want += int64(headerLen + len(enc))
+	}
+	// Every record went to one segment file: no fan-out directories, no
+	// temporary files, nothing but appended records.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || !entries[0].Type().IsRegular() || filepath.Ext(entries[0].Name()) != segExt {
+		t.Fatalf("store directory holds %v, want one segment file", entries)
+	}
+	fi, err := entries[0].Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != want {
+		t.Errorf("segment is %d bytes, want the %d bytes of four records", fi.Size(), want)
+	}
+	if d.Len() != 3 || d.Health().Entries != 3 {
+		t.Errorf("Len = %d, Health().Entries = %d, want 3 distinct keys", d.Len(), d.Health().Entries)
 	}
 }
 
@@ -509,7 +525,8 @@ func TestMemoryLRUEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 func TestDiskQuarantinesCorruptEntries(t *testing.T) {
-	d, err := Open(t.TempDir())
+	dir := t.TempDir()
+	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,24 +535,24 @@ func TestDiskQuarantinesCorruptEntries(t *testing.T) {
 	if err := d.Write(key, res); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(d.path(key), []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	overwrite(t, d, key, headerLen, []byte("not json"))
 
 	if _, ok := d.Get(key); ok {
-		t.Fatalf("corrupt entry should miss")
-	}
-	if _, err := os.Stat(d.path(key)); !os.IsNotExist(err) {
-		t.Errorf("corrupt entry should have been renamed away, stat err = %v", err)
-	}
-	if _, err := os.Stat(d.quarantinePath(key)); err != nil {
-		t.Errorf("quarantine file missing: %v", err)
+		t.Fatalf("corrupt record should miss")
 	}
 	if d.Quarantined() != 1 {
 		t.Errorf("Quarantined = %d, want 1", d.Quarantined())
 	}
+	if _, ok := d.Locate(key); ok {
+		t.Errorf("quarantined record still indexed")
+	}
+	// A second read misses without counting the same record again, and the
+	// miss's rescan does not re-index it.
+	if _, ok := d.Get(key); ok || d.Quarantined() != 1 {
+		t.Errorf("re-read: hit %v, Quarantined = %d, want a miss and 1", ok, d.Quarantined())
+	}
 	if d.Len() != 0 {
-		t.Errorf("quarantined entry still counted: Len = %d", d.Len())
+		t.Errorf("quarantined record still counted: Len = %d", d.Len())
 	}
 
 	// The key is writable and readable again.
@@ -545,17 +562,33 @@ func TestDiskQuarantinesCorruptEntries(t *testing.T) {
 	if got, ok := d.Get(key); !ok || !reflect.DeepEqual(got, res) {
 		t.Errorf("rewritten key should hit with the fresh result")
 	}
-}
-
-func TestDiskDegradedAfterConsecutiveIOFailures(t *testing.T) {
-	d, err := Open(t.TempDir())
+	// A fresh Disk finds the corrupt record by its CRC as it scans, and the
+	// rewritten record after it wins.
+	fresh, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := hexKey(0x30)
-	// A directory at the entry path makes os.ReadFile fail with a non-ENOENT
-	// error even when running as root (chmod tricks do not).
-	if err := os.MkdirAll(d.path(key), 0o755); err != nil {
+	if fresh.Quarantined() != 1 {
+		t.Errorf("fresh Disk: Quarantined = %d, want 1", fresh.Quarantined())
+	}
+	if got, ok := fresh.Get(key); !ok || !reflect.DeepEqual(got, res) {
+		t.Errorf("fresh Disk should hit the rewritten record")
+	}
+}
+
+func TestDiskDegradedAfterConsecutiveIOFailures(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A regular file in place of the store directory makes every rescan's
+	// directory read fail with a non-ENOENT error, even when running as root
+	// (chmod tricks do not).
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -563,8 +596,8 @@ func TestDiskDegradedAfterConsecutiveIOFailures(t *testing.T) {
 		if h := d.Health(); h.Degraded {
 			t.Fatalf("degraded after only %d failures", i)
 		}
-		if _, ok := d.Get(key); ok {
-			t.Fatalf("unreadable entry should miss")
+		if _, ok := d.Get(hexKey(0x30)); ok {
+			t.Fatalf("unreadable store should miss")
 		}
 	}
 	h := d.Health()
@@ -575,12 +608,19 @@ func TestDiskDegradedAfterConsecutiveIOFailures(t *testing.T) {
 		t.Errorf("Tier = %q, want disk", h.Tier)
 	}
 
-	// A plain miss (ENOENT) is not an I/O failure and must not extend the run.
+	// With the directory back, a plain miss is not an I/O failure: it must
+	// neither extend the run nor end it.
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := d.Get(hexKey(0x31)); ok {
 		t.Fatalf("unknown key should miss")
 	}
 	if got := d.Health().IOFailures; got != DegradedThreshold {
-		t.Errorf("plain miss counted as I/O failure: %d", got)
+		t.Errorf("plain miss changed the failure run to %d", got)
 	}
 
 	// One successful write recovers the tier.
@@ -593,32 +633,51 @@ func TestDiskDegradedAfterConsecutiveIOFailures(t *testing.T) {
 	}
 }
 
-func TestOpenSweepsStaleTempFiles(t *testing.T) {
+func TestOpenIgnoresNonSegmentFiles(t *testing.T) {
 	dir := t.TempDir()
+	res := sampleResult(rand.New(rand.NewSource(9)))
+	key := hexKey(0x40)
+	enc, err := Encode(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An entry of the old one-file-per-result layout, the temporary file a
+	// crashed writer of that layout left, and an unrelated file.
+	fanout := filepath.Join(dir, key[:2])
+	if err := os.MkdirAll(fanout, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	planted := map[string][]byte{
+		filepath.Join(fanout, key+".json"):     enc,
+		filepath.Join(fanout, "stale.partial"): []byte("torn write"),
+		filepath.Join(dir, "notes.txt"):        []byte("x"),
+	}
+	for path, data := range planted {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sampleResult(rand.New(rand.NewSource(9)))
-	key := hexKey(0x40)
+	if _, ok := d.Get(key); ok {
+		t.Errorf("an old-layout entry must not be read")
+	}
+	if h := d.Health(); d.Len() != 0 || h.Quarantined != 0 || h.IOFailures != 0 {
+		t.Errorf("non-segment files were indexed or counted: Len = %d, %+v", d.Len(), h)
+	}
+	for path := range planted {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("Open touched %s: %v", path, err)
+		}
+	}
 	if err := d.Write(key, res); err != nil {
 		t.Fatal(err)
 	}
-	// Plant a stale temp file beside the entry, as a crashed writer would.
-	stale := filepath.Join(filepath.Dir(d.path(key)), ".tmp-12345")
-	if err := os.WriteFile(stale, []byte("torn write"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := Open(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Errorf("stale temp file survived Open, stat err = %v", err)
-	}
-	// The real entry is untouched.
 	if got, ok := d.Get(key); !ok || !reflect.DeepEqual(got, res) {
-		t.Errorf("sweep must not touch committed entries")
+		t.Errorf("the key should be writable beside the old tree")
 	}
 }
 
@@ -692,47 +751,64 @@ func TestDiskDefectMatrix(t *testing.T) {
 	}
 	wrongSchema := bytes.Replace(valid, []byte(`"schema":2`), []byte(`"schema":1`), 1)
 
+	// Each case plants one segment file under key's name and reads key from
+	// a freshly opened Disk. Framed records carry a valid CRC, so only the
+	// decode check can reject them.
 	cases := []struct {
 		name       string
-		data       []byte // nil = plant a directory instead of a file
+		seg        func(k [keyLen]byte) []byte // nil = plant a directory instead
 		quarantine bool
 	}{
-		{"truncated envelope", valid[:len(valid)/2], true},
-		{"wrong schema", wrongSchema, true},
-		{"malformed JSON", []byte("{]"), true},
-		{"empty file", nil, true},
-		{"unreadable file", []byte("DIR"), false},
+		{"truncated envelope", func(k [keyLen]byte) []byte { return frame(k, valid[:len(valid)/2]) }, true},
+		{"wrong schema", func(k [keyLen]byte) []byte { return frame(k, wrongSchema) }, true},
+		{"malformed JSON", func(k [keyLen]byte) []byte { return frame(k, []byte("{]")) }, true},
+		{"crc mismatch", func(k [keyLen]byte) []byte {
+			rec := frame(k, valid)
+			rec[8] ^= 1
+			return rec
+		}, true},
+		{"empty file", func([keyLen]byte) []byte { return nil }, false},
+		{"bad magic", func(k [keyLen]byte) []byte {
+			rec := frame(k, valid)
+			rec[0] ^= 1
+			return rec
+		}, false},
+		{"zero length", func(k [keyLen]byte) []byte { return frame(k, nil) }, false},
+		{"length past EOF", func(k [keyLen]byte) []byte { return frame(k, valid)[:headerLen+len(valid)-1] }, false},
+		{"unreadable file", nil, false},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
+			dir := t.TempDir()
 			key := hexKey(byte(0x60 + i))
-			path := d.path(key)
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if string(tc.data) == "DIR" {
+			k, _ := parseKey(key)
+			path := filepath.Join(dir, "0000000000000001"+segExt)
+			if tc.seg == nil {
 				if err := os.Mkdir(path, 0o755); err != nil {
 					t.Fatal(err)
 				}
-			} else if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			} else if err := os.WriteFile(path, tc.seg(k), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			d, err := Open(dir)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := d.Get(key); ok {
-				t.Fatalf("defective entry should read as a miss")
+				t.Fatalf("defective record should read as a miss")
 			}
+			want := int64(0)
 			if tc.quarantine {
-				if d.Quarantined() != 1 {
-					t.Errorf("Quarantined = %d, want 1", d.Quarantined())
-				}
-				if _, err := os.Stat(d.quarantinePath(key)); err != nil {
-					t.Errorf("quarantine file missing: %v", err)
-				}
-			} else if d.Quarantined() != 0 {
-				t.Errorf("unreadable (not corrupt) entry must not quarantine")
+				want = 1
+			}
+			if d.Quarantined() != want {
+				t.Errorf("Quarantined = %d, want %d", d.Quarantined(), want)
+			}
+			if d.Len() != 0 {
+				t.Errorf("defective record still indexed: Len = %d", d.Len())
+			}
+			if got := d.Health().IOFailures; got != 0 {
+				t.Errorf("a defective record counted as an I/O failure: %d", got)
 			}
 		})
 	}
@@ -750,4 +826,290 @@ func TestDiskDefectMatrix(t *testing.T) {
 	if got := d.Health().IOFailures; got != 0 {
 		t.Errorf("invalid keys counted as I/O failures: %d", got)
 	}
+}
+
+// overwrite writes b over key's record, at offset at within the record.
+func overwrite(t *testing.T, d *Disk, key string, at int64, b []byte) {
+	t.Helper()
+	l, ok := d.Locate(key)
+	if !ok {
+		t.Fatalf("key %s is not indexed", key[:8])
+	}
+	f, err := os.OpenFile(l.Path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, l.Offset+at); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeAll writes one sample result per key through d.
+func writeAll(t *testing.T, d *Disk, keys []string, seed int64) []sim.Result {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]sim.Result, len(keys))
+	for i, key := range keys {
+		out[i] = sampleResult(rng)
+		if err := d.Write(key, out[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// mustHit fails the test unless d holds want under key.
+func mustHit(t *testing.T, d *Disk, key string, want sim.Result) {
+	t.Helper()
+	if got, ok := d.Get(key); !ok {
+		t.Errorf("key %s should hit", key[:8])
+	} else if !reflect.DeepEqual(got, want) {
+		t.Errorf("key %s: wrong result", key[:8])
+	}
+}
+
+func TestDiskTornTail(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{hexKey(0x70), hexKey(0x71), hexKey(0x72)}
+	results := writeAll(t, d, keys, 12)
+	// A writer killed mid-append: the last record loses its final bytes.
+	l, _ := d.Locate(keys[2])
+	if err := os.Truncate(l.Path, l.Offset+int64(l.Len)/2); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustHit(t, fresh, keys[0], results[0])
+	mustHit(t, fresh, keys[1], results[1])
+	if _, ok := fresh.Get(keys[2]); ok {
+		t.Errorf("the torn record must read as a miss")
+	}
+	if h := fresh.Health(); h.Quarantined != 0 || h.IOFailures != 0 || h.Entries != 2 {
+		t.Errorf("torn tail: %+v, want 2 entries and no quarantine or I/O failure", h)
+	}
+
+	// Writing the torn key again makes it hit, also from a fresh Disk.
+	if err := fresh.Write(keys[2], results[2]); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, key := range keys {
+		mustHit(t, again, key, results[i])
+	}
+}
+
+func TestDiskFlippedPayloadByte(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{hexKey(0x80), hexKey(0x81), hexKey(0x82)}
+	results := writeAll(t, d, keys, 13)
+	l, _ := d.Locate(keys[1])
+	f, err := os.OpenFile(l.Path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	// A letter of the last field name: the flipped envelope still decodes,
+	// to a wrong result, so only the CRC can tell.
+	at := l.Offset + int64(l.Len) - 10
+	if _, err := f.ReadAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x01
+	if _, err := f.WriteAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	// The Disk that wrote the record catches the flip on read, a fresh one
+	// while scanning; either way records after it still hit.
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, disk := range map[string]*Disk{"writer": d, "fresh": fresh} {
+		if _, ok := disk.Get(keys[1]); ok {
+			t.Errorf("%s: the flipped record must miss", name)
+		}
+		if disk.Quarantined() != 1 {
+			t.Errorf("%s: Quarantined = %d, want 1", name, disk.Quarantined())
+		}
+		mustHit(t, disk, keys[0], results[0])
+		mustHit(t, disk, keys[2], results[2])
+	}
+}
+
+func TestDiskSeesOtherWritersWithoutReopen(t *testing.T) {
+	dir := t.TempDir()
+	reader, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := hexKey(0x90)
+	if _, ok := reader.Get(key); ok {
+		t.Fatalf("empty store should miss")
+	}
+	res := writeAll(t, writer, []string{key}, 14)[0]
+	// The reader's miss rescans and finds the writer's new segment ...
+	mustHit(t, reader, key, res)
+	// ... and later records in a segment it already scanned.
+	key2 := hexKey(0x91)
+	res2 := writeAll(t, writer, []string{key2}, 15)[0]
+	mustHit(t, reader, key2, res2)
+	if n := reader.Health().Entries; n != 2 {
+		t.Errorf("reader indexes %d entries, want 2", n)
+	}
+}
+
+func TestDiskLastWriterWinsAcrossSegments(t *testing.T) {
+	dir := t.TempDir()
+	key := hexKey(0xa0)
+	var last sim.Result
+	for i := int64(0); i < 3; i++ {
+		d, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = writeAll(t, d, []string{key}, 16+i)[0]
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 {
+		t.Fatalf("%d segments, want one per writing Disk", len(entries))
+	}
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustHit(t, fresh, key, last)
+
+	// A newer record that fails its CRC does not shadow the valid one.
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeAll(t, d, []string{key}, 19)
+	overwrite(t, d, key, headerLen, []byte("{]"))
+	fresh, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustHit(t, fresh, key, last)
+	if fresh.Quarantined() != 1 {
+		t.Errorf("Quarantined = %d, want the one CRC-bad record", fresh.Quarantined())
+	}
+}
+
+func TestDiskConcurrentWritersShareDirectory(t *testing.T) {
+	dir := t.TempDir()
+	disks := make([]*Disk, 2)
+	for i := range disks {
+		d, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disks[i] = d
+	}
+	const perWriter = 40
+	res := sampleResult(rand.New(rand.NewSource(17)))
+	keyOf := func(writer, i int) string { return hexKey(byte(writer*perWriter + i)) }
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			d, other := disks[w%2], (w+1)%4
+			for i := 0; i < perWriter; i++ {
+				d.Put(keyOf(w, i), res)
+				// Any hit on a key another goroutine is writing must be
+				// the complete result, never a torn one.
+				if got, ok := d.Get(keyOf(other, i)); ok && !reflect.DeepEqual(got, res) {
+					t.Errorf("concurrent read returned a wrong result")
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range append(disks, fresh) {
+		for w := 0; w < 4; w++ {
+			for i := 0; i < perWriter; i++ {
+				mustHit(t, d, keyOf(w, i), res)
+			}
+		}
+		if h := d.Health(); h.Entries != 4*perWriter || h.Quarantined != 0 || h.IOFailures != 0 {
+			t.Errorf("after concurrent writes: %+v, want %d entries", h, 4*perWriter)
+		}
+	}
+}
+
+// FuzzDiskOpen writes the fuzz input as a segment file and opens the store
+// over it. Open, Len and Get of every indexed key must not panic or hang, and
+// every hit must re-encode to exactly the envelope bytes stored for it. The
+// seed corpus (testdata/fuzz/FuzzDiskOpen) holds a valid two-record segment,
+// one with a torn tail and one with a flipped CRC.
+func FuzzDiskOpen(f *testing.F) {
+	// One directory serves every input: Open only reads, so it holds just
+	// the segment file each input overwrites.
+	dir := f.TempDir()
+	path := filepath.Join(dir, "0000000000000001"+segExt)
+	f.Fuzz(func(t *testing.T, seg []byte) {
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := d.Len()
+		d.mu.Lock()
+		var keys []string
+		for k := range d.index {
+			keys = append(keys, hex.EncodeToString(k[:]))
+		}
+		d.mu.Unlock()
+		if len(keys) != n {
+			t.Fatalf("Len = %d, index holds %d keys", n, len(keys))
+		}
+		for _, key := range keys {
+			l, ok := d.Locate(key)
+			if !ok {
+				t.Fatalf("indexed key %s cannot be located", key[:8])
+			}
+			res, ok := d.Get(key)
+			if !ok {
+				continue
+			}
+			enc, err := Encode(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stored := seg[l.Offset+headerLen : l.Offset+int64(l.Len)]; !bytes.Equal(enc, stored) {
+				t.Fatalf("hit re-encodes differently:\n%s\nstored:\n%s", enc, stored)
+			}
+		}
+	})
 }
