@@ -55,7 +55,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		scaleName   = flag.String("scale", "bench", "simulation scale: quick, bench or full")
 		storeDir    = flag.String("store", "", "persistent result-store directory shared with fusesim/fusetables (empty = memory only)")
-		parallel    = flag.Int("parallel", 0, "number of concurrent simulations (0 = GOMAXPROCS)")
+		parallel    = flag.Int("parallel", 0, "number of concurrent simulations (0 = GOMAXPROCS); with -coordinator, the most jobs the whole fleet runs at once, so set it to the fleet's total pullers")
 		timeout     = flag.Duration("timeout", 0, "per-request timeout (0 = no limit)")
 		backend     = flag.String("backend", "", "default memory backend for batch jobs and figures (GDDR5, GDDR5X, HBM2, STT-MRAM; empty = each GPU model's default)")
 		workFile    = flag.String("workloads", "", "workload file (JSON) of custom profiles and phased workloads to register at startup")
@@ -113,7 +113,9 @@ func main() {
 	// through, but the simulation itself runs on whichever worker pulls the
 	// job next. While no worker is registered the coordinator falls back to
 	// local execution, so a lone coordinator serves exactly like a
-	// single-process fuseserve.
+	// single-process fuseserve. The Runner holds one of its -parallel slots
+	// for the whole of each Coordinator.Execute, so -parallel caps how many
+	// jobs the entire fleet runs at once.
 	engCfg := engine.Config{Workers: *parallel, Cache: cache, Retries: *retries}
 	var coord *cluster.Coordinator
 	if *coordMode {

@@ -44,8 +44,7 @@ func TestWorkerBinaryEndToEnd(t *testing.T) {
 	cmd := exec.Command(bin,
 		"-coordinator", srv.URL,
 		"-id", "e2e-worker",
-		"-parallel", "2",
-		"-store", filepath.Join(t.TempDir(), "store"))
+		"-parallel", "2")
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {

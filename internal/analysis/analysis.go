@@ -53,6 +53,7 @@ type Program struct {
 	State map[string]any
 
 	byPath map[string]*Package
+	deps   map[string]*Package // main-module dependencies: parsed only, never analysed
 }
 
 // Package is one parsed and type-checked (non-test) package.
@@ -69,6 +70,17 @@ type Package struct {
 // Lookup returns the loaded package with the given import path, if any.
 func (p *Program) Lookup(path string) (*Package, bool) {
 	pkg, ok := p.byPath[path]
+	return pkg, ok
+}
+
+// declSyntax returns the parsed source of a loaded package or of a
+// main-module dependency (which has Files but no type information), for
+// directive lookup.
+func (p *Program) declSyntax(path string) (*Package, bool) {
+	pkg, ok := p.byPath[path]
+	if !ok {
+		pkg, ok = p.deps[path]
+	}
 	return pkg, ok
 }
 

@@ -175,6 +175,27 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
+// TestPackageSubsetIsClean: a pattern that leaves out the packages declaring
+// the key annotations still sees them. Loaded alone, internal/engine must not
+// report Job.GPU as unkeyed: its type's //fuselint:keyroot lives in
+// internal/config, which is then only a dependency.
+func TestPackageSubsetIsClean(t *testing.T) {
+	prog, err := Load("../..", "./internal/engine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := prog.Lookup("fuse/internal/config"); ok {
+		t.Fatalf("internal/config was loaded for analysis; the test needs it as a dependency only")
+	}
+	diags, err := Run(prog, All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s", d)
+	}
+}
+
 // scopexfix is the directive-scoping fixture: lib declares one trailing
 // execonly directive, the root package none.
 const (

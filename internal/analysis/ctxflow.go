@@ -8,8 +8,8 @@ import (
 )
 
 // Ctxflow pins cancellation discipline in the serving layer (engine, store,
-// fault, cmd/fuseserve) — the packages the ROADMAP's distributed fleet and
-// autotuner-as-a-service put under real concurrent traffic. A context that
+// fault, cluster, cmd/fuseserve, cmd/fuseworker) — the packages that run
+// under concurrent HTTP traffic and the fleet's long-polls. A context that
 // stops flowing is a request that cannot be cancelled. Rules 1–4 apply to
 // every function that receives a context.Context (closures inherit the
 // enclosing function's context-awareness); rule 5 applies to functions that

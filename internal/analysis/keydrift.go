@@ -242,7 +242,7 @@ func fieldTypeIsKeyroot(pass *Pass, expr ast.Expr) bool {
 	if !ok || named.Obj().Pkg() == nil {
 		return false
 	}
-	declPkg, ok := pass.Prog.Lookup(named.Obj().Pkg().Path())
+	declPkg, ok := pass.Prog.declSyntax(named.Obj().Pkg().Path())
 	if !ok {
 		return false
 	}
@@ -327,10 +327,10 @@ func checkMemDefaultsPlumbing(pass *Pass) {
 	}
 }
 
-// dramFieldExeconly looks the field's declaration up in the loaded dram
-// package and reports whether it carries an execonly directive.
+// dramFieldExeconly looks the field's declaration up in the dram package's
+// source and reports whether it carries an execonly directive.
 func dramFieldExeconly(pass *Pass, named *types.Named, fieldName string) bool {
-	declPkg, ok := pass.Prog.Lookup(named.Obj().Pkg().Path())
+	declPkg, ok := pass.Prog.declSyntax(named.Obj().Pkg().Path())
 	if !ok {
 		return false
 	}

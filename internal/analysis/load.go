@@ -33,6 +33,7 @@ type listPackage struct {
 	Module     *struct {
 		Path string
 		Dir  string
+		Main bool
 	}
 	Error *struct {
 		Err string
@@ -43,6 +44,8 @@ type listPackage struct {
 // parses the non-dependency ones from source with comments, and type-checks
 // them against the export data `go list -export` produced. Test files are not
 // part of `go list`'s GoFiles, so analyzers see exactly the shipping code.
+// Dependencies inside the main module are parsed too, for directive lookup
+// only (Program.declSyntax).
 func Load(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -76,6 +79,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		Fset:   token.NewFileSet(),
 		byPath: make(map[string]*Package),
 		State:  make(map[string]any),
+		deps:   make(map[string]*Package),
 	}
 	exports := make(map[string]string, len(pkgs))
 	for _, p := range pkgs {
@@ -95,12 +99,9 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	})
 
 	for _, p := range pkgs {
-		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
+		mainModule := p.Module != nil && p.Module.Main
+		if p.Standard || len(p.GoFiles) == 0 || (p.DepOnly && !mainModule) {
 			continue
-		}
-		if prog.ModuleDir == "" && p.Module != nil {
-			prog.ModuleDir = p.Module.Dir
-			prog.ModulePath = p.Module.Path
 		}
 		pkg := &Package{Path: p.ImportPath, Dir: p.Dir}
 		for _, name := range p.GoFiles {
@@ -110,6 +111,14 @@ func Load(dir string, patterns ...string) (*Program, error) {
 				return nil, fmt.Errorf("analysis: %w", err)
 			}
 			pkg.Files = append(pkg.Files, f)
+		}
+		if p.DepOnly {
+			prog.deps[p.ImportPath] = pkg
+			continue
+		}
+		if prog.ModuleDir == "" && p.Module != nil {
+			prog.ModuleDir = p.Module.Dir
+			prog.ModulePath = p.Module.Path
 		}
 		pkg.Info = &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),

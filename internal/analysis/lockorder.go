@@ -5,11 +5,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 )
 
-// Lockorder pins mutex discipline in the serving layer (engine, store,
-// cmd/fuseserve). Three rules:
+// Lockorder pins mutex discipline in the serving layer — the packages
+// ctxflowScope names: engine, store, fault, cluster, cmd/fuseserve and
+// cmd/fuseworker. Three rules:
 //
 //  1. Pairing — a function that calls Lock/RLock on a mutex must also call
 //     the matching Unlock/RUnlock (inline or deferred) somewhere in its
@@ -31,7 +33,7 @@ import (
 // and straight-line, which is exactly what this check keeps true.
 var Lockorder = &Analyzer{
 	Name:   "lockorder",
-	Doc:    "requires unlock pairing, no blocking calls under lock, and a consistent global mutex acquisition order in engine, store and fuseserve",
+	Doc:    "requires unlock pairing, no blocking calls under lock, and a consistent global mutex acquisition order in engine, store, fault, cluster, fuseserve and fuseworker",
 	Run:    runLockorder,
 	Finish: finishLockorder,
 }
@@ -189,8 +191,8 @@ func checkLockFunc(pass *Pass, idx *xpkgIndex, fd *ast.FuncDecl) {
 					st.pairs[pair] = append(st.pairs[pair], pass.Prog.Fset.Position(ev.pos))
 				}
 			}
-			if _, ok := held[ev.id]; !ok {
-				order = append(order, ev.id)
+			if !slices.Contains(order, ev.id) {
+				order = append(order, ev.id) // a re-lock after an unlock is already listed
 			}
 			held[ev.id] = ev
 			if _, ok := locked[ev.id]; !ok {

@@ -32,6 +32,16 @@ func blockedUnderLock() {
 	muA.Unlock()
 }
 
+// relock releases and re-acquires the mutex: the send under the second
+// acquisition is one finding, not one per acquisition.
+func relock() {
+	muA.Lock()
+	muA.Unlock()
+	muA.Lock()
+	ch <- 1 // want `channel send while holding muA`
+	muA.Unlock()
+}
+
 // abOrder acquires A then B...
 func abOrder() {
 	muA.Lock()

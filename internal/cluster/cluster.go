@@ -3,13 +3,11 @@
 // pulls, executes and acknowledges them.
 //
 // The design reuses the repository's existing primitives instead of invent-
-// ing new ones: jobs are engine.Job values, job identity on the wire is the
-// content-addressed store key (store.Key over config + workload + options),
-// and execution on a worker goes through the same fault-wrapped engine path
-// a single process uses. Determinism therefore comes for free — a simulation
-// result is a pure function of the job, so any assignment of jobs to workers
-// (including re-dispatch after a worker crash) renders byte-identical figure
-// tables.
+// ing new ones: jobs on the wire are engine.Job values, and a worker runs
+// each pulled job through engine.Execute, the executor a single process
+// uses. Determinism therefore comes for free — a simulation result is a pure
+// function of the job, so any assignment of jobs to workers (including
+// re-dispatch after a worker crash) renders byte-identical figure tables.
 //
 // Topology:
 //
@@ -18,7 +16,8 @@
 //	                               ▼  Exec = Coordinator.Execute
 //	                            Coordinator ── one FIFO queue
 //	                               ▲▼ /cluster/v1/{register,pull,heartbeat,result}
-//	                            fuseworker × N
+//	                            fuseworker × N, or -localworkers N in process
+//	                               each puller: engine.Execute, nothing else
 //
 // The front-end Runner probes the store before it calls Execute and writes
 // every result back after it, so a job reaches the coordinator only when the
@@ -28,6 +27,8 @@
 // heartbeat while executing, and a job whose lease expires — or whose worker
 // misses its liveness window — goes back on the queue. Duplicate executions
 // are harmless (first result wins; results are identical by construction).
+// Workers keep no store and no retry loop: the front-end Runner retries, and
+// the coordinator re-dispatches.
 //
 // Everything speaks plain HTTP+JSON, and the Loopback transport dispatches
 // the same protocol in-process (no sockets), so the whole fleet — including
@@ -51,11 +52,9 @@ const (
 )
 
 // Task is one dispatched job on the wire. ID is the coordinator's dispatch
-// identity (unique per submission); Key is the job's content-addressed store
-// key.
+// identity (unique per submission).
 type Task struct {
 	ID  uint64     `json:"id"`
-	Key string     `json:"key"`
 	Job engine.Job `json:"job"`
 }
 
@@ -66,12 +65,11 @@ type registerRequest struct {
 }
 
 // registerResponse hands the worker its operating intervals: how long a
-// pull long-polls before returning empty, how often to heartbeat while
-// executing, and the lease the coordinator holds per dispatched task.
+// pull long-polls before returning empty, and the lease the coordinator
+// holds per dispatched task (the worker heartbeats at a third of it).
 type registerResponse struct {
-	LeaseMillis     int64 `json:"leaseMillis"`
-	PollMillis      int64 `json:"pollMillis"`
-	HeartbeatMillis int64 `json:"heartbeatMillis"`
+	LeaseMillis int64 `json:"leaseMillis"`
+	PollMillis  int64 `json:"pollMillis"`
 }
 
 // pullRequest asks for one task; the coordinator long-polls up to its poll
@@ -100,5 +98,9 @@ type resultRequest struct {
 const (
 	DefaultLease       = 15 * time.Second
 	DefaultPollTimeout = 2 * time.Second
-	DefaultMaxAttempts = 3
 )
+
+// maxAttempts bounds the dispatches per task (first dispatch plus
+// re-dispatches); a task that exhausts it fails with an error instead of
+// cycling forever.
+const maxAttempts = 3

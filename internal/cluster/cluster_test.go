@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -477,5 +478,91 @@ func TestLastWorkerLostRunsQueueLocally(t *testing.T) {
 	}
 	if s.Dispatched != 0 {
 		t.Errorf("Dispatched = %d, want 0 (the silent worker never pulled)", s.Dispatched)
+	}
+}
+
+// TestFleetWorkerPanicFailsOnlyItsJob: a panic in a fleet worker's executor
+// fails that job with an error naming the panic, and the same worker goes on
+// to serve the next job — the panic never reaches the process.
+func TestFleetWorkerPanicFailsOnlyItsJob(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	coord := New(Config{})
+	defer coord.Close()
+	fleet, err := StartFleet(ctx, coord, 1, func(_ context.Context, job engine.Job) (sim.Result, error) {
+		if job.Workload == "ATAX" {
+			panic("worker explosion")
+		}
+		return sim.Result{Workload: job.Workload}, nil
+	})
+	if err != nil {
+		t.Fatalf("starting fleet: %v", err)
+	}
+	defer fleet.Stop()
+
+	if _, err := coord.Execute(ctx, testJob("ATAX")); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("Execute of the panicking job returned %v, want an error containing \"panicked\"", err)
+	}
+	res, err := coord.Execute(ctx, testJob("GEMM"))
+	if err != nil {
+		t.Fatalf("next job on the same fleet: %v", err)
+	}
+	if res.Workload != "GEMM" {
+		t.Errorf("next job returned the result for %q, want GEMM", res.Workload)
+	}
+	if s := coord.Stats(); s.Failed != 1 || s.Completed != 1 || s.Workers != 1 {
+		t.Errorf("Failed=%d Completed=%d Workers=%d, want 1, 1, 1", s.Failed, s.Completed, s.Workers)
+	}
+}
+
+// TestLocalFallbackPanicFailsTask: when the last worker is lost while it
+// holds a job, the job is re-queued to the local fallback (requeueLocked →
+// runLocal); a LocalExec that panics there fails the task with an error
+// instead of crashing the coordinator.
+func TestLocalFallbackPanicFailsTask(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	coord := New(Config{
+		Lease:       time.Minute, // the worker is lost long before its lease expires
+		PollTimeout: 50 * time.Millisecond,
+		Liveness:    300 * time.Millisecond,
+		LocalExec: func(context.Context, engine.Job) (sim.Result, error) {
+			panic("local explosion")
+		},
+	})
+	defer coord.Close()
+
+	// The worker registers, pulls the job and then goes silent.
+	silent, err := NewWorker(WorkerConfig{Coordinator: LoopbackBase, Client: LoopbackClient(coord.Handler()), ID: "silent", Exec: engine.Execute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := silent.register(ctx); err != nil {
+		t.Fatalf("registering silent worker: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.Execute(ctx, testJob("ATAX"))
+		done <- err
+	}()
+	for got := (*Task)(nil); got == nil; {
+		if ctx.Err() != nil {
+			t.Fatalf("task never dispatched to the silent worker")
+		}
+		if got, _, err = silent.pull(ctx); err != nil {
+			t.Fatalf("pull: %v", err)
+		}
+	}
+
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("Execute returned %v, want an error containing \"panicked\"", err)
+		}
+	case <-ctx.Done():
+		t.Fatalf("task never completed after the worker was lost")
+	}
+	if s := coord.Stats(); s.WorkersLost != 1 || s.LocalRuns != 1 || s.Failed != 1 {
+		t.Errorf("WorkersLost=%d LocalRuns=%d Failed=%d, want 1 each", s.WorkersLost, s.LocalRuns, s.Failed)
 	}
 }

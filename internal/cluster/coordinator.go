@@ -5,8 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,22 +24,16 @@ type Config struct {
 	// PollTimeout is how long a pull long-polls for a task before answering
 	// 204. Zero means DefaultPollTimeout.
 	PollTimeout time.Duration
-	// Heartbeat is the interval advertised to workers for renewing leases
-	// while executing. Zero means Lease/3.
-	Heartbeat time.Duration
 	// Liveness is how long a worker may go without any contact (pull,
 	// heartbeat, result) before it is declared lost and its jobs are
 	// re-dispatched. Zero means 2×Lease.
 	Liveness time.Duration
-	// MaxAttempts bounds the dispatch attempts per task (first dispatch
-	// plus re-dispatches); a task exceeding it fails with an error instead
-	// of cycling forever. Zero means DefaultMaxAttempts.
-	MaxAttempts int
 	// LocalExec, when non-nil, executes jobs in-process while no worker is
 	// registered, so a lone coordinator still serves traffic: jobs submitted
 	// to an empty fleet, and every queued or leased job when the last worker
-	// is lost. When nil, submissions wait (context-cancellably) in the queue
-	// for a worker to arrive.
+	// is lost. New wraps it in engine.ContainPanics, so a panicking job fails
+	// its task instead of the process. When nil, submissions wait
+	// (context-cancellably) in the queue for a worker to arrive.
 	LocalExec engine.ExecFunc
 }
 
@@ -50,9 +45,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.PollTimeout <= 0 {
 		cfg.PollTimeout = DefaultPollTimeout
 	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = cfg.Lease / 3
-	}
 	if cfg.Liveness <= 0 {
 		cfg.Liveness = 2 * cfg.Lease
 	}
@@ -61,9 +53,6 @@ func (cfg Config) withDefaults() Config {
 	// or idle workers flap between lost and re-registered.
 	if floor := 2 * cfg.PollTimeout; cfg.Liveness < floor {
 		cfg.Liveness = floor
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = DefaultMaxAttempts
 	}
 	return cfg
 }
@@ -90,7 +79,6 @@ type taskOutcome struct {
 // protected by the coordinator's mutex.
 type task struct {
 	id   uint64
-	key  string
 	job  engine.Job
 	done chan taskOutcome // buffered 1; receives exactly one outcome
 	// submittedCtx is the submitting request's context (set once at submit,
@@ -143,8 +131,12 @@ type Coordinator struct {
 
 // New creates a Coordinator.
 func New(cfg Config) *Coordinator {
+	cfg = cfg.withDefaults()
+	if cfg.LocalExec != nil {
+		cfg.LocalExec = engine.ContainPanics(cfg.LocalExec)
+	}
 	c := &Coordinator{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		workers: make(map[string]*workerState),
 		tasks:   make(map[uint64]*task),
 	}
@@ -251,11 +243,7 @@ func (c *Coordinator) runLocal(t *task) {
 //
 //fuselint:blocking waits for a worker (or the local fallback) to finish the job
 func (c *Coordinator) Execute(ctx context.Context, job engine.Job) (sim.Result, error) {
-	key, err := engine.StoreKey(job)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	t, local, err := c.submit(ctx, key, job)
+	t, local, err := c.submit(ctx, job)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -273,7 +261,7 @@ func (c *Coordinator) Execute(ctx context.Context, job engine.Job) (sim.Result, 
 
 // submit registers a new task. It reports local=true when the caller should
 // run the job itself via LocalExec (no worker registered).
-func (c *Coordinator) submit(ctx context.Context, key string, job engine.Job) (t *task, local bool, err error) {
+func (c *Coordinator) submit(ctx context.Context, job engine.Job) (t *task, local bool, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -287,7 +275,6 @@ func (c *Coordinator) submit(ctx context.Context, key string, job engine.Job) (t
 	c.nextID++
 	t = &task{
 		id:           c.nextID,
-		key:          key,
 		job:          job,
 		done:         make(chan taskOutcome, 1),
 		submittedCtx: ctx,
@@ -360,7 +347,7 @@ func (c *Coordinator) requeueLocked(t *task) []action {
 	if t.state == taskDone {
 		return nil
 	}
-	if t.attempts >= c.cfg.MaxAttempts {
+	if t.attempts >= maxAttempts {
 		err := fmt.Errorf("cluster: job %s (task %d) failed after %d dispatch attempts", t.job, t.id, t.attempts)
 		return c.completeLocked(t, taskOutcome{err: err})
 	}
@@ -384,12 +371,8 @@ func (c *Coordinator) dispatchLocked(t *task, w *workerState) {
 	t.state = taskInflight
 	t.owner = w.id
 	t.attempts++
-	t.seq++
-	seq := t.seq
-	id := t.id
 	w.inflight[t.id] = t
-	stopLease(t)
-	t.lease = time.AfterFunc(c.cfg.Lease, func() { c.expireLease(id, seq) })
+	c.renewLeaseLocked(t)
 	c.dispatched++
 }
 
@@ -412,8 +395,9 @@ func (c *Coordinator) expireLease(id, seq uint64) {
 	c.perform(acts)
 }
 
-// renewLeaseLocked restarts a task's lease under a fresh sequence number,
-// so an already-fired (but not yet run) expiry is ignored (mu held).
+// renewLeaseLocked (re)starts a task's lease under a fresh sequence number,
+// so an already-fired (but not yet run) expiry of an earlier lease is
+// ignored (mu held).
 func (c *Coordinator) renewLeaseLocked(t *task) {
 	t.seq++
 	seq := t.seq
@@ -455,12 +439,7 @@ func (c *Coordinator) workerLost(id string, gen uint64) {
 			acts = append(acts, c.runLocalLocked(t)...)
 		}
 	}
-	ids := make([]uint64, 0, len(w.inflight))
-	for tid := range w.inflight {
-		ids = append(ids, tid)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, tid := range ids {
+	for _, tid := range slices.Sorted(maps.Keys(w.inflight)) {
 		t := w.inflight[tid]
 		if t.state != taskInflight || t.owner != id {
 			continue
@@ -482,12 +461,7 @@ func (c *Coordinator) Close() {
 	}
 	c.closed = true
 	var acts []action
-	ids := make([]uint64, 0, len(c.tasks))
-	for id := range c.tasks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(c.tasks)) {
 		acts = append(acts, c.completeLocked(c.tasks[id], taskOutcome{err: ErrClosed})...)
 	}
 	//fuselint:ordered order-insensitive timer teardown
@@ -530,9 +504,8 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.resetLivenessLocked(ws)
 	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, registerResponse{
-		LeaseMillis:     c.cfg.Lease.Milliseconds(),
-		PollMillis:      c.cfg.PollTimeout.Milliseconds(),
-		HeartbeatMillis: c.cfg.Heartbeat.Milliseconds(),
+		LeaseMillis: c.cfg.Lease.Milliseconds(),
+		PollMillis:  c.cfg.PollTimeout.Milliseconds(),
 	})
 }
 
@@ -548,7 +521,7 @@ func (c *Coordinator) takeOrPark(workerID string) (wire *Task, wait chan struct{
 	c.resetLivenessLocked(w)
 	if t := c.popQueueLocked(); t != nil {
 		c.dispatchLocked(t, w)
-		return &Task{ID: t.id, Key: t.key, Job: t.job}, nil, false
+		return &Task{ID: t.id, Job: t.job}, nil, false
 	}
 	ch := make(chan struct{}, 1)
 	c.waiters = append(c.waiters, ch)

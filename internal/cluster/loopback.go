@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 
@@ -65,17 +66,11 @@ func (l *loopback) RoundTrip(req *http.Request) (*http.Response, error) {
 		ProtoMajor:    req.ProtoMajor,
 		ProtoMinor:    req.ProtoMinor,
 		Header:        w.header,
-		Body:          &readCloser{Reader: &body},
+		Body:          io.NopCloser(&body),
 		ContentLength: int64(body.Len()),
 		Request:       req,
 	}, nil
 }
-
-// readCloser adapts a bytes.Buffer to io.ReadCloser.
-type readCloser struct{ Reader *bytes.Buffer }
-
-func (r *readCloser) Read(p []byte) (int, error) { return r.Reader.Read(p) }
-func (r *readCloser) Close() error               { return nil }
 
 // LoopbackClient returns an *http.Client whose requests dispatch directly
 // into h. Point workers at a coordinator's Handler with base URL

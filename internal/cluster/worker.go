@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,9 +28,10 @@ type WorkerConfig struct {
 	// ID is the worker's registration identity. Required; must be unique in
 	// the fleet (a restarted worker reuses its ID to reclaim its leases).
 	ID string
-	// Exec executes one pulled job. Required. cmd/fuseworker plugs in an
-	// engine.Runner's Get so pulled jobs get the full dedup + store +
-	// retry + panic-containment treatment.
+	// Exec executes one pulled job. Required. cmd/fuseworker and
+	// `fuseserve -localworkers` plug in engine.Execute: the front-end Runner
+	// has already deduplicated the job, probed the store and owns retries.
+	// NewWorker wraps it in engine.ContainPanics, so a panic fails the task.
 	Exec engine.ExecFunc
 	// Pullers is the number of concurrent pull→execute→ack loops, i.e. how
 	// many jobs the worker runs at once. Zero means 1.
@@ -41,10 +43,9 @@ type WorkerConfig struct {
 type Worker struct {
 	cfg WorkerConfig
 
-	mu        sync.Mutex
-	lease     time.Duration // intervals learned from the register response
-	poll      time.Duration
-	heartbeat time.Duration
+	mu    sync.Mutex
+	lease time.Duration // intervals learned from the register response
+	poll  time.Duration
 }
 
 // NewWorker validates the config and builds a Worker.
@@ -58,6 +59,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Exec == nil {
 		return nil, errors.New("cluster: worker needs an executor")
 	}
+	cfg.Exec = engine.ContainPanics(cfg.Exec)
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
 	}
@@ -67,22 +69,13 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return &Worker{cfg: cfg}, nil
 }
 
-// intervals returns the operating intervals from the last registration,
-// defaulting until the first one succeeds.
-func (w *Worker) intervals() (lease, poll, heartbeat time.Duration) {
+// intervals returns the long-poll window and the heartbeat interval (a third
+// of the lease) from the last registration, defaulting until the first one
+// succeeds.
+func (w *Worker) intervals() (poll, heartbeat time.Duration) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	lease, poll, heartbeat = w.lease, w.poll, w.heartbeat
-	if lease <= 0 {
-		lease = DefaultLease
-	}
-	if poll <= 0 {
-		poll = DefaultPollTimeout
-	}
-	if heartbeat <= 0 {
-		heartbeat = lease / 3
-	}
-	return lease, poll, heartbeat
+	return cmp.Or(w.poll, DefaultPollTimeout), cmp.Or(w.lease, DefaultLease) / 3
 }
 
 // Run registers with the coordinator and pulls until ctx is cancelled.
@@ -118,7 +111,6 @@ func (w *Worker) register(ctx context.Context) error {
 			w.mu.Lock()
 			w.lease = time.Duration(resp.LeaseMillis) * time.Millisecond
 			w.poll = time.Duration(resp.PollMillis) * time.Millisecond
-			w.heartbeat = time.Duration(resp.HeartbeatMillis) * time.Millisecond
 			w.mu.Unlock()
 			return nil
 		}
@@ -165,7 +157,7 @@ func (w *Worker) pullLoop(ctx context.Context) {
 // pull long-polls for one task: (task, 200) on a dispatch, (nil, 204) on an
 // empty poll, (nil, 410) when the worker must re-register.
 func (w *Worker) pull(ctx context.Context) (*Task, int, error) {
-	_, poll, _ := w.intervals()
+	poll, _ := w.intervals()
 	// Give the coordinator its full poll window plus transit slack.
 	reqCtx, cancel := context.WithTimeout(ctx, poll+10*time.Second)
 	defer cancel()
@@ -188,7 +180,7 @@ func (w *Worker) pull(ctx context.Context) (*Task, int, error) {
 // outcome. A cancelled ctx abandons the task (no report): the lease expires
 // and the coordinator re-dispatches.
 func (w *Worker) runTask(ctx context.Context, t *Task) {
-	_, _, heartbeat := w.intervals()
+	_, heartbeat := w.intervals()
 	resCh := make(chan taskOutcome, 1)
 	go w.execTask(ctx, t, resCh)
 	ticker := time.NewTicker(heartbeat)

@@ -251,7 +251,7 @@ type call struct {
 // completed result for the lifetime of the Runner.
 type Runner struct {
 	workers  int
-	exec     func(context.Context, Job) (sim.Result, error)
+	exec     ExecFunc // panic-contained
 	progress func(Progress)
 	cache    Cache
 	sem      chan struct{}
@@ -290,7 +290,7 @@ func New(cfg Config) *Runner {
 	}
 	return &Runner{
 		workers:    workers,
-		exec:       exec,
+		exec:       ContainPanics(exec),
 		progress:   cfg.Progress,
 		cache:      cfg.Cache,
 		sem:        make(chan struct{}, workers),
@@ -415,20 +415,31 @@ func (r *Runner) notify(p *progressState, job Job, err error) {
 	r.progress(Progress{Done: p.done, Total: p.total, Job: job, Err: err})
 }
 
-// execAttempt runs one execution attempt with panic containment: a panic in
-// the executor (or the simulator under it) becomes a *PanicError carrying
-// the stack, and is counted, instead of killing the worker pool.
-func (r *Runner) execAttempt(ctx context.Context, job Job) (res sim.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			stack := debug.Stack()
-			r.mu.Lock()
-			r.panicked++
-			r.mu.Unlock()
-			res, err = sim.Result{}, &PanicError{Value: v, Stack: stack}
-		}
-	}()
-	return r.exec(ctx, job)
+// ContainPanics wraps an executor so that a panic in it (or in the simulator
+// under it) returns a *PanicError instead of unwinding the calling goroutine.
+// The Runner, fleet workers and the coordinator's local fallback all use it.
+func ContainPanics(exec ExecFunc) ExecFunc {
+	return func(ctx context.Context, job Job) (res sim.Result, err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				res, err = sim.Result{}, &PanicError{Value: v, Stack: debug.Stack()}
+			}
+		}()
+		return exec(ctx, job)
+	}
+}
+
+// execAttempt runs one execution attempt through the panic-contained
+// executor, counting the attempts that panicked.
+func (r *Runner) execAttempt(ctx context.Context, job Job) (sim.Result, error) {
+	res, err := r.exec(ctx, job)
+	var pe *PanicError
+	if errors.As(err, &pe) {
+		r.mu.Lock()
+		r.panicked++
+		r.mu.Unlock()
+	}
+	return res, err
 }
 
 // backoffDelay returns the jittered delay before retry number attempt
