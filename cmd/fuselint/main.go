@@ -11,8 +11,8 @@
 // findings are printed as a JSON array instead of file:line:col lines.
 //
 // The directives the analyzers understand (//fuselint:ordered, noalloc,
-// execonly, keyroot, jobkey, internalstat, noctx, blocking) are documented in the README under "Invariants &
-// annotations".
+// execonly, keyroot, internalstat, noctx, blocking) are documented in the
+// README under "Invariants & annotations".
 package main
 
 import (

@@ -379,28 +379,14 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	results, err := s.runner.RunBatch(ctx, jobs)
+	outcomes, err := s.runner.RunBatch(ctx, jobs)
 	// Classify timeouts by the request context itself, not by whichever job
 	// happened to fail first inside the batch error: an expired deadline is
-	// always a 504, regardless of submission order.
+	// always a 504, regardless of submission order. Other per-job failures
+	// are reported in the body, not as a transport error: the rest of the
+	// batch is still useful.
 	if err != nil && ctx.Err() != nil {
 		httpError(w, http.StatusGatewayTimeout, "batch timed out: %v", ctx.Err())
-		return
-	}
-	// Per-job failures are reported in the body, not as a transport error:
-	// the rest of the batch is still useful.
-	perJob := map[int]string{}
-	var be *engine.BatchError
-	if errors.As(err, &be) {
-		for _, je := range be.Errors {
-			for i := range jobs {
-				if jobs[i].Key() == je.Job.Key() {
-					perJob[i] = je.Err.Error()
-				}
-			}
-		}
-	} else if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 
@@ -411,16 +397,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Retried:   s.runner.Retried(),
 		Panics:    s.runner.Panics(),
 	}
-	for i := range jobs {
+	for i, o := range outcomes {
 		entry := batchResult{Kind: req.Jobs[i].Kind, Workload: req.Jobs[i].Workload}
-		if msg, failed := perJob[i]; failed {
-			entry.Error = msg
+		if o.Err != nil {
+			entry.Error = o.Err.Error()
 		} else {
-			res := results[i]
-			entry.Result = &res
-			if key, err := engine.StoreKey(jobs[i]); err == nil {
-				entry.Key = key
-			}
+			entry.Result, entry.Key = &o.Result, o.Key
 		}
 		resp.Results[i] = entry
 	}

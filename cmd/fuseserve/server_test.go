@@ -676,3 +676,37 @@ func TestPanicMiddlewareReturnsStructured500(t *testing.T) {
 		t.Errorf("server unusable after a handler panic: %d", r.StatusCode)
 	}
 }
+
+func TestPanickingJobErrorHidesStack(t *testing.T) {
+	// A panicking simulation fails only its own job, is counted, and its
+	// error tells the client the panic value without the server's stack.
+	cache := store.NewTiered(store.NewMemory())
+	runner := engine.New(engine.Config{
+		Cache: cache,
+		Exec: func(ctx context.Context, job engine.Job) (sim.Result, error) {
+			if job.Workload == "GEMM" {
+				panic("simulated explosion")
+			}
+			return engine.Execute(ctx, job)
+		},
+	})
+	ts := httptest.NewServer(newServer(serverConfig{
+		scale: experiments.QuickScale, runner: runner, results: cache, timeout: time.Minute,
+	}))
+	defer ts.Close()
+
+	resp, br := postBatch(t, ts, `{"jobs":[{"kind":"Dy-FUSE","workload":"ATAX"},{"kind":"Dy-FUSE","workload":"GEMM"}]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	if br.Results[0].Error != "" || br.Results[0].Key == "" {
+		t.Errorf("healthy job failed: %+v", br.Results[0])
+	}
+	msg := br.Results[1].Error
+	if !strings.Contains(msg, "simulated explosion") || strings.Contains(msg, "goroutine ") || strings.Contains(msg, ".go:") {
+		t.Errorf("panicking job's error = %q, want the panic value without a stack", msg)
+	}
+	if runner.Panics() != 1 || br.Panics != 1 {
+		t.Errorf("Panics = %d (response %d), want 1", runner.Panics(), br.Panics)
+	}
+}

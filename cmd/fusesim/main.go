@@ -211,7 +211,7 @@ func main() {
 		cfg.Cache = cache
 	}
 	runner := engine.New(cfg)
-	results, err := runner.RunBatch(ctx, jobs)
+	outcomes, err := runner.RunBatch(ctx, jobs)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -220,9 +220,9 @@ func main() {
 			*storeDir, runner.StoreHits(), runner.Executed())
 	}
 
-	for i, res := range results {
-		printReport(res, jobs[i].GPUConfig(), *showEnergy)
-		if i < len(results)-1 {
+	for i, o := range outcomes {
+		printReport(o.Result, jobs[i].GPUConfig(), *showEnergy)
+		if i < len(outcomes)-1 {
 			fmt.Println()
 		}
 	}

@@ -14,7 +14,7 @@ import (
 //     order, so any map-ordered loop that can reach output, counters or event
 //     submission is a nondeterminism bug. A loop is accepted when the
 //     collected keys are demonstrably sorted afterwards in the same block
-//     (the engine.Runner.Keys pattern), or when it carries a justified
+//     (e.g. sort.Strings or slices.Sort), or when it carries a justified
 //     `//fuselint:ordered <reason>` directive (e.g. an order-insensitive
 //     reduction such as a max, or writes to index-addressed slots).
 //

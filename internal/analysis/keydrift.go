@@ -28,11 +28,9 @@ import (
 //     exported and not tagged json:"-" — or carry `//fuselint:execonly
 //     <reason>` together with json:"-" (or be unexported) so the exclusion
 //     is explicit.
-//   - `//fuselint:jobkey <KeyType>` marks a job-description struct whose
-//     dedup identity is a sibling key struct (engine.Job / engine.Key).
-//     Every field must have a same-named field in the key type, be of a
-//     keyroot-annotated type (keyed through the store path), or carry
-//     `//fuselint:execonly <reason>`.
+//
+// A job's only identity is its store key, a hash of the keyroot structs, so
+// the keyroot rule covers every job field that can change a result.
 //
 // Two repo-specific anchors keep the annotations themselves from rotting:
 // the known key structs must carry their annotations (deleting one is a
@@ -48,12 +46,11 @@ var Keydrift = &Analyzer{
 	Finish: finishKeydrift,
 }
 
-// keydriftAnchors lists the structs that must stay annotated, per package.
-var keydriftAnchors = map[string][]struct{ typeName, directive string }{
-	"fuse/internal/config": {{"GPUConfig", "keyroot"}},
-	"fuse/internal/sim":    {{"Options", "keyroot"}},
-	"fuse/internal/trace":  {{"Profile", "keyroot"}},
-	"fuse/internal/engine": {{"Job", "jobkey"}},
+// keydriftAnchors names the keyroot struct each package must keep annotated.
+var keydriftAnchors = map[string]string{
+	"fuse/internal/config": "GPUConfig",
+	"fuse/internal/sim":    "Options",
+	"fuse/internal/trace":  "Profile",
 }
 
 func runKeydrift(pass *Pass) error {
@@ -79,9 +76,6 @@ func runKeydrift(pass *Pass) error {
 				if _, ok := pass.Pkg.nodeDirective(pass.Prog.Fset, f, doc, ts, "keyroot"); ok {
 					checkKeyrootStruct(pass, pass.Pkg, f, ts, st, make(map[string]bool))
 				}
-				if d, ok := pass.Pkg.nodeDirective(pass.Prog.Fset, f, doc, ts, "jobkey"); ok {
-					checkJobkeyStruct(pass, f, ts, st, d)
-				}
 			}
 		}
 	}
@@ -96,25 +90,23 @@ func runKeydrift(pass *Pass) error {
 // annotations — the annotations drive everything else, so deleting one must
 // itself be a finding.
 func checkKeydriftAnchors(pass *Pass) {
-	anchors, ok := keydriftAnchors[pass.Pkg.Path]
+	typeName, ok := keydriftAnchors[pass.Pkg.Path]
 	if !ok {
 		return
 	}
-	for _, a := range anchors {
-		ts, _, f := findStructDecl(pass.Pkg, a.typeName)
-		if ts == nil {
-			pass.Reportf(pass.Pkg.Files[0].Pos(), "expected struct %s in %s (store-key anchor) was not found", a.typeName, pass.Pkg.Path)
-			continue
+	ts, _, f := findStructDecl(pass.Pkg, typeName)
+	if ts == nil {
+		pass.Reportf(pass.Pkg.Files[0].Pos(), "expected struct %s in %s (store-key anchor) was not found", typeName, pass.Pkg.Path)
+		return
+	}
+	doc := ts.Doc
+	if doc == nil {
+		if gd := enclosingGenDecl(f, ts); gd != nil {
+			doc = gd.Doc
 		}
-		doc := ts.Doc
-		if doc == nil {
-			if gd := enclosingGenDecl(f, ts); gd != nil {
-				doc = gd.Doc
-			}
-		}
-		if _, ok := pass.Pkg.nodeDirective(pass.Prog.Fset, f, doc, ts, a.directive); !ok {
-			pass.Reportf(ts.Pos(), "%s.%s feeds the store key and must be annotated //fuselint:%s", pass.Pkg.Path, a.typeName, a.directive)
-		}
+	}
+	if _, ok := pass.Pkg.nodeDirective(pass.Prog.Fset, f, doc, ts, "keyroot"); !ok {
+		pass.Reportf(ts.Pos(), "%s.%s feeds the store key and must be annotated //fuselint:keyroot", pass.Pkg.Path, typeName)
 	}
 }
 
@@ -189,75 +181,6 @@ func checkKeyrootFieldType(pass *Pass, pkg *Package, expr ast.Expr, visited map[
 		return
 	}
 	checkKeyrootStruct(pass, declPkg, f, ts, st, visited)
-}
-
-// checkJobkeyStruct enforces the jobkey rules against the named key type.
-func checkJobkeyStruct(pass *Pass, f *ast.File, ts *ast.TypeSpec, st *ast.StructType, d Directive) {
-	keyName := d.Args
-	if keyName == "" {
-		pass.Reportf(d.Pos, "//fuselint:jobkey needs the key type name (e.g. //fuselint:jobkey Key)")
-		return
-	}
-	keyTS, keySt, _ := findStructDecl(pass.Pkg, keyName)
-	if keyTS == nil || keySt == nil {
-		pass.Reportf(d.Pos, "//fuselint:jobkey %s: no struct %s in %s", keyName, keyName, pass.Pkg.Path)
-		return
-	}
-	keyFields := make(map[string]bool)
-	for _, kf := range keySt.Fields.List {
-		for _, name := range fieldNames(kf) {
-			keyFields[name] = true
-		}
-	}
-	for _, field := range st.Fields.List {
-		execonly, execDir := fieldDirective(pass, pass.Pkg, f, field, "execonly")
-		for _, name := range fieldNames(field) {
-			switch {
-			case keyFields[name]:
-			case fieldTypeIsKeyroot(pass, field.Type):
-				// Keyed through the store path (e.g. Job.GPU *config.GPUConfig).
-			case execonly:
-				if execDir.Args == "" {
-					pass.Reportf(field.Pos(), "//fuselint:execonly needs a justification (why does %s.%s not affect results?)", ts.Name.Name, name)
-				}
-			default:
-				pass.Reportf(field.Pos(), "%s.%s is neither part of %s nor annotated //fuselint:execonly: decide whether it changes the simulation (key it) or not (annotate it)", ts.Name.Name, name, keyName)
-			}
-		}
-	}
-}
-
-// fieldTypeIsKeyroot reports whether the field's (pointer-stripped) type is a
-// struct annotated //fuselint:keyroot in its declaring package.
-func fieldTypeIsKeyroot(pass *Pass, expr ast.Expr) bool {
-	tv, ok := pass.Pkg.Info.Types[expr]
-	if !ok {
-		return false
-	}
-	t := tv.Type
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	declPkg, ok := pass.Prog.declSyntax(named.Obj().Pkg().Path())
-	if !ok {
-		return false
-	}
-	ts, _, f := findStructDecl(declPkg, named.Obj().Name())
-	if ts == nil {
-		return false
-	}
-	doc := ts.Doc
-	if doc == nil {
-		if gd := enclosingGenDecl(f, ts); gd != nil {
-			doc = gd.Doc
-		}
-	}
-	_, ok = declPkg.nodeDirective(pass.Prog.Fset, f, doc, ts, "keyroot")
-	return ok
 }
 
 // checkMemDefaultsPlumbing verifies that GPUConfig.WithMemDefaults explicitly

@@ -22,7 +22,7 @@ func SumKeysBad(m map[string]int) []string {
 	return keys
 }
 
-// Good: the collect-then-sort idiom (engine.Runner.Keys pattern).
+// Good: the collect-then-sort idiom.
 func SumKeysSorted(m map[string]int) []string {
 	var keys []string
 	for k := range m {

@@ -1,5 +1,5 @@
 // Package keydriftfix is a keydrift analyzer fixture: a miniature of the
-// real config/engine key plumbing with one violation of each rule.
+// real config key plumbing with one violation of each rule.
 package keydriftfix
 
 // Config mimics config.GPUConfig: a struct serialised verbatim into the
@@ -30,28 +30,6 @@ type Config struct {
 type CacheConfig struct {
 	Ways int
 	sets int // want `CacheConfig.sets is silently excluded from the store-key material`
-}
-
-// Job mimics engine.Job: dedup identity is the sibling Key struct.
-//
-//fuselint:jobkey Key
-type Job struct {
-	Workload string
-	Label    string
-
-	// Keyed through the store path: Config is a keyroot type.
-	GPU *Config
-
-	//fuselint:execonly goroutine budget, results are identical for every value
-	Workers int
-
-	Verbose bool // want `Job.Verbose is neither part of Key nor annotated`
-}
-
-// Key is Job's comparable dedup identity.
-type Key struct {
-	Workload string
-	Label    string
 }
 
 func use(c Config) (int, map[string]int) { return c.secret + c.Cache.sets, c.cache }

@@ -1,12 +1,13 @@
 // Package engine is the concurrent batch-execution layer of the repository.
 // Every figure of the paper is a matrix of independent (L1D configuration,
 // workload) simulations; the Runner executes such matrices on a bounded
-// worker pool, deduplicating identical jobs (both in-flight and completed,
-// singleflight-style) so that figures sharing runs — 13, 14, 15, 16 and 17
-// all reuse the same six-kind matrix — never simulate the same point twice.
+// worker pool, deduplicating jobs by their one identity, the store key
+// (StoreKey), both in-flight and completed (singleflight-style), so that
+// figures sharing runs — 13, 14, 15, 16 and 17 all reuse the same six-kind
+// matrix — never simulate the same point twice.
 //
 // The Runner guarantees deterministic result ordering: RunBatch returns
-// results in submission order regardless of the order in which the workers
+// outcomes in submission order regardless of the order in which the workers
 // finish, so a parallel figure regeneration is byte-identical to the serial
 // one.
 package engine
@@ -16,9 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"log"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -30,12 +31,9 @@ import (
 )
 
 // Job describes one simulation to execute. Two jobs are the same simulation —
-// and are deduplicated — when their Key() values are equal. Every field must
-// be part of Key, be keyed through the store path (a //fuselint:keyroot
-// type), or carry an explicit //fuselint:execonly justification — fuselint's
-// keydrift analyzer enforces this.
-//
-//fuselint:jobkey Key
+// and are deduplicated — when their store keys (StoreKey) are equal: the
+// effective GPU configuration, the workload's key material and the options
+// with their defaults applied, never the label.
 type Job struct {
 	// Kind selects the L1D configuration on the Fermi-class GPU. It is
 	// ignored when GPU is set.
@@ -44,9 +42,9 @@ type Job struct {
 	// (builtin benchmarks — see trace.Names — and registered custom or
 	// phased workloads alike).
 	Workload string
-	// Label identifies a custom-GPU job. It must uniquely describe GPU
-	// within one Runner: the label, not the config struct, is the dedup
-	// identity of custom jobs.
+	// Label names a custom-GPU job in progress lines and errors. It is
+	// display-only: jobs with one label and different GPUs are different
+	// simulations, and jobs with different labels and one GPU are the same.
 	Label string
 	// GPU, when non-nil, overrides the Fermi-class GPU built from Kind.
 	GPU *config.GPUConfig
@@ -54,7 +52,9 @@ type Job struct {
 	Opts sim.Options
 }
 
-// Key is the comparable dedup identity of a Job.
+// Key summarises a Job's kind, workload, label and options. It is not the
+// job's identity (StoreKey is) and the Runner does not use it; it remains for
+// fusebench's figure-matrix job list, and goes once that list uses StoreKey.
 type Key struct {
 	Kind     config.L1DKind
 	Workload string
@@ -62,7 +62,7 @@ type Key struct {
 	Opts     sim.Options
 }
 
-// Key returns the job's dedup identity.
+// Key returns the job's Key summary (see Key).
 func (j Job) Key() Key {
 	return Key{Kind: j.Kind, Workload: j.Workload, Label: j.Label, Opts: j.Opts}
 }
@@ -98,10 +98,10 @@ func BackendJob(kind config.L1DKind, workload, backend string, opts sim.Options)
 
 // StoreKey returns the job's content-addressed result-store key: the stable
 // hash of its effective GPU configuration, workload key material and
-// simulation options (see store.Key). Unlike Key, which identifies a job
-// within one Runner, the store key identifies the simulation across
-// processes. The workload name is resolved through the trace registry, so
-// custom (file-loaded or API-registered) workloads key exactly like builtins.
+// simulation options (see store.Key). It is the job's identity, within one
+// Runner and across processes. The workload name is resolved through the
+// trace registry, so custom (file-loaded or API-registered) workloads key
+// exactly like builtins, and an unknown workload has no key.
 func StoreKey(job Job) (string, error) {
 	w, err := trace.LookupWorkload(job.Workload)
 	if err != nil {
@@ -195,7 +195,8 @@ const (
 
 // PanicError is the per-job error a panicking execution is converted into:
 // the recovered value plus the goroutine stack at the panic site. A panic in
-// one simulation never takes down the worker pool or the process.
+// one simulation never takes down the worker pool or the process. The stack
+// stays out of the message, which reaches clients; ContainPanics logs it.
 type PanicError struct {
 	Value any
 	Stack []byte
@@ -203,7 +204,7 @@ type PanicError struct {
 
 // Error implements the error interface.
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("engine: job panicked: %v\n%s", e.Value, e.Stack)
+	return fmt.Sprintf("engine: job panicked: %v", e.Value)
 }
 
 // JobError pairs a failed job with its error.
@@ -240,7 +241,7 @@ func (e *BatchError) Unwrap() error {
 }
 
 // call is one in-flight or completed execution shared by every batch that
-// asked for the same key.
+// asked for the same store key.
 type call struct {
 	done chan struct{}
 	res  sim.Result
@@ -261,7 +262,7 @@ type Runner struct {
 	backoffMax time.Duration
 
 	mu        sync.Mutex
-	calls     map[Key]*call
+	calls     map[string]*call // by store key
 	completed int
 	executed  int
 	storeHits int
@@ -297,7 +298,7 @@ func New(cfg Config) *Runner {
 		retries:    cfg.Retries,
 		backoff:    backoff,
 		backoffMax: backoffMax,
-		calls:      make(map[Key]*call),
+		calls:      make(map[string]*call),
 	}
 }
 
@@ -344,50 +345,17 @@ func (r *Runner) Panics() int {
 	return r.panicked
 }
 
-// Keys returns the cached job keys in a stable order (for inspection).
-func (r *Runner) Keys() []Key {
+// finish records a call's outcome (a failed call's result is zero). Context
+// errors are evicted from the cache so that a later batch (with a live
+// context) retries instead of replaying the cancellation.
+func (r *Runner) finish(key string, c *call, res sim.Result, err error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	keys := make([]Key, 0, len(r.calls))
-	for k := range r.calls {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Workload < b.Workload
-	})
-	return keys
-}
-
-// startLocked returns the call for a key, creating it if this caller is the
-// first to ask. The boolean reports whether the caller must execute it.
-func (r *Runner) start(k Key) (*call, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.calls[k]; ok {
-		return c, false
-	}
-	c := &call{done: make(chan struct{})}
-	r.calls[k] = c
-	return c, true
-}
-
-// finish records a call's outcome. Context errors are evicted from the cache
-// so that a later batch (with a live context) retries instead of replaying
-// the cancellation.
-func (r *Runner) finish(k Key, c *call, res sim.Result, err error) {
-	r.mu.Lock()
-	c.res, c.err = res, err
+	c.err = err
 	if err == nil {
+		c.res = res
 		r.completed++
 	} else if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		delete(r.calls, k)
+		delete(r.calls, key)
 	}
 	r.mu.Unlock()
 	close(c.done)
@@ -416,13 +384,16 @@ func (r *Runner) notify(p *progressState, job Job, err error) {
 }
 
 // ContainPanics wraps an executor so that a panic in it (or in the simulator
-// under it) returns a *PanicError instead of unwinding the calling goroutine.
-// The Runner, fleet workers and the coordinator's local fallback all use it.
+// under it) returns a *PanicError instead of unwinding the calling goroutine,
+// and logs the job's name and the stack there, once. The Runner, fleet
+// workers and the coordinator's local fallback all use it.
 func ContainPanics(exec ExecFunc) ExecFunc {
 	return func(ctx context.Context, job Job) (res sim.Result, err error) {
 		defer func() {
 			if v := recover(); v != nil {
-				res, err = sim.Result{}, &PanicError{Value: v, Stack: debug.Stack()}
+				pe := &PanicError{Value: v, Stack: debug.Stack()}
+				log.Printf("engine: job %s panicked: %v\n%s", job, v, pe.Stack)
+				res, err = sim.Result{}, pe
 			}
 		}()
 		return exec(ctx, job)
@@ -496,26 +467,22 @@ func (r *Runner) execWithRetry(ctx context.Context, job Job) (sim.Result, error)
 // run executes one call: first past the second-tier result cache (a hit
 // skips the worker pool entirely), then on the pool itself, writing fresh
 // results back through the cache.
-func (r *Runner) run(ctx context.Context, k Key, c *call, job Job, p *progressState) {
-	storeKey := ""
+func (r *Runner) run(ctx context.Context, key string, c *call, job Job, p *progressState) {
 	if r.cache != nil {
-		if key, err := StoreKey(job); err == nil {
-			storeKey = key
-			if res, ok := r.cache.Get(key); ok {
-				r.mu.Lock()
-				r.storeHits++
-				r.mu.Unlock()
-				r.notify(p, job, nil)
-				r.finish(k, c, res, nil)
-				return
-			}
+		if res, ok := r.cache.Get(key); ok {
+			r.mu.Lock()
+			r.storeHits++
+			r.mu.Unlock()
+			r.notify(p, job, nil)
+			r.finish(key, c, res, nil)
+			return
 		}
 	}
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
 		r.notify(p, job, ctx.Err())
-		r.finish(k, c, sim.Result{}, ctx.Err())
+		r.finish(key, c, sim.Result{}, ctx.Err())
 		return
 	}
 	defer func() { <-r.sem }() //fuselint:noctx releasing a slot the select above acquired; the receive never blocks
@@ -524,88 +491,89 @@ func (r *Runner) run(ctx context.Context, k Key, c *call, job Job, p *progressSt
 		r.mu.Lock()
 		r.executed++
 		r.mu.Unlock()
-		if r.cache != nil && storeKey != "" {
-			r.cache.Put(storeKey, res)
+		if r.cache != nil {
+			r.cache.Put(key, res)
 		}
 	}
 	r.notify(p, job, err)
-	r.finish(k, c, res, err)
+	r.finish(key, c, res, err)
 }
 
-// RunBatch executes every job (deduplicated against the batch itself, against
-// in-flight work and against completed results) and returns the results in
-// submission order. The returned error is nil when every job succeeded, or a
-// *BatchError listing each failed job; results of failed jobs are zero.
-// Cancelling the context abandons jobs that have not started and fails the
-// batch with the context's error.
+// Outcome is one job's share of a batch: its store key (empty when the key
+// cannot be derived), its result (zero when Err is set) and its error.
+type Outcome struct {
+	Key    string
+	Result sim.Result
+	Err    error
+}
+
+// RunBatch executes every job (deduplicated by store key against the batch
+// itself, against in-flight work and against completed results) and returns
+// the outcomes in submission order. The returned error is nil when every job
+// succeeded, or a *BatchError listing each failed job. A job whose key cannot
+// be derived (an unknown workload) fails at once and is never executed.
+// Cancelling the context abandons jobs that have not started and fails them
+// with the context's error.
 //
 //fuselint:blocking waits for every simulation in the batch
-func (r *Runner) RunBatch(ctx context.Context, jobs []Job) ([]sim.Result, error) {
-	// Pass 1: resolve every job to its (possibly shared) call, claiming the
-	// keys this batch is first to ask for. Spawning waits until the batch's
-	// fresh-job count is known, so progress notifications — fired by the
-	// workers in completion order — always carry the right Total.
-	calls := make([]*call, len(jobs))
-	seen := make(map[Key]*call, len(jobs))
-	type spawn struct {
-		k   Key
-		c   *call
-		job Job
-	}
-	var mine []spawn
+func (r *Runner) RunBatch(ctx context.Context, jobs []Job) ([]Outcome, error) {
+	// Pass 1: derive every key, then resolve every job to its (possibly
+	// shared) call under one lock. Spawning waits until the batch's fresh-job
+	// count is known, so progress notifications carry the right Total.
+	out := make([]Outcome, len(jobs))
 	for i, job := range jobs {
-		k := job.Key()
-		if c, ok := seen[k]; ok {
-			calls[i] = c
+		out[i].Key, out[i].Err = StoreKey(job)
+	}
+	calls := make([]*call, len(jobs))
+	var mine []int // the jobs whose calls this batch claimed
+	r.mu.Lock()
+	for i := range out {
+		if out[i].Err != nil {
 			continue
 		}
-		c, fresh := r.start(k)
-		seen[k] = c
-		calls[i] = c
-		if fresh {
-			mine = append(mine, spawn{k: k, c: c, job: job})
+		c, ok := r.calls[out[i].Key]
+		if !ok {
+			c = &call{done: make(chan struct{})}
+			r.calls[out[i].Key] = c
+			mine = append(mine, i)
 		}
+		calls[i] = c
 	}
+	r.mu.Unlock()
 
 	// Pass 2: execute this batch's fresh jobs on the worker pool.
 	prog := &progressState{total: len(mine)}
-	for _, s := range mine {
-		go r.run(ctx, s.k, s.c, s.job, prog)
+	for _, i := range mine {
+		go r.run(ctx, out[i].Key, calls[i], jobs[i], prog)
 	}
 
-	results := make([]sim.Result, len(jobs))
 	var batchErr BatchError
 	for i, c := range calls {
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			// Wait for the call anyway: its goroutine observes the same
-			// context and finishes promptly, and waiting keeps the
-			// completion accounting exact.
-			<-c.done //fuselint:noctx the runner always closes done; the bounded wait keeps completion accounting exact
+		if c != nil {
+			select {
+			case <-c.done:
+			case <-ctx.Done():
+				// Wait for the call anyway: its goroutine observes the same
+				// context and finishes promptly, and waiting keeps the
+				// completion accounting exact.
+				<-c.done //fuselint:noctx the runner always closes done; the bounded wait keeps completion accounting exact
+			}
+			out[i].Result, out[i].Err = c.res, c.err
 		}
-		results[i] = c.res
-		if c.err != nil {
-			batchErr.Errors = append(batchErr.Errors, JobError{Job: jobs[i], Err: c.err})
+		if out[i].Err != nil {
+			batchErr.Errors = append(batchErr.Errors, JobError{Job: jobs[i], Err: out[i].Err})
 		}
 	}
 	if len(batchErr.Errors) > 0 {
-		return results, &batchErr
+		return out, &batchErr
 	}
-	return results, nil
+	return out, nil
 }
 
 // Get executes (or fetches the cached result of) a single job.
 //
 //fuselint:blocking waits for the job's simulation
 func (r *Runner) Get(ctx context.Context, job Job) (sim.Result, error) {
-	res, err := r.RunBatch(ctx, []Job{job})
-	if err != nil {
-		var be *BatchError
-		if errors.As(err, &be) && len(be.Errors) > 0 {
-			return sim.Result{}, be.Errors[0].Err
-		}
-		return sim.Result{}, err
-	}
-	return res[0], nil
+	out, _ := r.RunBatch(ctx, []Job{job})
+	return out[0].Result, out[0].Err
 }

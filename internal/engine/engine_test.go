@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 
 	"fuse/internal/config"
 	"fuse/internal/sim"
+	"fuse/internal/trace"
 )
 
 // quickOpts keeps real-simulator test runs small and fast.
@@ -19,15 +22,22 @@ func quickOpts() sim.Options {
 	return sim.Options{InstructionsPerWarp: 100, Seed: 7, SMOverride: 1, MaxCycles: 1_000_000}
 }
 
-// countingExec returns a fake executor that counts executions per key and
-// stamps the result with an identifiable cycle count.
-func countingExec(calls *sync.Map, total *atomic.Int64) func(context.Context, Job) (sim.Result, error) {
+// countingExec returns a fake executor that counts executions and stamps
+// the result with the job's workload and L1D kind.
+func countingExec(total *atomic.Int64) func(context.Context, Job) (sim.Result, error) {
 	return func(_ context.Context, job Job) (sim.Result, error) {
 		total.Add(1)
-		n, _ := calls.LoadOrStore(job.Key(), new(atomic.Int64))
-		n.(*atomic.Int64).Add(1)
-		return sim.Result{Workload: job.Workload, Cycles: int64(len(job.Workload))}, nil
+		return sim.Result{Workload: job.Workload, L1DKind: job.GPUConfig().L1D.Kind}, nil
 	}
+}
+
+// results returns the results of a batch's outcomes.
+func results(out []Outcome) []sim.Result {
+	res := make([]sim.Result, len(out))
+	for i, o := range out {
+		res[i] = o.Result
+	}
+	return res
 }
 
 func TestDefaultsAndWorkers(t *testing.T) {
@@ -44,28 +54,33 @@ func TestDefaultsAndWorkers(t *testing.T) {
 }
 
 func TestBatchDeduplicatesWithinAndAcrossBatches(t *testing.T) {
-	var calls sync.Map
 	var total atomic.Int64
-	r := New(Config{Workers: 4, Exec: countingExec(&calls, &total)})
+	r := New(Config{Workers: 4, Exec: countingExec(&total)})
 
 	jobs := []Job{
-		{Kind: config.L1SRAM, Workload: "A"},
-		{Kind: config.DyFUSE, Workload: "A"},
-		{Kind: config.L1SRAM, Workload: "A"}, // duplicate of job 0
-		{Kind: config.L1SRAM, Workload: "B"},
+		{Kind: config.L1SRAM, Workload: "ATAX"},
+		{Kind: config.DyFUSE, Workload: "ATAX"},
+		{Kind: config.L1SRAM, Workload: "ATAX"}, // duplicate of job 0
+		{Kind: config.L1SRAM, Workload: "GEMM"},
 	}
-	res, err := r.RunBatch(context.Background(), jobs)
+	out, err := r.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != len(jobs) {
-		t.Fatalf("got %d results, want %d", len(res), len(jobs))
+	if len(out) != len(jobs) {
+		t.Fatalf("got %d outcomes, want %d", len(out), len(jobs))
 	}
 	if total.Load() != 3 {
 		t.Errorf("expected 3 unique executions, got %d", total.Load())
 	}
-	if res[0].Workload != "A" || res[2].Workload != "A" || res[3].Workload != "B" {
+	res := results(out)
+	if res[0].Workload != "ATAX" || res[2].Workload != "ATAX" || res[3].Workload != "GEMM" {
 		t.Errorf("results misordered: %+v", res)
+	}
+	for i, job := range jobs {
+		if key, _ := StoreKey(job); out[i].Key != key {
+			t.Errorf("outcome %d: key %q, want the job's store key %q", i, out[i].Key, key)
+		}
 	}
 	if r.Completed() != 3 {
 		t.Errorf("Completed = %d, want 3", r.Completed())
@@ -75,11 +90,11 @@ func TestBatchDeduplicatesWithinAndAcrossBatches(t *testing.T) {
 	if _, err := r.RunBatch(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
-	if total.Load() != 3 {
-		t.Errorf("cached batch should not re-execute, got %d executions", total.Load())
+	if total.Load() != 3 || r.Executed() != 3 {
+		t.Errorf("cached batch should not re-execute, got %d executions (Executed %d)", total.Load(), r.Executed())
 	}
-	if len(r.Keys()) != 3 {
-		t.Errorf("Keys() should list the 3 cached keys, got %d", len(r.Keys()))
+	if r.Completed() != 3 {
+		t.Errorf("Completed = %d after the cached batch, want 3", r.Completed())
 	}
 }
 
@@ -95,7 +110,7 @@ func TestInFlightDeduplication(t *testing.T) {
 		return sim.Result{Workload: job.Workload}, nil
 	}})
 
-	job := Job{Kind: config.DyFUSE, Workload: "slow"}
+	job := Job{Kind: config.DyFUSE, Workload: "ATAX"}
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -118,20 +133,21 @@ func TestInFlightDeduplication(t *testing.T) {
 func TestDeterministicOrderingUnderConcurrency(t *testing.T) {
 	// Jobs finish in reverse submission order (later jobs sleep less), yet
 	// the result slice must follow submission order.
+	names := trace.BuiltinNames()[:8]
 	r := New(Config{Workers: 8, Exec: func(_ context.Context, job Job) (sim.Result, error) {
-		var i int
-		fmt.Sscanf(job.Workload, "w%d", &i)
+		i := slices.Index(names, job.Workload)
 		time.Sleep(time.Duration(8-i) * time.Millisecond)
 		return sim.Result{Workload: job.Workload, Cycles: int64(i)}, nil
 	}})
-	jobs := make([]Job, 8)
-	for i := range jobs {
-		jobs[i] = Job{Kind: config.DyFUSE, Workload: fmt.Sprintf("w%d", i)}
+	jobs := make([]Job, len(names))
+	for i, w := range names {
+		jobs[i] = Job{Kind: config.DyFUSE, Workload: w}
 	}
-	res, err := r.RunBatch(context.Background(), jobs)
+	out, err := r.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results(out)
 	for i := range jobs {
 		if res[i].Cycles != int64(i) {
 			t.Fatalf("result %d out of order: %+v", i, res[i])
@@ -142,17 +158,17 @@ func TestDeterministicOrderingUnderConcurrency(t *testing.T) {
 func TestPerJobErrorCollection(t *testing.T) {
 	sentinel := errors.New("boom")
 	r := New(Config{Workers: 2, Exec: func(_ context.Context, job Job) (sim.Result, error) {
-		if job.Workload == "bad" {
+		if job.Workload == "GEMM" {
 			return sim.Result{}, sentinel
 		}
 		return sim.Result{Workload: job.Workload}, nil
 	}})
 	jobs := []Job{
-		{Kind: config.L1SRAM, Workload: "good"},
-		{Kind: config.L1SRAM, Workload: "bad"},
-		{Kind: config.DyFUSE, Workload: "bad"},
+		{Kind: config.L1SRAM, Workload: "ATAX"},
+		{Kind: config.L1SRAM, Workload: "GEMM"},
+		{Kind: config.DyFUSE, Workload: "GEMM"},
 	}
-	res, err := r.RunBatch(context.Background(), jobs)
+	out, err := r.RunBatch(context.Background(), jobs)
 	if err == nil {
 		t.Fatal("expected a batch error")
 	}
@@ -166,8 +182,11 @@ func TestPerJobErrorCollection(t *testing.T) {
 	if !errors.Is(err, sentinel) {
 		t.Errorf("BatchError should unwrap to the job error")
 	}
-	if res[0].Workload != "good" {
+	if out[0].Result.Workload != "ATAX" || out[0].Err != nil {
 		t.Errorf("successful job's result should survive a partial failure")
+	}
+	if !errors.Is(out[1].Err, sentinel) || !errors.Is(out[2].Err, sentinel) || out[1].Key == "" {
+		t.Errorf("failed outcomes should carry their key and error: %+v", out[1:])
 	}
 	if r.Completed() != 1 {
 		t.Errorf("only the successful job should count as completed, got %d", r.Completed())
@@ -186,7 +205,12 @@ func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var once sync.Once
+	var stall atomic.Bool
+	stall.Store(true)
 	r := New(Config{Workers: 1, Exec: func(ctx context.Context, job Job) (sim.Result, error) {
+		if !stall.Load() {
+			return sim.Result{Workload: job.Workload}, nil
+		}
 		once.Do(func() { close(started) })
 		select {
 		case <-ctx.Done():
@@ -200,8 +224,8 @@ func TestContextCancellation(t *testing.T) {
 		cancel()
 	}()
 	jobs := []Job{
-		{Kind: config.L1SRAM, Workload: "first"},
-		{Kind: config.DyFUSE, Workload: "second"}, // never gets a worker
+		{Kind: config.L1SRAM, Workload: "ATAX"},
+		{Kind: config.DyFUSE, Workload: "GEMM"}, // never gets a worker
 	}
 	_, err := r.RunBatch(ctx, jobs)
 	if !errors.Is(err, context.Canceled) {
@@ -211,18 +235,14 @@ func TestContextCancellation(t *testing.T) {
 		t.Errorf("cancelled jobs must not count as completed, got %d", r.Completed())
 	}
 
-	// Cancellation must not poison the cache: a fresh context retries.
-	r2 := New(Config{Workers: 1, Exec: func(_ context.Context, job Job) (sim.Result, error) {
-		return sim.Result{Workload: job.Workload}, nil
-	}})
-	// Reuse r's cache by replaying on r with a working exec is not possible
-	// (exec is fixed), so assert eviction directly: the cancelled keys are
-	// gone from the cache.
-	if n := len(r.Keys()); n != 0 {
-		t.Errorf("cancelled calls should be evicted from the cache, %d remain", n)
+	// Cancellation must not poison the cache: the cancelled calls were
+	// evicted, so a batch with a live context executes them again.
+	stall.Store(false)
+	if _, err := r.RunBatch(context.Background(), jobs); err != nil {
+		t.Errorf("retry after cancellation: %v", err)
 	}
-	if _, err := r2.Get(context.Background(), jobs[0]); err != nil {
-		t.Errorf("retry on a fresh runner: %v", err)
+	if r.Completed() != 2 || r.Executed() != 2 {
+		t.Errorf("retry after cancellation: Completed %d, Executed %d, want 2 and 2", r.Completed(), r.Executed())
 	}
 }
 
@@ -237,9 +257,9 @@ func TestProgressCallback(t *testing.T) {
 		return sim.Result{Workload: job.Workload}, nil
 	}})
 	jobs := []Job{
-		{Kind: config.L1SRAM, Workload: "A"},
-		{Kind: config.L1SRAM, Workload: "A"}, // deduplicated: one notification
-		{Kind: config.L1SRAM, Workload: "B"},
+		{Kind: config.L1SRAM, Workload: "ATAX"},
+		{Kind: config.L1SRAM, Workload: "ATAX"}, // deduplicated: one notification
+		{Kind: config.L1SRAM, Workload: "GEMM"},
 	}
 	if _, err := r.RunBatch(context.Background(), jobs); err != nil {
 		t.Fatal(err)
@@ -273,10 +293,11 @@ func TestExecuteRealSimulator(t *testing.T) {
 		{Kind: config.L1SRAM, Workload: "pathf", Opts: quickOpts()},
 		{Label: "oracle", GPU: &gpu, Workload: "pathf", Opts: quickOpts()},
 	}
-	res, err := r.RunBatch(context.Background(), jobs)
+	out, err := r.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results(out)
 	if res[0].IPC <= 0 || res[1].IPC <= 0 {
 		t.Errorf("both simulations should produce a positive IPC: %v, %v", res[0].IPC, res[1].IPC)
 	}
@@ -314,7 +335,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range jobs {
-		if serial[i] != parallel[i] {
+		if serial[i].Result != parallel[i].Result {
 			t.Errorf("job %d (%s): parallel result differs from serial", i, jobs[i])
 		}
 	}
@@ -400,8 +421,7 @@ func TestRunnerServesFromSecondTierCache(t *testing.T) {
 	}
 
 	var total1 atomic.Int64
-	var calls sync.Map
-	r1 := New(Config{Workers: 2, Cache: cache, Exec: countingExec(&calls, &total1)})
+	r1 := New(Config{Workers: 2, Cache: cache, Exec: countingExec(&total1)})
 	res1, err := r1.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -418,7 +438,7 @@ func TestRunnerServesFromSecondTierCache(t *testing.T) {
 
 	// A fresh Runner sharing the cache executes nothing.
 	var total2 atomic.Int64
-	r2 := New(Config{Workers: 2, Cache: cache, Exec: countingExec(&calls, &total2)})
+	r2 := New(Config{Workers: 2, Cache: cache, Exec: countingExec(&total2)})
 	res2, err := r2.RunBatch(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +453,7 @@ func TestRunnerServesFromSecondTierCache(t *testing.T) {
 		t.Errorf("warm runner Executed() = %d, want 0", got)
 	}
 	for i := range res1 {
-		if res1[i] != res2[i] {
+		if res1[i].Result != res2[i].Result {
 			t.Errorf("job %d: warm result differs from cold", i)
 		}
 	}
@@ -465,18 +485,18 @@ func TestPanicRecoveryBecomesPerJobError(t *testing.T) {
 	var total atomic.Int64
 	r := New(Config{Workers: 2, Exec: func(_ context.Context, job Job) (sim.Result, error) {
 		total.Add(1)
-		if job.Workload == "BOOM" {
+		if job.Workload == "GEMM" {
 			panic("simulated explosion")
 		}
 		return sim.Result{Workload: job.Workload}, nil
 	}})
 
 	jobs := []Job{
-		{Kind: config.L1SRAM, Workload: "A"},
-		{Kind: config.L1SRAM, Workload: "BOOM"},
-		{Kind: config.L1SRAM, Workload: "B"},
+		{Kind: config.L1SRAM, Workload: "ATAX"},
+		{Kind: config.L1SRAM, Workload: "GEMM"},
+		{Kind: config.L1SRAM, Workload: "2MM"},
 	}
-	res, err := r.RunBatch(context.Background(), jobs)
+	out, err := r.RunBatch(context.Background(), jobs)
 	if err == nil {
 		t.Fatalf("expected a batch error for the panicking job")
 	}
@@ -491,15 +511,19 @@ func TestPanicRecoveryBecomesPerJobError(t *testing.T) {
 	if pe.Value != "simulated explosion" || len(pe.Stack) == 0 {
 		t.Errorf("PanicError should carry the value and a stack: %+v", pe.Value)
 	}
+	// The message reaches clients, so the stack stays out of it.
+	if msg := pe.Error(); msg != "engine: job panicked: simulated explosion" {
+		t.Errorf("PanicError message = %q, want the panic value alone", msg)
+	}
 	// The pool survived: the healthy jobs completed normally.
-	if res[0].Workload != "A" || res[2].Workload != "B" {
+	if out[0].Result.Workload != "ATAX" || out[2].Result.Workload != "2MM" {
 		t.Errorf("healthy jobs should complete despite the panic")
 	}
 	if r.Panics() != 1 {
 		t.Errorf("Panics = %d, want 1", r.Panics())
 	}
 	// The pool is still usable after the panic.
-	if _, err := r.Get(context.Background(), Job{Kind: config.DyFUSE, Workload: "C"}); err != nil {
+	if _, err := r.Get(context.Background(), Job{Kind: config.DyFUSE, Workload: "ATAX"}); err != nil {
 		t.Errorf("runner unusable after panic: %v", err)
 	}
 }
@@ -519,11 +543,11 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 			return sim.Result{Workload: job.Workload}, nil
 		},
 	})
-	res, err := r.Get(context.Background(), Job{Kind: config.L1SRAM, Workload: "A"})
+	res, err := r.Get(context.Background(), Job{Kind: config.L1SRAM, Workload: "ATAX"})
 	if err != nil {
 		t.Fatalf("retries should have recovered the job: %v", err)
 	}
-	if res.Workload != "A" {
+	if res.Workload != "ATAX" {
 		t.Errorf("wrong result after retry: %+v", res)
 	}
 	if got := attempts.Load(); got != 3 {
@@ -548,7 +572,7 @@ func TestRetriesExhaustedReportsLastError(t *testing.T) {
 			return sim.Result{}, fmt.Errorf("failure %d", attempts.Add(1))
 		},
 	})
-	_, err := r.Get(context.Background(), Job{Kind: config.L1SRAM, Workload: "A"})
+	_, err := r.Get(context.Background(), Job{Kind: config.L1SRAM, Workload: "ATAX"})
 	if err == nil || err.Error() != "failure 3" {
 		t.Fatalf("want the last attempt's error, got %v", err)
 	}
@@ -569,7 +593,7 @@ func TestRetryDoesNotRetryContextErrors(t *testing.T) {
 			return sim.Result{}, ctx.Err()
 		},
 	})
-	_, err := r.Get(ctx, Job{Kind: config.L1SRAM, Workload: "A"})
+	_, err := r.Get(ctx, Job{Kind: config.L1SRAM, Workload: "ATAX"})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -596,7 +620,7 @@ func TestRetryBackoffAbortsOnCancel(t *testing.T) {
 	})
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.Get(ctx, Job{Kind: config.L1SRAM, Workload: "A"})
+		_, err := r.Get(ctx, Job{Kind: config.L1SRAM, Workload: "ATAX"})
 		done <- err
 	}()
 	select {
@@ -631,5 +655,86 @@ func TestBackoffDelayDeterministicCappedJittered(t *testing.T) {
 	}
 	if backoffDelay(base, max, 1, "a/b") == backoffDelay(base, max, 1, "c/d") {
 		t.Errorf("different jobs should jitter differently")
+	}
+}
+
+func TestOneLabelDifferentGPUsAreDifferentSimulations(t *testing.T) {
+	// The label is display-only: two custom GPUs under one label are two
+	// simulations with two results.
+	var total atomic.Int64
+	r := New(Config{Workers: 2, Exec: countingExec(&total)})
+	sram := config.FermiGPU(config.NewL1DConfig(config.L1SRAM))
+	fuse := config.FermiGPU(config.NewL1DConfig(config.DyFUSE))
+	jobs := []Job{
+		{Label: "custom", GPU: &sram, Workload: "ATAX", Opts: quickOpts()},
+		{Label: "custom", GPU: &fuse, Workload: "ATAX", Opts: quickOpts()},
+	}
+	out, err := r.RunBatch(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total.Load() != 2 {
+		t.Errorf("executions = %d, want 2", total.Load())
+	}
+	if out[0].Result.L1DKind != config.L1SRAM || out[1].Result.L1DKind != config.DyFUSE || out[0].Key == out[1].Key {
+		t.Errorf("jobs sharing a label shared a result: %+v", out)
+	}
+}
+
+func TestDefaultedOptionsShareOneExecution(t *testing.T) {
+	// Zero options and their explicit defaults describe one simulation.
+	var total atomic.Int64
+	r := New(Config{Workers: 2, Exec: countingExec(&total)})
+	jobs := []Job{
+		{Kind: config.DyFUSE, Workload: "ATAX"},
+		{Kind: config.DyFUSE, Workload: "ATAX", Opts: sim.Options{}.WithDefaults()},
+	}
+	out, err := r.RunBatch(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total.Load() != 1 || r.Executed() != 1 {
+		t.Errorf("executions = %d (Executed %d), want 1", total.Load(), r.Executed())
+	}
+	if out[0].Key != out[1].Key {
+		t.Errorf("defaulted twins have different keys: %s, %s", out[0].Key, out[1].Key)
+	}
+}
+
+func TestUnknownWorkloadFailsOnlyItsJob(t *testing.T) {
+	// A job without a store key fails at once: it is never executed, never
+	// retried and never counted, and the rest of the batch runs.
+	var total atomic.Int64
+	r := New(Config{Workers: 2, Retries: 2, RetryBackoff: time.Microsecond, Exec: countingExec(&total)})
+	jobs := []Job{
+		{Kind: config.DyFUSE, Workload: "ATAX"},
+		{Kind: config.DyFUSE, Workload: "nope"},
+		{Kind: config.DyFUSE, Workload: "GEMM"},
+	}
+	out, err := r.RunBatch(context.Background(), jobs)
+	var be *BatchError
+	if !errors.As(err, &be) || len(be.Errors) != 1 || be.Errors[0].Job.Workload != "nope" {
+		t.Fatalf("want exactly the unknown-workload job to fail, got %v", err)
+	}
+	if out[1].Err == nil || !strings.Contains(out[1].Err.Error(), `unknown workload "nope"`) || out[1].Key != "" {
+		t.Errorf("unknown-workload outcome = %+v", out[1])
+	}
+	if out[0].Err != nil || out[2].Err != nil {
+		t.Errorf("healthy jobs failed: %v, %v", out[0].Err, out[2].Err)
+	}
+	if total.Load() != 2 || r.Executed() != 2 || r.Retried() != 0 {
+		t.Errorf("executions %d, Executed %d, Retried %d; want 2, 2, 0", total.Load(), r.Executed(), r.Retried())
+	}
+}
+
+// BenchmarkStoreKey measures deriving one job's store key, the work the
+// Runner does once per submitted job.
+func BenchmarkStoreKey(b *testing.B) {
+	job := Job{Kind: config.DyFUSE, Workload: "ATAX", Opts: sim.Options{InstructionsPerWarp: 400, SMOverride: 2, Seed: 42}}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := StoreKey(job); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

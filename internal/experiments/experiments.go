@@ -104,7 +104,7 @@ func (m *Matrix) SetBackend(name string) { m.backend = name }
 
 // job builds the engine job for a kind-based simulation. A backend override
 // materialises the GPU config (the engine's kind jobs are Fermi-default) and
-// labels the job so it cannot collide with the unoverridden one.
+// labels the job after its backend.
 func (m *Matrix) job(kind config.L1DKind, workload string) engine.Job {
 	if m.backend != "" {
 		return engine.BackendJob(kind, workload, m.backend, m.scale.Options())
@@ -112,8 +112,8 @@ func (m *Matrix) job(kind config.L1DKind, workload string) engine.Job {
 	return engine.Job{Kind: kind, Workload: workload, Opts: m.scale.Options()}
 }
 
-// customJob builds the engine job for a custom-GPU simulation. The label is
-// the dedup identity, exactly as in the pre-engine Matrix.
+// customJob builds the engine job for a custom-GPU simulation. The label
+// names the job; the GPU configuration identifies it.
 func (m *Matrix) customJob(label string, gpuCfg config.GPUConfig, workload string) engine.Job {
 	cfg := gpuCfg
 	if m.backend != "" {
@@ -141,7 +141,7 @@ func (m *Matrix) Get(kind config.L1DKind, workload string) (sim.Result, error) {
 }
 
 // GetCustom runs (or returns the cached result of) a simulation with a custom
-// GPU configuration, keyed by a label instead of an L1D kind.
+// GPU configuration, named by a label instead of an L1D kind.
 func (m *Matrix) GetCustom(label string, gpuCfg config.GPUConfig, workload string) (sim.Result, error) {
 	return m.runner.Get(context.Background(), m.customJob(label, gpuCfg, workload))
 }

@@ -8,7 +8,9 @@
 // canonical key material (trace.Workload.KeyMaterial; exactly the Profile
 // encoding for synthetic workloads) and sim.Options (defaults applied).
 // Canonical means object keys are sorted and numbers are preserved verbatim,
-// so the key does not depend on the order in which fields were encoded.
+// so the key does not depend on the order in which fields were encoded. The
+// key is the one identity of a simulation: the engine deduplicates jobs by it
+// within a process as well as addressing stored results with it.
 //
 // Disk layout: append-only segment files, <dir>/<seq>.seg, one per writing
 // Disk, named by a sequence number so that they sort in creation order. Each result
@@ -35,6 +37,7 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -46,6 +49,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -100,7 +104,7 @@ func Key(gpu config.GPUConfig, workload trace.Workload, opts sim.Options) (strin
 	if err != nil {
 		return "", fmt.Errorf("store: encoding key material: %w", err)
 	}
-	canon, err := canonicalJSON(raw)
+	canon, err := canonicalize(raw)
 	if err != nil {
 		return "", fmt.Errorf("store: canonicalising key material: %w", err)
 	}
@@ -108,17 +112,138 @@ func Key(gpu config.GPUConfig, workload trace.Workload, opts sim.Options) (strin
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// canonicalJSON re-encodes a JSON document with sorted object keys and
-// verbatim numbers, so that two encodings of the same value — differing only
-// in field order — produce identical bytes.
-func canonicalJSON(raw []byte) ([]byte, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber() // keep numbers textual: a uint64 must not detour through float64
-	var v any
-	if err := dec.Decode(&v); err != nil {
+// canonicalize returns raw, a JSON document as encoding/json.Marshal writes
+// it, with the members of every object sorted by name. Numbers, literals and
+// strings are copied verbatim where encoding/json would write them the same
+// way again, so the bytes equal those of decoding into any (numbers as
+// json.Number) and marshalling again, at a fraction of the cost.
+func canonicalize(raw []byte) ([]byte, error) {
+	c := canonicalizer{src: raw, out: make([]byte, 0, len(raw)), scratch: make([]byte, 0, len(raw)),
+		members: make([]member, 0, 64)} // the open objects of a key hold about 50 members
+	if err := c.value(); err != nil || c.pos != len(raw) {
+		return nil, cmp.Or(err, errMalformed)
+	}
+	return c.out, nil
+}
+
+var errMalformed = errors.New("malformed JSON")
+
+// canonicalizer is one canonicalize pass over src. The elements of each
+// array or object are written to out in source order, then copied back
+// through scratch with commas, object members ordered by name.
+type canonicalizer struct {
+	src, out, scratch []byte
+	pos               int
+	members           []member // the members of every open array or object, innermost last
+}
+
+// member is one array element or object member: its decoded name (nil for
+// an element) and the span of its bytes in out, "name":value for a member.
+type member struct {
+	name       []byte
+	start, end int
+}
+
+// value copies the value at src[pos:] to out.
+func (c *canonicalizer) value() error {
+	if c.pos >= len(c.src) {
+		return errMalformed
+	}
+	switch open := c.src[c.pos]; open {
+	case '"':
+		_, err := c.str()
+		return err
+	case '[', '{':
+		closing := open + 2 // ']' and '}'
+		c.pos++
+		c.out = append(c.out, open)
+		body, base := len(c.out), len(c.members)
+		for n := 0; !c.expect(closing); n++ {
+			if n > 0 && !c.expect(',') {
+				return errMalformed
+			}
+			m := member{start: len(c.out)}
+			if open == '{' {
+				var err error
+				if m.name, err = c.str(); err != nil {
+					return err
+				}
+				if !c.expect(':') {
+					return errMalformed
+				}
+				c.out = append(c.out, ':')
+			}
+			if err := c.value(); err != nil {
+				return err
+			}
+			m.end = len(c.out)
+			c.members = append(c.members, m)
+		}
+		ms := c.members[base:]
+		if open == '{' {
+			slices.SortFunc(ms, func(a, b member) int { return bytes.Compare(a.name, b.name) })
+		}
+		c.scratch = append(c.scratch[:0], c.out[body:]...)
+		c.out = c.out[:body]
+		for i, m := range ms {
+			if i > 0 {
+				c.out = append(c.out, ',')
+			}
+			c.out = append(c.out, c.scratch[m.start-body:m.end-body]...)
+		}
+		c.members = c.members[:base]
+		c.out = append(c.out, closing)
+		return nil
+	}
+	start := c.pos // a number or a literal
+	for c.pos < len(c.src) && strings.IndexByte("+-.0123456789Eaeflnrstu", c.src[c.pos]) >= 0 {
+		c.pos++
+	}
+	if c.pos == start {
+		return errMalformed
+	}
+	c.out = append(c.out, c.src[start:c.pos]...)
+	return nil
+}
+
+// expect consumes the byte at pos if it is b.
+func (c *canonicalizer) expect(b byte) bool {
+	if c.pos < len(c.src) && c.src[c.pos] == b {
+		c.pos++
+		return true
+	}
+	return false
+}
+
+// str copies the string at src[pos:] to out and returns its decoded bytes.
+// encoding/json writes a string without escapes the same way again, so such
+// a string is copied verbatim; one with escapes is decoded and encoded again.
+func (c *canonicalizer) str() ([]byte, error) {
+	start, escaped := c.pos, false
+	if !c.expect('"') {
+		return nil, errMalformed
+	}
+	for ; c.pos < len(c.src) && c.src[c.pos] != '"'; c.pos++ {
+		if c.src[c.pos] == '\\' {
+			escaped = true
+			c.pos++ // an escaped quote does not end the string
+		}
+	}
+	if !c.expect('"') {
+		return nil, errMalformed
+	}
+	lit := c.src[start:c.pos]
+	if !escaped {
+		c.out = append(c.out, lit...)
+		return lit[1 : len(lit)-1], nil
+	}
+	var s string
+	if err := json.Unmarshal(lit, &s); err != nil {
 		return nil, err
 	}
-	return json.Marshal(v) // maps marshal with sorted keys
+	enc, _ := json.Marshal(s) // marshalling a string cannot fail
+	c.out = append(c.out, enc...)
+	return []byte(s), nil
 }
 
 // ValidKey reports whether the string has the shape of a store key (64

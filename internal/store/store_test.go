@@ -143,24 +143,50 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 	}
 }
 
+// canonicalJSON is the reference canonicalisation that canonicalize must
+// reproduce byte for byte: decode into any, keeping numbers textual so a
+// uint64 does not detour through float64, and marshal again (maps marshal
+// with sorted keys).
+func canonicalJSON(raw []byte) ([]byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		return nil, err
+	}
+	return json.Marshal(v)
+}
+
 func TestCanonicalJSONStableAcrossFieldOrdering(t *testing.T) {
-	a := []byte(`{"b": 2, "a": {"y": 1e3, "x": 18446744073709551615}, "c": [1, 2.5]}`)
-	b := []byte(`{"c": [1, 2.5], "a": {"x": 18446744073709551615, "y": 1e3}, "b": 2}`)
-	ca, err := canonicalJSON(a)
+	a := []byte(`{"b":2,"a":{"y":1e3,"x":18446744073709551615,"\u00e8":"\u003c\ufffd\"","é":[]},"c":[1,2.5,{"z":null,"a":true}],"":{}}`)
+	b := []byte(`{"c":[1,2.5,{"a":true,"z":null}],"":{},"a":{"é":[],"x":18446744073709551615,"\u00e8":"\u003c\ufffd\"","y":1e3},"b":2}`)
+	ca, err := canonicalize(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := canonicalJSON(b)
+	cb, err := canonicalize(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ca, cb) {
 		t.Errorf("canonical forms differ:\n%s\n%s", ca, cb)
 	}
+	want, err := canonicalJSON(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ca, want) {
+		t.Errorf("canonicalize differs from the reference:\n got %s\nwant %s", ca, want)
+	}
 	// Numbers must be preserved verbatim: a detour through float64 would
 	// round 2^64-1 and fold 1e3 to 1000.
-	if !strings.Contains(string(ca), "18446744073709551615") {
-		t.Errorf("uint64 value was not preserved verbatim: %s", ca)
+	if !strings.Contains(string(ca), "18446744073709551615") || !strings.Contains(string(ca), "1e3") {
+		t.Errorf("numbers were not preserved verbatim: %s", ca)
+	}
+	for _, bad := range []string{``, `{`, `{"a"}`, `{"a":1,}`, `[1 2]`, `"open`, `{"a":1}x`} {
+		if _, err := canonicalize([]byte(bad)); err == nil {
+			t.Errorf("canonicalize(%q) should fail", bad)
+		}
 	}
 }
 
@@ -1110,6 +1136,95 @@ func FuzzDiskOpen(f *testing.F) {
 			if stored := seg[l.Offset+headerLen : l.Offset+int64(l.Len)]; !bytes.Equal(enc, stored) {
 				t.Fatalf("hit re-encodes differently:\n%s\nstored:\n%s", enc, stored)
 			}
+		}
+	})
+}
+
+// randomize sets every exported field reachable from v to a value drawn from
+// rng: integers and floats across their whole range of magnitudes and
+// signs, slices of up to three elements, and strings that are either s (the
+// fuzzer's own bytes, escapes and invalid UTF-8 included) or random bytes.
+// Fields added to the key structs later are covered without touching this.
+func randomize(rng *rand.Rand, v reflect.Value, s string) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				randomize(rng, v.Field(i), s)
+			}
+		}
+	case reflect.Slice:
+		n := rng.Intn(4)
+		v.Set(reflect.MakeSlice(v.Type(), n, n))
+		for i := 0; i < n; i++ {
+			randomize(rng, v.Index(i), s)
+		}
+	case reflect.String:
+		if rng.Intn(2) == 0 {
+			v.SetString(s)
+		} else {
+			b := make([]byte, rng.Intn(8))
+			rng.Read(b)
+			v.SetString(string(b))
+		}
+	case reflect.Bool:
+		v.SetBool(rng.Intn(2) == 0)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt((rng.Int63() >> rng.Intn(63)) * int64(1-2*rng.Intn(2)))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(rng.Uint64() >> rng.Intn(64))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30)))
+	}
+}
+
+// FuzzKeyMatchesOracle checks canonicalize against the canonicalJSON
+// reference over randomized key material: a GPUConfig, Options and either a
+// synthetic Profile or a phased workload of up to three phases, all derived
+// from the fuzzer's seed and string. The canonical bytes must be identical,
+// and Key must hash exactly them. The seed corpus
+// (testdata/fuzz/FuzzKeyMatchesOracle) holds plain ASCII, HTML-escaped,
+// non-ASCII and invalid-UTF-8 strings.
+func FuzzKeyMatchesOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, s string) {
+		rng := rand.New(rand.NewSource(seed))
+		var gpu config.GPUConfig
+		var opts sim.Options
+		var prof trace.Profile
+		randomize(rng, reflect.ValueOf(&gpu).Elem(), s)
+		randomize(rng, reflect.ValueOf(&opts).Elem(), s)
+		randomize(rng, reflect.ValueOf(&prof).Elem(), s)
+		var w trace.Workload = trace.Synthetic(prof)
+		if rng.Intn(2) == 0 {
+			var phases []trace.Phase
+			randomize(rng, reflect.ValueOf(&phases).Elem(), s)
+			w = trace.NewPhased(s, phases)
+		}
+		material, err := w.KeyMaterial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(keyMaterial{Schema: SchemaVersion, GPU: gpu.WithMemDefaults(), Profile: material, Options: opts.WithDefaults()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := canonicalJSON(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := canonicalize(raw)
+		if err != nil {
+			t.Fatalf("canonicalize: %v\n%s", err, raw)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("canonical bytes differ from the reference:\n got %s\nwant %s", got, want)
+		}
+		key, err := Key(gpu, w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(want); key != hex.EncodeToString(sum[:]) {
+			t.Fatalf("Key %s does not hash the reference bytes", key)
 		}
 	})
 }
