@@ -71,3 +71,15 @@ func TestExitCodeOnList(t *testing.T) {
 		}
 	}
 }
+
+// TestPackageSubsetExitsClean pins exit code 0 for a clean package subset:
+// the verdicts that need the whole program (a stale allowlist entry, a
+// counter nobody reads) must not fire on a package whose allowlist
+// functions, readers and annotations lie outside the pattern.
+func TestPackageSubsetExitsClean(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"fuse/internal/sim"}, &stdout, &stderr)
+	if code != exitClean {
+		t.Fatalf("run on internal/sim alone: exit %d, want %d\nstdout: %s\nstderr: %s", code, exitClean, stdout.String(), stderr.String())
+	}
+}

@@ -27,25 +27,20 @@ import (
 )
 
 // chaosPlan is the seeded fault plan the whole suite (and the CI chaos-smoke
-// job) runs under: store faults on every operation, transient execution
-// failures below the retry budget, and one injected panic.
+// job) runs under: store faults on every operation.
 func chaosPlan() fault.Plan {
 	return fault.Plan{
 		Seed:           42,
 		GetFailProb:    0.2,
 		PutDropProb:    0.2,
 		PutCorruptProb: 0.2,
-		ExecFailProb:   0.3,
-		ExecFailLimit:  2, // < retries below: injected failures always recoverable
-		PanicOn:        "Dy-FUSE/ATAX",
 	}
 }
 
 // newChaosServer builds a fuseserve stack with the plan's faults injected
-// into both the cache path and the executor: an LRU-bounded memory tier over
-// a real disk tier, both behind a fault.Cache, and the real simulator behind
-// a fault.Injector, with retries budgeted above the injected failure limit.
-func newChaosServer(t *testing.T, plan fault.Plan) (*httptest.Server, *engine.Runner, *fault.Cache, *fault.Injector[engine.Job]) {
+// into the cache path: an LRU-bounded memory tier over a real disk tier,
+// both behind a fault.Cache, in front of the real simulator.
+func newChaosServer(t *testing.T, plan fault.Plan) (*httptest.Server, *engine.Runner, *fault.Cache) {
 	t.Helper()
 	disk, err := store.Open(t.TempDir())
 	if err != nil {
@@ -53,22 +48,14 @@ func newChaosServer(t *testing.T, plan fault.Plan) (*httptest.Server, *engine.Ru
 	}
 	tiered := store.NewTiered(store.NewMemoryLRU(8), disk)
 	faultCache := fault.WrapCache(plan, tiered, disk)
-	injector := fault.NewInjector(plan, engine.Execute)
-	runner := engine.New(engine.Config{
-		Workers:         4,
-		Retries:         4,
-		RetryBackoff:    time.Millisecond,
-		RetryMaxBackoff: 5 * time.Millisecond,
-		Cache:           faultCache,
-		Exec:            injector.Exec,
-	})
+	runner := engine.New(engine.Config{Workers: 4, Cache: faultCache})
 	app := newServer(serverConfig{
 		scale: experiments.QuickScale, runner: runner, results: faultCache,
 		health: tiered, timeout: 5 * time.Minute,
 	})
 	ts := httptest.NewServer(app)
 	t.Cleanup(ts.Close)
-	return ts, runner, faultCache, injector
+	return ts, runner, faultCache
 }
 
 // fetchFigure renders one figure through the server.
@@ -94,29 +81,20 @@ func TestChaosFig13ByteIdentical(t *testing.T) {
 		t.Skip("full Fig13 matrix in -short mode")
 	}
 	// Clean reference: the same stack with a zero (inject-nothing) plan.
-	cleanTS, _, _, _ := newChaosServer(t, fault.Plan{})
+	cleanTS, _, _ := newChaosServer(t, fault.Plan{})
 	clean := fetchFigure(t, cleanTS, "13")
 
-	// Chaos run: seeded faults on the store and the executor, one panic.
-	chaosTS, runner, faultCache, injector := newChaosServer(t, chaosPlan())
+	// Chaos run: seeded faults on every store operation.
+	chaosTS, _, faultCache := newChaosServer(t, chaosPlan())
 	chaos := fetchFigure(t, chaosTS, "13")
 
 	if !bytes.Equal(clean, chaos) {
 		t.Errorf("chaos Fig13 differs from the fault-free run:\n--- clean ---\n%s\n--- chaos ---\n%s", clean, chaos)
 	}
 	// The faults really fired: the run recovered them, it did not dodge them.
-	if runner.Panics() != 1 {
-		t.Errorf("Panics = %d, want exactly the one injected panic", runner.Panics())
-	}
-	if runner.Retried() == 0 {
-		t.Errorf("no retries recorded under a 0.3 exec-failure plan")
-	}
-	cs, is := faultCache.Stats(), injector.Stats()
+	cs := faultCache.Stats()
 	if cs.GetsFailed == 0 || cs.PutsDropped == 0 || cs.PutsCorrupt == 0 {
 		t.Errorf("store faults did not fire: %+v", cs)
-	}
-	if is.Failures == 0 || is.Panics != 1 {
-		t.Errorf("executor faults did not fire: %+v", is)
 	}
 	if store.SchemaVersion != 2 {
 		t.Errorf("SchemaVersion = %d, chaos hardening must not bump it", store.SchemaVersion)
@@ -124,13 +102,10 @@ func TestChaosFig13ByteIdentical(t *testing.T) {
 
 	// Reproducibility: an identical chaos run (same plan, fresh process
 	// state) renders the identical table with identical fault decisions.
-	chaosTS2, runner2, faultCache2, _ := newChaosServer(t, chaosPlan())
+	chaosTS2, _, faultCache2 := newChaosServer(t, chaosPlan())
 	chaos2 := fetchFigure(t, chaosTS2, "13")
 	if !bytes.Equal(chaos, chaos2) {
 		t.Errorf("two chaos runs with the same plan diverged")
-	}
-	if runner2.Panics() != 1 {
-		t.Errorf("second chaos run panics = %d, want 1", runner2.Panics())
 	}
 	cs2 := faultCache2.Stats()
 	if cs2.PutsDropped != cs.PutsDropped || cs2.PutsCorrupt != cs.PutsCorrupt {
@@ -139,7 +114,7 @@ func TestChaosFig13ByteIdentical(t *testing.T) {
 }
 
 func TestChaosBatchNoLostOrDoubledRequests(t *testing.T) {
-	ts, runner, _, _ := newChaosServer(t, chaosPlan())
+	ts, runner, _ := newChaosServer(t, chaosPlan())
 	body := `{"jobs":[
 		{"kind":"Dy-FUSE","workload":"ATAX"},
 		{"kind":"Dy-FUSE","workload":"GEMM"},
@@ -213,7 +188,7 @@ func TestChaosBatchNoLostOrDoubledRequests(t *testing.T) {
 	}
 
 	// No request doubled: the four distinct jobs executed exactly once each
-	// despite eight concurrent clients, injected failures and retries.
+	// despite eight concurrent clients and injected store faults.
 	if got := runner.Executed(); got != 4 {
 		t.Errorf("Executed = %d, want 4 (dedup must hold under chaos)", got)
 	}

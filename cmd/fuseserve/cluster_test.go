@@ -24,7 +24,7 @@ func newClusterServer(t *testing.T, n int) (*httptest.Server, *cluster.Coordinat
 	cache := store.NewTiered(store.NewMemory())
 	coord := cluster.New(cluster.Config{LocalExec: engine.Execute})
 	t.Cleanup(coord.Close)
-	runner := engine.New(engine.Config{Cache: cache, Retries: 1, Exec: coord.Execute})
+	runner := engine.New(engine.Config{Cache: cache, Exec: coord.Execute})
 	ts := httptest.NewServer(newServer(serverConfig{
 		scale: experiments.QuickScale, runner: runner, results: cache,
 		health: cache, timeout: time.Minute, coord: coord,

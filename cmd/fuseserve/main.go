@@ -62,7 +62,6 @@ func main() {
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline for in-flight requests on SIGINT/SIGTERM")
 		maxInflight = flag.Int("maxinflight", 64, "max concurrent simulation-bearing requests before 503 + Retry-After (0 = unlimited)")
 		memCap      = flag.Int("memcap", 65536, "memory cache-tier entry bound with LRU eviction (0 = unbounded)")
-		retries     = flag.Int("retries", 1, "per-job retries on transient execution failures (0 = none)")
 		coordMode   = flag.Bool("coordinator", false, "run as a fleet coordinator: queue batch jobs for registered fuseworkers to pull (jobs run locally while none are registered)")
 		localN      = flag.Int("localworkers", 0, "coordinator mode: also spawn this many in-process workers over the loopback transport")
 		lease       = flag.Duration("lease", cluster.DefaultLease, "coordinator mode: per-job lease; a job unheartbeated this long is re-dispatched")
@@ -116,7 +115,7 @@ func main() {
 	// single-process fuseserve. The Runner holds one of its -parallel slots
 	// for the whole of each Coordinator.Execute, so -parallel caps how many
 	// jobs the entire fleet runs at once.
-	engCfg := engine.Config{Workers: *parallel, Cache: cache, Retries: *retries}
+	engCfg := engine.Config{Workers: *parallel, Cache: cache}
 	var coord *cluster.Coordinator
 	if *coordMode {
 		coord = cluster.New(cluster.Config{Lease: *lease, LocalExec: engine.Execute})

@@ -151,7 +151,6 @@ type healthResponse struct {
 	Completed int `json:"completed"`
 	Executed  int `json:"executed"`
 	StoreHits int `json:"storeHits"`
-	Retried   int `json:"retried"`
 	Panics    int `json:"panics"`
 	// HandlerPanics counts panics the HTTP middleware converted to 500s.
 	HandlerPanics int64 `json:"handlerPanics"`
@@ -172,7 +171,6 @@ func (s *server) snapshotHealth() healthResponse {
 		Completed:     s.runner.Completed(),
 		Executed:      s.runner.Executed(),
 		StoreHits:     s.runner.StoreHits(),
-		Retried:       s.runner.Retried(),
 		Panics:        s.runner.Panics(),
 		HandlerPanics: s.panics.Load(),
 	}
@@ -306,11 +304,10 @@ type batchResult struct {
 // batchResponse is the body of a POST /v1/batch response.
 type batchResponse struct {
 	Results []batchResult `json:"results"`
-	// Executed, StoreHits, Retried and Panics snapshot the Runner counters
+	// Executed, StoreHits and Panics snapshot the Runner counters
 	// after the batch (process-lifetime totals, not per-batch deltas).
 	Executed  int `json:"executed"`
 	StoreHits int `json:"storeHits"`
-	Retried   int `json:"retried"`
 	Panics    int `json:"panics"`
 }
 
@@ -394,7 +391,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Results:   make([]batchResult, len(jobs)),
 		Executed:  s.runner.Executed(),
 		StoreHits: s.runner.StoreHits(),
-		Retried:   s.runner.Retried(),
 		Panics:    s.runner.Panics(),
 	}
 	for i, o := range outcomes {

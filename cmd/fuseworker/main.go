@@ -3,11 +3,13 @@
 // runs each through engine.Execute, and streams results back — exactly what
 // the in-process workers of `fuseserve -coordinator -localworkers N` do.
 //
-// The worker keeps no store and no retry loop. The coordinator's own Runner
-// probes its result store before it queues a job (so a job reaches a worker
-// only when the whole fleet has missed it), writes every result back, and
-// retries failed jobs; the coordinator re-dispatches jobs a lost worker held.
-// Workers pull from one FIFO queue, so a busy worker simply pulls less.
+// The worker keeps no store. The coordinator's own Runner probes its result
+// store before it queues a job (so a job reaches a worker only when the
+// whole fleet has missed it) and writes every result back; the coordinator
+// re-dispatches the jobs a stopped or lost worker held. A job that fails on
+// a worker fails for good: simulations are deterministic, so a rerun would
+// fail the same way. Workers pull from one FIFO queue, so a busy worker
+// simply pulls less.
 //
 // Usage:
 //
@@ -15,9 +17,10 @@
 //	fuseworker -coordinator http://fuseserve-host:8080 \
 //	  -id rack3-node7 -parallel 8
 //
-// SIGINT/SIGTERM stops pulling and abandons in-flight jobs; the
-// coordinator's lease machinery re-dispatches them, so killing a worker
-// mid-batch never changes (or loses) results.
+// SIGINT/SIGTERM stops pulling, abandons in-flight jobs and tells the
+// coordinator the worker is leaving, which re-dispatches them at once; a
+// worker killed outright is caught by its leases instead. Either way,
+// stopping a worker mid-batch never changes (or loses) results.
 package main
 
 import (

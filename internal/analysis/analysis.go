@@ -54,6 +54,7 @@ type Program struct {
 
 	byPath map[string]*Package
 	deps   map[string]*Package // main-module dependencies: parsed only, never analysed
+	module []listPackage       // every main-module package with its deps, listed by covers
 }
 
 // Package is one parsed and type-checked (non-test) package.

@@ -194,9 +194,10 @@ func finishHotalloc(prog *Program, report func(Diagnostic)) error {
 	}
 
 	// A stale allowlist entry means the allocation it blessed is gone —
-	// surface it so the golden file shrinks with the code.
+	// surface it so the golden file shrinks with the code. Only entries of
+	// loaded packages can be judged: the others were never compiled here.
 	for i, e := range allow {
-		if !used[i] {
+		if _, loaded := prog.Lookup(declPkg(e.Func)); !used[i] && loaded {
 			report(Diagnostic{
 				Pos:     token.Position{Filename: hotallocAllowlistPath(prog.ModuleDir)},
 				Message: fmt.Sprintf("stale allowlist entry: %s no longer reports %q; delete it", e.Func, e.Msg),

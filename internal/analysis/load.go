@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -28,6 +29,7 @@ type listPackage struct {
 	Dir        string
 	GoFiles    []string
 	Export     string
+	Deps       []string
 	DepOnly    bool
 	Standard   bool
 	Module     *struct {
@@ -50,29 +52,12 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{
-		"list", "-deps", "-export",
+	pkgs, err := goList(dir, append([]string{
+		"-deps", "-export",
 		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Standard,Module,Error",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	}, patterns...)...)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
-	}
-
-	var pkgs []listPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("analysis: decoding go list output: %w", err)
-		}
-		pkgs = append(pkgs, p)
+		return nil, err
 	}
 
 	prog := &Program{
@@ -141,4 +126,51 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		return nil, fmt.Errorf("analysis: no packages matched %s", strings.Join(patterns, " "))
 	}
 	return prog, nil
+}
+
+// goList runs `go list args...` in dir and decodes its JSON output.
+func goList(dir string, args ...string) ([]listPackage, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("analysis: go list %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	var pkgs []listPackage
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p listPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			return pkgs, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("analysis: decoding go list output: %w", err)
+		}
+		pkgs = append(pkgs, p)
+	}
+}
+
+// covers reports whether the load includes pkgPath and every main-module
+// package that depends on it: every package that can use its declarations.
+// A verdict that a declaration is never used holds only then, since a
+// package subset sees only some of its users. The module's package graph is
+// listed on first use.
+func (p *Program) covers(pkgPath string) (bool, error) {
+	if _, ok := p.byPath[pkgPath]; !ok {
+		return false, nil
+	}
+	if p.module == nil {
+		module, err := goList(p.ModuleDir, "-json=ImportPath,Deps", p.ModulePath+"/...")
+		if err != nil {
+			return false, err
+		}
+		p.module = module
+	}
+	for _, lp := range p.module {
+		if _, loaded := p.byPath[lp.ImportPath]; !loaded && slices.Contains(lp.Deps, pkgPath) {
+			return false, nil
+		}
+	}
+	return true, nil
 }

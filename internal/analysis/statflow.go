@@ -28,7 +28,8 @@ import (
 //     aggregation in sim.collect, a getter body, a renderer). Fields with
 //     increments inside the simulation core (fuse/internal/..., excluding
 //     the stats instrument package itself) and zero reads anywhere are
-//     findings.
+//     findings — when the load covers the field's package and every
+//     package that depends on it; a package subset holds only some readers.
 //
 //   - A keydrift-style reflection Finish pass cross-checks the AST view of
 //     sim.Result against the real encoding/json output: every exported
@@ -235,6 +236,11 @@ func finishStatflow(prog *Program, report func(Diagnostic)) error {
 				})
 			}
 			continue
+		}
+		if covered, err := prog.covers(declPkg(id)); err != nil {
+			return err
+		} else if !covered {
+			continue // some of the field's readers are outside the load
 		}
 		report(Diagnostic{
 			Pos: st.increments[id][0],

@@ -14,8 +14,8 @@ import (
 // a seeded fault.Plan kills one of two workers at a deterministic point
 // mid-batch (its KillAfter hook cancels the worker's own context, dropping
 // its in-flight job on the floor), and the figure matrix must still render
-// the exact bytes of the fault-free single-process run — via lease expiry
-// and worker-loss re-dispatch.
+// the exact bytes of the fault-free single-process run — via the
+// coordinator's re-dispatch of the job the stopped worker held.
 func TestChaosWorkerKillByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full quick-scale simulations")

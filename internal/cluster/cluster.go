@@ -12,10 +12,10 @@
 // Topology:
 //
 //	client ── POST /v1/batch ──▶ fuseserve (-coordinator)
-//	                               │  engine.Runner (dedup, retry, store)
+//	                               │  engine.Runner (dedup, store)
 //	                               ▼  Exec = Coordinator.Execute
 //	                            Coordinator ── one FIFO queue
-//	                               ▲▼ /cluster/v1/{register,pull,heartbeat,result}
+//	                               ▲▼ /cluster/v1/{register,pull,heartbeat,result,leave}
 //	                            fuseworker × N, or -localworkers N in process
 //	                               each puller: engine.Execute, nothing else
 //
@@ -25,10 +25,11 @@
 // its oldest job to whichever worker pulls next; a busy worker simply pulls
 // less. Every dispatched job carries a lease: the worker renews it by
 // heartbeat while executing, and a job whose lease expires — or whose worker
-// misses its liveness window — goes back on the queue. Duplicate executions
-// are harmless (first result wins; results are identical by construction).
-// Workers keep no store and no retry loop: the front-end Runner retries, and
-// the coordinator re-dispatches.
+// leaves or misses its liveness window — goes back on the queue. Duplicate
+// executions are harmless (first result wins; results are identical by
+// construction). Re-dispatch is the fleet's only recovery: a job that fails
+// on a worker fails for good, since re-running a deterministic simulation
+// fails the same way. Workers keep no store.
 //
 // Everything speaks plain HTTP+JSON, and the Loopback transport dispatches
 // the same protocol in-process (no sockets), so the whole fleet — including
@@ -49,6 +50,7 @@ const (
 	pathPull      = "/cluster/v1/pull"
 	pathHeartbeat = "/cluster/v1/heartbeat"
 	pathResult    = "/cluster/v1/result"
+	pathLeave     = "/cluster/v1/leave"
 )
 
 // Task is one dispatched job on the wire. ID is the coordinator's dispatch
@@ -92,6 +94,13 @@ type resultRequest struct {
 	Task   uint64      `json:"task"`
 	Result *sim.Result `json:"result,omitempty"`
 	Error  string      `json:"error,omitempty"`
+}
+
+// leaveRequest announces a clean stop: the coordinator drops the worker and
+// puts the tasks it held back in play at once, as it does when a worker
+// misses its liveness window.
+type leaveRequest struct {
+	Worker string `json:"worker"`
 }
 
 // Default coordinator intervals (see Config).

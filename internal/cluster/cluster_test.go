@@ -188,6 +188,48 @@ func TestLocalFallback(t *testing.T) {
 	}
 }
 
+// TestLastWorkerLeavesThenLocalFallback: a worker that stops cleanly leaves
+// the fleet at once, so the next job takes the local fallback without
+// waiting out the 30 s default liveness horizon, and its result is the
+// in-process one.
+func TestLastWorkerLeavesThenLocalFallback(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	coord := New(Config{LocalExec: engine.Execute})
+	defer coord.Close()
+	fleet, err := StartFleet(ctx, coord, 1, engine.Execute)
+	if err != nil {
+		t.Fatalf("starting fleet: %v", err)
+	}
+	for coord.Stats().Workers == 0 {
+		if ctx.Err() != nil {
+			t.Fatalf("worker never registered")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	fleet.Stop()
+
+	job := testJob("ATAX")
+	start := time.Now()
+	got, err := coord.Execute(ctx, job)
+	if err != nil {
+		t.Fatalf("Execute after the last worker left: %v", err)
+	}
+	if elapsed, horizon := time.Since(start), 2*DefaultLease; elapsed > horizon/3 {
+		t.Errorf("job took %v after the last worker left, want well under the %v liveness horizon", elapsed, horizon)
+	}
+	want, err := engine.Execute(ctx, job)
+	if err != nil {
+		t.Fatalf("direct Execute: %v", err)
+	}
+	if got != want {
+		t.Errorf("local fallback result differs from direct execution")
+	}
+	if s := coord.Stats(); s.Workers != 0 || s.WorkersLost != 0 || s.LocalRuns != 1 || s.Dispatched != 0 {
+		t.Errorf("Workers=%d WorkersLost=%d LocalRuns=%d Dispatched=%d, want 0, 0, 1, 0", s.Workers, s.WorkersLost, s.LocalRuns, s.Dispatched)
+	}
+}
+
 // TestUnassignedDrainsOnRegister: a job submitted while no worker is alive
 // (and no local fallback exists) waits in the queue, then completes as soon
 // as the first worker registers and pulls.

@@ -99,14 +99,13 @@ type workerState struct {
 	generation uint64 // bumped per (re)register; guards stale liveness timers
 	inflight   map[uint64]*task
 	liveness   *time.Timer
-	gone       bool
 }
 
 // Coordinator accepts jobs into one FIFO queue, hands them to whichever
 // registered worker pulls next, and re-dispatches on worker loss or lease
 // expiry. It is an engine executor: plug Execute into engine.Config.Exec and
-// the Runner's dedup, retry and store write-through machinery front a whole
-// fleet instead of a local simulator.
+// the Runner's dedup and store write-through machinery front a whole fleet
+// instead of a local simulator.
 type Coordinator struct {
 	cfg Config
 	mux *http.ServeMux
@@ -145,6 +144,7 @@ func New(cfg Config) *Coordinator {
 	mux.HandleFunc("POST "+pathPull, c.handlePull)
 	mux.HandleFunc("POST "+pathHeartbeat, c.handleHeartbeat)
 	mux.HandleFunc("POST "+pathResult, c.handleResult)
+	mux.HandleFunc("POST "+pathLeave, c.handleLeave)
 	c.mux = mux
 	return c
 }
@@ -157,7 +157,8 @@ func (c *Coordinator) Handler() http.Handler { return c.mux }
 type Stats struct {
 	// Workers is the number of currently registered (live) workers.
 	Workers int `json:"workers"`
-	// WorkersEver and WorkersLost count registrations and liveness losses.
+	// WorkersEver and WorkersLost count registrations and liveness losses
+	// (a worker that leaves is not lost).
 	WorkersEver int64 `json:"workersEver"`
 	WorkersLost int64 `json:"workersLost"`
 	// Queued and InFlight are the jobs currently waiting and leased.
@@ -412,27 +413,33 @@ func (c *Coordinator) resetLivenessLocked(w *workerState) {
 		w.liveness.Stop()
 	}
 	gen := w.generation
-	id := w.id
-	w.liveness = time.AfterFunc(c.cfg.Liveness, func() { c.workerLost(id, gen) })
+	w.liveness = time.AfterFunc(c.cfg.Liveness, func() { c.workerLost(w, gen) })
 }
 
-// workerLost removes a worker that missed its liveness window and puts every
-// job it held back in play. When it was the last worker and a LocalExec
-// fallback exists, the jobs still queued go to the fallback too: no worker
-// is left to pull them.
-func (c *Coordinator) workerLost(id string, gen uint64) {
+// workerLost removes a worker that missed its liveness window (see
+// removeWorkerLocked). A timer of a worker that has since left, or
+// re-registered, finds a different state or generation and does nothing.
+func (c *Coordinator) workerLost(w *workerState, gen uint64) {
 	c.mu.Lock()
-	w := c.workers[id]
-	if w == nil || w.generation != gen || w.gone {
+	if c.workers[w.id] != w || w.generation != gen {
 		c.mu.Unlock()
 		return
 	}
-	w.gone = true
+	c.workersLost++
+	acts := c.removeWorkerLocked(w)
+	c.mu.Unlock()
+	c.perform(acts)
+}
+
+// removeWorkerLocked drops a lost or leaving worker and puts every job it
+// held back in play. When it was the last worker and a LocalExec fallback
+// exists, the jobs still queued go to the fallback too: no worker is left to
+// pull them (mu held).
+func (c *Coordinator) removeWorkerLocked(w *workerState) []action {
 	if w.liveness != nil {
 		w.liveness.Stop()
 	}
-	delete(c.workers, id)
-	c.workersLost++
+	delete(c.workers, w.id)
 	var acts []action
 	if len(c.workers) == 0 && c.cfg.LocalExec != nil {
 		for t := c.popQueueLocked(); t != nil; t = c.popQueueLocked() {
@@ -441,14 +448,13 @@ func (c *Coordinator) workerLost(id string, gen uint64) {
 	}
 	for _, tid := range slices.Sorted(maps.Keys(w.inflight)) {
 		t := w.inflight[tid]
-		if t.state != taskInflight || t.owner != id {
+		if t.state != taskInflight || t.owner != w.id {
 			continue
 		}
 		c.redispatched++
 		acts = append(acts, c.requeueLocked(t)...)
 	}
-	c.mu.Unlock()
-	c.perform(acts)
+	return acts
 }
 
 // Close shuts the coordinator down: pending tasks fail with ErrClosed,
@@ -500,7 +506,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		c.workersEver++
 	}
 	ws.generation++
-	ws.gone = false
 	c.resetLivenessLocked(ws)
 	c.mu.Unlock()
 	writeJSON(w, http.StatusOK, registerResponse{
@@ -515,7 +520,7 @@ func (c *Coordinator) takeOrPark(workerID string) (wire *Task, wait chan struct{
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.workers[workerID]
-	if w == nil || w.gone || c.closed {
+	if w == nil || c.closed {
 		return nil, nil, true
 	}
 	c.resetLivenessLocked(w)
@@ -599,7 +604,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	ws := c.workers[req.Worker]
-	if ws == nil || ws.gone {
+	if ws == nil {
 		c.mu.Unlock()
 		httpError(w, http.StatusGone, "unknown worker %q: re-register", req.Worker)
 		return
@@ -633,12 +638,30 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	if ws := c.workers[req.Worker]; ws != nil && !ws.gone {
+	if ws := c.workers[req.Worker]; ws != nil {
 		c.resetLivenessLocked(ws)
 	}
 	var acts []action
 	if t := c.tasks[req.Task]; t != nil {
 		acts = c.completeLocked(t, out)
+	}
+	c.mu.Unlock()
+	c.perform(acts)
+	writeJSON(w, http.StatusOK, struct{}{})
+}
+
+// handleLeave drops a worker that stopped cleanly, exactly as if it had
+// missed its liveness window: the tasks it held go back in play at once
+// instead of after the liveness horizon. An unknown worker is a no-op.
+func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
+	var req leaveRequest
+	if !decodeInto(w, r, &req) {
+		return
+	}
+	c.mu.Lock()
+	var acts []action
+	if ws := c.workers[req.Worker]; ws != nil {
+		acts = c.removeWorkerLocked(ws)
 	}
 	c.mu.Unlock()
 	c.perform(acts)

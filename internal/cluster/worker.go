@@ -30,7 +30,7 @@ type WorkerConfig struct {
 	ID string
 	// Exec executes one pulled job. Required. cmd/fuseworker and
 	// `fuseserve -localworkers` plug in engine.Execute: the front-end Runner
-	// has already deduplicated the job, probed the store and owns retries.
+	// has already deduplicated the job and probed the store.
 	// NewWorker wraps it in engine.ContainPanics, so a panic fails the task.
 	Exec engine.ExecFunc
 	// Pullers is the number of concurrent pull→execute→ack loops, i.e. how
@@ -78,10 +78,12 @@ func (w *Worker) intervals() (poll, heartbeat time.Duration) {
 	return cmp.Or(w.poll, DefaultPollTimeout), cmp.Or(w.lease, DefaultLease) / 3
 }
 
-// Run registers with the coordinator and pulls until ctx is cancelled.
-// Cancellation abandons in-flight work mid-simulation: the coordinator's
-// lease machinery re-dispatches it, and a racing late result is dropped
-// (first result wins), so a worker kill never corrupts a batch.
+// Run registers with the coordinator and pulls until ctx is cancelled, then
+// tells the coordinator it is leaving. Cancellation abandons in-flight work
+// mid-simulation: the leave puts it back in play at once (a worker that dies
+// without leaving is caught by its leases and liveness window instead), and
+// a racing late result is dropped (first result wins), so a worker kill
+// never corrupts a batch.
 //
 //fuselint:blocking loops until ctx is cancelled
 func (w *Worker) Run(ctx context.Context) error {
@@ -97,7 +99,17 @@ func (w *Worker) Run(ctx context.Context) error {
 		}()
 	}
 	wg.Wait()
+	w.leave(ctx)
 	return ctx.Err()
+}
+
+// leave tells the coordinator the worker has stopped, once, on a context
+// that outlives the cancelled one. Errors are ignored: a leave that never
+// lands only costs the wait for the liveness window.
+func (w *Worker) leave(ctx context.Context) {
+	reqCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
+	defer cancel()
+	_, _ = w.post(reqCtx, pathLeave, leaveRequest{Worker: w.cfg.ID}, nil)
 }
 
 // register announces the worker, retrying transient failures with backoff

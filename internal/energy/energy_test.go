@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -61,15 +62,34 @@ func TestSRAMLeakageDominatesSTTMRAM(t *testing.T) {
 	}
 }
 
-func TestSTTWritesAreExpensive(t *testing.T) {
+// TestL1DDynamicPerAccess pins every term of the L1D dynamic energy: n more
+// accesses of one kind add exactly n times that bank's per-access energy.
+func TestL1DDynamicPerAccess(t *testing.T) {
 	gpuCfg := config.FermiGPU(config.NewL1DConfig(config.DyFUSE))
-	few := fakeResult(config.DyFUSE)
-	many := fakeResult(config.DyFUSE)
-	many.STTWrites = few.STTWrites * 20
-	b1 := FromResult(few, gpuCfg)
-	b2 := FromResult(many, gpuCfg)
-	if b2.L1DDynamic <= b1.L1DDynamic {
-		t.Errorf("more STT-MRAM writes must cost more dynamic energy")
+	l1d := gpuCfg.L1D
+	const n = 1000
+	for _, tc := range []struct {
+		name    string
+		counter func(*sim.Result) *uint64
+		energy  float64
+	}{
+		{"SRAMReads", func(r *sim.Result) *uint64 { return &r.SRAMReads }, l1d.SRAMTech.ReadEnergy},
+		{"SRAMWrites", func(r *sim.Result) *uint64 { return &r.SRAMWrites }, l1d.SRAMTech.WriteEnergy},
+		{"STTReads", func(r *sim.Result) *uint64 { return &r.STTReads }, l1d.STTTech.ReadEnergy},
+		{"STTWrites", func(r *sim.Result) *uint64 { return &r.STTWrites }, l1d.STTTech.WriteEnergy},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.energy <= 0 {
+				t.Fatalf("per-access energy %v, want > 0", tc.energy)
+			}
+			base := fakeResult(config.DyFUSE)
+			more := base
+			*tc.counter(&more) += n
+			got := FromResult(more, gpuCfg).L1DDynamic - FromResult(base, gpuCfg).L1DDynamic
+			if want := n * tc.energy; math.Abs(got-want) > 1e-9*want {
+				t.Errorf("%d more %s add %v nJ of L1D dynamic energy, want %v", n, tc.name, got, want)
+			}
+		})
 	}
 }
 

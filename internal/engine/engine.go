@@ -16,13 +16,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log"
 	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
-	"time"
 
 	"fuse/internal/config"
 	"fuse/internal/sim"
@@ -172,26 +170,7 @@ type Config struct {
 	// jobs whose store key hits the cache skip execution entirely, and
 	// freshly executed results are written through.
 	Cache Cache
-	// Retries is the number of times a failed execution is retried before
-	// the job's error is reported (so a job executes at most Retries+1
-	// times). Context errors — and nothing else — are never retried. Zero
-	// disables retries.
-	Retries int
-	// RetryBackoff is the base delay before the first retry; each further
-	// attempt doubles it, capped at RetryMaxBackoff. The actual delay is
-	// jittered deterministically per (job, attempt), and the wait always
-	// selects on ctx.Done(). Zero means DefaultRetryBackoff.
-	RetryBackoff time.Duration
-	// RetryMaxBackoff caps the exponential backoff. Zero means
-	// DefaultRetryMaxBackoff.
-	RetryMaxBackoff time.Duration
 }
-
-// Default retry backoff bounds (see Config.RetryBackoff).
-const (
-	DefaultRetryBackoff    = 10 * time.Millisecond
-	DefaultRetryMaxBackoff = time.Second
-)
 
 // PanicError is the per-job error a panicking execution is converted into:
 // the recovered value plus the goroutine stack at the panic site. A panic in
@@ -257,16 +236,11 @@ type Runner struct {
 	cache    Cache
 	sem      chan struct{}
 
-	retries    int
-	backoff    time.Duration
-	backoffMax time.Duration
-
 	mu        sync.Mutex
 	calls     map[string]*call // by store key
 	completed int
 	executed  int
 	storeHits int
-	retried   int
 	panicked  int
 }
 
@@ -281,24 +255,13 @@ func New(cfg Config) *Runner {
 	if exec == nil {
 		exec = Execute
 	}
-	backoff := cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
-	backoffMax := cfg.RetryMaxBackoff
-	if backoffMax <= 0 {
-		backoffMax = DefaultRetryMaxBackoff
-	}
 	return &Runner{
-		workers:    workers,
-		exec:       ContainPanics(exec),
-		progress:   cfg.Progress,
-		cache:      cfg.Cache,
-		sem:        make(chan struct{}, workers),
-		retries:    cfg.Retries,
-		backoff:    backoff,
-		backoffMax: backoffMax,
-		calls:      make(map[string]*call),
+		workers:  workers,
+		exec:     ContainPanics(exec),
+		progress: cfg.Progress,
+		cache:    cfg.Cache,
+		sem:      make(chan struct{}, workers),
+		calls:    make(map[string]*call),
 	}
 }
 
@@ -329,14 +292,6 @@ func (r *Runner) StoreHits() int {
 	return r.storeHits
 }
 
-// Retried returns the number of retry attempts spent on failed executions
-// (each re-execution counts one, whether or not it ultimately succeeded).
-func (r *Runner) Retried() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.retried
-}
-
 // Panics returns the number of executions that panicked and were converted
 // into per-job errors.
 func (r *Runner) Panics() int {
@@ -347,7 +302,7 @@ func (r *Runner) Panics() int {
 
 // finish records a call's outcome (a failed call's result is zero). Context
 // errors are evicted from the cache so that a later batch (with a live
-// context) retries instead of replaying the cancellation.
+// context) runs the job again instead of replaying the cancellation.
 func (r *Runner) finish(key string, c *call, res sim.Result, err error) {
 	r.mu.Lock()
 	c.err = err
@@ -400,73 +355,11 @@ func ContainPanics(exec ExecFunc) ExecFunc {
 	}
 }
 
-// execAttempt runs one execution attempt through the panic-contained
-// executor, counting the attempts that panicked.
-func (r *Runner) execAttempt(ctx context.Context, job Job) (sim.Result, error) {
-	res, err := r.exec(ctx, job)
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		r.mu.Lock()
-		r.panicked++
-		r.mu.Unlock()
-	}
-	return res, err
-}
-
-// backoffDelay returns the jittered delay before retry number attempt
-// (1-based): the base backoff doubled per attempt, capped, then scaled by a
-// deterministic jitter fraction in [0.5, 1.0) derived from the job name and
-// attempt — no shared PRNG stream, so the delay schedule of one job never
-// depends on goroutine interleaving.
-func backoffDelay(base, max time.Duration, attempt int, name string) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	x := h.Sum64() + uint64(attempt)*0x9e3779b97f4a7c15
-	// splitmix64 finaliser: decorrelates the hash into uniform bits.
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	frac := 0.5 + float64(x>>11)/(1<<53)/2
-	return time.Duration(float64(d) * frac)
-}
-
-// execWithRetry runs a job up to 1+Retries times with capped exponential
-// backoff between attempts. Context errors are returned immediately — a
-// cancelled batch must not sit out a backoff schedule — and every backoff
-// wait itself selects on ctx.Done().
-func (r *Runner) execWithRetry(ctx context.Context, job Job) (sim.Result, error) {
-	res, err := r.execAttempt(ctx, job)
-	for attempt := 1; attempt <= r.retries; attempt++ {
-		if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return res, err
-		}
-		timer := time.NewTimer(backoffDelay(r.backoff, r.backoffMax, attempt, job.String()))
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return res, err // report the real failure, not the cancellation
-		}
-		r.mu.Lock()
-		r.retried++
-		r.mu.Unlock()
-		res, err = r.execAttempt(ctx, job)
-	}
-	return res, err
-}
-
 // run executes one call: first past the second-tier result cache (a hit
-// skips the worker pool entirely), then on the pool itself, writing fresh
-// results back through the cache.
+// skips the worker pool entirely), then once on the pool itself, writing
+// fresh results back through the cache. A failure is final: a simulation is
+// a pure function of its job, so running it again would fail the same way,
+// and the fleet re-dispatches the work of a lost worker itself.
 func (r *Runner) run(ctx context.Context, key string, c *call, job Job, p *progressState) {
 	if r.cache != nil {
 		if res, ok := r.cache.Get(key); ok {
@@ -486,14 +379,17 @@ func (r *Runner) run(ctx context.Context, key string, c *call, job Job, p *progr
 		return
 	}
 	defer func() { <-r.sem }() //fuselint:noctx releasing a slot the select above acquired; the receive never blocks
-	res, err := r.execWithRetry(ctx, job)
+	res, err := r.exec(ctx, job)
+	var pe *PanicError
+	r.mu.Lock()
 	if err == nil {
-		r.mu.Lock()
 		r.executed++
-		r.mu.Unlock()
-		if r.cache != nil {
-			r.cache.Put(key, res)
-		}
+	} else if errors.As(err, &pe) {
+		r.panicked++
+	}
+	r.mu.Unlock()
+	if err == nil && r.cache != nil {
+		r.cache.Put(key, res)
 	}
 	r.notify(p, job, err)
 	r.finish(key, c, res, err)

@@ -528,133 +528,25 @@ func TestPanicRecoveryBecomesPerJobError(t *testing.T) {
 	}
 }
 
-func TestRetryRecoversTransientFailures(t *testing.T) {
+func TestFailedJobExecutesOnce(t *testing.T) {
+	// A failure is final: the job runs once, its error is reported, and a
+	// later batch asking for the same job gets the same error without
+	// running it again.
 	var attempts atomic.Int64
 	r := New(Config{
-		Workers: 2,
-		Retries: 3,
-		// Keep the test fast: microsecond backoff.
-		RetryBackoff:    time.Microsecond,
-		RetryMaxBackoff: 10 * time.Microsecond,
-		Exec: func(_ context.Context, job Job) (sim.Result, error) {
-			if attempts.Add(1) <= 2 {
-				return sim.Result{}, errors.New("transient")
-			}
-			return sim.Result{Workload: job.Workload}, nil
-		},
-	})
-	res, err := r.Get(context.Background(), Job{Kind: config.L1SRAM, Workload: "ATAX"})
-	if err != nil {
-		t.Fatalf("retries should have recovered the job: %v", err)
-	}
-	if res.Workload != "ATAX" {
-		t.Errorf("wrong result after retry: %+v", res)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 3", got)
-	}
-	if r.Retried() != 2 {
-		t.Errorf("Retried = %d, want 2", r.Retried())
-	}
-	if r.Executed() != 1 {
-		t.Errorf("Executed = %d, want 1 (retries are not extra executions)", r.Executed())
-	}
-}
-
-func TestRetriesExhaustedReportsLastError(t *testing.T) {
-	var attempts atomic.Int64
-	r := New(Config{
-		Workers:         1,
-		Retries:         2,
-		RetryBackoff:    time.Microsecond,
-		RetryMaxBackoff: time.Microsecond,
+		Workers: 1,
 		Exec: func(_ context.Context, _ Job) (sim.Result, error) {
 			return sim.Result{}, fmt.Errorf("failure %d", attempts.Add(1))
 		},
 	})
-	_, err := r.Get(context.Background(), Job{Kind: config.L1SRAM, Workload: "ATAX"})
-	if err == nil || err.Error() != "failure 3" {
-		t.Fatalf("want the last attempt's error, got %v", err)
-	}
-	if attempts.Load() != 3 {
-		t.Errorf("attempts = %d, want 1+2 retries", attempts.Load())
-	}
-}
-
-func TestRetryDoesNotRetryContextErrors(t *testing.T) {
-	var attempts atomic.Int64
-	ctx, cancel := context.WithCancel(context.Background())
-	r := New(Config{
-		Workers: 1,
-		Retries: 5,
-		Exec: func(ctx context.Context, _ Job) (sim.Result, error) {
-			attempts.Add(1)
-			cancel()
-			return sim.Result{}, ctx.Err()
-		},
-	})
-	_, err := r.Get(ctx, Job{Kind: config.L1SRAM, Workload: "ATAX"})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if attempts.Load() != 1 {
-		t.Errorf("context errors must not be retried: %d attempts", attempts.Load())
-	}
-	if r.Retried() != 0 {
-		t.Errorf("Retried = %d, want 0", r.Retried())
-	}
-}
-
-func TestRetryBackoffAbortsOnCancel(t *testing.T) {
-	var attempts atomic.Int64
-	ctx, cancel := context.WithCancel(context.Background())
-	r := New(Config{
-		Workers:      1,
-		Retries:      5,
-		RetryBackoff: time.Hour, // the wait must be cut short by cancellation
-		Exec: func(_ context.Context, _ Job) (sim.Result, error) {
-			attempts.Add(1)
-			cancel() // fail, then cancel: the backoff select must wake up
-			return sim.Result{}, errors.New("transient")
-		},
-	})
-	done := make(chan error, 1)
-	go func() {
-		_, err := r.Get(ctx, Job{Kind: config.L1SRAM, Workload: "ATAX"})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || err.Error() != "transient" {
-			t.Fatalf("want the real failure, got %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("backoff wait ignored cancellation")
-	}
-	if attempts.Load() != 1 {
-		t.Errorf("attempts = %d, want 1 (no retry after cancel)", attempts.Load())
-	}
-}
-
-func TestBackoffDelayDeterministicCappedJittered(t *testing.T) {
-	base, max := 10*time.Millisecond, 80*time.Millisecond
-	for attempt := 1; attempt <= 8; attempt++ {
-		d1 := backoffDelay(base, max, attempt, "Dy-FUSE/ATAX")
-		d2 := backoffDelay(base, max, attempt, "Dy-FUSE/ATAX")
-		if d1 != d2 {
-			t.Fatalf("attempt %d: delay not deterministic: %v != %v", attempt, d1, d2)
-		}
-		// Jitter keeps the delay in [raw/2, raw).
-		raw := base << (attempt - 1)
-		if raw > max {
-			raw = max
-		}
-		if d1 < raw/2 || d1 >= raw {
-			t.Errorf("attempt %d: delay %v outside [%v, %v)", attempt, d1, raw/2, raw)
+	job := Job{Kind: config.L1SRAM, Workload: "ATAX"}
+	for i := 0; i < 2; i++ {
+		if _, err := r.Get(context.Background(), job); err == nil || err.Error() != "failure 1" {
+			t.Fatalf("Get %d: want the one execution's error, got %v", i, err)
 		}
 	}
-	if backoffDelay(base, max, 1, "a/b") == backoffDelay(base, max, 1, "c/d") {
-		t.Errorf("different jobs should jitter differently")
+	if attempts.Load() != 1 || r.Executed() != 0 {
+		t.Errorf("executions = %d, Executed = %d; want 1, 0", attempts.Load(), r.Executed())
 	}
 }
 
@@ -702,10 +594,10 @@ func TestDefaultedOptionsShareOneExecution(t *testing.T) {
 }
 
 func TestUnknownWorkloadFailsOnlyItsJob(t *testing.T) {
-	// A job without a store key fails at once: it is never executed, never
-	// retried and never counted, and the rest of the batch runs.
+	// A job without a store key fails at once: it is never executed and
+	// never counted, and the rest of the batch runs.
 	var total atomic.Int64
-	r := New(Config{Workers: 2, Retries: 2, RetryBackoff: time.Microsecond, Exec: countingExec(&total)})
+	r := New(Config{Workers: 2, Exec: countingExec(&total)})
 	jobs := []Job{
 		{Kind: config.DyFUSE, Workload: "ATAX"},
 		{Kind: config.DyFUSE, Workload: "nope"},
@@ -722,8 +614,8 @@ func TestUnknownWorkloadFailsOnlyItsJob(t *testing.T) {
 	if out[0].Err != nil || out[2].Err != nil {
 		t.Errorf("healthy jobs failed: %v, %v", out[0].Err, out[2].Err)
 	}
-	if total.Load() != 2 || r.Executed() != 2 || r.Retried() != 0 {
-		t.Errorf("executions %d, Executed %d, Retried %d; want 2, 2, 0", total.Load(), r.Executed(), r.Retried())
+	if total.Load() != 2 || r.Executed() != 2 {
+		t.Errorf("executions %d, Executed %d; want 2, 2", total.Load(), r.Executed())
 	}
 }
 

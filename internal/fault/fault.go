@@ -1,8 +1,8 @@
 // Package fault is the deterministic fault-injection harness behind the
-// chaos suite: a seeded Plan of per-operation failure probabilities, a
-// store.Cache wrapper that drops, fails and corrupts cache traffic, and an
-// executor wrapper that injects transient errors, latency spikes and panics
-// into the engine's job path.
+// chaos suites: a seeded Plan of per-operation store-failure probabilities,
+// a store.Cache wrapper that drops, fails and corrupts cache traffic, and an
+// executor wrapper that kills the hosting worker at a chosen execution. No
+// non-test code imports it; it exists only for the chaos tests.
 //
 // Every injection decision is a pure function of (seed, operation, identity,
 // per-identity sequence number) — a counter-based PRNG, not a shared stream —
@@ -18,7 +18,6 @@ import (
 	"hash/fnv"
 	"os"
 	"sync"
-	"time"
 
 	"fuse/internal/sim"
 	"fuse/internal/store"
@@ -42,22 +41,6 @@ type Plan struct {
 	// so the store's quarantine path is exercised instead of poisoning
 	// results. Requires a Disk to corrupt; ignored otherwise.
 	PutCorruptProb float64
-
-	// ExecFailProb is the probability that a job execution is replaced by a
-	// transient error.
-	ExecFailProb float64
-	// ExecFailLimit caps injected failures per job, so a retry budget above
-	// the limit is guaranteed to reach the real execution. Zero means
-	// unlimited.
-	ExecFailLimit int
-	// SlowProb is the probability that an execution is delayed by SlowDelay
-	// before running (the delay waits on ctx.Done()).
-	SlowProb float64
-	// SlowDelay is the injected latency spike for slow executions.
-	SlowDelay time.Duration
-	// PanicOn, when non-empty, makes the first execution of the job with
-	// this String() name panic — once. Retry must recover it.
-	PanicOn string
 
 	// KillAfter, when positive, fires the injector's kill hook (SetKill)
 	// on the KillAfter-th execution the injector sees — once — instead of
@@ -216,43 +199,31 @@ func (c *Cache) corrupt(key string, res sim.Result) error {
 
 // ExecFunc matches the engine's executor signature without importing the
 // engine (the wrapper stays usable for any (ctx, job) executor).
-type ExecFunc[J fmt.Stringer] func(context.Context, J) (sim.Result, error)
+type ExecFunc[J any] func(context.Context, J) (sim.Result, error)
 
 // InjectorStats counts the faults an Injector injected. Chaos-run
 // observability (read through Stats()), never simulation statistics.
 type InjectorStats struct {
 	//fuselint:internalstat chaos-suite observability, read through Stats(), never a simulation stat
-	Failures int64 `json:"failures"`
-	//fuselint:internalstat chaos-suite observability, read through Stats(), never a simulation stat
-	Slowed int64 `json:"slowed"`
-	//fuselint:internalstat chaos-suite observability, read through Stats(), never a simulation stat
-	Panics int64 `json:"panics"`
-	//fuselint:internalstat chaos-suite observability, read through Stats(), never a simulation stat
-	Executed int64 `json:"executed"`
-	//fuselint:internalstat chaos-suite observability, read through Stats(), never a simulation stat
 	Kills int64 `json:"kills"`
 }
 
-// Injector wraps a job executor with plan-driven faults: transient errors,
-// latency spikes, and a one-shot panic on a named job.
-type Injector[J fmt.Stringer] struct {
+// Injector wraps a job executor with the plan's one execution fault: a
+// worker kill at the KillAfter-th execution.
+type Injector[J any] struct {
 	plan  Plan
 	inner ExecFunc[J]
 
-	seq seqCounter
-
-	mu       sync.Mutex
-	fails    map[string]int
-	panicked bool
-	killed   bool
-	seen     int // executions observed, for the KillAfter trigger
-	kill     func()
-	stats    InjectorStats
+	mu     sync.Mutex
+	killed bool
+	seen   int // executions observed, for the KillAfter trigger
+	kill   func()
+	stats  InjectorStats
 }
 
 // NewInjector wraps inner with the plan's execution faults.
-func NewInjector[J fmt.Stringer](plan Plan, inner ExecFunc[J]) *Injector[J] {
-	return &Injector[J]{plan: plan, inner: inner, fails: make(map[string]int)}
+func NewInjector[J any](plan Plan, inner ExecFunc[J]) *Injector[J] {
+	return &Injector[J]{plan: plan, inner: inner}
 }
 
 // SetKill installs the kill hook Plan.KillAfter fires (e.g. the cancel
@@ -287,77 +258,16 @@ func (in *Injector[J]) Stats() InjectorStats {
 	return in.stats
 }
 
-// shouldPanic consumes the one-shot panic trigger for the named job.
-func (in *Injector[J]) shouldPanic(name string) bool {
-	if in.plan.PanicOn == "" || name != in.plan.PanicOn {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.panicked {
-		return false
-	}
-	in.panicked = true
-	in.stats.Panics++
-	return true
-}
-
-// shouldFail decides a transient failure for the job, honouring the
-// per-job injected-failure cap.
-func (in *Injector[J]) shouldFail(name string, seq uint64) bool {
-	if !in.plan.decide("exec-fail", name, seq, in.plan.ExecFailProb) {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.plan.ExecFailLimit > 0 && in.fails[name] >= in.plan.ExecFailLimit {
-		return false
-	}
-	in.fails[name]++
-	in.stats.Failures++
-	return true
-}
-
-// noteSlow and noteExec bump their counters under the lock.
-func (in *Injector[J]) noteSlow() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.stats.Slowed++
-}
-func (in *Injector[J]) noteExec() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.stats.Executed++
-}
-
 // Exec is the fault-injecting executor: pass it as the engine's Exec hook.
 func (in *Injector[J]) Exec(ctx context.Context, job J) (sim.Result, error) {
-	name := job.String()
-	seq := in.seq.next(name)
 	if hook := in.takeKill(); hook != nil {
 		// The worker is "dying": fire the hook (which cancels our context)
-		// and go down with it instead of producing a result. The job's
-		// lease expires and another worker recomputes it.
+		// and go down with it instead of producing a result. The worker
+		// stops without reporting, and the coordinator re-dispatches the
+		// job to another worker.
 		hook()
 		<-ctx.Done() //fuselint:noctx this receive IS the ctx wait: the hook just cancelled us
 		return sim.Result{}, ctx.Err()
 	}
-	if in.shouldPanic(name) {
-		panic(fmt.Sprintf("fault: injected panic in %s", name))
-	}
-	if in.shouldFail(name, seq) {
-		return sim.Result{}, fmt.Errorf("fault: injected transient failure in %s (attempt %d)", name, seq+1)
-	}
-	if in.plan.SlowDelay > 0 && in.plan.decide("exec-slow", name, seq, in.plan.SlowProb) {
-		in.noteSlow()
-		timer := time.NewTimer(in.plan.SlowDelay)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return sim.Result{}, ctx.Err()
-		}
-	}
-	in.noteExec()
 	return in.inner(ctx, job)
 }

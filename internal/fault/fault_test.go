@@ -2,12 +2,10 @@ package fault
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"fuse/internal/sim"
 	"fuse/internal/store"
@@ -120,78 +118,6 @@ func TestCacheDropsAndCorruptsPuts(t *testing.T) {
 	// Put is always detectable, never a wrong-but-valid result.
 	if disk.Quarantined() != int64(len(corrupted)) {
 		t.Errorf("Quarantined = %d, want %d", disk.Quarantined(), len(corrupted))
-	}
-}
-
-func TestInjectorTransientFailuresRespectLimit(t *testing.T) {
-	inner := func(_ context.Context, j stringerJob) (sim.Result, error) {
-		return sim.Result{Workload: string(j)}, nil
-	}
-	in := NewInjector(Plan{Seed: 9, ExecFailProb: 1, ExecFailLimit: 2}, inner)
-
-	var errs int
-	for i := 0; i < 5; i++ {
-		_, err := in.Exec(context.Background(), stringerJob("job"))
-		if err != nil {
-			errs++
-		}
-	}
-	if errs != 2 {
-		t.Errorf("injected failures = %d, want exactly ExecFailLimit = 2", errs)
-	}
-	st := in.Stats()
-	if st.Failures != 2 || st.Executed != 3 {
-		t.Errorf("stats = %+v, want 2 failures and 3 executions", st)
-	}
-}
-
-func TestInjectorPanicsOnceOnNamedJob(t *testing.T) {
-	inner := func(_ context.Context, j stringerJob) (sim.Result, error) {
-		return sim.Result{Workload: string(j)}, nil
-	}
-	in := NewInjector(Plan{PanicOn: "boom"}, inner)
-
-	mustPanic := func() (panicked bool) {
-		defer func() { panicked = recover() != nil }()
-		_, _ = in.Exec(context.Background(), stringerJob("boom"))
-		return false
-	}
-	if _, err := in.Exec(context.Background(), stringerJob("other")); err != nil {
-		t.Fatalf("unrelated job failed: %v", err)
-	}
-	if !mustPanic() {
-		t.Fatalf("first execution of the named job should panic")
-	}
-	if mustPanic() {
-		t.Fatalf("the panic is one-shot; the retry must succeed")
-	}
-	if in.Stats().Panics != 1 {
-		t.Errorf("Panics = %d, want 1", in.Stats().Panics)
-	}
-}
-
-func TestInjectorSlowDelayHonoursCancellation(t *testing.T) {
-	inner := func(_ context.Context, j stringerJob) (sim.Result, error) {
-		return sim.Result{}, nil
-	}
-	in := NewInjector(Plan{SlowProb: 1, SlowDelay: time.Hour}, inner)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := make(chan error, 1)
-	go func() {
-		_, err := in.Exec(ctx, stringerJob("slow"))
-		start <- err
-	}()
-	select {
-	case err := <-start:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("want context.Canceled, got %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("injected delay ignored cancellation")
-	}
-	if in.Stats().Slowed != 1 {
-		t.Errorf("Slowed = %d, want 1", in.Stats().Slowed)
 	}
 }
 
