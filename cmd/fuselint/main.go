@@ -1,7 +1,7 @@
 // Command fuselint runs the repository's static-analysis suite — detmap,
-// keydrift, hotalloc, statflow, ctxflow and lockorder (see
-// internal/analysis) — over the packages matching the given patterns and
-// exits non-zero when any invariant is violated. CI runs it as a hard gate:
+// keydrift, hotalloc, ctxflow and lockorder (see internal/analysis) — over
+// the packages matching the given patterns and exits non-zero when any
+// invariant is violated. CI runs it as a hard gate:
 //
 //	go run ./cmd/fuselint ./...
 //
@@ -11,8 +11,8 @@
 // findings are printed as a JSON array instead of file:line:col lines.
 //
 // The directives the analyzers understand (//fuselint:ordered, noalloc,
-// execonly, keyroot, internalstat, noctx, blocking) are documented in the
-// README under "Invariants & annotations".
+// execonly, keyroot, noctx, blocking) are documented in the README under
+// "Invariants & annotations".
 package main
 
 import (

@@ -1,7 +1,7 @@
 // Package analysis is fuselint's static-analysis suite: a small, dependency-
 // free framework in the spirit of golang.org/x/tools/go/analysis (which is
 // intentionally not imported — the module has no third-party dependencies)
-// plus the six analyzers that pin this repository's load-bearing
+// plus the five analyzers that pin this repository's load-bearing
 // invariants at compile time:
 //
 //   - detmap — determinism: no map-ordered iteration, wall clocks, global
@@ -13,10 +13,6 @@
 //   - hotalloc — allocation budget: functions annotated //fuselint:noalloc
 //     are checked against the compiler's escape analysis, with a golden
 //     allowlist for the few deliberate allocations (see hotalloc.go);
-//   - statflow — metric conservation: every counter the simulation core
-//     increments must be read (aggregated, rendered or exposed) or annotated
-//     //fuselint:internalstat, and every sim.Result field must survive into
-//     the real JSON encoding (see statflow.go);
 //   - ctxflow — cancellation discipline in the serving layer: contexts are
 //     threaded to <Name>Context siblings, no bare sleeps, channel operations
 //     guarded by ctx.Done() selects, handlers derive from r.Context() (see
@@ -43,18 +39,15 @@ import (
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
-	// ModuleDir and ModulePath identify the main module of the loaded
-	// packages (the directory `go build` runs in for the escape-analysis
-	// pass).
-	ModuleDir  string
-	ModulePath string
+	// ModuleDir is the main module's directory (the directory `go build`
+	// runs in for the escape-analysis pass).
+	ModuleDir string
 	// State carries per-analyzer facts from the per-package Run passes to
 	// the program-wide Finish pass, keyed by analyzer name.
 	State map[string]any
 
 	byPath map[string]*Package
 	deps   map[string]*Package // main-module dependencies: parsed only, never analysed
-	module []listPackage       // every main-module package with its deps, listed by covers
 }
 
 // Package is one parsed and type-checked (non-test) package.
@@ -168,5 +161,5 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full fuselint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detmap, Keydrift, Hotalloc, Statflow, Ctxflow, Lockorder}
+	return []*Analyzer{Detmap, Keydrift, Hotalloc, Ctxflow, Lockorder}
 }

@@ -147,7 +147,6 @@ func TestHotallocFixture(t *testing.T) {
 	runFixture(t, "hotalloc", "hotallocfix")
 }
 
-func TestStatflowFixture(t *testing.T)  { runFixture(t, "statflow", "statflowfix") }
 func TestCtxflowFixture(t *testing.T)   { runFixture(t, "ctxflow", "ctxflowfix") }
 func TestLockorderFixture(t *testing.T) { runFixture(t, "lockorder", "lockorderfix") }
 

@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"strings"
 )
 
@@ -29,11 +28,9 @@ type listPackage struct {
 	Dir        string
 	GoFiles    []string
 	Export     string
-	Deps       []string
 	DepOnly    bool
 	Standard   bool
 	Module     *struct {
-		Path string
 		Dir  string
 		Main bool
 	}
@@ -103,7 +100,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		}
 		if prog.ModuleDir == "" && p.Module != nil {
 			prog.ModuleDir = p.Module.Dir
-			prog.ModulePath = p.Module.Path
 		}
 		pkg.Info = &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -149,28 +145,4 @@ func goList(dir string, args ...string) ([]listPackage, error) {
 		}
 		pkgs = append(pkgs, p)
 	}
-}
-
-// covers reports whether the load includes pkgPath and every main-module
-// package that depends on it: every package that can use its declarations.
-// A verdict that a declaration is never used holds only then, since a
-// package subset sees only some of its users. The module's package graph is
-// listed on first use.
-func (p *Program) covers(pkgPath string) (bool, error) {
-	if _, ok := p.byPath[pkgPath]; !ok {
-		return false, nil
-	}
-	if p.module == nil {
-		module, err := goList(p.ModuleDir, "-json=ImportPath,Deps", p.ModulePath+"/...")
-		if err != nil {
-			return false, err
-		}
-		p.module = module
-	}
-	for _, lp := range p.module {
-		if _, loaded := p.byPath[lp.ImportPath]; !loaded && slices.Contains(lp.Deps, pkgPath) {
-			return false, nil
-		}
-	}
-	return true, nil
 }

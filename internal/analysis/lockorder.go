@@ -7,6 +7,7 @@ import (
 	"go/types"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // Lockorder pins mutex discipline in the serving layer — the packages
@@ -261,4 +262,13 @@ func finishLockorder(prog *Program, report func(Diagnostic)) error {
 		})
 	}
 	return nil
+}
+
+// shortFieldID trims the module path prefix off a field ID for messages:
+// "fuse/internal/engine.Runner.mu" -> "engine.Runner.mu".
+func shortFieldID(id string) string {
+	if i := strings.LastIndex(id, "/"); i >= 0 {
+		return id[i+1:]
+	}
+	return id
 }

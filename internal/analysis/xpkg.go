@@ -8,7 +8,8 @@ import (
 
 // The cross-package substrate: a program-wide index of source-declared
 // functions, which lockorder consults for a callee's //fuselint:blocking
-// directive across packages, plus the stable IDs statflow keys fields by.
+// directive across packages, plus the stable field IDs lockorder keys
+// mutexes by.
 //
 // Identity across type-check universes. Each source package is type-checked
 // against compiled export data, so the *types.Func a caller package sees for

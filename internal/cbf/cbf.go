@@ -51,9 +51,7 @@ type CountingBloomFilter struct {
 	// so the table starts at truthInitial elements and grows.
 	truth mem.BlockTable[int]
 
-	tests stats.Counter
-	//fuselint:internalstat only the false-positive and test counts reach FalsePositiveRate; raw positives stay a filter-local diagnostic
-	positives     stats.Counter
+	tests         stats.Counter
 	falsePositive stats.Counter
 	saturations   stats.Counter
 }
@@ -159,7 +157,6 @@ func (f *CountingBloomFilter) RepeatTest(x uint64, n uint64) bool {
 			return false
 		}
 	}
-	f.positives.Add(n)
 	if !f.Contains(x) {
 		f.falsePositive.Add(n)
 	}
@@ -199,7 +196,6 @@ func (f *CountingBloomFilter) Reset() {
 	}
 	f.truth.Clear()
 	f.tests.Reset()
-	f.positives.Reset()
 	f.falsePositive.Reset()
 	f.saturations.Reset()
 }

@@ -18,8 +18,6 @@ type ApproxLogic struct {
 	searches      uint64
 	searchCycles  uint64
 	falseSearches uint64
-	//fuselint:internalstat negative-check volume is an approx-logic diagnostic; the figures consume searches/falseSearches instead
-	negativeChecks uint64
 }
 
 // NewApproxLogic builds the approximation logic for an STT-MRAM bank holding
@@ -90,7 +88,6 @@ func (a *ApproxLogic) charge(positive, actuallyPresent bool, n uint64) (mayHit b
 	a.searches += n
 	cycles = a.filters.TestLatency
 	if !positive {
-		a.negativeChecks += n
 		a.searchCycles += n * uint64(cycles)
 		return false, cycles
 	}
@@ -134,5 +131,4 @@ func (a *ApproxLogic) Reset() {
 	a.searches = 0
 	a.searchCycles = 0
 	a.falseSearches = 0
-	a.negativeChecks = 0
 }

@@ -99,15 +99,10 @@ func (s *seqCounter) next(identity string) uint64 {
 // observability — the chaos suite asserts on them through Stats() — not
 // simulation statistics, so they never flow into sim.Result.
 type CacheStats struct {
-	//fuselint:internalstat chaos-suite observability, read through Stats(), never a simulation stat
-	GetsFailed int64 `json:"getsFailed"`
-	//fuselint:internalstat chaos-suite observability, read through Stats(), never a simulation stat
-	PutsDropped int64 `json:"putsDropped"`
-	//fuselint:internalstat chaos-suite observability, read through Stats(), never a simulation stat
-	PutsCorrupt int64 `json:"putsCorrupted"`
-	//fuselint:internalstat chaos-suite observability, read through Stats(), never a simulation stat
+	GetsFailed    int64 `json:"getsFailed"`
+	PutsDropped   int64 `json:"putsDropped"`
+	PutsCorrupt   int64 `json:"putsCorrupted"`
 	GetsForwarded int64 `json:"getsForwarded"`
-	//fuselint:internalstat chaos-suite observability, read through Stats(), never a simulation stat
 	PutsForwarded int64 `json:"putsForwarded"`
 }
 
@@ -204,7 +199,6 @@ type ExecFunc[J any] func(context.Context, J) (sim.Result, error)
 // InjectorStats counts the faults an Injector injected. Chaos-run
 // observability (read through Stats()), never simulation statistics.
 type InjectorStats struct {
-	//fuselint:internalstat chaos-suite observability, read through Stats(), never a simulation stat
 	Kills int64 `json:"kills"`
 }
 

@@ -16,15 +16,19 @@ type SMStats struct {
 	Cycles uint64
 	// Issued is the number of instructions issued.
 	Issued uint64
-	// MemInstructions is the number of memory instructions issued.
-	//fuselint:internalstat exposed for workload sanity checks in tests; the figures use L1D.Accesses for memory volume
+	// MemInstructions is the number of memory instructions issued. Tests
+	// read it to sanity-check a workload's memory mix; the figures use
+	// L1D.Accesses for memory volume.
 	MemInstructions uint64
 	// L1DStallCycles counts cycles wasted because the L1D rejected the
-	// memory instruction at the head of the selected warp.
-	//fuselint:internalstat structural-stall cycles are reported via core.Stats.StructuralStalls; this per-SM mirror is a debugging aid
+	// memory instruction at the head of the selected warp. The figures take
+	// stall causes from the L1D's own counters; this per-SM total is a term
+	// of the cycle ledger Cycles = Issued + L1DStallCycles +
+	// NoReadyWarpCycles, which tests assert.
 	L1DStallCycles uint64
-	// NoReadyWarpCycles counts cycles in which no warp could issue.
-	//fuselint:internalstat the figures consume the MemWaitCycles subset (Figure 1); the full no-ready count is a scheduler diagnostic
+	// NoReadyWarpCycles counts cycles in which no warp could issue. The
+	// figures consume its MemWaitCycles subset (Figure 1); the whole count is
+	// the ledger's third term.
 	NoReadyWarpCycles uint64
 	// MemWaitCycles counts the no-ready-warp cycles in which at least one
 	// warp was blocked on an outstanding off-chip fill; this is the

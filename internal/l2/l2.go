@@ -156,11 +156,9 @@ type L2 struct {
 	entryPool []*fillEntry
 	retired   []*fillEntry
 
-	accesses stats.Counter
-	hits     stats.Counter
-	misses   stats.Counter
-	//fuselint:internalstat L2 write volume is a sizing diagnostic; Result reports L2 misses/accesses and DRAM traffic instead
-	writes     stats.Counter
+	accesses   stats.Counter
+	hits       stats.Counter
+	misses     stats.Counter
 	wbToDRAM   stats.Counter
 	mergedFly  stats.Counter
 	mshrStalls stats.Counter
@@ -333,7 +331,6 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 
 	l.accesses.Inc()
 	if write {
-		l.writes.Inc()
 		if _, hit = b.store.Touch(block, true); !hit {
 			inFlight, _ = b.mshr.Get(block)
 		}
@@ -586,7 +583,6 @@ func (l *L2) Reset() {
 	l.accesses.Reset()
 	l.hits.Reset()
 	l.misses.Reset()
-	l.writes.Reset()
 	l.wbToDRAM.Reset()
 	l.mergedFly.Reset()
 	l.mshrStalls.Reset()

@@ -64,8 +64,6 @@ func (c Config) withDefaults() Config {
 type link struct {
 	nextFree int64
 	busyCyc  uint64
-	//fuselint:internalstat per-link packet counts back the busy-cycle model; Network.Packets() reports the aggregate the figures use
-	packets uint64
 }
 
 // Network is the butterfly interconnect.
@@ -211,7 +209,6 @@ func (n *Network) send(dir Direction, src, dst, bytes int, now int64) int64 {
 		depart := start + ser
 		l.nextFree = depart
 		l.busyCyc += uint64(ser)
-		l.packets++
 		t = depart + int64(n.cfg.HopLatency)
 	}
 	n.bytesMoved.Add(uint64(bytes))

@@ -23,12 +23,13 @@
 // without a second look at the bank: rejections whose outcome is already
 // known are charged, not re-executed.
 //
-// The package's invariants — determinism, store-key completeness of Options,
-// the allocation-free hot path, and the conservation of every hot-path
-// counter into Result or a figure table (statflow) — are machine-checked by
-// fuselint (go run ./cmd/fuselint ./...) via //fuselint: annotations on the
-// relevant declarations; the directives are documented in the repository
-// README under "Invariants & annotations".
+// The package's invariants — determinism, store-key completeness of Options
+// and the allocation-free hot path — are machine-checked by fuselint (go run
+// ./cmd/fuselint ./...) via //fuselint: annotations on the relevant
+// declarations; the directives are documented in the repository README under
+// "Invariants & annotations". That every counter reaches Result intact is
+// held by tests: the pinned result digests, the store's round trips and the
+// per-SM cycle ledger.
 package sim
 
 import (

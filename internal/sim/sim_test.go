@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -280,7 +281,25 @@ func TestSparseEngineMatchesReference(t *testing.T) {
 					t.Errorf("%s %v/%s: sparse engine result differs from step-every-cycle reference:\nsparse: %+v\nref:    %+v",
 						m.name, kind, workload, sparseRes, refRes)
 				}
+				name := fmt.Sprintf("%s %v/%s", m.name, kind, workload)
+				checkCycleLedger(t, name+" sparse", sparse)
+				checkCycleLedger(t, name+" reference", ref)
 			}
+		}
+	}
+}
+
+// checkCycleLedger asserts the per-SM cycle ledger of a finished run: each
+// cycle an SM was charged issued an instruction, had its access rejected by
+// the L1D, or found no ready warp — exactly one of the three, whether it was
+// executed, replayed as a held stall or skipped while the SM slept.
+func checkCycleLedger(t *testing.T, name string, s *Simulator) {
+	t.Helper()
+	for i, sm := range s.SMs() {
+		st := sm.Stats()
+		if sum := st.Issued + st.L1DStallCycles + st.NoReadyWarpCycles; st.Cycles != sum {
+			t.Errorf("%s: SM %d charged %d cycles, but Issued %d + L1DStallCycles %d + NoReadyWarpCycles %d = %d",
+				name, i, st.Cycles, st.Issued, st.L1DStallCycles, st.NoReadyWarpCycles, sum)
 		}
 	}
 }
@@ -329,6 +348,8 @@ func TestSparseEngineMatchesReferenceAtCycleLimit(t *testing.T) {
 		if sparseRes != refRes {
 			t.Errorf("%s: sparse engine differs from reference:\nsparse: %+v\nref:    %+v", tc.name, sparseRes, refRes)
 		}
+		checkCycleLedger(t, tc.name+" sparse", sparse)
+		checkCycleLedger(t, tc.name+" reference", ref)
 		if sparseRes.Cycles != tc.opts.MaxCycles {
 			t.Errorf("%s: truncated run must stop exactly at the cycle limit, got %d (want %d)",
 				tc.name, sparseRes.Cycles, tc.opts.MaxCycles)
