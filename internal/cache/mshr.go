@@ -178,12 +178,3 @@ func (m *MSHR) Recycle(e *MSHREntry) {
 	}
 	m.free = append(m.free, e)
 }
-
-// Reset clears all entries and statistics.
-func (m *MSHR) Reset() {
-	m.entries.Clear()
-	m.peakOccupancy = 0
-	m.mergedCount = 0
-	m.allocCount = 0
-	m.fullStalls = 0
-}

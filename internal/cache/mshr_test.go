@@ -77,16 +77,6 @@ func TestMSHRRelease(t *testing.T) {
 	}
 }
 
-func TestMSHRReset(t *testing.T) {
-	m := NewMSHR(2, 1)
-	m.Allocate(req(1, mem.Read), DestSRAM, mem.WORM)
-	m.Allocate(req(1, mem.Read), DestSRAM, mem.WORM)
-	m.Reset()
-	if m.Occupancy() != 0 || m.Merged() != 0 || m.Allocations() != 0 || m.PeakOccupancy() != 0 {
-		t.Errorf("Reset should clear state and stats")
-	}
-}
-
 func TestMSHRClampsBadArguments(t *testing.T) {
 	m := NewMSHR(0, -1)
 	if m.Capacity() != 1 {

@@ -63,16 +63,10 @@ func newReplacement(kind ReplacementKind, sets, ways int) replacement {
 		head: make([]int32, sets),
 		tail: make([]int32, sets),
 	}
-	r.reset()
-	return r
-}
-
-// reset forgets every set's history.
-func (r *replacement) reset() {
-	clear(r.in)
 	for s := range r.head {
 		r.head[s], r.tail[s] = -1, -1
 	}
+	return r
 }
 
 // onInsert records that the given way was just filled.

@@ -287,18 +287,3 @@ func (t *TagStore) ForEach(fn func(l *Line)) {
 		}
 	}
 }
-
-// Reset invalidates every line.
-func (t *TagStore) Reset() {
-	clear(t.lines)
-	for pos := range t.tags {
-		t.tags[pos] = invalidTag
-	}
-	t.repl.reset()
-	clear(t.valid)
-	if t.indexed {
-		t.index.Clear()
-	}
-	t.dups = 0
-	t.occupancy = 0
-}

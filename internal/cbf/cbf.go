@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"fuse/internal/mem"
-	"fuse/internal/stats"
 )
 
 // hashSeed values give each hash function an independent mixing constant.
@@ -51,9 +50,9 @@ type CountingBloomFilter struct {
 	// so the table starts at truthInitial elements and grows.
 	truth mem.BlockTable[int]
 
-	tests         stats.Counter
-	falsePositive stats.Counter
-	saturations   stats.Counter
+	tests         uint64
+	falsePositive uint64
+	saturations   uint64
 }
 
 // New creates a counting Bloom filter with the given number of counter slots,
@@ -108,7 +107,7 @@ func (f *CountingBloomFilter) Insert(x uint64) {
 		if f.counters[k] < f.counterMax {
 			f.counters[k]++
 		} else {
-			f.saturations.Inc()
+			f.saturations++
 		}
 	}
 	if n := f.truth.Ptr(x); n != nil {
@@ -151,14 +150,14 @@ func (f *CountingBloomFilter) Test(x uint64) bool { return f.RepeatTest(x, 1) }
 //
 //fuselint:noalloc
 func (f *CountingBloomFilter) RepeatTest(x uint64, n uint64) bool {
-	f.tests.Add(n)
+	f.tests += n
 	for i := 0; i < f.hashes; i++ {
 		if f.counters[f.key(i, x)] == 0 {
 			return false
 		}
 	}
 	if !f.Contains(x) {
-		f.falsePositive.Add(n)
+		f.falsePositive += n
 	}
 	return true
 }
@@ -171,34 +170,23 @@ func (f *CountingBloomFilter) Contains(x uint64) bool {
 }
 
 // Tests returns the number of membership tests performed.
-func (f *CountingBloomFilter) Tests() uint64 { return f.tests.Value() }
+func (f *CountingBloomFilter) Tests() uint64 { return f.tests }
 
 // FalsePositives returns the number of positive answers for absent elements.
-func (f *CountingBloomFilter) FalsePositives() uint64 { return f.falsePositive.Value() }
+func (f *CountingBloomFilter) FalsePositives() uint64 { return f.falsePositive }
 
 // FalsePositiveRate returns false positives / tests.
 func (f *CountingBloomFilter) FalsePositiveRate() float64 {
-	if f.tests.Value() == 0 {
+	if f.tests == 0 {
 		return 0
 	}
-	return float64(f.falsePositive.Value()) / float64(f.tests.Value())
+	return float64(f.falsePositive) / float64(f.tests)
 }
 
 // Saturations returns how many counter increments hit the counter maximum
 // (each is a potential future false negative; with 2-bit counters and 16-slot
 // data sets the paper finds this negligible).
-func (f *CountingBloomFilter) Saturations() uint64 { return f.saturations.Value() }
-
-// Reset clears all counters and statistics.
-func (f *CountingBloomFilter) Reset() {
-	for i := range f.counters {
-		f.counters[i] = 0
-	}
-	f.truth.Clear()
-	f.tests.Reset()
-	f.falsePositive.Reset()
-	f.saturations.Reset()
-}
+func (f *CountingBloomFilter) Saturations() uint64 { return f.saturations }
 
 // NVMCBF models the paper's STT-MRAM-based CBF array: `count` independent
 // CBFs share one 2-D MTJ structure and peripheral circuitry. Elements are
@@ -290,13 +278,6 @@ func (n *NVMCBF) Tests() uint64 {
 		t += f.Tests()
 	}
 	return t
-}
-
-// Reset clears every CBF in the array.
-func (n *NVMCBF) Reset() {
-	for _, f := range n.filters {
-		f.Reset()
-	}
 }
 
 // AreaBytes returns the storage the CBF array occupies, in bytes (the paper's

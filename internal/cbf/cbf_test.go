@@ -153,21 +153,6 @@ func TestMoreSlotsReduceFalsePositives(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	f := New(32, 3, 2)
-	f.Insert(1)
-	f.Test(1)
-	f.Test(2)
-	f.Reset()
-	if f.Test(1) {
-		t.Errorf("reset filter should be empty")
-	}
-	// Reset clears stats too (the Test(1) above counts as 1 test post-reset).
-	if f.Tests() != 1 || f.FalsePositives() != 0 {
-		t.Errorf("reset should clear statistics: tests=%d fp=%d", f.Tests(), f.FalsePositives())
-	}
-}
-
 func TestClampedConstruction(t *testing.T) {
 	f := New(0, 0, 0)
 	if f.Slots() != 1 || f.Hashes() != 1 {
@@ -220,10 +205,6 @@ func TestNVMCBFPartitioning(t *testing.T) {
 	}
 	if n.FalsePositiveRate() < 0 || n.FalsePositiveRate() > 1 {
 		t.Errorf("aggregate false positive rate out of range")
-	}
-	n.Reset()
-	if n.Tests() != 0 {
-		t.Errorf("Reset should clear statistics")
 	}
 	if n.String() == "" {
 		t.Errorf("String should describe the configuration")

@@ -124,11 +124,3 @@ func (a *ApproxLogic) WastedSearches() uint64 { return a.falseSearches }
 
 // Filters exposes the underlying NVM-CBF array (for area accounting).
 func (a *ApproxLogic) Filters() *cbf.NVMCBF { return a.filters }
-
-// Reset clears the filters and counters.
-func (a *ApproxLogic) Reset() {
-	a.filters.Reset()
-	a.searches = 0
-	a.searchCycles = 0
-	a.falseSearches = 0
-}

@@ -84,16 +84,3 @@ func TestApproxLogicClampsConfiguration(t *testing.T) {
 		t.Errorf("filters should be accessible")
 	}
 }
-
-func TestApproxLogicReset(t *testing.T) {
-	a := NewApproxLogic(512, 128, 128, 3, 4)
-	a.Register(0x5000)
-	a.Lookup(0x5000, true)
-	a.Reset()
-	if a.Searches() != 0 || a.SearchCycles() != 0 || a.WastedSearches() != 0 {
-		t.Errorf("Reset should clear counters")
-	}
-	if mayHit, _ := a.Lookup(0x5000, false); mayHit {
-		t.Errorf("Reset should clear registered blocks")
-	}
-}

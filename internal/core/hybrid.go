@@ -676,27 +676,3 @@ func (h *HybridL1D) NextInternalEventAt(now int64) int64 {
 	}
 	return h.sttBank.BusyUntil()
 }
-
-// Reset implements L1D.
-func (h *HybridL1D) Reset() {
-	h.sram.Reset()
-	h.stt.Reset()
-	h.sramBank.Reset()
-	h.sttBank.Reset()
-	h.mshr.Reset()
-	h.swap.Reset()
-	h.queue.Reset()
-	if h.approx != nil {
-		h.approx.Reset()
-	}
-	if h.pred != nil {
-		h.pred.Reset()
-	}
-	h.blockedUntil = 0
-	h.sttStallChargedUntil = 0
-	h.stallHold = 0
-	h.held = heldStall{}
-	h.outgoing = h.outgoing[:0]
-	h.outHead = 0
-	h.stats = Stats{}
-}

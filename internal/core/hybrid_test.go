@@ -609,33 +609,6 @@ func TestHybridOutgoingIncludesWritebacks(t *testing.T) {
 	}
 }
 
-func TestHybridResetClearsEverything(t *testing.T) {
-	h := newHybridKind(config.DyFUSE)
-	now := int64(0)
-	for i := 0; i < 50; i++ {
-		res := h.Access(readReq(i, 0x40, 0), now)
-		if res.Outcome == OutcomeMiss || res.Outcome == OutcomeBypass {
-			fillAll(h, now+1)
-		}
-		h.Tick(now + 2)
-		now += 5
-	}
-	h.Reset()
-	s := h.Stats()
-	if s.Accesses != 0 || s.Misses != 0 || s.STTWrites != 0 {
-		t.Errorf("Reset should clear stats: %+v", s)
-	}
-	if !h.Queue().Empty() || h.Swap().Occupancy() != 0 {
-		t.Errorf("Reset should clear the queue and swap buffer")
-	}
-	if _, ok := h.PopOutgoing(); ok {
-		t.Errorf("Reset should clear outgoing requests")
-	}
-	if res := h.Access(readReq(1, 0x40, 0), 0); res.Outcome != OutcomeMiss {
-		t.Errorf("cache should behave cold after Reset, got %v", res.Outcome)
-	}
-}
-
 func TestHybridFillUnknownBlockIsNoop(t *testing.T) {
 	h := newHybridKind(config.BaseFUSE)
 	if woken := h.Fill(0xdead00, 3); woken != 0 {

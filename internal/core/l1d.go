@@ -194,6 +194,4 @@ type L1D interface {
 	// Banks returns the technology banks (for energy accounting). The
 	// slice may contain one or two banks depending on the organisation.
 	Banks() []*memtech.Bank
-	// Reset restores the cache to its initial empty state.
-	Reset()
 }

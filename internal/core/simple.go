@@ -264,20 +264,6 @@ func noHeldStall() {
 	panic("core: By-NVM reports no stall hold, so it has no stall to repeat")
 }
 
-// Reset implements L1D.
-func (s *SimpleL1D) Reset() {
-	s.store.Reset()
-	s.bank.Reset()
-	s.mshr.Reset()
-	if s.deadWrite != nil {
-		s.deadWrite.Reset()
-	}
-	s.outgoing = s.outgoing[:0]
-	s.outHead = 0
-	s.stallHold, s.stallReason = 0, StallNone
-	s.stats = Stats{}
-}
-
 // BypassRatio returns the fraction of misses that were bypassed (Table II's
 // By-NVM bypass ratio). It is zero for organisations without dead-write
 // bypassing.

@@ -206,23 +206,10 @@ func TestSimpleL1DFillUnknownBlock(t *testing.T) {
 	}
 }
 
-func TestSimpleL1DResetAndTick(t *testing.T) {
+func TestSimpleL1DTickIsNoOp(t *testing.T) {
 	l1d := NewKind(config.ByNVM)
 	l1d.Access(readReq(1, 0x40, 0), 0)
 	l1d.Tick(1) // no-op, must not panic
-	l1d.Reset()
-	s := l1d.Stats()
-	if s.Accesses != 0 || s.Misses != 0 {
-		t.Errorf("Reset should clear stats")
-	}
-	if _, ok := l1d.PopOutgoing(); ok {
-		t.Errorf("Reset should clear the outgoing queue")
-	}
-	for _, b := range l1d.Banks() {
-		if b.Reads() != 0 || b.Writes() != 0 {
-			t.Errorf("Reset should clear bank counters")
-		}
-	}
 }
 
 func TestOutcomeString(t *testing.T) {

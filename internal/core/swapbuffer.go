@@ -99,13 +99,3 @@ func (s *SwapBuffer) Hits() uint64 { return s.hits }
 // FullRejections returns the number of insertions rejected because the buffer
 // was full.
 func (s *SwapBuffer) FullRejections() uint64 { return s.fullRej }
-
-// Reset clears all registers and counters.
-func (s *SwapBuffer) Reset() {
-	for i := range s.entries {
-		s.entries[i] = swapEntry{}
-	}
-	s.inserts = 0
-	s.hits = 0
-	s.fullRej = 0
-}

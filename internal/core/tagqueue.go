@@ -143,12 +143,3 @@ func (q *TagQueue) Flushes() uint64 { return q.flushes }
 // FullRejections returns the number of pushes rejected because the queue was
 // full.
 func (q *TagQueue) FullRejections() uint64 { return q.fullRej }
-
-// Reset clears the queue and its counters.
-func (q *TagQueue) Reset() {
-	q.ops = q.ops[:0]
-	q.head = 0
-	q.pushes = 0
-	q.flushes = 0
-	q.fullRej = 0
-}

@@ -23,7 +23,6 @@ import (
 	"slices"
 
 	"fuse/internal/mem"
-	"fuse/internal/stats"
 )
 
 // Config describes the controller geometry and (for the GDDR5 baseline
@@ -148,13 +147,13 @@ type DRAM struct {
 	// compBuf is the reusable backing array of Advance's completion slice.
 	compBuf []Completion
 
-	accesses  stats.Counter
-	rowHits   stats.Counter
-	rowMisses stats.Counter
-	reads     stats.Counter
-	writes    stats.Counter
-	totalLat  stats.Counter
-	stallsQ   stats.Counter
+	accesses  uint64
+	rowHits   uint64
+	rowMisses uint64
+	reads     uint64
+	writes    uint64
+	totalLat  uint64
+	stallsQ   uint64
 	energyNJ  float64
 }
 
@@ -237,7 +236,7 @@ func (d *DRAM) rowFor(addr uint64) int64 {
 func (d *DRAM) Submit(addr uint64, write bool, at int64) (uint64, bool) {
 	seq, ok := d.Resubmit(addr, write, at)
 	if !ok {
-		d.stallsQ.Inc()
+		d.stallsQ++
 	}
 	return seq, ok
 }
@@ -261,11 +260,11 @@ func (d *DRAM) Resubmit(addr uint64, write bool, at int64) (uint64, bool) {
 	}
 	ch.queue = append(ch.queue, r)
 	ch.next = min(ch.next, d.issueReadyAt(ch, r))
-	d.accesses.Inc()
+	d.accesses++
 	if write {
-		d.writes.Inc()
+		d.writes++
 	} else {
-		d.reads.Inc()
+		d.reads++
 	}
 	return r.seq, true
 }
@@ -341,10 +340,10 @@ func (d *DRAM) service(ch *channelState, r request, now int64) int64 {
 	b := &ch.banks[r.bank]
 	var dataAt int64
 	if b.hasOpenRow && b.openRow == r.row {
-		d.rowHits.Inc()
+		d.rowHits++
 		dataAt = now + int64(d.timing.TCL)
 	} else {
-		d.rowMisses.Inc()
+		d.rowMisses++
 		start := now
 		if b.hasOpenRow {
 			// tRAS was respected by issueReadyAt; pay the precharge.
@@ -373,7 +372,7 @@ func (d *DRAM) service(ch *channelState, r request, now int64) int64 {
 	done := burstStart + burst
 	ch.busFreeAt = done
 	b.readyAt = done
-	d.totalLat.Add(uint64(done - r.arrive))
+	d.totalLat += uint64(done - r.arrive)
 	return done
 }
 
@@ -456,63 +455,40 @@ func (d *DRAM) Access(addr uint64, write bool, now int64) int64 {
 }
 
 // Accesses returns the number of requests accepted.
-func (d *DRAM) Accesses() uint64 { return d.accesses.Value() }
+func (d *DRAM) Accesses() uint64 { return d.accesses }
 
 // Reads returns the number of read requests accepted.
-func (d *DRAM) Reads() uint64 { return d.reads.Value() }
+func (d *DRAM) Reads() uint64 { return d.reads }
 
 // Writes returns the number of write requests accepted.
-func (d *DRAM) Writes() uint64 { return d.writes.Value() }
+func (d *DRAM) Writes() uint64 { return d.writes }
 
 // RowHitRate returns the fraction of issued requests that hit an open row.
 func (d *DRAM) RowHitRate() float64 {
-	total := d.rowHits.Value() + d.rowMisses.Value()
+	total := d.rowHits + d.rowMisses
 	if total == 0 {
 		return 0
 	}
-	return float64(d.rowHits.Value()) / float64(total)
+	return float64(d.rowHits) / float64(total)
 }
 
 // AverageLatency returns the mean arrival-to-completion latency in cycles of
 // the requests issued so far.
 func (d *DRAM) AverageLatency() float64 {
-	issued := d.rowHits.Value() + d.rowMisses.Value()
+	issued := d.rowHits + d.rowMisses
 	if issued == 0 {
 		return 0
 	}
-	return float64(d.totalLat.Value()) / float64(issued)
+	return float64(d.totalLat) / float64(issued)
 }
 
 // QueueStalls returns the number of submissions rejected by a full channel
 // queue.
-func (d *DRAM) QueueStalls() uint64 { return d.stallsQ.Value() }
+func (d *DRAM) QueueStalls() uint64 { return d.stallsQ }
 
 // EnergyNJ returns the dynamic energy in nano-joules charged by the backend
 // for the commands issued so far.
 func (d *DRAM) EnergyNJ() float64 { return d.energyNJ }
-
-// Reset clears all channel, bank and statistic state.
-func (d *DRAM) Reset() {
-	for i := range d.channels {
-		for b := range d.channels[i].banks {
-			d.channels[i].banks[b] = bankState{}
-		}
-		d.channels[i].busFreeAt = 0
-		d.channels[i].queue = nil
-		d.channels[i].flights = nil
-		d.channels[i].next = math.MaxInt64
-	}
-	d.nextSeq = 0
-	d.compBuf = nil
-	d.accesses.Reset()
-	d.rowHits.Reset()
-	d.rowMisses.Reset()
-	d.reads.Reset()
-	d.writes.Reset()
-	d.totalLat.Reset()
-	d.stallsQ.Reset()
-	d.energyNJ = 0
-}
 
 // String describes the configuration.
 func (d *DRAM) String() string {

@@ -271,24 +271,6 @@ func TestBackendsShapeTimingAndEnergy(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	d := New(Config{})
-	d.Access(0, false, 0)
-	d.Access(0, true, 0)
-	d.Reset()
-	if d.Accesses() != 0 || d.RowHitRate() != 0 || d.AverageLatency() != 0 || d.QueueStalls() != 0 {
-		t.Errorf("Reset should clear statistics")
-	}
-	if d.Pending() != 0 || d.NextEventAt() != -1 || d.EnergyNJ() != 0 {
-		t.Errorf("Reset should clear controller state")
-	}
-	// After reset the first access is a row miss again.
-	d.Access(0, false, 0)
-	if d.RowHitRate() != 0 {
-		t.Errorf("post-reset first access should be a row miss")
-	}
-}
-
 func TestConfigClamping(t *testing.T) {
 	d := New(Config{Channels: -1, BanksPerChannel: 0, RowBytes: 0, TCL: 0, TRCD: 0, TRP: 0, TRAS: 0, BurstCycles: 0, QueueDepth: 0})
 	cfg := d.Config()
@@ -380,11 +362,6 @@ func diffNextEventAt(t *testing.T, cfg Config, seed uint64) {
 			if _, ok := d.Resubmit(h.addr, h.write, now); ok {
 				rejected = rejected[1:]
 			}
-		case op == 4 && i%500 == 499:
-			step = fmt.Sprintf("op %d Reset", i)
-			d.Reset()
-			rejected = rejected[:0]
-			now = 0
 		default:
 			if next := d.NextEventAt(); next >= 0 && rng.IntN(2) == 0 {
 				now = max(now, next)

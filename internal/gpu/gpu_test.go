@@ -244,33 +244,6 @@ func TestSMGreedyThenOldestPrefersSameWarp(t *testing.T) {
 	}
 }
 
-func TestSMReset(t *testing.T) {
-	sm := newTestSM(config.DyFUSE, 4, 100, "ATAX")
-	for now := int64(0); now < 500; now++ {
-		sm.Cycle(now)
-		for {
-			req, ok := sm.PopOutgoing()
-			if !ok {
-				break
-			}
-			_ = req
-		}
-	}
-	sm.Reset()
-	if sm.Stats().Issued != 0 || sm.Stats().Cycles != 0 {
-		t.Errorf("Reset should clear statistics")
-	}
-	if sm.OutstandingFills() != 0 {
-		t.Errorf("Reset should clear outstanding fills")
-	}
-	if sm.Done() {
-		t.Errorf("warps should be rearmed after Reset")
-	}
-	if sm.L1D().Stats().Accesses != 0 {
-		t.Errorf("Reset should reset the L1D")
-	}
-}
-
 func TestNewSMClampsWarpCount(t *testing.T) {
 	prof, _ := trace.ProfileByName("pathf")
 	sm := NewSM(0, 0, 10, trace.NewKernel(prof, 0, 1), core.MustNew(config.NewL1DConfig(config.L1SRAM)))

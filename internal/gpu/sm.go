@@ -125,10 +125,18 @@ func NewSM(id, warps int, instrPerWarp uint64, source trace.Source, l1d core.L1D
 		ready:      make([]uint64, words(2*warps)),
 		timed:      make([]uint64, words(warps)),
 	}
-	for i := range sm.warps {
-		sm.warps[i] = Warp{ID: i, Budget: instrPerWarp}
+	// Every warp starts ready, in its never-issued slot.
+	for i := range sm.order {
+		sm.order[i] = -1
 	}
-	sm.resetSchedule()
+	for i := range sm.warps {
+		sm.warps[i] = Warp{ID: i, Budget: instrPerWarp, slot: i}
+		sm.order[i] = int32(i)
+		setBit(sm.ready, i)
+	}
+	sm.tail = warps
+	sm.minWake = math.MaxInt64
+	sm.live = warps
 	return sm
 }
 
@@ -217,24 +225,6 @@ func (sm *SM) pickWarp(now int64) *Warp {
 	w := &sm.warps[sm.order[s]]
 	sm.greedyWarp = w.ID
 	return w
-}
-
-// resetSchedule puts every warp, ready, in its never-issued slot.
-func (sm *SM) resetSchedule() {
-	for i := range sm.order {
-		sm.order[i] = -1
-	}
-	clear(sm.ready)
-	clear(sm.timed)
-	for i := range sm.warps {
-		sm.order[i] = int32(i)
-		sm.warps[i].slot = i
-		setBit(sm.ready, i)
-	}
-	sm.tail = len(sm.warps)
-	sm.minWake = math.MaxInt64
-	sm.live = len(sm.warps)
-	sm.greedyWarp = 0
 }
 
 func setBit(set []uint64, i int)      { set[i>>6] |= 1 << (i & 63) }
@@ -542,18 +532,4 @@ func (sm *SM) DeliverFill(block uint64, now int64) int {
 		sm.idFree = append(sm.idFree, ids[:0])
 	}
 	return n
-}
-
-// Reset restores the SM to its initial state, keeping the kernel position.
-func (sm *SM) Reset() {
-	for i := range sm.warps {
-		sm.warps[i] = Warp{ID: i, Budget: sm.warps[i].Budget}
-		sm.pendingSet[i] = false
-	}
-	sm.resetSchedule()
-	sm.waiting.Clear()
-	sm.idFree = nil
-	sm.hold = 0
-	sm.stats = SMStats{}
-	sm.l1d.Reset()
 }

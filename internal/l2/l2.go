@@ -22,7 +22,6 @@ import (
 	"fuse/internal/cache"
 	"fuse/internal/dram"
 	"fuse/internal/mem"
-	"fuse/internal/stats"
 )
 
 // Config describes the shared L2 cache.
@@ -128,12 +127,12 @@ type bank struct {
 	// every change to the set that can end a read NACK of one of its
 	// blocks: an insert (the block may now be present), which also covers
 	// every MSHR release (a fill's entry is released as its block is
-	// inserted, freeing a slot or the block's merge list); an MSHR
-	// allocation (a block NACKed for a full file may now merge); and Reset.
-	// Merges need no bump: merge lists only grow until their release. A
-	// NACK is stamped with its block's set version; while that holds, a
-	// retry is NACKed again (see NackHolds). Versions start at 1, so the zero
-	// version matches no set.
+	// inserted, freeing a slot or the block's merge list); and an MSHR
+	// allocation (a block NACKed for a full file may now merge). Merges need
+	// no bump: merge lists only grow until their release. A NACK is stamped
+	// with its block's set version; while that holds, a retry is NACKed
+	// again (see NackHolds). Versions start at 1, so the zero version
+	// matches no set.
 	setVer []uint64
 }
 
@@ -156,13 +155,13 @@ type L2 struct {
 	entryPool []*fillEntry
 	retired   []*fillEntry
 
-	accesses   stats.Counter
-	hits       stats.Counter
-	misses     stats.Counter
-	wbToDRAM   stats.Counter
-	mergedFly  stats.Counter
-	mshrStalls stats.Counter
-	fillsDone  stats.Counter
+	accesses   uint64
+	hits       uint64
+	misses     uint64
+	wbToDRAM   uint64
+	mergedFly  uint64
+	mshrStalls uint64
+	fillsDone  uint64
 }
 
 // New builds an L2 cache backed by the given memory controller. The
@@ -308,7 +307,7 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 			inFlight, _ = b.mshr.Get(block)
 			fileFull := inFlight == nil && b.mshr.Len() >= l.cfg.PendingLimit
 			if fileFull || inFlight != nil && len(inFlight.waiters) >= l.cfg.MergeWidth {
-				l.mshrStalls.Inc()
+				l.mshrStalls++
 				set := b.store.SetIndex(block)
 				v := b.setVer[set] << 1
 				if fileFull {
@@ -329,7 +328,7 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 	ready := start + int64(l.cfg.LatencyCycles)
 	b.portAt = start + int64(l.cfg.PortOccupancy)
 
-	l.accesses.Inc()
+	l.accesses++
 	if write {
 		if _, hit = b.store.Touch(block, true); !hit {
 			inFlight, _ = b.mshr.Get(block)
@@ -337,15 +336,15 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 	}
 
 	if hit {
-		l.hits.Inc()
+		l.hits++
 		return Result{Outcome: OutcomeHit, Done: ready}
 	}
 
 	// A miss on a block that is already being fetched merges with the
 	// in-flight fill.
 	if e := inFlight; e != nil {
-		l.mergedFly.Inc()
-		l.hits.Inc() // counts as a hit for miss-rate purposes: no new DRAM access
+		l.mergedFly++
+		l.hits++ // counts as a hit for miss-rate purposes: no new DRAM access
 		if write {
 			// The full-block write overwrites the data in flight: the fill
 			// installs the line dirty and the store needs no response.
@@ -356,7 +355,7 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 		return Result{Outcome: OutcomeMerged}
 	}
 
-	l.misses.Inc()
+	l.misses++
 	if write {
 		// Write-back miss: allocate without fetching (full-block write).
 		l.insert(bankIdx, block, req.PC, now, true)
@@ -406,7 +405,7 @@ func (l *L2) NackHolds(bank, set int, v uint64) bool {
 // NackHolds), exactly as n rejected Accesses would.
 //
 //fuselint:noalloc
-func (l *L2) Renack(n uint64) { l.mshrStalls.Add(n) }
+func (l *L2) Renack(n uint64) { l.mshrStalls += n }
 
 // RetryAt picks the retry time of a request NACKed at cycle now: just after
 // the memory controller's next event (the earliest moment a fill can retire
@@ -430,7 +429,7 @@ func (l *L2) insert(bankIdx int, block, pc uint64, at int64, dirty bool) {
 	line.Dirty = dirty
 	b.setVer[b.store.SetIndex(block)]++
 	if evicted.Valid && evicted.Dirty {
-		l.wbToDRAM.Inc()
+		l.wbToDRAM++
 		if _, ok := l.dram.Submit(evicted.Block, true, at); !ok {
 			b.wbq = append(b.wbq, evicted.Block)
 			l.backlog[bankIdx>>6] |= 1 << (bankIdx & 63)
@@ -503,12 +502,11 @@ func (l *L2) Advance(now int64) []Fill {
 			}
 			bankIdx := l.BankFor(c.Addr)
 			b := l.banks[bankIdx]
-			e, ok := b.mshr.Delete(c.Addr) // the insert below moves the set's version
-			if !ok {
-				continue // a fill raced a Reset; nothing to deliver
-			}
+			// Every completed read is a fill this L2 allocated an entry for;
+			// the insert below moves the set's version.
+			e, _ := b.mshr.Delete(c.Addr)
 			l.insert(bankIdx, c.Addr, e.pc, c.Done, e.dirty)
-			l.fillsDone.Inc()
+			l.fillsDone++
 			fills = append(fills, Fill{Bank: bankIdx, Block: c.Addr, Done: c.Done, Waiters: e.waiters})
 			l.retired = append(l.retired, e)
 		}
@@ -522,35 +520,35 @@ func (l *L2) Advance(now int64) []Fill {
 
 // Accesses returns the number of requests handled (blocked retries count
 // once, when they finally succeed).
-func (l *L2) Accesses() uint64 { return l.accesses.Value() }
+func (l *L2) Accesses() uint64 { return l.accesses }
 
 // Hits returns the number of L2 hits (including merges with in-flight fills).
-func (l *L2) Hits() uint64 { return l.hits.Value() }
+func (l *L2) Hits() uint64 { return l.hits }
 
 // Misses returns the number of L2 misses that went to DRAM.
-func (l *L2) Misses() uint64 { return l.misses.Value() }
+func (l *L2) Misses() uint64 { return l.misses }
 
 // MissRate returns misses / accesses.
 func (l *L2) MissRate() float64 {
-	if l.accesses.Value() == 0 {
+	if l.accesses == 0 {
 		return 0
 	}
-	return float64(l.misses.Value()) / float64(l.accesses.Value())
+	return float64(l.misses) / float64(l.accesses)
 }
 
 // WritebacksToDRAM returns the number of dirty L2 victims written to DRAM.
-func (l *L2) WritebacksToDRAM() uint64 { return l.wbToDRAM.Value() }
+func (l *L2) WritebacksToDRAM() uint64 { return l.wbToDRAM }
 
 // MergedInFlight returns the number of requests that merged into an
 // in-flight fill instead of going to DRAM.
-func (l *L2) MergedInFlight() uint64 { return l.mergedFly.Value() }
+func (l *L2) MergedInFlight() uint64 { return l.mergedFly }
 
 // MSHRStalls returns the number of accesses rejected because a bank's MSHR
 // file or an entry's merge list was full.
-func (l *L2) MSHRStalls() uint64 { return l.mshrStalls.Value() }
+func (l *L2) MSHRStalls() uint64 { return l.mshrStalls }
 
 // FillsCompleted returns the number of DRAM fills delivered.
-func (l *L2) FillsCompleted() uint64 { return l.fillsDone.Value() }
+func (l *L2) FillsCompleted() uint64 { return l.fillsDone }
 
 // PendingFills returns the number of outstanding MSHR entries across banks.
 func (l *L2) PendingFills() int {
@@ -563,31 +561,6 @@ func (l *L2) PendingFills() int {
 
 // DRAM exposes the backing memory controller.
 func (l *L2) DRAM() *dram.DRAM { return l.dram }
-
-// Reset clears every bank and statistic (the DRAM model is reset separately).
-func (l *L2) Reset() {
-	for _, b := range l.banks {
-		b.store.Reset()
-		b.portAt = 0
-		b.mshr.Clear()
-		b.held = nil
-		b.wbq = nil
-		for s := range b.setVer {
-			b.setVer[s]++
-		}
-	}
-	clear(l.backlog)
-	l.fillBuf = nil
-	l.entryPool = nil
-	l.retired = nil
-	l.accesses.Reset()
-	l.hits.Reset()
-	l.misses.Reset()
-	l.wbToDRAM.Reset()
-	l.mergedFly.Reset()
-	l.mshrStalls.Reset()
-	l.fillsDone.Reset()
-}
 
 // String describes the configuration.
 func (l *L2) String() string {

@@ -332,22 +332,6 @@ func TestDirtyEvictionWritesBackToDRAM(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	l := newL2()
-	l.Access(read(0x1000), 0)
-	l.Access(write(0x2000), 10)
-	l.Reset()
-	if l.Accesses() != 0 || l.Hits() != 0 || l.Misses() != 0 || l.MissRate() != 0 {
-		t.Errorf("Reset should clear statistics")
-	}
-	if l.PendingFills() != 0 {
-		t.Errorf("Reset should clear MSHRs")
-	}
-	if res := l.Access(read(0x1000), 0); res.Outcome == OutcomeHit {
-		t.Errorf("cache should be cold after Reset")
-	}
-}
-
 func TestConfigClamping(t *testing.T) {
 	l := New(Config{Banks: -1, TotalKB: 0, Ways: 0, LatencyCycles: 0, PendingLimit: 0}, dram.New(dram.Config{}))
 	cfg := l.Config()

@@ -62,13 +62,6 @@ func runRenackTwins(t *testing.T, seed uint64, steps int) (renacked [2]int, fres
 		}
 	}
 	for step := 0; step < steps; step++ {
-		if rng.IntN(2000) == 0 {
-			// A reset leaves the pending NACKs stale: the next retry of
-			// each must find an empty bank, not its old verdict.
-			a.Reset()
-			b.Reset()
-			continue
-		}
 		switch op := rng.IntN(40); {
 		case op < 10:
 			present(mem.Request{Addr: block(), Kind: mem.Read, Size: mem.BlockSize, ID: uint64(step)})

@@ -149,11 +149,3 @@ func (t *BlockTable[V]) Delete(key uint64) (V, bool) {
 	t.n--
 	return val, true
 }
-
-// Clear removes every entry, keeping the slot array.
-func (t *BlockTable[V]) Clear() {
-	for i := range t.slots {
-		t.slots[i] = blockSlot[V]{key: emptyKey}
-	}
-	t.n = 0
-}

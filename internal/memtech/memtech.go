@@ -253,10 +253,3 @@ func (b *Bank) LeakageEnergy(cycles int64, clockMHz float64) float64 {
 	// mW * s = mJ; convert to nJ.
 	return b.Params.LeakagePower * seconds * 1e6
 }
-
-// Reset clears the bank's occupancy and access counters.
-func (b *Bank) Reset() {
-	b.busyUntil = 0
-	b.reads = 0
-	b.writes = 0
-}

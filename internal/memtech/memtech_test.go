@@ -143,10 +143,6 @@ func TestBankEnergyAccounting(t *testing.T) {
 	if b.LeakageEnergy(100, 0) != 0 {
 		t.Errorf("zero clock should give zero leakage")
 	}
-	b.Reset()
-	if b.Reads() != 0 || b.Writes() != 0 || b.BusyUntil() != 0 {
-		t.Errorf("Reset did not clear bank state")
-	}
 }
 
 func TestBankMonotonicCompletion(t *testing.T) {

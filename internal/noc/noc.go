@@ -6,11 +6,7 @@
 // off-chip references so expensive (Figure 1).
 package noc
 
-import (
-	"fmt"
-
-	"fuse/internal/stats"
-)
+import "fmt"
 
 // Direction selects the request (SM -> L2) or response (L2 -> SM) subnetwork.
 // The two directions have independent links, as in a real GPU NoC where
@@ -81,10 +77,10 @@ type Network struct {
 	// allocation there dominates the network's own arithmetic.
 	pathBuf []int
 
-	reqPackets  stats.Counter
-	respPackets stats.Counter
-	totalLat    stats.Counter
-	bytesMoved  stats.Counter
+	reqPackets  uint64
+	respPackets uint64
+	totalLat    uint64
+	bytesMoved  uint64
 }
 
 // New builds a network from the configuration (zero-value fields take the
@@ -211,22 +207,22 @@ func (n *Network) send(dir Direction, src, dst, bytes int, now int64) int64 {
 		l.busyCyc += uint64(ser)
 		t = depart + int64(n.cfg.HopLatency)
 	}
-	n.bytesMoved.Add(uint64(bytes))
-	n.totalLat.Add(uint64(t - now))
+	n.bytesMoved += uint64(bytes)
+	n.totalLat += uint64(t - now)
 	return t
 }
 
 // SendRequest injects a request packet from SM `sm` toward L2 bank `bank` at
 // cycle `now` and returns the cycle at which it arrives at the bank.
 func (n *Network) SendRequest(sm, bank, bytes int, now int64) int64 {
-	n.reqPackets.Inc()
+	n.reqPackets++
 	return n.send(RequestNet, sm%n.cfg.SMNodes, bank%n.cfg.MemNodes, bytes, now)
 }
 
 // SendResponse injects a response packet from L2 bank `bank` toward SM `sm`
 // at cycle `now` and returns the cycle at which it arrives at the SM.
 func (n *Network) SendResponse(bank, sm, bytes int, now int64) int64 {
-	n.respPackets.Inc()
+	n.respPackets++
 	return n.send(ResponseNet, bank%n.cfg.MemNodes, sm%n.cfg.SMNodes, bytes, now)
 }
 
@@ -238,19 +234,19 @@ func (n *Network) ZeroLoadLatency(bytes int) int64 {
 
 // Packets returns the number of request and response packets carried.
 func (n *Network) Packets() (requests, responses uint64) {
-	return n.reqPackets.Value(), n.respPackets.Value()
+	return n.reqPackets, n.respPackets
 }
 
 // BytesMoved returns the total payload bytes carried.
-func (n *Network) BytesMoved() uint64 { return n.bytesMoved.Value() }
+func (n *Network) BytesMoved() uint64 { return n.bytesMoved }
 
 // AverageLatency returns the mean end-to-end packet latency in cycles.
 func (n *Network) AverageLatency() float64 {
-	total := n.reqPackets.Value() + n.respPackets.Value()
+	total := n.reqPackets + n.respPackets
 	if total == 0 {
 		return 0
 	}
-	return float64(n.totalLat.Value()) / float64(total)
+	return float64(n.totalLat) / float64(total)
 }
 
 // LinkUtilisation returns the mean busy fraction, up to the given cycle, of
@@ -273,21 +269,6 @@ func (n *Network) LinkUtilisation(now int64) float64 {
 		return 0
 	}
 	return float64(busy) / float64(count) / float64(now)
-}
-
-// Reset clears link reservations and statistics.
-func (n *Network) Reset() {
-	for d := 0; d < 2; d++ {
-		for s := range n.links[d] {
-			for i := range n.links[d][s] {
-				n.links[d][s][i] = link{}
-			}
-		}
-	}
-	n.reqPackets.Reset()
-	n.respPackets.Reset()
-	n.totalLat.Reset()
-	n.bytesMoved.Reset()
 }
 
 // String describes the topology.

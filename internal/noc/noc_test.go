@@ -125,24 +125,6 @@ func TestMonotonicLinkReservation(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	n := New(Config{})
-	n.SendRequest(0, 0, 128, 0)
-	n.SendResponse(0, 0, 128, 0)
-	n.Reset()
-	req, resp := n.Packets()
-	if req != 0 || resp != 0 || n.BytesMoved() != 0 || n.AverageLatency() != 0 {
-		t.Errorf("Reset should clear statistics")
-	}
-	if n.LinkUtilisation(100) != 0 {
-		t.Errorf("Reset should clear link occupancy")
-	}
-	// After reset the network behaves as if idle.
-	if got := n.SendRequest(0, 0, 32, 0); got > n.ZeroLoadLatency(32) {
-		t.Errorf("post-reset send should see an idle network")
-	}
-}
-
 func TestConfigClamping(t *testing.T) {
 	n := New(Config{SMNodes: -1, MemNodes: 0, Radix: 0, HopLatency: -5, FlitBytes: 0})
 	cfg := n.Config()

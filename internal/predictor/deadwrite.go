@@ -1,9 +1,6 @@
 package predictor
 
-import (
-	"fuse/internal/mem"
-	"fuse/internal/stats"
-)
+import "fuse/internal/mem"
 
 // DeadWritePredictor is a DASCA-style dead-write predictor used by the By-NVM
 // baseline: it predicts whether a block about to be written into the
@@ -22,8 +19,8 @@ type DeadWritePredictor struct {
 	threshold int
 	max       int
 
-	predictions stats.Counter
-	bypassed    stats.Counter
+	predictions uint64
+	bypassed    uint64
 }
 
 // NewDeadWritePredictor builds a dead-write predictor. The zero Config takes
@@ -49,10 +46,10 @@ func NewDeadWritePredictor(cfg Config) *DeadWritePredictor {
 // PredictDead reports whether the block about to be allocated by the
 // instruction at pc is predicted to be a dead write (never re-referenced).
 func (p *DeadWritePredictor) PredictDead(pc uint64) bool {
-	p.predictions.Inc()
+	p.predictions++
 	dead := p.history[Signature(pc, len(p.history))] >= p.threshold
 	if dead {
-		p.bypassed.Inc()
+		p.bypassed++
 	}
 	return dead
 }
@@ -128,30 +125,16 @@ func (p *DeadWritePredictor) lruVictim(set int) int {
 }
 
 // Predictions returns the number of PredictDead calls.
-func (p *DeadWritePredictor) Predictions() uint64 { return p.predictions.Value() }
+func (p *DeadWritePredictor) Predictions() uint64 { return p.predictions }
 
 // Bypasses returns how many predictions were "dead" (and therefore bypassed).
-func (p *DeadWritePredictor) Bypasses() uint64 { return p.bypassed.Value() }
+func (p *DeadWritePredictor) Bypasses() uint64 { return p.bypassed }
 
 // BypassRatio returns bypasses / predictions, the quantity reported in the
 // paper's Table II.
 func (p *DeadWritePredictor) BypassRatio() float64 {
-	if p.predictions.Value() == 0 {
+	if p.predictions == 0 {
 		return 0
 	}
-	return float64(p.bypassed.Value()) / float64(p.predictions.Value())
-}
-
-// Reset restores the predictor to its initial state.
-func (p *DeadWritePredictor) Reset() {
-	for s := range p.sampler {
-		for w := range p.sampler[s] {
-			p.sampler[s][w] = samplerEntry{}
-		}
-	}
-	for i := range p.history {
-		p.history[i] = p.threshold / 2
-	}
-	p.predictions.Reset()
-	p.bypassed.Reset()
+	return float64(p.bypassed) / float64(p.predictions)
 }

@@ -4,10 +4,7 @@
 // dead-write predictor used by the By-NVM baseline.
 package predictor
 
-import (
-	"fuse/internal/mem"
-	"fuse/internal/stats"
-)
+import "fuse/internal/mem"
 
 // Signature computes the partial-PC index ("Signature" in the paper) used by
 // the prediction history table. The paper stores 9 bits per sampler entry but
@@ -113,10 +110,10 @@ type ReadLevelPredictor struct {
 	sampler [][]samplerEntry
 	history []historyEntry
 
-	predictions stats.Counter
-	sampleHits  stats.Counter
-	evictions   stats.Counter
-	unusedEvict stats.Counter
+	predictions uint64
+	sampleHits  uint64
+	evictions   uint64
+	unusedEvict uint64
 }
 
 // NewReadLevelPredictor builds a predictor with the given configuration
@@ -163,7 +160,7 @@ func (p *ReadLevelPredictor) warpSampled(warp int) (int, bool) {
 //	counter <= 1 and status == 'W'       -> WM
 //	otherwise                            -> neutral, treated as read-intensive
 func (p *ReadLevelPredictor) Predict(pc uint64) mem.ReadLevel {
-	p.predictions.Inc()
+	p.predictions++
 	h := p.history[Signature(pc, len(p.history))]
 	switch {
 	case h.counter >= p.cfg.UnusedThreshold:
@@ -181,7 +178,7 @@ func (p *ReadLevelPredictor) Predict(pc uint64) mem.ReadLevel {
 // already has (the history table is unchanged between them).
 //
 //fuselint:noalloc
-func (p *ReadLevelPredictor) RepeatPredictions(n uint64) { p.predictions.Add(n) }
+func (p *ReadLevelPredictor) RepeatPredictions(n uint64) { p.predictions += n }
 
 // Neutral reports whether the prediction for pc is the neutral
 // (read-intensive) middle band rather than a confident WM/WORM/WORO call.
@@ -209,7 +206,7 @@ func (p *ReadLevelPredictor) Observe(req mem.Request) {
 	for w := range ways {
 		e := &ways[w]
 		if e.valid && e.tag == tag {
-			p.sampleHits.Inc()
+			p.sampleHits++
 			h := &p.history[e.signature]
 			if h.counter > 0 {
 				h.counter--
@@ -236,9 +233,9 @@ func (p *ReadLevelPredictor) Observe(req mem.Request) {
 	victim := p.lruVictim(set)
 	e := &ways[victim]
 	if e.valid {
-		p.evictions.Inc()
+		p.evictions++
 		if !e.used {
-			p.unusedEvict.Inc()
+			p.unusedEvict++
 			h := &p.history[e.signature]
 			if h.counter < p.cfg.CounterMax {
 				h.counter++
@@ -290,33 +287,17 @@ func (p *ReadLevelPredictor) CounterOf(pc uint64) int {
 }
 
 // Predictions returns the number of Predict calls.
-func (p *ReadLevelPredictor) Predictions() uint64 { return p.predictions.Value() }
+func (p *ReadLevelPredictor) Predictions() uint64 { return p.predictions }
 
 // SamplerHits returns the number of sampler hits observed.
-func (p *ReadLevelPredictor) SamplerHits() uint64 { return p.sampleHits.Value() }
+func (p *ReadLevelPredictor) SamplerHits() uint64 { return p.sampleHits }
 
 // SamplerEvictions returns the number of sampler evictions.
-func (p *ReadLevelPredictor) SamplerEvictions() uint64 { return p.evictions.Value() }
+func (p *ReadLevelPredictor) SamplerEvictions() uint64 { return p.evictions }
 
 // UnusedEvictions returns the number of sampler evictions whose entry was
 // never reused (the signal that increments history counters).
-func (p *ReadLevelPredictor) UnusedEvictions() uint64 { return p.unusedEvict.Value() }
-
-// Reset restores the predictor to its initial state.
-func (p *ReadLevelPredictor) Reset() {
-	for s := range p.sampler {
-		for w := range p.sampler[s] {
-			p.sampler[s][w] = samplerEntry{}
-		}
-	}
-	for i := range p.history {
-		p.history[i] = historyEntry{counter: p.cfg.InitialCounter}
-	}
-	p.predictions.Reset()
-	p.sampleHits.Reset()
-	p.evictions.Reset()
-	p.unusedEvict.Reset()
-}
+func (p *ReadLevelPredictor) UnusedEvictions() uint64 { return p.unusedEvict }
 
 // Outcome classifies a finished prediction for the Figure 16 accuracy
 // accounting.
@@ -372,26 +353,26 @@ func Judge(predicted mem.ReadLevel, neutral bool, writes uint64) Outcome {
 
 // AccuracyTracker accumulates Judge outcomes for Figure 16.
 type AccuracyTracker struct {
-	True    stats.Counter
-	False   stats.Counter
-	Neutral stats.Counter
+	True    uint64
+	False   uint64
+	Neutral uint64
 }
 
 // Record adds one outcome.
 func (a *AccuracyTracker) Record(o Outcome) {
 	switch o {
 	case OutcomeTrue:
-		a.True.Inc()
+		a.True++
 	case OutcomeFalse:
-		a.False.Inc()
+		a.False++
 	default:
-		a.Neutral.Inc()
+		a.Neutral++
 	}
 }
 
 // Total returns the number of outcomes recorded.
 func (a *AccuracyTracker) Total() uint64 {
-	return a.True.Value() + a.False.Value() + a.Neutral.Value()
+	return a.True + a.False + a.Neutral
 }
 
 // Fractions returns the (true, neutral, false) fractions; zeros if empty.
@@ -400,7 +381,7 @@ func (a *AccuracyTracker) Fractions() (trueFrac, neutralFrac, falseFrac float64)
 	if total == 0 {
 		return 0, 0, 0
 	}
-	return float64(a.True.Value()) / float64(total),
-		float64(a.Neutral.Value()) / float64(total),
-		float64(a.False.Value()) / float64(total)
+	return float64(a.True) / float64(total),
+		float64(a.Neutral) / float64(total),
+		float64(a.False) / float64(total)
 }

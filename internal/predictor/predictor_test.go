@@ -143,24 +143,6 @@ func TestMultipleSampledWarpsUseDifferentSets(t *testing.T) {
 	}
 }
 
-func TestPredictorReset(t *testing.T) {
-	p := NewReadLevelPredictor(Config{})
-	for i := 0; i < 100; i++ {
-		p.Observe(rlReq(i, 0xF00, mem.Read, sampledWarp))
-	}
-	p.Predict(0xF00)
-	p.Reset()
-	if p.Predictions() != 0 || p.SamplerHits() != 0 || p.SamplerEvictions() != 0 {
-		t.Errorf("Reset should clear statistics")
-	}
-	if p.CounterOf(0xF00) != p.Config().InitialCounter {
-		t.Errorf("Reset should restore initial counters")
-	}
-	if got := p.Predict(0xF00); got != mem.ReadIntensive {
-		t.Errorf("post-reset prediction should be neutral, got %v", got)
-	}
-}
-
 func TestJudge(t *testing.T) {
 	cases := []struct {
 		level   mem.ReadLevel
@@ -249,23 +231,5 @@ func TestDeadWritePredictorIgnoresNonSampledWarps(t *testing.T) {
 	// The history should still be at its initial (alive) value.
 	if p.PredictDead(0x1500) {
 		t.Errorf("unsampled traffic should not train the predictor")
-	}
-}
-
-func TestDeadWritePredictorReset(t *testing.T) {
-	p := NewDeadWritePredictor(Config{})
-	for i := 0; i < 200; i++ {
-		p.Observe(rlReq(100+i, 0x1600, mem.Write, sampledWarp))
-	}
-	p.PredictDead(0x1600)
-	p.Reset()
-	if p.Predictions() != 0 || p.Bypasses() != 0 {
-		t.Errorf("Reset should clear statistics")
-	}
-	if p.PredictDead(0x1600) {
-		t.Errorf("Reset should restore the initial alive state")
-	}
-	if p.BypassRatio() != 0 {
-		t.Errorf("bypass ratio after reset+alive prediction should be 0")
 	}
 }

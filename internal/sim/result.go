@@ -120,9 +120,9 @@ func (s *Simulator) collect() Result {
 		r.L1D.TagQueueFlushes += ls.TagQueueFlushes
 		r.L1D.OutgoingRequests += ls.OutgoingRequests
 
-		acc.True.Add(ls.Accuracy.True.Value())
-		acc.False.Add(ls.Accuracy.False.Value())
-		acc.Neutral.Add(ls.Accuracy.Neutral.Value())
+		acc.True += ls.Accuracy.True
+		acc.False += ls.Accuracy.False
+		acc.Neutral += ls.Accuracy.Neutral
 	}
 	r.L1D.Accuracy = acc
 	r.L1DMissRate = r.L1D.MissRate()

@@ -364,11 +364,6 @@ type retrySlab struct {
 	openTail int32
 }
 
-func (r *retrySlab) reset() {
-	r.members = r.members[:0]
-	r.freeHead, r.openTail = -1, -1
-}
-
 // add stores a member and returns its slot.
 func (r *retrySlab) add(req mem.Request, sm, bank int, nack l2.Result) int32 {
 	i := r.freeHead
@@ -514,7 +509,7 @@ func New(gpuCfg config.GPUConfig, workload trace.Workload, opts Options) (*Simul
 		s.sms[i] = gpu.NewSM(i, gpuCfg.WarpsPerSM, opts.InstructionsPerWarp, source, l1d)
 	}
 	s.memTickAt = -1
-	s.retries.reset()
+	s.retries.freeHead, s.retries.openTail = -1, -1 // no free slot, no open batch
 	s.wake.init(smCount)
 	for i := range s.sms {
 		s.wake.update(i, 0) // every SM starts with ready warps at cycle 0

@@ -1,139 +1,14 @@
-// Package stats provides small, allocation-light statistics primitives used
-// across the simulator: named counters, rates, distributions and the
-// geometric-mean helpers the paper uses to aggregate per-benchmark results.
+// Package stats provides small statistics helpers: the geometric and
+// arithmetic means the paper uses to aggregate per-benchmark results, a
+// fixed-bucket histogram and the text table the experiment harness prints.
 package stats
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
 )
-
-// Counter is a simple monotonically increasing event counter.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset sets the counter back to zero.
-func (c *Counter) Reset() { c.n = 0 }
-
-// MarshalJSON implements json.Marshaler: a counter serialises as its bare
-// value, so results carrying counters survive the store's JSON round-trip.
-func (c Counter) MarshalJSON() ([]byte, error) { return json.Marshal(c.n) }
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (c *Counter) UnmarshalJSON(b []byte) error { return json.Unmarshal(b, &c.n) }
-
-// Ratio returns c / other as a float, or 0 if other is zero.
-func (c *Counter) Ratio(other *Counter) float64 {
-	if other.n == 0 {
-		return 0
-	}
-	return float64(c.n) / float64(other.n)
-}
-
-// Rate tracks hits out of a number of trials (e.g. cache hits vs. accesses,
-// predictor correct vs. predictions).
-type Rate struct {
-	Hits   uint64
-	Trials uint64
-}
-
-// Observe records one trial with the given outcome.
-func (r *Rate) Observe(hit bool) {
-	r.Trials++
-	if hit {
-		r.Hits++
-	}
-}
-
-// AddHits records n successful trials.
-func (r *Rate) AddHits(n uint64) { r.Hits += n; r.Trials += n }
-
-// AddMisses records n unsuccessful trials.
-func (r *Rate) AddMisses(n uint64) { r.Trials += n }
-
-// Value returns hits/trials, or 0 when no trials were observed.
-func (r *Rate) Value() float64 {
-	if r.Trials == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(r.Trials)
-}
-
-// Miss returns 1 - Value() when trials were observed, else 0.
-func (r *Rate) Miss() float64 {
-	if r.Trials == 0 {
-		return 0
-	}
-	return 1 - r.Value()
-}
-
-// Distribution accumulates scalar samples and reports summary statistics.
-type Distribution struct {
-	count uint64
-	sum   float64
-	sumSq float64
-	min   float64
-	max   float64
-}
-
-// Observe adds one sample.
-func (d *Distribution) Observe(v float64) {
-	if d.count == 0 || v < d.min {
-		d.min = v
-	}
-	if d.count == 0 || v > d.max {
-		d.max = v
-	}
-	d.count++
-	d.sum += v
-	d.sumSq += v * v
-}
-
-// Count returns the number of samples observed.
-func (d *Distribution) Count() uint64 { return d.count }
-
-// Sum returns the total of all samples.
-func (d *Distribution) Sum() float64 { return d.sum }
-
-// Mean returns the arithmetic mean of the samples (0 if empty).
-func (d *Distribution) Mean() float64 {
-	if d.count == 0 {
-		return 0
-	}
-	return d.sum / float64(d.count)
-}
-
-// Min returns the smallest observed sample (0 if empty).
-func (d *Distribution) Min() float64 { return d.min }
-
-// Max returns the largest observed sample (0 if empty).
-func (d *Distribution) Max() float64 { return d.max }
-
-// StdDev returns the population standard deviation of the samples.
-func (d *Distribution) StdDev() float64 {
-	if d.count == 0 {
-		return 0
-	}
-	m := d.Mean()
-	v := d.sumSq/float64(d.count) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
 
 // GeoMean returns the geometric mean of the values, ignoring non-positive
 // entries (matching how the paper reports "GMEANS" across benchmarks).

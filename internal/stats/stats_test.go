@@ -7,80 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Value() != 0 {
-		t.Fatalf("new counter not zero: %d", c.Value())
-	}
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("Value() = %d, want 5", c.Value())
-	}
-	var d Counter
-	d.Add(10)
-	if got := c.Ratio(&d); got != 0.5 {
-		t.Errorf("Ratio = %v, want 0.5", got)
-	}
-	var zero Counter
-	if got := c.Ratio(&zero); got != 0 {
-		t.Errorf("Ratio vs zero = %v, want 0", got)
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Errorf("Reset did not zero counter")
-	}
-}
-
-func TestRate(t *testing.T) {
-	var r Rate
-	if r.Value() != 0 || r.Miss() != 0 {
-		t.Fatalf("empty rate should be 0")
-	}
-	r.Observe(true)
-	r.Observe(true)
-	r.Observe(false)
-	r.Observe(false)
-	if got := r.Value(); got != 0.5 {
-		t.Errorf("Value() = %v, want 0.5", got)
-	}
-	if got := r.Miss(); got != 0.5 {
-		t.Errorf("Miss() = %v, want 0.5", got)
-	}
-	r.AddHits(2)
-	r.AddMisses(2)
-	if r.Trials != 8 || r.Hits != 4 {
-		t.Errorf("after AddHits/AddMisses got %d/%d, want 4/8", r.Hits, r.Trials)
-	}
-}
-
-func TestDistribution(t *testing.T) {
-	var d Distribution
-	for _, v := range []float64{1, 2, 3, 4} {
-		d.Observe(v)
-	}
-	if d.Count() != 4 {
-		t.Errorf("Count = %d", d.Count())
-	}
-	if d.Mean() != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", d.Mean())
-	}
-	if d.Min() != 1 || d.Max() != 4 {
-		t.Errorf("Min/Max = %v/%v, want 1/4", d.Min(), d.Max())
-	}
-	if d.Sum() != 10 {
-		t.Errorf("Sum = %v, want 10", d.Sum())
-	}
-	wantStd := math.Sqrt(1.25)
-	if math.Abs(d.StdDev()-wantStd) > 1e-9 {
-		t.Errorf("StdDev = %v, want %v", d.StdDev(), wantStd)
-	}
-	var empty Distribution
-	if empty.Mean() != 0 || empty.StdDev() != 0 {
-		t.Errorf("empty distribution should report zeros")
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-9 {
 		t.Errorf("GeoMean(2,8) = %v, want 4", got)

@@ -24,10 +24,11 @@ import (
 // sampleResult builds a result with every field populated, including the
 // nested accuracy counters, so round-trip defects cannot hide in zero values.
 func sampleResult(rng *rand.Rand) sim.Result {
-	var acc predictor.AccuracyTracker
-	acc.True.Add(rng.Uint64() % 1e6)
-	acc.False.Add(rng.Uint64() % 1e6)
-	acc.Neutral.Add(rng.Uint64() % 1e6)
+	acc := predictor.AccuracyTracker{
+		True:    rng.Uint64() % 1e6,
+		False:   rng.Uint64() % 1e6,
+		Neutral: rng.Uint64() % 1e6,
+	}
 	return sim.Result{
 		GPUName:      "Fermi-like",
 		L1DKind:      config.DyFUSE,
