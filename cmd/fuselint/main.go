@@ -1,7 +1,7 @@
 // Command fuselint runs the repository's static-analysis suite — detmap,
-// keydrift, hotalloc, ctxflow and lockorder (see internal/analysis) — over
-// the packages matching the given patterns and exits non-zero when any
-// invariant is violated. CI runs it as a hard gate:
+// ctxflow and lockorder (see internal/analysis) — over the packages matching
+// the given patterns and exits non-zero when any invariant is violated. CI
+// runs it as a hard gate:
 //
 //	go run ./cmd/fuselint ./...
 //
@@ -10,9 +10,8 @@
 // or type-check, an unknown analyzer name, a broken pass). With -json the
 // findings are printed as a JSON array instead of file:line:col lines.
 //
-// The directives the analyzers understand (//fuselint:ordered, noalloc,
-// execonly, keyroot, noctx, blocking) are documented in the README under
-// "Invariants & annotations".
+// The directives the analyzers understand (//fuselint:ordered, noctx,
+// blocking) are documented in the README under "Invariants & annotations".
 package main
 
 import (
@@ -51,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fuselint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	allowlist := fs.String("noalloc-allowlist", "", "override the hotalloc allowlist path")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	asJSON := fs.Bool("json", false, "print the findings as a JSON array")
 	fs.Usage = func() {
@@ -85,10 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			analyzers = append(analyzers, a)
 		}
 	}
-	if *allowlist != "" {
-		analysis.HotallocAllowlist = *allowlist
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

@@ -1,18 +1,12 @@
 // Package analysis is fuselint's static-analysis suite: a small, dependency-
 // free framework in the spirit of golang.org/x/tools/go/analysis (which is
 // intentionally not imported — the module has no third-party dependencies)
-// plus the five analyzers that pin this repository's load-bearing
-// invariants at compile time:
+// plus the three analyzers that pin this repository's determinism and
+// serving-layer discipline at compile time:
 //
 //   - detmap — determinism: no map-ordered iteration, wall clocks, global
 //     randomness or environment reads on any path that can reach simulation
 //     output (see detmap.go);
-//   - keydrift — store-key completeness: every field of the structs that feed
-//     the content-addressed result-store key is either serialised into the
-//     key or explicitly annotated execution-only (see keydrift.go);
-//   - hotalloc — allocation budget: functions annotated //fuselint:noalloc
-//     are checked against the compiler's escape analysis, with a golden
-//     allowlist for the few deliberate allocations (see hotalloc.go);
 //   - ctxflow — cancellation discipline in the serving layer: contexts are
 //     threaded to <Name>Context siblings, no bare sleeps, channel operations
 //     guarded by ctx.Done() selects, handlers derive from r.Context() (see
@@ -20,6 +14,10 @@
 //   - lockorder — mutex discipline in the serving layer: unlock pairing, no
 //     blocking work under a held lock, one global acquisition order (see
 //     lockorder.go).
+//
+// Store-key completeness and the simulator's allocation budget are held by
+// tests, not analyzers: TestKeyDeterministicAndSensitive (internal/store)
+// and TestResultDigestsPinned (internal/sim).
 //
 // The analyzers are annotation-driven. The directives (all of the form
 // "//fuselint:<name> [args]") are documented in the repository README under
@@ -39,15 +37,11 @@ import (
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
-	// ModuleDir is the main module's directory (the directory `go build`
-	// runs in for the escape-analysis pass).
-	ModuleDir string
 	// State carries per-analyzer facts from the per-package Run passes to
 	// the program-wide Finish pass, keyed by analyzer name.
 	State map[string]any
 
 	byPath map[string]*Package
-	deps   map[string]*Package // main-module dependencies: parsed only, never analysed
 }
 
 // Package is one parsed and type-checked (non-test) package.
@@ -67,20 +61,9 @@ func (p *Program) Lookup(path string) (*Package, bool) {
 	return pkg, ok
 }
 
-// declSyntax returns the parsed source of a loaded package or of a
-// main-module dependency (which has Files but no type information), for
-// directive lookup.
-func (p *Program) declSyntax(path string) (*Package, bool) {
-	pkg, ok := p.byPath[path]
-	if !ok {
-		pkg, ok = p.deps[path]
-	}
-	return pkg, ok
-}
-
 // Analyzer is one fuselint check. Run is invoked once per loaded package;
 // Finish, when non-nil, once per program after every Run (cross-package and
-// out-of-band checks — e.g. hotalloc's compiler pass — live there).
+// program-wide checks — e.g. lockorder's acquisition order — live there).
 type Analyzer struct {
 	Name   string
 	Doc    string
@@ -161,5 +144,5 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full fuselint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detmap, Keydrift, Hotalloc, Ctxflow, Lockorder}
+	return []*Analyzer{Detmap, Ctxflow, Lockorder}
 }

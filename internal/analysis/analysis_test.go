@@ -133,27 +133,15 @@ func sameFile(a, b string) bool {
 	return err1 == nil && err2 == nil && ra == rb
 }
 
-func TestDetmapFixture(t *testing.T)   { runFixture(t, "detmap", "detmapfix") }
-func TestKeydriftFixture(t *testing.T) { runFixture(t, "keydrift", "keydriftfix") }
-
-func TestHotallocFixture(t *testing.T) {
-	allowlist, err := filepath.Abs(filepath.Join("testdata", "src", "hotallocfix", "allowlist.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := HotallocAllowlist
-	HotallocAllowlist = allowlist
-	defer func() { HotallocAllowlist = old }()
-	runFixture(t, "hotalloc", "hotallocfix")
-}
-
+func TestDetmapFixture(t *testing.T)    { runFixture(t, "detmap", "detmapfix") }
 func TestCtxflowFixture(t *testing.T)   { runFixture(t, "ctxflow", "ctxflowfix") }
 func TestLockorderFixture(t *testing.T) { runFixture(t, "lockorder", "lockorderfix") }
 
 // TestRepoIsClean runs the full suite over the real tree — the same gate CI
 // enforces with `go run ./cmd/fuselint ./...`. Any regression against the
-// repo's invariants (a new map-ordered loop, an unkeyed config field, a hot-
-// path allocation, a lock held across blocking work) fails this test.
+// repo's invariants (a new map-ordered loop, a wall-clock read in the
+// simulation core, an uncancellable wait or a lock held across blocking work
+// in the serving layer) fails this test.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -174,37 +162,16 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestPackageSubsetIsClean: a pattern that leaves out the packages declaring
-// the key annotations still sees them. Loaded alone, internal/engine must not
-// report Job.GPU as unkeyed: its type's //fuselint:keyroot lives in
-// internal/config, which is then only a dependency.
-func TestPackageSubsetIsClean(t *testing.T) {
-	prog, err := Load("../..", "./internal/engine")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := prog.Lookup("fuse/internal/config"); ok {
-		t.Fatalf("internal/config was loaded for analysis; the test needs it as a dependency only")
-	}
-	diags, err := Run(prog, All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("%s", d)
-	}
-}
-
 // scopexfix is the directive-scoping fixture: lib declares one trailing
-// execonly directive, the root package none.
+// noctx directive, the root package none.
 const (
 	scopeRoot = "fuse/internal/analysis/testdata/src/scopexfix"
 	scopeLib  = scopeRoot + "/lib"
 )
 
 // TestDirectiveScoping pins the trailing-vs-standalone attribution rule: a
-// trailing directive governs only its own line, never the next one (lib.Job's
-// Seed field must not inherit the execonly on Workers).
+// trailing directive governs only its own line, never the next one (the loop
+// body in lib.Drain must not inherit the noctx on its loop header).
 func TestDirectiveScoping(t *testing.T) {
 	prog, _ := loadFixture(t, "scopexfix")
 	pkg, ok := prog.Lookup(scopeLib)
@@ -214,43 +181,44 @@ func TestDirectiveScoping(t *testing.T) {
 	f := pkg.Files[0]
 	var trailing []Directive
 	for _, d := range pkg.fileDirectives(prog.Fset, f) {
-		if d.Name == "execonly" {
+		if d.Name == "noctx" {
 			trailing = append(trailing, d)
 		}
 	}
 	if len(trailing) != 1 || trailing[0].Standalone {
-		t.Fatalf("lib declares one trailing execonly directive, scan found %+v", trailing)
+		t.Fatalf("lib declares one trailing noctx directive, scan found %+v", trailing)
 	}
 	line := trailing[0].Line
-	if _, ok := pkg.directiveAt(prog.Fset, f, line, "execonly"); !ok {
+	if _, ok := pkg.directiveAt(prog.Fset, f, line, "noctx"); !ok {
 		t.Errorf("a trailing directive must govern its own line %d", line)
 	}
-	if d, ok := pkg.directiveAt(prog.Fset, f, line+1, "execonly"); ok {
+	if d, ok := pkg.directiveAt(prog.Fset, f, line+1, "noctx"); ok {
 		t.Errorf("the trailing directive on line %d leaked onto line %d", d.Line, line+1)
 	}
 }
 
 // TestDirectiveScopingAcrossPackages pins that directives belong to the
-// package whose file declares them: the execonly annotation in the scopexfix
-// fixture lives on lib.Job, so it must be visible when scanning lib and
-// invisible from the root fixture package — a leak in either direction would
-// let one package annotate away another package's violations.
+// package whose file declares them: the noctx annotation in the scopexfix
+// fixture lives on lib.Drain's loop, so it must be visible when scanning lib
+// and invisible from the root fixture package, whose own loop of the same
+// shape calls Drain — a leak in either direction would let one package
+// annotate away another package's violations.
 func TestDirectiveScopingAcrossPackages(t *testing.T) {
 	prog, _ := loadFixture(t, "scopexfix")
-	execonly := make(map[string]int)
+	noctx := make(map[string]int)
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
 			for _, d := range pkg.fileDirectives(prog.Fset, f) {
-				if d.Name == "execonly" {
-					execonly[pkg.Path]++
+				if d.Name == "noctx" {
+					noctx[pkg.Path]++
 				}
 			}
 		}
 	}
-	if execonly[scopeLib] != 1 {
-		t.Errorf("lib declares 1 execonly directive, scan found %d", execonly[scopeLib])
+	if noctx[scopeLib] != 1 {
+		t.Errorf("lib declares 1 noctx directive, scan found %d", noctx[scopeLib])
 	}
-	if execonly[scopeRoot] != 0 {
-		t.Errorf("the root fixture package declares no execonly directives, scan found %d — a directive leaked across the package boundary", execonly[scopeRoot])
+	if noctx[scopeRoot] != 0 {
+		t.Errorf("the root fixture package declares no noctx directives, scan found %d — a directive leaked across the package boundary", noctx[scopeRoot])
 	}
 }

@@ -19,7 +19,7 @@ const directivePrefix = "//fuselint:"
 
 // Directive is one parsed //fuselint: comment.
 type Directive struct {
-	Name string // e.g. "ordered", "noalloc"
+	Name string // e.g. "ordered", "noctx"
 	Args string // the rest of the line, trimmed
 	Pos  token.Pos
 	Line int // the line the comment itself sits on
@@ -106,14 +106,4 @@ func (pkg *Package) nodeDirective(fset *token.FileSet, f *ast.File, doc *ast.Com
 		}
 	}
 	return pkg.directiveAt(fset, f, fset.Position(node.Pos()).Line, name)
-}
-
-// fileOf returns the *ast.File of the package containing the position.
-func (pkg *Package) fileOf(fset *token.FileSet, pos token.Pos) *ast.File {
-	for _, f := range pkg.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

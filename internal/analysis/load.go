@@ -30,11 +30,7 @@ type listPackage struct {
 	Export     string
 	DepOnly    bool
 	Standard   bool
-	Module     *struct {
-		Dir  string
-		Main bool
-	}
-	Error *struct {
+	Error      *struct {
 		Err string
 	}
 }
@@ -43,15 +39,13 @@ type listPackage struct {
 // parses the non-dependency ones from source with comments, and type-checks
 // them against the export data `go list -export` produced. Test files are not
 // part of `go list`'s GoFiles, so analyzers see exactly the shipping code.
-// Dependencies inside the main module are parsed too, for directive lookup
-// only (Program.declSyntax).
 func Load(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	pkgs, err := goList(dir, append([]string{
 		"-deps", "-export",
-		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Standard,Module,Error",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Standard,Error",
 	}, patterns...)...)
 	if err != nil {
 		return nil, err
@@ -61,7 +55,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		Fset:   token.NewFileSet(),
 		byPath: make(map[string]*Package),
 		State:  make(map[string]any),
-		deps:   make(map[string]*Package),
 	}
 	exports := make(map[string]string, len(pkgs))
 	for _, p := range pkgs {
@@ -81,8 +74,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	})
 
 	for _, p := range pkgs {
-		mainModule := p.Module != nil && p.Module.Main
-		if p.Standard || len(p.GoFiles) == 0 || (p.DepOnly && !mainModule) {
+		if p.Standard || p.DepOnly || len(p.GoFiles) == 0 {
 			continue
 		}
 		pkg := &Package{Path: p.ImportPath, Dir: p.Dir}
@@ -93,13 +85,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 				return nil, fmt.Errorf("analysis: %w", err)
 			}
 			pkg.Files = append(pkg.Files, f)
-		}
-		if p.DepOnly {
-			prog.deps[p.ImportPath] = pkg
-			continue
-		}
-		if prog.ModuleDir == "" && p.Module != nil {
-			prog.ModuleDir = p.Module.Dir
 		}
 		pkg.Info = &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),

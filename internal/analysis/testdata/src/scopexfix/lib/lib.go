@@ -1,10 +1,12 @@
 // Package lib is the subpackage side of the scopexfix fixture: it declares
-// the fixture's only directive, a trailing one on a struct field.
+// the fixture's only directive, a trailing one on a loop header.
 package lib
 
-// Job is a store-key-like struct with one execution-only field.
-type Job struct {
-	Name    string
-	Workers int //fuselint:execonly the pool size never changes results
-	Seed    uint64
+// Drain counts the values left in a channel its caller has closed.
+func Drain(ch chan int) int {
+	n := 0
+	for range ch { //fuselint:noctx the caller closes ch before Drain runs
+		n++
+	}
+	return n
 }

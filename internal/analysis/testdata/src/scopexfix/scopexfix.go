@@ -1,12 +1,15 @@
-// Package scopexfix is the directive-scoping fixture: it embeds lib's Job,
-// whose field carries a directive, but declares no directive of its own, so
-// a scan of this package must find none.
+// Package scopexfix is the directive-scoping fixture: it calls lib's Drain,
+// whose loop carries a directive, and runs a loop of the same shape without
+// one, so a scan of this package must find none.
 package scopexfix
 
 import "fuse/internal/analysis/testdata/src/scopexfix/lib"
 
-// Run wraps a lib.Job with a field of the same name as the annotated one.
-type Run struct {
-	Job     lib.Job
-	Workers int
+// Run drains ch twice over: once through lib and once here.
+func Run(ch chan int) int {
+	n := lib.Drain(ch)
+	for range ch {
+		n++
+	}
+	return n
 }

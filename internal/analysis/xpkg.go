@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // The cross-package substrate: a program-wide index of source-declared
@@ -100,16 +99,6 @@ func fieldID(sel *types.Selection) string {
 		return ""
 	}
 	return typeID(named) + "." + obj.Name()
-}
-
-// declPkg returns the package path of a stable function or field ID:
-// "fuse/internal/cache.(*MSHR).Allocate" -> "fuse/internal/cache".
-func declPkg(id string) string {
-	slash := strings.LastIndex(id, "/")
-	if dot := strings.Index(id[slash+1:], "."); dot >= 0 {
-		return id[:slash+1+dot]
-	}
-	return id
 }
 
 // xpkgOf builds (or returns the cached) program index.

@@ -67,11 +67,6 @@ type MSHR struct {
 	// bounded by maxEntries, so the steady state of a miss-heavy run
 	// allocates no entry structs at all.
 	free []*MSHREntry
-
-	peakOccupancy int
-	mergedCount   uint64
-	allocCount    uint64
-	fullStalls    uint64
 }
 
 // NewMSHR creates an MSHR with the given number of primary entries and
@@ -99,27 +94,6 @@ func (m *MSHR) Occupancy() int { return m.entries.Len() }
 // Full reports whether a new primary miss cannot be accepted.
 func (m *MSHR) Full() bool { return m.entries.Len() >= m.maxEntries }
 
-// PeakOccupancy returns the maximum number of simultaneously outstanding
-// primary misses observed.
-func (m *MSHR) PeakOccupancy() int { return m.peakOccupancy }
-
-// Merged returns the number of secondary misses merged so far.
-func (m *MSHR) Merged() uint64 { return m.mergedCount }
-
-// Allocations returns the number of primary misses allocated so far.
-func (m *MSHR) Allocations() uint64 { return m.allocCount }
-
-// FullStalls returns how many allocation attempts failed because the MSHR (or
-// a merge list) was full.
-func (m *MSHR) FullStalls() uint64 { return m.fullStalls }
-
-// RepeatFullStalls charges n more allocation attempts rejected exactly like
-// the latest one (a full file or merge list stays full until a Release), so a
-// caller that skips re-presenting a held miss still counts every rejection.
-//
-//fuselint:noalloc
-func (m *MSHR) RepeatFullStalls(n uint64) { m.fullStalls += n }
-
 // Lookup returns the entry for the block, if any.
 func (m *MSHR) Lookup(block uint64) (*MSHREntry, bool) { return m.entries.Get(block) }
 
@@ -128,21 +102,16 @@ func (m *MSHR) Lookup(block uint64) (*MSHREntry, bool) { return m.entries.Get(bl
 // entry is created with the given destination bank and read level.
 // The boolean result reports whether the request became a new primary miss
 // (true) or was merged (false).
-//
-//fuselint:noalloc
 func (m *MSHR) Allocate(req mem.Request, dest DestBank, level mem.ReadLevel) (bool, error) {
 	block := req.BlockAddr()
 	if e, ok := m.entries.Get(block); ok {
 		if len(e.Merged) >= m.maxMerge {
-			m.fullStalls++
 			return false, ErrMSHRMergeFull
 		}
 		e.Merged = append(e.Merged, req)
-		m.mergedCount++
 		return false, nil
 	}
 	if m.Full() {
-		m.fullStalls++
 		return false, ErrMSHRFull
 	}
 	var e *MSHREntry
@@ -154,24 +123,16 @@ func (m *MSHR) Allocate(req mem.Request, dest DestBank, level mem.ReadLevel) (bo
 		e = &MSHREntry{Block: block, Primary: req, Dest: dest, Level: level}
 	}
 	m.entries.Put(block, e)
-	m.allocCount++
-	if n := m.entries.Len(); n > m.peakOccupancy {
-		m.peakOccupancy = n
-	}
 	return true, nil
 }
 
 // Release removes the entry for the block (on fill) and returns it. The
 // second result is false if no entry existed.
-//
-//fuselint:noalloc
 func (m *MSHR) Release(block uint64) (*MSHREntry, bool) { return m.entries.Delete(block) }
 
 // Recycle returns a released entry to the MSHR's free list so a later
 // Allocate can reuse it. Callers hand the entry back once they are done with
 // its fields; the entry must not be used afterwards.
-//
-//fuselint:noalloc
 func (m *MSHR) Recycle(e *MSHREntry) {
 	if e == nil {
 		return

@@ -147,8 +147,6 @@ func (f *CountingBloomFilter) Test(x uint64) bool { return f.RepeatTest(x, 1) }
 // RepeatTest performs n Tests of x against the unchanged filter — moving
 // every counter the n tests would have moved — while hashing x only once,
 // and returns their common answer.
-//
-//fuselint:noalloc
 func (f *CountingBloomFilter) RepeatTest(x uint64, n uint64) bool {
 	f.tests += n
 	for i := 0; i < f.hashes; i++ {
@@ -252,8 +250,6 @@ func (n *NVMCBF) Test(block uint64) (bool, int) {
 
 // RepeatTest performs n Tests of the block against the unchanged array (see
 // CountingBloomFilter.RepeatTest) and returns their common answer.
-//
-//fuselint:noalloc
 func (n *NVMCBF) RepeatTest(block uint64, count uint64) bool {
 	return n.Filter(n.PartitionFor(block)).RepeatTest(block, count)
 }

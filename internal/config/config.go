@@ -317,11 +317,9 @@ func WithRatio(kind L1DKind, sramFraction float64) (L1DConfig, error) {
 // GPUConfig describes the whole simulated GPU.
 //
 // It is serialised verbatim into the content-addressed result-store key
-// (store.Key): every field must either be keyed or carry an explicit
-// //fuselint:execonly justification — fuselint's keydrift analyzer enforces
-// this.
-//
-//fuselint:keyroot
+// (store.Key), with its memory fields resolved by WithMemDefaults, so every
+// field must change the key. TestKeyDeterministicAndSensitive (internal/store)
+// perturbs each field in turn and fails if one does not.
 type GPUConfig struct {
 	// Name labels the configuration ("Fermi-like", "Volta-like").
 	Name string

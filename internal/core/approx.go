@@ -76,8 +76,6 @@ func (a *ApproxLogic) Lookup(block uint64, actuallyPresent bool) (mayHit bool, c
 // RepeatLookup charges n more Lookups of the block against unchanged filters
 // and tag array — every counter they would have moved — testing the filters
 // only once. It returns the answer each of them would have returned.
-//
-//fuselint:noalloc
 func (a *ApproxLogic) RepeatLookup(block uint64, actuallyPresent bool, n uint64) (mayHit bool, cycles int) {
 	return a.charge(a.filters.RepeatTest(block, n), actuallyPresent, n)
 }

@@ -138,8 +138,6 @@ func (h *HybridL1D) predict(pc uint64) (level mem.ReadLevel, neutral bool, enabl
 // Access implements L1D. This is the arbitration logic of Figure 9: consult
 // the status of the SRAM bank, the STT-MRAM bank (through the approximation
 // logic when present) and the predictor, then steer the request.
-//
-//fuselint:noalloc
 func (h *HybridL1D) Access(req mem.Request, now int64) AccessResult {
 	res := h.access(req, now)
 	// The predictor samples each accepted request exactly once: a rejected
@@ -339,8 +337,6 @@ func (h *HybridL1D) StallHold() int64 { return h.stallHold }
 // RepeatStall implements L1D: the n repeats re-run the recorded tag search
 // (one filter test for all of them) and, for an MSHR rejection, the
 // predictor's lookup and the rejection itself.
-//
-//fuselint:noalloc
 func (h *HybridL1D) RepeatStall(n uint64) {
 	hs := &h.held
 	if hs.searched {
@@ -349,7 +345,6 @@ func (h *HybridL1D) RepeatStall(n uint64) {
 	}
 	if hs.reason == StallMSHR {
 		h.stats.MSHRStallEvents += n
-		h.mshr.RepeatFullStalls(n)
 		if h.pred != nil {
 			h.pred.RepeatPredictions(n)
 		}

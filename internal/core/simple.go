@@ -240,8 +240,6 @@ func (s *SimpleL1D) StallHold() int64 {
 // attempt, a full MSHR file or merge list one rejection per attempt (the
 // access counters are undone within each attempt). By-NVM holds nothing, so
 // it has nothing to repeat.
-//
-//fuselint:noalloc
 func (s *SimpleL1D) RepeatStall(n uint64) {
 	if s.deadWrite != nil {
 		noHeldStall()
@@ -251,7 +249,6 @@ func (s *SimpleL1D) RepeatStall(n uint64) {
 		s.stats.STTWriteStallCycles += n
 	case StallMSHR:
 		s.stats.MSHRStallEvents += n
-		s.mshr.RepeatFullStalls(n)
 	}
 }
 

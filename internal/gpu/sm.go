@@ -202,8 +202,6 @@ func (sm *SM) NextSelfEventAt(now int64) int64 {
 // order. A timed-wait warp whose wake-up time has come counts as ready; the
 // greedy warp is promoted on its own, the others only when the pick falls
 // back to the issue order.
-//
-//fuselint:noalloc
 func (sm *SM) pickWarp(now int64) *Warp {
 	switch g := &sm.warps[sm.greedyWarp]; {
 	case g.State == WarpReady:
@@ -232,8 +230,6 @@ func clearBit(set []uint64, i int)    { set[i>>6] &^= 1 << (i & 63) }
 func hasBit(set []uint64, i int) bool { return set[i>>6]&(1<<(i&63)) != 0 }
 
 // firstBit returns the index of the lowest set bit, or -1 when none is set.
-//
-//fuselint:noalloc
 func firstBit(set []uint64) int {
 	for i, w := range set {
 		if w != 0 {
@@ -248,8 +244,6 @@ func firstBit(set []uint64) int {
 // SM.order). A warp already in the last occupied slot is the newest already
 // and stays, so a greedy run of issues moves nothing. It reports whether the
 // warp is still live; a live warp stays ready until the caller blocks it.
-//
-//fuselint:noalloc
 func (sm *SM) issue(w *Warp, now int64) bool {
 	if now > 0 && w.slot != sm.tail-1 {
 		if sm.tail == len(sm.order) {
@@ -275,8 +269,6 @@ func (sm *SM) issue(w *Warp, now int64) bool {
 
 // compact moves the live warps, in issue order, to the front of the ring,
 // carrying their ready bits along.
-//
-//fuselint:noalloc
 func (sm *SM) compact() {
 	k := 0
 	for s := 0; s < sm.tail; s++ {
@@ -298,16 +290,12 @@ func (sm *SM) compact() {
 }
 
 // setReady makes warp w ready to issue.
-//
-//fuselint:noalloc
 func (sm *SM) setReady(w *Warp) {
 	w.State = WarpReady
 	setBit(sm.ready, w.slot)
 }
 
 // blockFor parks ready warp w for a fixed number of cycles starting at now.
-//
-//fuselint:noalloc
 func (sm *SM) blockFor(w *Warp, now int64, cycles int) {
 	if cycles <= 0 {
 		return
@@ -320,8 +308,6 @@ func (sm *SM) blockFor(w *Warp, now int64, cycles int) {
 }
 
 // blockOnData parks ready warp w until the fill for the given block arrives.
-//
-//fuselint:noalloc
 func (sm *SM) blockOnData(w *Warp, block uint64) {
 	clearBit(sm.ready, w.slot)
 	w.State = WarpWaitingData
@@ -329,8 +315,6 @@ func (sm *SM) blockOnData(w *Warp, block uint64) {
 }
 
 // wakeData makes a data-blocked warp ready again (on fill delivery).
-//
-//fuselint:noalloc
 func (sm *SM) wakeData(w *Warp) {
 	if w.State == WarpWaitingData {
 		w.PendingBlock = 0
@@ -339,8 +323,6 @@ func (sm *SM) wakeData(w *Warp) {
 }
 
 // promote makes timed-wait warp w ready.
-//
-//fuselint:noalloc
 func (sm *SM) promote(w *Warp) {
 	clearBit(sm.timed, w.ID)
 	sm.setReady(w)
@@ -348,8 +330,6 @@ func (sm *SM) promote(w *Warp) {
 
 // promoteDue makes every timed-wait warp whose wake-up time has come by now
 // ready, and recomputes minWake over the rest.
-//
-//fuselint:noalloc
 func (sm *SM) promoteDue(now int64) {
 	next := int64(math.MaxInt64)
 	for i, word := range sm.timed {
@@ -369,8 +349,6 @@ func (sm *SM) promoteDue(now int64) {
 // Cycle advances the SM by one cycle: the L1D retires background work, warps
 // whose wake-up time passed become ready, and the scheduler issues at most
 // one instruction.
-//
-//fuselint:noalloc
 func (sm *SM) Cycle(now int64) {
 	sm.stats.Cycles++
 	sm.hold = 0
@@ -481,8 +459,6 @@ func (sm *SM) Holding() bool { return sm.hold != 0 }
 // cycle repeats that rejection with identical counter changes, and the rest
 // are charged in one step: the SM's cycles, request IDs, stall and
 // memory-wait cycles, and the L1D's RepeatStall.
-//
-//fuselint:noalloc
 func (sm *SM) ReplayStalls(from, to int64) {
 	if sm.hold != math.MaxInt64 && to > sm.hold {
 		sm.replayFailed("replays stalled cycles past its hold", to, sm.hold)

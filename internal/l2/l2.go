@@ -206,17 +206,6 @@ func (l *L2) BankFor(addr uint64) int {
 	return int(mem.BlockIndex(addr)) % l.cfg.Banks
 }
 
-// ChannelForBank maps an L2 bank to its DRAM channel (banks are distributed
-// evenly across channels: 12 banks / 6 channels = 2 banks per channel in the
-// paper's baseline).
-func (l *L2) ChannelForBank(bankIdx int) int {
-	perChannel := l.cfg.Banks / l.dram.Channels()
-	if perChannel <= 0 {
-		perChannel = 1
-	}
-	return (bankIdx / perChannel) % l.dram.Channels()
-}
-
 // Outcome classifies how the L2 handled a request.
 type Outcome uint8
 
@@ -394,8 +383,6 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 // read with Renack and RetryAt instead of presenting it through Access,
 // whose tag-store and MSHR lookups it skips; when NackHolds is false the
 // read must go through Access.
-//
-//fuselint:noalloc
 func (l *L2) NackHolds(bank, set int, v uint64) bool {
 	b := l.banks[bank]
 	return b.setVer[set] == v>>1 && (v&1 == 0 || b.mshr.Len() >= l.cfg.PendingLimit)
@@ -403,8 +390,6 @@ func (l *L2) NackHolds(bank, set int, v uint64) bool {
 
 // Renack counts n reads NACKed again without a second look at the bank (see
 // NackHolds), exactly as n rejected Accesses would.
-//
-//fuselint:noalloc
 func (l *L2) Renack(n uint64) { l.mshrStalls += n }
 
 // RetryAt picks the retry time of a request NACKed at cycle now: just after

@@ -176,8 +176,6 @@ func (p *ReadLevelPredictor) Predict(pc uint64) mem.ReadLevel {
 
 // RepeatPredictions counts n more Predict calls whose answers the caller
 // already has (the history table is unchanged between them).
-//
-//fuselint:noalloc
 func (p *ReadLevelPredictor) RepeatPredictions(n uint64) { p.predictions += n }
 
 // Neutral reports whether the prediction for pc is the neutral

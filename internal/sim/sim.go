@@ -23,13 +23,11 @@
 // without a second look at the bank: rejections whose outcome is already
 // known are charged, not re-executed.
 //
-// The package's invariants — determinism, store-key completeness of Options
-// and the allocation-free hot path — are machine-checked by fuselint (go run
-// ./cmd/fuselint ./...) via //fuselint: annotations on the relevant
-// declarations; the directives are documented in the repository README under
-// "Invariants & annotations". That every counter reaches Result intact is
-// held by tests: the pinned result digests, the store's round trips and the
-// per-SM cycle ledger.
+// Determinism is machine-checked by fuselint's detmap analyzer (go run
+// ./cmd/fuselint ./...). The other invariants are held by tests: the
+// store-key coverage walk over Options (internal/store), the per-point
+// allocation budget beside the pinned result digests, the store's round
+// trips and the per-SM cycle ledger.
 package sim
 
 import (
@@ -50,11 +48,9 @@ import (
 // Options controls a single simulation run.
 //
 // Options is serialised verbatim into the content-addressed result-store key
-// (store.Key): every field must either be keyed or carry an explicit
-// //fuselint:execonly justification — fuselint's keydrift analyzer enforces
-// this.
-//
-//fuselint:keyroot
+// (store.Key), with WithDefaults applied, so every field must change the key.
+// TestKeyDeterministicAndSensitive (internal/store) perturbs each field in
+// turn and fails if one does not.
 type Options struct {
 	// InstructionsPerWarp is the per-warp instruction budget.
 	InstructionsPerWarp uint64
@@ -149,7 +145,6 @@ func (q *eventHeap) len() int { return len(q.keys) }
 // head returns the earliest key; the heap must not be empty.
 func (q *eventHeap) head() *eventKey { return &q.keys[0] }
 
-//fuselint:noalloc
 func (q *eventHeap) push(e event) {
 	var slot int32
 	if n := len(q.free); n > 0 {
@@ -175,8 +170,6 @@ func (q *eventHeap) push(e event) {
 
 // pop removes the earliest event and returns its slab slot, which stays
 // reserved until release.
-//
-//fuselint:noalloc
 func (q *eventHeap) pop() int32 {
 	h := q.keys
 	top := h[0]
@@ -204,8 +197,6 @@ func (q *eventHeap) pop() int32 {
 }
 
 // release returns a popped event's slot to the free list.
-//
-//fuselint:noalloc
 func (q *eventHeap) release(slot int32) { q.free = append(q.free, slot) }
 
 // smWakeHeap is an indexed min-heap of per-SM wake cycles: the earliest cycle
@@ -310,8 +301,6 @@ func (h *smWakeHeap) remove(sm int) {
 
 // popDue removes from the heap every SM whose wake cycle is <= t and marks
 // it in the due set.
-//
-//fuselint:noalloc
 func (h *smWakeHeap) popDue(t int64, due []uint64) {
 	for len(h.ord) > 0 && h.at[h.ord[0]] <= t {
 		sm := h.ord[0]
@@ -325,8 +314,6 @@ func smSetWords(n int) int { return (n + 63) >> 6 }
 
 // forEachSM calls fn for every SM in the set, in SM order, emptying the set
 // as it goes. fn must not add SMs to the set.
-//
-//fuselint:noalloc
 func forEachSM(set []uint64, fn func(i int)) {
 	for k, word := range set {
 		set[k] = 0
@@ -698,8 +685,6 @@ func (s *Simulator) chargeNack(at, retry int64) {
 
 // queueRetry queues a request for another attempt at the retry time of its
 // NACK.
-//
-//fuselint:noalloc
 func (s *Simulator) queueRetry(sm, bank int, req mem.Request, nack l2.Result) {
 	s.requeue(nack.RetryAt, s.retries.add(req, sm, bank, nack))
 }
@@ -710,8 +695,6 @@ func (s *Simulator) queueRetry(sm, bank int, req mem.Request, nack l2.Result) {
 // cycle and no sequence number has been consumed since it was scheduled or
 // last joined. As separate events the members would have held consecutive
 // sequence numbers, so nothing could have been ordered between them.
-//
-//fuselint:noalloc
 func (s *Simulator) requeue(at int64, m int32) {
 	r := &s.retries
 	r.members[m].next = -1
@@ -741,8 +724,6 @@ func (s *Simulator) requeue(at int64, m int32) {
 // cycle under an inherited sequence number below the batch's (see
 // armMemTick); the tick then fires before the remaining members, which go
 // back on the heap under the batch's own (at, seq).
-//
-//fuselint:noalloc
 func (s *Simulator) retryBatch(at int64, seq uint64, first int32) {
 	r := &s.retries
 	if r.openTail >= 0 && r.openSeq == seq {
@@ -783,8 +764,6 @@ func (s *Simulator) retryBatch(at int64, seq uint64, first int32) {
 // chargeRenacks charges n requests NACKed again at cycle at without a look
 // at the bank, all retrying at retry: the bank counts their NACKs and each
 // one's wait is charged as chargeNack would.
-//
-//fuselint:noalloc
 func (s *Simulator) chargeRenacks(at, retry int64, n uint64) {
 	if n == 0 {
 		return
@@ -823,8 +802,6 @@ func (s *Simulator) catchUp(i int) {
 }
 
 // markDirty queues SM i for this step's outgoing-traffic drain.
-//
-//fuselint:noalloc
 func (s *Simulator) markDirty(i int) { s.dirty[i>>6] |= 1 << (i & 63) }
 
 // drainOutgoing moves freshly generated misses and write-backs into the
@@ -834,8 +811,6 @@ func (s *Simulator) markDirty(i int) { s.dirty[i>>6] |= 1 << (i & 63) }
 func (s *Simulator) drainOutgoing() { forEachSM(s.dirty, s.drainSM) }
 
 // drainSM moves SM i's outgoing traffic into the interconnect.
-//
-//fuselint:noalloc
 func (s *Simulator) drainSM(i int) {
 	sm := s.sms[i]
 	for {

@@ -142,6 +142,93 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 	if kGPU == k1 {
 		t.Errorf("GPU configuration change should change the key")
 	}
+
+	// Every input reaches the key: perturbing any exported scalar leaf of
+	// the GPU configuration, the options or the profile, one at a time and
+	// away from its canonical value, must change the key. A field tagged
+	// json:"-", one that WithMemDefaults or WithDefaults drops, an unexported
+	// field or a field of a kind the walk cannot perturb fails here.
+	in := keyInputs{GPU: gpu.WithMemDefaults(), Options: opts.WithDefaults(), Profile: prof}
+	base := in.key(t)
+	leaves := 0
+	walkKeyLeaves(t, reflect.ValueOf(&in).Elem(), "", func(path string, v reflect.Value) {
+		old := reflect.New(v.Type()).Elem()
+		old.Set(v)
+		if !perturbKeyLeaf(path, v) {
+			t.Errorf("%s: the walk cannot perturb a %s; extend perturbKeyLeaf", path, v.Kind())
+			return
+		}
+		if in.key(t) == base {
+			t.Errorf("perturbing %s leaves the store key unchanged", path)
+		}
+		v.Set(old)
+		leaves++
+	})
+	if in.key(t) != base {
+		t.Fatal("the walk did not restore its inputs")
+	}
+	t.Logf("%d key leaves perturbed", leaves)
+}
+
+// keyInputs is the material a synthetic simulation point's key covers, in
+// the form the key-coverage walk perturbs.
+type keyInputs struct {
+	GPU     config.GPUConfig
+	Options sim.Options
+	Profile trace.Profile
+}
+
+func (in *keyInputs) key(t *testing.T) string {
+	t.Helper()
+	k, err := Key(in.GPU, trace.Synthetic(in.Profile), in.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// walkKeyLeaves calls visit on every non-struct field below v, depth first,
+// with its dotted path. An unexported field cannot reach the JSON key
+// material, so it fails the test instead.
+func walkKeyLeaves(t *testing.T, v reflect.Value, prefix string, visit func(string, reflect.Value)) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		path := prefix + f.Name
+		switch {
+		case !f.IsExported():
+			t.Errorf("%s is unexported, so it never reaches the store key", path)
+		case f.Type.Kind() == reflect.Struct:
+			walkKeyLeaves(t, v.Field(i), path+".", visit)
+		default:
+			visit(path, v.Field(i))
+		}
+	}
+}
+
+// perturbKeyLeaf moves a scalar away from its current value and reports
+// whether it knew how.
+func perturbKeyLeaf(path string, v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.String:
+		// The backend must stay a known one: WithMemDefaults resolves the
+		// memory fields only for a valid name.
+		if path == "GPU.MemBackend" {
+			v.SetString("HBM2")
+		} else {
+			v.SetString(v.String() + "'")
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // canonicalJSON is the reference canonicalisation that canonicalize must

@@ -29,11 +29,9 @@ func (m ReadLevelMix) Sum() float64 { return m.WM + m.ReadIntensive + m.WORM + m
 
 // Profile describes one benchmark.
 //
-// A synthetic workload's store-key material is its Profile encoding, so the
-// struct is a key root: fuselint's keydrift analyzer requires every field to
-// be keyed or explicitly annotated //fuselint:execonly.
-//
-//fuselint:keyroot
+// A synthetic workload's store-key material is its Profile encoding, so every
+// field must change the key. TestKeyDeterministicAndSensitive
+// (internal/store) perturbs each field in turn and fails if one does not.
 type Profile struct {
 	// Name is the benchmark name as used in the paper's figures.
 	Name string
