@@ -52,7 +52,6 @@ type CountingBloomFilter struct {
 
 	tests         uint64
 	falsePositive uint64
-	saturations   uint64
 }
 
 // New creates a counting Bloom filter with the given number of counter slots,
@@ -103,11 +102,8 @@ func (f *CountingBloomFilter) key(i int, x uint64) int {
 // Insert increments the counters for x ("increment" operation in the paper).
 func (f *CountingBloomFilter) Insert(x uint64) {
 	for i := 0; i < f.hashes; i++ {
-		k := f.key(i, x)
-		if f.counters[k] < f.counterMax {
+		if k := f.key(i, x); f.counters[k] < f.counterMax {
 			f.counters[k]++
-		} else {
-			f.saturations++
 		}
 	}
 	if n := f.truth.Ptr(x); n != nil {
@@ -180,11 +176,6 @@ func (f *CountingBloomFilter) FalsePositiveRate() float64 {
 	}
 	return float64(f.falsePositive) / float64(f.tests)
 }
-
-// Saturations returns how many counter increments hit the counter maximum
-// (each is a potential future false negative; with 2-bit counters and 16-slot
-// data sets the paper finds this negligible).
-func (f *CountingBloomFilter) Saturations() uint64 { return f.saturations }
 
 // NVMCBF models the paper's STT-MRAM-based CBF array: `count` independent
 // CBFs share one 2-D MTJ structure and peripheral circuitry. Elements are

@@ -14,10 +14,6 @@ type ApproxLogic struct {
 	filters     *cbf.NVMCBF
 	comparators int
 	regionTags  int
-
-	searches      uint64
-	searchCycles  uint64
-	falseSearches uint64
 }
 
 // NewApproxLogic builds the approximation logic for an STT-MRAM bank holding
@@ -70,55 +66,34 @@ func (a *ApproxLogic) searchIterations() int {
 // cost the paper's Figure 20 sensitivity study quantifies.
 func (a *ApproxLogic) Lookup(block uint64, actuallyPresent bool) (mayHit bool, cycles int) {
 	positive, _ := a.filters.Test(block)
-	return a.charge(positive, actuallyPresent, 1)
+	return a.search(positive, actuallyPresent)
 }
 
-// RepeatLookup charges n more Lookups of the block against unchanged filters
-// and tag array — every counter they would have moved — testing the filters
-// only once. It returns the answer each of them would have returned.
+// RepeatLookup performs n more Lookups of the block against unchanged
+// filters and tag array — moving every filter counter they would have moved
+// — testing the filters only once. It returns the answer each of them would
+// have returned.
 func (a *ApproxLogic) RepeatLookup(block uint64, actuallyPresent bool, n uint64) (mayHit bool, cycles int) {
-	return a.charge(a.filters.RepeatTest(block, n), actuallyPresent, n)
+	return a.search(a.filters.RepeatTest(block, n), actuallyPresent)
 }
 
-// charge accounts n searches whose membership tests answered positive or
-// not, and returns the answer and cost of one of them.
-func (a *ApproxLogic) charge(positive, actuallyPresent bool, n uint64) (mayHit bool, cycles int) {
-	a.searches += n
+// search returns the answer and cost of a search whose membership test
+// answered positive or not.
+func (a *ApproxLogic) search(positive, actuallyPresent bool) (mayHit bool, cycles int) {
 	cycles = a.filters.TestLatency
 	if !positive {
-		a.searchCycles += n * uint64(cycles)
 		return false, cycles
 	}
 	cycles += a.searchIterations()
 	if !actuallyPresent {
-		a.falseSearches += n
 		// The polling logic exhausts the region before concluding a miss.
 		cycles += a.searchIterations()
 	}
-	a.searchCycles += n * uint64(cycles)
 	return true, cycles
 }
 
 // FalsePositiveRate returns the aggregate CBF false-positive rate.
 func (a *ApproxLogic) FalsePositiveRate() float64 { return a.filters.FalsePositiveRate() }
-
-// AverageSearchCycles returns the mean number of cycles per tag search.
-func (a *ApproxLogic) AverageSearchCycles() float64 {
-	if a.searches == 0 {
-		return 0
-	}
-	return float64(a.searchCycles) / float64(a.searches)
-}
-
-// Searches returns the number of Lookup calls.
-func (a *ApproxLogic) Searches() uint64 { return a.searches }
-
-// SearchCycles returns the total cycles spent searching tags.
-func (a *ApproxLogic) SearchCycles() uint64 { return a.searchCycles }
-
-// WastedSearches returns the number of searches triggered by CBF false
-// positives.
-func (a *ApproxLogic) WastedSearches() uint64 { return a.falseSearches }
 
 // Filters exposes the underlying NVM-CBF array (for area accounting).
 func (a *ApproxLogic) Filters() *cbf.NVMCBF { return a.filters }

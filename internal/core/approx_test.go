@@ -11,8 +11,8 @@ func TestApproxLogicNegativeFastPath(t *testing.T) {
 	if cycles != 1 {
 		t.Errorf("negative check should cost one cycle, got %d", cycles)
 	}
-	if a.Searches() != 1 || a.SearchCycles() != 1 {
-		t.Errorf("search accounting wrong")
+	if a.Filters().Tests() != 1 {
+		t.Errorf("the lookup should make one membership test, made %d", a.Filters().Tests())
 	}
 }
 
@@ -29,8 +29,13 @@ func TestApproxLogicPositiveSearch(t *testing.T) {
 	if cycles != 2 {
 		t.Errorf("positive search should cost 2 cycles with the paper configuration, got %d", cycles)
 	}
-	if a.AverageSearchCycles() <= 0 {
-		t.Errorf("average search cycles should be positive")
+	// Repeated lookups against the unchanged filters give the same answer
+	// and count one membership test each.
+	if mayHit, cycles := a.RepeatLookup(0x2000, true, 3); !mayHit || cycles != 2 {
+		t.Errorf("RepeatLookup = (%v, %d), want (true, 2)", mayHit, cycles)
+	}
+	if a.Filters().Tests() != 4 {
+		t.Errorf("1 lookup + 3 repeats should make 4 membership tests, made %d", a.Filters().Tests())
 	}
 }
 
@@ -52,22 +57,24 @@ func TestApproxLogicFalsePositiveCost(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		a.Register(uint64(0x4000 + i*128))
 	}
-	sawExpensive := false
-	for i := 0; i < 200; i++ {
+	const lookups = 200
+	wasted := 0
+	for i := 0; i < lookups; i++ {
 		block := uint64(0x90000 + i*128)
 		mayHit, cycles := a.Lookup(block, false)
-		if mayHit && cycles > 2 {
-			sawExpensive = true
+		if mayHit {
+			wasted++
+			if cycles <= 2 {
+				t.Errorf("a false-positive search should pay the polling penalty, cost %d cycles", cycles)
+			}
 		}
 	}
-	if !sawExpensive {
+	if wasted == 0 {
 		t.Errorf("expected at least one false-positive search with the saturated filter")
 	}
-	if a.WastedSearches() == 0 {
-		t.Errorf("wasted searches should be counted")
-	}
-	if a.FalsePositiveRate() <= 0 {
-		t.Errorf("false positive rate should be positive")
+	// Every positive answer for an absent block is one the filters count.
+	if got := a.FalsePositiveRate() * lookups; int(got+0.5) != wasted {
+		t.Errorf("filters count %.1f false positives, the searches wasted %d", got, wasted)
 	}
 }
 

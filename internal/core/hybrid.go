@@ -336,7 +336,7 @@ func (h *HybridL1D) StallHold() int64 { return h.stallHold }
 
 // RepeatStall implements L1D: the n repeats re-run the recorded tag search
 // (one filter test for all of them) and, for an MSHR rejection, the
-// predictor's lookup and the rejection itself.
+// rejection itself.
 func (h *HybridL1D) RepeatStall(n uint64) {
 	hs := &h.held
 	if hs.searched {
@@ -345,9 +345,6 @@ func (h *HybridL1D) RepeatStall(n uint64) {
 	}
 	if hs.reason == StallMSHR {
 		h.stats.MSHRStallEvents += n
-		if h.pred != nil {
-			h.pred.RepeatPredictions(n)
-		}
 	}
 }
 

@@ -81,6 +81,7 @@ func TestBaseFUSENonBlockingMigration(t *testing.T) {
 
 	now := int64(0)
 	stalls := 0
+	sawSwap, sawQueued := false, false
 	for i := 0; i < 5; i++ {
 		block := 4 * i
 		res := h.Access(readReq(block, 0x40, 0), now)
@@ -89,6 +90,8 @@ func TestBaseFUSENonBlockingMigration(t *testing.T) {
 		} else {
 			fillAll(h, now+1)
 		}
+		sawSwap = sawSwap || h.Swap().Occupancy() > 0
+		sawQueued = sawQueued || h.Queue().Len() > 0
 		h.Tick(now + 2)
 		now += 10
 	}
@@ -98,10 +101,10 @@ func TestBaseFUSENonBlockingMigration(t *testing.T) {
 	if h.Stats().MigrationsToSTT == 0 {
 		t.Errorf("expected migrations to STT-MRAM")
 	}
-	if h.Swap().Inserts() == 0 {
+	if !sawSwap {
 		t.Errorf("migrations should pass through the swap buffer")
 	}
-	if h.Queue().Pushes() == 0 {
+	if !sawQueued {
 		t.Errorf("migrations should be queued as F commands")
 	}
 }
@@ -527,8 +530,8 @@ func TestFAFUSETagSearchCyclesCounted(t *testing.T) {
 	if h.Stats().TagSearchStallCycles == 0 {
 		t.Errorf("tag search cycles should be accumulated")
 	}
-	if h.Approx().AverageSearchCycles() <= 0 {
-		t.Errorf("average search cycles should be positive")
+	if h.Approx().Filters().Tests() == 0 {
+		t.Errorf("tag searches should go through the CBF membership test")
 	}
 }
 

@@ -90,7 +90,7 @@ func stallCases() []stallCase {
 			mustOutcome(t, h, readReq(12, 0x40, 0), now, OutcomeMiss)
 			req := readReq(16, 0x40, 1)
 			mustOutcome(t, h, req, now, OutcomeStall)
-			if h.approx.WastedSearches() == 0 {
+			if h.approx.FalsePositiveRate() == 0 {
 				t.Fatal("the rejected access's tag search was no CBF false positive")
 			}
 			return h, req, now, math.MaxInt64
@@ -223,11 +223,11 @@ func TestByNVMReportsNoHold(t *testing.T) {
 	}
 }
 
-// TestRepeatStallMatchesRepeatedAccess is the property SM.ReplayStalls rests
-// on: after a held rejection, RepeatStall(k) leaves the cache exactly as k
-// real re-presentations of the request before the hold would — every
-// counter of the cache and of its components (MSHR, counting Bloom filters,
-// approximation logic, predictor) included.
+// TestRepeatStallMatchesRepeatedAccess is the property the SM's held-stall
+// replay (SM.CatchUp) rests on: after a held rejection, RepeatStall(k)
+// leaves the cache exactly as k real re-presentations of the request before
+// the hold would — every field of the cache and of its components (MSHR,
+// counting Bloom filters, approximation logic, predictor) included.
 func TestRepeatStallMatchesRepeatedAccess(t *testing.T) {
 	for _, c := range stallCases() {
 		t.Run(c.name, func(t *testing.T) {

@@ -17,10 +17,6 @@ type swapEntry struct {
 // FIFO-ordered tag queue; the functional effect is the same).
 type SwapBuffer struct {
 	entries []swapEntry
-
-	inserts uint64
-	hits    uint64
-	fullRej uint64
 }
 
 // NewSwapBuffer creates a swap buffer with the given number of 128-byte
@@ -57,11 +53,9 @@ func (s *SwapBuffer) Insert(block, pc uint64, dirty bool) bool {
 	for i := range s.entries {
 		if !s.entries[i].valid {
 			s.entries[i] = swapEntry{valid: true, block: block, pc: pc, dirty: dirty}
-			s.inserts++
 			return true
 		}
 	}
-	s.fullRej++
 	return false
 }
 
@@ -69,7 +63,6 @@ func (s *SwapBuffer) Insert(block, pc uint64, dirty bool) bool {
 func (s *SwapBuffer) Lookup(block uint64) bool {
 	for i := range s.entries {
 		if s.entries[i].valid && s.entries[i].block == block {
-			s.hits++
 			return true
 		}
 	}
@@ -89,13 +82,3 @@ func (s *SwapBuffer) Remove(block uint64) (dirty bool, ok bool) {
 	}
 	return false, false
 }
-
-// Inserts returns the number of successful insertions.
-func (s *SwapBuffer) Inserts() uint64 { return s.inserts }
-
-// Hits returns the number of lookups that found their block.
-func (s *SwapBuffer) Hits() uint64 { return s.hits }
-
-// FullRejections returns the number of insertions rejected because the buffer
-// was full.
-func (s *SwapBuffer) FullRejections() uint64 { return s.fullRej }

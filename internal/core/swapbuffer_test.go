@@ -7,8 +7,8 @@ func TestSwapBufferBasics(t *testing.T) {
 	if s.Capacity() != 3 || s.Occupancy() != 0 || s.Full() {
 		t.Fatalf("fresh swap buffer state wrong")
 	}
-	if !s.Insert(0x100, 0x4, true) {
-		t.Fatalf("insert into empty buffer failed")
+	if !s.Insert(0x100, 0x4, true) || s.Occupancy() != 1 {
+		t.Fatalf("insert into empty buffer failed (occupancy %d)", s.Occupancy())
 	}
 	if !s.Lookup(0x100) {
 		t.Errorf("lookup of parked block failed")
@@ -23,8 +23,8 @@ func TestSwapBufferBasics(t *testing.T) {
 	if _, ok := s.Remove(0x100); ok {
 		t.Errorf("double remove should fail")
 	}
-	if s.Inserts() != 1 || s.Hits() != 1 {
-		t.Errorf("counters wrong: inserts=%d hits=%d", s.Inserts(), s.Hits())
+	if s.Occupancy() != 0 || s.Lookup(0x100) {
+		t.Errorf("a removed block should free its register (occupancy %d)", s.Occupancy())
 	}
 }
 
@@ -38,8 +38,8 @@ func TestSwapBufferFull(t *testing.T) {
 	if s.Insert(0x300, 0, false) {
 		t.Errorf("insert into full buffer should fail")
 	}
-	if s.FullRejections() != 1 {
-		t.Errorf("full rejection not counted")
+	if s.Occupancy() != 2 || s.Lookup(0x300) {
+		t.Errorf("a rejected insert must not park its block (occupancy %d)", s.Occupancy())
 	}
 	s.Remove(0x100)
 	if !s.Insert(0x300, 0, false) {
@@ -75,8 +75,8 @@ func TestTagQueueFIFO(t *testing.T) {
 	if q.Push(TagOp{Block: 4}) {
 		t.Errorf("push into full queue should fail")
 	}
-	if q.FullRejections() != 1 {
-		t.Errorf("full rejection not counted")
+	if q.Len() != 3 || q.Contains(4) {
+		t.Errorf("a rejected push must not queue its op (len %d)", q.Len())
 	}
 	if !q.Contains(2) || q.Contains(9) {
 		t.Errorf("Contains results wrong")
@@ -92,8 +92,8 @@ func TestTagQueueFIFO(t *testing.T) {
 	if op.Block != 2 || op.Kind != TagOpMigrate {
 		t.Errorf("Pop order wrong: %+v", op)
 	}
-	if q.Pushes() != 3 {
-		t.Errorf("Pushes = %d, want 3", q.Pushes())
+	if q.Len() != 1 {
+		t.Errorf("Len = %d after 3 pushes and 2 pops, want 1", q.Len())
 	}
 }
 
@@ -105,7 +105,7 @@ func TestTagQueueFlush(t *testing.T) {
 	if len(drained) != 2 || drained[0].Block != 1 || drained[1].Block != 2 {
 		t.Errorf("Flush should return ops in FIFO order: %+v", drained)
 	}
-	if !q.Empty() || q.Flushes() != 1 {
+	if !q.Empty() {
 		t.Errorf("queue should be empty after flush")
 	}
 	if _, ok := q.Pop(); ok {

@@ -43,10 +43,6 @@ type TagQueue struct {
 	ops  []TagOp
 	head int
 	cap  int
-
-	pushes  uint64
-	flushes uint64
-	fullRej uint64
 }
 
 // NewTagQueue creates a queue holding at most `capacity` operations (16 in
@@ -73,11 +69,9 @@ func (q *TagQueue) Empty() bool { return q.Len() == 0 }
 // Push appends an operation; it returns false when the queue is full.
 func (q *TagQueue) Push(op TagOp) bool {
 	if q.Full() {
-		q.fullRej++
 		return false
 	}
 	q.ops = append(q.ops, op)
-	q.pushes++
 	return true
 }
 
@@ -127,19 +121,8 @@ func (q *TagQueue) Contains(block uint64) bool {
 // meta-information while the write carries 128 bytes of data. The returned
 // slice is handed off to the caller; the queue starts a fresh backing array.
 func (q *TagQueue) Flush() []TagOp {
-	q.flushes++
 	out := q.ops[q.head:]
 	q.ops = nil
 	q.head = 0
 	return out
 }
-
-// Pushes returns the number of successfully queued operations.
-func (q *TagQueue) Pushes() uint64 { return q.pushes }
-
-// Flushes returns the number of Flush calls.
-func (q *TagQueue) Flushes() uint64 { return q.flushes }
-
-// FullRejections returns the number of pushes rejected because the queue was
-// full.
-func (q *TagQueue) FullRejections() uint64 { return q.fullRej }

@@ -78,8 +78,8 @@ func TestWarpStateString(t *testing.T) {
 
 func TestSMRunsToCompletion(t *testing.T) {
 	sm := newTestSM(config.L1SRAM, 8, 50, "2DCONV")
-	if sm.Warps() != 8 {
-		t.Fatalf("Warps() = %d", sm.Warps())
+	if len(sm.warps) != 8 {
+		t.Fatalf("%d warps, want 8", len(sm.warps))
 	}
 	now := int64(0)
 	for !sm.Done() && now < 200000 {
@@ -103,8 +103,8 @@ func TestSMRunsToCompletion(t *testing.T) {
 	if st.Issued != 8*50 {
 		t.Errorf("Issued = %d, want %d", st.Issued, 8*50)
 	}
-	if st.IPC() <= 0 || st.IPC() > 1 {
-		t.Errorf("IPC = %v, should be in (0,1] for a single-issue SM", st.IPC())
+	if st.Cycles < st.Issued {
+		t.Errorf("%d instructions in %d cycles: a single-issue SM issues at most one per cycle", st.Issued, st.Cycles)
 	}
 	if st.MemInstructions == 0 {
 		t.Errorf("workload should issue memory instructions")
@@ -129,7 +129,7 @@ func TestSMStallsWhenL1DRejects(t *testing.T) {
 	if sm.Done() {
 		t.Errorf("SM cannot finish without fills")
 	}
-	if sm.OutstandingFills() == 0 {
+	if sm.waiting.Len() == 0 {
 		t.Errorf("there should be outstanding fills")
 	}
 }
@@ -146,7 +146,7 @@ func TestSMWakesOnlyOnFill(t *testing.T) {
 		}
 		now++
 	}
-	if missBlock == 0 && sm.OutstandingFills() == 0 {
+	if missBlock == 0 && sm.waiting.Len() == 0 {
 		t.Fatalf("expected the single warp to miss eventually")
 	}
 	// With its only warp blocked, the SM cannot issue.
@@ -247,21 +247,14 @@ func TestSMGreedyThenOldestPrefersSameWarp(t *testing.T) {
 func TestNewSMClampsWarpCount(t *testing.T) {
 	prof, _ := trace.ProfileByName("pathf")
 	sm := NewSM(0, 0, 10, trace.NewKernel(prof, 0, 1), core.MustNew(config.NewL1DConfig(config.L1SRAM)))
-	if sm.Warps() != 1 {
-		t.Errorf("warp count should clamp to 1, got %d", sm.Warps())
-	}
-}
-
-func TestSMStatsIPCZeroCycles(t *testing.T) {
-	var st SMStats
-	if st.IPC() != 0 {
-		t.Errorf("IPC with zero cycles should be 0")
+	if len(sm.warps) != 1 {
+		t.Errorf("warp count should clamp to 1, got %d", len(sm.warps))
 	}
 }
 
 // TestHeldStallSleepsAndReplays covers the SM side of a held stall: once the
 // L1D rejects the greedy warp's access with a full MSHR file, the SM has no
-// self-event left (only a fill can end the stall), ReplayStalls charges the
+// self-event left (only a fill can end the stall), CatchUp charges the
 // skipped cycles as stall cycles, and a held access that the L1D would
 // accept — here because its MSHR was freed behind the SM's back — makes the
 // replay panic rather than silently diverge. A delivered fill ends the hold.
@@ -280,11 +273,11 @@ func TestHeldStallSleepsAndReplays(t *testing.T) {
 	if got := sm.NextSelfEventAt(now); got != -1 {
 		t.Fatalf("NextSelfEventAt = %d during an MSHR hold, want -1", got)
 	}
-	before := *sm.Stats()
-	sm.ReplayStalls(now, now+10)
+	before := sm.Stats()
+	sm.CatchUp(now + 10)
 	if st := sm.Stats(); st.Cycles != before.Cycles+10 || st.L1DStallCycles != before.L1DStallCycles+10 ||
 		st.MemWaitCycles != before.MemWaitCycles+10 || st.Issued != before.Issued {
-		t.Fatalf("replaying 10 held cycles: stats %+v, before %+v", *st, before)
+		t.Fatalf("catching up 10 held cycles: stats %+v, before %+v", st, before)
 	}
 	now += 10
 
@@ -299,7 +292,7 @@ func TestHeldStallSleepsAndReplays(t *testing.T) {
 				t.Errorf("replaying a held access the L1D accepts must panic")
 			}
 		}()
-		sm.ReplayStalls(now, now+1)
+		sm.CatchUp(now + 1)
 	}()
 
 	sm.DeliverFill(miss.BlockAddr(), now+1)
@@ -308,47 +301,74 @@ func TestHeldStallSleepsAndReplays(t *testing.T) {
 	}
 }
 
-// TestReplayStallsMatchesCycling checks ReplayStalls against the cycles it
-// stands for: of two identical SMs sleeping through the same held stall,
-// one is cycled through every held cycle and the other replays them in one
-// call, and the two must end up identical — SM counters, request IDs, warp
-// state and the whole L1D with its components.
-func TestReplayStallsMatchesCycling(t *testing.T) {
-	for _, kind := range []config.L1DKind{config.L1SRAM, config.FASRAM, config.BaseFUSE, config.FAFUSE, config.DyFUSE} {
-		cfg := config.NewL1DConfig(kind)
-		cfg.MSHREntries = 2
-		prof, _ := trace.ProfileByName("ATAX")
-		newSM := func() *SM { return NewSM(0, 8, 100, trace.NewKernel(prof, 0, 3), core.MustNew(cfg)) }
-		cycled, replayed := newSM(), newSM()
-		now := int64(0)
-		for ; now < 2000 && !cycled.Holding(); now++ {
-			cycled.Cycle(now)
-			replayed.Cycle(now)
-		}
-		if !cycled.Holding() {
-			t.Fatalf("%v: the SM never held a stall", kind)
-		}
-		end := now + 50
-		if next := cycled.NextSelfEventAt(now); next >= 0 && next < end {
-			end = next
-		}
-		if end < now+2 {
-			t.Fatalf("%v: the hold at %d leaves no cycles to replay (next self-event %d)", kind, now, end)
-		}
-		for c := now; c < end; c++ {
-			cycled.Cycle(c)
-		}
-		replayed.ReplayStalls(now, end)
-		if !reflect.DeepEqual(cycled, replayed) {
-			t.Errorf("%v: replaying cycles [%d, %d) differs from cycling them:\ncycled:   %+v %+v\nreplayed: %+v %+v",
-				kind, now, end, *cycled.Stats(), *cycled.L1D().Stats(), *replayed.Stats(), *replayed.L1D().Stats())
+// TestCatchUpMatchesCycling checks CatchUp against the cycles it stands for:
+// of two identical SMs sleeping through the same cycles, one is cycled
+// through every one of them and the other catches up in one call, and the
+// two must end up identical — SM counters, clock, request IDs, warp state and
+// the whole L1D with its components. A held SM replays its held stall; an
+// idle one, every warp blocked on a fill that never comes, charges no ready
+// warp. Catching an SM up to a cycle it has already been charged past panics.
+func TestCatchUpMatchesCycling(t *testing.T) {
+	prof, _ := trace.ProfileByName("ATAX")
+	for _, tc := range []struct {
+		name        string
+		warps, mshr int
+		held        bool
+	}{
+		{"held", 8, 2, true},
+		{"idle", 1, 0, false},
+	} {
+		for _, kind := range []config.L1DKind{config.L1SRAM, config.FASRAM, config.BaseFUSE, config.FAFUSE, config.DyFUSE} {
+			cfg := config.NewL1DConfig(kind)
+			if tc.mshr > 0 {
+				cfg.MSHREntries = tc.mshr
+			}
+			newSM := func() *SM { return NewSM(0, tc.warps, 100, trace.NewKernel(prof, 0, 3), core.MustNew(cfg)) }
+			cycled, caught := newSM(), newSM()
+			asleep := func(now int64) bool {
+				if tc.held {
+					return cycled.Holding()
+				}
+				return cycled.NextSelfEventAt(now) < 0
+			}
+			now := int64(0)
+			for ; now < 2000 && !asleep(now); now++ {
+				cycled.Cycle(now)
+				caught.Cycle(now)
+			}
+			if !asleep(now) || cycled.Holding() != tc.held {
+				t.Fatalf("%s %v: the SM never slept (holding %v)", tc.name, kind, cycled.Holding())
+			}
+			end := now + 50
+			if next := cycled.NextSelfEventAt(now); next >= 0 && next < end {
+				end = next
+			}
+			if end < now+2 {
+				t.Fatalf("%s %v: the sleep at %d leaves no cycles to catch up (next self-event %d)", tc.name, kind, now, end)
+			}
+			for c := now; c < end; c++ {
+				cycled.Cycle(c)
+			}
+			caught.CatchUp(end)
+			if !reflect.DeepEqual(cycled, caught) {
+				t.Errorf("%s %v: catching up cycles [%d, %d) differs from cycling them:\ncycled: %+v %+v\ncaught: %+v %+v",
+					tc.name, kind, now, end, cycled.Stats(), *cycled.L1D().Stats(), caught.Stats(), *caught.L1D().Stats())
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %v: catching up to cycle %d after being charged to %d must panic", tc.name, kind, end-1, end)
+					}
+				}()
+				caught.CatchUp(end - 1)
+			}()
 		}
 	}
 }
 
-// BenchmarkReplayStalls measures replaying 1,000 skipped cycles of a held
+// BenchmarkCatchUp measures catching up 1,000 skipped cycles of a held
 // stall: a Dy-FUSE SM whose greedy warp's access the full MSHR file rejects.
-func BenchmarkReplayStalls(b *testing.B) {
+func BenchmarkCatchUp(b *testing.B) {
 	cfg := config.NewL1DConfig(config.DyFUSE)
 	cfg.MSHREntries = 1
 	prof, _ := trace.ProfileByName("ATAX")
@@ -362,7 +382,7 @@ func BenchmarkReplayStalls(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sm.ReplayStalls(now, now+1000)
 		now += 1000
+		sm.CatchUp(now)
 	}
 }

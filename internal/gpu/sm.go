@@ -10,9 +10,11 @@ import (
 	"fuse/internal/trace"
 )
 
-// SMStats is the per-SM performance accounting.
+// SMStats is the per-SM performance accounting. Only the SM writes it: every
+// cycle is charged to one cause by SM.charge, and SM.Stats hands out a copy.
 type SMStats struct {
-	// Cycles is the number of cycles the SM has been clocked.
+	// Cycles is the number of cycles the SM has been charged, cycled or
+	// caught up (see SM.CatchUp).
 	Cycles uint64
 	// Issued is the number of instructions issued.
 	Issued uint64
@@ -34,14 +36,6 @@ type SMStats struct {
 	// warp was blocked on an outstanding off-chip fill; this is the
 	// quantity behind the paper's Figure 1 off-chip overhead analysis.
 	MemWaitCycles uint64
-}
-
-// IPC returns instructions per cycle.
-func (s *SMStats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Issued) / float64(s.Cycles)
 }
 
 // SM is one streaming multiprocessor: a set of resident warps, a shared
@@ -96,11 +90,44 @@ type SM struct {
 	// hold is the L1D's StallHold for the greedy warp's rejected access, or
 	// 0 when no stall is held. Until the hold, a fill or the L1D's next
 	// internal event, every cycle would re-present the access and be
-	// rejected again, so the SM sleeps and ReplayStalls replays them.
+	// rejected again, so the SM sleeps and CatchUp replays them.
 	hold int64
 
 	nextReqID uint64
+	// chargedTo is the SM's clock: every cycle before it has been charged to
+	// stats, by Cycle or by CatchUp.
+	chargedTo int64
 	stats     SMStats
+}
+
+// cause is what an SM-cycle is charged to; each cycle has exactly one.
+type cause uint8
+
+const (
+	causeIssued      cause = iota // an instruction issued
+	causeL1DStall                 // the L1D rejected the selected warp's access
+	causeNoReadyWarp              // no warp could issue
+)
+
+// charge is the only writer of the cycle ledger: it charges n cycles to
+// cause c, so Cycles = Issued + L1DStallCycles + NoReadyWarpCycles holds by
+// construction. A cycle that issues nothing while fills are outstanding is
+// also off-chip wait: a rejection then is, in effect, back-pressure from the
+// memory system (MSHR or queue full).
+func (sm *SM) charge(c cause, n uint64) {
+	sm.stats.Cycles += n
+	switch c {
+	case causeIssued:
+		sm.stats.Issued += n
+		return
+	case causeL1DStall:
+		sm.stats.L1DStallCycles += n
+	case causeNoReadyWarp:
+		sm.stats.NoReadyWarpCycles += n
+	}
+	if sm.waiting.Len() > 0 {
+		sm.stats.MemWaitCycles += n
+	}
 }
 
 // words returns the number of 64-bit words a set of n bits takes.
@@ -143,17 +170,11 @@ func NewSM(id, warps int, instrPerWarp uint64, source trace.Source, l1d core.L1D
 // L1D exposes the SM's cache.
 func (sm *SM) L1D() core.L1D { return sm.l1d }
 
-// Stats exposes the SM's performance counters.
-func (sm *SM) Stats() *SMStats { return &sm.stats }
-
-// Warps returns the number of resident warps.
-func (sm *SM) Warps() int { return len(sm.warps) }
+// Stats returns a copy of the SM's performance counters.
+func (sm *SM) Stats() SMStats { return sm.stats }
 
 // Done reports whether every warp has retired its budget.
 func (sm *SM) Done() bool { return sm.live == 0 }
-
-// OutstandingFills returns the number of distinct blocks the SM is waiting on.
-func (sm *SM) OutstandingFills() int { return sm.waiting.Len() }
 
 // NextSelfEventAt returns the earliest cycle >= now at which the SM can make
 // progress without external input: a warp that can issue (possibly right
@@ -168,7 +189,7 @@ func (sm *SM) OutstandingFills() int { return sm.waiting.Len() }
 // re-presents its rejected access every cycle, so no other warp can issue
 // before the hold ends: the bound is the hold or the L1D's next internal
 // event, whichever comes first, and -1 when only a fill can end the stall.
-// The cycles slept through are replayed with ReplayStalls.
+// CatchUp replays the cycles slept through.
 func (sm *SM) NextSelfEventAt(now int64) int64 {
 	if sm.hold != 0 {
 		next := sm.hold
@@ -348,18 +369,16 @@ func (sm *SM) promoteDue(now int64) {
 
 // Cycle advances the SM by one cycle: the L1D retires background work, warps
 // whose wake-up time passed become ready, and the scheduler issues at most
-// one instruction.
+// one instruction. It charges cycle now alone; the cycles since the SM was
+// last charged are the caller's to charge first, with CatchUp.
 func (sm *SM) Cycle(now int64) {
-	sm.stats.Cycles++
+	sm.chargedTo = now + 1
 	sm.hold = 0
 	sm.l1d.Tick(now)
 
 	w := sm.pickWarp(now)
 	if w == nil {
-		sm.stats.NoReadyWarpCycles++
-		if sm.waiting.Len() > 0 {
-			sm.stats.MemWaitCycles++
-		}
+		sm.charge(causeNoReadyWarp, 1)
 		return
 	}
 
@@ -371,7 +390,7 @@ func (sm *SM) Cycle(now int64) {
 	if !ins.IsMem {
 		sm.pendingSet[w.ID] = false
 		sm.issue(w, now)
-		sm.stats.Issued++
+		sm.charge(causeIssued, 1)
 		return
 	}
 
@@ -382,13 +401,13 @@ func (sm *SM) Cycle(now int64) {
 		// Keep the instruction pending; the warp retries next cycle.
 		sm.pending[w.ID] = ins
 		sm.pendingSet[w.ID] = true
-		sm.chargeStall()
+		sm.charge(causeL1DStall, 1)
 		sm.hold = sm.l1d.StallHold()
 		return
 	case core.OutcomeHit:
 		sm.pendingSet[w.ID] = false
 		live := sm.issue(w, now)
-		sm.stats.Issued++
+		sm.charge(causeIssued, 1)
 		sm.stats.MemInstructions++
 		if live {
 			sm.blockFor(w, now, res.Latency)
@@ -396,7 +415,7 @@ func (sm *SM) Cycle(now int64) {
 	case core.OutcomeMiss, core.OutcomeMissMerged, core.OutcomeBypass:
 		sm.pendingSet[w.ID] = false
 		live := sm.issue(w, now)
-		sm.stats.Issued++
+		sm.charge(causeIssued, 1)
 		sm.stats.MemInstructions++
 		block := req.BlockAddr()
 		if live {
@@ -432,23 +451,36 @@ func (sm *SM) request(warp int, ins trace.Instruction, now int64) mem.Request {
 	return req
 }
 
-// chargeStall counts a cycle whose access the L1D rejected. When the
-// rejection happens while fills are outstanding it is, in effect,
-// back-pressure from the off-chip memory system (MSHR or queue full), so it
-// also counts toward the off-chip wait time.
-func (sm *SM) chargeStall() {
-	sm.stats.L1DStallCycles++
-	if sm.waiting.Len() > 0 {
-		sm.stats.MemWaitCycles++
-	}
-}
-
 // Holding reports whether the SM is sleeping through a held stall (see
-// NextSelfEventAt): its skipped cycles must be replayed with ReplayStalls,
-// not charged as idle.
+// NextSelfEventAt): CatchUp replays its skipped cycles as rejections of the
+// held access, not as idle cycles.
 func (sm *SM) Holding() bool { return sm.hold != 0 }
 
-// ReplayStalls performs the cycles [from, to) of a held stall exactly as
+// CatchUp charges the cycles [chargedTo, now) that the SM slept through,
+// exactly as cycling it through each of them would have: the sparse engine
+// never cycles a sleeping SM, so it calls CatchUp before anything that reads
+// or changes what those cycles depend on (the next Cycle, a fill delivery,
+// the end of the run). A holding SM replays its held stall; any other
+// sleeping SM had no ready warp. A done SM is charged nothing. An SM already
+// charged past now was cycled through time it had not lived yet, a broken
+// engine invariant, so it panics.
+func (sm *SM) CatchUp(now int64) {
+	from := sm.chargedTo
+	if from > now {
+		sm.broken("caught up to cycle %d, but it is already charged to cycle %d", now, from)
+	}
+	if sm.Done() || from == now {
+		return
+	}
+	sm.chargedTo = now
+	if sm.hold != 0 {
+		sm.replayStalls(from, now)
+		return
+	}
+	sm.charge(causeNoReadyWarp, uint64(now-from))
+}
+
+// replayStalls performs the cycles [from, to) of a held stall exactly as
 // Cycle would have: each one re-presents the greedy warp's rejected access
 // to the L1D, with a fresh request ID and issue cycle, and is rejected again.
 // The first re-presentation goes through the real Access; a replayed access
@@ -457,38 +489,31 @@ func (sm *SM) Holding() bool { return sm.hold != 0 }
 // change — the caller stops before the L1D's next internal event (so Tick is
 // skipped: it would have done nothing) and before any fill — so every later
 // cycle repeats that rejection with identical counter changes, and the rest
-// are charged in one step: the SM's cycles, request IDs, stall and
-// memory-wait cycles, and the L1D's RepeatStall.
-func (sm *SM) ReplayStalls(from, to int64) {
+// are charged in one step: the stall cycles, request IDs and the L1D's
+// RepeatStall.
+func (sm *SM) replayStalls(from, to int64) {
 	if sm.hold != math.MaxInt64 && to > sm.hold {
-		sm.replayFailed("replays stalled cycles past its hold", to, sm.hold)
-	}
-	if from >= to {
-		return
+		sm.broken("replays stalled cycles past its hold (cycle %d, hold %d)", to, sm.hold)
 	}
 	w := sm.greedyWarp
-	sm.stats.Cycles++
 	if res := sm.l1d.Access(sm.request(w, sm.pending[w], from), from); res.Outcome != core.OutcomeStall {
-		sm.replayFailed("had a held access accepted", from, sm.hold)
+		sm.broken("had a held access accepted (cycle %d, hold %d)", from, sm.hold)
 	}
-	sm.chargeStall()
-	if n := uint64(to - from - 1); n > 0 {
-		sm.stats.Cycles += n
-		sm.nextReqID += n
-		sm.stats.L1DStallCycles += n
-		if sm.waiting.Len() > 0 {
-			sm.stats.MemWaitCycles += n
-		}
-		sm.l1d.RepeatStall(n)
+	n := uint64(to - from)
+	sm.charge(causeL1DStall, n)
+	if n > 1 {
+		sm.nextReqID += n - 1
+		sm.l1d.RepeatStall(n - 1)
 	}
 }
 
-// replayFailed reports a broken stall hold. It stays out of line so that the
-// message's allocation is not inlined into the allocation-free replay loop.
+// broken reports a broken charging invariant. It stays out of line so that
+// the message's allocation is not inlined into the allocation-free charge
+// paths.
 //
 //go:noinline
-func (sm *SM) replayFailed(what string, cycle, hold int64) {
-	panic(fmt.Sprintf("gpu: SM %d %s (cycle %d, hold %d)", sm.ID, what, cycle, hold))
+func (sm *SM) broken(format string, cycle, mark int64) {
+	panic(fmt.Sprintf("gpu: SM %d "+format, sm.ID, cycle, mark))
 }
 
 // PopOutgoing drains one outgoing request (miss or write-back) from the L1D.

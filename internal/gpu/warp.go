@@ -1,9 +1,11 @@
 // Package gpu models the streaming multiprocessors of the GPU: warps, the
 // greedy-then-oldest warp scheduler, the single-ported load/store path into
 // the L1D cache, and the per-SM performance accounting (issued instructions,
-// stall breakdown). Together with the memory hierarchy packages it forms the
-// cycle-level simulator that stands in for GPGPU-Sim in the paper's
-// methodology.
+// stall breakdown). Each SM keeps its own clock and is the only writer of its
+// cycle ledger: SM.Cycle charges one cycle, SM.CatchUp the cycles a sleeping
+// SM skipped, both through one charge method, and Stats hands out a copy.
+// Together with the memory hierarchy packages it forms the cycle-level
+// simulator that stands in for GPGPU-Sim in the paper's methodology.
 package gpu
 
 import "fmt"

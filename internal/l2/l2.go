@@ -158,10 +158,8 @@ type L2 struct {
 	accesses   uint64
 	hits       uint64
 	misses     uint64
-	wbToDRAM   uint64
 	mergedFly  uint64
 	mshrStalls uint64
-	fillsDone  uint64
 }
 
 // New builds an L2 cache backed by the given memory controller. The
@@ -414,7 +412,6 @@ func (l *L2) insert(bankIdx int, block, pc uint64, at int64, dirty bool) {
 	line.Dirty = dirty
 	b.setVer[b.store.SetIndex(block)]++
 	if evicted.Valid && evicted.Dirty {
-		l.wbToDRAM++
 		if _, ok := l.dram.Submit(evicted.Block, true, at); !ok {
 			b.wbq = append(b.wbq, evicted.Block)
 			l.backlog[bankIdx>>6] |= 1 << (bankIdx & 63)
@@ -491,7 +488,6 @@ func (l *L2) Advance(now int64) []Fill {
 			// the insert below moves the set's version.
 			e, _ := b.mshr.Delete(c.Addr)
 			l.insert(bankIdx, c.Addr, e.pc, c.Done, e.dirty)
-			l.fillsDone++
 			fills = append(fills, Fill{Bank: bankIdx, Block: c.Addr, Done: c.Done, Waiters: e.waiters})
 			l.retired = append(l.retired, e)
 		}
@@ -521,9 +517,6 @@ func (l *L2) MissRate() float64 {
 	return float64(l.misses) / float64(l.accesses)
 }
 
-// WritebacksToDRAM returns the number of dirty L2 victims written to DRAM.
-func (l *L2) WritebacksToDRAM() uint64 { return l.wbToDRAM }
-
 // MergedInFlight returns the number of requests that merged into an
 // in-flight fill instead of going to DRAM.
 func (l *L2) MergedInFlight() uint64 { return l.mergedFly }
@@ -531,9 +524,6 @@ func (l *L2) MergedInFlight() uint64 { return l.mergedFly }
 // MSHRStalls returns the number of accesses rejected because a bank's MSHR
 // file or an entry's merge list was full.
 func (l *L2) MSHRStalls() uint64 { return l.mshrStalls }
-
-// FillsCompleted returns the number of DRAM fills delivered.
-func (l *L2) FillsCompleted() uint64 { return l.fillsDone }
 
 // PendingFills returns the number of outstanding MSHR entries across banks.
 func (l *L2) PendingFills() int {

@@ -80,7 +80,6 @@ type Network struct {
 	reqPackets  uint64
 	respPackets uint64
 	totalLat    uint64
-	bytesMoved  uint64
 }
 
 // New builds a network from the configuration (zero-value fields take the
@@ -207,7 +206,6 @@ func (n *Network) send(dir Direction, src, dst, bytes int, now int64) int64 {
 		l.busyCyc += uint64(ser)
 		t = depart + int64(n.cfg.HopLatency)
 	}
-	n.bytesMoved += uint64(bytes)
 	n.totalLat += uint64(t - now)
 	return t
 }
@@ -236,9 +234,6 @@ func (n *Network) ZeroLoadLatency(bytes int) int64 {
 func (n *Network) Packets() (requests, responses uint64) {
 	return n.reqPackets, n.respPackets
 }
-
-// BytesMoved returns the total payload bytes carried.
-func (n *Network) BytesMoved() uint64 { return n.bytesMoved }
 
 // AverageLatency returns the mean end-to-end packet latency in cycles.
 func (n *Network) AverageLatency() float64 {

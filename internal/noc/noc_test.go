@@ -38,15 +38,12 @@ func TestZeroLoadLatency(t *testing.T) {
 func TestSendRequestDeliversAfterZeroLoadLatency(t *testing.T) {
 	n := New(Config{})
 	arrive := n.SendRequest(0, 0, 32, 100)
-	if arrive < 100+n.ZeroLoadLatency(32) {
-		t.Errorf("delivery %d earlier than zero-load latency %d", arrive-100, n.ZeroLoadLatency(32))
+	if arrive != 100+n.ZeroLoadLatency(32) {
+		t.Errorf("delivery took %d cycles on an idle network, want the zero-load latency %d", arrive-100, n.ZeroLoadLatency(32))
 	}
 	req, resp := n.Packets()
 	if req != 1 || resp != 0 {
 		t.Errorf("packet accounting wrong: %d req %d resp", req, resp)
-	}
-	if n.BytesMoved() != 32 {
-		t.Errorf("BytesMoved = %d", n.BytesMoved())
 	}
 	if n.AverageLatency() <= 0 {
 		t.Errorf("average latency should be positive")

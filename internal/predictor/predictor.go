@@ -109,11 +109,6 @@ type ReadLevelPredictor struct {
 	cfg     Config
 	sampler [][]samplerEntry
 	history []historyEntry
-
-	predictions uint64
-	sampleHits  uint64
-	evictions   uint64
-	unusedEvict uint64
 }
 
 // NewReadLevelPredictor builds a predictor with the given configuration
@@ -160,7 +155,6 @@ func (p *ReadLevelPredictor) warpSampled(warp int) (int, bool) {
 //	counter <= 1 and status == 'W'       -> WM
 //	otherwise                            -> neutral, treated as read-intensive
 func (p *ReadLevelPredictor) Predict(pc uint64) mem.ReadLevel {
-	p.predictions++
 	h := p.history[Signature(pc, len(p.history))]
 	switch {
 	case h.counter >= p.cfg.UnusedThreshold:
@@ -173,10 +167,6 @@ func (p *ReadLevelPredictor) Predict(pc uint64) mem.ReadLevel {
 		return mem.ReadIntensive
 	}
 }
-
-// RepeatPredictions counts n more Predict calls whose answers the caller
-// already has (the history table is unchanged between them).
-func (p *ReadLevelPredictor) RepeatPredictions(n uint64) { p.predictions += n }
 
 // Neutral reports whether the prediction for pc is the neutral
 // (read-intensive) middle band rather than a confident WM/WORM/WORO call.
@@ -204,7 +194,6 @@ func (p *ReadLevelPredictor) Observe(req mem.Request) {
 	for w := range ways {
 		e := &ways[w]
 		if e.valid && e.tag == tag {
-			p.sampleHits++
 			h := &p.history[e.signature]
 			if h.counter > 0 {
 				h.counter--
@@ -230,14 +219,10 @@ func (p *ReadLevelPredictor) Observe(req mem.Request) {
 	// was never re-used (U == 0), punish its signature (increment counter).
 	victim := p.lruVictim(set)
 	e := &ways[victim]
-	if e.valid {
-		p.evictions++
-		if !e.used {
-			p.unusedEvict++
-			h := &p.history[e.signature]
-			if h.counter < p.cfg.CounterMax {
-				h.counter++
-			}
+	if e.valid && !e.used {
+		h := &p.history[e.signature]
+		if h.counter < p.cfg.CounterMax {
+			h.counter++
 		}
 	}
 	*e = samplerEntry{
@@ -283,19 +268,6 @@ func (p *ReadLevelPredictor) lruVictim(set int) int {
 func (p *ReadLevelPredictor) CounterOf(pc uint64) int {
 	return p.history[Signature(pc, len(p.history))].counter
 }
-
-// Predictions returns the number of Predict calls.
-func (p *ReadLevelPredictor) Predictions() uint64 { return p.predictions }
-
-// SamplerHits returns the number of sampler hits observed.
-func (p *ReadLevelPredictor) SamplerHits() uint64 { return p.sampleHits }
-
-// SamplerEvictions returns the number of sampler evictions.
-func (p *ReadLevelPredictor) SamplerEvictions() uint64 { return p.evictions }
-
-// UnusedEvictions returns the number of sampler evictions whose entry was
-// never reused (the signal that increments history counters).
-func (p *ReadLevelPredictor) UnusedEvictions() uint64 { return p.unusedEvict }
 
 // Outcome classifies a finished prediction for the Figure 16 accuracy
 // accounting.

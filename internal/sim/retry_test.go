@@ -133,8 +133,8 @@ func TestRetryBatchYieldsToInheritedTick(t *testing.T) {
 	if got := s.l2.MergedInFlight(); got != 0 {
 		t.Fatalf("the read of b merged into its in-flight fill (%d merges): the tick did not fire between the batch members", got)
 	}
-	if got := s.l2.FillsCompleted(); got != 1 {
-		t.Fatalf("%d fills completed, want b's", got)
+	if got := s.l2.PendingFills(); got != 1 {
+		t.Fatalf("%d fills pending, want c's alone: b's must have completed", got)
 	}
 	if got := s.l2.Hits(); got != 1 {
 		t.Fatalf("%d L2 hits, want the read of b", got)

@@ -6,9 +6,11 @@
 //
 // The cycle engine is sparse: a min-heap of per-SM wake times plus a typed
 // event heap for the memory side, so each step touches only the SMs that can
-// actually make progress at that cycle. The cycles an SM sleeps through are
-// charged to the same stall counters cycle-by-cycle execution would have
-// charged, which makes the sparse engine a pure speedup: RunReference — the
+// actually make progress at that cycle. Each SM keeps its own clock and
+// ledger: the engine calls gpu.SM.CatchUp before it cycles an SM, delivers
+// it a fill or ends the run, and the SM charges the cycles it slept through
+// to the same causes cycle-by-cycle execution would have, which makes the
+// sparse engine a pure speedup: RunReference — the
 // step-every-cycle path — must produce bit-identical results, and the engine
 // equivalence test pins that.
 //
@@ -400,15 +402,14 @@ type Simulator struct {
 	memTickSeq uint64
 	staleTicks []staleTick
 
-	// Sparse-engine state: per-SM wake heap, lazily charged idle cycles,
-	// the set of SMs drainOutgoing pulls from and the set of SMs due this
-	// step (bit i of word i/64 stands for SM i; iterating a set visits the
-	// SMs in order, which keeps issue and drain deterministic).
-	wake      smWakeHeap
-	chargedTo []int64 // SM i is charged for every cycle < chargedTo[i]
-	doneSMs   int
-	dirty     []uint64
-	due       []uint64
+	// Sparse-engine state: per-SM wake heap, the set of SMs drainOutgoing
+	// pulls from and the set of SMs due this step (bit i of word i/64 stands
+	// for SM i; iterating a set visits the SMs in order, which keeps issue
+	// and drain deterministic).
+	wake    smWakeHeap
+	doneSMs int
+	dirty   []uint64
+	due     []uint64
 
 	// Latency decomposition of completed fills (Figure 1).
 	nocCycles int64
@@ -481,7 +482,6 @@ func New(gpuCfg config.GPUConfig, workload trace.Workload, opts Options) (*Simul
 	})
 
 	s.sms = make([]*gpu.SM, smCount)
-	s.chargedTo = make([]int64, smCount)
 	s.dirty = make([]uint64, smSetWords(smCount))
 	s.due = make([]uint64, smSetWords(smCount))
 	for i := range s.sms {
@@ -623,26 +623,18 @@ func (s *Simulator) handleEvent(slot int32) {
 	case evRespAtSM:
 		at, i, block := e.at, e.sm, e.block
 		s.events.release(slot)
-		if s.chargedTo[i] > at {
-			// The SM has already been cycled past the fill's arrival time.
-			// Events are delivered at exactly their due cycle, before any SM
-			// cycles at it, so reaching this means the engine charged the SM
-			// for cycles it had not lived through yet: a broken invariant.
-			panic(fmt.Sprintf("sim: fill for SM %d delivered at cycle %d, but the SM is already charged to cycle %d (fill arrived in the SM's past)",
-				i, at, s.chargedTo[i]))
-		}
 		s.fills++
+		// Events are delivered at exactly their due cycle, before any SM
+		// cycles at it, so CatchUp panics if the SM was already cycled past
+		// the fill's arrival. It charges the cycles the SM slept through
+		// before the fill changes its outstanding-fill count. A done SM still
+		// owns its cache: the fill lands (and may evict a dirty victim that
+		// must be drained), but costs no SM cycles and wakes nothing.
 		sm := s.sms[i]
+		sm.CatchUp(at)
+		sm.DeliverFill(block, at)
 		if !sm.Done() {
-			// Charge the idle cycles the SM slept through before the fill
-			// changes its outstanding-fill count, then wake it this cycle.
-			s.catchUp(i)
-			sm.DeliverFill(block, at)
 			s.wake.update(i, at)
-		} else {
-			// A done SM still owns its cache: the fill lands (and may evict
-			// a dirty victim that must be drained), but costs no SM cycles.
-			sm.DeliverFill(block, at)
 		}
 		s.markDirty(i)
 	}
@@ -774,33 +766,6 @@ func (s *Simulator) chargeRenacks(at, retry int64, n uint64) {
 	s.nocCycles -= wait
 }
 
-// catchUp charges SM i for the cycles between its last charged cycle and the
-// current one: the sparse engine never cycles a sleeping SM, so the skip is
-// accounted here with exactly the counters per-cycle execution would have
-// used. An SM sleeping through a held stall is charged a rejection of its
-// held access at each skipped cycle (gpu.SM.ReplayStalls); any other
-// sleeping SM had no ready warp (memory wait while fills are outstanding).
-func (s *Simulator) catchUp(i int) {
-	now := s.now
-	from := s.chargedTo[i]
-	if from >= now {
-		return
-	}
-	sm := s.sms[i]
-	s.chargedTo[i] = now
-	if sm.Holding() {
-		sm.ReplayStalls(from, now)
-		return
-	}
-	skipped := uint64(now - from)
-	st := sm.Stats()
-	st.Cycles += skipped
-	st.NoReadyWarpCycles += skipped
-	if sm.OutstandingFills() > 0 {
-		st.MemWaitCycles += skipped
-	}
-}
-
 // markDirty queues SM i for this step's outgoing-traffic drain.
 func (s *Simulator) markDirty(i int) { s.dirty[i>>6] |= 1 << (i & 63) }
 
@@ -835,9 +800,8 @@ func (s *Simulator) drainSM(i int) {
 // cycleSM runs one cycle of SM i at the current time and reschedules it.
 func (s *Simulator) cycleSM(i int) {
 	sm := s.sms[i]
-	s.catchUp(i)
+	sm.CatchUp(s.now)
 	sm.Cycle(s.now)
-	s.chargedTo[i] = s.now + 1
 	s.markDirty(i)
 	if sm.Done() {
 		s.doneSMs++
@@ -895,10 +859,8 @@ func (s *Simulator) nextTime() int64 {
 // settle charges the idle tail of every unfinished SM (a run that hits
 // MaxCycles, or SMs that slept while the last finisher retired).
 func (s *Simulator) settle() {
-	for i, sm := range s.sms {
-		if !sm.Done() {
-			s.catchUp(i)
-		}
+	for _, sm := range s.sms {
+		sm.CatchUp(s.now)
 	}
 }
 
