@@ -65,23 +65,8 @@ func (a *ApproxLogic) searchIterations() int {
 // present), the polling logic wastes those iterations, which is exactly the
 // cost the paper's Figure 20 sensitivity study quantifies.
 func (a *ApproxLogic) Lookup(block uint64, actuallyPresent bool) (mayHit bool, cycles int) {
-	positive, _ := a.filters.Test(block)
-	return a.search(positive, actuallyPresent)
-}
-
-// RepeatLookup performs n more Lookups of the block against unchanged
-// filters and tag array — moving every filter counter they would have moved
-// — testing the filters only once. It returns the answer each of them would
-// have returned.
-func (a *ApproxLogic) RepeatLookup(block uint64, actuallyPresent bool, n uint64) (mayHit bool, cycles int) {
-	return a.search(a.filters.RepeatTest(block, n), actuallyPresent)
-}
-
-// search returns the answer and cost of a search whose membership test
-// answered positive or not.
-func (a *ApproxLogic) search(positive, actuallyPresent bool) (mayHit bool, cycles int) {
 	cycles = a.filters.TestLatency
-	if !positive {
+	if !a.filters.Test(block) {
 		return false, cycles
 	}
 	cycles += a.searchIterations()
@@ -91,9 +76,3 @@ func (a *ApproxLogic) search(positive, actuallyPresent bool) (mayHit bool, cycle
 	}
 	return true, cycles
 }
-
-// FalsePositiveRate returns the aggregate CBF false-positive rate.
-func (a *ApproxLogic) FalsePositiveRate() float64 { return a.filters.FalsePositiveRate() }
-
-// Filters exposes the underlying NVM-CBF array (for area accounting).
-func (a *ApproxLogic) Filters() *cbf.NVMCBF { return a.filters }

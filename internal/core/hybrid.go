@@ -58,18 +58,17 @@ type HybridL1D struct {
 }
 
 // heldStall is what re-presenting a rejected access moves again: the tag
-// search through the approximation logic when the access reached it, and,
-// for a full MSHR file or merge list, the rejection itself. Nothing else
-// moves: the access counters are undone within each attempt, and the first
-// rejection inside a blocking window or a busy bank's write already charged
-// the STT-write stall cycles up to its end.
+// search cycles through the approximation logic when the access reached it,
+// and, for a full MSHR file or merge list, the rejection itself. Nothing else
+// moves: the search reads filters and tags that only an accepted access, a
+// Fill or a Tick changes, the access counters are undone within each
+// attempt, and the first rejection inside a blocking window or a busy bank's
+// write already charged the STT-write stall cycles up to its end.
 type heldStall struct {
 	reason StallReason
-	// searched reports that the access searched the STT-MRAM tags for block
-	// through the approximation logic; present is what the tag array said.
-	searched bool
-	present  bool
-	block    uint64
+	// searchCycles is what the access's tag search through the
+	// approximation logic cost (0 when it made none).
+	searchCycles int
 }
 
 // newHybridL1D builds a HybridL1D from a hybrid configuration.
@@ -104,9 +103,6 @@ func (h *HybridL1D) Kind() config.L1DKind { return h.cfg.Kind }
 
 // Stats implements L1D.
 func (h *HybridL1D) Stats() *Stats { return &h.stats }
-
-// Banks implements L1D.
-func (h *HybridL1D) Banks() []*memtech.Bank { return []*memtech.Bank{h.sramBank, h.sttBank} }
 
 // Predictor exposes the read-level predictor (nil unless Dy-FUSE).
 func (h *HybridL1D) Predictor() *predictor.ReadLevelPredictor { return h.pred }
@@ -250,7 +246,7 @@ func (h *HybridL1D) access(req mem.Request, now int64) AccessResult {
 	}
 
 	// 5. Miss: decide the fill destination and allocate an MSHR entry.
-	return h.miss(req, block, now, write, present)
+	return h.miss(req, block, now, write, searchCycles)
 }
 
 // sttHit services a request that hit in the STT-MRAM bank.
@@ -260,7 +256,7 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 		// (Hybrid) a busy bank rejects the request; with one, the access
 		// is absorbed.
 		if !h.nonBlocking() && h.sttBank.Busy(now) {
-			return h.sttBusyStall(now, block, write)
+			return h.sttBusyStall(now, write, searchCycles)
 		}
 		h.stt.Touch(block, false)
 		h.stats.Hits++
@@ -282,8 +278,10 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 			h.stats.TagQueueFlushes++
 			h.drainQueue(now)
 		}
+		// The flush may itself have evicted the block from the STT-MRAM
+		// bank, and then the filters no longer hold it.
 		line := h.stt.Invalidate(block)
-		if h.approx != nil {
+		if h.approx != nil && line.Valid {
 			h.approx.Unregister(block)
 		}
 		// Read the data out of the STT-MRAM array. The bank serialises the
@@ -304,7 +302,7 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 	// Hybrid: the write goes straight into the STT-MRAM bank and blocks
 	// the cache for the full write latency.
 	if h.sttBank.Busy(now) {
-		return h.sttBusyStall(now, block, write)
+		return h.sttBusyStall(now, write, searchCycles)
 	}
 	h.stt.Touch(block, true)
 	h.stats.Hits++
@@ -320,11 +318,11 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 
 // sttBusyStall rejects an access that must wait for the busy STT-MRAM bank
 // (Hybrid has no tag queue to absorb it).
-func (h *HybridL1D) sttBusyStall(now int64, block uint64, write bool) AccessResult {
+func (h *HybridL1D) sttBusyStall(now int64, write bool, searchCycles int) AccessResult {
 	h.chargeSTTStall(now, h.sttBank.BusyUntil())
 	h.undoAccess(write)
 	h.stallHold = h.sttBank.BusyUntil()
-	h.held = heldStall{reason: StallSTTWrite, searched: h.approx != nil, present: true, block: block}
+	h.held = heldStall{reason: StallSTTWrite, searchCycles: searchCycles}
 	return AccessResult{Outcome: OutcomeStall, Bank: cache.DestSTTMRAM}
 }
 
@@ -334,15 +332,11 @@ func (h *HybridL1D) sttBusyStall(now int64, block uint64, write bool) AccessResu
 // accepted accesses.
 func (h *HybridL1D) StallHold() int64 { return h.stallHold }
 
-// RepeatStall implements L1D: the n repeats re-run the recorded tag search
-// (one filter test for all of them) and, for an MSHR rejection, the
-// rejection itself.
+// RepeatStall implements L1D: each of the n repeats pays the recorded tag
+// search's cycles again and, for an MSHR rejection, the rejection itself.
 func (h *HybridL1D) RepeatStall(n uint64) {
 	hs := &h.held
-	if hs.searched {
-		_, cycles := h.approx.RepeatLookup(hs.block, hs.present, n)
-		h.stats.TagSearchStallCycles += n * uint64(cycles)
-	}
+	h.stats.TagSearchStallCycles += n * uint64(hs.searchCycles)
 	if hs.reason == StallMSHR {
 		h.stats.MSHRStallEvents += n
 	}
@@ -375,9 +369,10 @@ func (h *HybridL1D) undoAccess(write bool) {
 	}
 }
 
-// miss handles the cache-miss leg of the decision tree; present is what the
-// STT-MRAM tag search found (a CBF-negative search misses even then).
-func (h *HybridL1D) miss(req mem.Request, block uint64, now int64, write, present bool) AccessResult {
+// miss handles the cache-miss leg of the decision tree; searchCycles is what
+// the STT-MRAM tag search cost (a CBF-negative search misses even when the
+// block is present).
+func (h *HybridL1D) miss(req mem.Request, block uint64, now int64, write bool, searchCycles int) AccessResult {
 	level, neutral, predicted := h.predict(req.PC)
 	dest := cache.DestSRAM
 	if predicted {
@@ -416,7 +411,7 @@ func (h *HybridL1D) miss(req mem.Request, block uint64, now int64, write, presen
 		}
 		// Only a Fill releases an MSHR entry or a merge slot.
 		h.stallHold = math.MaxInt64
-		h.held = heldStall{reason: StallMSHR, searched: h.approx != nil, present: present, block: block}
+		h.held = heldStall{reason: StallMSHR, searchCycles: searchCycles}
 		return AccessResult{Outcome: OutcomeStall, Bank: dest}
 	}
 	if primary {

@@ -10,7 +10,6 @@ import (
 	"fuse/internal/cache"
 	"fuse/internal/config"
 	"fuse/internal/mem"
-	"fuse/internal/memtech"
 	"fuse/internal/predictor"
 )
 
@@ -191,7 +190,4 @@ type L1D interface {
 	RepeatStall(n uint64)
 	// Stats exposes the accumulated counters.
 	Stats() *Stats
-	// Banks returns the technology banks (for energy accounting). The
-	// slice may contain one or two banks depending on the organisation.
-	Banks() []*memtech.Bank
 }

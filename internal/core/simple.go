@@ -56,9 +56,6 @@ func (s *SimpleL1D) Kind() config.L1DKind { return s.cfg.Kind }
 // Stats implements L1D.
 func (s *SimpleL1D) Stats() *Stats { return &s.stats }
 
-// Banks implements L1D.
-func (s *SimpleL1D) Banks() []*memtech.Bank { return []*memtech.Bank{s.bank} }
-
 // isSTT reports whether the single bank is STT-MRAM.
 func (s *SimpleL1D) isSTT() bool { return s.cfg.SRAMKB == 0 }
 
@@ -259,15 +256,4 @@ func (s *SimpleL1D) RepeatStall(n uint64) {
 //go:noinline
 func noHeldStall() {
 	panic("core: By-NVM reports no stall hold, so it has no stall to repeat")
-}
-
-// BypassRatio returns the fraction of misses that were bypassed (Table II's
-// By-NVM bypass ratio). It is zero for organisations without dead-write
-// bypassing.
-func (s *SimpleL1D) BypassRatio() float64 {
-	total := s.stats.Misses + s.stats.Bypasses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.stats.Bypasses) / float64(total)
 }

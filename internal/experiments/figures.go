@@ -456,13 +456,17 @@ func Fig20CBFFalsePositives(seed uint64) (*stats.Table, error) {
 		k := trace.NewKernel(prof, 0, seed)
 		resident := make([]uint64, 0, bankBlocks)
 		inBank := make(map[uint64]bool, bankBlocks)
+		var tests, falsePositives int
 		for i := 0; i < instructions; i++ {
 			ins := k.Next(i % 48)
 			if !ins.IsMem {
 				continue
 			}
 			b := mem.BlockAlign(ins.Addr)
-			filter.Test(b)
+			tests++
+			if filter.Test(b) && !inBank[b] {
+				falsePositives++
+			}
 			if inBank[b] {
 				continue
 			}
@@ -477,7 +481,10 @@ func Fig20CBFFalsePositives(seed uint64) (*stats.Table, error) {
 			inBank[b] = true
 			filter.Insert(b)
 		}
-		return filter.FalsePositiveRate()
+		if tests == 0 {
+			return 0
+		}
+		return float64(falsePositives) / float64(tests)
 	}
 	for _, w := range trace.CBFStudyWorkloads() {
 		prof, ok := trace.ProfileByName(w)

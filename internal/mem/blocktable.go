@@ -1,6 +1,9 @@
 package mem
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // emptyKey marks a free slot of a BlockTable. Block addresses are
 // BlockSize-aligned, so the all-ones pattern never collides with one.
@@ -16,12 +19,11 @@ type blockSlot[V any] struct {
 // BlockTable is a hash map from block address to V for the simulator's hot
 // paths: open addressing with linear probing over a power-of-two slot array,
 // backward-shift deletion (no tombstones, so probe runs never lengthen with
-// churn) and emptyKey as the free-slot sentinel. A table made for n entries
-// keeps at most half its slots full and only grows past n entries, so a
-// table sized to a structure's bound (MSHR entries, warps, tag-store lines)
-// never reallocates. Iteration is deliberately absent: no result may depend
-// on hash order. The zero value has no slots; make tables with
-// NewBlockTable.
+// churn) and emptyKey as the free-slot sentinel. A table never grows: it is
+// made for its structure's bound (MSHR entries, warps, tag-store lines),
+// keeps at most half its slots full, and panics on a Put past that bound.
+// Iteration is deliberately absent: no result may depend on hash order. The
+// zero value has no slots; make tables with NewBlockTable.
 type BlockTable[V any] struct {
 	slots []blockSlot[V]
 	// shift turns the 64-bit Fibonacci hash of a key into a slot index.
@@ -29,21 +31,18 @@ type BlockTable[V any] struct {
 	n     int
 }
 
-// NewBlockTable returns a table with room for n entries before it grows.
+// NewBlockTable returns a table with room for n entries, rounded up to a
+// power of two: its bound.
 func NewBlockTable[V any](n int) BlockTable[V] {
-	var t BlockTable[V]
-	t.alloc(max(n, 1))
-	return t
-}
-
-// alloc replaces the slot array with an empty one of at least 2n slots.
-func (t *BlockTable[V]) alloc(n int) {
-	size := 2 << bits.Len(uint(n-1))
-	t.slots = make([]blockSlot[V], size)
+	size := 2 << bits.Len(uint(max(n, 1)-1))
+	t := BlockTable[V]{
+		slots: make([]blockSlot[V], size),
+		shift: uint8(64 - bits.TrailingZeros(uint(size))),
+	}
 	for i := range t.slots {
 		t.slots[i].key = emptyKey
 	}
-	t.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	return t
 }
 
 // home returns the slot a key hashes to. Fibonacci hashing takes the high
@@ -90,7 +89,7 @@ func (t *BlockTable[V]) Ptr(key uint64) *V {
 }
 
 // Put stores val for key. Key emptyKey is reserved and panics: it is never a
-// block address.
+// block address. A new key past the table's bound panics too.
 func (t *BlockTable[V]) Put(key uint64, val V) {
 	if key == emptyKey {
 		panic("mem: BlockTable key ^0 is reserved")
@@ -105,24 +104,18 @@ func (t *BlockTable[V]) Put(key uint64, val V) {
 		}
 	}
 	if 2*(t.n+1) > len(slots) {
-		t.grow()
-		t.Put(key, val)
-		return
+		tableFull(len(slots) / 2)
 	}
 	slots[i] = blockSlot[V]{key: key, val: val}
 	t.n++
 }
 
-// grow doubles the slot array and reinserts every entry.
-func (t *BlockTable[V]) grow() {
-	old := t.slots
-	t.alloc(len(old))
-	t.n = 0
-	for _, s := range old {
-		if s.key != emptyKey {
-			t.Put(s.key, s.val)
-		}
-	}
+// tableFull reports a Put past a table's bound. It stays out of line so that
+// the message's allocation is not inlined into Put.
+//
+//go:noinline
+func tableFull(bound int) {
+	panic(fmt.Sprintf("mem: BlockTable full: Put past its bound of %d entries", bound))
 }
 
 // Delete removes key and returns the value it held and whether it was

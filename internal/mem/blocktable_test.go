@@ -34,7 +34,8 @@ func checkTable(t *testing.T, step string, got *BlockTable[int], want map[uint64
 
 // TestBlockTableMatchesMap runs random Put/Get/Ptr/Delete/Len against a map
 // reference. The key universe is small so that hits, overwrites and
-// deletes of present keys are common, and the table starts small so it grows.
+// deletes of present keys are common, and the table is made for exactly the
+// universe, so a run that holds every key at once fills it to its bound.
 func TestBlockTableMatchesMap(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 7))
@@ -42,7 +43,7 @@ func TestBlockTableMatchesMap(t *testing.T) {
 		for i := range universe {
 			universe[i] = BlockAlign(rng.Uint64() &^ (1 << 63))
 		}
-		got := NewBlockTable[int](1 + rng.IntN(8))
+		got := NewBlockTable[int](len(universe))
 		want := map[uint64]int{}
 		for op := 0; op < 4000; op++ {
 			k := universe[rng.IntN(len(universe))]
@@ -90,7 +91,7 @@ func TestBlockTableMatchesMap(t *testing.T) {
 // — from the middle of the cluster, on both sides of the wrap — checking the
 // backward shift keeps every remaining key reachable.
 func TestBlockTableWrappedClusterDelete(t *testing.T) {
-	probe := NewBlockTable[int](8) // 16 slots, never grows below 8 entries
+	probe := NewBlockTable[int](8) // 16 slots, room for 8 entries
 	size := len(probe.slots)
 	// Keys hashing to the last two slots: a cluster of 7 of them occupies
 	// slots 14, 15, 0, ..., 4.
@@ -117,9 +118,6 @@ func TestBlockTableWrappedClusterDelete(t *testing.T) {
 			tab.Put(k, i)
 			want[k] = i
 		}
-		if len(tab.slots) != size {
-			t.Fatalf("table grew to %d slots under its sizing bound", len(tab.slots))
-		}
 		if tab.slots[0].key == emptyKey || tab.slots[size-1].key == emptyKey {
 			t.Fatal("cluster does not wrap past the end of the table")
 		}
@@ -137,6 +135,25 @@ func TestBlockTableWrappedClusterDelete(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBlockTablePutPastBoundPanics fills a table to its bound, overwrites a
+// held key (not a new entry), then puts one key more.
+func TestBlockTablePutPastBoundPanics(t *testing.T) {
+	tab := NewBlockTable[int](8)
+	for i := 0; i < 8; i++ {
+		tab.Put(uint64(i)*BlockSize, i)
+	}
+	tab.Put(0, 100)
+	if v, _ := tab.Get(0); v != 100 || tab.Len() != 8 {
+		t.Fatalf("overwrite at the bound: Get(0) = %d, Len %d", v, tab.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Put of a ninth key into a table made for 8 did not panic")
+		}
+	}()
+	tab.Put(8*BlockSize, 8)
 }
 
 func TestBlockTableReservedKeyPanics(t *testing.T) {

@@ -188,17 +188,15 @@ func (p *Params) AccessEnergy(write bool) float64 {
 	return p.ReadEnergy
 }
 
-// Bank is a stateful model of a single memory bank: it tracks when the bank
-// becomes free again after an access so that callers can model bank
-// conflicts, and it accumulates access counts for the energy model.
+// Bank is a stateful model of a single memory bank's timing: it tracks when
+// the bank becomes free again after an access so that callers can model bank
+// conflicts. The caches count their own bank traffic for the energy model.
 type Bank struct {
 	Params Params
 	// Name is a human-readable identifier used in reports.
 	Name string
 
 	busyUntil int64
-	reads     uint64
-	writes    uint64
 }
 
 // NewBank creates a bank with the given name and technology parameters.
@@ -223,24 +221,7 @@ func (b *Bank) Access(now int64, write bool) int64 {
 	}
 	lat := int64(b.Params.AccessLatency(write))
 	b.busyUntil = start + lat
-	if write {
-		b.writes++
-	} else {
-		b.reads++
-	}
 	return b.busyUntil
-}
-
-// Reads returns the number of read accesses performed on the bank.
-func (b *Bank) Reads() uint64 { return b.reads }
-
-// Writes returns the number of write accesses performed on the bank.
-func (b *Bank) Writes() uint64 { return b.writes }
-
-// DynamicEnergy returns the total dynamic energy (nJ) consumed by the bank so
-// far.
-func (b *Bank) DynamicEnergy() float64 {
-	return float64(b.reads)*b.Params.ReadEnergy + float64(b.writes)*b.Params.WriteEnergy
 }
 
 // LeakageEnergy returns the leakage energy (nJ) dissipated over the given

@@ -59,7 +59,6 @@ func (c Config) withDefaults() Config {
 // link tracks when a physical channel becomes free again.
 type link struct {
 	nextFree int64
-	busyCyc  uint64
 }
 
 // Network is the butterfly interconnect.
@@ -68,10 +67,6 @@ type Network struct {
 	stages int
 	// links[direction][stage][router*radix+port]
 	links [2][][]link
-	// reachable[direction] is the number of links the routing function can
-	// actually use in that direction; the remaining router ports are
-	// unwired and must not dilute utilisation statistics.
-	reachable [2]int
 	// pathBuf is the reusable per-route scratch buffer: routing runs once or
 	// twice per packet on the simulator's hot path, and a per-call slice
 	// allocation there dominates the network's own arithmetic.
@@ -109,39 +104,8 @@ func New(cfg Config) *Network {
 			n.links[d][s] = make([]link, routersPerStage*cfg.Radix)
 		}
 	}
-	n.countReachableLinks()
 	return n
 }
-
-// countReachableLinks enumerates every (src, dst) endpoint pair of each
-// direction and marks the links its deterministic route uses. Ports no route
-// ever crosses are unwired in a real butterfly, so LinkUtilisation divides by
-// the reachable count only.
-func (n *Network) countReachableLinks() {
-	srcs := [2]int{n.cfg.SMNodes, n.cfg.MemNodes} // request: SM -> bank
-	dsts := [2]int{n.cfg.MemNodes, n.cfg.SMNodes} // response: bank -> SM
-	for d := 0; d < 2; d++ {
-		used := make([]map[int]bool, n.stages)
-		for s := range used {
-			used[s] = make(map[int]bool)
-		}
-		for src := 0; src < srcs[d]; src++ {
-			for dst := 0; dst < dsts[d]; dst++ {
-				for s, li := range n.pathLinks(src, dst) {
-					used[s][li] = true
-				}
-			}
-		}
-		n.reachable[d] = 0
-		for s := range used {
-			n.reachable[d] += len(used[s])
-		}
-	}
-}
-
-// ReachableLinks returns the number of links the routing function can use in
-// the given direction.
-func (n *Network) ReachableLinks(dir Direction) int { return n.reachable[dir] }
 
 // Config returns the effective configuration.
 func (n *Network) Config() Config { return n.cfg }
@@ -203,7 +167,6 @@ func (n *Network) send(dir Direction, src, dst, bytes int, now int64) int64 {
 		}
 		depart := start + ser
 		l.nextFree = depart
-		l.busyCyc += uint64(ser)
 		t = depart + int64(n.cfg.HopLatency)
 	}
 	n.totalLat += uint64(t - now)
@@ -242,28 +205,6 @@ func (n *Network) AverageLatency() float64 {
 		return 0
 	}
 	return float64(n.totalLat) / float64(total)
-}
-
-// LinkUtilisation returns the mean busy fraction, up to the given cycle, of
-// the links the routing function can actually reach (unwired router ports
-// are excluded from the denominator).
-func (n *Network) LinkUtilisation(now int64) float64 {
-	if now <= 0 {
-		return 0
-	}
-	var busy uint64
-	for d := 0; d < 2; d++ {
-		for s := range n.links[d] {
-			for i := range n.links[d][s] {
-				busy += n.links[d][s][i].busyCyc
-			}
-		}
-	}
-	count := n.reachable[0] + n.reachable[1]
-	if count == 0 {
-		return 0
-	}
-	return float64(busy) / float64(count) / float64(now)
 }
 
 // String describes the topology.

@@ -18,9 +18,6 @@ type DeadWritePredictor struct {
 
 	threshold int
 	max       int
-
-	predictions uint64
-	bypassed    uint64
 }
 
 // NewDeadWritePredictor builds a dead-write predictor. The zero Config takes
@@ -46,12 +43,7 @@ func NewDeadWritePredictor(cfg Config) *DeadWritePredictor {
 // PredictDead reports whether the block about to be allocated by the
 // instruction at pc is predicted to be a dead write (never re-referenced).
 func (p *DeadWritePredictor) PredictDead(pc uint64) bool {
-	p.predictions++
-	dead := p.history[Signature(pc, len(p.history))] >= p.threshold
-	if dead {
-		p.bypassed++
-	}
-	return dead
+	return p.history[Signature(pc, len(p.history))] >= p.threshold
 }
 
 // Observe feeds one memory request into the sampler: re-references decrement
@@ -122,19 +114,4 @@ func (p *DeadWritePredictor) lruVictim(set int) int {
 		}
 	}
 	return best
-}
-
-// Predictions returns the number of PredictDead calls.
-func (p *DeadWritePredictor) Predictions() uint64 { return p.predictions }
-
-// Bypasses returns how many predictions were "dead" (and therefore bypassed).
-func (p *DeadWritePredictor) Bypasses() uint64 { return p.bypassed }
-
-// BypassRatio returns bypasses / predictions, the quantity reported in the
-// paper's Table II.
-func (p *DeadWritePredictor) BypassRatio() float64 {
-	if p.predictions == 0 {
-		return 0
-	}
-	return float64(p.bypassed) / float64(p.predictions)
 }

@@ -217,8 +217,10 @@ func TestDeadWritePredictorLearnsStreaming(t *testing.T) {
 	if !p.PredictDead(pc) {
 		t.Errorf("streaming PC should be predicted dead")
 	}
-	if p.BypassRatio() <= 0 {
-		t.Errorf("bypass ratio should be positive after a dead prediction")
+	// A prediction trains nothing: the same PC stays dead, and an
+	// untrained one stays alive.
+	if !p.PredictDead(pc) || p.PredictDead(0x1300) {
+		t.Errorf("predicting changed the answers: streaming PC dead %v, untrained PC dead %v", p.PredictDead(pc), p.PredictDead(0x1300))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"fuse/internal/config"
 	"fuse/internal/core"
-	"fuse/internal/memtech"
 	"fuse/internal/predictor"
 	"fuse/internal/trace"
 )
@@ -162,17 +161,8 @@ func (s *Simulator) collect() Result {
 	r.DRAMQueueStalls = s.dram.QueueStalls()
 	r.DRAMEnergyNJ = s.dram.EnergyNJ()
 
-	for _, sm := range s.sms {
-		for _, b := range sm.L1D().Banks() {
-			if b.Params.Tech == memtech.SRAM {
-				r.SRAMReads += b.Reads()
-				r.SRAMWrites += b.Writes()
-			} else {
-				r.STTReads += b.Reads()
-				r.STTWrites += b.Writes()
-			}
-		}
-	}
+	r.SRAMReads, r.SRAMWrites = r.L1D.SRAMReads, r.L1D.SRAMWrites
+	r.STTReads, r.STTWrites = r.L1D.STTReads, r.L1D.STTWrites
 	return r
 }
 
