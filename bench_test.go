@@ -21,6 +21,7 @@ import (
 	"fuse/internal/area"
 	"fuse/internal/config"
 	"fuse/internal/energy"
+	"fuse/internal/engine"
 	"fuse/internal/experiments"
 	"fuse/internal/sim"
 	"fuse/internal/stats"
@@ -55,7 +56,7 @@ func lastRow(t *stats.Table) []string { return t.Rows[len(t.Rows)-1] }
 func BenchmarkFig01_OffchipOverheads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := experiments.NewMatrix(benchScale)
-		tab, err := experiments.Fig1OffChipOverheads(m, benchWorkloads)
+		tab, err := experiments.Run(m, experiments.ExpFig1, benchWorkloads)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +69,7 @@ func BenchmarkFig01_OffchipOverheads(b *testing.B) {
 func BenchmarkFig03_MotivationCaches(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := experiments.NewMatrix(benchScale)
-		tab, err := experiments.Fig3Motivation(m)
+		tab, err := experiments.Run(m, experiments.ExpFig3, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func BenchmarkFig06_ReadLevelAnalysis(b *testing.B) {
 func BenchmarkFig07_ApproxVsFullyAssoc(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := experiments.NewMatrix(benchScale)
-		tab, err := experiments.Fig7ApproxVsFullyAssociative(m)
+		tab, err := experiments.Run(m, experiments.ExpFig7, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +110,7 @@ func BenchmarkFig07_ApproxVsFullyAssoc(b *testing.B) {
 func BenchmarkTable02_WorkloadCharacterisation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := experiments.NewMatrix(benchScale)
-		tab, err := experiments.Table2Workloads(m, benchWorkloads)
+		tab, err := experiments.Run(m, experiments.ExpTable2, benchWorkloads)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -192,7 +193,7 @@ func BenchmarkFig17_L1DEnergy(b *testing.B) {
 func BenchmarkFig18_RatioSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := experiments.NewMatrix(benchScale)
-		tab, err := experiments.Fig18RatioSweep(m)
+		tab, err := experiments.Run(m, experiments.ExpFig18, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +209,7 @@ func BenchmarkFig18_RatioSweep(b *testing.B) {
 func BenchmarkFig19_VoltaGPU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := experiments.NewMatrix(benchScale)
-		tab, err := experiments.Fig19Volta(m, []string{"ATAX", "2MM", "GESUM"})
+		tab, err := experiments.Run(m, experiments.ExpFig19, []string{"ATAX", "2MM", "GESUM"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,7 +256,7 @@ func BenchmarkFig13_FullMatrix(b *testing.B) {
 	for _, workers := range workerCounts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m := experiments.NewMatrixWorkers(benchScale, workers)
+				m := experiments.NewMatrixRunner(benchScale, engine.New(engine.Config{Workers: workers}))
 				if err := m.Prewarm(context.Background(), []string{experiments.ExpFig13}, nil); err != nil {
 					b.Fatal(err)
 				}

@@ -84,16 +84,9 @@ func main() {
 		}
 	}
 
-	var scale experiments.Scale
-	switch *scaleName {
-	case "quick":
-		scale = experiments.QuickScale
-	case "bench":
-		scale = experiments.BenchScale
-	case "full":
-		scale = experiments.FullScale
-	default:
-		fmt.Fprintf(os.Stderr, "fuseserve: unknown scale %q (want quick, bench or full)\n", *scaleName)
+	scale, err := experiments.ParseScale(*scaleName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fuseserve: %v\n", err)
 		os.Exit(1)
 	}
 

@@ -78,8 +78,8 @@ func newHybridL1D(cfg config.L1DConfig) *HybridL1D {
 	// The STT-MRAM bank uses FIFO replacement: true LRU is unaffordable at
 	// 512 ways (Section V, simulation methodology).
 	h.stt = cache.NewTagStore(cfg.STTSets, cfg.STTWays, cache.FIFO)
-	h.sramBank = memtech.NewBank("sram", cfg.SRAMTech)
-	h.sttBank = memtech.NewBank("stt-mram", cfg.STTTech)
+	h.sramBank = memtech.NewBank(cfg.SRAMTech)
+	h.sttBank = memtech.NewBank(cfg.STTTech)
 	h.mshr = cache.NewMSHR(cfg.MSHREntries, cfg.MSHRMergeWidth)
 	h.swap = NewSwapBuffer(cfg.SwapBufferEntries)
 	h.queue = NewTagQueue(cfg.TagQueueEntries)

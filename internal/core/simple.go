@@ -38,10 +38,10 @@ func newSimpleL1D(cfg config.L1DConfig) *SimpleL1D {
 	s := &SimpleL1D{cfg: cfg}
 	if cfg.SRAMKB > 0 {
 		s.store = cache.NewTagStore(cfg.SRAMSets, cfg.SRAMWays, cache.LRU)
-		s.bank = memtech.NewBank("sram", cfg.SRAMTech)
+		s.bank = memtech.NewBank(cfg.SRAMTech)
 	} else {
 		s.store = cache.NewTagStore(cfg.STTSets, cfg.STTWays, cache.LRU)
-		s.bank = memtech.NewBank("stt-mram", cfg.STTTech)
+		s.bank = memtech.NewBank(cfg.STTTech)
 	}
 	s.mshr = cache.NewMSHR(cfg.MSHREntries, cfg.MSHRMergeWidth)
 	if cfg.UseDeadWriteBypass {

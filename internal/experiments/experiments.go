@@ -1,25 +1,24 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation: each ExpXX function runs the required simulations and returns a
+// evaluation: each experiment runs the required simulations and returns a
 // text table whose rows correspond to the paper's bars/series. The absolute
 // numbers come from our from-scratch simulator rather than GPGPU-Sim, so they
 // are not expected to match the paper digit for digit; the shape (who wins,
 // by roughly what factor, where the crossovers are) is the reproduction
 // target, and EXPERIMENTS.md records both sides.
 //
-// Simulations are executed through the engine package: every figure declares
-// its full job set up front (see Jobs), the Matrix pre-warms the engine's
-// result cache in parallel, and the figure functions then read the cached
-// results in deterministic order. Figures sharing runs (13, 14, 15, 16, 17)
-// never re-simulate.
+// Each experiment is declared once, as an entry of the figures table: its
+// workloads (the rows), one job constructor per configuration (the columns)
+// and a render function over the grid of results. Jobs lays the grid out for
+// pre-warming, and RunContext executes the same grid as one engine batch and
+// renders it. The engine deduplicates by store key, so figures sharing runs
+// (13, 14, 15, 16, 17) never re-simulate.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"fuse/internal/config"
-	"fuse/internal/dram"
 	"fuse/internal/engine"
 	"fuse/internal/sim"
 	"fuse/internal/stats"
@@ -58,10 +57,22 @@ func (s Scale) Options() sim.Options {
 	}
 }
 
+// ParseScale resolves a scale by its command-line name: quick, bench or full.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "quick":
+		return QuickScale, nil
+	case "bench":
+		return BenchScale, nil
+	case "full":
+		return FullScale, nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want quick, bench or full)", name)
+}
+
 // Matrix is the experiment layer's view of the engine: a façade over
-// engine.Runner that caches simulation results so that figures sharing the
-// same runs (13, 14, 15, 16, 17) do not re-simulate, and that fills the
-// cache in parallel when an experiment declares its job set up front.
+// engine.Runner, whose result cache lets figures sharing the same runs (13,
+// 14, 15, 16, 17) read them without re-simulating.
 type Matrix struct {
 	scale  Scale
 	runner *engine.Runner
@@ -75,13 +86,6 @@ type Matrix struct {
 // the engine's default worker pool (GOMAXPROCS workers).
 func NewMatrix(scale Scale) *Matrix {
 	return NewMatrixRunner(scale, engine.New(engine.Config{}))
-}
-
-// NewMatrixWorkers creates a matrix whose engine uses the given number of
-// workers (0 means GOMAXPROCS). Workers only matter for the batched
-// pre-warm paths; the Get accessors are sequential either way.
-func NewMatrixWorkers(scale Scale, workers int) *Matrix {
-	return NewMatrixRunner(scale, engine.New(engine.Config{Workers: workers}))
 }
 
 // NewMatrixRunner wraps an existing engine Runner (the cmd tools build their
@@ -98,8 +102,7 @@ func (m *Matrix) Runner() *engine.Runner { return m.runner }
 
 // SetBackend makes every job of this matrix run on the given memory backend
 // (see dram.Backends; empty restores the configurations' own backends). The
-// caller validates the name; figure functions and Jobs declarations build
-// identical jobs either way, so pre-warmed caches keep hitting.
+// caller validates the name.
 func (m *Matrix) SetBackend(name string) { m.backend = name }
 
 // job builds the engine job for a kind-based simulation. A backend override
@@ -123,36 +126,13 @@ func (m *Matrix) customJob(label string, gpuCfg config.GPUConfig, workload strin
 	return engine.Job{Label: label, GPU: &cfg, Workload: workload, Opts: m.scale.Options()}
 }
 
-// backendJob builds one point of the backend sweep: the paper's full Dy-FUSE
-// proposal on the Fermi-class GPU with the given memory backend. It bypasses
-// any SetBackend override — the sweep's identity is its backend.
-func (m *Matrix) backendJob(backend, workload string) engine.Job {
-	return engine.BackendJob(config.DyFUSE, workload, backend, m.scale.Options())
-}
-
-// getBackend runs (or reads) one backend-sweep point.
-func (m *Matrix) getBackend(backend, workload string) (sim.Result, error) {
-	return m.runner.Get(context.Background(), m.backendJob(backend, workload))
-}
-
-// Get runs (or returns the cached result of) one simulation.
-func (m *Matrix) Get(kind config.L1DKind, workload string) (sim.Result, error) {
-	return m.runner.Get(context.Background(), m.job(kind, workload))
-}
-
-// GetCustom runs (or returns the cached result of) a simulation with a custom
-// GPU configuration, named by a label instead of an L1D kind.
-func (m *Matrix) GetCustom(label string, gpuCfg config.GPUConfig, workload string) (sim.Result, error) {
-	return m.runner.Get(context.Background(), m.customJob(label, gpuCfg, workload))
-}
-
 // Runs returns the number of completed (cached) simulation results.
 func (m *Matrix) Runs() int { return m.runner.Completed() }
 
 // Prewarm executes the full job set of the named experiments in parallel on
-// the engine's worker pool, so that the figure functions afterwards are pure
-// cache reads. Jobs shared between experiments are deduplicated by the
-// engine. A nil workloads slice means each experiment's default set.
+// the engine's worker pool, so that running them afterwards is pure cache
+// reads. Jobs shared between experiments are deduplicated by the engine. A
+// nil workloads slice means each experiment's default set.
 func (m *Matrix) Prewarm(ctx context.Context, names []string, workloads []string) error {
 	var jobs []engine.Job
 	for _, name := range names {
@@ -165,96 +145,29 @@ func (m *Matrix) Prewarm(ctx context.Context, names []string, workloads []string
 	return err
 }
 
-// backendSweepWorkloads resolves the backend sweep's workload set: its
-// default is the memory-intensive motivation set (the sweep is about
-// off-chip behaviour), not the full 21-workload matrix.
-func backendSweepWorkloads(workloads []string) []string {
-	if workloads == nil {
-		return trace.MotivationWorkloads()
-	}
-	return workloads
-}
-
-// Jobs declares the full simulation set of one experiment: every (config,
-// workload) point the figure function will request. Experiments that run no
-// simulations (table1, table3, fig6, fig20) declare an empty set. A nil
-// workloads slice means the experiment's default set.
+// Jobs returns the full simulation set of one experiment, laid out
+// workload-major from its declaration (see figures). Experiments that run no
+// simulations (table1, table3, fig6, fig20) and unknown names have none. A
+// nil workloads slice means the experiment's default set.
 func (m *Matrix) Jobs(name string, workloads []string) []engine.Job {
-	if name == ExpBackends {
-		var jobs []engine.Job
-		for _, w := range backendSweepWorkloads(workloads) {
-			for _, be := range dram.Backends() {
-				jobs = append(jobs, m.backendJob(be, w))
-			}
-		}
-		return jobs
-	}
-	if workloads == nil {
-		workloads = AllWorkloads()
-	}
-	var jobs []engine.Job
-	kindSet := func(kinds []config.L1DKind, ws []string) {
-		for _, w := range ws {
-			for _, k := range kinds {
-				jobs = append(jobs, m.job(k, w))
-			}
-		}
-	}
-	switch name {
-	case ExpFig1:
-		kindSet([]config.L1DKind{config.L1SRAM}, workloads)
-	case ExpFig3:
-		mw := trace.MotivationWorkloads()
-		kindSet([]config.L1DKind{config.L1SRAM, config.ByNVM}, mw)
-		oracle := oracleGPU()
-		for _, w := range mw {
-			jobs = append(jobs, m.customJob("oracle", oracle, w))
-		}
-	case ExpFig7:
-		ideal := idealFAGPU()
-		for _, suite := range trace.Suites() {
-			for _, w := range trace.BySuite(suite) {
-				jobs = append(jobs, m.job(config.FAFUSE, w))
-				jobs = append(jobs, m.customJob("ideal-fa", ideal, w))
-			}
-		}
-	case ExpTable2:
-		kindSet([]config.L1DKind{config.ByNVM}, workloads)
-	case ExpFig13:
-		kindSet(append([]config.L1DKind{config.L1SRAM}, fig13Kinds...), workloads)
-	case ExpFig14:
-		kindSet(append([]config.L1DKind{config.L1SRAM}, fig13Kinds...), workloads)
-	case ExpFig15:
-		kindSet([]config.L1DKind{config.Hybrid, config.BaseFUSE, config.FAFUSE}, workloads)
-	case ExpFig16:
-		kindSet([]config.L1DKind{config.DyFUSE}, workloads)
-	case ExpFig17:
-		kindSet(append([]config.L1DKind{config.L1SRAM}, fig17Kinds...), workloads)
-	case ExpFig18:
-		for _, w := range trace.RatioSweepWorkloads() {
-			for _, r := range ratioPoints {
-				cfg, err := ratioGPU(r.frac)
-				if err != nil {
-					continue // the figure function reports the error
-				}
-				jobs = append(jobs, m.customJob("ratio-"+r.label, cfg, w))
-			}
-		}
-	case ExpFig19:
-		for _, w := range workloads {
-			jobs = append(jobs, m.customJob("volta-L1-SRAM", voltaGPU(config.L1SRAM), w))
-			for _, kind := range fig19Kinds {
-				jobs = append(jobs, m.customJob("volta-"+kind.String(), voltaGPU(kind), w))
-			}
-		}
-	}
+	jobs, _ := m.layout(figures[name], workloads)
 	return jobs
 }
 
-// fig13Kinds is the configuration order of Figures 13/14.
-var fig13Kinds = []config.L1DKind{
-	config.ByNVM, config.FASRAM, config.Hybrid,
-	config.BaseFUSE, config.FAFUSE, config.DyFUSE,
+// layout resolves an experiment's rows from the caller's workload subset and
+// builds one job per (row, column), workload-major.
+func (m *Matrix) layout(f figure, subset []string) ([]engine.Job, []string) {
+	var rows []string
+	if f.rows != nil {
+		rows = f.rows(subset)
+	}
+	jobs := make([]engine.Job, 0, len(rows)*len(f.cols))
+	for _, w := range rows {
+		for _, col := range f.cols {
+			jobs = append(jobs, col(m, w))
+		}
+	}
+	return jobs, rows
 }
 
 // AllWorkloads returns the 21 workload names in figure order. It is pinned
@@ -302,54 +215,26 @@ func Run(m *Matrix, name string, workloads []string) (*stats.Table, error) {
 	return RunContext(context.Background(), m, name, workloads)
 }
 
-// RunContext is Run with cancellation: it pre-warms the engine cache with the
-// experiment's declared job set (executed in parallel on the matrix's worker
-// pool), then builds the table from the cached results.
+// RunContext is Run with cancellation: it executes the experiment's jobs as
+// one batch on the matrix's worker pool (cache hits cost no simulation), then
+// renders the table from the results.
 func RunContext(ctx context.Context, m *Matrix, name string, workloads []string) (*stats.Table, error) {
-	if !slices.Contains(AllExperiments(), name) {
+	f, ok := figures[name]
+	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (want one of %v)", name, AllExperiments())
 	}
-	if err := m.Prewarm(ctx, []string{name}, workloads); err != nil {
+	jobs, rows := m.layout(f, workloads)
+	out, err := m.runner.RunBatch(ctx, jobs)
+	if err != nil {
 		return nil, err
 	}
-	if name == ExpBackends {
-		return BackendSweep(m, backendSweepWorkloads(workloads))
+	results := make([]sim.Result, len(out))
+	for i, o := range out {
+		results[i] = o.Result
 	}
-	if workloads == nil {
-		workloads = AllWorkloads()
+	res := make([][]sim.Result, len(rows))
+	for i := range res {
+		res[i] = results[i*len(f.cols) : (i+1)*len(f.cols)]
 	}
-	switch name {
-	case ExpFig1:
-		return Fig1OffChipOverheads(m, workloads)
-	case ExpFig3:
-		return Fig3Motivation(m)
-	case ExpFig6:
-		return Fig6ReadLevelAnalysis(workloads, m.scale.Seed)
-	case ExpFig7:
-		return Fig7ApproxVsFullyAssociative(m)
-	case ExpTable1:
-		return Table1Configuration(), nil
-	case ExpTable2:
-		return Table2Workloads(m, workloads)
-	case ExpFig13:
-		return Fig13NormalizedIPC(m, workloads)
-	case ExpFig14:
-		return Fig14MissRate(m, workloads)
-	case ExpFig15:
-		return Fig15CacheStalls(m, workloads)
-	case ExpFig16:
-		return Fig16PredictorAccuracy(m, workloads)
-	case ExpFig17:
-		return Fig17L1DEnergy(m, workloads)
-	case ExpFig18:
-		return Fig18RatioSweep(m)
-	case ExpFig19:
-		return Fig19Volta(m, workloads)
-	case ExpFig20:
-		return Fig20CBFFalsePositives(m.scale.Seed)
-	case ExpTable3:
-		return Table3Area(), nil
-	default:
-		return nil, fmt.Errorf("experiments: experiment %q has no dispatch entry", name)
-	}
+	return f.render(m, rows, res)
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"fuse/internal/config"
+	"fuse/internal/engine"
+	"fuse/internal/sim"
 )
 
 // smallWorkloads keeps the unit tests fast while still covering an irregular,
@@ -27,22 +29,22 @@ func TestMatrixCachesRuns(t *testing.T) {
 	if m.Scale() != QuickScale {
 		t.Fatalf("Scale() mismatch")
 	}
-	r1, err := m.Get(config.L1SRAM, "pathf")
+	t1, err := Run(m, ExpFig16, []string{"pathf"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	runs := m.Runs()
-	r2, err := m.Get(config.L1SRAM, "pathf")
+	t2, err := Run(m, ExpFig16, []string{"pathf"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Runs() != runs {
-		t.Errorf("second Get should be served from the cache")
+		t.Errorf("second run should be served from the cache")
 	}
-	if r1.IPC != r2.IPC {
+	if t1.String() != t2.String() {
 		t.Errorf("cached result should be identical")
 	}
-	if _, err := m.Get(config.DyFUSE, "no-such-workload"); err == nil {
+	if _, err := Run(m, ExpFig16, []string{"no-such-workload"}); err == nil {
 		t.Errorf("unknown workload should fail")
 	}
 }
@@ -157,7 +159,7 @@ func TestFig17EnergyShape(t *testing.T) {
 
 func TestFig1OffChip(t *testing.T) {
 	m := NewMatrix(QuickScale)
-	tab, err := Fig1OffChipOverheads(m, []string{"ATAX", "pathf"})
+	tab, err := Run(m, ExpFig1, []string{"ATAX", "pathf"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +175,7 @@ func TestFig1OffChip(t *testing.T) {
 
 func TestFig3MotivationShape(t *testing.T) {
 	m := NewMatrix(Scale{InstructionsPerWarp: 150, SMs: 1, Seed: 42})
-	tab, err := Fig3Motivation(m)
+	tab, err := Run(m, ExpFig3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +271,14 @@ func TestRunDispatch(t *testing.T) {
 	if len(AllExperiments()) != 16 {
 		t.Errorf("expected 16 experiments (15 paper artefacts + the backend sweep), got %d", len(AllExperiments()))
 	}
+	for _, name := range AllExperiments() {
+		if _, ok := figures[name]; !ok {
+			t.Errorf("experiment %s has no declaration", name)
+		}
+	}
+	if len(figures) != len(AllExperiments()) {
+		t.Errorf("%d declarations for %d experiments", len(figures), len(AllExperiments()))
+	}
 	if len(AllWorkloads()) != 21 {
 		t.Errorf("expected 21 workloads, got %d", len(AllWorkloads()))
 	}
@@ -282,12 +292,12 @@ func TestParallelMatrixByteIdenticalToSerial(t *testing.T) {
 	// The engine's headline guarantee at the experiment layer: a figure
 	// built from a parallel pre-warmed matrix renders byte-identically to
 	// one built serially.
-	serial := NewMatrixWorkers(QuickScale, 1)
+	serial := NewMatrixRunner(QuickScale, engine.New(engine.Config{Workers: 1}))
 	serialTab, err := Fig13NormalizedIPC(serial, smallWorkloads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := NewMatrixWorkers(QuickScale, 4)
+	parallel := NewMatrixRunner(QuickScale, engine.New(engine.Config{Workers: 4}))
 	if err := parallel.Prewarm(context.Background(), []string{ExpFig13}, smallWorkloads); err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +377,22 @@ func TestScaleOptions(t *testing.T) {
 	if o.InstructionsPerWarp != QuickScale.InstructionsPerWarp || o.SMOverride != QuickScale.SMs || o.Seed != QuickScale.Seed {
 		t.Errorf("Options() should mirror the scale: %+v", o)
 	}
-	if _, err := runOne(config.L1SRAM, "pathf", QuickScale); err != nil {
-		t.Errorf("runOne: %v", err)
+	if _, err := sim.RunWorkload(config.L1SRAM, "pathf", QuickScale.Options()); err != nil {
+		t.Errorf("RunWorkload: %v", err)
+	}
+}
+
+func TestParseScale(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Scale
+	}{{"quick", QuickScale}, {"bench", BenchScale}, {"full", FullScale}} {
+		if got, err := ParseScale(c.name); err != nil || got != c.want {
+			t.Errorf("ParseScale(%q) = %+v, %v; want %+v", c.name, got, err, c.want)
+		}
+	}
+	_, err := ParseScale("huge")
+	if want := `unknown scale "huge" (want quick, bench or full)`; err == nil || err.Error() != want {
+		t.Errorf("ParseScale(huge) error = %v, want %q", err, want)
 	}
 }

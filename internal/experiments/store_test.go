@@ -80,26 +80,30 @@ func TestFigureWarmFromStoreRunsZeroSimulations(t *testing.T) {
 var figMatrixExperiments = []string{ExpFig13, ExpFig14, ExpFig15, ExpFig16, ExpFig17}
 
 // TestStoreKeysPinned pins every store key of the Fig. 13-17 and
-// all-experiment job sets at each scale, as the SHA-256 of the sorted,
+// all-experiment job sets at each scale, and of the all-experiment set at
+// quick scale with a SetBackend override, as the SHA-256 of the sorted,
 // newline-joined distinct keys. A changed digest means stored results
 // would silently become misses (or, worse, alias): change the key
 // encoding only with a SchemaVersion bump.
 func TestStoreKeysPinned(t *testing.T) {
 	cases := []struct {
-		scale  Scale
-		exps   []string
-		keys   int
-		digest string
+		scale   Scale
+		exps    []string
+		backend string
+		keys    int
+		digest  string
 	}{
-		{QuickScale, figMatrixExperiments, 147, "3204136f9e226332ffad6bafe3741feaf5744fa25cd70c06d128250081df2a5a"},
-		{QuickScale, AllExperiments(), 367, "079464931c748438bdd0792cac19ee9fc0627abc703ff739a19c27e259db360f"},
-		{BenchScale, figMatrixExperiments, 147, "5f7794275974c58c2626661c9cdd30347fc62aecf14ab1dafc0c124e586fab02"},
-		{BenchScale, AllExperiments(), 367, "c1d8b156c40cd906a1d9c41626b88eaae6856de635e283037c201b777bf87ff6"},
-		{FullScale, figMatrixExperiments, 147, "c1e5c5cea1abe483ed7fc4618f505d5d70d2f4e400c5ad80b251a7176c318d00"},
-		{FullScale, AllExperiments(), 367, "b51893354f0ce28155fcde1a5c3736315ab3ec63fa9c60a2d182a15f2360edf6"},
+		{QuickScale, figMatrixExperiments, "", 147, "3204136f9e226332ffad6bafe3741feaf5744fa25cd70c06d128250081df2a5a"},
+		{QuickScale, AllExperiments(), "", 367, "079464931c748438bdd0792cac19ee9fc0627abc703ff739a19c27e259db360f"},
+		{BenchScale, figMatrixExperiments, "", 147, "5f7794275974c58c2626661c9cdd30347fc62aecf14ab1dafc0c124e586fab02"},
+		{BenchScale, AllExperiments(), "", 367, "c1d8b156c40cd906a1d9c41626b88eaae6856de635e283037c201b777bf87ff6"},
+		{FullScale, figMatrixExperiments, "", 147, "c1e5c5cea1abe483ed7fc4618f505d5d70d2f4e400c5ad80b251a7176c318d00"},
+		{FullScale, AllExperiments(), "", 367, "b51893354f0ce28155fcde1a5c3736315ab3ec63fa9c60a2d182a15f2360edf6"},
+		{QuickScale, AllExperiments(), "HBM2", 367, "0a7aa69ce8a7aeeb7f6b2b4473eebf1e0810424a2624c728da8ce3139817ceb7"},
 	}
 	for _, c := range cases {
 		m := NewMatrix(c.scale)
+		m.SetBackend(c.backend)
 		var keys []string
 		for _, name := range c.exps {
 			for _, job := range m.Jobs(name, nil) {
@@ -114,7 +118,7 @@ func TestStoreKeysPinned(t *testing.T) {
 		keys = slices.Compact(keys)
 		sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
 		if got := hex.EncodeToString(sum[:]); len(keys) != c.keys || got != c.digest {
-			t.Errorf("%+v %v: %d keys with digest %s, want %d with %s", c.scale, c.exps, len(keys), got, c.keys, c.digest)
+			t.Errorf("%+v %v %q: %d keys with digest %s, want %d with %s", c.scale, c.exps, c.backend, len(keys), got, c.keys, c.digest)
 		}
 	}
 }

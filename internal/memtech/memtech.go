@@ -193,15 +193,13 @@ func (p *Params) AccessEnergy(write bool) float64 {
 // conflicts. The caches count their own bank traffic for the energy model.
 type Bank struct {
 	Params Params
-	// Name is a human-readable identifier used in reports.
-	Name string
 
 	busyUntil int64
 }
 
-// NewBank creates a bank with the given name and technology parameters.
-func NewBank(name string, p Params) *Bank {
-	return &Bank{Name: name, Params: p}
+// NewBank creates a bank with the given technology parameters.
+func NewBank(p Params) *Bank {
+	return &Bank{Params: p}
 }
 
 // BusyUntil returns the cycle at which the bank finishes its current
@@ -222,15 +220,4 @@ func (b *Bank) Access(now int64, write bool) int64 {
 	lat := int64(b.Params.AccessLatency(write))
 	b.busyUntil = start + lat
 	return b.busyUntil
-}
-
-// LeakageEnergy returns the leakage energy (nJ) dissipated over the given
-// number of cycles at the given clock frequency (in MHz).
-func (b *Bank) LeakageEnergy(cycles int64, clockMHz float64) float64 {
-	if clockMHz <= 0 {
-		return 0
-	}
-	seconds := float64(cycles) / (clockMHz * 1e6)
-	// mW * s = mJ; convert to nJ.
-	return b.Params.LeakagePower * seconds * 1e6
 }

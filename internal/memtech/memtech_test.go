@@ -103,7 +103,7 @@ func TestAccessHelpers(t *testing.T) {
 }
 
 func TestBankSerialisesAccesses(t *testing.T) {
-	b := NewBank("stt", STTMRAMParams(64))
+	b := NewBank(STTMRAMParams(64))
 	done1 := b.Access(0, true) // 5-cycle write
 	if done1 != 5 {
 		t.Errorf("first write done at %d, want 5", done1)
@@ -124,21 +124,9 @@ func TestBankSerialisesAccesses(t *testing.T) {
 	}
 }
 
-func TestBankEnergyAccounting(t *testing.T) {
-	b := NewBank("sram", SRAMParams(32))
-	// 1.4 GHz clock, 1.4e9 cycles = 1 second -> 58 mW * 1 s = 58 mJ = 5.8e7 nJ.
-	e := b.LeakageEnergy(1_400_000_000, 1400)
-	if math.Abs(e-5.8e7) > 1 {
-		t.Errorf("LeakageEnergy = %v, want 5.8e7", e)
-	}
-	if b.LeakageEnergy(100, 0) != 0 {
-		t.Errorf("zero clock should give zero leakage")
-	}
-}
-
 func TestBankMonotonicCompletion(t *testing.T) {
 	prop := func(gaps []uint8, writes []bool) bool {
-		b := NewBank("p", STTMRAMParams(64))
+		b := NewBank(STTMRAMParams(64))
 		now := int64(0)
 		prev := int64(0)
 		for i, g := range gaps {
