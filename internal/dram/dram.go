@@ -9,7 +9,8 @@
 // Backend (GDDR5, GDDR5X, HBM2, an STT-MRAM main-memory point); the
 // controller charges the backend's per-command energy as it schedules.
 //
-// The controller is driven by its owner's event loop: Submit enqueues,
+// The controller is driven by its owner's event loop: Submit enqueues (a
+// caller holding rejected work asks HasRoom before it tries again),
 // NextEventAt reports when the controller next has work, and Advance issues
 // every due command and returns the completed transfers. The synchronous
 // Access helper drives a standalone controller to completion for one request
@@ -108,22 +109,10 @@ type channelState struct {
 	// next is the channel's earliest event: the minimum over its flights'
 	// completions and its queued requests' issue-ready times, math.MaxInt64
 	// when idle. It is kept exact incrementally — lowered on enqueue (which
-	// changes no bank state) and recomputed after every Advance that touches
-	// the channel — so NextEventAt never rescans the queues.
+	// changes no bank state) and taken from the retire and issue scans of
+	// every Advance that touches the channel — so NextEventAt never rescans
+	// the queues.
 	next int64
-}
-
-// recomputeNext rescans the channel's flights and queue for its earliest
-// event (math.MaxInt64 when idle).
-func (d *DRAM) recomputeNext(ch *channelState) {
-	next := int64(math.MaxInt64)
-	for _, f := range ch.flights {
-		next = min(next, f.done)
-	}
-	for _, r := range ch.queue {
-		next = min(next, d.issueReadyAt(ch, r))
-	}
-	ch.next = next
 }
 
 // Completion reports one finished transfer: the block whose data burst
@@ -227,28 +216,26 @@ func (d *DRAM) rowFor(addr uint64) int64 {
 	return int64(mem.BlockIndex(addr) / uint64(d.cfg.Channels) / uint64(d.cfg.BanksPerChannel) / blocksPerRow)
 }
 
+// HasRoom reports whether channel ch's queue can take a request. A caller
+// holding work the channel rejected retries it only once HasRoom holds, so
+// the retry is accepted and the rejection is counted once.
+func (d *DRAM) HasRoom(ch int) bool {
+	c := &d.channels[ch]
+	return len(c.queue)+len(c.flights) < d.cfg.QueueDepth
+}
+
 // Submit enqueues a read or write of one 128-byte block arriving at the
 // controller at cycle `at`. It returns the request's sequence number and
 // whether the channel accepted it; a false result means the channel queue is
-// full and the caller must retry after the next completion (back-pressure).
-// Each first-attempt rejection counts one queue stall; use Resubmit for
-// retries of an already-counted request.
+// full, counts one queue stall, and the caller must hold the request until
+// its channel has room again (back-pressure, see HasRoom).
 func (d *DRAM) Submit(addr uint64, write bool, at int64) (uint64, bool) {
-	seq, ok := d.Resubmit(addr, write, at)
-	if !ok {
+	c := d.ChannelFor(addr)
+	if !d.HasRoom(c) {
 		d.stallsQ++
-	}
-	return seq, ok
-}
-
-// Resubmit is Submit for a request whose earlier rejection was already
-// counted: a further rejection does not inflate the queue-stall statistic
-// (the L2 re-attempts its held-back work at every controller event).
-func (d *DRAM) Resubmit(addr uint64, write bool, at int64) (uint64, bool) {
-	ch := &d.channels[d.ChannelFor(addr)]
-	if len(ch.queue)+len(ch.flights) >= d.cfg.QueueDepth {
 		return 0, false
 	}
+	ch := &d.channels[c]
 	d.nextSeq++
 	r := request{
 		seq:    d.nextSeq,
@@ -316,22 +303,25 @@ func (d *DRAM) NextEventAt() int64 {
 // Age ordering comes from the queue itself — it is append-only with
 // order-preserving deletion, so earlier indices are always older requests —
 // so the first issuable row hit is the pick and ends the scan. It returns -1
-// when nothing can issue at `now`.
-func (d *DRAM) pick(ch *channelState, now int64) int {
-	best := -1
+// when nothing can issue at `now`, and then also the earliest cycle a queued
+// request becomes issuable (math.MaxInt64 for an empty queue): with no
+// early exit the scan has seen every request.
+func (d *DRAM) pick(ch *channelState, now int64) (int, int64) {
+	best, next := -1, int64(math.MaxInt64)
 	for i := range ch.queue {
 		r := &ch.queue[i]
-		if d.issueReadyAt(ch, *r) > now {
+		if at := d.issueReadyAt(ch, *r); at > now {
+			next = min(next, at)
 			continue
 		}
 		if b := &ch.banks[r.bank]; b.hasOpenRow && b.openRow == r.row {
-			return i
+			return i, 0
 		}
 		if best < 0 {
 			best = i
 		}
 	}
-	return best
+	return best, next
 }
 
 // service issues one request at cycle now, updating bank, bus and energy
@@ -381,7 +371,9 @@ func (d *DRAM) service(ch *channelState, r request, now int64) int64 {
 // satisfied, in FR-FCFS order. Completions are returned sorted by completion
 // time (ties by submission order); the returned slice is valid only until
 // the next Advance call. Callers re-arm their event loop from NextEventAt
-// afterwards.
+// afterwards. Each channel Advance visits gets its next event from the same
+// scans: the earliest completion among the flights it keeps or issues, and
+// the earliest issue-ready time of the requests left queued.
 func (d *DRAM) Advance(now int64) []Completion {
 	out := d.compBuf[:0]
 	defer func() { d.compBuf = out[:0] }()
@@ -391,25 +383,29 @@ func (d *DRAM) Advance(now int64) []Completion {
 			// Nothing completes and nothing is issuable before ch.next.
 			continue
 		}
+		next := int64(math.MaxInt64)
 		kept := ch.flights[:0]
 		for _, f := range ch.flights {
 			if f.done <= now {
 				out = append(out, Completion{Seq: f.req.seq, Addr: f.req.addr, Write: f.req.write, Done: f.done})
 			} else {
 				kept = append(kept, f)
+				next = min(next, f.done)
 			}
 		}
 		ch.flights = kept
 		for {
-			idx := d.pick(ch, now)
+			idx, ready := d.pick(ch, now)
 			if idx < 0 {
+				ch.next = min(next, ready)
 				break
 			}
 			r := ch.queue[idx]
 			ch.queue = slices.Delete(ch.queue, idx, idx+1)
-			ch.flights = append(ch.flights, flight{req: r, done: d.service(ch, r, now)})
+			done := d.service(ch, r, now)
+			ch.flights = append(ch.flights, flight{req: r, done: done})
+			next = min(next, done)
 		}
-		d.recomputeNext(ch)
 	}
 	slices.SortFunc(out, func(a, b Completion) int {
 		if a.Done != b.Done {
@@ -435,7 +431,9 @@ func (d *DRAM) Access(addr uint64, write bool, now int64) int64 {
 		}
 		d.Advance(next)
 		at = next
-		seq, ok = d.Resubmit(addr, write, at)
+		if d.HasRoom(d.ChannelFor(addr)) {
+			seq, ok = d.Submit(addr, write, at)
+		}
 	}
 	for {
 		next := d.NextEventAt()

@@ -137,19 +137,16 @@ func TestSubmitBackPressure(t *testing.T) {
 	if d.QueueStalls() != 1 {
 		t.Errorf("rejections should be counted, got %d", d.QueueStalls())
 	}
-	// Retrying the same held-back request must not inflate the statistic:
-	// one delayed request is one queue stall, however often it re-attempts.
-	if _, ok := d.Resubmit(2*mem.BlockSize, false, 0); ok {
-		t.Fatal("resubmit should still be rejected")
-	}
-	if d.QueueStalls() != 1 {
-		t.Errorf("Resubmit rejections must not re-count stalls, got %d", d.QueueStalls())
+	// The held-back request waits for room instead of re-attempting, so one
+	// delayed request is one queue stall.
+	if d.HasRoom(d.ChannelFor(2 * mem.BlockSize)) {
+		t.Fatal("a full channel must report no room")
 	}
 	if d.Pending() != 2 {
 		t.Errorf("Pending = %d, want 2", d.Pending())
 	}
 	// Drain one completion: a slot frees up.
-	for d.Pending() == 2 {
+	for !d.HasRoom(d.ChannelFor(2 * mem.BlockSize)) {
 		next := d.NextEventAt()
 		if next < 0 {
 			t.Fatal("controller idle with work outstanding")
@@ -158,6 +155,9 @@ func TestSubmitBackPressure(t *testing.T) {
 	}
 	if _, ok := d.Submit(2*mem.BlockSize, false, d.NextEventAt()); !ok {
 		t.Errorf("submit should succeed after a completion freed a slot")
+	}
+	if d.QueueStalls() != 1 {
+		t.Errorf("one held-back request is one queue stall, got %d", d.QueueStalls())
 	}
 }
 
@@ -358,8 +358,11 @@ func diffNextEventAt(t *testing.T, cfg Config, seed uint64) {
 			}
 		case op == 3 && len(rejected) > 0:
 			h := rejected[0]
-			step = fmt.Sprintf("op %d Resubmit(%#x, %v, %d)", i, h.addr, h.write, now)
-			if _, ok := d.Resubmit(h.addr, h.write, now); ok {
+			step = fmt.Sprintf("op %d retry Submit(%#x, %v, %d)", i, h.addr, h.write, now)
+			if d.HasRoom(d.ChannelFor(h.addr)) {
+				if _, ok := d.Submit(h.addr, h.write, now); !ok {
+					t.Fatalf("%s: a channel with room rejected the request", step)
+				}
 				rejected = rejected[1:]
 			}
 		default:
@@ -420,7 +423,7 @@ func BenchmarkDRAMPick(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if d.pick(ch, 1000) != 1 {
+		if idx, _ := d.pick(ch, 1000); idx != 1 {
 			b.Fatal("the row hit was not picked")
 		}
 	}

@@ -17,7 +17,6 @@ package l2
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"fuse/internal/cache"
 	"fuse/internal/dram"
@@ -105,24 +104,53 @@ type fillEntry struct {
 	waiters []Waiter
 }
 
+// fifo is a queue popped through a head index. Its backing array is reused
+// from the start once the queue drains, and compacted when a push finds the
+// popped prefix at least as long as the rest, so it never holds more than
+// twice its peak length.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) front() T { return q.items[q.head] }
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && q.head >= len(q.items)-q.head {
+		q.items = q.items[:copy(q.items, q.items[q.head:])]
+		q.head = 0
+	}
+	q.items = append(q.items, v)
+}
+
+func (q *fifo[T]) pop() {
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+}
+
 // bank is one L2 cache bank.
 type bank struct {
 	store  *cache.TagStore
 	portAt int64
+	// ch is the DRAM channel every block of the bank maps to.
+	ch int
 	// mshr maps a block to its outstanding fill. Reads allocate only while
 	// fewer than PendingLimit entries are outstanding, so its table, sized
 	// to that bound, never grows.
 	mshr mem.BlockTable[*fillEntry]
 	// held lists the MSHR entries whose fill the controller rejected, in
 	// allocation order; pump resubmits them from the front.
-	held []*fillEntry
+	held fifo[*fillEntry]
 	// wbq is the bank's write buffer: dirty victims the channel queue
 	// rejected. It is deliberately unbounded — evictions happen at fill
 	// completion and cannot be NACKed — but growth is self-limiting (each
 	// entry stems from one insert, and inserts are paced by the same
 	// bounded fill path), and pump drains it ahead of new fills so write
 	// traffic still contends for the bounded channel queue.
-	wbq []uint64
+	wbq fifo[uint64]
 	// setVer holds one version per tag-store set. A set's version moves on
 	// every change to the set that can end a read NACK of one of its
 	// blocks: an insert (the block may now be present), which also covers
@@ -163,11 +191,16 @@ type L2 struct {
 }
 
 // New builds an L2 cache backed by the given memory controller. The
-// controller must not be nil.
+// controller must not be nil, and its channels must divide the banks evenly
+// (config.GPUConfig.Validate guarantees it), so that every block of bank b
+// maps to channel b mod the channel count.
 func New(cfg Config, d *dram.DRAM) *L2 {
 	cfg = cfg.withDefaults()
 	if d == nil {
 		panic("l2: nil DRAM")
+	}
+	if cfg.Banks%d.Channels() != 0 {
+		panic(fmt.Sprintf("l2: %d banks do not divide evenly across %d DRAM channels", cfg.Banks, d.Channels()))
 	}
 	l := &L2{cfg: cfg, dram: d}
 	blocksPerBank := cfg.TotalKB * 1024 / mem.BlockSize / cfg.Banks
@@ -181,6 +214,7 @@ func New(cfg Config, d *dram.DRAM) *L2 {
 	l.banks = make([]*bank, cfg.Banks)
 	for i := range l.banks {
 		l.banks[i] = &bank{
+			ch:     i % d.Channels(),
 			store:  cache.NewTagStore(sets, cfg.Ways, cache.LRU),
 			mshr:   mem.NewBlockTable[*fillEntry](cfg.PendingLimit),
 			setVer: make([]uint64, sets),
@@ -365,7 +399,7 @@ func (l *L2) Access(req mem.Request, now int64) Result {
 	b.mshr.Put(block, e)
 	b.setVer[b.store.SetIndex(block)]++ // a read NACKed for a full file may now merge
 	if _, ok := l.dram.Submit(block, false, ready); !ok {
-		b.held = append(b.held, e)
+		b.held.push(e)
 		l.backlog[bankIdx>>6] |= 1 << (bankIdx & 63)
 	}
 	return Result{Outcome: OutcomeMiss}
@@ -413,7 +447,7 @@ func (l *L2) insert(bankIdx int, block, pc uint64, at int64, dirty bool) {
 	b.setVer[b.store.SetIndex(block)]++
 	if evicted.Valid && evicted.Dirty {
 		if _, ok := l.dram.Submit(evicted.Block, true, at); !ok {
-			b.wbq = append(b.wbq, evicted.Block)
+			b.wbq.push(evicted.Block)
 			l.backlog[bankIdx>>6] |= 1 << (bankIdx & 63)
 		}
 	}
@@ -421,38 +455,41 @@ func (l *L2) insert(bankIdx int, block, pc uint64, at int64, dirty bool) {
 
 // pump retries work held back by controller back-pressure, bank by bank in
 // bank order: buffered dirty write-backs first, then held MSHR fills, in
-// allocation order. Only banks in the backlog hold any. It reports whether
-// anything new was handed to the controller.
+// allocation order. Only banks in the backlog hold any, and a bank's work
+// goes to the one channel all its blocks map to: pump hands over work only
+// while that channel has room, so no retry is rejected, and it passes over a
+// bank whose channel is full. It reports whether anything new was handed to
+// the controller.
 func (l *L2) pump(now int64) bool {
 	submitted := false
 	for k, word := range l.backlog {
 		for ; word != 0; word &= word - 1 {
 			i := k<<6 | bits.TrailingZeros64(word)
 			b := l.banks[i]
-			for len(b.wbq) > 0 {
-				if _, ok := l.dram.Resubmit(b.wbq[0], true, now); !ok {
-					break
-				}
-				b.wbq = slices.Delete(b.wbq, 0, 1)
+			for b.wbq.len() > 0 && l.dram.HasRoom(b.ch) {
+				l.submit(b.wbq.front(), true, now)
+				b.wbq.pop()
 				submitted = true
 			}
-			issued := 0
-			for _, e := range b.held {
-				if _, ok := l.dram.Resubmit(e.block, false, max(e.readyAt, now)); !ok {
-					break
-				}
-				issued++
-			}
-			if issued > 0 {
-				b.held = slices.Delete(b.held, 0, issued)
+			for b.held.len() > 0 && l.dram.HasRoom(b.ch) {
+				e := b.held.front()
+				l.submit(e.block, false, max(e.readyAt, now))
+				b.held.pop()
 				submitted = true
 			}
-			if len(b.wbq) == 0 && len(b.held) == 0 {
+			if b.wbq.len() == 0 && b.held.len() == 0 {
 				l.backlog[k] &^= 1 << (i & 63)
 			}
 		}
 	}
 	return submitted
+}
+
+// submit hands held-back work to a channel with room, which must accept it.
+func (l *L2) submit(block uint64, write bool, at int64) {
+	if _, ok := l.dram.Submit(block, write, at); !ok {
+		panic(fmt.Sprintf("l2: DRAM channel %d rejected block %#x after reporting room", l.dram.ChannelFor(block), block))
+	}
 }
 
 // NextEventAt returns the earliest cycle at which the memory side can make

@@ -303,7 +303,7 @@ func TestBankPortSerialises(t *testing.T) {
 
 func TestDirtyEvictionWritesBackToDRAM(t *testing.T) {
 	cfg := Config{Banks: 1, TotalKB: 1, Ways: 2, LatencyCycles: 10}
-	l := New(cfg, dram.New(dram.Config{}))
+	l := New(cfg, dram.New(dram.Config{Channels: 1}))
 	// Dirty a block, then displace it by filling the (tiny) bank.
 	l.Access(write(0), 0)
 	now := int64(100)

@@ -4,8 +4,8 @@
 // built from (IPC, L1D miss rate, stalls, outgoing traffic, off-chip time,
 // energy inputs).
 //
-// The cycle engine is sparse: a min-heap of per-SM wake times plus a typed
-// event heap for the memory side, so each step touches only the SMs that can
+// The cycle engine is sparse: a table of per-SM wake times plus a calendar
+// queue of memory-side events, so each step touches only the SMs that can
 // actually make progress at that cycle. Each SM keeps its own clock and
 // ledger: the engine calls gpu.SM.CatchUp before it cycles an SM, delivers
 // it a fill or ends the run, and the SM charges the cycles it slept through
@@ -20,7 +20,7 @@
 // re-presents the rejected access to the L1D and the rest of the held stall
 // is charged in one step, moving every counter polled retries would have.
 // Requests the L2 NACKs back to back for the same retry cycle share one
-// retry-batch event instead of one heap event each, and a member whose
+// retry-batch event instead of one queued event each, and a member whose
 // block's L2 set has not changed since its NACK is charged its next NACK
 // without a second look at the bank: rejections whose outcome is already
 // known are charged, not re-executed.
@@ -35,6 +35,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"fuse/internal/config"
@@ -92,13 +93,16 @@ func (o Options) WithDefaults() Options {
 // event is a memory-side event: a request arriving at an L2 bank, a batch
 // of NACKed requests retrying there, or a response arriving back at an SM.
 // (The memory controller's own scheduling points are tracked outside the
-// heap — see armMemTick.)
+// queue — see armMemTick.)
 type event struct {
 	at   int64
 	seq  uint64
 	kind eventKind
 	// batch is an evRetryBatch's first member in the retry slab.
 	batch int32
+	// next is the slot of the next event in the event's calendar bucket
+	// (-1 ends the bucket).
+	next  int32
 	sm    int
 	bank  int
 	req   mem.Request
@@ -113,41 +117,75 @@ const (
 	evRetryBatch
 )
 
-// eventKey is an event's place in the heap: its (at, seq) order and the slab
-// slot holding the event itself.
-type eventKey struct {
-	at   int64
-	seq  uint64
-	slot int32
-}
-
-// before is the deterministic event order: time first, scheduling sequence
-// number as the tie-break.
-func (k *eventKey) before(at int64, seq uint64) bool {
-	if k.at != at {
-		return k.at < at
+// before reports whether the event comes before the (at, seq) pair in the
+// deterministic event order: time first, scheduling sequence number as the
+// tie-break.
+func (e *event) before(at int64, seq uint64) bool {
+	if e.at != at {
+		return e.at < at
 	}
-	return k.seq < seq
+	return e.seq < seq
 }
 
-// eventHeap is a typed min-heap of events ordered by (at, seq). The heap
-// sifts 24-byte keys while the events stay in a slab whose slots are
-// recycled through a free list, so a push copies one event instead of one
-// per heap level, and a pop copies none: it hands out the event's slot, which
-// the handler reads in place and releases once it no longer needs the event.
-// All three buffers are reused for the whole run.
-type eventHeap struct {
-	keys []eventKey
+// calendarWidth is the event calendar's initial ring width in cycles. No
+// memory-side event is scheduled more than about a hundred cycles ahead, so
+// the ring of a simulation rarely grows.
+const calendarWidth = 128
+
+// eventQueue is a calendar queue (Brown, CACM 1988) of events ordered by
+// (at, seq): one FIFO bucket per cycle in a power-of-two ring indexed by the
+// event time modulo the ring width, with a bitmap of the non-empty buckets.
+// The events stay in a slab whose slots are recycled through a free list,
+// and each bucket is a list threaded through the slab's next slots, so a
+// push copies one event and a pop copies none: it hands out the event's
+// slot, which the handler reads in place and releases once it no longer
+// needs the event. All buffers are reused for the whole run.
+//
+// Nothing may be scheduled before the last popped time; push panics if it
+// is. Every pending event then lies less than one ring width after that
+// time, so the first non-empty bucket from that time's bucket on holds the
+// earliest events. An event that lands beyond the ring doubles it. Events
+// join a bucket in seq order — a push carries the newest sequence number —
+// except a re-push under an older one (the rest of a retry batch, see
+// retryBatch), which is inserted at its seq position.
+type eventQueue struct {
 	slab []event
 	free []int32
+	// head and tail are each bucket's first and last slot, valid while the
+	// bucket's bit in busy is set.
+	head, tail []int32
+	busy       []uint64
+	last       int64 // time of the last pop
+	n          int
 }
 
-func (q *eventHeap) len() int { return len(q.keys) }
+func (q *eventQueue) len() int { return q.n }
 
-// head returns the earliest key; the heap must not be empty.
-func (q *eventHeap) head() *eventKey { return &q.keys[0] }
+// bucket returns the bucket of the earliest pending event; the queue must
+// not be empty.
+func (q *eventQueue) bucket() int {
+	start := int(q.last) & (len(q.head) - 1)
+	w := start >> 6
+	word := q.busy[w] &^ (1<<(start&63) - 1)
+	for word == 0 {
+		if w++; w == len(q.busy) {
+			w = 0
+		}
+		word = q.busy[w]
+	}
+	return w<<6 | bits.TrailingZeros64(word)
+}
 
-func (q *eventHeap) push(e event) {
+// peek returns the earliest event; the queue must not be empty.
+func (q *eventQueue) peek() *event { return &q.slab[q.head[q.bucket()]] }
+
+func (q *eventQueue) push(e event) {
+	if e.at < q.last {
+		panic(fmt.Sprintf("sim: event scheduled at cycle %d, before the last popped cycle %d", e.at, q.last))
+	}
+	if e.at-q.last >= int64(len(q.head)) {
+		q.grow(e.at)
+	}
 	var slot int32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
@@ -157,157 +195,134 @@ func (q *eventHeap) push(e event) {
 		slot = int32(len(q.slab))
 		q.slab = append(q.slab, e)
 	}
-	h := append(q.keys, eventKey{at: e.at, seq: e.seq, slot: slot})
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h[i].before(h[p].at, h[p].seq) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+	q.n++
+	q.slab[slot].next = -1
+	b := int(e.at) & (len(q.head) - 1)
+	if bit := uint64(1) << (b & 63); q.busy[b>>6]&bit == 0 {
+		q.busy[b>>6] |= bit
+		q.head[b], q.tail[b] = slot, slot
+		return
 	}
-	q.keys = h
+	if t := q.tail[b]; q.slab[t].seq < e.seq {
+		q.slab[t].next = slot
+		q.tail[b] = slot
+		return
+	}
+	p := &q.head[b]
+	for q.slab[*p].seq < e.seq {
+		p = &q.slab[*p].next
+	}
+	q.slab[slot].next = *p
+	*p = slot
+}
+
+// grow doubles the ring until an event at cycle at fits in it, moving each
+// bucket whole: a bucket holds a single cycle's events.
+func (q *eventQueue) grow(at int64) {
+	w := max(calendarWidth, len(q.head))
+	for at-q.last >= int64(w) {
+		w *= 2
+	}
+	head, tail, busy := make([]int32, w), make([]int32, w), make([]uint64, w>>6)
+	for k, word := range q.busy {
+		for ; word != 0; word &= word - 1 {
+			b := k<<6 | bits.TrailingZeros64(word)
+			nb := int(q.slab[q.head[b]].at) & (w - 1)
+			head[nb], tail[nb] = q.head[b], q.tail[b]
+			busy[nb>>6] |= 1 << (nb & 63)
+		}
+	}
+	q.head, q.tail, q.busy = head, tail, busy
 }
 
 // pop removes the earliest event and returns its slab slot, which stays
 // reserved until release.
-func (q *eventHeap) pop() int32 {
-	h := q.keys
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && h[l].before(h[least].at, h[least].seq) {
-			least = l
-		}
-		if r < n && h[r].before(h[least].at, h[least].seq) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
+func (q *eventQueue) pop() int32 {
+	b := q.bucket()
+	slot := q.head[b]
+	e := &q.slab[slot]
+	if e.next < 0 {
+		q.busy[b>>6] &^= 1 << (b & 63)
+	} else {
+		q.head[b] = e.next
 	}
-	q.keys = h
-	return top.slot
+	q.last = e.at
+	q.n--
+	return slot
 }
 
 // release returns a popped event's slot to the free list.
-func (q *eventHeap) release(slot int32) { q.free = append(q.free, slot) }
+func (q *eventQueue) release(slot int32) { q.free = append(q.free, slot) }
 
-// smWakeHeap is an indexed min-heap of per-SM wake cycles: the earliest cycle
-// at which each live SM can make progress on its own (ready warp, timed warp
-// wake-up, L1D internal machinery). SMs blocked purely on in-flight fills are
-// absent from the heap — the fill delivery re-inserts them — and done SMs
-// never return.
-type smWakeHeap struct {
-	at  []int64 // at[sm] = wake cycle, valid while pos[sm] >= 0
-	pos []int   // pos[sm] = heap position, -1 when absent
-	ord []int   // heap array of SM indices
+// smWakeTable holds the per-SM wake cycles: the earliest cycle at which each
+// live SM can make progress on its own (ready warp, timed warp wake-up, L1D
+// internal machinery). SMs blocked purely on in-flight fills are absent from
+// the table — the fill delivery re-inserts them — and done SMs never return.
+// The table keeps its minimum: update lowers it, and only popDue and the
+// removal or postponement of the SM holding it rescan the table.
+type smWakeTable struct {
+	at  []int64 // at[sm] = wake cycle, absent when math.MaxInt64
+	min int64   // minimum of at, math.MaxInt64 when the table is empty
 }
 
-func (h *smWakeHeap) init(n int) {
-	h.at = make([]int64, n)
-	h.pos = make([]int, n)
-	h.ord = make([]int, 0, n)
-	for i := range h.pos {
-		h.pos[i] = -1
+func (w *smWakeTable) init(n int) {
+	w.at = make([]int64, n)
+	for i := range w.at {
+		w.at[i] = math.MaxInt64
 	}
+	w.min = math.MaxInt64
 }
 
-func (h *smWakeHeap) len() int { return len(h.ord) }
-
-// minAt returns the earliest wake cycle (-1 when the heap is empty).
-func (h *smWakeHeap) minAt() int64 {
-	if len(h.ord) == 0 {
+// minAt returns the earliest wake cycle (-1 when the table is empty).
+func (w *smWakeTable) minAt() int64 {
+	if w.min == math.MaxInt64 {
 		return -1
 	}
-	return h.at[h.ord[0]]
+	return w.min
 }
 
-func (h *smWakeHeap) swap(i, j int) {
-	h.ord[i], h.ord[j] = h.ord[j], h.ord[i]
-	h.pos[h.ord[i]] = i
-	h.pos[h.ord[j]] = j
-}
-
-func (h *smWakeHeap) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.at[h.ord[i]] >= h.at[h.ord[p]] {
-			break
-		}
-		h.swap(i, p)
-		i = p
-	}
-}
-
-func (h *smWakeHeap) siftDown(i int) {
-	n := len(h.ord)
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && h.at[h.ord[l]] < h.at[h.ord[least]] {
-			least = l
-		}
-		if r < n && h.at[h.ord[r]] < h.at[h.ord[least]] {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		h.swap(i, least)
-		i = least
+// rescan recomputes the minimum.
+func (w *smWakeTable) rescan() {
+	w.min = math.MaxInt64
+	for _, at := range w.at {
+		w.min = min(w.min, at)
 	}
 }
 
 // update inserts the SM at the given wake cycle, or moves it if present.
-func (h *smWakeHeap) update(sm int, at int64) {
-	if p := h.pos[sm]; p >= 0 {
-		old := h.at[sm]
-		h.at[sm] = at
-		if at < old {
-			h.siftUp(p)
-		} else if at > old {
-			h.siftDown(p)
+func (w *smWakeTable) update(sm int, at int64) {
+	old := w.at[sm]
+	w.at[sm] = at
+	if at <= w.min {
+		w.min = at
+	} else if old == w.min {
+		w.rescan()
+	}
+}
+
+// remove takes the SM out of the table (no-op when absent).
+func (w *smWakeTable) remove(sm int) {
+	old := w.at[sm]
+	w.at[sm] = math.MaxInt64
+	if old == w.min && old != math.MaxInt64 {
+		w.rescan()
+	}
+}
+
+// popDue removes from the table every SM whose wake cycle is <= t and marks
+// it in the due set, recomputing the minimum in the same scan.
+func (w *smWakeTable) popDue(t int64, due []uint64) {
+	if w.min > t {
+		return
+	}
+	w.min = math.MaxInt64
+	for sm, at := range w.at {
+		if at <= t {
+			w.at[sm] = math.MaxInt64
+			due[sm>>6] |= 1 << (sm & 63)
+		} else {
+			w.min = min(w.min, at)
 		}
-		return
-	}
-	h.at[sm] = at
-	h.ord = append(h.ord, sm)
-	h.pos[sm] = len(h.ord) - 1
-	h.siftUp(len(h.ord) - 1)
-}
-
-// remove takes the SM out of the heap (no-op when absent).
-func (h *smWakeHeap) remove(sm int) {
-	p := h.pos[sm]
-	if p < 0 {
-		return
-	}
-	n := len(h.ord) - 1
-	h.swap(p, n)
-	h.ord = h.ord[:n]
-	h.pos[sm] = -1
-	if p < n {
-		h.siftDown(p)
-		h.siftUp(p)
-	}
-}
-
-// popDue removes from the heap every SM whose wake cycle is <= t and marks
-// it in the due set.
-func (h *smWakeHeap) popDue(t int64, due []uint64) {
-	for len(h.ord) > 0 && h.at[h.ord[0]] <= t {
-		sm := h.ord[0]
-		h.remove(sm)
-		due[sm>>6] |= 1 << (sm & 63)
 	}
 }
 
@@ -391,22 +406,22 @@ type Simulator struct {
 	l2   *l2.L2
 	dram *dram.DRAM
 
-	events   eventHeap
+	events   eventQueue
 	eventSeq uint64
 	retries  retrySlab
 	now      int64
 	// memTickAt/memTickSeq are the armed memory-controller wake-up: the
 	// earliest cycle the controller can make progress, ordered against the
-	// event heap by (at, seq). -1 when the controller is idle.
+	// event queue by (at, seq). -1 when the controller is idle.
 	memTickAt  int64
 	memTickSeq uint64
 	staleTicks []staleTick
 
-	// Sparse-engine state: per-SM wake heap, the set of SMs drainOutgoing
+	// Sparse-engine state: per-SM wake table, the set of SMs drainOutgoing
 	// pulls from and the set of SMs due this step (bit i of word i/64 stands
 	// for SM i; iterating a set visits the SMs in order, which keeps issue
 	// and drain deterministic).
-	wake    smWakeHeap
+	wake    smWakeTable
 	doneSMs int
 	dirty   []uint64
 	due     []uint64
@@ -527,12 +542,12 @@ func (s *Simulator) schedule(e event) {
 }
 
 // armMemTick keeps the controller wake-up armed at the memory side's next
-// event time (but never before `now`). The tick lives outside the event heap;
-// re-arming earlier abandons the old tick instead of leaving a stale heap
-// entry. An abandoned tick's (time, seq) pair is remembered, because when a
-// later re-arm lands exactly on an abandoned time the tick must fire at the
-// abandoned — earlier — sequence position: that is where the previous
-// in-heap scheme's entry would have fired, and same-cycle interleaving
+// event time (but never before `now`). The tick lives outside the event
+// queue; re-arming earlier abandons the old tick instead of leaving a stale
+// queued entry. An abandoned tick's (time, seq) pair is remembered, because
+// when a later re-arm lands exactly on an abandoned time the tick must fire
+// at the abandoned — earlier — sequence position: that is where the previous
+// in-queue scheme's entry would have fired, and same-cycle interleaving
 // against request events is part of the engine's deterministic ordering.
 func (s *Simulator) armMemTick(now int64) {
 	next := s.l2.NextEventAt()
@@ -548,7 +563,7 @@ func (s *Simulator) armMemTick(now int64) {
 	if s.memTickAt >= 0 {
 		s.staleTicks = append(s.staleTicks, staleTick{at: s.memTickAt, seq: s.memTickSeq})
 	}
-	s.eventSeq++ // same sequence consumption as scheduling a heap event
+	s.eventSeq++ // same sequence consumption as scheduling a queued event
 	seq := s.eventSeq
 	kept := s.staleTicks[:0]
 	for _, t := range s.staleTicks {
@@ -593,10 +608,11 @@ func (s *Simulator) respond(bank, sm int, block uint64, issue, arriveAtL2, done 
 func (s *Simulator) processEvents() {
 	for {
 		tickDue := s.memTickAt >= 0 && s.memTickAt <= s.now
-		if s.events.len() > 0 && s.events.head().at <= s.now &&
-			(!tickDue || s.events.head().before(s.memTickAt, s.memTickSeq)) {
-			s.handleEvent(s.events.pop())
-			continue
+		if s.events.len() > 0 {
+			if e := s.events.peek(); e.at <= s.now && (!tickDue || e.before(s.memTickAt, s.memTickSeq)) {
+				s.handleEvent(s.events.pop())
+				continue
+			}
 		}
 		if tickDue {
 			s.fireMemTick()
@@ -682,7 +698,7 @@ func (s *Simulator) queueRetry(sm, bank int, req mem.Request, nack l2.Result) {
 }
 
 // requeue links the member in slot m into a retry batch at cycle at.
-// Requests NACKed back to back for the same retry cycle share one heap
+// Requests NACKed back to back for the same retry cycle share one queued
 // event: a member joins the open batch when that batch retries at the same
 // cycle and no sequence number has been consumed since it was scheduled or
 // last joined. As separate events the members would have held consecutive
@@ -715,7 +731,7 @@ func (s *Simulator) requeue(at int64, m int32) {
 // A presented member's handling can re-arm the controller tick at this
 // cycle under an inherited sequence number below the batch's (see
 // armMemTick); the tick then fires before the remaining members, which go
-// back on the heap under the batch's own (at, seq).
+// back on the queue under the batch's own (at, seq).
 func (s *Simulator) retryBatch(at int64, seq uint64, first int32) {
 	r := &s.retries
 	if r.openTail >= 0 && r.openSeq == seq {
@@ -847,8 +863,10 @@ func (s *Simulator) Step() {
 // when the machine can never make progress again.
 func (s *Simulator) nextTime() int64 {
 	t := s.wake.minAt()
-	if s.events.len() > 0 && (t < 0 || s.events.head().at < t) {
-		t = s.events.head().at
+	if s.events.len() > 0 {
+		if at := s.events.peek().at; t < 0 || at < t {
+			t = at
+		}
 	}
 	if s.memTickAt >= 0 && (t < 0 || s.memTickAt < t) {
 		t = s.memTickAt
