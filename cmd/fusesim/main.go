@@ -15,19 +15,11 @@
 //	fusesim -config Dy-FUSE -workload ATAX -backend GDDR5,HBM2,STT-MRAM
 //	fusesim -config Dy-FUSE -workload ATAX -cpuprofile cpu.pprof -memprofile mem.pprof
 //	fusesim -workloads my-workloads.json -workload mykernel
-//	fusesim -config Dy-FUSE -workload mykernel -workloads my.json -record run.trace
-//	fusesim -replay run.trace
 //	fusesim -list
 //
 // The -workloads flag loads a workload file (JSON: custom synthetic profiles
 // and phased composites — see the trace package) into the registry; the
-// loaded names are then usable anywhere a builtin name is, including -record.
-//
-// -record runs a single simulation (one config, one workload, one backend),
-// captures the generated instruction stream, and writes it to a trace file;
-// -replay re-runs a recorded trace under its recorded configuration and
-// prints a byte-identical report. Record/replay runs bypass the result store
-// (a store hit would skip execution and record nothing).
+// loaded names are then usable anywhere a builtin name is.
 //
 // The -cpuprofile/-memprofile flags write pprof profiles of the batch, so
 // performance work on the cycle engine starts from a measured profile
@@ -69,8 +61,6 @@ func main() {
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the simulation batch to this file")
 		memProfile   = flag.String("memprofile", "", "write an allocation profile (taken after the batch) to this file")
 		workloadFile = flag.String("workloads", "", "workload file (JSON) of custom profiles and phased workloads to register")
-		recordPath   = flag.String("record", "", "record the generated instruction stream to this trace file (single simulation only)")
-		replayPath   = flag.String("replay", "", "replay a recorded trace file under its recorded configuration")
 	)
 	flag.Parse()
 
@@ -123,11 +113,6 @@ func main() {
 		return
 	}
 
-	if *replayPath != "" {
-		replayTrace(*replayPath, *showEnergy)
-		return
-	}
-
 	var kinds []config.L1DKind
 	for _, name := range splitList(*configNames) {
 		kind, err := config.ParseL1DKind(name)
@@ -162,14 +147,6 @@ func main() {
 		backends = []string{""} // the GPU model's own backend
 	}
 
-	if *recordPath != "" {
-		if len(kinds) != 1 || len(workloads) != 1 || len(backends) != 1 {
-			fatalf("-record captures one simulation: exactly one -config, one -workload and at most one -backend")
-		}
-		recordTrace(*recordPath, kinds[0], workloads[0], backends[0], *volta, opts, *showEnergy)
-		return
-	}
-
 	// The cross product; Volta variants and backend overrides become
 	// labelled custom-GPU jobs.
 	var jobs []engine.Job
@@ -179,9 +156,10 @@ func main() {
 				job := engine.Job{Kind: kind, Workload: w, Opts: opts}
 				switch {
 				case *volta:
-					cfg := buildGPU(kind, true, be)
+					cfg := config.VoltaGPU(config.ScaleL1D(config.NewL1DConfig(kind), 4))
 					label := "volta-" + kind.String()
 					if be != "" {
+						cfg.MemBackend = be
 						label += "@" + be
 					}
 					job.Label = label
@@ -221,94 +199,13 @@ func main() {
 	}
 
 	for i, o := range outcomes {
-		printReport(o.Result, jobs[i].GPUConfig(), *showEnergy)
+		fmt.Print(o.Result.String())
+		if *showEnergy {
+			fmt.Print(energy.FromResult(o.Result, jobs[i].GPUConfig()).String())
+		}
 		if i < len(outcomes)-1 {
 			fmt.Println()
 		}
-	}
-}
-
-// printReport renders one simulation report (plus the energy breakdown) the
-// way every fusesim path — batch, record, replay — prints it.
-func printReport(res sim.Result, gpuCfg config.GPUConfig, showEnergy bool) {
-	fmt.Print(res.String())
-	if showEnergy {
-		fmt.Print(energy.FromResult(res, gpuCfg).String())
-	}
-}
-
-// buildGPU materialises the GPU configuration of a (config, volta, backend)
-// triple exactly like the batch job builder does.
-func buildGPU(kind config.L1DKind, volta bool, backend string) config.GPUConfig {
-	var cfg config.GPUConfig
-	if volta {
-		cfg = config.VoltaGPU(config.ScaleL1D(config.NewL1DConfig(kind), 4))
-	} else {
-		cfg = config.FermiGPU(config.NewL1DConfig(kind))
-	}
-	if backend != "" {
-		cfg.MemBackend = backend
-	}
-	return cfg
-}
-
-// recordTrace runs one simulation with the workload wrapped in a recorder,
-// prints the usual report, and writes the captured trace (with enough
-// metadata for -replay to rebuild the identical simulation).
-func recordTrace(path string, kind config.L1DKind, workload, backend string, volta bool, opts sim.Options, showEnergy bool) {
-	w, err := trace.LookupWorkload(workload)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	rec := trace.NewRecorder(w)
-	gpuCfg := buildGPU(kind, volta, backend)
-	s, err := sim.New(gpuCfg, rec, opts)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	res := s.Run()
-	printReport(res, gpuCfg, showEnergy)
-	tr := rec.Trace(trace.TraceMeta{
-		Workload:            workload,
-		Kind:                kind.String(),
-		Volta:               volta,
-		Backend:             backend,
-		InstructionsPerWarp: opts.InstructionsPerWarp,
-		SMs:                 opts.SMOverride,
-		Seed:                opts.Seed,
-	})
-	if err := tr.WriteFile(path); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "[recorded %s: %d SM streams]\n", path, len(tr.Steps))
-}
-
-// replayTrace re-runs a recorded trace under its recorded configuration and
-// prints a report byte-identical to the recording run's.
-func replayTrace(path string, showEnergy bool) {
-	tr, err := trace.LoadTrace(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	kind, err := config.ParseL1DKind(tr.Meta.Kind)
-	if err != nil {
-		fatalf("trace %s: %v", path, err)
-	}
-	gpuCfg := buildGPU(kind, tr.Meta.Volta, tr.Meta.Backend)
-	opts := sim.Options{
-		InstructionsPerWarp: tr.Meta.InstructionsPerWarp,
-		SMOverride:          tr.Meta.SMs,
-		Seed:                tr.Meta.Seed,
-	}
-	w := tr.Workload()
-	s, err := sim.New(gpuCfg, w, opts)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	printReport(s.Run(), gpuCfg, showEnergy)
-	if n := w.Diverged(); n > 0 {
-		fmt.Fprintf(os.Stderr,
-			"fusesim: warning: replay diverged from the recording schedule on %d steps; the report above is not a faithful reproduction\n", n)
 	}
 }
 

@@ -376,7 +376,7 @@ func TestLateMergeCannotBeatL2Latency(t *testing.T) {
 
 // BenchmarkL2Advance measures the L2 miss path end to end: each iteration
 // presents 256 read misses to the paper's 12-bank L2 — more than its
-// 6-channel controller queues hold, so fills are held back and resubmitted —
+// 6-channel controller queues hold, so fills wait for channel room —
 // and advances the memory side until every fill has been delivered.
 func BenchmarkL2Advance(b *testing.B) {
 	l := newL2()

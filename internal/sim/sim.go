@@ -433,9 +433,9 @@ type Simulator struct {
 }
 
 // New builds a simulator for the given GPU configuration and workload
-// descriptor. Synthetic profiles wrap as trace.Synthetic(profile); phased and
-// replay workloads plug in the same way — the simulator only sees the
-// per-SM instruction Sources the workload constructs.
+// descriptor. Synthetic profiles wrap as trace.Synthetic(profile); phased
+// workloads plug in the same way — the simulator only sees the per-SM
+// instruction Sources the workload constructs.
 func New(gpuCfg config.GPUConfig, workload trace.Workload, opts Options) (*Simulator, error) {
 	if err := gpuCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)

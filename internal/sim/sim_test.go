@@ -399,41 +399,6 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
-func TestRecordReplayReproducesResult(t *testing.T) {
-	// Recording a run and replaying its trace under the same configuration
-	// must produce the identical Result struct — the property the CLI's
-	// record→replay round trip (and the CI workload-smoke job) relies on.
-	prof, _ := trace.ProfileByName("ATAX")
-	gpuCfg := config.FermiGPU(config.NewL1DConfig(config.DyFUSE))
-	opts := quickOpts()
-
-	rec := trace.NewRecorder(trace.Synthetic(prof))
-	s, err := New(gpuCfg, rec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recorded := s.Run()
-
-	tr := rec.Trace(trace.TraceMeta{Workload: "ATAX", Seed: opts.Seed})
-	rs, err := New(gpuCfg, tr.Workload(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := rs.Run()
-	if recorded != replayed {
-		t.Errorf("replayed result differs from the recorded run:\nrec: %+v\nrep: %+v", recorded, replayed)
-	}
-
-	// The recorder itself is passive: an unrecorded run matches too.
-	plain, err := New(gpuCfg, trace.Synthetic(prof), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := plain.Run(); res != recorded {
-		t.Errorf("recording must not perturb the simulation:\nplain: %+v\nrec:   %+v", res, recorded)
-	}
-}
-
 func TestPhasedWorkloadRunsDeterministically(t *testing.T) {
 	atax, _ := trace.ProfileByName("ATAX")
 	pathf, _ := trace.ProfileByName("pathf")

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// These tests pin the order-insensitivity claims behind the //fuselint:ordered
-// annotations in this package (see kernel.go AnalyzeProfile and record.go
-// Trace): the justifications say map iteration order cannot be observed in
-// the output, so repeated runs must agree bit for bit.
+// This test pins the order-insensitivity claim behind the package's one
+// //fuselint:ordered annotation (kernel.go AnalyzeProfile): the justification
+// says map iteration order cannot be observed in the output, so repeated runs
+// must agree bit for bit.
 
 func TestAnalyzeProfileDeterministic(t *testing.T) {
 	for _, prof := range Profiles() {
@@ -17,33 +17,5 @@ func TestAnalyzeProfileDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: AnalyzeProfile not deterministic:\n%+v\n%+v", prof.Name, a, b)
 		}
-	}
-}
-
-func TestRecorderTraceDeterministic(t *testing.T) {
-	capture := func() *Trace {
-		rec := NewRecorder(Synthetic(Profiles()[0]))
-		const sms = 8
-		srcs := make([]Source, sms)
-		for sm := 0; sm < sms; sm++ {
-			src, err := rec.NewSource(sm, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srcs[sm] = src
-		}
-		for i := 0; i < 500; i++ {
-			for sm := 0; sm < sms; sm++ {
-				srcs[sm].Next(i % 4)
-			}
-		}
-		return rec.Trace(TraceMeta{Workload: "det-test"})
-	}
-	a, b := capture(), capture()
-	if len(a.Steps) != len(b.Steps) {
-		t.Fatalf("trace shapes differ: %d vs %d SMs", len(a.Steps), len(b.Steps))
-	}
-	if !reflect.DeepEqual(a.Steps, b.Steps) {
-		t.Error("Recorder.Trace not deterministic across identical runs")
 	}
 }

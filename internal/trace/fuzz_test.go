@@ -1,0 +1,57 @@
+package trace
+
+import (
+	"os"
+	"testing"
+)
+
+// FuzzParseWorkloads feeds arbitrary bytes to the workload-file decoder, the
+// package's one reader of outside bytes (-workloads files and the inline
+// "workloads" block of POST /v1/batch). Each input must fail to parse, or
+// every profile and phased entry must fail Validate or build per-SM sources
+// that generate instructions without panicking. Phased entries resolve the
+// way Register resolves them, but nothing is registered, so the registry
+// keeps only what the package's tests put there. The seed corpus
+// (testdata/fuzz/FuzzParseWorkloads) holds a working set past the
+// generator's limit and a mix with a negative fraction.
+func FuzzParseWorkloads(f *testing.F) {
+	example, err := os.ReadFile("../../examples/customworkload/workloads.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(example)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file, err := ParseWorkloads(data)
+		if err != nil {
+			return
+		}
+		local := make(map[string]Profile, len(file.Profiles))
+		var ws []Workload
+		for _, fp := range file.Profiles {
+			p := fp.Profile()
+			local[p.Name] = p
+			ws = append(ws, Synthetic(p))
+		}
+		for _, fp := range file.Phased {
+			if w, err := fp.workload(local); err == nil {
+				ws = append(ws, w)
+			}
+		}
+		for _, w := range ws {
+			if w.Validate() != nil {
+				continue
+			}
+			for _, sm := range []int{0, 7} {
+				src, err := w.NewSource(sm, 42)
+				if err != nil {
+					t.Fatalf("%s: valid workload without a source for SM %d: %v", w.Name(), sm, err)
+				}
+				const n = 3000
+				drive(src, n)
+				if got := src.Generated(); got != n {
+					t.Fatalf("%s: SM %d generated %d instructions, want %d", w.Name(), sm, got, n)
+				}
+			}
+		}
+	})
+}

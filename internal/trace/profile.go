@@ -60,6 +60,14 @@ type Profile struct {
 	PaperBypassRatio float64
 }
 
+// maxWorkingSetBlocks caps a profile's per-SM working set. 1<<16 blocks is
+// 8 MiB per SM: above Volta's 6 MB L2 and 140× the largest builtin (460), so
+// no cache organisation the simulator models can tell a larger set apart.
+// The cap keeps each warp's window (WorkingSetBlocks/48 blocks) inside the
+// warp's own 2^26-block address slice and its generator state to tens of
+// kilobytes; an uncapped set lets one workload-file entry exhaust memory.
+const maxWorkingSetBlocks = 1 << 16
+
 // Validate reports whether the profile is internally consistent.
 func (p *Profile) Validate() error {
 	if p.Name == "" {
@@ -68,11 +76,14 @@ func (p *Profile) Validate() error {
 	if p.APKI <= 0 {
 		return fmt.Errorf("trace: %s: APKI must be positive", p.Name)
 	}
+	if m := p.Mix; m.WM < 0 || m.ReadIntensive < 0 || m.WORM < 0 || m.WORO < 0 {
+		return fmt.Errorf("trace: %s: read-level mix fractions must not be negative", p.Name)
+	}
 	if s := p.Mix.Sum(); s < 0.99 || s > 1.01 {
 		return fmt.Errorf("trace: %s: read-level mix sums to %v, want 1", p.Name, s)
 	}
-	if p.WorkingSetBlocks <= 0 {
-		return fmt.Errorf("trace: %s: working set must be positive", p.Name)
+	if p.WorkingSetBlocks <= 0 || p.WorkingSetBlocks > maxWorkingSetBlocks {
+		return fmt.Errorf("trace: %s: working set must be in [1,%d] blocks", p.Name, maxWorkingSetBlocks)
 	}
 	if p.Irregular < 0 || p.Irregular > 1 {
 		return fmt.Errorf("trace: %s: irregularity must be in [0,1]", p.Name)

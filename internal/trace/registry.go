@@ -156,8 +156,8 @@ func BuiltinNames() []string {
 
 // Profiles returns the registered synthetic profiles — the 21 paper
 // benchmarks in figure order, followed by any user-registered profiles.
-// Phased and replay workloads have no single profile and are not included;
-// enumerate them with WorkloadNames/Lookup.
+// Phased workloads have no single profile and are not included; enumerate
+// them with WorkloadNames/Lookup.
 func Profiles() []Profile {
 	registry.mu.RLock()
 	defer registry.mu.RUnlock()

@@ -77,6 +77,13 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		func(p *Profile) { p.WorkingSetBlocks = 0 },
 		func(p *Profile) { p.Irregular = 1.5 },
 		func(p *Profile) { p.WORMReuse = 0 },
+		// Working sets the generator cannot hold: one past the cap, and a
+		// size whose per-warp window overflows makeslice.
+		func(p *Profile) { p.WorkingSetBlocks = maxWorkingSetBlocks + 1 },
+		func(p *Profile) { p.WorkingSetBlocks = 1 << 62 },
+		// A negative fraction, although the mix still sums to 1.
+		func(p *Profile) { p.Mix = ReadLevelMix{WM: 2, WORM: -1} },
+		func(p *Profile) { p.Mix.WORM += p.Mix.WORO + 0.1; p.Mix.WORO = -0.1 },
 	}
 	for i, mutate := range cases {
 		p := good
@@ -84,6 +91,11 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
+	}
+	atCap := good
+	atCap.WorkingSetBlocks = maxWorkingSetBlocks
+	if err := atCap.Validate(); err != nil {
+		t.Errorf("a working set at the cap must stay valid: %v", err)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 // Source is the per-SM instruction-stream contract: the simulator asks it for
 // one dynamic instruction per issue slot and reads back the stream counters.
 // *Kernel — the synthetic Table-II generator — is the canonical
-// implementation; phased composites and trace replay are the others. A Source
-// is owned by exactly one SM and is never shared across goroutines.
+// implementation; phased composites are the other. A Source is owned by
+// exactly one SM and is never shared across goroutines.
 type Source interface {
 	// Next produces the next dynamic instruction for the given warp.
 	Next(warp int) Instruction
@@ -24,10 +24,10 @@ type Source interface {
 // parameters, constructs the per-SM instruction Source, and canonicalises to
 // the JSON key material the content-addressed result store hashes.
 //
-// Implementations: Synthetic (one Table-II-style Profile), Phased (a chain of
-// profiles with per-phase instruction budgets) and Replay (a recorded stream
-// played back bit-identically). The registry (Register/Lookup) maps names to
-// Workloads so the engine, the CLIs and the server share one lookup path.
+// Implementations: Synthetic (one Table-II-style Profile) and Phased (a chain
+// of profiles with per-phase instruction budgets). The registry
+// (Register/Lookup) maps names to Workloads so the engine, the CLIs and the
+// server share one lookup path.
 type Workload interface {
 	// Name is the workload name used in figures, job identities and tables.
 	Name() string

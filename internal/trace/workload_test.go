@@ -40,8 +40,8 @@ func customProfile(name string) Profile {
 
 // TestSourceDeterminism pins the contract every store key depends on: the
 // same (workload, SM, seed) triple yields a byte-identical instruction
-// sequence across two independently constructed sources — for synthetic,
-// phased and replayed workloads.
+// sequence across two independently constructed sources — for synthetic and
+// phased workloads.
 func TestSourceDeterminism(t *testing.T) {
 	atax, _ := ProfileByName("ATAX")
 	gemm, _ := ProfileByName("GEMM")
@@ -74,17 +74,6 @@ func TestSourceDeterminism(t *testing.T) {
 		}
 	}
 
-	// Replay: record a stream, then two independent replay sources must both
-	// reproduce it exactly.
-	rec := NewRecorder(synthetic)
-	recorded := drive(mustSource(t, rec, 0, 42), n)
-	tr := rec.Trace(TraceMeta{Workload: "ATAX", Seed: 42})
-	replay := tr.Workload()
-	a := drive(mustSource(t, replay, 0, 42), n)
-	b := drive(mustSource(t, replay, 0, 99), n) // replay ignores the seed
-	if !instructionsEqual(recorded, a) || !instructionsEqual(recorded, b) {
-		t.Errorf("replay must reproduce the recorded stream bit-identically")
-	}
 }
 
 func instructionsEqual(a, b []Instruction) bool {
@@ -321,101 +310,6 @@ func TestLoadWorkloadFileFromDisk(t *testing.T) {
 	}
 }
 
-func TestTraceRoundTrip(t *testing.T) {
-	atax, _ := ProfileByName("ATAX")
-	rec := NewRecorder(Synthetic(atax))
-	for sm := 0; sm < 2; sm++ {
-		drive(mustSource(t, rec, sm, 42), 3000)
-	}
-	meta := TraceMeta{Workload: "ATAX", Kind: "Dy-FUSE", InstructionsPerWarp: 100, SMs: 2, Seed: 42}
-	tr := rec.Trace(meta)
-
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Meta != meta {
-		t.Errorf("meta did not round-trip: %+v vs %+v", got.Meta, meta)
-	}
-	if len(got.Steps) != len(tr.Steps) {
-		t.Fatalf("SM count did not round-trip")
-	}
-	for sm := range tr.Steps {
-		if len(got.Steps[sm]) != len(tr.Steps[sm]) {
-			t.Fatalf("SM %d: step count did not round-trip", sm)
-		}
-		for i := range tr.Steps[sm] {
-			if got.Steps[sm][i] != tr.Steps[sm][i] {
-				t.Fatalf("SM %d step %d: %+v != %+v", sm, i, got.Steps[sm][i], tr.Steps[sm][i])
-			}
-		}
-	}
-	// The serialisation is deterministic: writing again yields the same bytes.
-	var buf2 bytes.Buffer
-	if err := got.Write(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Errorf("trace serialisation must be deterministic")
-	}
-
-	// Corruption is detected.
-	if _, err := ReadTrace(bytes.NewReader(buf.Bytes()[:len(buf.Bytes())-5])); err == nil {
-		t.Errorf("truncated trace must error")
-	}
-	if _, err := ReadTrace(bytes.NewReader([]byte("not a trace"))); err == nil {
-		t.Errorf("bad magic must error")
-	}
-}
-
-func TestReplayDivergence(t *testing.T) {
-	atax, _ := ProfileByName("ATAX")
-	rec := NewRecorder(Synthetic(atax))
-	drive(mustSource(t, rec, 0, 42), 100)
-	tr := rec.Trace(TraceMeta{Workload: "ATAX", Seed: 42})
-	w := tr.Workload()
-
-	// Asking for an SM the trace does not record fails loudly.
-	if _, err := w.NewSource(5, 42); err == nil {
-		t.Errorf("out-of-range SM must error")
-	}
-
-	// Consuming past the recording pads with no-ops and counts divergence,
-	// and the workload aggregates the count across its sources.
-	src := mustSource(t, w, 0, 42)
-	drive(src, 150)
-	rs := src.(*replaySource)
-	if rs.Diverged() != 50 {
-		t.Errorf("Diverged() = %d, want 50", rs.Diverged())
-	}
-	if src.Generated() != 150 {
-		t.Errorf("Generated() = %d, want 150", src.Generated())
-	}
-	if w.Diverged() != 50 {
-		t.Errorf("workload Diverged() = %d, want 50", w.Diverged())
-	}
-
-	// A faithful replay reports zero divergence.
-	w2 := tr.Workload()
-	drive(mustSource(t, w2, 0, 42), 100)
-	if w2.Diverged() != 0 {
-		t.Errorf("faithful replay should not diverge, got %d", w2.Diverged())
-	}
-}
-
-func TestReadTraceRejectsHugeStepCount(t *testing.T) {
-	// A crafted header claiming an enormous step count must fail as a
-	// truncated trace, not attempt the allocation (or panic).
-	data := []byte(traceMagic + `{"meta":{"workload":"x","instructionsPerWarp":1,"sms":1,"seed":1},"steps":[1152921504606846976]}` + "\n" + "short")
-	if _, err := ReadTrace(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Errorf("huge step count should read as a truncated trace, got %v", err)
-	}
-}
-
 func TestWorkloadKeyMaterials(t *testing.T) {
 	atax, _ := ProfileByName("ATAX")
 
@@ -430,47 +324,17 @@ func TestWorkloadKeyMaterials(t *testing.T) {
 		t.Errorf("synthetic key material must be the raw Profile encoding:\n%s\n%s", m, want)
 	}
 
-	// Phased and replay materials are disjoint from any profile encoding and
-	// from each other (a "kind" discriminator no Profile has).
-	ph := NewPhased("km-phased", []Phase{{Profile: atax}})
-	pm, err := ph.KeyMaterial()
+	// Phased material is disjoint from any profile encoding: it carries a
+	// "kind" discriminator no Profile has.
+	pm, err := NewPhased("km-phased", []Phase{{Profile: atax}}).KeyMaterial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder(Synthetic(atax))
-	drive(mustSource(t, rec, 0, 42), 50)
-	rm, err := rec.Trace(TraceMeta{Workload: "ATAX", Seed: 42}).Workload().KeyMaterial()
-	if err != nil {
+	var fields map[string]any
+	if err := json.Unmarshal(pm, &fields); err != nil {
 		t.Fatal(err)
 	}
-	for label, material := range map[string]json.RawMessage{"phased": pm, "replay": rm} {
-		var fields map[string]any
-		if err := json.Unmarshal(material, &fields); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if fields["kind"] != label {
-			t.Errorf("%s key material must carry kind=%q: %s", label, label, material)
-		}
-	}
-
-	// A recorder is key-transparent: recording does not change the key.
-	recM, _ := NewRecorder(Synthetic(atax)).KeyMaterial()
-	if !bytes.Equal(recM, want) {
-		t.Errorf("recorder must not change the key material")
-	}
-
-	// Two identical recordings share a replay key; different recordings get
-	// different keys (content-addressed digest).
-	rec2 := NewRecorder(Synthetic(atax))
-	drive(mustSource(t, rec2, 0, 42), 50)
-	rm2, _ := rec2.Trace(TraceMeta{Workload: "ATAX", Seed: 42}).Workload().KeyMaterial()
-	if !bytes.Equal(rm, rm2) {
-		t.Errorf("identical recordings must produce identical replay keys")
-	}
-	rec3 := NewRecorder(Synthetic(atax))
-	drive(mustSource(t, rec3, 0, 42), 60)
-	rm3, _ := rec3.Trace(TraceMeta{Workload: "ATAX", Seed: 42}).Workload().KeyMaterial()
-	if bytes.Equal(rm, rm3) {
-		t.Errorf("different recordings must produce different replay keys")
+	if fields["kind"] != "phased" {
+		t.Errorf("phased key material must carry kind=\"phased\": %s", pm)
 	}
 }
