@@ -2,8 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"slices"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,56 +22,52 @@ func TestExitCodeOnLoadError(t *testing.T) {
 	}
 }
 
-// TestExitCodeOnUnknownAnalyzer pins exit code 2 for a bad -only name: a
-// typo in the CI invocation must not silently run nothing.
+// TestExitCodeOnUnknownAnalyzer pins exit code 2 for the old analyzer
+// selection flags: fuselint takes no flags, so a CI invocation that still
+// passes -only (or -json) must fail loudly, never lint nothing.
 func TestExitCodeOnUnknownAnalyzer(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-only", "nosuchanalyzer", "./..."}, &stdout, &stderr)
-	if code != exitError {
-		t.Fatalf("run with unknown -only name: exit %d, want %d", code, exitError)
-	}
-	if !strings.Contains(stderr.String(), "unknown analyzer") {
-		t.Errorf("stderr does not name the bad analyzer: %q", stderr.String())
+	for _, args := range [][]string{{"-only", "lockorder", "./..."}, {"-only", "nosuchanalyzer", "./..."}, {"-json", "./..."}} {
+		checkFlagRejected(t, args)
 	}
 }
 
-// TestExitCodeAndJSONOnFindings runs one analyzer over its own fixture (which
-// has seeded violations by construction) and pins exit code 1 plus the -json
-// encoding the problem matcher and other tools consume.
-func TestExitCodeAndJSONOnFindings(t *testing.T) {
+// TestExitCodeOnList pins exit code 2 for -list: with one analyzer there is
+// nothing to list, and the flag is rejected like any other.
+func TestExitCodeOnList(t *testing.T) {
+	checkFlagRejected(t, []string{"-list"})
+}
+
+// checkFlagRejected runs fuselint with args and requires exit code 2, the
+// flag package's "not defined" error on stderr and nothing on stdout.
+func checkFlagRejected(t *testing.T, args []string) {
+	t.Helper()
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-json", "-only", "detmap", "fuse/internal/analysis/testdata/src/detmapfix"}, &stdout, &stderr)
+	if code := run(args, &stdout, &stderr); code != exitError {
+		t.Errorf("run %v: exit %d, want %d", args, code, exitError)
+	}
+	if !strings.Contains(stderr.String(), "flag provided but not defined") || stdout.Len() != 0 {
+		t.Errorf("run %v: stdout %q, stderr %q", args, stdout.String(), stderr.String())
+	}
+}
+
+// TestExitCodeOnFindings runs fuselint over lockorder's fixture (which has
+// seeded violations by construction) and pins exit code 1 plus the
+// file:line:col: lockorder: message lines the CI problem matcher reads.
+func TestExitCodeOnFindings(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"fuse/internal/analysis/testdata/src/lockorderfix"}, &stdout, &stderr)
 	if code != exitFindings {
-		t.Fatalf("run on the detmap fixture: exit %d, want %d\nstderr: %s", code, exitFindings, stderr.String())
+		t.Fatalf("run on the lockorder fixture: exit %d, want %d\nstderr: %s", code, exitFindings, stderr.String())
 	}
-	var diags []jsonDiagnostic
-	if err := json.Unmarshal(stdout.Bytes(), &diags); err != nil {
-		t.Fatalf("stdout is not a JSON array of findings: %v\n%s", err, stdout.String())
-	}
-	if len(diags) == 0 {
-		t.Fatal("JSON output has no findings despite exit code 1")
-	}
-	for _, d := range diags {
-		if d.File == "" || d.Line == 0 || d.Analyzer != "detmap" || d.Message == "" {
-			t.Errorf("incomplete JSON finding: %+v", d)
+	line := regexp.MustCompile(`^\S+\.go:\d+:\d+: lockorder: \S.*$`)
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	for _, l := range lines {
+		if !line.MatchString(l) {
+			t.Errorf("finding %q is not file:line:col: lockorder: message", l)
 		}
 	}
-}
-
-// TestExitCodeOnList pins exit code 0 for -list, which must name exactly the
-// analyzers of the suite, one per line, in reporting order.
-func TestExitCodeOnList(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-list"}, &stdout, &stderr)
-	if code != exitClean {
-		t.Fatalf("run -list: exit %d, want %d", code, exitClean)
-	}
-	var names []string
-	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
-		names = append(names, strings.Fields(line)[0])
-	}
-	if want := []string{"detmap", "ctxflow", "lockorder"}; !slices.Equal(names, want) {
-		t.Errorf("-list names %v, want %v:\n%s", names, want, stdout.String())
+	if want := "fuselint: " + strconv.Itoa(len(lines)) + " finding(s)"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr %q does not report %q", stderr.String(), want)
 	}
 }
 
@@ -79,8 +75,8 @@ func TestExitCodeOnList(t *testing.T) {
 // package of a clean tree lints clean when it is the only package analysed.
 func TestPackageSubsetExitsClean(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"fuse/internal/sim"}, &stdout, &stderr)
+	code := run([]string{"fuse/internal/engine"}, &stdout, &stderr)
 	if code != exitClean {
-		t.Fatalf("run on internal/sim alone: exit %d, want %d\nstdout: %s\nstderr: %s", code, exitClean, stdout.String(), stderr.String())
+		t.Fatalf("run on internal/engine alone: exit %d, want %d\nstdout: %s\nstderr: %s", code, exitClean, stdout.String(), stderr.String())
 	}
 }

@@ -110,7 +110,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if v := recover(); v != nil {
 			s.panics.Add(1)
-			httpError(w, http.StatusInternalServerError, "internal error: %v", v)
+			cluster.HTTPError(w, http.StatusInternalServerError, "internal error: %v", v)
 		}
 	}()
 	s.mux.ServeHTTP(w, r)
@@ -127,13 +127,13 @@ func (s *server) beginDrain() { s.draining.Store(true) }
 func (s *server) admit(w http.ResponseWriter) (release func(), ok bool) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
+		cluster.HTTPError(w, http.StatusServiceUnavailable, "server is draining")
 		return nil, false
 	}
 	if n := s.inflight.Add(1); s.maxInflight > 0 && n > int64(s.maxInflight) {
 		s.inflight.Add(-1)
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable,
+		cluster.HTTPError(w, http.StatusServiceUnavailable,
 			"at capacity (%d simulation requests in flight)", s.maxInflight)
 		return nil, false
 	}
@@ -318,19 +318,16 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req batchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed request: %v", err)
+	if !cluster.DecodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Jobs) == 0 {
-		httpError(w, http.StatusBadRequest, "empty batch")
+		cluster.HTTPError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	if req.Workloads != nil {
 		if _, err := req.Workloads.Register(); err != nil {
-			httpError(w, http.StatusBadRequest, "workloads: %v", err)
+			cluster.HTTPError(w, http.StatusBadRequest, "workloads: %v", err)
 			return
 		}
 	}
@@ -349,7 +346,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		if o.Backend != "" {
 			if _, err := dram.BackendByName(o.Backend); err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
+				cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 				return
 			}
 			backend = o.Backend
@@ -360,11 +357,11 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, j := range req.Jobs {
 		kind, err := config.ParseL1DKind(j.Kind)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "job %d: %v", i, err)
+			cluster.HTTPError(w, http.StatusBadRequest, "job %d: %v", i, err)
 			return
 		}
 		if _, err := trace.LookupWorkload(j.Workload); err != nil {
-			httpError(w, http.StatusBadRequest, "job %d: %v", i, err)
+			cluster.HTTPError(w, http.StatusBadRequest, "job %d: %v", i, err)
 			return
 		}
 		job := engine.Job{Kind: kind, Workload: j.Workload, Opts: opts}
@@ -383,7 +380,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// are reported in the body, not as a transport error: the rest of the
 	// batch is still useful.
 	if err != nil && ctx.Err() != nil {
-		httpError(w, http.StatusGatewayTimeout, "batch timed out: %v", ctx.Err())
+		cluster.HTTPError(w, http.StatusGatewayTimeout, "batch timed out: %v", ctx.Err())
 		return
 	}
 
@@ -408,12 +405,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !store.ValidKey(key) {
-		httpError(w, http.StatusBadRequest, "malformed key %q (want 64 hex digits)", key)
+		cluster.HTTPError(w, http.StatusBadRequest, "malformed key %q (want 64 hex digits)", key)
 		return
 	}
 	res, ok := s.results.Get(key)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no result for key %s", key)
+		cluster.HTTPError(w, http.StatusNotFound, "no result for key %s", key)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -441,7 +438,7 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	fig := r.PathValue("fig")
 	name, ok := figureExperiments[fig]
 	if !ok {
-		httpError(w, http.StatusNotFound, "figure %q not servable (want 13..17 or backends)", fig)
+		cluster.HTTPError(w, http.StatusNotFound, "figure %q not servable (want 13..17 or backends)", fig)
 		return
 	}
 	var workloads []string // nil = the experiment's full set
@@ -452,7 +449,7 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			if _, err := trace.LookupWorkload(workload); err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
+				cluster.HTTPError(w, http.StatusBadRequest, "%v", err)
 				return
 			}
 			workloads = append(workloads, workload)
@@ -463,9 +460,9 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	table, err := experiments.RunContext(ctx, s.matrix, name, workloads)
 	if err != nil {
 		if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			httpError(w, http.StatusGatewayTimeout, "figure %s timed out: %v", fig, err)
+			cluster.HTTPError(w, http.StatusGatewayTimeout, "figure %s timed out: %v", fig, err)
 		} else {
-			httpError(w, http.StatusInternalServerError, "figure %s: %v", fig, err)
+			cluster.HTTPError(w, http.StatusInternalServerError, "figure %s: %v", fig, err)
 		}
 		return
 	}
@@ -479,10 +476,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -68,10 +69,12 @@ func TestBatchEndpointRunsAndStoresResults(t *testing.T) {
 	var execs atomic.Int32
 	ts := newTestServer(t, t.TempDir(), &execs)
 
+	// A trailing newline after the body is not trailing data.
 	resp, br := postBatch(t, ts, `{"jobs":[
 		{"kind":"L1-SRAM","workload":"ATAX"},
 		{"kind":"Dy-FUSE","workload":"ATAX"}
-	]}`)
+	]}
+`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -138,6 +141,7 @@ func TestBatchValidation(t *testing.T) {
 		{"unknown workload", `{"jobs":[{"kind":"Dy-FUSE","workload":"nope"}]}`},
 		{"unknown field", `{"jobs":[{"kind":"Dy-FUSE","workload":"ATAX"}],"bogus":1}`},
 		{"removed simWorkers option", `{"jobs":[{"kind":"Dy-FUSE","workload":"ATAX"}],"options":{"simWorkers":2}}`},
+		{"trailing data", `{"jobs":[{"kind":"Dy-FUSE","workload":"ATAX"}]} {"jobs":[]} garbage`},
 	}
 	for _, tc := range cases {
 		resp, _ := postBatch(t, ts, tc.body)
@@ -286,6 +290,61 @@ func TestPerRequestTimeout(t *testing.T) {
 	resp, _ := postBatch(t, ts, `{"jobs":[{"kind":"Dy-FUSE","workload":"ATAX"}]}`)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("status = %d, want 504", resp.StatusCode)
+	}
+}
+
+// TestClientDisconnectCancelsBatch pins that a batch runs under the
+// request's context in both branches of requestContext: with no timeout and
+// with one longer than the test, a client that goes away cancels the
+// simulations it started.
+func TestClientDisconnectCancelsBatch(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Hour} {
+		t.Run(timeout.String(), func(t *testing.T) {
+			started, cancelled := make(chan struct{}, 1), make(chan error, 1)
+			unblock := make(chan struct{})
+			cache := store.NewTiered(store.NewMemory())
+			runner := engine.New(engine.Config{
+				Cache: cache,
+				Exec: func(ctx context.Context, job engine.Job) (sim.Result, error) {
+					started <- struct{}{}
+					select {
+					case <-ctx.Done():
+						cancelled <- ctx.Err()
+						return sim.Result{}, ctx.Err()
+					case <-unblock:
+						return sim.Result{}, nil
+					}
+				},
+			})
+			ts := httptest.NewServer(newServer(serverConfig{
+				scale: experiments.QuickScale, runner: runner, results: cache,
+				health: cache, timeout: timeout,
+			}))
+			defer ts.Close()
+			defer close(unblock)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/batch",
+				strings.NewReader(`{"jobs":[{"kind":"Dy-FUSE","workload":"ATAX"}]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				if resp, err := http.DefaultClient.Do(req); err == nil {
+					resp.Body.Close()
+				}
+			}()
+			<-started
+			cancel()
+			select {
+			case err := <-cancelled:
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("the simulation saw %v, want context.Canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Error("the client disconnected but its simulation was not cancelled")
+			}
+		})
 	}
 }
 

@@ -5,16 +5,17 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// The fixture tests are analysistest-style: each package under testdata/src
-// carries `// want \`regexp\`` comments on the lines where an analyzer must
+// The fixture test is analysistest-style: lockorderfix under testdata/src
+// carries `// want \`regexp\`` comments on the lines where lockorder must
 // report, and the test fails on any unmatched want or unexpected diagnostic.
-// The fixtures double as the proof that the CI gate actually fires: every
-// analyzer has at least one deliberately seeded violation.
+// The fixture doubles as the proof that the CI gate actually fires: it
+// seeds a violation of each of lockorder's rules.
 
 var wantRE = regexp.MustCompile("// want `([^`]+)`")
 
@@ -83,28 +84,14 @@ func loadFixture(t *testing.T, name string) (*Program, []*expectation) {
 	return prog, wants
 }
 
-// runFixture executes one analyzer over a fixture and diffs the findings
-// against the want comments.
-func runFixture(t *testing.T, analyzerName, fixture string) {
-	t.Helper()
-	var analyzer *Analyzer
-	for _, a := range All() {
-		if a.Name == analyzerName {
-			analyzer = a
-		}
-	}
-	if analyzer == nil {
-		t.Fatalf("no analyzer %q", analyzerName)
-	}
-	prog, wants := loadFixture(t, fixture)
+// TestLockorderFixture runs lockorder over its fixture and diffs the
+// findings against the want comments.
+func TestLockorderFixture(t *testing.T) {
+	prog, wants := loadFixture(t, "lockorderfix")
 	if len(wants) == 0 {
-		t.Fatalf("fixture %s has no want comments: it would not prove the gate fires", fixture)
+		t.Fatal("the fixture has no want comments: it would not prove the gate fires")
 	}
-	diags, err := Run(prog, []*Analyzer{analyzer})
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", analyzerName, fixture, err)
-	}
-	for _, d := range diags {
+	for _, d := range Lockorder(prog) {
 		matched := false
 		for _, w := range wants {
 			if !w.hit && sameFile(w.file, d.Pos.Filename) && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
@@ -133,15 +120,10 @@ func sameFile(a, b string) bool {
 	return err1 == nil && err2 == nil && ra == rb
 }
 
-func TestDetmapFixture(t *testing.T)    { runFixture(t, "detmap", "detmapfix") }
-func TestCtxflowFixture(t *testing.T)   { runFixture(t, "ctxflow", "ctxflowfix") }
-func TestLockorderFixture(t *testing.T) { runFixture(t, "lockorder", "lockorderfix") }
-
-// TestRepoIsClean runs the full suite over the real tree — the same gate CI
-// enforces with `go run ./cmd/fuselint ./...`. Any regression against the
-// repo's invariants (a new map-ordered loop, a wall-clock read in the
-// simulation core, an uncancellable wait or a lock held across blocking work
-// in the serving layer) fails this test.
+// TestRepoIsClean runs lockorder over the real tree — the same gate CI
+// enforces with `go run ./cmd/fuselint ./...`. A lock left unpaired, a lock
+// held across blocking work or a channel operation, or two mutexes taken in
+// both orders anywhere in the serving layer fails this test.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -150,10 +132,7 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run(prog, All())
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := Lockorder(prog)
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
@@ -163,62 +142,63 @@ func TestRepoIsClean(t *testing.T) {
 }
 
 // scopexfix is the directive-scoping fixture: lib declares one trailing
-// noctx directive, the root package none.
+// blocking directive, the root package none.
 const (
 	scopeRoot = "fuse/internal/analysis/testdata/src/scopexfix"
 	scopeLib  = scopeRoot + "/lib"
 )
 
 // TestDirectiveScoping pins the trailing-vs-standalone attribution rule: a
-// trailing directive governs only its own line, never the next one (the loop
-// body in lib.Drain must not inherit the noctx on its loop header).
+// trailing directive governs only its own line, never the next one (the body
+// of lib.Drain must not inherit the blocking on its declaration line).
 func TestDirectiveScoping(t *testing.T) {
 	prog, _ := loadFixture(t, "scopexfix")
-	pkg, ok := prog.Lookup(scopeLib)
-	if !ok {
+	i := slices.IndexFunc(prog.Packages, func(p *Package) bool { return p.Path == scopeLib })
+	if i < 0 {
 		t.Fatalf("fixture package %s not loaded", scopeLib)
 	}
+	pkg := prog.Packages[i]
 	f := pkg.Files[0]
 	var trailing []Directive
 	for _, d := range pkg.fileDirectives(prog.Fset, f) {
-		if d.Name == "noctx" {
+		if d.Name == "blocking" {
 			trailing = append(trailing, d)
 		}
 	}
 	if len(trailing) != 1 || trailing[0].Standalone {
-		t.Fatalf("lib declares one trailing noctx directive, scan found %+v", trailing)
+		t.Fatalf("lib declares one trailing blocking directive, scan found %+v", trailing)
 	}
 	line := trailing[0].Line
-	if _, ok := pkg.directiveAt(prog.Fset, f, line, "noctx"); !ok {
+	if _, ok := pkg.directiveAt(prog.Fset, f, line, "blocking"); !ok {
 		t.Errorf("a trailing directive must govern its own line %d", line)
 	}
-	if d, ok := pkg.directiveAt(prog.Fset, f, line+1, "noctx"); ok {
+	if d, ok := pkg.directiveAt(prog.Fset, f, line+1, "blocking"); ok {
 		t.Errorf("the trailing directive on line %d leaked onto line %d", d.Line, line+1)
 	}
 }
 
 // TestDirectiveScopingAcrossPackages pins that directives belong to the
-// package whose file declares them: the noctx annotation in the scopexfix
-// fixture lives on lib.Drain's loop, so it must be visible when scanning lib
-// and invisible from the root fixture package, whose own loop of the same
-// shape calls Drain — a leak in either direction would let one package
-// annotate away another package's violations.
+// package whose file declares them: the blocking annotation in the scopexfix
+// fixture lives on lib.Drain's declaration, so it must be visible when
+// scanning lib and invisible from the root fixture package, whose own
+// function of the same shape calls Drain — a leak in either direction would
+// let one package annotate another package's functions.
 func TestDirectiveScopingAcrossPackages(t *testing.T) {
 	prog, _ := loadFixture(t, "scopexfix")
-	noctx := make(map[string]int)
+	blocking := make(map[string]int)
 	for _, pkg := range prog.Packages {
 		for _, f := range pkg.Files {
 			for _, d := range pkg.fileDirectives(prog.Fset, f) {
-				if d.Name == "noctx" {
-					noctx[pkg.Path]++
+				if d.Name == "blocking" {
+					blocking[pkg.Path]++
 				}
 			}
 		}
 	}
-	if noctx[scopeLib] != 1 {
-		t.Errorf("lib declares 1 noctx directive, scan found %d", noctx[scopeLib])
+	if blocking[scopeLib] != 1 {
+		t.Errorf("lib declares 1 blocking directive, scan found %d", blocking[scopeLib])
 	}
-	if noctx[scopeRoot] != 0 {
-		t.Errorf("the root fixture package declares no noctx directives, scan found %d — a directive leaked across the package boundary", noctx[scopeRoot])
+	if blocking[scopeRoot] != 0 {
+		t.Errorf("the root fixture package declares no blocking directives, scan found %d — a directive leaked across the package boundary", blocking[scopeRoot])
 	}
 }

@@ -38,7 +38,7 @@ type listPackage struct {
 // Load lists the packages matching the patterns (resolved relative to dir),
 // parses the non-dependency ones from source with comments, and type-checks
 // them against the export data `go list -export` produced. Test files are not
-// part of `go list`'s GoFiles, so analyzers see exactly the shipping code.
+// part of `go list`'s GoFiles, so lockorder sees exactly the shipping code.
 func Load(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -51,11 +51,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		return nil, err
 	}
 
-	prog := &Program{
-		Fset:   token.NewFileSet(),
-		byPath: make(map[string]*Package),
-		State:  make(map[string]any),
-	}
+	prog := &Program{Fset: token.NewFileSet()}
 	exports := make(map[string]string, len(pkgs))
 	for _, p := range pkgs {
 		if p.Error != nil {
@@ -77,7 +73,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		if p.Standard || p.DepOnly || len(p.GoFiles) == 0 {
 			continue
 		}
-		pkg := &Package{Path: p.ImportPath, Dir: p.Dir}
+		pkg := &Package{Path: p.ImportPath}
 		for _, name := range p.GoFiles {
 			filename := filepath.Join(p.Dir, name)
 			f, err := parser.ParseFile(prog.Fset, filename, nil, parser.ParseComments)
@@ -95,13 +91,10 @@ func Load(dir string, patterns ...string) (*Program, error) {
 			Scopes:     make(map[ast.Node]*types.Scope),
 		}
 		conf := types.Config{Importer: imp}
-		tpkg, err := conf.Check(p.ImportPath, prog.Fset, pkg.Files, pkg.Info)
-		if err != nil {
+		if _, err := conf.Check(p.ImportPath, prog.Fset, pkg.Files, pkg.Info); err != nil {
 			return nil, fmt.Errorf("analysis: type-checking %s: %w", p.ImportPath, err)
 		}
-		pkg.Types = tpkg
 		prog.Packages = append(prog.Packages, pkg)
-		prog.byPath[p.ImportPath] = pkg
 	}
 	if len(prog.Packages) == 0 {
 		return nil, fmt.Errorf("analysis: no packages matched %s", strings.Join(patterns, " "))

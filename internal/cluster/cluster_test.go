@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -290,6 +292,101 @@ func TestExecuteCancellation(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatalf("Execute did not unblock on cancellation")
+	}
+}
+
+// TestWorkerCancelledDuringBackoff: a worker whose registration keeps
+// failing backs off exponentially, and cancelling it mid-backoff returns
+// Run at once rather than after the (by then 1.6 s) sleep.
+func TestWorkerCancelledDuringBackoff(t *testing.T) {
+	var attempts atomic.Int32
+	sixth := make(chan struct{})
+	failing := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if attempts.Add(1) == 6 {
+			close(sixth)
+		}
+		w.WriteHeader(http.StatusInternalServerError)
+	})
+	w, err := NewWorker(WorkerConfig{Coordinator: LoopbackBase, Client: LoopbackClient(failing), ID: "w", Exec: engine.Execute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errCh := make(chan error, 1)
+	go func() { errCh <- w.Run(ctx) }()
+	<-sixth
+	cancel()
+	select {
+	case err := <-errCh:
+		if err == nil {
+			t.Error("Run returned nil for a worker that never registered")
+		}
+	case <-time.After(500 * time.Millisecond):
+		t.Fatal("Run did not return promptly when cancelled during its backoff")
+	}
+}
+
+// TestPullEndsWhenClientGoes: a long-poll pull runs under its request's
+// context, so a worker that hangs up mid-poll frees its handler and its
+// parked waiter at once, not when the poll times out.
+func TestPullEndsWhenClientGoes(t *testing.T) {
+	coord := New(Config{PollTimeout: time.Minute})
+	defer coord.Close()
+	h := coord.Handler()
+	post := func(ctx context.Context, path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequestWithContext(ctx, http.MethodPost, path, strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := post(context.Background(), pathRegister, `{"worker":"w"}`); rec.Code != http.StatusOK {
+		t.Fatalf("register: HTTP %d", rec.Code)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		post(ctx, pathPull, `{"worker":"w"}`)
+		close(done)
+	}()
+	parked := func() int {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		return len(coord.waiters)
+	}
+	for parked() == 0 {
+		select {
+		case <-done:
+			t.Fatal("the pull answered before parking")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("the pull handler outlived its client")
+	}
+	if n := parked(); n != 0 {
+		t.Errorf("%d waiters still parked after the client left", n)
+	}
+}
+
+// TestRequestBodyIsOneJSONValue: the coordinator rejects a body with
+// anything but whitespace after its JSON value, as a malformed request.
+func TestRequestBodyIsOneJSONValue(t *testing.T) {
+	coord := New(Config{})
+	defer coord.Close()
+	for body, want := range map[string]int{
+		`{"worker":"w"}` + "\n":         http.StatusOK,
+		`{"worker":"w"} {"worker":"x"}`: http.StatusBadRequest,
+		`{"worker":"w"} garbage`:        http.StatusBadRequest,
+	} {
+		rec := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, pathRegister, strings.NewReader(body)))
+		if rec.Code != want {
+			t.Errorf("register %q: HTTP %d, want %d", body, rec.Code, want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"net/http"
 	"slices"
@@ -190,7 +191,7 @@ func (c *Coordinator) Stats() Stats {
 		LocalRuns:    c.localRuns,
 	}
 	queued, inflight := 0, 0
-	//fuselint:ordered order-insensitive count of task states
+	// An order-insensitive count of task states.
 	for _, t := range c.tasks {
 		switch t.state {
 		case taskQueued:
@@ -470,7 +471,7 @@ func (c *Coordinator) Close() {
 	for _, id := range slices.Sorted(maps.Keys(c.tasks)) {
 		acts = append(acts, c.completeLocked(c.tasks[id], taskOutcome{err: ErrClosed})...)
 	}
-	//fuselint:ordered order-insensitive timer teardown
+	// An order-insensitive timer teardown.
 	for _, w := range c.workers {
 		if w.liveness != nil {
 			w.liveness.Stop()
@@ -486,17 +487,17 @@ func (c *Coordinator) Close() {
 // fleet was empty are already queued; the worker's first pull takes them.
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if !decodeInto(w, r, &req) {
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	if req.Worker == "" {
-		httpError(w, http.StatusBadRequest, "empty worker id")
+		HTTPError(w, http.StatusBadRequest, "empty worker id")
 		return
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "coordinator closed")
+		HTTPError(w, http.StatusServiceUnavailable, "coordinator closed")
 		return
 	}
 	ws := c.workers[req.Worker]
@@ -565,7 +566,7 @@ func (c *Coordinator) dropWaiter(ch chan struct{}) {
 // timeout. 410 tells an unknown (or declared-lost) worker to re-register.
 func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 	var req pullRequest
-	if !decodeInto(w, r, &req) {
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	ctx := r.Context()
@@ -574,7 +575,7 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 	for {
 		wire, wait, unknown := c.takeOrPark(req.Worker)
 		if unknown {
-			httpError(w, http.StatusGone, "unknown worker %q: re-register", req.Worker)
+			HTTPError(w, http.StatusGone, "unknown worker %q: re-register", req.Worker)
 			return
 		}
 		if wire != nil {
@@ -599,14 +600,14 @@ func (c *Coordinator) handlePull(w http.ResponseWriter, r *http.Request) {
 // in-flight tasks.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if !decodeInto(w, r, &req) {
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	c.mu.Lock()
 	ws := c.workers[req.Worker]
 	if ws == nil {
 		c.mu.Unlock()
-		httpError(w, http.StatusGone, "unknown worker %q: re-register", req.Worker)
+		HTTPError(w, http.StatusGone, "unknown worker %q: re-register", req.Worker)
 		return
 	}
 	c.resetLivenessLocked(ws)
@@ -625,7 +626,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // as good as any.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req resultRequest
-	if !decodeInto(w, r, &req) {
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	var out taskOutcome
@@ -634,7 +635,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	} else if req.Result != nil {
 		out.res = *req.Result
 	} else {
-		httpError(w, http.StatusBadRequest, "result or error required")
+		HTTPError(w, http.StatusBadRequest, "result or error required")
 		return
 	}
 	c.mu.Lock()
@@ -655,7 +656,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 // instead of after the liveness horizon. An unknown worker is a no-op.
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req leaveRequest
-	if !decodeInto(w, r, &req) {
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	c.mu.Lock()
@@ -668,12 +669,20 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct{}{})
 }
 
-// decodeInto parses a JSON request body, answering 400 on malformed input.
-func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
+// DecodeRequest parses a request body that must hold exactly one JSON value
+// with no unknown fields (trailing whitespace is fine), answering 400 and
+// reporting false otherwise. fuseserve decodes its batches with it too.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed request: %v", err)
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
+		HTTPError(w, http.StatusBadRequest, "malformed request: %v", err)
 		return false
 	}
 	return true
@@ -686,8 +695,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// httpError writes a JSON error body.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
+// HTTPError writes a JSON error body: {"error": message}. The coordinator
+// and fuseserve answer every failed request with it.
+func HTTPError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})

@@ -214,7 +214,7 @@ func (w *Worker) runTask(ctx context.Context, t *Task) {
 // slot.
 func (w *Worker) execTask(ctx context.Context, t *Task, resCh chan taskOutcome) {
 	res, err := w.cfg.Exec(ctx, t.Job)
-	resCh <- taskOutcome{res: res, err: err} //fuselint:noctx buffered result slot; never blocks
+	resCh <- taskOutcome{res: res, err: err} // buffered result slot; never blocks
 }
 
 // renew heartbeats one in-flight task. Failures are ignored: the next tick

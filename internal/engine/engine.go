@@ -378,7 +378,7 @@ func (r *Runner) run(ctx context.Context, key string, c *call, job Job, p *progr
 		r.finish(key, c, sim.Result{}, ctx.Err())
 		return
 	}
-	defer func() { <-r.sem }() //fuselint:noctx releasing a slot the select above acquired; the receive never blocks
+	defer func() { <-r.sem }() // releases the slot the select above acquired; never blocks
 	res, err := r.exec(ctx, job)
 	var pe *PanicError
 	r.mu.Lock()
@@ -452,7 +452,7 @@ func (r *Runner) RunBatch(ctx context.Context, jobs []Job) ([]Outcome, error) {
 				// Wait for the call anyway: its goroutine observes the same
 				// context and finishes promptly, and waiting keeps the
 				// completion accounting exact.
-				<-c.done //fuselint:noctx the runner always closes done; the bounded wait keeps completion accounting exact
+				<-c.done
 			}
 			out[i].Result, out[i].Err = c.res, c.err
 		}

@@ -246,6 +246,55 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
+// TestCancelledBatchStartsNoQueuedJob pins that the pool slot is acquired
+// under the batch context: a job still queued when the batch is cancelled
+// never reaches an executor, even one that ignores its context.
+func TestCancelledBatchStartsNoQueuedJob(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
+	progress := make(chan Progress, 2)
+	r := New(Config{
+		Workers:  1,
+		Progress: func(p Progress) { progress <- p },
+		Exec: func(_ context.Context, job Job) (sim.Result, error) {
+			if calls.Add(1) == 1 {
+				close(started)
+				<-release
+			}
+			return sim.Result{Workload: job.Workload}, nil
+		},
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.RunBatch(ctx, []Job{
+			{Kind: config.L1SRAM, Workload: "ATAX"},
+			{Kind: config.L1SRAM, Workload: "GEMM"},
+		})
+		done <- err
+	}()
+	<-started
+	cancel()
+	// The queued job fails with the context's error while the first still
+	// holds the only slot; only then is the slot released.
+	select {
+	case p := <-progress:
+		if !errors.Is(p.Err, context.Canceled) {
+			t.Errorf("first notification: %+v, want the queued job failing with context.Canceled", p)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("the queued job did not fail while the pool was full")
+	}
+	close(release)
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Errorf("RunBatch: %v, want context.Canceled", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("Exec called %d times, want 1: a cancelled batch started a queued job", n)
+	}
+}
+
 func TestProgressCallback(t *testing.T) {
 	var mu sync.Mutex
 	var events []Progress

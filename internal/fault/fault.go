@@ -260,7 +260,7 @@ func (in *Injector[J]) Exec(ctx context.Context, job J) (sim.Result, error) {
 		// stops without reporting, and the coordinator re-dispatches the
 		// job to another worker.
 		hook()
-		<-ctx.Done() //fuselint:noctx this receive IS the ctx wait: the hook just cancelled us
+		<-ctx.Done() // the hook just cancelled us
 		return sim.Result{}, ctx.Err()
 	}
 	return in.inner(ctx, job)

@@ -25,8 +25,9 @@
 // without a second look at the bank: rejections whose outcome is already
 // known are charged, not re-executed.
 //
-// Determinism is machine-checked by fuselint's detmap analyzer (go run
-// ./cmd/fuselint ./...). The other invariants are held by tests: the
+// The invariants are held by tests: the pinned result digests and
+// TestSimulationHasNoHiddenInputs (no clock, global randomness or
+// environment read in the simulator's import closure) for determinism, the
 // store-key coverage walk over Options (internal/store), the per-point
 // allocation budget beside the pinned result digests, the store's round
 // trips and the per-SM cycle ledger.

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// This test pins the order-insensitivity claim behind the package's one
-// //fuselint:ordered annotation (kernel.go AnalyzeProfile): the justification
-// says map iteration order cannot be observed in the output, so repeated runs
-// must agree bit for bit.
+// This test pins the order-insensitivity claim behind AnalyzeProfile's one
+// loop over a map (kernel.go): its comment says map iteration order cannot be
+// observed in the output, so repeated runs must agree bit for bit.
 
 func TestAnalyzeProfileDeterministic(t *testing.T) {
 	for _, prof := range Profiles() {

@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -92,12 +94,20 @@ type WorkloadFile struct {
 }
 
 // ParseWorkloads parses a workload file, rejecting unknown fields so a typo
-// in a knob name fails loudly instead of silently simulating the default.
+// in a knob name fails loudly instead of silently simulating the default,
+// and anything but whitespace after the document, so a second document or
+// trailing garbage is not silently dropped.
 func ParseWorkloads(data []byte) (*WorkloadFile, error) {
 	var f WorkloadFile
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
+	err := dec.Decode(&f)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("trailing data after the JSON document")
+		}
+	}
+	if err != nil {
 		return nil, fmt.Errorf("trace: parsing workload file: %w", err)
 	}
 	return &f, nil

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"os"
 	"testing"
 )
@@ -13,7 +14,8 @@ import (
 // way Register resolves them, but nothing is registered, so the registry
 // keeps only what the package's tests put there. The seed corpus
 // (testdata/fuzz/FuzzParseWorkloads) holds a working set past the
-// generator's limit and a mix with a negative fraction.
+// generator's limit, a mix with a negative fraction and a valid document
+// followed by a second one and garbage, which must not parse.
 func FuzzParseWorkloads(f *testing.F) {
 	example, err := os.ReadFile("../../examples/customworkload/workloads.json")
 	if err != nil {
@@ -24,6 +26,9 @@ func FuzzParseWorkloads(f *testing.F) {
 		file, err := ParseWorkloads(data)
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted input that is not exactly one JSON value: %q", data)
 		}
 		local := make(map[string]Profile, len(file.Profiles))
 		var ws []Workload

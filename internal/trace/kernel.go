@@ -431,7 +431,8 @@ func AnalyzeProfile(prof Profile, instructions int, seed uint64) BlockProfile {
 	if out.Blocks == 0 {
 		return out
 	}
-	//fuselint:ordered +1 increments into category slots are exact float adds, order-insensitive
+	// Map order cannot reach the output: +1 increments into category slots
+	// are exact float adds, order-insensitive.
 	for _, c := range blocks {
 		out.Fractions[Classify(c.writes, c.reads)] += 1
 	}

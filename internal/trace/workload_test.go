@@ -274,6 +274,7 @@ func TestWorkloadFileRejectsDefects(t *testing.T) {
 		{"invalid mix", `{"profiles":[{"name":"x","apki":10,"mix":{"wm":0.5},"workingSetBlocks":10,"wormReuse":2}]}`},
 		{"unknown phase profile", `{"phased":[{"name":"x","phases":[{"profile":"no-such-profile"}]}]}`},
 		{"malformed json", `{"profiles":`},
+		{"trailing data", `{"profiles":[{"name":"trailing-a","apki":10,"mix":{"wm":1},"workingSetBlocks":1,"wormReuse":1}]} {"profiles":[{"name":"trailing-b"}]} garbage`},
 	}
 	for _, tc := range cases {
 		f, err := ParseWorkloads([]byte(tc.data))
@@ -283,6 +284,10 @@ func TestWorkloadFileRejectsDefects(t *testing.T) {
 		if _, err := f.Register(); err == nil {
 			t.Errorf("%s: expected an error", tc.label)
 		}
+	}
+	// Trailing whitespace after the document is not trailing data.
+	if _, err := ParseWorkloads([]byte(`{"profiles":[]}` + "\n\t \n")); err != nil {
+		t.Errorf("a document with a trailing newline: %v", err)
 	}
 }
 
