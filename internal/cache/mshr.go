@@ -43,16 +43,16 @@ var ErrMSHRFull = errors.New("cache: MSHR full")
 // list is exhausted.
 var ErrMSHRMergeFull = errors.New("cache: MSHR merge list full")
 
-// MSHREntry tracks one outstanding primary miss and the secondary misses
-// merged into it.
+// MSHREntry is one outstanding primary miss: what its fill needs (the
+// primary request's PC and kind, the destination bank and the read level
+// predicted at miss time) and how many secondary misses merged into it.
 type MSHREntry struct {
-	Block   uint64
-	Primary mem.Request
-	Merged  []mem.Request
-	Dest    DestBank
-	// Level is the read level predicted for the block at miss time; the
-	// arbiter uses it when the fill returns.
+	PC    uint64
+	Write bool
+	Dest  DestBank
 	Level mem.ReadLevel
+	// merged counts the secondary misses; only the merge width bounds it.
+	merged int
 }
 
 // MSHR is a miss status holding register file: a bounded map from block
@@ -62,11 +62,7 @@ type MSHR struct {
 	maxMerge   int
 	// entries never holds more than maxEntries blocks, so its table, sized
 	// to that bound, never grows.
-	entries mem.BlockTable[*MSHREntry]
-	// free recycles released entries (see Recycle): the MSHR working set is
-	// bounded by maxEntries, so the steady state of a miss-heavy run
-	// allocates no entry structs at all.
-	free []*MSHREntry
+	entries mem.BlockTable[MSHREntry]
 }
 
 // NewMSHR creates an MSHR with the given number of primary entries and
@@ -81,21 +77,12 @@ func NewMSHR(entries, mergeWidth int) *MSHR {
 	return &MSHR{
 		maxEntries: entries,
 		maxMerge:   mergeWidth,
-		entries:    mem.NewBlockTable[*MSHREntry](entries),
+		entries:    mem.NewBlockTable[MSHREntry](entries),
 	}
 }
 
-// Capacity returns the number of primary entries.
-func (m *MSHR) Capacity() int { return m.maxEntries }
-
-// Occupancy returns the number of outstanding primary misses.
-func (m *MSHR) Occupancy() int { return m.entries.Len() }
-
 // Full reports whether a new primary miss cannot be accepted.
 func (m *MSHR) Full() bool { return m.entries.Len() >= m.maxEntries }
-
-// Lookup returns the entry for the block, if any.
-func (m *MSHR) Lookup(block uint64) (*MSHREntry, bool) { return m.entries.Get(block) }
 
 // Allocate records a miss for req's block. If an entry already exists the
 // request is merged (subject to the merge width); otherwise a new primary
@@ -104,38 +91,20 @@ func (m *MSHR) Lookup(block uint64) (*MSHREntry, bool) { return m.entries.Get(bl
 // (true) or was merged (false).
 func (m *MSHR) Allocate(req mem.Request, dest DestBank, level mem.ReadLevel) (bool, error) {
 	block := req.BlockAddr()
-	if e, ok := m.entries.Get(block); ok {
-		if len(e.Merged) >= m.maxMerge {
+	if e := m.entries.Ptr(block); e != nil {
+		if e.merged >= m.maxMerge {
 			return false, ErrMSHRMergeFull
 		}
-		e.Merged = append(e.Merged, req)
+		e.merged++
 		return false, nil
 	}
 	if m.Full() {
 		return false, ErrMSHRFull
 	}
-	var e *MSHREntry
-	if n := len(m.free); n > 0 {
-		e = m.free[n-1]
-		m.free = m.free[:n-1]
-		*e = MSHREntry{Block: block, Primary: req, Merged: e.Merged[:0], Dest: dest, Level: level}
-	} else {
-		e = &MSHREntry{Block: block, Primary: req, Dest: dest, Level: level}
-	}
-	m.entries.Put(block, e)
+	m.entries.Put(block, MSHREntry{PC: req.PC, Write: req.Kind == mem.Write, Dest: dest, Level: level})
 	return true, nil
 }
 
 // Release removes the entry for the block (on fill) and returns it. The
 // second result is false if no entry existed.
-func (m *MSHR) Release(block uint64) (*MSHREntry, bool) { return m.entries.Delete(block) }
-
-// Recycle returns a released entry to the MSHR's free list so a later
-// Allocate can reuse it. Callers hand the entry back once they are done with
-// its fields; the entry must not be used afterwards.
-func (m *MSHR) Recycle(e *MSHREntry) {
-	if e == nil {
-		return
-	}
-	m.free = append(m.free, e)
-}
+func (m *MSHR) Release(block uint64) (MSHREntry, bool) { return m.entries.Delete(block) }

@@ -13,8 +13,8 @@ func req(block int, kind mem.AccessKind) mem.Request {
 
 func TestMSHRAllocateAndMerge(t *testing.T) {
 	m := NewMSHR(2, 2)
-	if m.Capacity() != 2 || m.Occupancy() != 0 || m.Full() {
-		t.Fatalf("fresh MSHR state wrong")
+	if m.Full() {
+		t.Fatalf("a fresh MSHR should not be full")
 	}
 	primary, err := m.Allocate(req(1, mem.Read), DestSRAM, mem.WORM)
 	if err != nil || !primary {
@@ -25,12 +25,12 @@ func TestMSHRAllocateAndMerge(t *testing.T) {
 	if err != nil || primary {
 		t.Fatalf("second allocate should merge: primary=%v err=%v", primary, err)
 	}
-	if m.Occupancy() != 1 {
-		t.Errorf("a merge must not take a primary entry: occupancy=%d", m.Occupancy())
+	if m.entries.Len() != 1 {
+		t.Errorf("a merge must not take a primary entry: %d entries", m.entries.Len())
 	}
-	e, ok := m.Lookup(mem.BlockAlign(uint64(mem.BlockSize)))
-	if !ok || e.Primary.Addr != mem.BlockSize || len(e.Merged) != 1 || e.Merged[0].Addr != mem.BlockSize {
-		t.Errorf("entry should hold primary + 1 merged request")
+	e, ok := m.entries.Get(mem.BlockSize)
+	if !ok || e.merged != 1 {
+		t.Errorf("entry should count 1 merged request: %+v ok=%v", e, ok)
 	}
 	// Third request to the same block exceeds merge width 2 after one more.
 	if _, err := m.Allocate(req(1, mem.Read), DestSRAM, mem.WORM); err != nil {
@@ -53,14 +53,17 @@ func TestMSHRAllocateAndMerge(t *testing.T) {
 
 func TestMSHRRelease(t *testing.T) {
 	m := NewMSHR(2, 2)
-	m.Allocate(req(7, mem.Read), DestSTTMRAM, mem.WORM)
-	block := req(7, mem.Read).BlockAddr()
+	primary := mem.Request{Addr: 7 * mem.BlockSize, PC: 0x40, Kind: mem.Write}
+	m.Allocate(primary, DestSTTMRAM, mem.WORM)
+	m.Allocate(req(7, mem.Read), DestSRAM, mem.WORO) // merges: keeps the primary's fields
+	block := primary.BlockAddr()
 	e, ok := m.Release(block)
-	if !ok || e.Block != block || e.Dest != DestSTTMRAM || e.Level != mem.WORM {
-		t.Errorf("Release returned wrong entry: %+v ok=%v", e, ok)
+	want := MSHREntry{PC: 0x40, Write: true, Dest: DestSTTMRAM, Level: mem.WORM, merged: 1}
+	if !ok || e != want {
+		t.Errorf("Release returned %+v ok=%v, want %+v", e, ok, want)
 	}
-	if m.Occupancy() != 0 {
-		t.Errorf("occupancy after release = %d", m.Occupancy())
+	if m.entries.Len() != 0 {
+		t.Errorf("%d entries after release", m.entries.Len())
 	}
 	if _, ok := m.Release(block); ok {
 		t.Errorf("double release should fail")
@@ -73,11 +76,12 @@ func TestMSHRRelease(t *testing.T) {
 
 func TestMSHRClampsBadArguments(t *testing.T) {
 	m := NewMSHR(0, -1)
-	if m.Capacity() != 1 {
-		t.Errorf("capacity should clamp to 1, got %d", m.Capacity())
-	}
 	if _, err := m.Allocate(req(1, mem.Read), DestSRAM, mem.WORM); err != nil {
 		t.Fatalf("allocate into clamped MSHR: %v", err)
+	}
+	// Entries clamped to 1: a second block finds the file full.
+	if _, err := m.Allocate(req(2, mem.Read), DestSRAM, mem.WORM); !errors.Is(err, ErrMSHRFull) {
+		t.Errorf("expected a full file with one clamped entry, got %v", err)
 	}
 	// Merge width clamped to 0: merging is impossible.
 	if _, err := m.Allocate(req(1, mem.Read), DestSRAM, mem.WORM); !errors.Is(err, ErrMSHRMergeFull) {

@@ -297,7 +297,8 @@ func TestExecuteCancellation(t *testing.T) {
 
 // TestWorkerCancelledDuringBackoff: a worker whose registration keeps
 // failing backs off exponentially, and cancelling it mid-backoff returns
-// Run at once rather than after the (by then 1.6 s) sleep.
+// Run at once rather than after the (by then 1.6 s) sleep, with an error
+// that says it was cancelled (fuseworker exits cleanly on exactly that).
 func TestWorkerCancelledDuringBackoff(t *testing.T) {
 	var attempts atomic.Int32
 	sixth := make(chan struct{})
@@ -321,6 +322,8 @@ func TestWorkerCancelledDuringBackoff(t *testing.T) {
 	case err := <-errCh:
 		if err == nil {
 			t.Error("Run returned nil for a worker that never registered")
+		} else if !errors.Is(err, context.Canceled) {
+			t.Errorf("Run returned %v, want an error wrapping context.Canceled", err)
 		}
 	case <-time.After(500 * time.Millisecond):
 		t.Fatal("Run did not return promptly when cancelled during its backoff")

@@ -113,7 +113,9 @@ func (w *Worker) leave(ctx context.Context) {
 }
 
 // register announces the worker, retrying transient failures with backoff
-// until ctx is cancelled, and records the advertised intervals.
+// until ctx is cancelled, and records the advertised intervals. Cancelled
+// during a backoff, it returns ctx's error wrapped around the last failure,
+// so a caller can tell a stop from a refusal.
 func (w *Worker) register(ctx context.Context) error {
 	backoff := 50 * time.Millisecond
 	for {
@@ -133,7 +135,7 @@ func (w *Worker) register(ctx context.Context) error {
 			return err // closed coordinator or a config bug: retrying is pointless
 		}
 		if !sleepCtx(ctx, backoff) {
-			return err
+			return fmt.Errorf("%w (last failure: %v)", ctx.Err(), err)
 		}
 		backoff = min(2*backoff, 2*time.Second)
 	}

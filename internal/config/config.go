@@ -170,16 +170,6 @@ func (c *L1DConfig) Validate() error {
 	return nil
 }
 
-// Predictor configuration defaults (Table I: sampler 8 ways x 4 sets,
-// history table 1024 entries, unused threshold 14).
-const (
-	DefaultSamplerSets        = 4
-	DefaultSamplerWays        = 8
-	DefaultHistoryEntries     = 1024
-	DefaultUnusedThreshold    = 14
-	DefaultPredictorInitValue = 8
-)
-
 // Default MSHR dimensions (GPGPU-Sim GTX480-style).
 const (
 	DefaultMSHREntries    = 32

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"fuse/internal/cache"
 	"fuse/internal/config"
 	"fuse/internal/mem"
@@ -22,13 +20,12 @@ import (
 //     fully-associative cache guarded by counting Bloom filters.
 //   - Dy-FUSE: additionally steers blocks with the read-level predictor.
 type HybridL1D struct {
-	cfg config.L1DConfig
+	l1dBase
 
 	sram     *cache.TagStore
 	stt      *cache.TagStore
 	sramBank *memtech.Bank
 	sttBank  *memtech.Bank
-	mshr     *cache.MSHR
 
 	swap   *SwapBuffer
 	queue  *TagQueue
@@ -42,93 +39,34 @@ type HybridL1D struct {
 	// have already been accounted, so that overlapping blocking windows and
 	// per-request retries never charge the same cycle twice.
 	sttStallChargedUntil int64
-	// stallHold is the StallHold of the latest rejected access, and held
-	// what presenting that access once more moves (see RepeatStall).
-	stallHold int64
-	held      heldStall
-
-	// outgoing is a head-indexed FIFO of misses and write-backs bound for
-	// the interconnect; outHead avoids the per-pop reslice that used to
-	// leak the backing array's capacity.
-	outgoing []mem.Request
-	outHead  int
 	// dropScratch is the reusable keep-list of dropQueuedOp.
 	dropScratch []TagOp
-	stats       Stats
-}
-
-// heldStall is what re-presenting a rejected access moves again: the tag
-// search cycles through the approximation logic when the access reached it,
-// and, for a full MSHR file or merge list, the rejection itself. Nothing else
-// moves: the search reads filters and tags that only an accepted access, a
-// Fill or a Tick changes, the access counters are undone within each
-// attempt, and the first rejection inside a blocking window or a busy bank's
-// write already charged the STT-write stall cycles up to its end.
-type heldStall struct {
-	reason StallReason
-	// searchCycles is what the access's tag search through the
-	// approximation logic cost (0 when it made none).
-	searchCycles int
 }
 
 // newHybridL1D builds a HybridL1D from a hybrid configuration.
 func newHybridL1D(cfg config.L1DConfig) *HybridL1D {
-	h := &HybridL1D{cfg: cfg}
+	h := &HybridL1D{l1dBase: newL1DBase(cfg)}
 	h.sram = cache.NewTagStore(cfg.SRAMSets, cfg.SRAMWays, cache.LRU)
 	// The STT-MRAM bank uses FIFO replacement: true LRU is unaffordable at
 	// 512 ways (Section V, simulation methodology).
 	h.stt = cache.NewTagStore(cfg.STTSets, cfg.STTWays, cache.FIFO)
 	h.sramBank = memtech.NewBank(cfg.SRAMTech)
 	h.sttBank = memtech.NewBank(cfg.STTTech)
-	h.mshr = cache.NewMSHR(cfg.MSHREntries, cfg.MSHRMergeWidth)
 	h.swap = NewSwapBuffer(cfg.SwapBufferEntries)
 	h.queue = NewTagQueue(cfg.TagQueueEntries)
 	if cfg.ApproxFullyAssociative {
 		h.approx = NewApproxLogic(cfg.STTBlocks(), cfg.CBFCount, cfg.CBFSlots, cfg.CBFHashes, cfg.Comparators)
 	}
 	if cfg.UseReadLevelPredictor {
-		h.pred = predictor.NewReadLevelPredictor(predictor.Config{
-			SamplerSets:     config.DefaultSamplerSets,
-			SamplerWays:     config.DefaultSamplerWays,
-			HistoryEntries:  config.DefaultHistoryEntries,
-			UnusedThreshold: config.DefaultUnusedThreshold,
-			InitialCounter:  config.DefaultPredictorInitValue,
-		})
+		h.pred = predictor.NewReadLevelPredictor()
 	}
 	return h
 }
-
-// Kind implements L1D.
-func (h *HybridL1D) Kind() config.L1DKind { return h.cfg.Kind }
-
-// Stats implements L1D.
-func (h *HybridL1D) Stats() *Stats { return &h.stats }
-
-// Predictor exposes the read-level predictor (nil unless Dy-FUSE).
-func (h *HybridL1D) Predictor() *predictor.ReadLevelPredictor { return h.pred }
-
-// Approx exposes the associativity-approximation logic (nil unless FA/Dy-FUSE).
-func (h *HybridL1D) Approx() *ApproxLogic { return h.approx }
-
-// Swap exposes the swap buffer.
-func (h *HybridL1D) Swap() *SwapBuffer { return h.swap }
-
-// Queue exposes the tag queue.
-func (h *HybridL1D) Queue() *TagQueue { return h.queue }
 
 // nonBlocking reports whether the configuration has the swap buffer and tag
 // queue (Base-FUSE and above).
 func (h *HybridL1D) nonBlocking() bool {
 	return h.cfg.SwapBufferEntries > 0 && h.cfg.TagQueueEntries > 0
-}
-
-// predict returns the read level for the request's PC, whether the prediction
-// is confident, and whether prediction is enabled at all.
-func (h *HybridL1D) predict(pc uint64) (level mem.ReadLevel, neutral bool, enabled bool) {
-	if h.pred == nil {
-		return mem.WORM, true, false
-	}
-	return h.pred.Predict(pc), h.pred.Neutral(pc), true
 }
 
 // Access implements L1D. This is the arbitration logic of Figure 9: consult
@@ -156,38 +94,22 @@ func (h *HybridL1D) access(req mem.Request, now int64) AccessResult {
 	// within the same cycle), inflating the Figure-15 decomposition.
 	if now < h.blockedUntil {
 		h.chargeSTTStall(now, h.blockedUntil)
-		h.stallHold = h.blockedUntil
-		h.held = heldStall{reason: StallSTTWrite}
-		return AccessResult{Outcome: OutcomeStall}
+		return h.stall(h.blockedUntil, StallSTTWrite, 0)
 	}
 	write := req.Kind == mem.Write
 	block := req.BlockAddr()
-
-	h.stats.Accesses++
-	if write {
-		h.stats.Writes++
-	} else {
-		h.stats.Reads++
-	}
+	h.countAccess(write)
 
 	// 1. SRAM tag lookup: always single-cycle, always in parallel with the
 	// STT-MRAM search, so an SRAM hit terminates the STT-MRAM search.
 	if _, hit := h.sram.Touch(block, write); hit {
-		h.stats.Hits++
 		h.stats.SRAMHits++
-		done := h.sramBank.Access(now, write)
-		if write {
-			h.stats.SRAMWrites++
-		} else {
-			h.stats.SRAMReads++
-		}
-		return AccessResult{Outcome: OutcomeHit, Latency: int(done - now), Bank: cache.DestSRAM}
+		return h.sramSideHit(now, write)
 	}
 
 	// 2. Swap buffer snoop: blocks in flight from SRAM to STT-MRAM are
 	// still logically present.
 	if h.swap.Lookup(block) {
-		h.stats.Hits++
 		h.stats.SwapHits++
 		if write {
 			// Pull the block back into SRAM: a write would otherwise
@@ -197,13 +119,7 @@ func (h *HybridL1D) access(req mem.Request, now int64) AccessResult {
 			h.insertSRAM(block, req.PC, now, true, mem.WriteMultiple, dirty)
 			h.stats.MigrationsToSRAM++
 		}
-		done := h.sramBank.Access(now, write)
-		if write {
-			h.stats.SRAMWrites++
-		} else {
-			h.stats.SRAMReads++
-		}
-		return AccessResult{Outcome: OutcomeHit, Latency: int(done - now), Bank: cache.DestSRAM}
+		return h.sramSideHit(now, write)
 	}
 
 	// 3. Tag-queue snoop: a fill or migration that is queued but not yet
@@ -214,7 +130,6 @@ func (h *HybridL1D) access(req mem.Request, now int64) AccessResult {
 	// block into SRAM instead of chasing the queued operation into the
 	// STT-MRAM bank.
 	if h.nonBlocking() && h.queue.Contains(block) {
-		h.stats.Hits++
 		h.stats.QueueHits++
 		if write {
 			// Queue-only entries are exactly the fills whose swap-buffer
@@ -224,13 +139,7 @@ func (h *HybridL1D) access(req mem.Request, now int64) AccessResult {
 			h.insertSRAM(block, req.PC, now, true, mem.WriteMultiple, op.Dirty)
 			h.stats.MigrationsToSRAM++
 		}
-		done := h.sramBank.Access(now, write)
-		if write {
-			h.stats.SRAMWrites++
-		} else {
-			h.stats.SRAMReads++
-		}
-		return AccessResult{Outcome: OutcomeHit, Latency: int(done - now), Bank: cache.DestSRAM}
+		return h.sramSideHit(now, write)
 	}
 
 	// 4. STT-MRAM tag search, through the approximation logic if present.
@@ -245,8 +154,23 @@ func (h *HybridL1D) access(req mem.Request, now int64) AccessResult {
 		return h.sttHit(req, block, now, write, searchCycles)
 	}
 
-	// 5. Miss: decide the fill destination and allocate an MSHR entry.
-	return h.miss(req, block, now, write, searchCycles)
+	// 5. Miss: decide the fill destination and allocate an MSHR entry. A
+	// CBF-negative search misses even when the block is present.
+	dest, level := h.fillDest(req.PC)
+	return h.miss(req, dest, level, searchCycles)
+}
+
+// sramSideHit serves a hit on the SRAM side (the SRAM bank, the swap buffer
+// or a queued fill) at SRAM latency.
+func (h *HybridL1D) sramSideHit(now int64, write bool) AccessResult {
+	h.stats.Hits++
+	done := h.sramBank.Access(now, write)
+	if write {
+		h.stats.SRAMWrites++
+	} else {
+		h.stats.SRAMReads++
+	}
+	return AccessResult{Outcome: OutcomeHit, Latency: int(done - now)}
 }
 
 // sttHit services a request that hit in the STT-MRAM bank.
@@ -264,7 +188,7 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 		done := h.sttBank.Access(now, false)
 		h.stats.STTReads++
 		lat := int(done-now) + searchCycles
-		return AccessResult{Outcome: OutcomeHit, Latency: lat, Bank: cache.DestSTTMRAM}
+		return AccessResult{Outcome: OutcomeHit, Latency: lat}
 	}
 
 	// Write hit on STT-MRAM: the block was predicted WORM but is being
@@ -296,7 +220,7 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 		h.stats.STTHits++
 		done := h.sramBank.Access(readDone, true)
 		h.stats.SRAMWrites++
-		return AccessResult{Outcome: OutcomeHit, Latency: int(done-now) + searchCycles, Bank: cache.DestSRAM}
+		return AccessResult{Outcome: OutcomeHit, Latency: int(done-now) + searchCycles}
 	}
 
 	// Hybrid: the write goes straight into the STT-MRAM bank and blocks
@@ -313,7 +237,7 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 	// The writing warp makes progress this cycle; only [now+1, done) is
 	// blocked for everyone.
 	h.chargeSTTStall(now+1, done)
-	return AccessResult{Outcome: OutcomeHit, Latency: int(done - now), Bank: cache.DestSTTMRAM}
+	return AccessResult{Outcome: OutcomeHit, Latency: int(done - now)}
 }
 
 // sttBusyStall rejects an access that must wait for the busy STT-MRAM bank
@@ -321,25 +245,7 @@ func (h *HybridL1D) sttHit(req mem.Request, block uint64, now int64, write bool,
 func (h *HybridL1D) sttBusyStall(now int64, write bool, searchCycles int) AccessResult {
 	h.chargeSTTStall(now, h.sttBank.BusyUntil())
 	h.undoAccess(write)
-	h.stallHold = h.sttBank.BusyUntil()
-	h.held = heldStall{reason: StallSTTWrite, searchCycles: searchCycles}
-	return AccessResult{Outcome: OutcomeStall, Bank: cache.DestSTTMRAM}
-}
-
-// StallHold implements L1D. Every stall path depends only on state that an
-// accepted access, a Fill or a Tick changes, plus the clock against the
-// blocking window or the bank's busy window; the predictor observes only
-// accepted accesses.
-func (h *HybridL1D) StallHold() int64 { return h.stallHold }
-
-// RepeatStall implements L1D: each of the n repeats pays the recorded tag
-// search's cycles again and, for an MSHR rejection, the rejection itself.
-func (h *HybridL1D) RepeatStall(n uint64) {
-	hs := &h.held
-	h.stats.TagSearchStallCycles += n * uint64(hs.searchCycles)
-	if hs.reason == StallMSHR {
-		h.stats.MSHRStallEvents += n
-	}
+	return h.stall(h.sttBank.BusyUntil(), StallSTTWrite, searchCycles)
 }
 
 // chargeSTTStall accounts the blocked cycles in [from, until) to the
@@ -358,100 +264,45 @@ func (h *HybridL1D) chargeSTTStall(from, until int64) {
 	h.sttStallChargedUntil = until
 }
 
-// undoAccess reverses the access counters when a request is rejected after
-// the initial accounting (the SM will retry it).
-func (h *HybridL1D) undoAccess(write bool) {
-	h.stats.Accesses--
-	if write {
-		h.stats.Writes--
-	} else {
-		h.stats.Reads--
+// fillDest decides where the fill of a miss by the instruction at pc goes,
+// and the read level it records.
+func (h *HybridL1D) fillDest(pc uint64) (cache.DestBank, mem.ReadLevel) {
+	if h.pred == nil {
+		return cache.DestSRAM, mem.WORM
 	}
-}
-
-// miss handles the cache-miss leg of the decision tree; searchCycles is what
-// the STT-MRAM tag search cost (a CBF-negative search misses even when the
-// block is present).
-func (h *HybridL1D) miss(req mem.Request, block uint64, now int64, write bool, searchCycles int) AccessResult {
-	level, neutral, predicted := h.predict(req.PC)
-	dest := cache.DestSRAM
-	if predicted {
-		switch {
-		case level == mem.WORO && !neutral:
-			// Single-use data: do not pollute either bank.
-			dest = cache.DestBypass
-		case level == mem.WriteMultiple && !neutral:
-			dest = cache.DestSRAM
-		case level == mem.WORM && !neutral:
-			dest = cache.DestSTTMRAM
-		default:
-			// Neutral / read-intensive: prefer the STT-MRAM bank when it
-			// is organised as (approximately) fully associative, because
-			// capacity is what read-intensive data wants; otherwise SRAM.
-			if h.cfg.ApproxFullyAssociative {
-				dest = cache.DestSTTMRAM
-			}
-		}
+	level, neutral := h.pred.Predict(pc), h.pred.Neutral(pc)
+	switch {
+	case level == mem.WORO && !neutral:
+		// Single-use data: do not pollute either bank.
+		return cache.DestBypass, level
+	case level == mem.WriteMultiple && !neutral:
+		return cache.DestSRAM, level
+	case level == mem.WORM && !neutral:
+		return cache.DestSTTMRAM, level
+	case h.cfg.ApproxFullyAssociative:
+		// Neutral / read-intensive: prefer the STT-MRAM bank when it is
+		// organised as (approximately) fully associative, because capacity
+		// is what read-intensive data wants; otherwise SRAM.
+		return cache.DestSTTMRAM, level
+	default:
+		return cache.DestSRAM, level
 	}
-
-	if dest == cache.DestBypass {
-		h.stats.Bypasses++
-	} else {
-		h.stats.Misses++
-	}
-
-	primary, err := h.mshr.Allocate(req, dest, level)
-	if err != nil {
-		h.stats.MSHRStallEvents++
-		h.undoAccess(write)
-		if dest == cache.DestBypass {
-			h.stats.Bypasses--
-		} else {
-			h.stats.Misses--
-		}
-		// Only a Fill releases an MSHR entry or a merge slot.
-		h.stallHold = math.MaxInt64
-		h.held = heldStall{reason: StallMSHR, searchCycles: searchCycles}
-		return AccessResult{Outcome: OutcomeStall, Bank: dest}
-	}
-	if primary {
-		out := req
-		out.Addr = block
-		out.Kind = mem.Read
-		h.outgoing = append(h.outgoing, out)
-		h.stats.OutgoingRequests++
-		if dest == cache.DestBypass {
-			return AccessResult{Outcome: OutcomeBypass, Bank: dest}
-		}
-		return AccessResult{Outcome: OutcomeMiss, Bank: dest}
-	}
-	h.stats.MergedMiss++
-	return AccessResult{Outcome: OutcomeMissMerged, Bank: dest}
 }
 
 // Fill implements L1D: the MSHR's destination bits steer the returning block
 // into the SRAM bank, the STT-MRAM bank (via the tag queue when present) or
 // straight to the core (bypass).
-func (h *HybridL1D) Fill(block uint64, now int64) int {
-	entry, ok := h.mshr.Release(block)
+func (h *HybridL1D) Fill(block uint64, now int64) {
+	e, ok := h.mshr.Release(block)
 	if !ok {
-		return 0
+		return
 	}
-	served := 1 + len(entry.Merged)
-	write := entry.Primary.Kind == mem.Write
-	pc := entry.Primary.PC
-	dest, level := entry.Dest, entry.Level
-	h.mshr.Recycle(entry)
-
-	switch dest {
-	case cache.DestBypass:
-		// Nothing to allocate.
+	switch e.Dest {
 	case cache.DestSRAM:
-		h.insertSRAM(block, pc, now, write, level, write)
+		h.insertSRAM(block, e.PC, now, e.Write, e.Level, e.Write)
 	case cache.DestSTTMRAM:
-		h.fillSTT(block, pc, now, write, level)
+		h.fillSTT(block, e.PC, now, e.Write, e.Level)
 	}
-	return served
 }
 
 // insertSRAM allocates a block in the SRAM bank and handles the resulting
@@ -605,33 +456,6 @@ func (h *HybridL1D) judgePrediction(line cache.Line) {
 		return
 	}
 	h.stats.Accuracy.Record(predictor.Judge(line.Level, line.Level == mem.ReadIntensive, line.Writes))
-}
-
-// writeback queues a dirty eviction toward the L2.
-func (h *HybridL1D) writeback(line cache.Line, now int64) {
-	h.stats.Writebacks++
-	h.stats.OutgoingRequests++
-	h.outgoing = append(h.outgoing, mem.Request{
-		Addr:  line.Block,
-		PC:    line.PC,
-		Kind:  mem.Write,
-		Size:  mem.BlockSize,
-		Issue: now,
-	})
-}
-
-// PopOutgoing implements L1D.
-func (h *HybridL1D) PopOutgoing() (mem.Request, bool) {
-	if h.outHead >= len(h.outgoing) {
-		return mem.Request{}, false
-	}
-	req := h.outgoing[h.outHead]
-	h.outHead++
-	if h.outHead == len(h.outgoing) {
-		h.outgoing = h.outgoing[:0]
-		h.outHead = 0
-	}
-	return req, true
 }
 
 // Tick implements L1D: it retires pending tag-queue operations whenever the

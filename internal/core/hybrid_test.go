@@ -2,9 +2,9 @@ package core
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
-	"fuse/internal/cache"
 	"fuse/internal/cbf"
 	"fuse/internal/config"
 	"fuse/internal/mem"
@@ -94,8 +94,8 @@ func TestBaseFUSENonBlockingMigration(t *testing.T) {
 		} else {
 			fillAll(h, now+1)
 		}
-		sawSwap = sawSwap || h.Swap().Occupancy() > 0
-		sawQueued = sawQueued || h.Queue().Len() > 0
+		sawSwap = sawSwap || h.swap.Occupancy() > 0
+		sawQueued = sawQueued || h.queue.Len() > 0
 		h.Tick(now + 2)
 		now += 10
 	}
@@ -128,7 +128,7 @@ func TestSwapBufferHitWhileMigrationPending(t *testing.T) {
 		fillAll(h, now+1)
 		now += 5
 	}
-	if h.Swap().Occupancy() == 0 {
+	if h.swap.Occupancy() == 0 {
 		t.Fatalf("expected a block parked in the swap buffer")
 	}
 	// The evicted block (0) should still hit via the swap buffer snoop.
@@ -149,7 +149,7 @@ func TestQueuedFillVisibleWhenSwapBufferFull(t *testing.T) {
 	// plus a second off-chip fetch for a block the cache already owns.
 	h := newHybridKind(config.DyFUSE) // untrained predictor -> fills go to STT-MRAM
 	now := int64(0)
-	swapCap := h.Swap().Capacity()
+	swapCap := h.swap.Capacity()
 	// Queue swapCap+1 fills without ever Ticking: the first swapCap park
 	// their data in the swap buffer, the last one fits only in the queue.
 	blocks := swapCap + 1
@@ -161,30 +161,31 @@ func TestQueuedFillVisibleWhenSwapBufferFull(t *testing.T) {
 		fillAll(h, now+1)
 		now += 2
 	}
-	if !h.Swap().Full() {
-		t.Fatalf("swap buffer should be full (%d/%d)", h.Swap().Occupancy(), swapCap)
+	if !h.swap.Full() {
+		t.Fatalf("swap buffer should be full (%d/%d)", h.swap.Occupancy(), swapCap)
 	}
 	last := 100 + blocks - 1
 	lastBlock := mem.BlockAlign(uint64(last) * mem.BlockSize)
-	if h.Swap().Lookup(lastBlock) {
+	if h.swap.Lookup(lastBlock) {
 		t.Fatalf("last fill should not fit the swap buffer")
 	}
-	if !h.Queue().Contains(lastBlock) {
+	if !h.queue.Contains(lastBlock) {
 		t.Fatalf("last fill should be pending in the tag queue")
 	}
 
 	// The follow-up read must hit at SRAM-side latency with no new outgoing
 	// request and no new MSHR allocation.
-	outBefore := h.Stats().OutgoingRequests
+	before := *h.Stats()
 	res := h.Access(readReq(last, 0x40, 0), now)
 	if res.Outcome != OutcomeHit {
 		t.Fatalf("read of a queued-but-unwritten fill should hit, got %v", res.Outcome)
 	}
-	if res.Bank != cache.DestSRAM {
-		t.Errorf("queued-fill hit should be served at SRAM-side latency, got bank %v", res.Bank)
+	if s := h.Stats(); s.SRAMReads != before.SRAMReads+1 || s.STTReads != before.STTReads {
+		t.Errorf("queued-fill hit should be served on the SRAM side: SRAM reads %d -> %d, STT-MRAM reads %d -> %d",
+			before.SRAMReads, s.SRAMReads, before.STTReads, s.STTReads)
 	}
-	if got := h.Stats().OutgoingRequests; got != outBefore {
-		t.Errorf("queued-fill hit must not fetch again: outgoing %d -> %d", outBefore, got)
+	if got := h.Stats().OutgoingRequests; got != before.OutgoingRequests {
+		t.Errorf("queued-fill hit must not fetch again: outgoing %d -> %d", before.OutgoingRequests, got)
 	}
 	if h.Stats().QueueHits == 0 {
 		t.Errorf("tag-queue hits should be counted")
@@ -200,7 +201,7 @@ func TestQueuedFillWriteMigratesToSRAM(t *testing.T) {
 	// fill into the STT-MRAM bank.
 	h := newHybridKind(config.DyFUSE)
 	now := int64(0)
-	blocks := h.Swap().Capacity() + 1
+	blocks := h.swap.Capacity() + 1
 	for i := 0; i < blocks; i++ {
 		h.Access(readReq(100+i, 0x40, 0), now)
 		fillAll(h, now+1)
@@ -208,14 +209,14 @@ func TestQueuedFillWriteMigratesToSRAM(t *testing.T) {
 	}
 	last := 100 + blocks - 1
 	lastBlock := mem.BlockAlign(uint64(last) * mem.BlockSize)
-	if !h.Queue().Contains(lastBlock) || h.Swap().Lookup(lastBlock) {
+	if !h.queue.Contains(lastBlock) || h.swap.Lookup(lastBlock) {
 		t.Fatalf("setup: block must be queue-only")
 	}
 	res := h.Access(writeReq(last, 0x44, 0), now)
-	if res.Outcome != OutcomeHit || res.Bank != cache.DestSRAM {
+	if res.Outcome != OutcomeHit {
 		t.Fatalf("write to a queued fill should hit in SRAM, got %+v", res)
 	}
-	if h.Queue().Contains(lastBlock) {
+	if h.queue.Contains(lastBlock) {
 		t.Errorf("the queued operation should have been dropped")
 	}
 	if !h.sram.Probe(lastBlock) {
@@ -277,9 +278,10 @@ func TestHybridWriteHitChargesWindowOnce(t *testing.T) {
 	}
 	now += 20
 	before := h.Stats().STTWriteStallCycles
+	sttWrites := h.Stats().STTWrites
 	res := h.Access(writeReq(0, 0x44, 0), now)
-	if res.Outcome != OutcomeHit || res.Bank != cache.DestSTTMRAM {
-		t.Fatalf("expected a blocking STT write hit, got %+v", res)
+	if res.Outcome != OutcomeHit || h.Stats().STTWrites != sttWrites+1 || !h.stt.Probe(0) || h.sram.Probe(0) {
+		t.Fatalf("expected a blocking STT write hit in place, got %+v (STT-MRAM writes %d -> %d)", res, sttWrites, h.Stats().STTWrites)
 	}
 	window := h.blockedUntil - now - 1 // the writing warp's own cycle is not a stall
 	charged := h.Stats().STTWriteStallCycles - before
@@ -320,8 +322,8 @@ func TestSTTWriteHitLatencyIncludesBusyWindow(t *testing.T) {
 	start := int64(200)
 	busyUntil := h.sttBank.Access(start, true)
 	res := h.Access(writeReq(7, 0x44, 0), start+1)
-	if res.Outcome != OutcomeHit || res.Bank != cache.DestSRAM {
-		t.Fatalf("expected a migrating write hit, got %+v", res)
+	if block := mem.BlockAlign(7 * mem.BlockSize); res.Outcome != OutcomeHit || !h.sram.Probe(block) || h.stt.Probe(block) {
+		t.Fatalf("expected a write hit that migrates the block to SRAM, got %+v", res)
 	}
 	sttRead := h.cfg.STTTech.ReadLatency
 	sramWrite := h.cfg.SRAMTech.WriteLatency
@@ -343,25 +345,26 @@ func TestTagQueueTickRetiresMigrations(t *testing.T) {
 		fillAll(h, now+1)
 		now += 5
 	}
-	queued := h.Queue().Len()
+	queued := h.queue.Len()
 	if queued == 0 {
 		t.Fatalf("expected queued migrations")
 	}
 	// Tick until the queue drains; each retirement needs the bank free.
-	for i := 0; i < 100 && !h.Queue().Empty(); i++ {
+	for i := 0; i < 100 && !h.queue.Empty(); i++ {
 		h.Tick(now)
 		now += 2
 	}
-	if !h.Queue().Empty() {
+	if !h.queue.Empty() {
 		t.Errorf("tag queue should drain via Tick")
 	}
 	if h.Stats().STTWrites == 0 {
 		t.Errorf("retired migrations should write the STT-MRAM bank")
 	}
 	// The migrated block is now an STT-MRAM hit.
+	sttReads := h.Stats().STTReads
 	res := h.Access(readReq(0, 0x40, 0), now+10)
-	if res.Outcome != OutcomeHit || res.Bank != cache.DestSTTMRAM {
-		t.Errorf("migrated block should hit in STT-MRAM, got %+v", res)
+	if res.Outcome != OutcomeHit || h.Stats().STTReads != sttReads+1 {
+		t.Errorf("migrated block should hit in STT-MRAM, got %+v (STT-MRAM reads %d -> %d)", res, sttReads, h.Stats().STTReads)
 	}
 	if h.Stats().STTHits == 0 {
 		t.Errorf("STT hits should be counted")
@@ -388,7 +391,7 @@ func TestWriteHitOnSTTMigratesBackToSRAM(t *testing.T) {
 	}
 	// Now write to it: the controller must migrate it to SRAM.
 	res = h.Access(writeReq(7, 0x44, 0), now+100)
-	if res.Outcome != OutcomeHit || res.Bank != cache.DestSRAM {
+	if res.Outcome != OutcomeHit {
 		t.Errorf("write hit on STT-MRAM should be served from SRAM after migration, got %+v", res)
 	}
 	if h.Stats().MigrationsToSRAM == 0 {
@@ -416,7 +419,7 @@ func TestWriteHitFlushesNonEmptyTagQueue(t *testing.T) {
 	// Queue another fill (block B) without draining it.
 	h.Access(readReq(12, 0x40, 0), now+50)
 	fillAll(h, now+51)
-	if h.Queue().Empty() {
+	if h.queue.Empty() {
 		t.Fatalf("expected a pending fill in the tag queue")
 	}
 	// Write to block A: the controller flushes the queue first.
@@ -427,7 +430,7 @@ func TestWriteHitFlushesNonEmptyTagQueue(t *testing.T) {
 	if h.Stats().TagQueueFlushes == 0 {
 		t.Errorf("tag queue flush should be counted")
 	}
-	if !h.Queue().Empty() {
+	if !h.queue.Empty() {
 		t.Errorf("queue should be empty after the flush")
 	}
 }
@@ -447,10 +450,10 @@ func TestDyFUSEPlacesWMInSRAMAfterTraining(t *testing.T) {
 			now += 5
 		}
 	}
-	if h.Predictor() == nil {
+	if h.pred == nil {
 		t.Fatalf("Dy-FUSE must have a read-level predictor")
 	}
-	if got := h.Predictor().Predict(pc); got != mem.WriteMultiple {
+	if got := h.pred.Predict(pc); got != mem.WriteMultiple {
 		t.Fatalf("predictor should have learned WM for pc %#x, got %v", pc, got)
 	}
 	// A new block from the same PC must be steered to SRAM.
@@ -458,8 +461,10 @@ func TestDyFUSEPlacesWMInSRAMAfterTraining(t *testing.T) {
 	if res.Outcome != OutcomeMiss {
 		t.Fatalf("expected a miss for the new block, got %v", res.Outcome)
 	}
-	if res.Bank != cache.DestSRAM {
-		t.Errorf("WM-predicted block should be destined for SRAM, got %v", res.Bank)
+	fillAll(h, now+1)
+	if block := mem.BlockAlign(999 * mem.BlockSize); !h.sram.Probe(block) || h.queue.Contains(block) {
+		t.Errorf("WM-predicted block should be filled into SRAM (in SRAM %v, queued for STT-MRAM %v)",
+			h.sram.Probe(block), h.queue.Contains(block))
 	}
 }
 
@@ -476,12 +481,16 @@ func TestDyFUSEBypassesWOROAfterTraining(t *testing.T) {
 		h.Tick(now + 2)
 		now += 5
 	}
-	if got := h.Predictor().Predict(pc); got != mem.WORO {
-		t.Fatalf("predictor should have learned WORO, got %v (counter=%d)", got, h.Predictor().CounterOf(pc))
+	if got := h.pred.Predict(pc); got != mem.WORO {
+		t.Fatalf("predictor should have learned WORO, got %v (counter=%d)", got, h.pred.CounterOf(pc))
 	}
 	res := h.Access(readReq(99999, pc, 0), now)
-	if res.Outcome != OutcomeBypass || res.Bank != cache.DestBypass {
+	if res.Outcome != OutcomeBypass {
 		t.Errorf("WORO-predicted block should bypass the L1D, got %+v", res)
+	}
+	fillAll(h, now+1)
+	if block := mem.BlockAlign(99999 * mem.BlockSize); h.sram.Probe(block) || h.stt.Probe(block) || h.swap.Lookup(block) || h.queue.Contains(block) {
+		t.Errorf("a bypassed block's fill should allocate nothing")
 	}
 	if h.Stats().Bypasses == 0 {
 		t.Errorf("bypasses should be counted")
@@ -528,7 +537,7 @@ func TestFAFUSETagSearchCyclesCounted(t *testing.T) {
 		h.Tick(now + 2)
 		now += 5
 	}
-	if h.Approx() == nil {
+	if h.approx == nil {
 		t.Fatalf("FA-FUSE must have approximation logic")
 	}
 	// Every access that reaches the STT-MRAM tag search pays at least the
@@ -618,9 +627,13 @@ func TestHybridOutgoingIncludesWritebacks(t *testing.T) {
 }
 
 func TestHybridFillUnknownBlockIsNoop(t *testing.T) {
-	h := newHybridKind(config.BaseFUSE)
-	if woken := h.Fill(0xdead00, 3); woken != 0 {
-		t.Errorf("fill without an MSHR entry should wake nobody")
+	filled, untouched := newHybridKind(config.BaseFUSE), newHybridKind(config.BaseFUSE)
+	for _, h := range []*HybridL1D{filled, untouched} {
+		mustOutcome(t, h, readReq(1, 0x40, 0), 0, OutcomeMiss)
+	}
+	filled.Fill(0xdead00, 3)
+	if !reflect.DeepEqual(filled, untouched) {
+		t.Errorf("a fill without an MSHR entry changed the cache")
 	}
 }
 

@@ -7,6 +7,8 @@
 package core
 
 import (
+	"math"
+
 	"fuse/internal/cache"
 	"fuse/internal/config"
 	"fuse/internal/mem"
@@ -59,8 +61,6 @@ type AccessResult struct {
 	// Latency is the number of cycles until the data is available, only
 	// meaningful for OutcomeHit.
 	Latency int
-	// Bank reports which bank serviced the hit or will receive the fill.
-	Bank cache.DestBank
 }
 
 // StallReason classifies why an access was rejected (for Figure 15).
@@ -135,19 +135,6 @@ func (s *Stats) MissRate() float64 {
 	return float64(s.Misses+s.Bypasses) / float64(s.Accesses)
 }
 
-// HitRate returns hits over accesses.
-func (s *Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
-// TotalStallCycles returns the sum of all stall cycles.
-func (s *Stats) TotalStallCycles() uint64 {
-	return s.STTWriteStallCycles + s.TagSearchStallCycles + s.StructuralStalls
-}
-
 // L1D is the interface shared by the seven cache organisations. The simulator
 // drives it with Access/Fill/Tick and drains outgoing traffic with
 // PopOutgoing.
@@ -156,10 +143,9 @@ type L1D interface {
 	Kind() config.L1DKind
 	// Access presents one (coalesced) memory request at cycle `now`.
 	Access(req mem.Request, now int64) AccessResult
-	// Fill delivers the data for a previously missed block at cycle `now`
-	// and returns the number of requests (primary and merged) it served, 0
-	// when no miss on the block was outstanding.
-	Fill(block uint64, now int64) int
+	// Fill delivers the data for a previously missed block at cycle `now`;
+	// a block with no outstanding miss changes nothing.
+	Fill(block uint64, now int64)
 	// PopOutgoing returns the next request that must be sent toward the L2
 	// (a miss or a write-back), if any.
 	PopOutgoing() (mem.Request, bool)
@@ -190,4 +176,154 @@ type L1D interface {
 	RepeatStall(n uint64)
 	// Stats exposes the accumulated counters.
 	Stats() *Stats
+}
+
+// l1dBase is the skeleton both L1D types share: the configuration, the MSHR
+// file, the outgoing FIFO toward the L2, the held stall and the counters,
+// plus the access accounting, the miss tail and the write-back. Each type
+// keeps only its own decisions: what a hit costs, where a miss goes and what
+// a fill evicts.
+type l1dBase struct {
+	cfg  config.L1DConfig
+	mshr *cache.MSHR
+
+	// outgoing is a head-indexed FIFO of misses and write-backs bound for
+	// the interconnect; popping advances outHead instead of reslicing, so
+	// the backing array is reused once the FIFO drains.
+	outgoing []mem.Request
+	outHead  int
+	// stallHold is the StallHold of the latest rejected access, and held
+	// what presenting that access once more moves (see RepeatStall).
+	stallHold int64
+	held      heldStall
+	stats     Stats
+}
+
+// heldStall is what re-presenting a rejected access moves again: the tag
+// search cycles through the approximation logic when the access reached it,
+// and, for a full MSHR file or merge list, the rejection itself. Nothing else
+// moves in the base: the search reads filters and tags that only an accepted
+// access, a Fill or a Tick changes, the access counters are undone within
+// each attempt, and the first rejection inside a blocking window or a busy
+// bank's write already charged the hybrid cache's STT-write stall cycles up
+// to its end.
+type heldStall struct {
+	reason StallReason
+	// searchCycles is what the access's tag search through the
+	// approximation logic cost (0 when it made none).
+	searchCycles int
+}
+
+func newL1DBase(cfg config.L1DConfig) l1dBase {
+	return l1dBase{cfg: cfg, mshr: cache.NewMSHR(cfg.MSHREntries, cfg.MSHRMergeWidth)}
+}
+
+// Kind implements L1D.
+func (b *l1dBase) Kind() config.L1DKind { return b.cfg.Kind }
+
+// Stats implements L1D.
+func (b *l1dBase) Stats() *Stats { return &b.stats }
+
+// StallHold implements L1D. Every stall path depends only on state that an
+// accepted access, a Fill or a Tick changes, plus the clock against a
+// blocking window or a bank's busy window; the read-level predictor observes
+// only accepted accesses.
+func (b *l1dBase) StallHold() int64 { return b.stallHold }
+
+// RepeatStall implements L1D: each of the n repeats pays the recorded tag
+// search's cycles again and, for an MSHR rejection, the rejection itself.
+func (b *l1dBase) RepeatStall(n uint64) {
+	b.stats.TagSearchStallCycles += n * uint64(b.held.searchCycles)
+	if b.held.reason == StallMSHR {
+		b.stats.MSHRStallEvents += n
+	}
+}
+
+// stall rejects the access, recording the cycle the rejection holds until
+// and what repeating it moves.
+func (b *l1dBase) stall(until int64, reason StallReason, searchCycles int) AccessResult {
+	b.stallHold = until
+	b.held = heldStall{reason: reason, searchCycles: searchCycles}
+	return AccessResult{Outcome: OutcomeStall}
+}
+
+// countAccess counts an access the cache looks up.
+func (b *l1dBase) countAccess(write bool) {
+	b.stats.Accesses++
+	if write {
+		b.stats.Writes++
+	} else {
+		b.stats.Reads++
+	}
+}
+
+// undoAccess reverses countAccess when the access is rejected after the
+// lookup (the SM will retry it).
+func (b *l1dBase) undoAccess(write bool) {
+	b.stats.Accesses--
+	if write {
+		b.stats.Writes--
+	} else {
+		b.stats.Reads--
+	}
+}
+
+// miss is the miss tail both types share: it allocates an MSHR entry for
+// the request's block with the fill's destination and read level, or merges
+// into the outstanding one, counts the miss or bypass, and queues a primary
+// miss toward the L2. A full MSHR file or merge list rejects the access
+// instead and undoes its access counters; only a Fill releases an entry or a
+// merge slot, so the rejection holds until one arrives. searchCycles is what
+// the access's tag search cost.
+func (b *l1dBase) miss(req mem.Request, dest cache.DestBank, level mem.ReadLevel, searchCycles int) AccessResult {
+	primary, err := b.mshr.Allocate(req, dest, level)
+	if err != nil {
+		b.stats.MSHRStallEvents++
+		b.undoAccess(req.Kind == mem.Write)
+		return b.stall(math.MaxInt64, StallMSHR, searchCycles)
+	}
+	if dest == cache.DestBypass {
+		b.stats.Bypasses++
+	} else {
+		b.stats.Misses++
+	}
+	if !primary {
+		b.stats.MergedMiss++
+		return AccessResult{Outcome: OutcomeMissMerged}
+	}
+	out := req
+	out.Addr = req.BlockAddr()
+	out.Kind = mem.Read
+	b.outgoing = append(b.outgoing, out)
+	b.stats.OutgoingRequests++
+	if dest == cache.DestBypass {
+		return AccessResult{Outcome: OutcomeBypass}
+	}
+	return AccessResult{Outcome: OutcomeMiss}
+}
+
+// writeback queues a dirty eviction toward the L2.
+func (b *l1dBase) writeback(line cache.Line, now int64) {
+	b.stats.Writebacks++
+	b.stats.OutgoingRequests++
+	b.outgoing = append(b.outgoing, mem.Request{
+		Addr:  line.Block,
+		PC:    line.PC,
+		Kind:  mem.Write,
+		Issue: now,
+	})
+}
+
+// PopOutgoing implements L1D.
+func (b *l1dBase) PopOutgoing() (mem.Request, bool) {
+	if b.outHead >= len(b.outgoing) {
+		return mem.Request{}, false
+	}
+	req := b.outgoing[b.outHead]
+	b.outHead++
+	if b.outHead == len(b.outgoing) {
+		b.outgoing = b.outgoing[:0]
+		b.outHead = 0
+	}
+	return req, true
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"fuse/internal/cache"
 	"fuse/internal/config"
 	"fuse/internal/mem"
@@ -15,27 +13,17 @@ import (
 // cache with dead-write bypassing, and the Oracle cache of the motivation
 // study. One tag store, one technology bank, one MSHR.
 type SimpleL1D struct {
-	cfg   config.L1DConfig
+	l1dBase
 	store *cache.TagStore
 	bank  *memtech.Bank
-	mshr  *cache.MSHR
 
 	// deadWrite is non-nil only for By-NVM.
 	deadWrite *predictor.DeadWritePredictor
-
-	// outgoing is a head-indexed FIFO (see HybridL1D.outgoing).
-	outgoing []mem.Request
-	outHead  int
-	// stallHold is the StallHold of the latest rejected access, and
-	// stallReason what rejected it (what RepeatStall charges).
-	stallHold   int64
-	stallReason StallReason
-	stats       Stats
 }
 
 // newSimpleL1D builds a SimpleL1D from a pure-SRAM or pure-STT configuration.
 func newSimpleL1D(cfg config.L1DConfig) *SimpleL1D {
-	s := &SimpleL1D{cfg: cfg}
+	s := &SimpleL1D{l1dBase: newL1DBase(cfg)}
 	if cfg.SRAMKB > 0 {
 		s.store = cache.NewTagStore(cfg.SRAMSets, cfg.SRAMWays, cache.LRU)
 		s.bank = memtech.NewBank(cfg.SRAMTech)
@@ -43,29 +31,14 @@ func newSimpleL1D(cfg config.L1DConfig) *SimpleL1D {
 		s.store = cache.NewTagStore(cfg.STTSets, cfg.STTWays, cache.LRU)
 		s.bank = memtech.NewBank(cfg.STTTech)
 	}
-	s.mshr = cache.NewMSHR(cfg.MSHREntries, cfg.MSHRMergeWidth)
 	if cfg.UseDeadWriteBypass {
-		s.deadWrite = predictor.NewDeadWritePredictor(predictor.Config{})
+		s.deadWrite = predictor.NewDeadWritePredictor()
 	}
 	return s
 }
 
-// Kind implements L1D.
-func (s *SimpleL1D) Kind() config.L1DKind { return s.cfg.Kind }
-
-// Stats implements L1D.
-func (s *SimpleL1D) Stats() *Stats { return &s.stats }
-
 // isSTT reports whether the single bank is STT-MRAM.
 func (s *SimpleL1D) isSTT() bool { return s.cfg.SRAMKB == 0 }
-
-// bankDest returns the destination-bank tag for fills.
-func (s *SimpleL1D) bankDest() cache.DestBank {
-	if s.isSTT() {
-		return cache.DestSTTMRAM
-	}
-	return cache.DestSRAM
-}
 
 // recordBankAccess updates the per-bank traffic counters.
 func (s *SimpleL1D) recordBankAccess(write bool) {
@@ -89,25 +62,16 @@ func (s *SimpleL1D) Access(req mem.Request, now int64) AccessResult {
 	if s.deadWrite != nil {
 		s.deadWrite.Observe(req)
 	}
-	write := req.Kind == mem.Write
-	block := req.BlockAddr()
-
 	// A busy STT-MRAM bank rejects the access: this is the write penalty
 	// that makes pure-NVM caches struggle on write-heavy workloads.
 	if s.isSTT() && s.bank.Busy(now) {
 		s.stats.STTWriteStallCycles++
-		s.stallHold, s.stallReason = s.bank.BusyUntil(), StallSTTWrite
-		return AccessResult{Outcome: OutcomeStall, Bank: s.bankDest()}
+		return s.stall(s.bank.BusyUntil(), StallSTTWrite, 0)
 	}
 
-	s.stats.Accesses++
-	if write {
-		s.stats.Writes++
-	} else {
-		s.stats.Reads++
-	}
-
-	if _, hit := s.store.Touch(block, write); hit {
+	write := req.Kind == mem.Write
+	s.countAccess(write)
+	if _, hit := s.store.Touch(req.BlockAddr(), write); hit {
 		s.stats.Hits++
 		if s.isSTT() {
 			s.stats.STTHits++
@@ -116,69 +80,28 @@ func (s *SimpleL1D) Access(req mem.Request, now int64) AccessResult {
 		}
 		done := s.bank.Access(now, write)
 		s.recordBankAccess(write)
-		return AccessResult{Outcome: OutcomeHit, Latency: int(done - now), Bank: s.bankDest()}
+		return AccessResult{Outcome: OutcomeHit, Latency: int(done - now)}
 	}
 
 	// Miss path. By-NVM consults the dead-write predictor: a block whose
 	// allocating PC produces dead writes bypasses the cache entirely.
-	dest := s.bankDest()
-	level := mem.ReadLevel(mem.WORM)
+	dest := cache.DestSRAM
+	if s.isSTT() {
+		dest = cache.DestSTTMRAM
+	}
 	if s.deadWrite != nil && s.deadWrite.PredictDead(req.PC) {
 		dest = cache.DestBypass
-		s.stats.Bypasses++
-	} else {
-		s.stats.Misses++
 	}
-
-	primary, err := s.mshr.Allocate(req, dest, level)
-	if err != nil {
-		s.stats.MSHRStallEvents++
-		// Undo the access accounting: the SM will retry this request.
-		s.stats.Accesses--
-		if write {
-			s.stats.Writes--
-		} else {
-			s.stats.Reads--
-		}
-		if dest == cache.DestBypass {
-			s.stats.Bypasses--
-		} else {
-			s.stats.Misses--
-		}
-		// Only a Fill releases an MSHR entry or a merge slot.
-		s.stallHold, s.stallReason = math.MaxInt64, StallMSHR
-		return AccessResult{Outcome: OutcomeStall, Bank: dest}
-	}
-	if primary {
-		out := req
-		out.Addr = block
-		out.Kind = mem.Read
-		s.outgoing = append(s.outgoing, out)
-		s.stats.OutgoingRequests++
-		if dest == cache.DestBypass {
-			return AccessResult{Outcome: OutcomeBypass, Bank: dest}
-		}
-		return AccessResult{Outcome: OutcomeMiss, Bank: dest}
-	}
-	s.stats.MergedMiss++
-	return AccessResult{Outcome: OutcomeMissMerged, Bank: dest}
+	return s.miss(req, dest, mem.WORM, 0)
 }
 
 // Fill implements L1D.
-func (s *SimpleL1D) Fill(block uint64, now int64) int {
-	entry, ok := s.mshr.Release(block)
-	if !ok {
-		return 0
+func (s *SimpleL1D) Fill(block uint64, now int64) {
+	e, ok := s.mshr.Release(block)
+	if !ok || e.Dest == cache.DestBypass {
+		return
 	}
-	served := 1 + len(entry.Merged)
-	write := entry.Primary.Kind == mem.Write
-	pc := entry.Primary.PC
-	dest, level := entry.Dest, entry.Level
-	s.mshr.Recycle(entry)
-	if dest == cache.DestBypass {
-		return served
-	}
-	evicted, _ := s.store.Insert(block, pc, write, level)
+	evicted, _ := s.store.Insert(block, e.PC, e.Write, e.Level)
 	s.bank.Access(now, true) // the fill itself is a bank write
 	s.recordBankAccess(true)
 	if evicted.Valid {
@@ -187,34 +110,6 @@ func (s *SimpleL1D) Fill(block uint64, now int64) int {
 			s.writeback(evicted, now)
 		}
 	}
-	return served
-}
-
-// writeback queues a dirty eviction toward the L2.
-func (s *SimpleL1D) writeback(line cache.Line, now int64) {
-	s.stats.Writebacks++
-	s.stats.OutgoingRequests++
-	s.outgoing = append(s.outgoing, mem.Request{
-		Addr:  line.Block,
-		PC:    line.PC,
-		Kind:  mem.Write,
-		Size:  mem.BlockSize,
-		Issue: now,
-	})
-}
-
-// PopOutgoing implements L1D.
-func (s *SimpleL1D) PopOutgoing() (mem.Request, bool) {
-	if s.outHead >= len(s.outgoing) {
-		return mem.Request{}, false
-	}
-	req := s.outgoing[s.outHead]
-	s.outHead++
-	if s.outHead == len(s.outgoing) {
-		s.outgoing = s.outgoing[:0]
-		s.outHead = 0
-	}
-	return req, true
 }
 
 // Tick implements L1D. The simple organisations have no background machinery.
@@ -241,12 +136,10 @@ func (s *SimpleL1D) RepeatStall(n uint64) {
 	if s.deadWrite != nil {
 		noHeldStall()
 	}
-	switch s.stallReason {
-	case StallSTTWrite:
+	if s.held.reason == StallSTTWrite {
 		s.stats.STTWriteStallCycles += n
-	case StallMSHR:
-		s.stats.MSHRStallEvents += n
 	}
+	s.l1dBase.RepeatStall(n)
 }
 
 // noHeldStall reports a RepeatStall on a cache that holds no stall. It stays

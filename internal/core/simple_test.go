@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"fuse/internal/config"
@@ -8,7 +9,7 @@ import (
 )
 
 func readReq(block int, pc uint64, warp int) mem.Request {
-	return mem.Request{Addr: uint64(block) * mem.BlockSize, PC: pc, Kind: mem.Read, Warp: warp, Size: mem.BlockSize}
+	return mem.Request{Addr: uint64(block) * mem.BlockSize, PC: pc, Kind: mem.Read, Warp: warp}
 }
 
 func writeReq(block int, pc uint64, warp int) mem.Request {
@@ -47,17 +48,14 @@ func TestSimpleL1DMissThenHit(t *testing.T) {
 	if res.Outcome != OutcomeMissMerged {
 		t.Fatalf("second access should merge, got %v", res.Outcome)
 	}
-	woken := 0
-	for {
-		req, ok := l1d.PopOutgoing()
-		if !ok {
-			break
-		}
-		woken += l1d.Fill(req.BlockAddr(), 100)
+	var sent []mem.Request
+	for req, ok := l1d.PopOutgoing(); ok; req, ok = l1d.PopOutgoing() {
+		sent = append(sent, req)
 	}
-	if woken != 2 {
-		t.Errorf("fill should wake both requests, woke %d", woken)
+	if len(sent) != 1 || sent[0].BlockAddr() != mem.BlockSize || sent[0].Kind != mem.Read {
+		t.Fatalf("a merged miss should send one read for the block, sent %v", sent)
 	}
+	l1d.Fill(sent[0].BlockAddr(), 100)
 	res = l1d.Access(readReq(1, 0x40, 0), 101)
 	if res.Outcome != OutcomeHit || res.Latency < 1 {
 		t.Errorf("post-fill access should hit with >=1 cycle latency, got %+v", res)
@@ -68,8 +66,8 @@ func TestSimpleL1DMissThenHit(t *testing.T) {
 	if s.Accesses != 3 || s.Hits != 1 || s.Misses != 2 || s.MergedMiss != 1 {
 		t.Errorf("stats wrong: %+v", s)
 	}
-	if s.MissRate() <= 0 || s.HitRate() <= 0 {
-		t.Errorf("rates should be positive")
+	if s.MissRate() <= 0 {
+		t.Errorf("miss rate should be positive")
 	}
 	// The fill is one bank write and the hit one bank read.
 	if s.SRAMWrites != 1 || s.SRAMReads != 1 || s.STTWrites != 0 || s.STTReads != 0 {
@@ -199,9 +197,13 @@ func TestSimpleL1DMSHRStall(t *testing.T) {
 }
 
 func TestSimpleL1DFillUnknownBlock(t *testing.T) {
-	l1d := NewKind(config.L1SRAM)
-	if woken := l1d.Fill(0x12345680, 5); woken != 0 {
-		t.Errorf("fill of unknown block should wake nobody")
+	filled, untouched := NewKind(config.L1SRAM), NewKind(config.L1SRAM)
+	for _, l1d := range []L1D{filled, untouched} {
+		mustOutcome(t, l1d, readReq(1, 0x40, 0), 0, OutcomeMiss)
+	}
+	filled.Fill(0x12345680, 5)
+	if !reflect.DeepEqual(filled, untouched) {
+		t.Errorf("a fill of an unknown block changed the cache")
 	}
 }
 
@@ -228,8 +230,8 @@ func TestOutcomeString(t *testing.T) {
 		t.Errorf("unknown outcome should render as unknown")
 	}
 	var st Stats
-	if st.MissRate() != 0 || st.HitRate() != 0 || st.TotalStallCycles() != 0 {
-		t.Errorf("zero stats should report zero rates")
+	if st.MissRate() != 0 {
+		t.Errorf("zero stats should report a zero miss rate")
 	}
 }
 

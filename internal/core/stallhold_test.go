@@ -179,7 +179,7 @@ func TestStallHoldRepeatsExactly(t *testing.T) {
 			var first []uint64
 			for now := at + 1; now < end; now++ {
 				before := *l1d.Stats()
-				req.Issue, req.ID = now, uint64(now)
+				req.Issue = now
 				if got := l1d.Access(req, now).Outcome; got != OutcomeStall {
 					t.Fatalf("cycle %d, before the hold at %d: %v, want a stall", now, hold, got)
 				}
@@ -241,7 +241,7 @@ func TestRepeatStallMatchesRepeatedAccess(t *testing.T) {
 				k = 300 // only a fill ends it: repeat a window
 			}
 			for now := at + 1; now <= at+k; now++ {
-				req.Issue, req.ID = now, uint64(now)
+				req.Issue = now
 				mustOutcome(t, replayed, req, now, OutcomeStall)
 			}
 			charged.RepeatStall(uint64(k))

@@ -81,9 +81,6 @@ func TestTagQueueFIFO(t *testing.T) {
 	if !q.Contains(2) || q.Contains(9) {
 		t.Errorf("Contains results wrong")
 	}
-	if op, ok := q.Peek(); !ok || op.Block != 1 {
-		t.Errorf("Peek should return the oldest op")
-	}
 	op, ok := q.Pop()
 	if !ok || op.Block != 1 || op.Kind != TagOpFill {
 		t.Errorf("Pop order wrong: %+v", op)
@@ -95,24 +92,11 @@ func TestTagQueueFIFO(t *testing.T) {
 	if q.Len() != 1 {
 		t.Errorf("Len = %d after 3 pushes and 2 pops, want 1", q.Len())
 	}
-}
-
-func TestTagQueueFlush(t *testing.T) {
-	q := NewTagQueue(4)
-	q.Push(TagOp{Block: 1})
-	q.Push(TagOp{Block: 2})
-	drained := q.Flush()
-	if len(drained) != 2 || drained[0].Block != 1 || drained[1].Block != 2 {
-		t.Errorf("Flush should return ops in FIFO order: %+v", drained)
-	}
-	if !q.Empty() {
-		t.Errorf("queue should be empty after flush")
+	if op, ok := q.Pop(); !ok || op.Block != 3 || !q.Empty() {
+		t.Errorf("the last Pop should return block 3 and empty the queue: %+v", op)
 	}
 	if _, ok := q.Pop(); ok {
 		t.Errorf("pop from empty queue should fail")
-	}
-	if _, ok := q.Peek(); ok {
-		t.Errorf("peek at empty queue should fail")
 	}
 }
 

@@ -97,14 +97,6 @@ func (q *TagQueue) Pop() (TagOp, bool) {
 	return op, true
 }
 
-// Peek returns the oldest operation without removing it.
-func (q *TagQueue) Peek() (TagOp, bool) {
-	if q.Empty() {
-		return TagOp{}, false
-	}
-	return q.ops[q.head], true
-}
-
 // Contains reports whether an operation for the block is pending.
 func (q *TagQueue) Contains(block uint64) bool {
 	for _, op := range q.ops[q.head:] {
@@ -113,16 +105,4 @@ func (q *TagQueue) Contains(block uint64) bool {
 		}
 	}
 	return false
-}
-
-// Flush drains every pending operation and returns them in FIFO order. The
-// paper's controller flushes the queue when a write update arrives for a
-// block whose WORM prediction turned out wrong, because the queue holds only
-// meta-information while the write carries 128 bytes of data. The returned
-// slice is handed off to the caller; the queue starts a fresh backing array.
-func (q *TagQueue) Flush() []TagOp {
-	out := q.ops[q.head:]
-	q.ops = nil
-	q.head = 0
-	return out
 }

@@ -116,8 +116,8 @@ func TestCacheDropsAndCorruptsPuts(t *testing.T) {
 	}
 	// Corrupt entries were quarantined by the probing Get above — a corrupt
 	// Put is always detectable, never a wrong-but-valid result.
-	if disk.Quarantined() != int64(len(corrupted)) {
-		t.Errorf("Quarantined = %d, want %d", disk.Quarantined(), len(corrupted))
+	if disk.Health().Quarantined != int64(len(corrupted)) {
+		t.Errorf("Quarantined = %d, want %d", disk.Health().Quarantined, len(corrupted))
 	}
 }
 

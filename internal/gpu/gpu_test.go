@@ -304,7 +304,7 @@ func TestHeldStallSleepsAndReplays(t *testing.T) {
 // TestCatchUpMatchesCycling checks CatchUp against the cycles it stands for:
 // of two identical SMs sleeping through the same cycles, one is cycled
 // through every one of them and the other catches up in one call, and the
-// two must end up identical — SM counters, clock, request IDs, warp state and
+// two must end up identical — SM counters, clock, warp state and
 // the whole L1D with its components. A held SM replays its held stall; an
 // idle one, every warp blocked on a fill that never comes, charges no ready
 // warp. Catching an SM up to a cycle it has already been charged past panics.

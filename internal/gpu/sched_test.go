@@ -25,8 +25,6 @@ func (s *scriptSource) Next(warp int) trace.Instruction {
 	s.addr = uint64(1+s.rng.IntN(8)) * mem.BlockSize
 	return trace.Instruction{IsMem: s.isMem, Kind: mem.Read, Addr: s.addr}
 }
-func (s *scriptSource) Generated() uint64      { return 0 }
-func (s *scriptSource) MemoryAccesses() uint64 { return 0 }
 
 // scriptL1D is an L1D whose every answer is drawn from the test's random
 // stream: a stall (with or without a hold), a hit with a short latency, or a
@@ -58,7 +56,7 @@ func (c *scriptL1D) Access(req mem.Request, now int64) core.AccessResult {
 	}
 	return c.res
 }
-func (c *scriptL1D) Fill(block uint64, now int64) int    { return 0 }
+func (c *scriptL1D) Fill(block uint64, now int64)        {}
 func (c *scriptL1D) PopOutgoing() (mem.Request, bool)    { return mem.Request{}, false }
 func (c *scriptL1D) Tick(now int64)                      {}
 func (c *scriptL1D) StallHold() int64                    { return c.hold }

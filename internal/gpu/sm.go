@@ -93,7 +93,6 @@ type SM struct {
 	// rejected again, so the SM sleeps and CatchUp replays them.
 	hold int64
 
-	nextReqID uint64
 	// chargedTo is the SM's clock: every cycle before it has been charged to
 	// stats, by Cycle or by CatchUp.
 	chargedTo int64
@@ -435,20 +434,16 @@ func (sm *SM) Cycle(now int64) {
 }
 
 // request builds the L1D request of a warp's memory instruction issued at
-// cycle now, consuming one request ID.
+// cycle now.
 func (sm *SM) request(warp int, ins trace.Instruction, now int64) mem.Request {
-	req := mem.Request{
+	return mem.Request{
 		Addr:  ins.Addr,
 		PC:    ins.PC,
 		Kind:  ins.Kind,
-		Size:  mem.BlockSize,
 		SM:    sm.ID,
 		Warp:  warp,
 		Issue: now,
-		ID:    sm.nextReqID,
 	}
-	sm.nextReqID++
-	return req
 }
 
 // Holding reports whether the SM is sleeping through a held stall (see
@@ -482,15 +477,14 @@ func (sm *SM) CatchUp(now int64) {
 
 // replayStalls performs the cycles [from, to) of a held stall exactly as
 // Cycle would have: each one re-presents the greedy warp's rejected access
-// to the L1D, with a fresh request ID and issue cycle, and is rejected again.
+// to the L1D, with a fresh issue cycle, and is rejected again.
 // The first re-presentation goes through the real Access; a replayed access
 // that is not rejected means the hold was wrong, which would silently change
 // results, so it panics. Until the hold nothing the rejection depends on can
 // change — the caller stops before the L1D's next internal event (so Tick is
 // skipped: it would have done nothing) and before any fill — so every later
 // cycle repeats that rejection with identical counter changes, and the rest
-// are charged in one step: the stall cycles, request IDs and the L1D's
-// RepeatStall.
+// are charged in one step: the stall cycles and the L1D's RepeatStall.
 func (sm *SM) replayStalls(from, to int64) {
 	if sm.hold != math.MaxInt64 && to > sm.hold {
 		sm.broken("replays stalled cycles past its hold (cycle %d, hold %d)", to, sm.hold)
@@ -502,7 +496,6 @@ func (sm *SM) replayStalls(from, to int64) {
 	n := uint64(to - from)
 	sm.charge(causeL1DStall, n)
 	if n > 1 {
-		sm.nextReqID += n - 1
 		sm.l1d.RepeatStall(n - 1)
 	}
 }

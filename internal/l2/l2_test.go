@@ -13,10 +13,10 @@ func newL2() *L2 {
 }
 
 func read(addr uint64) mem.Request {
-	return mem.Request{Addr: addr, Kind: mem.Read, Size: mem.BlockSize}
+	return mem.Request{Addr: addr, Kind: mem.Read}
 }
 func write(addr uint64) mem.Request {
-	return mem.Request{Addr: addr, Kind: mem.Write, Size: mem.BlockSize}
+	return mem.Request{Addr: addr, Kind: mem.Write}
 }
 
 // drainFills drives the event loop until the memory side is idle or the

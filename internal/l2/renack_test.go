@@ -64,9 +64,9 @@ func runRenackTwins(t *testing.T, seed uint64, steps int) (renacked [2]int, fres
 	for step := 0; step < steps; step++ {
 		switch op := rng.IntN(40); {
 		case op < 10:
-			present(mem.Request{Addr: block(), Kind: mem.Read, Size: mem.BlockSize, ID: uint64(step)})
+			present(mem.Request{Addr: block(), Kind: mem.Read, PC: uint64(step)})
 		case op < 12:
-			present(mem.Request{Addr: block(), Kind: mem.Write, Size: mem.BlockSize, ID: uint64(step)})
+			present(mem.Request{Addr: block(), Kind: mem.Write, PC: uint64(step)})
 		case op < 36:
 			if len(pending) == 0 {
 				continue

@@ -1,5 +1,5 @@
 // Package mem defines the basic memory-request vocabulary shared by every
-// level of the simulated GPU memory hierarchy: request/response records,
+// level of the simulated GPU memory hierarchy: request records,
 // access kinds, block-address arithmetic and the read-level classification
 // used throughout the FUSE design.
 package mem
@@ -86,8 +86,6 @@ type Request struct {
 	PC uint64
 	// Kind says whether this is a read or a write.
 	Kind AccessKind
-	// Size is the access size in bytes (after coalescing, usually 128).
-	Size int
 	// SM identifies the streaming multiprocessor that issued the request.
 	SM int
 	// Warp identifies the warp within the SM.
@@ -95,9 +93,6 @@ type Request struct {
 	// Issue is the simulation cycle at which the request entered the
 	// memory system (used for latency accounting).
 	Issue int64
-	// ID is a monotonically increasing identifier assigned by the issuer;
-	// it lets responses be matched back to the waiting warp.
-	ID uint64
 }
 
 // BlockAddr returns the block-aligned address of the request.
@@ -108,19 +103,6 @@ func BlockAlign(addr uint64) uint64 { return addr &^ (BlockSize - 1) }
 
 // BlockIndex returns the block number (address divided by the block size).
 func BlockIndex(addr uint64) uint64 { return addr >> BlockShift }
-
-// Response is the reply delivered when a miss has been serviced by a lower
-// level of the hierarchy.
-type Response struct {
-	// Req is the original request (the primary miss for merged requests).
-	Req Request
-	// Done is the cycle at which the data became available.
-	Done int64
-}
-
-// Latency returns the number of cycles the request spent in the memory
-// system.
-func (r *Response) Latency() int64 { return r.Done - r.Req.Issue }
 
 // String implements fmt.Stringer for debugging.
 func (r Request) String() string {

@@ -92,13 +92,6 @@ func TestReadLevelString(t *testing.T) {
 	}
 }
 
-func TestResponseLatency(t *testing.T) {
-	resp := Response{Req: Request{Issue: 100}, Done: 450}
-	if got := resp.Latency(); got != 350 {
-		t.Errorf("Latency() = %d, want 350", got)
-	}
-}
-
 func TestRequestString(t *testing.T) {
 	r := Request{Addr: 0x80, PC: 0x400, Kind: Write, SM: 3, Warp: 11}
 	want := "write@0x80 pc=0x400 sm=3 warp=11"

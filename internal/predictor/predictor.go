@@ -6,16 +6,29 @@ package predictor
 
 import "fuse/internal/mem"
 
-// Signature computes the partial-PC index ("Signature" in the paper) used by
+// signature computes the partial-PC index ("Signature" in the paper) used by
 // the prediction history table. The paper stores 9 bits per sampler entry but
 // indexes a table of up to 1024 entries; we extract the low bits of the
 // word-aligned PC.
-func Signature(pc uint64, tableSize int) int {
-	if tableSize <= 0 {
-		return 0
-	}
-	return int((pc >> 2) % uint64(tableSize))
-}
+func signature(pc uint64) int { return int((pc >> 2) % historyEntries) }
+
+// Table I parameters shared by both predictors: a sampler of 4 sets x 8
+// ways fed by 4 representative warps out of an SM's 48, and a history table
+// of 1024 signatures with 4-bit counters.
+const (
+	samplerSets    = 4
+	samplerWays    = 8
+	warpsPerSM     = 48
+	sampledWarps   = 4
+	historyEntries = 1024
+	counterMax     = 15
+	// unusedThreshold is the counter value from which the read-level
+	// predictor classifies a signature as WORO.
+	unusedThreshold = 14
+	// initialCounter is the counter a fresh read-level history entry
+	// starts at.
+	initialCounter = 8
+)
 
 // partialTag computes the 15-bit partial block-address tag stored in a
 // sampler entry.
@@ -32,7 +45,79 @@ type samplerEntry struct {
 	rp        uint8
 	tag       uint16
 	signature int
-	lastWrite bool
+}
+
+// sampler is the memory-request sampler both predictors train from: it
+// tracks the blocks the representative warps touch, and reports which
+// signature a block's re-reference rewards and which an unused eviction
+// punishes.
+type sampler [samplerSets][samplerWays]samplerEntry
+
+// warpSampled reports whether the given warp is one of the representative
+// warps observed by the sampler, and which sampler set it maps to.
+func warpSampled(warp int) (int, bool) {
+	const stride = warpsPerSM / sampledWarps
+	if warp%stride != 0 {
+		return 0, false
+	}
+	return (warp / stride) % samplerSets, true
+}
+
+// observe feeds one memory request into the sampler. A request from a warp
+// that is not sampled changes nothing and returns (-1, -1). Otherwise reused
+// is the signature of the entry the request re-references (-1 on a sampler
+// miss), and dead the signature of an entry the miss evicted without it ever
+// being re-used (-1 if none).
+func (s *sampler) observe(req mem.Request) (reused, dead int) {
+	set, ok := warpSampled(req.Warp)
+	if !ok {
+		return -1, -1
+	}
+	ways := &s[set]
+	tag := partialTag(req.BlockAddr())
+	for w := range ways {
+		if e := &ways[w]; e.valid && e.tag == tag {
+			e.used = true
+			touchLRU(ways, w)
+			return e.signature, -1
+		}
+	}
+	// Miss: allocate a sampler entry, evicting the LRU way.
+	victim := lruVictim(ways)
+	e := &ways[victim]
+	dead = -1
+	if e.valid && !e.used {
+		dead = e.signature
+	}
+	*e = samplerEntry{valid: true, tag: tag, signature: signature(req.PC)}
+	touchLRU(ways, victim)
+	return -1, dead
+}
+
+// touchLRU moves way w of the set to the most-recently-used position by
+// updating the 3-bit RP ranks.
+func touchLRU(ways *[samplerWays]samplerEntry, way int) {
+	old := ways[way].rp
+	for i := range ways {
+		if ways[i].rp > old {
+			ways[i].rp--
+		}
+	}
+	ways[way].rp = samplerWays - 1
+}
+
+// lruVictim returns the way with the lowest RP rank, preferring invalid ways.
+func lruVictim(ways *[samplerWays]samplerEntry) int {
+	best := 0
+	for i := range ways {
+		if !ways[i].valid {
+			return i
+		}
+		if ways[i].rp < ways[best].rp {
+			best = i
+		}
+	}
+	return best
 }
 
 // historyEntry is one entry of the prediction history table: an R/W status
@@ -52,99 +137,22 @@ const writeBiasMax = 3
 
 func (h *historyEntry) writeStatus() bool { return h.writeBias >= (writeBiasMax+1)/2 }
 
-// Config parameterises the read-level predictor. Zero values are replaced by
-// the paper's defaults (Table I).
-type Config struct {
-	// SamplerSets and SamplerWays describe the sampler geometry (4 x 8).
-	SamplerSets int
-	SamplerWays int
-	// HistoryEntries is the size of the prediction history table.
-	HistoryEntries int
-	// UnusedThreshold is the counter value above which a signature is
-	// classified as WORO (14 in the paper).
-	UnusedThreshold int
-	// InitialCounter is the counter value a fresh history entry starts at
-	// (8 in the paper).
-	InitialCounter int
-	// CounterMax is the saturation value of the 4-bit counter.
-	CounterMax int
-	// WarpsPerSM and SampledWarps control which warps feed the sampler:
-	// SampledWarps representative warps out of WarpsPerSM.
-	WarpsPerSM   int
-	SampledWarps int
-}
-
-func (c Config) withDefaults() Config {
-	if c.SamplerSets == 0 {
-		c.SamplerSets = 4
-	}
-	if c.SamplerWays == 0 {
-		c.SamplerWays = 8
-	}
-	if c.HistoryEntries == 0 {
-		c.HistoryEntries = 1024
-	}
-	if c.UnusedThreshold == 0 {
-		c.UnusedThreshold = 14
-	}
-	if c.InitialCounter == 0 {
-		c.InitialCounter = 8
-	}
-	if c.CounterMax == 0 {
-		c.CounterMax = 15
-	}
-	if c.WarpsPerSM == 0 {
-		c.WarpsPerSM = 48
-	}
-	if c.SampledWarps == 0 {
-		c.SampledWarps = 4
-	}
-	return c
-}
-
 // ReadLevelPredictor speculates the read level (WM / read-intensive / WORM /
 // WORO) of the cache block an incoming memory reference will allocate, based
 // on the history of the instruction (PC) issuing it.
 type ReadLevelPredictor struct {
-	cfg     Config
-	sampler [][]samplerEntry
-	history []historyEntry
+	sampler sampler
+	history [historyEntries]historyEntry
 }
 
-// NewReadLevelPredictor builds a predictor with the given configuration
-// (zero-value fields take the paper's defaults).
-func NewReadLevelPredictor(cfg Config) *ReadLevelPredictor {
-	cfg = cfg.withDefaults()
-	p := &ReadLevelPredictor{cfg: cfg}
-	p.sampler = make([][]samplerEntry, cfg.SamplerSets)
-	for i := range p.sampler {
-		p.sampler[i] = make([]samplerEntry, cfg.SamplerWays)
-	}
-	p.history = make([]historyEntry, cfg.HistoryEntries)
+// NewReadLevelPredictor builds a predictor with the paper's Table I
+// parameters and an untrained history.
+func NewReadLevelPredictor() *ReadLevelPredictor {
+	p := &ReadLevelPredictor{}
 	for i := range p.history {
-		p.history[i] = historyEntry{counter: cfg.InitialCounter}
+		p.history[i].counter = initialCounter
 	}
 	return p
-}
-
-// Config returns the effective configuration.
-func (p *ReadLevelPredictor) Config() Config { return p.cfg }
-
-// warpSampled reports whether the given warp is one of the representative
-// warps observed by the sampler, and which sampler set it maps to.
-func (p *ReadLevelPredictor) warpSampled(warp int) (int, bool) {
-	if p.cfg.SampledWarps <= 0 {
-		return 0, false
-	}
-	stride := p.cfg.WarpsPerSM / p.cfg.SampledWarps
-	if stride <= 0 {
-		stride = 1
-	}
-	if warp%stride != 0 {
-		return 0, false
-	}
-	set := (warp / stride) % p.cfg.SamplerSets
-	return set, true
 }
 
 // Predict returns the read level the predictor currently associates with the
@@ -155,9 +163,9 @@ func (p *ReadLevelPredictor) warpSampled(warp int) (int, bool) {
 //	counter <= 1 and status == 'W'       -> WM
 //	otherwise                            -> neutral, treated as read-intensive
 func (p *ReadLevelPredictor) Predict(pc uint64) mem.ReadLevel {
-	h := p.history[Signature(pc, len(p.history))]
+	h := p.history[signature(pc)]
 	switch {
-	case h.counter >= p.cfg.UnusedThreshold:
+	case h.counter >= unusedThreshold:
 		return mem.WORO
 	case h.counter <= 1 && h.writeStatus():
 		return mem.WriteMultiple
@@ -172,101 +180,41 @@ func (p *ReadLevelPredictor) Predict(pc uint64) mem.ReadLevel {
 // (read-intensive) middle band rather than a confident WM/WORM/WORO call.
 // Figure 16 reports this band separately.
 func (p *ReadLevelPredictor) Neutral(pc uint64) bool {
-	h := p.history[Signature(pc, len(p.history))]
-	return h.counter > 1 && h.counter < p.cfg.UnusedThreshold
+	h := p.history[signature(pc)]
+	return h.counter > 1 && h.counter < unusedThreshold
 }
 
 // Observe feeds one memory request into the sampler and updates the history
 // table. Only requests from the representative warps are sampled; all other
 // requests are ignored (this is what keeps the structure small).
 func (p *ReadLevelPredictor) Observe(req mem.Request) {
-	set, ok := p.warpSampled(req.Warp)
-	if !ok {
-		return
-	}
-	ways := p.sampler[set]
-	tag := partialTag(req.BlockAddr())
-	sig := Signature(req.PC, len(p.history))
-
-	// Hit: the block is being re-referenced. Reward the signature that
-	// brought it in (decrement counter) and bias the R/W status toward the
-	// kind of reuse observed.
-	for w := range ways {
-		e := &ways[w]
-		if e.valid && e.tag == tag {
-			h := &p.history[e.signature]
-			if h.counter > 0 {
-				h.counter--
-			}
-			if req.Kind == mem.Write {
-				if h.writeBias < writeBiasMax {
-					h.writeBias += 2
-					if h.writeBias > writeBiasMax {
-						h.writeBias = writeBiasMax
-					}
-				}
-			} else if h.writeBias > 0 {
-				h.writeBias--
-			}
-			e.used = true
-			e.lastWrite = req.Kind == mem.Write
-			p.touchLRU(set, w)
-			return
+	reused, dead := p.sampler.observe(req)
+	if reused >= 0 {
+		// The block is being re-referenced. Reward the signature that
+		// brought it in (decrement counter) and bias the R/W status toward
+		// the kind of reuse observed.
+		h := &p.history[reused]
+		if h.counter > 0 {
+			h.counter--
+		}
+		if req.Kind == mem.Write {
+			h.writeBias = min(h.writeBias+2, writeBiasMax)
+		} else if h.writeBias > 0 {
+			h.writeBias--
 		}
 	}
-
-	// Miss: allocate a sampler entry, evicting the LRU way. If the victim
-	// was never re-used (U == 0), punish its signature (increment counter).
-	victim := p.lruVictim(set)
-	e := &ways[victim]
-	if e.valid && !e.used {
-		h := &p.history[e.signature]
-		if h.counter < p.cfg.CounterMax {
+	if dead >= 0 {
+		// The evicted entry was never re-used: punish its signature.
+		if h := &p.history[dead]; h.counter < counterMax {
 			h.counter++
 		}
 	}
-	*e = samplerEntry{
-		valid:     true,
-		used:      false,
-		tag:       tag,
-		signature: sig,
-		lastWrite: req.Kind == mem.Write,
-	}
-	p.touchLRU(set, victim)
-}
-
-// touchLRU moves way w of the set to the most-recently-used position by
-// updating the 3-bit RP ranks.
-func (p *ReadLevelPredictor) touchLRU(set, way int) {
-	ways := p.sampler[set]
-	old := ways[way].rp
-	for i := range ways {
-		if ways[i].rp > old {
-			ways[i].rp--
-		}
-	}
-	ways[way].rp = uint8(len(ways) - 1)
-}
-
-// lruVictim returns the way with the lowest RP rank, preferring invalid ways.
-func (p *ReadLevelPredictor) lruVictim(set int) int {
-	ways := p.sampler[set]
-	best := 0
-	for i := range ways {
-		if !ways[i].valid {
-			return i
-		}
-		if ways[i].rp < ways[best].rp {
-			best = i
-		}
-	}
-	return best
 }
 
 // CounterOf exposes the history counter for a PC (used by tests and by the
 // area/debug reports).
 func (p *ReadLevelPredictor) CounterOf(pc uint64) int {
-	return p.history[Signature(pc, len(p.history))].counter
+	return p.history[signature(pc)].counter
 }
 
 // Outcome classifies a finished prediction for the Figure 16 accuracy

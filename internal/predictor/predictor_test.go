@@ -27,46 +27,52 @@ func anySamplerEntry(p *ReadLevelPredictor, f func(samplerEntry) bool) bool {
 }
 
 func TestSignatureStable(t *testing.T) {
-	if Signature(0x400, 1024) != Signature(0x400, 1024) {
+	if signature(0x400) != signature(0x400) {
 		t.Errorf("signature must be deterministic")
 	}
-	if Signature(0x400, 1024) == Signature(0x404, 1024) {
+	if signature(0x400) == signature(0x404) {
 		t.Errorf("adjacent instructions should map to different signatures")
 	}
-	if Signature(0x400, 0) != 0 {
-		t.Errorf("zero-size table should clamp to 0")
+	if signature(0x400) != signature(0x400+4*historyEntries) {
+		t.Errorf("PCs a history table apart should share a signature")
 	}
 	for pc := uint64(0); pc < 1<<16; pc += 4 {
-		s := Signature(pc, 1024)
-		if s < 0 || s >= 1024 {
+		s := signature(pc)
+		if s < 0 || s >= historyEntries {
 			t.Fatalf("signature out of range: %d", s)
 		}
 	}
 }
 
+// TestDefaultsApplied pins the predictors' Table I parameters: a 4-set x
+// 8-way sampler fed by 4 of 48 warps, a 1024-entry history table of 4-bit
+// counters starting at 8, and the unused threshold 14.
 func TestDefaultsApplied(t *testing.T) {
-	p := NewReadLevelPredictor(Config{})
-	cfg := p.Config()
-	if cfg.SamplerSets != 4 || cfg.SamplerWays != 8 {
-		t.Errorf("sampler defaults wrong: %+v", cfg)
+	got := [...]int{samplerSets, samplerWays, sampledWarps, warpsPerSM, historyEntries, counterMax, initialCounter, unusedThreshold}
+	want := [...]int{4, 8, 4, 48, 1024, 15, 8, 14}
+	if got != want {
+		t.Errorf("Table I parameters (sampler sets, ways, sampled warps, warps per SM, history entries, counter max, initial counter, unused threshold) = %v, want %v", got, want)
 	}
-	if cfg.HistoryEntries != 1024 || cfg.UnusedThreshold != 14 || cfg.InitialCounter != 8 {
-		t.Errorf("history defaults wrong: %+v", cfg)
+	p := NewReadLevelPredictor()
+	if len(p.sampler) != 4 || len(p.sampler[0]) != 8 || len(p.history) != 1024 {
+		t.Errorf("sampler %dx%d, history %d entries; want 4x8 and 1024", len(p.sampler), len(p.sampler[0]), len(p.history))
 	}
-	if cfg.WarpsPerSM != 48 || cfg.SampledWarps != 4 {
-		t.Errorf("warp sampling defaults wrong: %+v", cfg)
+	for pc := uint64(0); pc < 1024*4; pc += 4 {
+		if c := p.CounterOf(pc); c != 8 {
+			t.Fatalf("untrained counter of pc %#x = %d, want 8", pc, c)
+		}
 	}
 }
 
 func TestInitialPredictionIsNeutral(t *testing.T) {
-	p := NewReadLevelPredictor(Config{})
+	p := NewReadLevelPredictor()
 	if got := p.Predict(0x1000); got != mem.ReadIntensive {
 		t.Errorf("untrained prediction = %v, want read-intensive (neutral)", got)
 	}
 	if !p.Neutral(0x1000) {
 		t.Errorf("untrained prediction should be neutral")
 	}
-	if got, want := p.CounterOf(0x1000), p.Config().InitialCounter; got != want {
+	if got, want := p.CounterOf(0x1000), initialCounter; got != want {
 		t.Errorf("Predict must not train the history table: counter %d, want %d", got, want)
 	}
 }
@@ -74,7 +80,7 @@ func TestInitialPredictionIsNeutral(t *testing.T) {
 func TestLearnsWORMPattern(t *testing.T) {
 	// Blocks filled by PC 0x800 are re-read many times by other PCs: the
 	// predictor should converge to WORM for PC 0x800.
-	p := NewReadLevelPredictor(Config{})
+	p := NewReadLevelPredictor()
 	fillPC := uint64(0x800)
 	readPC := uint64(0x900)
 	for i := 0; i < 64; i++ {
@@ -97,7 +103,7 @@ func TestLearnsWORMPattern(t *testing.T) {
 
 func TestLearnsWMPattern(t *testing.T) {
 	// Blocks touched by PC 0xA00 are written over and over: predict WM.
-	p := NewReadLevelPredictor(Config{})
+	p := NewReadLevelPredictor()
 	pc := uint64(0xA00)
 	for i := 0; i < 64; i++ {
 		block := 2000 + i%8 // small, write-hot working set
@@ -112,7 +118,7 @@ func TestLearnsWOROPattern(t *testing.T) {
 	// Blocks touched by PC 0xC00 are streamed through exactly once: the
 	// sampler keeps evicting unused entries, driving the counter up to the
 	// WORO threshold.
-	p := NewReadLevelPredictor(Config{})
+	p := NewReadLevelPredictor()
 	pc := uint64(0xC00)
 	for i := 0; i < 400; i++ {
 		p.Observe(rlReq(5000+i, pc, mem.Read, sampledWarp))
@@ -120,13 +126,13 @@ func TestLearnsWOROPattern(t *testing.T) {
 	if got := p.Predict(pc); got != mem.WORO {
 		t.Errorf("Predict(streaming PC) = %v, want WORO (counter=%d)", got, p.CounterOf(pc))
 	}
-	if got, want := p.CounterOf(pc), p.Config().CounterMax; got != want {
+	if got, want := p.CounterOf(pc), counterMax; got != want {
 		t.Errorf("unused sampler evictions should saturate the streaming PC's counter: %d, want %d", got, want)
 	}
 }
 
 func TestNonSampledWarpsIgnored(t *testing.T) {
-	p := NewReadLevelPredictor(Config{})
+	p := NewReadLevelPredictor()
 	before := p.CounterOf(0xE00)
 	// Warp 5 is not one of the 4 representative warps (stride 12).
 	for i := 0; i < 100; i++ {
@@ -141,15 +147,14 @@ func TestNonSampledWarpsIgnored(t *testing.T) {
 }
 
 func TestMultipleSampledWarpsUseDifferentSets(t *testing.T) {
-	p := NewReadLevelPredictor(Config{})
 	// Warps 0, 12, 24, 36 are sampled under the default 48-warp config.
 	for _, warp := range []int{0, 12, 24, 36} {
-		if _, ok := p.warpSampled(warp); !ok {
+		if _, ok := warpSampled(warp); !ok {
 			t.Errorf("warp %d should be sampled", warp)
 		}
 	}
-	s0, _ := p.warpSampled(0)
-	s1, _ := p.warpSampled(12)
+	s0, _ := warpSampled(0)
+	s1, _ := warpSampled(12)
 	if s0 == s1 {
 		t.Errorf("different representative warps should map to different sampler sets")
 	}
@@ -208,7 +213,7 @@ func TestAccuracyTracker(t *testing.T) {
 }
 
 func TestDeadWritePredictorLearnsStreaming(t *testing.T) {
-	p := NewDeadWritePredictor(Config{})
+	p := NewDeadWritePredictor()
 	pc := uint64(0x1200)
 	// Streaming blocks: written/read once, never reused.
 	for i := 0; i < 400; i++ {
@@ -225,7 +230,7 @@ func TestDeadWritePredictorLearnsStreaming(t *testing.T) {
 }
 
 func TestDeadWritePredictorLearnsReuse(t *testing.T) {
-	p := NewDeadWritePredictor(Config{})
+	p := NewDeadWritePredictor()
 	pc := uint64(0x1300)
 	for i := 0; i < 64; i++ {
 		block := 100 + i%8
@@ -238,7 +243,7 @@ func TestDeadWritePredictorLearnsReuse(t *testing.T) {
 }
 
 func TestDeadWritePredictorIgnoresNonSampledWarps(t *testing.T) {
-	p := NewDeadWritePredictor(Config{})
+	p := NewDeadWritePredictor()
 	for i := 0; i < 100; i++ {
 		p.Observe(rlReq(100+i, 0x1500, mem.Write, 7))
 	}

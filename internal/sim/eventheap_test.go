@@ -51,7 +51,7 @@ func TestEventHeapMatchesSortedOrder(t *testing.T) {
 					sm:    rng.IntN(15),
 					bank:  rng.IntN(12),
 					block: rng.Uint64(),
-					req:   mem.Request{Addr: rng.Uint64(), PC: rng.Uint64(), ID: s},
+					req:   mem.Request{Addr: rng.Uint64(), PC: rng.Uint64(), Issue: int64(s)},
 				}
 				q.push(e)
 				pos, _ := slices.BinarySearchFunc(ref, e, eventOrder)

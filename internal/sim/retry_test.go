@@ -28,8 +28,10 @@ func popEvent(s *Simulator) event {
 	return s.events.slab[slot]
 }
 
+// readReq is a read of block tagged with id in its PC, which no retry or
+// batching decision reads.
 func readReq(block, id uint64) mem.Request {
-	return mem.Request{Addr: block, Kind: mem.Read, Size: mem.BlockSize, ID: id}
+	return mem.Request{Addr: block, Kind: mem.Read, PC: id}
 }
 
 // nackAt is a NACK retrying at cycle at whose version matches no set, so the
@@ -37,7 +39,7 @@ func readReq(block, id uint64) mem.Request {
 func nackAt(at int64) l2.Result { return l2.Result{Outcome: l2.OutcomeBlocked, RetryAt: at} }
 
 // batchIDs pops the next heap event, which must be a retry batch due at the
-// given cycle, and returns its members' request IDs in replay order.
+// given cycle, and returns its members' request tags in replay order.
 func batchIDs(t *testing.T, s *Simulator, at int64) []uint64 {
 	t.Helper()
 	e := popEvent(s)
@@ -46,7 +48,7 @@ func batchIDs(t *testing.T, s *Simulator, at int64) []uint64 {
 	}
 	var ids []uint64
 	for i := e.batch; i >= 0; i = s.retries.members[i].next {
-		ids = append(ids, s.retries.members[i].req.ID)
+		ids = append(ids, s.retries.members[i].req.PC)
 	}
 	return ids
 }

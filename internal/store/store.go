@@ -536,9 +536,6 @@ func Open(dir string) (*Disk, error) {
 	return d, nil
 }
 
-// Dir returns the store's root directory.
-func (d *Disk) Dir() string { return d.dir }
-
 // parseKey decodes a store key to its binary form.
 func parseKey(key string) ([keyLen]byte, bool) {
 	var k [keyLen]byte
@@ -654,9 +651,6 @@ func parseHeader(h []byte) (n, crc uint32, ok bool) {
 	n = binary.LittleEndian.Uint32(h[4:])
 	return n, binary.LittleEndian.Uint32(h[8:]), n > 0
 }
-
-// Quarantined returns the number of records that failed their checks.
-func (d *Disk) Quarantined() int64 { return d.quarantined.Load() }
 
 // Health implements HealthReporter.
 func (d *Disk) Health() Health {

@@ -654,16 +654,16 @@ func TestDiskQuarantinesCorruptEntries(t *testing.T) {
 	if _, ok := d.Get(key); ok {
 		t.Fatalf("corrupt record should miss")
 	}
-	if d.Quarantined() != 1 {
-		t.Errorf("Quarantined = %d, want 1", d.Quarantined())
+	if d.Health().Quarantined != 1 {
+		t.Errorf("Quarantined = %d, want 1", d.Health().Quarantined)
 	}
 	if _, ok := d.Locate(key); ok {
 		t.Errorf("quarantined record still indexed")
 	}
 	// A second read misses without counting the same record again, and the
 	// miss's rescan does not re-index it.
-	if _, ok := d.Get(key); ok || d.Quarantined() != 1 {
-		t.Errorf("re-read: hit %v, Quarantined = %d, want a miss and 1", ok, d.Quarantined())
+	if _, ok := d.Get(key); ok || d.Health().Quarantined != 1 {
+		t.Errorf("re-read: hit %v, Quarantined = %d, want a miss and 1", ok, d.Health().Quarantined)
 	}
 	if d.Len() != 0 {
 		t.Errorf("quarantined record still counted: Len = %d", d.Len())
@@ -682,8 +682,8 @@ func TestDiskQuarantinesCorruptEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Quarantined() != 1 {
-		t.Errorf("fresh Disk: Quarantined = %d, want 1", fresh.Quarantined())
+	if fresh.Health().Quarantined != 1 {
+		t.Errorf("fresh Disk: Quarantined = %d, want 1", fresh.Health().Quarantined)
 	}
 	if got, ok := fresh.Get(key); !ok || !reflect.DeepEqual(got, res) {
 		t.Errorf("fresh Disk should hit the rewritten record")
@@ -915,8 +915,8 @@ func TestDiskDefectMatrix(t *testing.T) {
 			if tc.quarantine {
 				want = 1
 			}
-			if d.Quarantined() != want {
-				t.Errorf("Quarantined = %d, want %d", d.Quarantined(), want)
+			if d.Health().Quarantined != want {
+				t.Errorf("Quarantined = %d, want %d", d.Health().Quarantined, want)
 			}
 			if d.Len() != 0 {
 				t.Errorf("defective record still indexed: Len = %d", d.Len())
@@ -1059,8 +1059,8 @@ func TestDiskFlippedPayloadByte(t *testing.T) {
 		if _, ok := disk.Get(keys[1]); ok {
 			t.Errorf("%s: the flipped record must miss", name)
 		}
-		if disk.Quarantined() != 1 {
-			t.Errorf("%s: Quarantined = %d, want 1", name, disk.Quarantined())
+		if disk.Health().Quarantined != 1 {
+			t.Errorf("%s: Quarantined = %d, want 1", name, disk.Health().Quarantined)
 		}
 		mustHit(t, disk, keys[0], results[0])
 		mustHit(t, disk, keys[2], results[2])
@@ -1129,8 +1129,8 @@ func TestDiskLastWriterWinsAcrossSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustHit(t, fresh, key, last)
-	if fresh.Quarantined() != 1 {
-		t.Errorf("Quarantined = %d, want the one CRC-bad record", fresh.Quarantined())
+	if fresh.Health().Quarantined != 1 {
+		t.Errorf("Quarantined = %d, want the one CRC-bad record", fresh.Health().Quarantined)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // package's one reader of outside bytes (-workloads files and the inline
 // "workloads" block of POST /v1/batch). Each input must fail to parse, or
 // every profile and phased entry must fail Validate or build per-SM sources
-// that generate instructions without panicking. Phased entries resolve the
+// that generate instructions without panicking, the same stream each time a
+// source is built for the same SM and seed. Phased entries resolve the
 // way Register resolves them, but nothing is registered, so the registry
 // keeps only what the package's tests put there. The seed corpus
 // (testdata/fuzz/FuzzParseWorkloads) holds a working set past the
@@ -47,14 +48,17 @@ func FuzzParseWorkloads(f *testing.F) {
 				continue
 			}
 			for _, sm := range []int{0, 7} {
-				src, err := w.NewSource(sm, 42)
-				if err != nil {
-					t.Fatalf("%s: valid workload without a source for SM %d: %v", w.Name(), sm, err)
-				}
 				const n = 3000
-				drive(src, n)
-				if got := src.Generated(); got != n {
-					t.Fatalf("%s: SM %d generated %d instructions, want %d", w.Name(), sm, got, n)
+				var streams [2][]Instruction
+				for i := range streams {
+					src, err := w.NewSource(sm, 42)
+					if err != nil {
+						t.Fatalf("%s: valid workload without a source for SM %d: %v", w.Name(), sm, err)
+					}
+					streams[i] = drive(src, n)
+				}
+				if !instructionsEqual(streams[0], streams[1]) {
+					t.Fatalf("%s: SM %d: two sources for the same seed generated different streams", w.Name(), sm)
 				}
 			}
 		}

@@ -262,15 +262,6 @@ func (k *Kernel) warpState(warp int) *warpRegions {
 	return w
 }
 
-// Profile returns the profile the kernel was built from.
-func (k *Kernel) Profile() Profile { return k.prof }
-
-// Generated returns the number of instructions generated so far.
-func (k *Kernel) Generated() uint64 { return k.generated }
-
-// MemoryAccesses returns the number of memory instructions generated so far.
-func (k *Kernel) MemoryAccesses() uint64 { return k.memCount }
-
 // MeasuredAPKI returns the accesses-per-kilo-thread-instruction of the
 // generated stream so far (the Table II metric): warp-level memory fraction
 // divided by the threads-per-warp scaling.
@@ -279,15 +270,6 @@ func (k *Kernel) MeasuredAPKI() float64 {
 		return 0
 	}
 	return float64(k.memCount) / float64(k.generated) * 1000 / threadsPerWarp
-}
-
-// MemFraction returns the fraction of generated warp instructions that were
-// memory instructions.
-func (k *Kernel) MemFraction() float64 {
-	if k.generated == 0 {
-		return 0
-	}
-	return float64(k.memCount) / float64(k.generated)
 }
 
 // Next produces the next dynamic instruction for the given warp.

@@ -166,14 +166,14 @@ func TestKernelAPKIMatchesProfile(t *testing.T) {
 		if got < want*0.8 || got > want*1.2 {
 			t.Errorf("%s: measured APKI %.1f far from expected %.1f", name, got, want)
 		}
-		if k.Generated() != n {
-			t.Errorf("%s: Generated() = %d, want %d", name, k.Generated(), n)
+		if k.generated != n {
+			t.Errorf("%s: generated %d instructions, want %d", name, k.generated, n)
 		}
-		if k.MemoryAccesses() == 0 {
+		if k.memCount == 0 {
 			t.Errorf("%s: no memory accesses generated", name)
 		}
-		if k.MemFraction() <= 0 || k.MemFraction() > maxMemFraction+0.05 {
-			t.Errorf("%s: memory fraction %.2f out of range", name, k.MemFraction())
+		if frac := float64(k.memCount) / float64(k.generated); frac <= 0 || frac > maxMemFraction+0.05 {
+			t.Errorf("%s: memory fraction %.2f out of range", name, frac)
 		}
 	}
 	// Relative ordering survives the cap: pathf is far less memory-intensive
@@ -186,9 +186,9 @@ func TestKernelAPKIMatchesProfile(t *testing.T) {
 		kl.Next(i % 48)
 		kh.Next(i % 48)
 	}
-	if kl.MemFraction() >= kh.MemFraction() {
-		t.Errorf("pathf should be less memory-intensive than ATAX: %.3f vs %.3f",
-			kl.MemFraction(), kh.MemFraction())
+	if kl.memCount >= kh.memCount {
+		t.Errorf("pathf should be less memory-intensive than ATAX: %d vs %d memory instructions in %d",
+			kl.memCount, kh.memCount, kl.generated)
 	}
 }
 

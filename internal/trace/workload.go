@@ -6,18 +6,13 @@ import (
 )
 
 // Source is the per-SM instruction-stream contract: the simulator asks it for
-// one dynamic instruction per issue slot and reads back the stream counters.
-// *Kernel — the synthetic Table-II generator — is the canonical
-// implementation; phased composites are the other. A Source is owned by
-// exactly one SM and is never shared across goroutines.
+// one dynamic instruction per issue slot. *Kernel — the synthetic Table-II
+// generator — is the canonical implementation; phased composites are the
+// other. A Source is owned by exactly one SM and is never shared across
+// goroutines.
 type Source interface {
 	// Next produces the next dynamic instruction for the given warp.
 	Next(warp int) Instruction
-	// Generated returns the number of instructions generated so far.
-	Generated() uint64
-	// MemoryAccesses returns the number of memory instructions generated so
-	// far.
-	MemoryAccesses() uint64
 }
 
 // Workload describes one runnable workload: it names itself, validates its
@@ -166,9 +161,6 @@ type phasedSource struct {
 	cur       int
 	src       Source
 	curBudget uint64 // instructions generated in the current phase
-
-	generated uint64
-	mem       uint64
 }
 
 // phaseSeed derives the deterministic kernel seed of one phase.
@@ -186,21 +178,6 @@ func (s *phasedSource) Next(warp int) Instruction {
 		s.src = NewKernel(s.phases[s.cur].Profile, s.sm, phaseSeed(s.seed, s.cur))
 		s.curBudget = 0
 	}
-	ins := s.src.Next(warp)
 	s.curBudget++
-	s.generated++
-	if ins.IsMem {
-		s.mem++
-	}
-	return ins
+	return s.src.Next(warp)
 }
-
-// Generated implements Source.
-func (s *phasedSource) Generated() uint64 { return s.generated }
-
-// MemoryAccesses implements Source.
-func (s *phasedSource) MemoryAccesses() uint64 { return s.mem }
-
-// PhaseIndex returns the index of the phase the stream is currently in (for
-// inspection and tests).
-func (s *phasedSource) PhaseIndex() int { return s.cur }
